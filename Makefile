@@ -2,7 +2,7 @@
 # keep `make verify` green before merging.
 GO ?= go
 
-.PHONY: verify vet lint build test race bench eval evalfull chaos perf readiness
+.PHONY: verify vet lint build test race bench eval evalfull chaos perf
 
 verify: vet lint build race
 
@@ -11,29 +11,10 @@ vet:
 
 # lint runs the repo's own invariant-enforcing analyzers (kloclint):
 # determinism hygiene, errno discipline, trace-name catalog membership,
-# alloc/free pairing, and the parallel-readiness suite (ownership,
-# lockcheck, rngflow, phasecheck — DESIGN.md §10, §14, §15). It also
-# fails when the checked-in PARALLEL_READINESS.md drifts from the code
-# (the report is regenerated twice — a determinism check in itself —
-# and compared) and when the shared-state count moves off the
-# .ownership-ratchet baseline in either direction.
+# alloc/free pairing, shard isolation (ownership) and RNG stream
+# discipline (rngflow) — DESIGN.md §10, §14 — plus the marker audit.
 lint:
 	$(GO) run ./cmd/kloclint
-	$(GO) run ./cmd/kloclint -ownership-ratchet .ownership-ratchet
-	$(GO) run ./cmd/kloclint -ownership-report .readiness.run1.tmp
-	$(GO) run ./cmd/kloclint -ownership-report .readiness.run2.tmp
-	@cmp .readiness.run1.tmp .readiness.run2.tmp || \
-		{ rm -f .readiness.run1.tmp .readiness.run2.tmp; \
-		  echo "lint: ownership report not byte-stable across identical runs"; exit 1; }
-	@cmp .readiness.run1.tmp PARALLEL_READINESS.md || \
-		{ rm -f .readiness.run1.tmp .readiness.run2.tmp; \
-		  echo "lint: PARALLEL_READINESS.md is stale — run 'make readiness'"; exit 1; }
-	@rm -f .readiness.run1.tmp .readiness.run2.tmp
-
-# readiness regenerates the checked-in parallel-readiness inventory
-# (the sharded-engine spec, ROADMAP item 2) from the code.
-readiness:
-	$(GO) run ./cmd/kloclint -ownership-report PARALLEL_READINESS.md
 
 build:
 	$(GO) build ./...

@@ -21,16 +21,11 @@
 //	               from the internal/fault vocabulary
 //	tracereach     every trace catalog constant has a reachable Emit
 //	               site
-//	ownership      engine-reachable state classifies into the
-//	               lane/epoch/init/shared ownership taxonomy
-//	lockcheck      lock ordering is acyclic, unlocks cover every path,
-//	               atomic and plain access never mix
+//	ownership      no internal package-level var is written outside
+//	               its initializer or init(), so pooled shards share
+//	               no mutable state
 //	rngflow        sim.RNG streams are forked explicitly and confined
 //	               to one owner
-//	phasecheck     lane/barrier/init execution phases propagate over
-//	               the call graph and respect the ownership classes:
-//	               no epoch writes from lanes, no lane-reachable
-//	               barriers, no cross-lane pointer publication
 //
 // A full-suite, whole-module run also audits the //klocs:* marker
 // comments: a marker no analyzer needed (stale) or whose name is not
@@ -43,21 +38,7 @@
 //	kloclint -only errnocheck,lifecycle
 //	kloclint -json        # diagnostics as a JSON array on stdout
 //	kloclint -sarif out.sarif   # also write SARIF 2.1.0 for CI upload
-//	kloclint -ownership-report PARALLEL_READINESS.md   # readiness spec
-//	kloclint -ownership-ratchet .ownership-ratchet     # shared-state ratchet
 //	kloclint internal/fs internal/netsim   # specific package dirs
-//
-// -ownership-report renders the deterministic parallel-readiness
-// inventory (the PR 10 sharded-engine spec) to the given file ("-"
-// for stdout) and exits without linting; `make lint` fails when the
-// checked-in copy drifts from the code.
-//
-// -ownership-ratchet compares the number of shared/unclassified
-// inventory entries against the integer baseline in the given file
-// and exits without linting. The count may only go down: growth is a
-// failure (classify the new state, don't raise the baseline), and a
-// drop below the baseline is also a failure until the baseline is
-// lowered to lock the progress in.
 //
 // Exit status: 0 clean, 1 diagnostics (or load failures), 2 flag and
 // usage errors — the same convention as klocbench.
@@ -70,7 +51,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"kloc/internal/analysis"
@@ -78,12 +58,10 @@ import (
 
 func main() {
 	var (
-		list        = flag.Bool("list", false, "list the analyzer suite and exit")
-		only        = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		jsonOut     = flag.Bool("json", false, "print diagnostics as a JSON array on stdout")
-		sarifPath   = flag.String("sarif", "", "write diagnostics as SARIF 2.1.0 to this file")
-		reportPath  = flag.String("ownership-report", "", "write the parallel-readiness inventory to this file (\"-\" for stdout) and exit")
-		ratchetPath = flag.String("ownership-ratchet", "", "compare the shared-state count against the integer baseline in this file and exit")
+		list      = flag.Bool("list", false, "list the analyzer suite and exit")
+		only      = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		jsonOut   = flag.Bool("json", false, "print diagnostics as a JSON array on stdout")
+		sarifPath = flag.String("sarif", "", "write diagnostics as SARIF 2.1.0 to this file")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -106,18 +84,6 @@ func main() {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		fatal(err)
-	}
-	if *reportPath != "" {
-		if err := writeOwnershipReport(loader, *reportPath); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *ratchetPath != "" {
-		if err := checkOwnershipRatchet(loader, *ratchetPath); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	wholeModule := len(flag.Args()) == 0
 	targets, err := resolveTargets(loader, flag.Args())
@@ -212,67 +178,6 @@ func main() {
 	os.Exit(exit)
 }
 
-// writeOwnershipReport loads the whole module and renders the
-// deterministic parallel-readiness inventory.
-func writeOwnershipReport(loader *analysis.Loader, path string) error {
-	mod, err := loadWholeModule(loader)
-	if err != nil {
-		return err
-	}
-	report := analysis.OwnershipReport(mod)
-	if path == "-" {
-		_, err := os.Stdout.Write(report)
-		return err
-	}
-	return os.WriteFile(path, report, 0o644)
-}
-
-// checkOwnershipRatchet enforces the monotone shared-state baseline:
-// the count of shared/unclassified ownership entries may never exceed
-// the checked-in integer, and when work drives it below the baseline
-// the baseline must be lowered in the same change to lock it in.
-func checkOwnershipRatchet(loader *analysis.Loader, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	baseline, err := strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil {
-		return fmt.Errorf("%s: baseline is not an integer: %v", path, err)
-	}
-	mod, err := loadWholeModule(loader)
-	if err != nil {
-		return err
-	}
-	count := analysis.OwnershipSharedCount(mod)
-	switch {
-	case count > baseline:
-		return fmt.Errorf("ownership ratchet: %d shared/unclassified state entries, baseline %s allows %d — classify the new state into the lane/epoch/init/atomic taxonomy (see PARALLEL_READINESS.md) instead of raising the baseline", count, path, baseline)
-	case count < baseline:
-		return fmt.Errorf("ownership ratchet: %d shared/unclassified state entries, below the baseline %d — lower %s to %d to lock the progress in", count, baseline, path, count)
-	}
-	fmt.Printf("ownership ratchet: %d shared/unclassified state entries (baseline %d)\n", count, baseline)
-	return nil
-}
-
-// loadWholeModule loads every lintable package and assembles the
-// whole-module view the interprocedural analyzers run on.
-func loadWholeModule(loader *analysis.Loader) (*analysis.Module, error) {
-	targets, err := analysis.ModuleTargets(loader.ModuleDir, loader.ModulePath)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*analysis.Package
-	for _, t := range targets {
-		pkg, err := loader.Load(t.Dir, t.ImportPath)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return analysis.NewModule(pkgs), nil
-}
-
 // relPath shortens a filename to be module-relative.
 func relPath(root, name string) string {
 	if r, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(r, "..") {
@@ -356,15 +261,11 @@ func resolveTargets(loader *analysis.Loader, args []string) ([]analysis.Target, 
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: kloclint [-list] [-only a,b] [-json] [-sarif file] [-ownership-report file] [-ownership-ratchet file] [package-dir ...]\n\n"+
+		"usage: kloclint [-list] [-only a,b] [-json] [-sarif file] [package-dir ...]\n\n"+
 			"Lints the module's packages with the invariant analyzer suite\n"+
 			"(see internal/analysis and DESIGN.md §10). With no package\n"+
 			"directories the whole module is linted, including the\n"+
-			"interprocedural analyzers and the marker suppression audit.\n"+
-			"-ownership-report instead renders the parallel-readiness\n"+
-			"inventory (PARALLEL_READINESS.md) and exits;\n"+
-			"-ownership-ratchet checks the shared-state count against a\n"+
-			"checked-in baseline that may only go down.\n\nflags:\n")
+			"interprocedural analyzers and the marker suppression audit.\n\nflags:\n")
 	flag.PrintDefaults()
 }
 

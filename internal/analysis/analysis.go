@@ -20,7 +20,7 @@
 //   - allocpair: every allocation entry point has a matching
 //     free/teardown path registered with kobj accounting.
 //
-// Three module analyzers reason across call boundaries, over a
+// Five module analyzers reason across call boundaries, over a
 // whole-module call graph (callgraph.go), per-function CFGs (cfg.go),
 // and dataflow with bottom-up SCC summary fixpoints (dataflow.go):
 //
@@ -30,22 +30,13 @@
 //   - errnoflow: every error escaping an errno-speaking boundary must
 //     provably derive from the internal/fault vocabulary;
 //   - tracereach: every trace catalog constant must have an Emit site
-//     reachable from the module's entry surface.
-//
-// Three more module analyzers form the parallel-readiness plane gating
-// the sharded-engine refactor (DESIGN.md §14, ROADMAP item 2):
-//
-//   - ownership: every package-level var and struct field in the
-//     engine packages carries a lane/epoch/init/shared ownership
-//     class, annotated or inferred; unannotated shared-mutable state
-//     is an error, and kloclint -ownership-report renders the full
-//     inventory into PARALLEL_READINESS.md;
-//   - lockcheck: lock-order cycles (through interface dispatch too),
-//     unlock-on-all-paths via CFG may-held analysis, and atomic/plain
-//     access mixing on the same storage;
-//   - rngflow: sim.RNG streams are single-owner — retaining fields
-//     must declare an owner, construction stays in internal/sim, and
-//     a stream handed off is never drawn from again (Fork a child).
+//     reachable from the module's entry surface;
+//   - ownership: no package-level var of an internal package is
+//     written outside its initializer or init(), so the shards of a
+//     harness.RunShards pool share no mutable state (DESIGN.md §14);
+//   - rngflow: sim.RNG streams are single-owner — construction stays
+//     in internal/sim, and a stream handed off is never drawn from
+//     again (Fork a child).
 //
 // A full-suite run also audits the suppression markers themselves
 // (suppressaudit.go): analyzers consult Marked only once a diagnostic
@@ -69,8 +60,6 @@
 //	//klocs:ignore-allocpair  — teardown happens through another path
 //	//klocs:ignore-lifecycle  — ownership transfer the analysis cannot see
 //	//klocs:ignore-tracereach — catalog entry reserved intentionally
-//	//klocs:owner=<class>     — ownership class: lane, epoch, init, or shared
-//	//klocs:ignore-lockcheck  — ordering/release/atomic-mix exception
 //	//klocs:ignore-rngflow    — RNG confinement exception
 //
 // DESIGN.md §10 documents what each analyzer guards and its kernel

@@ -1,338 +1,74 @@
 package analysis
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// Ownership is the parallel-readiness classifier gating the sharded
-// engine refactor (ROADMAP item 2): before `internal/sim` may run
-// logical CPUs on concurrent goroutines, every piece of mutable state
-// the engine can reach must say who owns it. The analyzer inventories
-// every package-level var and struct field declared in the engine
-// packages (sim, kernel, memsim, percpu, metrics, trace) and
-// classifies each into one of four ownership classes, driven by a
-// `//klocs:owner=<lane|epoch|init|shared>` annotation on the
-// declaration (or, as a default, on the enclosing `type` line) plus
-// write-site inference over the whole module:
-//
-//   - lane:   per-CPU-confined — only the goroutine driving one lane
-//     touches it (percpu.Accumulator lanes, the engine loop's cursor);
-//   - epoch:  epoch-guarded — mutated only at barrier/epoch boundaries
-//     where all lanes are quiescent (snapshot flushes, stats merges);
-//   - init:   immutable after init — written only during construction
-//     (New*/new*/init functions and their private helpers);
-//   - shared: shared-mutable — concurrently reachable and mutable; the
-//     refactor must synchronize it, so the class is an explicit debt
-//     acknowledgement, never a default.
-//
-// Unannotated state with a post-init writer is the diagnostic: nothing
-// may stay shared-mutable by omission. Unannotated state nothing
-// writes after init is inferred `init` silently. Two honesty checks
-// keep annotations from rotting: `owner=init` state with a post-init
-// writer is a violation at the write site, and a lane/epoch/shared
-// annotation on state with no detectable post-init writer is flagged
-// as overclaiming (use owner=init or drop it).
+// Ownership guards the one property the shard pool
+// (harness.RunShards) relies on: concurrently running shards share no
+// mutable state. Every shard builds its own engine and kernel stack,
+// so the only state two shards can reach in common is package-level.
+// The analyzer therefore reports any write to a package-level var of
+// a kloc/internal/... package outside its initializer expression and
+// init() (plus the unexported helpers only init-phase code calls):
+// such a var would be written by every shard at once.
 //
 // Write inference is syntactic but module-wide and alias-aware:
 // assignment LHS chains, ++/--, address-of, delete/copy builtins, and
 // pointer-receiver method calls on addressable values all count, and
 // the `lane := a.lanes[cpu]; lane[cell]++` idiom attributes through
-// the local alias. Writes landing in by-value copies of structs are
-// discarded; writes through untracked raw pointers are (knowingly)
-// invisible, as are mutations a callee performs on a slice passed by
-// value — the checked-in PARALLEL_READINESS.md report this analyzer
-// generates is reviewed, not trusted blind.
+// the local alias. Writes landing in by-value copies are discarded;
+// writes through untracked raw pointers are (knowingly) invisible.
 var Ownership = &ModuleAnalyzer{
 	Name: "ownership",
-	Doc:  "classify engine-reachable state into lane/epoch/init/shared ownership classes",
+	Doc:  "forbid writes to internal package-level state outside initialization",
 	Run:  runOwnership,
 }
 
-// ownerClass is one parallel-readiness ownership class.
-type ownerClass uint8
-
-const (
-	ownerUnclassified ownerClass = iota
-	ownerLane
-	ownerEpoch
-	ownerInit
-	ownerShared
-	// ownerInferredInit is unannotated state with no post-init writer.
-	ownerInferredInit
-	// ownerAtomic is shared state accessed lock-free through
-	// sync/atomic: cross-lane by design, already synchronized. The
-	// annotation is honest only if the accesses really go through
-	// sync/atomic — runOwnership cross-checks against the lockcheck
-	// atomic-cell inventory, and the lockcheck atomic-mixing rule
-	// rejects plain access.
-	ownerAtomic
-)
-
-func (c ownerClass) String() string {
-	switch c {
-	case ownerLane:
-		return "lane (per-CPU-confined)"
-	case ownerEpoch:
-		return "epoch (epoch-guarded)"
-	case ownerInit:
-		return "init (immutable after init)"
-	case ownerInferredInit:
-		return "init (inferred: no post-init writer)"
-	case ownerShared:
-		return "shared (needs synchronization)"
-	case ownerAtomic:
-		return "atomic (lock-free: sync/atomic)"
-	}
-	return "UNCLASSIFIED (shared-mutable, unannotated)"
-}
-
-// ownerMarkers maps marker names to classes, in lookup priority order.
-var ownerMarkers = [...]struct {
-	name  string
-	class ownerClass
-}{
-	{"owner=lane", ownerLane},
-	{"owner=epoch", ownerEpoch},
-	{"owner=init", ownerInit},
-	{"owner=shared", ownerShared},
-	{"owner=atomic", ownerAtomic},
-}
-
-// ownershipScopePaths are the engine packages whose declared state the
-// analyzer classifies (writes are still collected module-wide).
-var ownershipScopePaths = map[string]bool{
-	"kloc/internal/sim":     true,
-	"kloc/internal/kernel":  true,
-	"kloc/internal/memsim":  true,
-	"kloc/internal/percpu":  true,
-	"kloc/internal/metrics": true,
-	"kloc/internal/trace":   true,
-}
-
+// ownershipInScope reports whether a package's vars are checked: every
+// internal package (the code a shard executes), plus test fixtures.
 func ownershipInScope(path string) bool {
-	return ownershipScopePaths[path] || strings.HasPrefix(path, "fixture/")
-}
-
-// A writerRef is one deduplicated post-init writer of a state entry.
-type writerRef struct {
-	label string
-	pos   token.Pos
-	// reachable reports whether the writer is reachable from the
-	// module's entry surface — the refactor cares most about these.
-	reachable bool
-}
-
-// A stateEntry is one classified package-level var or struct field.
-type stateEntry struct {
-	v       *types.Var
-	pkgPath string
-	// owner is the declaring type's name; empty for package vars.
-	owner string
-	label string
-	pos   token.Pos
-	// typePos is the enclosing type declaration, consulted for a
-	// struct-level default annotation; NoPos for package vars.
-	typePos   token.Pos
-	class     ownerClass
-	annotated bool
-	// writers lists post-init writers in source order.
-	writers []writerRef
+	return strings.HasPrefix(path, "kloc/internal/") || strings.HasPrefix(path, "fixture/")
 }
 
 func runOwnership(pass *ModulePass) error {
-	entries := ownershipInventory(pass.Module, pass.Marked)
-	atomicCells := collectAtomicCells(pass.Module)
-	for i := range entries {
-		e := &entries[i]
-		if e.class == ownerAtomic {
-			// Honesty check: the annotation claims sync/atomic access,
-			// so the lockcheck atomic-cell inventory must know the var.
-			if _, ok := atomicCells[e.v]; !ok {
-				pass.Reportf(e.pos, "%s is annotated //klocs:owner=atomic but no sync/atomic access to it exists — route its accesses through sync/atomic or re-classify it", e.label)
-			}
+	m := pass.Module
+	writes := collectStateWrites(m)
+	initFns := initPhaseNodes(m.Graph)
+	for _, pkg := range m.Packages {
+		if !ownershipInScope(pkg.Path) {
 			continue
 		}
-		switch {
-		case e.class == ownerUnclassified:
-			w := e.writers[0]
-			for _, cand := range e.writers {
-				if cand.reachable {
-					w = cand
-					break
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			v, ok := scope.Lookup(name).(*types.Var)
+			if !ok {
+				continue
+			}
+			for _, w := range writes[v] {
+				if w.fn == nil || initFns[w.fn] {
+					continue // initializer expression or init-phase code
 				}
+				pass.Reportf(w.pos, "package-level var %s.%s is written by %s outside its initializer or init(): concurrently running shards would share it — move the state into a per-run struct", pkg.Types.Name(), name, w.fn)
 			}
-			reach := ""
-			if w.reachable {
-				reach = "; the writer is reachable from the engine entry surface"
-			}
-			pass.Reportf(e.pos, "%s is shared-mutable (unannotated): written outside the init phase by %s%s — classify it with //klocs:owner=<lane|epoch|init|shared>", e.label, w.label, reach)
-		case e.class == ownerInit && len(e.writers) > 0:
-			w := e.writers[0]
-			pass.Reportf(w.pos, "%s is annotated //klocs:owner=init (immutable after init) but %s writes it outside the init phase", e.label, w.label)
-		case e.annotated && len(e.writers) == 0 && e.class != ownerInit:
-			pass.Reportf(e.pos, "%s is annotated //klocs:%s but has no detectable post-init writer — annotate it owner=init or drop the annotation", e.label, ownerMarkerName(e.class))
 		}
 	}
 	return nil
 }
 
-// ownerMarkerName returns the marker spelling for an annotated class.
-func ownerMarkerName(c ownerClass) string {
-	for _, om := range ownerMarkers {
-		if om.class == c {
-			return om.name
-		}
-	}
-	return "owner=?"
-}
-
-// ownershipInventory builds and classifies the state inventory. marked
-// is the annotation lookup (ModulePass.Marked in analyzer runs, so
-// annotation hits feed the suppression audit).
-func ownershipInventory(m *Module, marked func(name string, pos token.Pos) bool) []stateEntry {
-	writes := collectStateWrites(m)
-	initFns := initPhaseNodes(m.Graph)
-	reached := m.Graph.Reachable(entrySurface(m.Graph))
-
-	var entries []stateEntry
-	pkgs := append([]*Package(nil), m.Packages...)
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	for _, pkg := range pkgs {
-		if !ownershipInScope(pkg.Path) {
-			continue
-		}
-		pkgName := pkg.Types.Name()
-		scope := pkg.Types.Scope()
-		names := scope.Names()
-		// Package vars first, then types in name order (fields follow
-		// declaration order) — the report reads in this order.
-		for _, name := range names {
-			v, ok := scope.Lookup(name).(*types.Var)
-			if !ok {
-				continue
-			}
-			entries = append(entries, stateEntry{
-				v:       v,
-				pkgPath: pkg.Path,
-				label:   pkgName + "." + name,
-				pos:     v.Pos(),
-			})
-		}
-		for _, name := range names {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				entries = append(entries, stateEntry{
-					v:       f,
-					pkgPath: pkg.Path,
-					owner:   name,
-					label:   pkgName + "." + name + "." + f.Name(),
-					pos:     f.Pos(),
-					typePos: tn.Pos(),
-				})
-			}
-		}
-	}
-	for i := range entries {
-		classifyEntry(&entries[i], marked, writes, initFns, reached)
-	}
-	return entries
-}
-
-// classifyEntry resolves one entry's annotation, post-init writers,
-// and final class.
-func classifyEntry(e *stateEntry, marked func(string, token.Pos) bool, writes map[*types.Var][]stateWrite, initFns map[*FuncNode]bool, reached map[*FuncNode]bool) {
-	for _, om := range ownerMarkers {
-		if marked(om.name, e.pos) {
-			e.class, e.annotated = om.class, true
-			break
-		}
-	}
-	if !e.annotated && e.typePos.IsValid() {
-		// Struct-level default on the `type Foo struct {` line.
-		for _, om := range ownerMarkers {
-			if marked(om.name, e.typePos) {
-				e.class, e.annotated = om.class, true
-				break
-			}
-		}
-	}
-	ws := append([]stateWrite(nil), writes[e.v]...)
-	sort.Slice(ws, func(i, j int) bool { return ws[i].pos < ws[j].pos })
-	byLabel := make(map[string]int)
-	for _, w := range ws {
-		if w.fn == nil || initFns[w.fn] {
-			continue // init-phase write
-		}
-		label := w.fn.String()
-		if idx, ok := byLabel[label]; ok {
-			if reached[w.fn] {
-				e.writers[idx].reachable = true
-			}
-			continue
-		}
-		byLabel[label] = len(e.writers)
-		e.writers = append(e.writers, writerRef{label: label, pos: w.pos, reachable: reached[w.fn]})
-	}
-	if !e.annotated {
-		if len(e.writers) == 0 {
-			e.class = ownerInferredInit
-		} else {
-			e.class = ownerUnclassified
-		}
-	}
-}
-
-// entrySurface returns the module's entry-surface roots — exported
-// functions and methods, main, and init — shared by tracereach and the
-// parallel-readiness analyzers. Package-level initializer references
-// are rooted by Reachable itself.
-func entrySurface(g *CallGraph) []*FuncNode {
-	var roots []*FuncNode
-	for _, n := range g.Nodes {
-		if n.Obj == nil {
-			continue
-		}
-		if n.Obj.Exported() || n.Obj.Name() == "main" || n.Obj.Name() == "init" {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
 // initPhaseNodes identifies the functions whose writes count as
-// initialization: New*/new* constructors and init functions, function
-// literals lexically inside them, and — by closure over the call graph
-// — unexported helpers called exclusively from init-phase functions
+// program initialization: package init functions, function literals
+// lexically inside them, and — by closure over the call graph —
+// unexported helpers called exclusively from init-phase functions
 // whose value is never taken (a stored hook runs at an unknown time,
-// so taken functions never inherit init phase). A constructor called
-// at runtime still counts as init: a freshly constructed object is
-// unshared at birth.
+// so taken functions never inherit init phase).
 func initPhaseNodes(g *CallGraph) map[*FuncNode]bool {
 	isInit := make(map[*FuncNode]bool)
 	for _, n := range g.Nodes {
-		if n.Obj == nil {
-			continue
-		}
-		name := n.Obj.Name()
-		if !strings.HasPrefix(name, "New") && !strings.HasPrefix(name, "new") && name != "init" {
+		if n.Obj == nil || n.Obj.Name() != "init" || n.Decl == nil || n.Decl.Recv != nil {
 			continue
 		}
 		isInit[n] = true
@@ -671,138 +407,4 @@ func sameVars(a, b []*types.Var) bool {
 		}
 	}
 	return true
-}
-
-// OwnershipReport renders the deterministic PARALLEL_READINESS.md
-// inventory: the reviewed spec the sharded-engine refactor implements
-// against. Output depends only on module source, so a doubled run is
-// byte-identical and CI can cmp code against the checked-in report.
-func OwnershipReport(m *Module) []byte {
-	pass := &ModulePass{Analyzer: Ownership, Module: m}
-	entries := ownershipInventory(m, pass.Marked)
-
-	var b bytes.Buffer
-	b.WriteString("# Parallel readiness — ownership inventory\n\n")
-	b.WriteString("Generated by `kloclint -ownership-report` (regenerate with `make readiness`).\n")
-	b.WriteString("DO NOT EDIT: `make lint` fails when this file drifts from the code.\n\n")
-	b.WriteString("This inventory classifies every package-level var and struct field\n")
-	b.WriteString("declared in the engine packages (sim, kernel, memsim, percpu, metrics,\n")
-	b.WriteString("trace) by who may mutate it once the engine shards into per-CPU lanes\n")
-	b.WriteString("(ROADMAP item 2). It is the spec that refactor implements against:\n")
-	b.WriteString("`lane` state moves into per-lane shards, `epoch` state is only touched\n")
-	b.WriteString("at barrier quiescence, `init` state needs no synchronization, and every\n")
-	b.WriteString("`shared` entry is an explicit synchronization work item. The `ownership`\n")
-	b.WriteString("analyzer rejects unannotated mutable state, so this table is exhaustive.\n\n")
-	b.WriteString("## Ownership classes\n\n")
-	b.WriteString("| class | meaning | refactor obligation |\n|---|---|---|\n")
-	b.WriteString("| `lane` | per-CPU-confined: only the owning lane's goroutine touches it | move into the lane shard |\n")
-	b.WriteString("| `epoch` | mutated only at epoch/barrier quiescence points | guard with the epoch barrier |\n")
-	b.WriteString("| `init` | immutable after construction (annotated or inferred) | share freely |\n")
-	b.WriteString("| `atomic` | cross-lane by design, accessed lock-free via `sync/atomic` | already synchronized |\n")
-	b.WriteString("| `shared` | concurrently reachable and mutable | synchronize explicitly |\n\n")
-
-	counts := map[ownerClass]int{}
-	byPkg := make(map[string][]*stateEntry)
-	var pkgOrder []string
-	for i := range entries {
-		e := &entries[i]
-		counts[e.class]++
-		if _, ok := byPkg[e.pkgPath]; !ok {
-			pkgOrder = append(pkgOrder, e.pkgPath)
-		}
-		byPkg[e.pkgPath] = append(byPkg[e.pkgPath], e)
-	}
-	b.WriteString("## Summary\n\n| class | entries |\n|---|---:|\n")
-	for _, c := range []ownerClass{ownerLane, ownerEpoch, ownerInit, ownerInferredInit, ownerAtomic, ownerShared, ownerUnclassified} {
-		if c == ownerUnclassified && counts[c] == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "| %s | %d |\n", c, counts[c])
-	}
-	b.WriteString("\n")
-
-	for _, path := range pkgOrder {
-		fmt.Fprintf(&b, "## %s\n\n", path)
-		b.WriteString("| state | class | post-init writers |\n|---|---|---|\n")
-		for _, e := range byPkg[path] {
-			label := "`" + e.label + "`"
-			if e.owner == "" {
-				label += " (var)"
-			}
-			fmt.Fprintf(&b, "| %s | %s | %s |\n", label, e.class, writerCell(e.writers))
-		}
-		b.WriteString("\n")
-	}
-
-	b.WriteString("## RNG streams\n\n")
-	rngs := collectRNGFieldReport(m, pass.Marked)
-	if len(rngs) == 0 {
-		b.WriteString("No struct fields hold `*sim.RNG` streams.\n\n")
-	} else {
-		b.WriteString("Every `*sim.RNG`-typed field module-wide, with its lane-confinement\n")
-		b.WriteString("owner (the `rngflow` analyzer forbids unannotated or shared streams):\n\n")
-		b.WriteString("| field | owner |\n|---|---|\n")
-		for _, r := range rngs {
-			fmt.Fprintf(&b, "| `%s` | %s |\n", r.label, r.owner)
-		}
-		b.WriteString("\n")
-	}
-
-	b.WriteString("## Synchronization inventory\n\n")
-	mutexes := collectMutexClasses(m)
-	if len(mutexes) == 0 {
-		b.WriteString("Mutex classes: none — the simulation core is lock-free by design;\n")
-		b.WriteString("lanes plus epoch barriers replace locking (`lockcheck` keeps it that way).\n")
-	} else {
-		b.WriteString("Mutex classes (lock-order cycles rejected by `lockcheck`):\n\n")
-		for _, mu := range mutexes {
-			fmt.Fprintf(&b, "- `%s`\n", mu)
-		}
-	}
-	b.WriteString("\n")
-	atomics := collectAtomicTargets(m)
-	if len(atomics) == 0 {
-		b.WriteString("Atomic cells: none.\n")
-	} else {
-		b.WriteString("Atomic cells (accessed via `sync/atomic`; plain post-init access to\n")
-		b.WriteString("the same storage is rejected by `lockcheck`):\n\n")
-		for _, at := range atomics {
-			fmt.Fprintf(&b, "- `%s`\n", at)
-		}
-	}
-	return b.Bytes()
-}
-
-// writerCell formats a writers column: up to three labels plus a
-// count, em-dash when none.
-func writerCell(ws []writerRef) string {
-	if len(ws) == 0 {
-		return "—"
-	}
-	var parts []string
-	for i, w := range ws {
-		if i == 3 {
-			parts = append(parts, fmt.Sprintf("(+%d more)", len(ws)-3))
-			break
-		}
-		parts = append(parts, "`"+w.label+"`")
-	}
-	return strings.Join(parts, ", ")
-}
-
-// OwnershipSharedCount is the parallel-readiness ratchet metric: the
-// number of inventory entries still classified shared or unclassified
-// — the state the sharded engine has no story for yet. kloclint
-// -ownership-ratchet compares it against the checked-in baseline and
-// fails when it grows; lowering the baseline is the only allowed
-// direction.
-func OwnershipSharedCount(m *Module) int {
-	pass := &ModulePass{Analyzer: Ownership, Module: m}
-	n := 0
-	for _, e := range ownershipInventory(m, pass.Marked) {
-		if e.class == ownerShared || e.class == ownerUnclassified {
-			n++
-		}
-	}
-	return n
 }

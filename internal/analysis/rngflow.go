@@ -9,22 +9,17 @@ import (
 )
 
 // RNGFlow guards the property the whole reproduction gates on: same
-// seed, byte-identical traces. That survives a sharded engine only if
-// every random stream has exactly one owner — a stream drawn from two
-// lanes interleaves nondeterministically even though each draw is
-// individually deterministic. The analyzer enforces the chaos plane's
-// per-schedule stream discipline module-wide, in three rules:
+// seed, byte-identical traces. That holds only if every random stream
+// has exactly one owner — a stream drawn by two consumers couples
+// their draw orders, so reordering one perturbs the other even though
+// each draw is individually deterministic. The analyzer enforces the
+// chaos plane's per-schedule stream discipline module-wide, in two
+// rules:
 //
 //   - construction: sim.RNG values are created by sim.NewRNG or
 //     forked from a parent with Fork — never assembled as composite
 //     literals outside package sim, which would bypass the seeding
 //     path;
-//   - retention: a *sim.RNG field anywhere in the module is a retained
-//     stream and must declare its owner with //klocs:owner=lane (one
-//     lane draws from it), owner=epoch (drawn only at barrier
-//     quiescence), or owner=init (used only during construction).
-//     owner=shared is rejected outright: there is no legal shared
-//     stream;
 //   - flow: within a function, once a stream is handed to an owner
 //     (stored into a field, global, container, or channel, or passed
 //     to a callee that retains it — computed bottom-up over the call
@@ -66,28 +61,7 @@ func runRNGFlow(pass *ModulePass) error {
 	m := pass.Module
 	labels := moduleStateLabels(m)
 
-	// Rule 1: every retained stream declares its owner.
-	for _, f := range collectRNGFields(m) {
-		class := ownerUnclassified
-		for _, om := range ownerMarkers {
-			if pass.Marked(om.name, f.pos) || (f.typePos.IsValid() && pass.Marked(om.name, f.typePos)) {
-				class = om.class
-				break
-			}
-		}
-		switch class {
-		case ownerShared, ownerAtomic:
-			if !pass.Marked(rngFlowMarker, f.pos) {
-				pass.Reportf(f.pos, "%s is annotated //klocs:%s but RNG streams must never be shared: a stream drawn from two lanes breaks seed-determinism — fork per-lane child streams instead", f.label, ownerMarkerName(class))
-			}
-		case ownerUnclassified:
-			if !pass.Marked(rngFlowMarker, f.pos) {
-				pass.Reportf(f.pos, "%s retains a sim.RNG stream without an owner: annotate //klocs:owner=lane, owner=epoch, or owner=init so the sharded engine knows who may draw from it", f.label)
-			}
-		}
-	}
-
-	// Rule 2: no composite-literal construction outside the RNG type's
+	// Rule 1: no composite-literal construction outside the RNG type's
 	// declaring package (its constructor is the seeding path).
 	for _, pkg := range m.Packages {
 		info := pkg.Info
@@ -107,7 +81,7 @@ func runRNGFlow(pass *ModulePass) error {
 		})
 	}
 
-	// Rule 3: one owner per stream, fork for the next.
+	// Rule 2: one owner per stream, fork for the next.
 	g := m.Graph
 	summaries := FixpointSummaries(g, func(n *FuncNode, get func(*FuncNode) (rngSummary, bool)) rngSummary {
 		return computeRNGSummary(n, g, get)
@@ -204,80 +178,6 @@ func rngDeclaringPath(t types.Type) string {
 		return named.Obj().Pkg().Path()
 	}
 	return ""
-}
-
-// rngField is one RNG-typed struct field in the module.
-type rngField struct {
-	v       *types.Var
-	label   string
-	pos     token.Pos
-	typePos token.Pos
-}
-
-// collectRNGFields finds every struct field of RNG type module-wide,
-// in deterministic package/type/field order.
-func collectRNGFields(m *Module) []rngField {
-	var out []rngField
-	pkgs := append([]*Package(nil), m.Packages...)
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	for _, pkg := range pkgs {
-		pkgName := pkg.Types.Name()
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if !isRNGType(f.Type()) {
-					continue
-				}
-				out = append(out, rngField{
-					v:       f,
-					label:   pkgName + "." + name + "." + f.Name(),
-					pos:     f.Pos(),
-					typePos: tn.Pos(),
-				})
-			}
-		}
-	}
-	return out
-}
-
-// rngFieldOwner pairs a field label with its annotated owner class for
-// the readiness report.
-type rngFieldOwner struct {
-	label string
-	owner string
-}
-
-// collectRNGFieldReport resolves each RNG field's annotation for the
-// readiness report.
-func collectRNGFieldReport(m *Module, marked func(string, token.Pos) bool) []rngFieldOwner {
-	var out []rngFieldOwner
-	for _, f := range collectRNGFields(m) {
-		if strings.HasPrefix(f.label, "fixture") {
-			continue
-		}
-		owner := "UNANNOTATED"
-		for _, om := range ownerMarkers {
-			if marked(om.name, f.pos) || (f.typePos.IsValid() && marked(om.name, f.typePos)) {
-				owner = om.class.String()
-				break
-			}
-		}
-		out = append(out, rngFieldOwner{label: f.label, owner: owner})
-	}
-	return out
 }
 
 // rngLocalVars collects the RNG-typed parameters, receiver, and locals
@@ -585,4 +485,36 @@ func computeRNGSummary(n *FuncNode, g *CallGraph, get func(*FuncNode) (rngSummar
 		}
 	}
 	return sum
+}
+
+// moduleStateLabels names every package var ("pkg.Var") and struct
+// field ("pkg.Type.field") in the module, for diagnostics.
+func moduleStateLabels(m *Module) map[*types.Var]string {
+	labels := make(map[*types.Var]string)
+	for _, pkg := range m.Packages {
+		pkgName := pkg.Types.Name()
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				labels[obj] = pkgName + "." + name
+			case *types.TypeName:
+				if obj.IsAlias() {
+					continue
+				}
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					labels[st.Field(i)] = pkgName + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
+	}
+	return labels
 }

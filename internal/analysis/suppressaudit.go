@@ -36,17 +36,7 @@ var knownMarkers = map[string]bool{
 	"ignore-allocpair": true, // allocpair: teardown via another path
 	lifecycleMarker:    true, // lifecycle: ownership transfer the analysis cannot see
 	traceReachMarker:   true, // tracereach: catalog entry reserved intentionally
-	"owner=lane":       true, // ownership/rngflow: per-CPU-confined state
-	"owner=epoch":      true, // ownership/rngflow: mutated only at epoch quiescence
-	"owner=init":       true, // ownership/rngflow: immutable after construction
-	"owner=shared":     true, // ownership: shared-mutable, synchronization debt acknowledged
-	"owner=atomic":     true, // ownership: lock-free cross-lane access via sync/atomic
-	lockCheckMarker:    true, // lockcheck: ordering/release/atomic-mix exception justified
 	rngFlowMarker:      true, // rngflow: stream transfer the analysis cannot see
-	"phase=lane":       true, // phasecheck: pin — runs on one lane's worker inside an epoch
-	"phase=barrier":    true, // phasecheck: pin — coordinator code, lanes quiescent
-	"phase=init":       true, // phasecheck: pin — single-goroutine construction
-	phaseCheckMarker:   true, // phasecheck: phase-discipline exception justified
 }
 
 // AuditSuppressions scans every marker comment in pkgs and reports

@@ -1,155 +1,122 @@
-// Package fixture carries deliberate ownership violations for the
-// ownership analyzer: unannotated shared-mutable state, an init
-// annotation contradicted by a runtime writer, an overclaimed lane
-// annotation, and — as silent rows — correctly annotated state plus
-// the inference patterns (init-helper promotion, local-alias write
-// attribution, by-value copy discard) the classifier must get right.
-// The go tool never builds testdata trees.
+// Package fixture carries deliberate shard-isolation violations for
+// the ownership analyzer — package-level vars written after program
+// initialization — plus the clean shapes it must not flag: initializer
+// and init() writes, init-only helpers, by-value copies, and struct
+// field writes (per-run state). The go tool never builds testdata
+// trees.
 package fixture
 
-// totalOps is package-level, unannotated, and bumped by an exported
-// (entry-surface-reachable) function: the canonical diagnostic.
-var totalOps int // want "fixture.totalOps is shared-mutable \(unannotated\): written outside the init phase by fixture.Record"
+// totalOps is bumped by an exported function: the canonical diagnostic.
+var totalOps int
 
-// Record is the reachable writer of totalOps.
-func Record() { totalOps++ }
+// Record is the runtime writer of totalOps.
+func Record() {
+	totalOps++ // want "package-level var fixture.totalOps is written by fixture.Record outside its initializer or init\(\)"
+}
 
-// seedDefault is assigned only in its initializer: inferred init,
-// silent.
+// seedDefault is assigned only in its initializer, silent.
 var seedDefault = uint64(42)
 
-// epochGen is annotated and mutated by a reachable writer: the
-// annotation is the classification, silent.
-var epochGen int //klocs:owner=epoch bumped only at barrier quiescence
+// Seed reads it, silent.
+func Seed() uint64 { return seedDefault }
 
-// AdvanceEpoch mutates epochGen at the barrier.
-func AdvanceEpoch() int { epochGen++; return epochGen + int(seedDefault) }
+// table is filled in init() through an init-only helper, silent.
+var table []int
 
-// Counter's field is unannotated with a reachable method writer; the
-// diagnostic names the writer and its reachability.
-type Counter struct {
-	n int // want "fixture.Counter.n is shared-mutable \(unannotated\).*the writer is reachable from the engine entry surface"
+func init() {
+	table = make([]int, 4)
+	fill()
+	setup := func() { table[0] = 1 }
+	setup()
 }
 
-// Bump is exported, hence on the entry surface.
-func (c *Counter) Bump() { c.n++ }
-
-// Shadow's writer is unexported and never called: still a post-init
-// writer, but the reachability suffix must be absent.
-type Shadow struct {
-	hits int // want "fixture.Shadow.hits is shared-mutable \(unannotated\): written outside the init phase by fixture.touchShadow — classify"
+func fill() {
+	for i := range table {
+		table[i] = i
+	}
 }
 
-func touchShadow(s *Shadow) { s.hits++ }
+// Lookup reads table, silent.
+func Lookup(i int) int { return table[i] }
 
-// Cursor takes a struct-level default: every field is lane-confined.
-type Cursor struct { //klocs:owner=lane the engine loop's per-lane state
-	now int
-	seq int
+// shared is written by a helper that init and a runtime caller both
+// reach: the helper is not init-only, so its write is reported.
+var shared int
+
+func bumpShared() {
+	shared++ // want "fixture.shared is written by fixture.bumpShared"
 }
 
-// Step mutates both lane fields; the struct-level annotation covers
-// them, silent.
-func (c *Cursor) Step() { c.now++; c.seq++ }
+func init() { bumpShared() }
 
-// Pool mixes a struct-level default with a per-field override.
-type Pool struct { //klocs:owner=epoch merged when lanes are quiescent
-	stats int
-	//klocs:owner=init
-	capac int
+// Tick is the runtime caller of bumpShared.
+func Tick() { bumpShared() }
+
+// registry is populated by a constructor: constructors run once per
+// shard, so the write is reported.
+var registry = map[string]int{}
+
+// NewThing registers itself.
+func NewThing(name string) int {
+	registry[name] = len(registry) // want "fixture.registry is written by fixture.NewThing"
+	return registry[name]
 }
 
-// NewPool writes capac during construction only: legal for init.
-func NewPool(n int) *Pool {
-	p := &Pool{}
-	p.capac = n
-	return p
+// Forget mutates registry through the delete builtin.
+func Forget(name string) {
+	delete(registry, name) // want "fixture.registry is written by fixture.Forget"
 }
 
-// Merge mutates the epoch-owned field, silent.
-func (p *Pool) Merge() { p.stats++ }
-
-// Late claims immutability it does not have: the violation reports at
-// the write site.
-type Late struct {
-	//klocs:owner=init
-	limit int
-}
-
-// Tune writes the init-annotated field at runtime.
-func (l *Late) Tune(v int) {
-	l.limit = v // want "fixture.Late.limit is annotated //klocs:owner=init \(immutable after init\) but fixture.Late.Tune writes it outside the init phase"
-}
-
-// Frozen overclaims mutability: nothing writes id after init, so the
-// lane annotation is rot waiting to happen.
-type Frozen struct {
-	//klocs:owner=lane
-	id int // want "fixture.Frozen.id is annotated //klocs:owner=lane but has no detectable post-init writer"
-}
-
-// Table is built through an unexported helper called only from the
-// constructor: the helper inherits init phase, so rows is inferred
-// init, silent.
-type Table struct {
-	rows []int
-}
-
-// NewTable constructs through fill.
-func NewTable(n int) *Table {
-	t := &Table{}
-	t.fill(n)
-	return t
-}
-
-func (t *Table) fill(n int) { t.rows = make([]int, n) }
-
-// Grid mutates its backing store through a local alias; the write
-// still attributes to the field.
-type Grid struct {
-	cells []int // want "fixture.Grid.cells is shared-mutable \(unannotated\): written outside the init phase by fixture.Grid.Set"
-}
+// grid is written through a local alias; the write still attributes
+// to the var.
+var grid = make([]int, 8)
 
 // Set writes through the alias idiom.
-func (g *Grid) Set(i, v int) {
-	row := g.cells
-	row[i] = v
+func Set(i, v int) {
+	row := grid
+	row[i] = v // want "fixture.grid is written by fixture.Set"
 }
 
-// Config is passed by value: a write to the copy is not a state
-// write, silent.
+// Config is the type of a package-level default.
 type Config struct {
 	Mode int
 }
 
-// WithMode mutates only its local copy.
-func WithMode(c Config, m int) Config {
+var defaults = Config{Mode: 1}
+
+// WithMode mutates only its local copy of defaults, silent.
+func WithMode(m int) Config {
+	c := defaults
 	c.Mode = m
 	return c
 }
 
-// Index mutates a map field through the delete builtin.
-type Index struct {
-	byID map[int]string // want "fixture.Index.byID is shared-mutable \(unannotated\)"
-}
-
-// Drop is the builtin-mediated writer.
-func (x *Index) Drop(id int) { delete(x.byID, id) }
-
-// Gauge has a pointer-receiver mutator; calling it through a struct
-// field is a write to that field.
+// Gauge has a pointer-receiver mutator.
 type Gauge struct {
-	v int64 //klocs:owner=epoch merged at flush
+	v int64
 }
 
-// Inc mutates the gauge.
+// Inc mutates the gauge: a field write on a caller's value, silent.
 func (g *Gauge) Inc() { g.v++ }
 
-// Stats holds a gauge by value; Touch's method call writes Hits.
-type Stats struct {
-	//klocs:owner=epoch
-	Hits Gauge
+// hits is a package-level Gauge; calling its mutator writes the var.
+var hits Gauge
+
+// Hit bumps the package-level gauge.
+func Hit() {
+	hits.Inc() // want "fixture.hits is written by fixture.Hit"
 }
 
-// Touch calls the pointer-receiver method on the addressable field.
-func (s *Stats) Touch() { s.Hits.Inc() }
+// Counter is per-run state: its field writes are not package state.
+type Counter struct {
+	n int
+}
+
+// Bump mutates one counter instance, silent.
+func (c *Counter) Bump() { c.n++ }
+
+// hook is a package-level function literal: it runs whenever it is
+// called, so its write is a runtime write.
+var hook = func() {
+	totalOps = 0 // want "fixture.totalOps is written by"
+}

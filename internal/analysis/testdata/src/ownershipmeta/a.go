@@ -4,12 +4,13 @@
 // never checked for zero problems the way the other fixtures are.
 package fixture
 
-// leak really is flagged as unannotated shared-mutable state, but the
-// pattern below does not match the diagnostic.
-var leak int // want "this pattern matches nothing"
+var leak int
 
-// Grow is the post-init writer.
-func Grow() { leak++ }
+// Grow really writes leak after initialization, but the pattern below
+// does not match the diagnostic.
+func Grow() {
+	leak++ // want "this pattern matches nothing"
+}
 
 // frozen is only written by its initializer, so no diagnostic fires:
 // the expectation below is a phantom the harness must flag.

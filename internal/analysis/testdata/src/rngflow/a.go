@@ -1,29 +1,17 @@
 // Package fixture carries deliberate RNG stream-discipline violations
-// for the rngflow analyzer: an unannotated retained stream, a stream
-// annotated with the forbidden shared owner, composite-literal
-// construction that bypasses seeding, and flow violations (a stream
-// handed to two owners, drawn after handoff, double-retained through
-// interface dispatch) — plus the sanctioned shapes: fork-per-owner,
-// reseeding, and a justified suppression. The go tool never builds
-// testdata trees.
+// for the rngflow analyzer: composite-literal construction that
+// bypasses seeding, and flow violations (a stream handed to two
+// owners, drawn after handoff, double-retained through interface
+// dispatch) — plus the sanctioned shapes: retained streams,
+// fork-per-owner, reseeding, and a justified suppression. The go tool
+// never builds testdata trees.
 package fixture
 
 import "kloc/internal/sim"
 
-// Holder retains a stream without declaring who draws from it.
+// Holder retains a stream: a field is a legal owner, silent.
 type Holder struct {
-	r *sim.RNG // want "fixture.Holder.r retains a sim.RNG stream without an owner"
-}
-
-// Lane declares its owner inline, silent.
-type Lane struct {
-	r *sim.RNG //klocs:owner=lane forked per lane by the spawner
-}
-
-// Shared declares the one forbidden owner class.
-type Shared struct {
-	//klocs:owner=shared
-	r *sim.RNG // want "fixture.Shared.r is annotated //klocs:owner=shared but RNG streams must never be shared"
+	r *sim.RNG
 }
 
 // FromLiteral assembles a stream by hand, bypassing the seeding path.
@@ -75,7 +63,7 @@ type Sink interface {
 }
 
 type fieldSink struct {
-	r *sim.RNG //klocs:owner=lane owned by the feeding lane
+	r *sim.RNG
 }
 
 // Feed stores the stream: the interface summary joins this.
@@ -97,6 +85,6 @@ func UseSink() {
 func Registered(a, b *Holder) {
 	r := sim.NewRNG(7)
 	keep(a, r)
-	//klocs:ignore-rngflow the two holders are one lane's double-buffer
+	//klocs:ignore-rngflow the two holders are one consumer's double-buffer
 	keep(b, r)
 }

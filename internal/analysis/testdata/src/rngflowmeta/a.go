@@ -6,10 +6,10 @@ package fixture
 
 import "kloc/internal/sim"
 
-// Holder really triggers the unannotated-owner diagnostic, but the
-// pattern below does not match it.
-type Holder struct {
-	r *sim.RNG // want "this pattern matches nothing"
+// FromLiteral really triggers the composite-literal diagnostic, but
+// the pattern below does not match it.
+func FromLiteral() *sim.RNG {
+	return &sim.RNG{} // want "this pattern matches nothing"
 }
 
 // Draw is clean — drawing from a parameter stream is a plain use —

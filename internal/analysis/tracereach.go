@@ -111,6 +111,22 @@ func runTraceReach(pass *ModulePass) error {
 	return nil
 }
 
+// entrySurface returns the module's entry-surface roots — exported
+// functions and methods, main, and init. Package-level initializer
+// references are rooted by Reachable itself.
+func entrySurface(g *CallGraph) []*FuncNode {
+	var roots []*FuncNode
+	for _, n := range g.Nodes {
+		if n.Obj == nil {
+			continue
+		}
+		if n.Obj.Exported() || n.Obj.Name() == "main" || n.Obj.Name() == "init" {
+			roots = append(roots, n)
+		}
+	}
+	return roots
+}
+
 // isTraceName reports whether t is kloc/internal/trace.Name.
 func isTraceName(t types.Type) bool {
 	named, ok := t.(*types.Named)

@@ -11,9 +11,8 @@ import (
 // were executed.
 type generator struct {
 	cfg Config
-	// root is drawn only by the campaign coordinator's lane; every
-	// schedule gets its own forked child stream.
-	//klocs:owner=lane
+	// root is drawn only by the campaign loop; every schedule gets its
+	// own forked child stream.
 	root     *sim.RNG
 	points   []fault.Point
 	errnos   []fault.Errno

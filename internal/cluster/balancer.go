@@ -14,7 +14,6 @@ type request struct {
 	arrived sim.Time
 	// rng drives this request's retry jitter, forked from the client
 	// stream at admission so retry schedules are per-request streams.
-	//klocs:owner=lane
 	rng *sim.RNG
 
 	attempts int

@@ -338,9 +338,8 @@ type Cluster struct {
 	arr      workload.Arrival
 	tr       *trace.Tracer
 
-	// clientRNG is drawn only by the arrival loop's lane; per-request
-	// streams fork from it at admission.
-	//klocs:owner=lane
+	// clientRNG is drawn only by the arrival loop; per-request streams
+	// fork from it at admission.
 	clientRNG *sim.RNG
 	groupZipf *sim.Zipf
 	backoff   Backoff

@@ -23,8 +23,7 @@ type machine struct {
 	k  *kernel.Kernel
 	wl workload.Workload
 	// rng is this machine's private stream (forked per machine by the
-	// cluster); only the lane driving the machine draws from it.
-	//klocs:owner=lane
+	// cluster); only this machine draws from it.
 	rng *sim.RNG
 
 	// plane drives this machine's crash/degrade schedule (nil-safe).

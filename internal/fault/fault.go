@@ -277,8 +277,7 @@ type pointState struct {
 	rule  Rule
 	sched []TimedInjection
 	// rng drives this point's probabilistic draws; consulted only by
-	// the lane running the plane's kernel instance.
-	//klocs:owner=lane
+	// the plane's own kernel instance.
 	rng       *sim.RNG
 	nextSched int
 	consults  uint64

@@ -264,11 +264,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	return p.finish()
 }
 
-// preparedRun is one shard's fully-scheduled simulation: everything
-// Run does before driving the engine, captured so RunShards can build
-// several shards and drive them together under sim.Lanes. All fields
-// (and the state the scheduled closures mutate) belong to the one
-// goroutine driving p.eng — lane-confined under the sharded plan.
+// preparedRun is one fully-scheduled simulation: everything Run does
+// before driving the engine. All fields (and the state the scheduled
+// closures mutate) belong to the one goroutine driving p.eng.
 type preparedRun struct {
 	cfg    RunConfig
 	eng    *sim.Engine
@@ -290,8 +288,7 @@ type preparedRun struct {
 
 // prepare builds the kernel stack for cfg on eng and schedules the
 // workload threads, leaving the engine ready to Run. It performs the
-// setup-phase warp (RunUntil the storage horizon) on the calling
-// goroutine, so it is init-phase: call it before the lanes start.
+// setup-phase warp (RunUntil the storage horizon) itself.
 func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
 	mem := cfg.buildMemory()
@@ -443,9 +440,8 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	return p, nil
 }
 
-// finish collects the run's Result after the engine drained. It runs
-// on the coordinator once the shard's lane is quiescent (barrier- or
-// init-phase).
+// finish collects the run's Result after the engine drained, on the
+// goroutine that drove it.
 func (p *preparedRun) finish() (*Result, error) {
 	if p.stepErr != nil {
 		return nil, p.stepErr

@@ -1,17 +1,17 @@
-// Sharded execution: RunShards drives several independent simulations
-// ("shards") concurrently under sim.Lanes, the deterministic epoch/
-// barrier executor (ROADMAP item 2). Each shard is a full kernel stack
-// on its own engine with its own forked seed, so shard results are
-// byte-identical to running each shard alone with Run — worker count
-// and GOMAXPROCS change wall-clock only, never results. The lane
-// determinism tests pin exactly that.
+// Sharded execution: RunShards runs several independent simulations
+// ("shards") on a small worker pool. Each shard is a full kernel stack
+// on its own engine with its own forked seed and shares nothing with
+// its neighbors, so a shard's Result is byte-identical to running it
+// alone with Run — worker count and GOMAXPROCS change wall-clock only,
+// never results. The worker-count and GOMAXPROCS invariance tests pin
+// exactly that.
 package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"kloc/internal/sim"
-	"kloc/internal/trace"
 )
 
 // ShardsConfig describes a sharded fleet run.
@@ -20,21 +20,11 @@ type ShardsConfig struct {
 	// must be named (PolicyName/Workload), not pre-built instances: a
 	// shared Policy object would couple the shards.
 	Base RunConfig
-	// Shards is the number of logical CPUs (independent simulations).
-	// Defaults to 1.
+	// Shards is the number of independent simulations. Defaults to 1.
 	Shards int
-	// Workers is the number of OS goroutines driving the shards.
+	// Workers is the number of goroutines driving the shards.
 	// Defaults to 1; results never depend on it.
 	Workers int
-	// Quantum is the barrier epoch width in virtual time (default one
-	// virtual millisecond). Results never depend on it either — shards
-	// exchange no mid-run mail — but it sets barrier overhead.
-	Quantum sim.Duration
-	// EngineTrace, when non-nil, arms a dedicated coordinator tracer
-	// recording sim.barrier / sim.lane.drain events. It is separate
-	// from the per-shard tracers (Base.Trace) precisely so arming it
-	// cannot perturb shard results.
-	EngineTrace *trace.Config
 }
 
 // ShardsResult is the fleet outcome.
@@ -43,10 +33,8 @@ type ShardsResult struct {
 	// is byte-identical to Run with Base.Seed replaced by
 	// ShardSeed(seed, i).
 	Results []*Result
-	// Lanes reports the executor's epoch/delivery/fired counters.
-	Lanes sim.LaneStats
-	// EngineTrace is the coordinator tracer (nil unless armed).
-	EngineTrace *trace.Tracer
+	// Fired holds each shard's engine event count, in shard order.
+	Fired []uint64
 }
 
 // ShardSeed derives shard s's root seed from the fleet seed: shard 0
@@ -71,51 +59,54 @@ func ShardSeed(seed uint64, shard int) uint64 {
 	return z
 }
 
-// RunShards executes Shards independent simulations concurrently on
-// Workers lanes and collects their Results in shard order.
+// RunShards executes Shards independent simulations and collects their
+// Results in shard order. Worker w runs shards s ≡ w (mod Workers) to
+// completion, one after another; each shard writes only its own slot,
+// so the pool needs no synchronization beyond the final join.
 func RunShards(cfg ShardsConfig) (*ShardsResult, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
+	}
+	if cfg.Workers < 1 {
+		cfg.Workers = 1
 	}
 	if cfg.Base.Policy != nil {
 		return nil, fmt.Errorf("harness: RunShards requires PolicyName, not a shared Policy instance")
 	}
 	base := cfg.Base.withDefaults()
 
-	lanes := sim.NewLanes(cfg.Workers, cfg.Quantum)
-	var engTracer *trace.Tracer
-	if cfg.EngineTrace != nil {
-		engTracer = trace.New(*cfg.EngineTrace)
-		lanes.AtBarrier(func(info sim.BarrierInfo) {
-			engTracer.Emit(trace.SimBarrier, info.Now, info.Epoch,
-				uint64(info.Delivered), "barrier", -1, int64(info.Delivered))
-			for _, shard := range info.NewlyDrained {
-				engTracer.Emit(trace.SimLaneDrain, info.Now, info.Epoch,
-					uint64(shard), "lane", shard, 0)
-			}
-		})
+	out := &ShardsResult{
+		Results: make([]*Result, cfg.Shards),
+		Fired:   make([]uint64, cfg.Shards),
 	}
-
-	runs := make([]*preparedRun, cfg.Shards)
-	for s := range runs {
+	errs := make([]error, cfg.Shards)
+	runShard := func(s int) {
 		scfg := base
 		scfg.Seed = ShardSeed(base.Seed, s)
 		p, err := prepare(scfg, sim.NewEngine())
 		if err != nil {
-			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
+			errs[s] = err
+			return
 		}
-		lanes.Attach(p.eng)
-		runs[s] = p
+		p.eng.Run()
+		out.Fired[s] = p.eng.Fired()
+		out.Results[s], errs[s] = p.finish()
 	}
-	lanes.Run()
-
-	out := &ShardsResult{Lanes: lanes.Stats(), EngineTrace: engTracer}
-	for s, p := range runs {
-		res, err := p.finish()
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers && w < cfg.Shards; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < cfg.Shards; s += cfg.Workers {
+				runShard(s)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
 		}
-		out.Results = append(out.Results, res)
 	}
 	return out, nil
 }

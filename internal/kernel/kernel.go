@@ -38,18 +38,12 @@ type Policy interface {
 	TickPeriod() sim.Duration
 }
 
-// Stats aggregates kernel-level accounting. The counters are bumped on
-// the op hot path by whichever lane drives this kernel instance, so
-// they are lane-confined (one kernel = one lane's timeline partition
-// under ROADMAP item 2).
+// Stats aggregates kernel-level accounting, bumped on the op hot path.
 type Stats struct {
-	//klocs:owner=lane
 	AppPagesAllocated uint64
-	//klocs:owner=lane
-	AppPagesFreed uint64
-	//klocs:owner=lane
-	AppAccesses uint64
-	Syscalls    uint64
+	AppPagesFreed     uint64
+	AppAccesses       uint64
+	Syscalls          uint64
 }
 
 // Kernel is the assembled simulated OS instance.
@@ -69,13 +63,11 @@ type Kernel struct {
 	// Trace is the armed tracing plane (nil when tracing is off); see
 	// AttachTracer. Kernel-level events (app pages, oom.spill) emit
 	// through it directly. Rewired only between runs, at quiescence.
-	//klocs:owner=epoch
 	Trace *trace.Tracer
 
 	// San is the armed runtime sanitizer (nil when sanitizing is off);
 	// see AttachSanitizer. Kernel-level app-page alloc/free/access
 	// report through it directly. Rewired only between runs.
-	//klocs:owner=epoch
 	San *alloc.Sanitizer
 
 	// Lifetimes records object/page lifetimes by class (Fig 2d).
@@ -83,28 +75,20 @@ type Kernel struct {
 
 	// taskSocket is the socket the workload currently runs on (Optane
 	// experiments migrate the task mid-run). The migration is a
-	// scheduled event on this kernel's own engine, so the write runs
-	// on the lane that owns the kernel — each shard constructs its
-	// own Kernel, making the field lane-confined like the rest of the
-	// per-shard state.
-	//klocs:owner=lane
+	// scheduled event on this kernel's own engine.
 	taskSocket int
 
-	//klocs:owner=lane
 	objIDs kstate.IDGen
 	inoGen kstate.IDGen
 
-	//klocs:owner=lane
 	appPages map[memsim.FrameID]*memsim.Frame
 
 	// ctxPool recycles retired op contexts under metrics.ModePooled
 	// (see NewCtx/PutCtx). ctxFresh/ctxReused meter the pool.
-	//klocs:owner=lane
 	ctxPool             []*kstate.Ctx
 	ctxPooled           bool
 	ctxFresh, ctxReused uint64
 
-	//klocs:owner=lane
 	Stats Stats
 }
 

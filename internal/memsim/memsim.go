@@ -96,20 +96,17 @@ type Node struct {
 	// decimal GB: 1 GB/s = 1 B/ns).
 	Bandwidth float64
 
-	//klocs:owner=lane
 	used int
 	// migBusyUntil marks the node as carrying background migration
 	// traffic; accesses before this time pay a bandwidth penalty.
 	// Excessive migration damaging performance is a real effect the
 	// paper calls out in §7.2.
-	//klocs:owner=lane
 	migBusyUntil sim.Time
 
 	// wm holds the node's reclaim watermarks. The zero value disables
 	// the reserve gate entirely, so nodes without watermarks behave as
 	// if the pressure plane did not exist. Installed at setup or at a
 	// reconfiguration boundary, never on the access path.
-	//klocs:owner=epoch
 	wm Watermarks
 }
 
@@ -154,89 +151,65 @@ type FrameID uint64
 // Frame is the metadata for one simulated physical page — or, when
 // Order > 0, a compound (huge) page covering 2^Order base pages (§5's
 // multi-page-size support: THP regions tier as a unit).
-// Frame metadata mutates on the allocation, access, and migration
-// paths — all driven by the lane that owns this Memory's timeline
-// partition, so the mutable fields are lane-confined.
 type Frame struct {
-	ID FrameID
-	//klocs:owner=lane
-	Node NodeID
-	//klocs:owner=lane
+	ID    FrameID
+	Node  NodeID
 	Class Class
 	// Order is the compound-page order: 0 = 4 KB, 9 = 2 MB.
 	Order uint8
 
 	// Pinned frames cannot migrate (slab allocations, §3.3: "cannot be
 	// relocated").
-	//klocs:owner=lane
 	Pinned bool
 	// Dirty pages must be written back before reclaim.
-	//klocs:owner=lane
 	Dirty bool
 
 	// Knode associates the frame with a KLOC (0 = none).
-	//klocs:owner=lane
 	Knode uint64
 
-	Allocated sim.Time
-	//klocs:owner=lane
+	Allocated  sim.Time
 	LastAccess sim.Time
 	// Migrations counts moves; the paper uses an 8-bit per-page counter
 	// to damp ping-ponging (§4.5).
-	//klocs:owner=lane
 	Migrations uint8
 
 	// pos is the frame's index in the live table under ModeIndexed
 	// (-1 = not live). Maintained by Alloc/Free via swap-remove.
-	//klocs:owner=lane
 	pos int
 }
 
 // Stats aggregates the accounting the evaluation section needs. Every
 // counter is written on the op/migration hot path (or materialized
-// from the batching accumulator at SyncStats) by the lane driving
-// this Memory instance — lane-confined throughout.
+// from the batching accumulator at SyncStats).
 type Stats struct {
 	// Refs counts memory references by class (Fig 2c).
-	//klocs:owner=lane
 	Refs [6]uint64
 	// BytesTouched counts bytes moved through each class.
-	//klocs:owner=lane
 	BytesTouched [6]uint64
 	// AllocsByClassNode counts page allocations per class per node
 	// (Fig 2a/2b, Fig 5b "pages allocated in slow memory").
-	//klocs:owner=lane
 	AllocsByClassNode map[NodeID]*[6]uint64
 	// Demotions / Promotions count page migrations fast->slow and
 	// slow->fast (or local<->remote) (§4.4, Fig 5b).
-	//klocs:owner=lane
-	Demotions uint64
-	//klocs:owner=lane
+	Demotions  uint64
 	Promotions uint64
 	// MigratedPages counts every page move.
-	//klocs:owner=lane
 	MigratedPages uint64
 	// AllocFaults / MigrationFaults count injected failures from the
 	// fault plane (zero when no plane is armed).
-	//klocs:owner=lane
-	AllocFaults uint64
-	//klocs:owner=lane
+	AllocFaults     uint64
 	MigrationFaults uint64
 	// ReserveDips counts atomic-context allocations that dipped below a
 	// node's Min watermark — successful GFP_ATOMIC-style draws on the
 	// emergency reserve.
-	//klocs:owner=lane
 	ReserveDips uint64
 	// WatermarkBlocks counts non-atomic allocations refused by the Min
 	// watermark gate (room existed but only inside the reserve).
-	//klocs:owner=lane
 	WatermarkBlocks uint64
 	// L4Hits/L4Misses count Memory-Mode DRAM cache behaviour.
-	//klocs:owner=lane
 	L4Hits, L4Misses uint64
 	// RefsByNode counts references served by each node (placement
 	// quality: the fraction served by the fast/local node).
-	//klocs:owner=lane
 	RefsByNode map[NodeID]uint64
 }
 
@@ -255,79 +228,60 @@ type Memory struct {
 	// Fault, when non-nil, is consulted on every allocation and every
 	// batched migration. A nil plane injects nothing. Armed between
 	// runs (kernel.InjectFaults), never on the hot path.
-	//klocs:owner=epoch
 	Fault *fault.Plane
 
 	// Trace, when non-nil, records memsim.migrate events for every
 	// batched frame move. The tracer is strictly passive; a nil tracer
 	// leaves runs bit-identical. Rewired only at attach time.
-	//klocs:owner=epoch
 	Trace *trace.Tracer
 
 	// l4 caches, indexed by socket; nil entries mean no cache. The
-	// slice is installed by AttachL4 at setup; the caches themselves
-	// are lane state (see l4Cache).
-	//klocs:owner=epoch
+	// slice is installed by AttachL4 at setup.
 	l4 []*l4Cache
 
 	// mode selects the accounting path (DESIGN.md §13). Fixed by
 	// SetMode before any traffic; every mode yields byte-identical
 	// simulation results.
-	//klocs:owner=epoch
 	mode metrics.Mode
 	// frames is the legacy live-frame index; under ModeIndexed the
 	// compact live table (+ Frame.pos) replaces it and frames is nil.
-	//klocs:owner=lane
-	frames map[FrameID]*Frame
-	//klocs:owner=lane
-	live []*Frame
-	//klocs:owner=lane
+	frames    map[FrameID]*Frame
+	live      []*Frame
 	nextFrame FrameID
 	// freeFrames is the ModePooled frame freelist: Free pushes retired
 	// Frame structs, Alloc recycles them (with fresh IDs, so stale
 	// FrameIDs never alias a new allocation's identity).
-	//klocs:owner=lane
 	freeFrames []*Frame
-	//klocs:owner=lane
-	poolFresh uint64
-	//klocs:owner=lane
-	poolReuse uint64
+	poolFresh  uint64
+	poolReuse  uint64
 	// acc batches the per-access counters (Refs, BytesTouched,
 	// RefsByNode) in per-CPU lanes under ModeBatched; SyncStats
 	// materializes it into Stats. Cell layout: [0,6) refs by class,
 	// [6,12) bytes by class, [12,12+nodes) refs by node. The pointer
 	// is rewired only by SetMode, before traffic.
-	//klocs:owner=epoch
 	acc *percpu.Accumulator
 	// allocsDense/usedDense/refsDense are the ModeIndexed stores behind
 	// Stats.AllocsByClassNode, usedByClass, and Stats.RefsByNode,
 	// indexed by NodeID (node IDs are dense positions in Nodes).
 	// refsDense is superseded by acc when batching is also on.
-	//klocs:owner=lane
 	allocsDense [][6]uint64
-	//klocs:owner=lane
-	usedDense [][6]int
-	//klocs:owner=lane
-	refsDense []uint64
+	usedDense   [][6]int
+	refsDense   []uint64
 	// batched/pooled/indexed cache the resolved mode bits for the hot
 	// paths. Written only by SetMode, before traffic.
-	//klocs:owner=epoch
 	batched, pooled, indexed bool
 	// atomicDepth > 0 marks GFP_ATOMIC context: allocations may dip
 	// into the watermark reserve (rx path, journal commits, reclaim
 	// itself — the PF_MEMALLOC analog). The simulation is single-
 	// threaded, so a plain depth counter is race-free.
-	//klocs:owner=lane
 	atomicDepth int
 	// usedByClass tracks current page occupancy per node per class
 	// (capacity-limit enforcement, sys_kloc_memsize). Legacy store;
 	// usedDense replaces it under ModeIndexed. Occupancy is control
 	// flow (capacity limits), so whichever store is active is updated
 	// exactly, never batched.
-	//klocs:owner=lane
 	usedByClass map[NodeID]*[6]int
 
-	//klocs:owner=lane
 	Stats Stats
 }
 
@@ -860,19 +814,14 @@ type l4Cache struct {
 	hitLatency   sim.Duration
 	hitBandwidth float64
 
-	// The LRU structure mutates on every simulated access, from the
-	// lane driving this Memory instance.
-	//klocs:owner=lane
+	// The LRU structure mutates on every simulated access.
 	entries map[FrameID]*l4Entry
-	//klocs:owner=lane
-	head *l4Entry // most recent
-	//klocs:owner=lane
-	tail *l4Entry // least recent
+	head    *l4Entry // most recent
+	tail    *l4Entry // least recent
 }
 
 type l4Entry struct {
-	id FrameID
-	//klocs:owner=lane
+	id         FrameID
 	prev, next *l4Entry
 }
 

@@ -28,9 +28,7 @@ import (
 )
 
 // Counter is a monotonically increasing count. Each counter belongs
-// to the kernel instance (and so the lane) that meters through it.
-//
-//klocs:owner=lane
+// to the kernel instance that meters through it.
 type Counter struct{ n uint64 }
 
 // Inc adds one.
@@ -46,21 +44,13 @@ func (c *Counter) Value() uint64 { return c.n }
 // statistics. It keeps all samples when small and switches to a
 // log-scale histogram beyond a threshold so lifetime tracking of
 // millions of kernel objects stays O(1) per sample.
-// Observe mutates every field from the metering lane, so the whole
-// struct is lane-confined.
 type Distribution struct {
-	//klocs:owner=lane
-	count uint64
-	//klocs:owner=lane
-	sum float64
-	//klocs:owner=lane
-	min float64
-	//klocs:owner=lane
-	max float64
-	//klocs:owner=lane
+	count   uint64
+	sum     float64
+	min     float64
+	max     float64
 	samples []float64 // exact, until histogram mode
-	//klocs:owner=lane
-	buckets []uint64 // log2 buckets once exact storage is abandoned
+	buckets []uint64  // log2 buckets once exact storage is abandoned
 }
 
 const exactLimit = 1 << 14
@@ -150,9 +140,7 @@ func (d *Distribution) Quantile(q float64) float64 {
 // mean lifetime of application pages vs slab objects vs page cache
 // pages on a log axis.
 type LifetimeTracker struct {
-	//klocs:owner=lane
 	born map[uint64]sim.Time
-	//klocs:owner=lane
 	dist map[string]*Distribution
 }
 
@@ -212,7 +200,6 @@ func (lt *LifetimeTracker) MeanLifetime(class string) sim.Duration {
 // Set is a bag of named counters used for ad-hoc accounting (syscall
 // counts, rbtree accesses, prefetch hits...).
 type Set struct {
-	//klocs:owner=lane
 	counters map[string]*Counter
 }
 

@@ -8,9 +8,9 @@ import "sync/atomic"
 // net deltas locally and commits a cell to the shared store only when
 // the cell's pending magnitude reaches the commit threshold, so a
 // stream of N per-event increments costs N lane writes but roughly
-// N/threshold shared-store writes. On today's single-goroutine engine
-// the lanes buy locality; on the planned sharded engine (ROADMAP item
-// 2) they are what keeps hot counters off shared cachelines.
+// N/threshold shared-store writes. On the single-goroutine engine the
+// lanes buy locality; concurrent callers would also keep hot counters
+// off shared cachelines.
 //
 // Contract (who may touch what):
 //
@@ -34,16 +34,13 @@ import "sync/atomic"
 // ratio as the shared-store write reduction.
 type Accumulator struct {
 	threshold int64
-	//klocs:owner=lane
-	lanes [][]int64 // [cpu][cell] pending net delta; owner-only plain access
-	//klocs:owner=atomic
-	store []uint64 // committed values; sync/atomic access after init
+	lanes     [][]int64 // [cpu][cell] pending net delta; owner-only plain access
+	store     []uint64  // committed values; sync/atomic access after init
 
 	// Adds counts every Add call; Commits counts shared-store writes
 	// (threshold-triggered plus non-empty flushes). Both are exact and
 	// deterministic — BENCH_perf.json reports Commits/Adds. Mutated
 	// through sync/atomic (Add runs on every lane); read via Counters.
-	//klocs:owner=atomic
 	Adds, Commits uint64
 }
 

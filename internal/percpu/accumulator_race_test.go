@@ -10,7 +10,7 @@ import (
 // the shared store concurrently, then flushes and checks net-delta
 // conservation: the store must hold exactly what the lanes contributed.
 // Under -race (make race, CI) this pins the ownership split the
-// readiness inventory documents — lanes plain and owner-only, store
+// Accumulator contract documents — lanes plain and owner-only, store
 // and meters through sync/atomic.
 func TestAccumulatorConcurrentLanes(t *testing.T) {
 	const (

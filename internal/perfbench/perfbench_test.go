@@ -3,6 +3,7 @@ package perfbench
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -14,6 +15,43 @@ func fakeClock(step int64) func() int64 {
 		t += step
 		return t
 	}
+}
+
+// cachedSweep runs one quick sweep on first use and hands every later
+// caller the same report: a sweep costs tens of seconds, and several
+// tests assert different properties of identically configured sweeps.
+// Callers must treat the report as read-only.
+type cachedSweep struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+func (c *cachedSweep) get(t *testing.T, cfg func() Config) *Report {
+	t.Helper()
+	c.once.Do(func() { _, c.rep, c.err = Run(cfg()) })
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	return c.rep
+}
+
+var (
+	plainSweep cachedSweep
+	wallSweep  cachedSweep
+)
+
+// plainReport is the clockless quick sweep.
+func plainReport(t *testing.T) *Report {
+	return plainSweep.get(t, func() Config { return Config{Seed: 42, Quick: true} })
+}
+
+// wallReport is the quick sweep under a constant-step fake clock with
+// IncludeWall set.
+func wallReport(t *testing.T) *Report {
+	return wallSweep.get(t, func() Config {
+		return Config{Seed: 42, Quick: true, Now: fakeClock(5), IncludeWall: true}
+	})
 }
 
 // TestReportIsByteIdentical: two same-seed quick sweeps must serialize
@@ -43,11 +81,7 @@ func TestReportIsByteIdentical(t *testing.T) {
 // Report shape with the schema version, full variant catalog, and one
 // row per (stage, variant).
 func TestReportSchemaRoundTrip(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := rep.JSON()
+	data, err := plainReport(t).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +117,7 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 // TestIncludeWallPublishesMetrics: opting in puts wall rows and the
 // speedup map into the JSON.
 func TestIncludeWallPublishesMetrics(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true, Now: fakeClock(5), IncludeWall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wallReport(t)
 	for _, row := range rep.Rows {
 		if row.Wall == nil {
 			t.Fatalf("row %s/%s missing wall metrics under IncludeWall", row.Stage, row.Variant)
@@ -106,17 +137,14 @@ func TestIncludeWallPublishesMetrics(t *testing.T) {
 	}
 }
 
-// TestLaneSweep: the parallel-engine rows cover every worker count
-// with identical deterministic results (the sweep itself errors on a
+// TestLaneSweep: the shard-pool rows cover every worker count with
+// identical deterministic results (the sweep itself errors on a
 // digest mismatch; this pins the shape), wall sections under
-// IncludeWall, and — under a constant-step fake clock, where every
-// solo shard times identically — a span-model speedup exactly equal
-// to the worker count.
+// IncludeWall carrying the host CPU count, and — under a
+// constant-step fake clock, where every fleet times identically — a
+// measured speedup of exactly 1.
 func TestLaneSweep(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true, Now: fakeClock(5), IncludeWall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wallReport(t)
 	if len(rep.LaneSweep) != len(laneWorkerCounts) {
 		t.Fatalf("%d lane rows, want %d", len(rep.LaneSweep), len(laneWorkerCounts))
 	}
@@ -129,16 +157,19 @@ func TestLaneSweep(t *testing.T) {
 			t.Fatalf("row %d: workers %d, want %d", i, row.Workers, laneWorkerCounts[i])
 		}
 		if row.Ops != first.Ops || row.EventsFired != first.EventsFired ||
-			row.Epochs != first.Epochs || row.ShardDigest != first.ShardDigest {
+			row.ShardDigest != first.ShardDigest {
 			t.Fatalf("workers=%d row diverges from workers=%d: %+v vs %+v",
 				row.Workers, first.Workers, row, first)
 		}
 		if row.Wall == nil {
 			t.Fatalf("workers=%d: missing wall section under IncludeWall", row.Workers)
 		}
-		if want := float64(row.Workers); row.Wall.SpanSpeedup != want {
-			t.Fatalf("workers=%d: span speedup %.2f, want exactly %.2f under a constant-step clock",
-				row.Workers, row.Wall.SpanSpeedup, want)
+		if row.Wall.HostCPUs < 1 {
+			t.Fatalf("workers=%d: host CPU count %d", row.Workers, row.Wall.HostCPUs)
+		}
+		if row.Wall.SpeedupVsSerial != 1 {
+			t.Fatalf("workers=%d: wall speedup %.2f, want exactly 1 under a constant-step clock",
+				row.Workers, row.Wall.SpeedupVsSerial)
 		}
 	}
 	if got := len(rep.LaneLines()); got != len(rep.LaneSweep) {
@@ -149,11 +180,7 @@ func TestLaneSweep(t *testing.T) {
 // TestSanityCheckNeedsClock: without an injected clock there is
 // nothing to check, and saying so beats vacuously passing.
 func TestSanityCheckNeedsClock(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.SanityCheck(); err == nil {
+	if err := plainReport(t).SanityCheck(); err == nil {
 		t.Fatal("SanityCheck passed with no wall metrics")
 	}
 }

@@ -11,13 +11,8 @@ import (
 type Event struct {
 	at  Time
 	seq uint64
-	// fn and index mutate after scheduling (Cancel nils fn, the heap
-	// maintains index), always from the goroutine driving the queue
-	// that holds the event — per-lane state under the sharded plan.
-	//klocs:owner=lane
-	fn func(*Engine)
+	fn  func(*Engine)
 	// index in the heap, or -1 once popped/cancelled.
-	//klocs:owner=lane
 	index int
 }
 
@@ -55,20 +50,13 @@ func (q *eventQueue) Pop() any {
 
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use; the entire simulation runs on one goroutine, which is
-// what guarantees reproducibility.
-// Every Engine field is the event loop's own cursor state: under the
-// sharded plan (ROADMAP item 2) each lane runs its own Engine, so the
-// whole struct is lane-confined.
+// what guarantees reproducibility. Sharded runs (harness.RunShards)
+// give each shard its own Engine.
 type Engine struct {
-	//klocs:owner=lane
-	now Time
-	//klocs:owner=lane
-	seq uint64
-	//klocs:owner=lane
-	queue eventQueue
-	//klocs:owner=lane
-	fired uint64
-	//klocs:owner=lane
+	now    Time
+	seq    uint64
+	queue  eventQueue
+	fired  uint64
 	halted bool
 }
 
@@ -85,14 +73,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Schedule arranges for fn to run at the given absolute time. Scheduling
 // in the past panics: it indicates a broken cost model.
-//
-// Schedule is pinned lane-phase: it mutates the engine's own queue, so
-// it runs in the phase of whoever owns the engine at the call — the
-// lane's worker during an epoch, or the barrier coordinator delivering
-// cross-shard mail while every lane is parked (ownership of a quiescent
-// engine transfers to the coordinator; see Lanes.barrier).
-//
-//klocs:phase=lane
 func (e *Engine) Schedule(at Time, fn func(*Engine)) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
@@ -144,20 +124,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	e.halted = false
 	for !e.halted && e.Step() {
-	}
-}
-
-// runThrough fires events with time <= deadline, leaving later events
-// queued and the clock at the last fired event (it never coasts
-// forward the way RunUntil does). A halted engine stays halted and
-// fires nothing. This is the epoch body of the sharded executor
-// (Lanes): because the clock only moves when events fire, a shard
-// driven through epoch slices ends a run with exactly the clock a
-// plain Run would have produced — the byte-identity the lane
-// determinism tests pin.
-func (e *Engine) runThrough(deadline Time) {
-	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
 	}
 }
 

@@ -12,9 +12,8 @@ func expf(x float64) float64 { return math.Exp(x) }
 // benchmarks and must not drift when the toolchain upgrades.
 type RNG struct {
 	// Every draw advances the state, so a stream is single-owner by
-	// construction: confine each RNG to one lane and Fork children for
+	// construction: give each RNG one owner and Fork children for
 	// anything that must draw independently (rngflow enforces this).
-	//klocs:owner=lane
 	s [4]uint64
 }
 
@@ -103,8 +102,7 @@ func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
 // popularity, which this models.
 type Zipf struct {
 	// The stream pointer is fixed at construction; draws advance the
-	// RNG's own lane-confined state, not this field.
-	//klocs:owner=init
+	// RNG's own state, not this field.
 	r                *RNG
 	n                float64
 	s                float64

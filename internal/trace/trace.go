@@ -91,13 +91,6 @@ const (
 	// ChaosMinimize: the delta-debugging minimizer finished shrinking a
 	// violating schedule (size = minimal injection count).
 	ChaosMinimize Name = "chaos.minimize"
-	// SimBarrier: the sharded executor's coordinator completed an epoch
-	// barrier (ctx = epoch index, obj/size = cross-lane posts delivered
-	// at it).
-	SimBarrier Name = "sim.barrier"
-	// SimLaneDrain: one event lane ran out of work at a barrier (ctx =
-	// epoch index, obj/node = the drained shard).
-	SimLaneDrain Name = "sim.lane.drain"
 )
 
 // Names lists the catalog in stable (documentation) order.
@@ -105,7 +98,7 @@ func Names() []Name {
 	return []Name{AllocSlab, AllocPage, ObjFree, JournalCommit, BlockDispatch,
 		Migrate, NetRx, NetTx, KswapdWake, DirectReclaim, OOMSpill,
 		LBRoute, LBRetry, LBHedge, LBShed, LBBreaker, MachineCrash, MachineHealth,
-		ChaosSchedule, ChaosViolation, ChaosMinimize, SimBarrier, SimLaneDrain}
+		ChaosSchedule, ChaosViolation, ChaosMinimize}
 }
 
 // Event is one emitted trace record.
@@ -172,12 +165,10 @@ const (
 	maxStatsContexts = 16
 )
 
-// ctxStat is one context's incremental accounting. Mutated on the
-// emit path by the lane driving the tracer's kernel instance.
+// ctxStat is one context's incremental accounting, mutated on the
+// emit path.
 type ctxStat struct {
-	//klocs:owner=lane
-	total uint64
-	//klocs:owner=lane
+	total   uint64
 	windows []uint64
 }
 
@@ -186,37 +177,28 @@ type ctxStat struct {
 // does its count live".
 type nameState struct {
 	enabled bool
-	//klocs:owner=lane
-	count uint64
+	count   uint64
 }
 
 // Tracer is an armed tracing plane. A nil *Tracer is valid and records
 // nothing, so subsystems hold a possibly-nil Tracer and call Emit
-// unconditionally — the same discipline as fault.Plane.
-// A Tracer is attached to one kernel instance and mutates on every
-// Emit, so its mutable state is confined to the lane driving that
-// instance's timeline partition.
+// unconditionally — the same discipline as fault.Plane. A Tracer is
+// attached to one kernel instance and driven by the goroutine running
+// that instance's engine.
 type Tracer struct {
 	cfg Config
 	// enabled/byName are the legacy per-name stores (two lookups per
 	// event); names merges them under ModeIndexed (one lookup, usually
 	// zero thanks to the lastName MRU register).
-	//klocs:owner=lane
 	enabled map[Name]bool
-	//klocs:owner=lane
-	byName map[Name]uint64
-	//klocs:owner=lane
-	names map[Name]*nameState
+	byName  map[Name]uint64
+	names   map[Name]*nameState
 
-	//klocs:owner=lane
 	ring []Event
 	// next is the ring write index; filled counts live entries.
-	//klocs:owner=lane
 	next, filled int
-	//klocs:owner=lane
 	seq, dropped uint64
 
-	//klocs:owner=lane
 	byCtx map[uint64]*ctxStat
 
 	// batched selects run-length context/window commits (ModeBatched):
@@ -224,20 +206,13 @@ type Tracer struct {
 	// window accumulate in the registers below and commit as one net
 	// delta when the run breaks (or on Stats). summaryCommits counts
 	// those commits — the deterministic write-reduction meter.
-	batched bool
-	//klocs:owner=lane
-	lastName Name
-	//klocs:owner=lane
-	lastState *nameState
-	//klocs:owner=lane
-	pCtx uint64
-	//klocs:owner=lane
-	pStat *ctxStat
-	//klocs:owner=lane
-	pWin int
-	//klocs:owner=lane
-	pPending uint64
-	//klocs:owner=lane
+	batched        bool
+	lastName       Name
+	lastState      *nameState
+	pCtx           uint64
+	pStat          *ctxStat
+	pWin           int
+	pPending       uint64
 	summaryCommits uint64
 }
 
@@ -372,15 +347,6 @@ func matchAny(patterns []string, s string) bool {
 // recorded events and summary totals are byte-identical in every
 // accounting mode; the fast paths only change how many shared-store
 // writes the bookkeeping costs (DESIGN.md §13).
-//
-// The phase pin below asserts per-instance confinement: a Tracer is
-// only ever driven by the goroutine that owns its attached kernel (or,
-// for the harness's dedicated engine tracer, by the coordinator), so
-// even though Emit is reachable from both lane and barrier callers,
-// each *instance* sees a single caller phase and its plain counters
-// are safe (DESIGN.md §15).
-//
-//klocs:phase=lane
 func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, node int, size int64) {
 	if t == nil {
 		return

@@ -61,10 +61,20 @@ func (w *Cassandra) TotalOps() int { return w.cfg.Ops }
 
 // Setup allocates the JVM heap, opens sockets, and seeds SSTables.
 func (w *Cassandra) Setup(k *kernel.Kernel, r *sim.RNG) error {
+	// 11 GB footprint, heavily application-resident. SSTables keep a
+	// fixed page count at every scale, so a small enough platform
+	// cannot hold the heap plus the seeded tables.
+	heapPages := w.cfg.pages(8000)
+	have := 0
+	for _, node := range k.Mem.Nodes {
+		have += node.Capacity
+	}
+	if need := heapPages + cassandraSeedTables*int(w.sstPages); need > have {
+		return unsupported("cassandra", "heap plus %d seed SSTables need %d pages, the platform has %d (lower the scale divisor)", cassandraSeedTables, need, have)
+	}
 	ctx := k.NewCtx(0)
 	var err error
-	// 11 GB footprint, heavily application-resident.
-	w.heap, err = w.cfg.allocHeap(k, ctx, w.cfg.pages(8000))
+	w.heap, err = w.cfg.allocHeap(k, ctx, heapPages)
 	if err != nil {
 		return fmt.Errorf("cassandra: heap: %w", err)
 	}
@@ -81,13 +91,16 @@ func (w *Cassandra) Setup(k *kernel.Kernel, r *sim.RNG) error {
 			return err
 		}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < cassandraSeedTables; i++ {
 		if err := w.flushSST(k, ctx); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// cassandraSeedTables is how many SSTables Setup flushes up front.
+const cassandraSeedTables = 4
 
 // Step serves one YCSB operation.
 func (w *Cassandra) Step(k *kernel.Kernel, ctx *kstate.Ctx, thread int, r *sim.RNG) error {

@@ -95,6 +95,9 @@ func (w *RocksDB) Setup(k *kernel.Kernel, r *sim.RNG) error {
 	if err != nil {
 		return fmt.Errorf("rocksdb: heap: %w", err)
 	}
+	if len(w.heap) <= memtablePages {
+		return unsupported("rocksdb", "%d-frame heap cannot hold the %d-frame memtable plus a block cache (lower the scale divisor or disable huge pages)", len(w.heap), memtablePages)
+	}
 	w.zipf = sim.NewZipf(r.Fork(), 1.25, 1_000_000)
 	if w.wal, err = k.FS.Create(ctx, "/rocksdb/WAL"); err != nil {
 		return err

@@ -57,6 +57,9 @@ func (w *Spark) TotalOps() int { return w.cfg.Ops }
 
 // Setup allocates the executor heaps.
 func (w *Spark) Setup(k *kernel.Kernel, r *sim.RNG) error {
+	if w.blockPages < 1 || w.blocksPerThread() < 1 {
+		return unsupported("spark", "%d blocks of %d pages cannot give %d threads a block each (lower the scale divisor or the thread count)", w.nBlocks, w.blockPages, w.cfg.Threads)
+	}
 	ctx := k.NewCtx(0)
 	var err error
 	// Executor JVM heaps (32.1 GB total footprint; ~12 GB heap-side).

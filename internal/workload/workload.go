@@ -12,6 +12,7 @@ package workload
 import (
 	"fmt"
 
+	"kloc/internal/fault"
 	"kloc/internal/kernel"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
@@ -119,6 +120,13 @@ func ByName(name string, cfg Config) (Workload, error) {
 // Names lists the catalog.
 func Names() []string {
 	return []string{"rocksdb", "redis", "filebench", "cassandra", "spark"}
+}
+
+// unsupported reports a configuration whose derived sizes cannot
+// support the workload's access pattern, as an EINVAL-wrapping error:
+// a user-reachable size must fail setup, never panic mid-run.
+func unsupported(name, format string, args ...any) error {
+	return fmt.Errorf("%s: %s: %w", name, fmt.Sprintf(format, args...), fault.EINVAL)
 }
 
 // allocHeap allocates an application heap of the given base-page size,

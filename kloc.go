@@ -457,8 +457,8 @@ type (
 	PerfVariant = perfbench.Variant
 	// PerfStageRow is one (stage, variant) measurement in a PerfReport.
 	PerfStageRow = perfbench.StageRow
-	// PerfLaneRow is one worker-count row of the sharded-engine lane
-	// sweep in a PerfReport (results identical across rows by contract).
+	// PerfLaneRow is one worker-count row of the shard-pool lane sweep
+	// in a PerfReport (results identical across rows by contract).
 	PerfLaneRow = perfbench.LaneRow
 	// RunPerfMeters are one run's deterministic accounting meters
 	// (Result.Perf).
