@@ -13,7 +13,7 @@
 //	klocbench -exp chaos                # chaos campaign -> BENCH_chaos.json
 //	klocbench -exp chaos -quick         # fixed-seed 50-schedule smoke campaign
 //	klocbench -exp chaos -replay CHAOS_repro_X.json  # re-run a minimized repro
-//	klocbench -exp perf                 # accounting-variant sweep -> BENCH_perf.json
+//	klocbench -exp perf                 # hot-path accounting sweep -> BENCH_perf.json
 //	klocbench -exp perf -quick -perf-wall  # + machine-dependent wall metrics in the JSON
 //	klocbench -exp fig4 -quick          # reduced duration
 //	klocbench -run -policy klocs -workload rocksdb   # one raw run
@@ -177,12 +177,12 @@ func main() {
 	}
 }
 
-// runPerfBench executes the accounting-variant sweep (PERFORMANCE.md)
-// and writes BENCH_perf.json. This is the tree's single sanctioned
-// wall-clock read: the perf harness must measure real throughput, and
-// injects the reading as a clock function so measurement can never
-// leak into simulation state. A sweep whose optimized variants run
-// slower than the exact baseline fails (exit 1).
+// runPerfBench executes the hot-path sweep (PERFORMANCE.md) and writes
+// BENCH_perf.json. This is the tree's single sanctioned wall-clock
+// read: the perf harness must measure real throughput, and injects the
+// reading as a clock function so measurement can never leak into
+// simulation state. The sweep fails (exit 1) only on a stage error or a
+// lane-sweep digest mismatch.
 func runPerfBench(opts kloc.Options, quick, wall bool, out string) error {
 	cfg := kloc.PerfConfig{Seed: opts.Seed, Quick: quick, IncludeWall: wall}
 	//klocs:wallclock perf measurement only; the simulation stays in virtual time
@@ -205,7 +205,7 @@ func runPerfBench(opts kloc.Options, quick, wall bool, out string) error {
 		return err
 	}
 	fmt.Printf("perf sweep written to %s\n", out)
-	return rep.SanityCheck()
+	return nil
 }
 
 // runChaosCampaign executes a chaos campaign and writes the summary
@@ -325,7 +325,7 @@ func usage() {
 			"  chaos    fault-schedule fuzzing campaign -> BENCH_chaos.json plus one\n"+
 			"           CHAOS_repro_*.json replay artifact per invariant violation;\n"+
 			"           violations exit 1 (see -chaos-target, -chaos-out, -replay)\n"+
-			"  perf     hot-path accounting-variant sweep -> BENCH_perf.json\n"+
+			"  perf     hot-path accounting sweep -> BENCH_perf.json\n"+
 			"           (PERFORMANCE.md; see -perf-out, -perf-wall)\n\nflags:\n",
 		strings.Join(kloc.ExperimentNames(), ", "))
 	flag.PrintDefaults()

@@ -202,14 +202,7 @@ func TestPerfBenchSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_perf.json")
 	opts := kloc.Options{Seed: 42}
 	if err := runPerfBench(opts, true, false, out); err != nil {
-		// The sanity gate times real code under a real clock; on a noisy
-		// test machine "slower than baseline" is load, not a bug. The
-		// artifact is written before the gate, so the schema checks
-		// below still run. Any other error is a genuine failure.
-		if !strings.Contains(err.Error(), "slower than baseline") {
-			t.Fatal(err)
-		}
-		t.Logf("sanity gate tripped on a loaded machine: %v", err)
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -230,7 +223,7 @@ func TestPerfBenchSmoke(t *testing.T) {
 	}
 	for _, row := range rep.Rows {
 		if row.Wall != nil {
-			t.Fatalf("wall metrics leaked into the default artifact (%s/%s)", row.Stage, row.Variant)
+			t.Fatalf("wall metrics leaked into the default artifact (%s)", row.Stage)
 		}
 	}
 }

@@ -28,15 +28,28 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		if err != nil {
 			return err
 		}
+		// Allocate the extent and journal record before the page enters
+		// the cache: their direct reclaim drops clean cached pages, and a
+		// fresh page is clean until the write completes. If either
+		// allocation fails the page is freed; a record that was queued
+		// but whose journal commit failed keeps its page, since a later
+		// commit retries the record.
+		if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
+			f.freeObj(ctx, obj)
+			return err
+		}
+		queued := len(f.journalPending)
+		jerr := f.journalRecord(ctx, journalOp{kind: opBlock, ino: ind.Ino, idx: pageIdx})
+		if jerr != nil && len(f.journalPending) == queued {
+			f.freeObj(ctx, obj)
+			return jerr
+		}
 		p = &Page{Obj: obj, Idx: pageIdx}
 		ind.pages.Set(pageIdx, p)
 		ind.frameIndex[obj.Frame.ID] = pageIdx
 		f.frameOwner[obj.Frame.ID] = ind.Ino
-		if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
-			return err
-		}
-		if err := f.journalRecord(ctx, journalOp{kind: opBlock, ino: ind.Ino, idx: pageIdx}); err != nil {
-			return err
+		if jerr != nil {
+			return jerr
 		}
 		if pageIdx >= ind.SizePages {
 			ind.SizePages = pageIdx + 1

@@ -1,89 +1,35 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
 
-func perfTestConfig(mode metrics.Mode) RunConfig {
-	return RunConfig{
+// TestPerfMetersReportBookkeeping: a run must actually take the fast
+// paths — recycled ctxs and frames, batched commits — so the perf
+// meters are evidence, not noise.
+func TestPerfMetersReportBookkeeping(t *testing.T) {
+	res, err := Run(RunConfig{
 		PolicyName: "klocs",
 		Workload:   "rocksdb",
 		Duration:   20 * sim.Millisecond,
-		Accounting: mode,
 		Trace:      &trace.Config{},
-	}
-}
-
-// TestAccountingModesAreInvisible: the batched+pooled+indexed default
-// accounting path must be pure bookkeeping — a run under LegacyMode
-// (per-event counters, no recycling, map indices) and a run under
-// DefaultMode at the same seed must agree on every simulation result,
-// down to byte-identical trace exports. This is the contract that lets
-// the fast path be the default (DESIGN.md §13).
-func TestAccountingModesAreInvisible(t *testing.T) {
-	legacy, err := Run(perfTestConfig(metrics.LegacyMode()))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(perfTestConfig(metrics.DefaultMode()))
-	if err != nil {
-		t.Fatal(err)
+	if res.Perf.CtxReused == 0 {
+		t.Fatal("run reused no ctx records")
 	}
-	if legacy.Ops != fast.Ops || legacy.VirtualTime != fast.VirtualTime ||
-		legacy.Throughput != fast.Throughput {
-		t.Fatalf("accounting mode perturbed the run: ops %d vs %d, vt %v vs %v",
-			legacy.Ops, fast.Ops, legacy.VirtualTime, fast.VirtualTime)
+	if res.Perf.Mem.FramesReused == 0 {
+		t.Fatal("run reused no frames")
 	}
-	if legacy.Mem.Refs != fast.Mem.Refs || legacy.Mem.MigratedPages != fast.Mem.MigratedPages ||
-		legacy.Mem.Demotions != fast.Mem.Demotions || legacy.Mem.Promotions != fast.Mem.Promotions {
-		t.Fatalf("accounting mode perturbed memory stats:\n%+v\n%+v", legacy.Mem, fast.Mem)
+	if res.Perf.Mem.AccCommits == 0 || res.Perf.Mem.AccAdds == 0 {
+		t.Fatal("run committed no batched accumulator deltas")
 	}
-	if legacy.FS != fast.FS {
-		t.Fatalf("accounting mode perturbed FS stats:\n%+v\n%+v", legacy.FS, fast.FS)
-	}
-	if legacy.Trace.TextString() != fast.Trace.TextString() {
-		t.Fatal("text trace differs between legacy and default accounting")
-	}
-	var jl, jf strings.Builder
-	if err := legacy.Trace.WriteChrome(&jl); err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Trace.WriteChrome(&jf); err != nil {
-		t.Fatal(err)
-	}
-	if jl.String() != jf.String() {
-		t.Fatal("chrome trace differs between legacy and default accounting")
-	}
-}
-
-// TestPerfMetersReportBookkeeping: the default mode must actually take
-// the fast paths — recycled ctxs and frames, batched commits — and the
-// legacy mode must not, so the perf meters are evidence, not noise.
-func TestPerfMetersReportBookkeeping(t *testing.T) {
-	legacy, err := Run(perfTestConfig(metrics.LegacyMode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Run(perfTestConfig(metrics.DefaultMode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Perf.CtxReused == 0 {
-		t.Fatal("default mode reused no ctx records")
-	}
-	if fast.Perf.Mem.FramesReused == 0 {
-		t.Fatal("default mode reused no frames")
-	}
-	if fast.Perf.Mem.AccCommits == 0 || fast.Perf.Mem.AccAdds == 0 {
-		t.Fatal("default mode committed no batched accumulator deltas")
-	}
-	if legacy.Perf.CtxReused != 0 || legacy.Perf.Mem.FramesReused != 0 ||
-		legacy.Perf.Mem.AccCommits != 0 {
-		t.Fatalf("legacy mode took fast paths: %+v", legacy.Perf)
+	if res.Perf.TraceCommits == 0 {
+		t.Fatal("traced run committed no batched summary deltas")
 	}
 }

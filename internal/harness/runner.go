@@ -117,13 +117,6 @@ type RunConfig struct {
 	// use-after-free accesses, leaked objects grouped by KLOC context)
 	// is returned on Result.Sanitize.
 	Sanitize bool
-
-	// Accounting selects the hot-path accounting mode (DESIGN.md §13).
-	// The zero value resolves to metrics.DefaultMode (batched + pooled
-	// + indexed); the perf harness passes metrics.LegacyMode-derived
-	// variants for its A/B sweeps. Every mode yields byte-identical
-	// simulation results — this knob trades only bookkeeping cost.
-	Accounting metrics.Mode
 }
 
 // Result is one run's outcome.
@@ -199,10 +192,10 @@ type Result struct {
 	TraceStats trace.Stats
 
 	// Perf reports the run's hot-path accounting meters (DESIGN.md
-	// §13): deterministic evidence of how much bookkeeping the active
-	// Accounting mode actually did — accumulator adds vs committed net
-	// deltas, frame/ctx pool recycling, trace summary commits. Purely
-	// informational; every mode produces identical simulation results.
+	// §13): deterministic evidence of how much bookkeeping the run did —
+	// accumulator adds vs committed net deltas, frame/ctx pool
+	// recycling, trace summary commits. Purely informational; the
+	// simulation never reads them.
 	Perf PerfMeters
 
 	// Sanitize is the runtime sanitizer's end-of-run report (nil when
@@ -292,7 +285,6 @@ type preparedRun struct {
 func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
 	mem := cfg.buildMemory()
-	mem.SetMode(cfg.Accounting)
 	pol := cfg.Policy
 	if pol == nil {
 		var err error
@@ -321,14 +313,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	// trace.
 	var tracer *trace.Tracer
 	if cfg.Trace != nil {
-		tc := *cfg.Trace
-		if tc.Mode == 0 {
-			// The run's accounting mode governs the tracer too, unless
-			// the trace config pinned one explicitly (the perf A/B runs
-			// do both together).
-			tc.Mode = cfg.Accounting
-		}
-		tracer = trace.New(tc)
+		tracer = trace.New(*cfg.Trace)
 		k.AttachTracer(tracer)
 	}
 	// The sanitizer attaches before setup for the same reason: it is
@@ -424,7 +409,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 			}
 			cost := ctx.Cost
 			// The op has retired and nothing downstream retains ctx, so
-			// it can go back to the pool (no-op unless ModePooled).
+			// it can go back to the pool.
 			k.PutCtx(ctx)
 			if cost < 100 {
 				cost = 100
@@ -478,7 +463,7 @@ func (p *preparedRun) finish() (*Result, error) {
 // Mem carries the per-CPU accumulator and frame-pool counters,
 // TraceCommits the tracer's batched summary commits (zero when tracing
 // was off), and CtxFresh/CtxReused the op-context pool's behavior.
-// All are deterministic at a given seed and mode.
+// All are deterministic at a given seed.
 type PerfMeters struct {
 	Mem                 memsim.PerfCounters
 	TraceCommits        uint64

@@ -83,10 +83,9 @@ type Kernel struct {
 
 	appPages map[memsim.FrameID]*memsim.Frame
 
-	// ctxPool recycles retired op contexts under metrics.ModePooled
-	// (see NewCtx/PutCtx). ctxFresh/ctxReused meter the pool.
+	// ctxPool recycles retired op contexts (see NewCtx/PutCtx).
+	// ctxFresh/ctxReused meter the pool.
 	ctxPool             []*kstate.Ctx
-	ctxPooled           bool
 	ctxFresh, ctxReused uint64
 
 	Stats Stats
@@ -100,7 +99,6 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 		Policy:    pol,
 		Lifetimes: metrics.NewLifetimeTracker(),
 		appPages:  make(map[memsim.FrameID]*memsim.Frame),
-		ctxPooled: mem.Mode().Pooled(),
 	}
 	hooks := &muxHooks{kernel: k, policy: pol}
 	mq := blockdev.NewMQ(blockdev.SimNVMe(), mem.NumCPUs())
@@ -223,10 +221,9 @@ func (k *Kernel) CPUFor(thread int) int {
 }
 
 // NewCtx builds an operation context for a workload thread at the
-// current virtual time. Under metrics.ModePooled a retired context
-// (see PutCtx) is recycled instead of allocated; the reset writes
-// every field, so a recycled context is indistinguishable from a
-// fresh one.
+// current virtual time. A retired context (see PutCtx) is recycled
+// instead of allocated; the reset writes every field, so a recycled
+// context is indistinguishable from a fresh one.
 func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
 	k.Stats.Syscalls++
 	if last := len(k.ctxPool) - 1; last >= 0 {
@@ -242,10 +239,10 @@ func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
 
 // PutCtx returns a retired op context to the pool. Callers must not
 // retain or read ctx afterwards — NewCtx may hand the same struct to
-// the next operation. A no-op (safe to call unconditionally) when
-// pooling is off or ctx is nil.
+// the next operation. A no-op (safe to call unconditionally) when ctx
+// is nil.
 func (k *Kernel) PutCtx(c *kstate.Ctx) {
-	if c == nil || !k.ctxPooled {
+	if c == nil {
 		return
 	}
 	k.ctxPool = append(k.ctxPool, c)

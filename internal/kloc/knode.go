@@ -174,14 +174,12 @@ type registryStats struct {
 // and the knode slab.
 type Registry struct {
 	kmap *rbtree.Tree[uint64, *Knode]
-	// byID is the legacy ID index; under metrics.ModeIndexed the dense
-	// byIDDense slice replaces it (knode IDs are monotonic from 1, so
-	// the ID is the slot — no per-op map hash on the free/touch path).
-	byID      map[KnodeID]*Knode
-	byIDDense []*Knode
-	fast      *percpu.Lists[*Knode]
-	slab      *alloc.SlabCache
-	nextID    KnodeID
+	// byID is the dense ID index: knode IDs are monotonic from 1, so the
+	// ID is the slot — no per-op map hash on the free/touch path.
+	byID   []*Knode
+	fast   *percpu.Lists[*Knode]
+	slab   *alloc.SlabCache
+	nextID KnodeID
 
 	// SplitTrees controls the rbtree-cache/rbtree-slab split; disabling
 	// it (single tree per knode) is the paper's rejected design, kept
@@ -204,9 +202,7 @@ const perCPUListCap = 64
 // NewRegistry builds the KLOC state over a memory system with the given
 // CPU count. Knode storage comes from a dedicated (pinned, ClassMeta)
 // slab cache placed on the given fallback order — the paper always
-// allocates knodes to fast memory (§4.2.2). The registry inherits the
-// memory system's accounting mode: under metrics.ModeIndexed the
-// by-ID index is a dense slice instead of a map.
+// allocates knodes to fast memory (§4.2.2).
 func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 	// knodeStructBytes is a compile-time-known valid size, so the only
 	// failure is programmer error; a nil slab makes MapKnode return
@@ -215,56 +211,39 @@ func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 	if err == nil {
 		slab.Class = memsim.ClassMeta
 	}
-	r := &Registry{
+	return &Registry{
 		kmap:            rbtree.New[uint64, *Knode](),
+		byID:            make([]*Knode, 1), // slot 0 unused: IDs start at 1
 		fast:            percpu.New[*Knode](cpus, perCPUListCap),
 		slab:            slab,
 		nextID:          1,
 		SplitTrees:      true,
 		FastPathEnabled: true,
 	}
-	if mem != nil && mem.Mode().Indexed() {
-		r.byIDDense = make([]*Knode, 1) // slot 0 unused: IDs start at 1
-	} else {
-		r.byID = make(map[KnodeID]*Knode)
-	}
-	return r
 }
 
-// knodeByID resolves an ID through whichever index the mode keeps.
+// knodeByID resolves an ID through the dense index.
 func (r *Registry) knodeByID(id KnodeID) (*Knode, bool) {
-	if r.byIDDense != nil {
-		i := int(id)
-		if i <= 0 || i >= len(r.byIDDense) || r.byIDDense[i] == nil {
-			return nil, false
-		}
-		return r.byIDDense[i], true
+	i := int(id)
+	if i <= 0 || i >= len(r.byID) || r.byID[i] == nil {
+		return nil, false
 	}
-	kn, ok := r.byID[id]
-	return kn, ok
+	return r.byID[i], true
 }
 
-// indexByID records a new knode in the active ID index.
+// indexByID records a new knode in the ID index.
 func (r *Registry) indexByID(kn *Knode) {
-	if r.byIDDense != nil {
-		for len(r.byIDDense) <= int(kn.ID) {
-			r.byIDDense = append(r.byIDDense, nil)
-		}
-		r.byIDDense[kn.ID] = kn
-		return
+	for len(r.byID) <= int(kn.ID) {
+		r.byID = append(r.byID, nil)
 	}
 	r.byID[kn.ID] = kn
 }
 
-// unindexByID drops a knode from the active ID index.
+// unindexByID drops a knode from the ID index.
 func (r *Registry) unindexByID(kn *Knode) {
-	if r.byIDDense != nil {
-		if int(kn.ID) < len(r.byIDDense) {
-			r.byIDDense[kn.ID] = nil
-		}
-		return
+	if int(kn.ID) < len(r.byID) {
+		r.byID[kn.ID] = nil
 	}
-	delete(r.byID, kn.ID)
 }
 
 // Len reports the number of live knodes.

@@ -1,18 +1,13 @@
 package memsim
 
-import (
-	"testing"
+import "testing"
 
-	"kloc/internal/metrics"
-)
-
-// TestPooledAllocFreeIsAllocFree: with ModePooled, a steady-state
-// alloc/access/free churn must recycle Frame structs instead of
-// handing garbage to the collector. This pins the perfbench
-// alloc-churn result (allocs/op ~ 0) as a regression test.
+// TestPooledAllocFreeIsAllocFree: a steady-state alloc/access/free
+// churn must recycle Frame structs instead of handing garbage to the
+// collector. This pins the perfbench alloc-churn result (allocs/op ~ 0)
+// as a regression test.
 func TestPooledAllocFreeIsAllocFree(t *testing.T) {
 	m := NewTwoTier(DefaultTwoTier(1024))
-	m.SetMode(metrics.LegacyMode() | metrics.ModePooled)
 	// Warm the pool with one generation of frames.
 	var warm []*Frame
 	for i := 0; i < 64; i++ {
@@ -39,27 +34,5 @@ func TestPooledAllocFreeIsAllocFree(t *testing.T) {
 	fresh, reused := m.PerfCounters().FramesFresh, m.PerfCounters().FramesReused
 	if reused == 0 {
 		t.Fatalf("pool never reused a frame (fresh=%d reused=%d)", fresh, reused)
-	}
-}
-
-// TestLegacyAllocFreeDoesNotPool: the baseline keeps the exact legacy
-// behavior — every AllocOrder constructs a fresh Frame and the reuse
-// meter stays zero.
-func TestLegacyAllocFreeDoesNotPool(t *testing.T) {
-	m := NewTwoTier(DefaultTwoTier(1024))
-	m.SetMode(metrics.LegacyMode())
-	for i := 0; i < 32; i++ {
-		f, err := m.AllocOrder(FastNode, ClassApp, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Free(f)
-	}
-	pc := m.PerfCounters()
-	if pc.FramesReused != 0 {
-		t.Fatalf("legacy mode reused %d frames", pc.FramesReused)
-	}
-	if pc.FramesFresh == 0 {
-		t.Fatal("fresh-frame meter never moved")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"kloc/internal/fault"
-	"kloc/internal/metrics"
 	"kloc/internal/percpu"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
@@ -173,8 +172,8 @@ type Frame struct {
 	// to damp ping-ponging (§4.5).
 	Migrations uint8
 
-	// pos is the frame's index in the live table under ModeIndexed
-	// (-1 = not live). Maintained by Alloc/Free via swap-remove.
+	// pos is the frame's index in the live table (-1 = not live).
+	// Maintained by Alloc/Free via swap-remove.
 	pos int
 }
 
@@ -239,55 +238,39 @@ type Memory struct {
 	// slice is installed by AttachL4 at setup.
 	l4 []*l4Cache
 
-	// mode selects the accounting path (DESIGN.md §13). Fixed by
-	// SetMode before any traffic; every mode yields byte-identical
-	// simulation results.
-	mode metrics.Mode
-	// frames is the legacy live-frame index; under ModeIndexed the
-	// compact live table (+ Frame.pos) replaces it and frames is nil.
-	frames    map[FrameID]*Frame
+	// live is the compact live-frame table (DESIGN.md §13); each live
+	// frame's pos is its index here.
 	live      []*Frame
 	nextFrame FrameID
-	// freeFrames is the ModePooled frame freelist: Free pushes retired
-	// Frame structs, Alloc recycles them (with fresh IDs, so stale
-	// FrameIDs never alias a new allocation's identity).
+	// freeFrames is the frame freelist: Free pushes retired Frame
+	// structs, Alloc recycles them (with fresh IDs, so stale FrameIDs
+	// never alias a new allocation's identity).
 	freeFrames []*Frame
 	poolFresh  uint64
 	poolReuse  uint64
 	// acc batches the per-access counters (Refs, BytesTouched,
-	// RefsByNode) in per-CPU lanes under ModeBatched; SyncStats
-	// materializes it into Stats. Cell layout: [0,6) refs by class,
-	// [6,12) bytes by class, [12,12+nodes) refs by node. The pointer
-	// is rewired only by SetMode, before traffic.
+	// RefsByNode) in per-CPU lanes; SyncStats materializes it into
+	// Stats. Cell layout: [0,6) refs by class, [6,12) bytes by class,
+	// [12,12+nodes) refs by node.
 	acc *percpu.Accumulator
-	// allocsDense/usedDense/refsDense are the ModeIndexed stores behind
-	// Stats.AllocsByClassNode, usedByClass, and Stats.RefsByNode,
-	// indexed by NodeID (node IDs are dense positions in Nodes).
-	// refsDense is superseded by acc when batching is also on.
+	// allocsDense is the store behind Stats.AllocsByClassNode, and
+	// usedDense holds current page occupancy per node per class
+	// (capacity-limit enforcement, sys_kloc_memsize). Both are indexed
+	// by NodeID (node IDs are dense positions in Nodes). Occupancy is
+	// control flow (capacity limits), so it is updated exactly, never
+	// batched.
 	allocsDense [][6]uint64
 	usedDense   [][6]int
-	refsDense   []uint64
-	// batched/pooled/indexed cache the resolved mode bits for the hot
-	// paths. Written only by SetMode, before traffic.
-	batched, pooled, indexed bool
 	// atomicDepth > 0 marks GFP_ATOMIC context: allocations may dip
 	// into the watermark reserve (rx path, journal commits, reclaim
 	// itself — the PF_MEMALLOC analog). The simulation is single-
 	// threaded, so a plain depth counter is race-free.
 	atomicDepth int
-	// usedByClass tracks current page occupancy per node per class
-	// (capacity-limit enforcement, sys_kloc_memsize). Legacy store;
-	// usedDense replaces it under ModeIndexed. Occupancy is control
-	// flow (capacity limits), so whichever store is active is updated
-	// exactly, never batched.
-	usedByClass map[NodeID]*[6]int
 
 	Stats Stats
 }
 
-// New builds a Memory from nodes and a CPU->socket map. The accounting
-// path starts at metrics.DefaultMode; call SetMode before any traffic
-// to select another (the perf harness's baseline A/B runs do).
+// New builds a Memory from nodes and a CPU->socket map.
 func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 	m := &Memory{
 		Nodes:                 nodes,
@@ -298,10 +281,8 @@ func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 	}
 	m.Stats.AllocsByClassNode = make(map[NodeID]*[6]uint64)
 	m.Stats.RefsByNode = make(map[NodeID]uint64)
-	m.usedByClass = make(map[NodeID]*[6]int)
 	for _, n := range nodes {
 		m.Stats.AllocsByClassNode[n.ID] = &[6]uint64{}
-		m.usedByClass[n.ID] = &[6]int{}
 	}
 	maxSock := 0
 	for _, s := range cpuSocket {
@@ -310,103 +291,58 @@ func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 		}
 	}
 	m.l4 = make([]*l4Cache, maxSock+1)
-	m.SetMode(metrics.DefaultMode())
+	m.allocsDense = make([][6]uint64, len(nodes))
+	m.usedDense = make([][6]int, len(nodes))
+	m.acc = percpu.NewAccumulator(len(cpuSocket), accNodeCell+len(nodes), 0)
 	return m
 }
 
-// SetMode selects the accounting path (DESIGN.md §13) and rebuilds the
-// internal stores for it. Must be called before any allocation or
-// access traffic — it resets the accounting state, not the nodes.
-// Every mode produces byte-identical simulation behaviour; only the
-// bookkeeping cost differs.
-func (m *Memory) SetMode(mode metrics.Mode) {
-	m.mode = mode.Resolve()
-	m.batched = m.mode.Batched()
-	m.pooled = m.mode.Pooled()
-	m.indexed = m.mode.Indexed()
-	m.freeFrames = nil
-	m.poolFresh, m.poolReuse = 0, 0
-	if m.indexed {
-		m.frames = nil
-		m.live = nil
-		m.allocsDense = make([][6]uint64, len(m.Nodes))
-		m.usedDense = make([][6]int, len(m.Nodes))
-		m.refsDense = make([]uint64, len(m.Nodes))
-	} else {
-		m.frames = make(map[FrameID]*Frame)
-		m.live = nil
-		m.allocsDense, m.usedDense, m.refsDense = nil, nil, nil
-	}
-	if m.batched {
-		m.acc = percpu.NewAccumulator(len(m.CPUSocket), accNodeCell+len(m.Nodes), 0)
-	} else {
-		m.acc = nil
-	}
-}
-
-// Mode reports the active accounting mode.
-func (m *Memory) Mode() metrics.Mode { return m.mode }
-
-// Accumulator cell layout under ModeBatched: refs by class, bytes by
-// class, then refs by node.
+// Accumulator cell layout: refs by class, bytes by class, then refs
+// by node.
 const (
 	accRefCell  = 0
 	accByteCell = 6
 	accNodeCell = 12
 )
 
-// SyncStats materializes the batched/indexed accounting stores into
+// SyncStats materializes the batched and dense accounting stores into
 // Stats, so a direct read of Stats.Refs / BytesTouched / RefsByNode /
 // AllocsByClassNode is exact. The harness calls it at its snapshot and
 // collect boundaries; tests reading Stats directly after traffic must
 // call it too. Idempotent, accounting-only, and invisible to the
 // simulation.
 func (m *Memory) SyncStats() {
-	if m.acc != nil {
-		m.acc.Flush()
-		for c := 0; c < 6; c++ {
-			m.Stats.Refs[c] = m.acc.Value(accRefCell + c)
-			m.Stats.BytesTouched[c] = m.acc.Value(accByteCell + c)
-		}
-		for i := range m.Nodes {
-			// Only materialize touched nodes: the legacy map gains a key
-			// on a node's first reference, and synced stats must be
-			// indistinguishable from legacy ones.
-			if v := m.acc.Value(accNodeCell + i); v > 0 {
-				m.Stats.RefsByNode[NodeID(i)] = v
-			}
-		}
-	} else if m.refsDense != nil {
-		for i, v := range m.refsDense {
-			if v > 0 {
-				m.Stats.RefsByNode[NodeID(i)] = v
-			}
+	m.acc.Flush()
+	for c := 0; c < 6; c++ {
+		m.Stats.Refs[c] = m.acc.Value(accRefCell + c)
+		m.Stats.BytesTouched[c] = m.acc.Value(accByteCell + c)
+	}
+	for i := range m.Nodes {
+		// Only touched nodes get a key, so RefsByNode lists exactly the
+		// nodes that served a reference.
+		if v := m.acc.Value(accNodeCell + i); v > 0 {
+			m.Stats.RefsByNode[NodeID(i)] = v
 		}
 	}
-	if m.allocsDense != nil {
-		for i := range m.allocsDense {
-			*m.Stats.AllocsByClassNode[NodeID(i)] = m.allocsDense[i]
-		}
+	for i := range m.allocsDense {
+		*m.Stats.AllocsByClassNode[NodeID(i)] = m.allocsDense[i]
 	}
 }
 
 // PerfCounters are the accounting plane's own deterministic meters:
 // accumulator adds vs shared-store commits (the batched write
 // reduction) and frame-pool recycling. The perf harness reports them;
-// they are not part of Stats so legacy and fast-path runs stay
-// field-for-field comparable.
+// they are not part of Stats, which holds only what the simulation
+// observed.
 type PerfCounters struct {
 	AccAdds, AccCommits       uint64
 	FramesFresh, FramesReused uint64
 }
 
-// PerfCounters reports the accounting plane's meters (zeros for
-// features the active mode has off).
+// PerfCounters reports the accounting plane's meters.
 func (m *Memory) PerfCounters() PerfCounters {
 	pc := PerfCounters{FramesFresh: m.poolFresh, FramesReused: m.poolReuse}
-	if m.acc != nil {
-		pc.AccAdds, pc.AccCommits = m.acc.Counters()
-	}
+	pc.AccAdds, pc.AccCommits = m.acc.Counters()
 	return pc
 }
 
@@ -479,9 +415,9 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		m.Stats.ReserveDips++
 	}
 	n.used += pages
-	// ModePooled recycles retired Frame structs off the freelist;
-	// either way the frame gets a fresh, never-reused ID, so FrameID
-	// identity is stable across recycling.
+	// Retired Frame structs are recycled off the freelist; the frame
+	// still gets a fresh, never-reused ID, so FrameID identity is stable
+	// across recycling.
 	var f *Frame
 	if last := len(m.freeFrames) - 1; last >= 0 {
 		f = m.freeFrames[last]
@@ -501,16 +437,10 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		pos:        -1,
 	}
 	m.nextFrame++
-	if m.indexed {
-		f.pos = len(m.live)
-		m.live = append(m.live, f)
-		m.allocsDense[node][class] += uint64(pages)
-		m.usedDense[node][class] += pages
-	} else {
-		m.frames[f.ID] = f
-		m.Stats.AllocsByClassNode[node][class] += uint64(pages)
-		m.usedByClass[node][class] += pages
-	}
+	f.pos = len(m.live)
+	m.live = append(m.live, f)
+	m.allocsDense[node][class] += uint64(pages)
+	m.usedDense[node][class] += pages
 	return f, nil
 }
 
@@ -532,22 +462,15 @@ func (f *Frame) Pages() int { return 1 << f.Order }
 
 // UsedByClass reports a node's current page occupancy for a class.
 // Occupancy is control flow (capacity limits consult it mid-run), so
-// both stores are updated exactly and this read never needs a flush.
+// it is updated exactly and this read never needs a flush.
 func (m *Memory) UsedByClass(node NodeID, class Class) int {
-	if m.indexed {
-		return m.usedDense[node][class]
-	}
-	return m.usedByClass[node][class]
+	return m.usedDense[node][class]
 }
 
 // KernelUsed reports a node's current page occupancy across all
 // kernel-object classes.
 func (m *Memory) KernelUsed(node NodeID) int {
-	if m.indexed {
-		u := &m.usedDense[node]
-		return u[ClassCache] + u[ClassSlab] + u[ClassKloc] + u[ClassMeta]
-	}
-	u := m.usedByClass[node]
+	u := &m.usedDense[node]
 	return u[ClassCache] + u[ClassSlab] + u[ClassKloc] + u[ClassMeta]
 }
 
@@ -562,62 +485,38 @@ func (m *Memory) AllocFallback(order []NodeID, class Class, now sim.Time) (*Fram
 }
 
 // Free releases a frame. Freeing a frame that is not live is a no-op
-// (double free); note that under ModePooled the no-op guarantee only
-// holds until the struct is recycled into a new allocation — the
+// (double free); note that the no-op guarantee only holds until the
+// struct is recycled into a new allocation — the
 // sanitizer plane (alloc.Sanitizer) is the gate that proves callers
 // keep the single-free discipline that recycling relies on.
 func (m *Memory) Free(f *Frame) {
 	if f == nil {
 		return
 	}
-	if m.indexed {
-		if f.pos < 0 || f.pos >= len(m.live) || m.live[f.pos] != f {
-			return // double free is a no-op
-		}
-		last := len(m.live) - 1
-		moved := m.live[last]
-		m.live[f.pos] = moved
-		moved.pos = f.pos
-		m.live = m.live[:last]
-		f.pos = -1
-		m.usedDense[f.Node][f.Class] -= f.Pages()
-	} else {
-		if _, ok := m.frames[f.ID]; !ok {
-			return // double free is a no-op
-		}
-		delete(m.frames, f.ID)
-		m.usedByClass[f.Node][f.Class] -= f.Pages()
+	if f.pos < 0 || f.pos >= len(m.live) || m.live[f.pos] != f {
+		return // double free is a no-op
 	}
+	last := len(m.live) - 1
+	moved := m.live[last]
+	m.live[f.pos] = moved
+	moved.pos = f.pos
+	m.live = m.live[:last]
+	f.pos = -1
+	m.usedDense[f.Node][f.Class] -= f.Pages()
 	m.Node(f.Node).used -= f.Pages()
 	f.Class = ClassFree
-	if m.pooled {
-		m.freeFrames = append(m.freeFrames, f)
-	}
+	m.freeFrames = append(m.freeFrames, f)
 }
 
 // Frames returns the number of live frames.
-func (m *Memory) Frames() int {
-	if m.indexed {
-		return len(m.live)
-	}
-	return len(m.frames)
-}
+func (m *Memory) Frames() int { return len(m.live) }
 
 // FramesOn returns the live frames on a node, sorted by frame ID for
-// deterministic iteration (the live table's swap-remove order and Go
-// map order are both arbitrary).
+// deterministic iteration (the live table's swap-remove order is
+// arbitrary).
 func (m *Memory) FramesOn(node NodeID) []*Frame {
 	out := make([]*Frame, 0, m.Node(node).Used())
-	if m.indexed {
-		for _, f := range m.live {
-			if f.Node == node {
-				out = append(out, f)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out
-	}
-	for _, f := range m.frames {
+	for _, f := range m.live {
 		if f.Node == node {
 			out = append(out, f)
 		}
@@ -634,27 +533,15 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 	if write {
 		f.Dirty = true
 	}
-	// Reference accounting. Batched mode routes all three counters
-	// through the per-CPU accumulator (net-delta commits, no map op);
-	// indexed mode at least replaces the per-access map increment with
-	// a dense-array one; legacy pays the map lookup per reference.
-	if m.batched {
-		lane := cpu
-		if lane < 0 || lane >= m.acc.CPUs() {
-			lane = 0
-		}
-		m.acc.Inc(lane, accRefCell+int(f.Class))
-		m.acc.Add(lane, accByteCell+int(f.Class), int64(bytes))
-		m.acc.Inc(lane, accNodeCell+int(f.Node))
-	} else {
-		m.Stats.Refs[f.Class]++
-		m.Stats.BytesTouched[f.Class] += uint64(bytes)
-		if m.indexed {
-			m.refsDense[f.Node]++
-		} else {
-			m.Stats.RefsByNode[f.Node]++
-		}
+	// Reference accounting goes through the per-CPU accumulator
+	// (net-delta commits, no map op); SyncStats materializes it.
+	lane := cpu
+	if lane < 0 || lane >= m.acc.CPUs() {
+		lane = 0
 	}
+	m.acc.Inc(lane, accRefCell+int(f.Class))
+	m.acc.Add(lane, accByteCell+int(f.Class), int64(bytes))
+	m.acc.Inc(lane, accNodeCell+int(f.Node))
 	node := m.Node(f.Node)
 	sock := m.SocketOf(cpu)
 
@@ -721,13 +608,8 @@ func (m *Memory) MoveFrame(f *Frame, dst NodeID, fixed sim.Duration) (sim.Durati
 	dstN := m.Node(dst)
 	src.used -= f.Pages()
 	dstN.used += f.Pages()
-	if m.indexed {
-		m.usedDense[f.Node][f.Class] -= f.Pages()
-		m.usedDense[dst][f.Class] += f.Pages()
-	} else {
-		m.usedByClass[f.Node][f.Class] -= f.Pages()
-		m.usedByClass[dst][f.Class] += f.Pages()
-	}
+	m.usedDense[f.Node][f.Class] -= f.Pages()
+	m.usedDense[dst][f.Class] += f.Pages()
 	fasterDst := dstN.ReadLatency < src.ReadLatency ||
 		(dstN.ReadLatency == src.ReadLatency && dstN.Bandwidth > src.Bandwidth)
 	if fasterDst {

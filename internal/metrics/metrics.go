@@ -8,16 +8,13 @@
 // plain integers — the simulator is single-goroutine, so no locking is
 // needed, and snapshots are cheap value copies.
 //
-// The package also defines Mode, the module-wide accounting-path
-// selector: subsystems with hot-path counters (memsim, trace, kernel,
-// kloc) consult a Mode to choose between the legacy per-event stores
-// and the batched/pooled/indexed fast paths that PERFORMANCE.md
-// benchmarks. The contract every implementation must keep: accounting
-// is invisible to the simulation (it charges no virtual cost and
-// influences no control flow), and any value a reader can observe is
-// exact at the moment of reading — batched stores flush before a read
-// (memsim.SyncStats, trace.Tracer.Stats), so no caller ever sees a
-// counter mid-batch.
+// Subsystems with hot-path counters (memsim, trace, kernel, kloc) keep
+// them batched, pooled and densely indexed (DESIGN.md §13). The
+// contract they keep: accounting is invisible to the simulation (it
+// charges no virtual cost and influences no control flow), and any
+// value a reader can observe is exact at the moment of reading —
+// batched stores flush before a read (memsim.SyncStats,
+// trace.Tracer.Stats), so no caller ever sees a counter mid-batch.
 package metrics
 
 import (

@@ -3,8 +3,8 @@ package percpu
 import "sync/atomic"
 
 // Accumulator is a set of per-CPU counter lanes over a shared dense
-// store — the VSA-style batched accounting engine behind
-// metrics.ModeBatched (DESIGN.md §13). Each lane accumulates signed
+// store — the VSA-style batched accounting engine behind memsim's
+// per-access counters (DESIGN.md §13). Each lane accumulates signed
 // net deltas locally and commits a cell to the shared store only when
 // the cell's pending magnitude reaches the commit threshold, so a
 // stream of N per-event increments costs N lane writes but roughly

@@ -8,9 +8,9 @@
 // the coherence hook Linux's per-CPU list APIs give the real kernel.
 //
 // The package also provides Accumulator, the per-CPU batched counter
-// engine behind metrics.ModeBatched: counter updates land in per-CPU
-// lanes and commit net deltas to the shared store at a threshold
-// (DESIGN.md §13). See the Accumulator type for the flush/ordering
+// engine behind memsim's per-access counters: counter updates land in
+// per-CPU lanes and commit net deltas to the shared store at a
+// threshold (DESIGN.md §13). See the Accumulator type for the flush/ordering
 // contract — in short, Add is lane-owner-only, Flush/Value are
 // coordinator-only and always yield exact values, and only
 // commutative counters may be batched.

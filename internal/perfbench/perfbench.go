@@ -1,12 +1,11 @@
-// Package perfbench is the variant-comparison benchmark harness behind
-// `klocbench -exp perf` (PERFORMANCE.md). It runs the same workload
-// sweep under named accounting variants — per-event baseline counters,
-// per-CPU batched accumulators, pooled records, dense indices — and
-// reports, per stage and variant, a deterministic core (events
-// processed, accumulator adds vs committed net deltas, pool recycling,
-// trace summary commits) plus, when a wall clock is injected, wall
-// metrics (events/sec, sampled p95 ns/event, a long-block contention
-// proxy, allocs/op).
+// Package perfbench is the hot-path benchmark harness behind
+// `klocbench -exp perf` (PERFORMANCE.md). It runs each stage — three
+// micro stages over the trace, frame and knode-index hot paths, and one
+// end-to-end simulation — once, and reports a deterministic core
+// (events processed, accumulator adds vs committed net deltas, pool
+// recycling, trace summary commits) plus, when a wall clock is
+// injected, wall metrics (events/sec, sampled p95 ns/event, a
+// long-block contention proxy, allocs/op).
 //
 // The sweep also carries the lane sweep: the same sharded fleet
 // (harness.RunShards) under worker counts 1/2/4, whose deterministic
@@ -33,15 +32,15 @@ import (
 	"kloc/internal/harness"
 	"kloc/internal/kloc"
 	"kloc/internal/memsim"
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
 
 // SchemaVersion stamps BENCH_perf.json so downstream consumers can
 // detect shape changes. Version 2 added the lane_sweep section;
-// version 3 dropped its epochs field and modeled span numbers.
-const SchemaVersion = 3
+// version 3 dropped its epochs field and modeled span numbers; version
+// 4 dropped the accounting variants (one row per stage).
+const SchemaVersion = 4
 
 // Config tunes a perf sweep.
 type Config struct {
@@ -59,35 +58,8 @@ type Config struct {
 	IncludeWall bool
 }
 
-// Variant names one accounting configuration under test.
-type Variant struct {
-	Name string       `json:"name"`
-	Mode metrics.Mode `json:"-"`
-	// ModeString renders Mode for the report ("baseline", "batched",
-	// "default", ...).
-	ModeString string `json:"mode"`
-}
-
-// Variants is the sweep's catalog: the baseline (exact per-event
-// accounting everywhere), each optimization in isolation, and the full
-// default stack. PERFORMANCE.md documents how to add one.
-func Variants() []Variant {
-	vs := []Variant{
-		{Name: "baseline", Mode: metrics.LegacyMode()},
-		{Name: "batched", Mode: metrics.LegacyMode() | metrics.ModeBatched},
-		{Name: "pooled", Mode: metrics.LegacyMode() | metrics.ModePooled},
-		{Name: "indexed", Mode: metrics.LegacyMode() | metrics.ModeIndexed},
-		{Name: "full", Mode: metrics.DefaultMode()},
-	}
-	for i := range vs {
-		vs[i].ModeString = vs[i].Mode.String()
-	}
-	return vs
-}
-
 // Counters is the deterministic core every stage reports: how much
-// bookkeeping the variant actually did while processing the same
-// simulated work.
+// bookkeeping the stage did while processing its simulated work.
 type Counters struct {
 	AccAdds      uint64 `json:"acc_adds"`
 	AccCommits   uint64 `json:"acc_commits"`
@@ -118,12 +90,10 @@ type WallRow struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// StageRow is one (stage, variant) measurement.
+// StageRow is one stage's measurement.
 type StageRow struct {
-	Stage   string `json:"stage"`
-	Variant string `json:"variant"`
-	Mode    string `json:"mode"`
-	Events  uint64 `json:"events"`
+	Stage  string `json:"stage"`
+	Events uint64 `json:"events"`
 	Counters
 	Wall *WallRow `json:"wall,omitempty"`
 }
@@ -159,20 +129,12 @@ type Report struct {
 	Experiment    string     `json:"experiment"`
 	Seed          uint64     `json:"seed"`
 	Quick         bool       `json:"quick"`
-	Variants      []Variant  `json:"variants"`
 	Stages        []string   `json:"stages"`
 	Rows          []StageRow `json:"rows"`
 	// LaneSweep holds the parallel-engine rows (same fleet, workers
 	// 1/2/4). Deterministic fields identical across rows by contract.
 	LaneSweep []LaneRow `json:"lane_sweep,omitempty"`
-	// SpeedupVsBaseline maps "stage/variant" to the events/sec ratio
-	// against the same stage's baseline. Wall-derived, so present only
-	// under IncludeWall.
-	SpeedupVsBaseline map[string]float64 `json:"speedup_vs_baseline,omitempty"`
 
-	// wallEPS keeps "stage/variant" -> events/sec in memory for
-	// SanityCheck even when IncludeWall kept it out of the JSON.
-	wallEPS map[string]float64
 	// laneWalls mirrors LaneSweep with the wall sections kept in memory
 	// for LaneLines even when IncludeWall left them out of the JSON.
 	laneWalls []*LaneWall
@@ -202,30 +164,6 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// SanityCheck verifies the micro-stage speedups the optimizations must
-// deliver: the full variant processes at least as many events/sec as
-// baseline on every micro stage. It is a sanity gate (>= 1.0x), not a
-// flaky absolute threshold; CI fails when an "optimization" regresses
-// below the exact per-event path. Requires wall metrics on the rows
-// (any Now-injected sweep has them in memory even without IncludeWall).
-func (r *Report) SanityCheck() error {
-	eps := r.wallEPS
-	if len(eps) == 0 {
-		return fmt.Errorf("perfbench: no wall metrics to check (inject a clock)")
-	}
-	for _, stage := range []string{"trace-burst", "alloc-churn", "knode-index"} {
-		base, full := eps[stage+"/baseline"], eps[stage+"/full"]
-		if base == 0 || full == 0 {
-			return fmt.Errorf("perfbench: stage %s missing baseline/full wall metrics", stage)
-		}
-		if full < base {
-			return fmt.Errorf("perfbench: stage %s: full variant slower than baseline (%.0f < %.0f events/sec)",
-				stage, full, base)
-		}
-	}
-	return nil
-}
-
 // longBlockFactor flags a block as "long" (contended) when its
 // per-event time exceeds this multiple of the stage median.
 const longBlockFactor = 4
@@ -247,7 +185,7 @@ type stageDef struct {
 	// first (JIT-warm caches, grown maps); the end-to-end stage warms
 	// up inside harness.Run instead.
 	warmup bool
-	build  func(mode metrics.Mode, cfg Config) (*stageRun, error)
+	build  func(cfg Config) (*stageRun, error)
 }
 
 func stages() []stageDef {
@@ -290,12 +228,12 @@ func microBlocks(total int, step func(i int)) []func() int {
 // buildTraceBurst exercises the tracer's Emit hot path: a bursty
 // stream (runs of the same context, rotating event names) that the
 // batched summary path can run-length compress.
-func buildTraceBurst(mode metrics.Mode, cfg Config) (*stageRun, error) {
+func buildTraceBurst(cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<18)
-	tr := trace.New(trace.Config{Mode: mode, BufferEvents: 1 << 12})
+	tr := trace.New(trace.Config{BufferEvents: 1 << 12})
 	step := func(i int) {
 		// Context changes every 256 events: long runs for the batched
-		// path, but enough breaks to exercise its flush. The name
+		// summary, but enough breaks to exercise its flush. The name
 		// rotates so the merged name-state table sees more than one
 		// hot entry (call sites stay constant for the trace catalog).
 		ctx := uint64(1 + (i>>8)&7)
@@ -320,13 +258,12 @@ func buildTraceBurst(mode metrics.Mode, cfg Config) (*stageRun, error) {
 }
 
 // buildAllocChurn exercises the frame alloc/access/free hot path over
-// a sliding window of live frames: the pooled variant recycles Frame
-// structs, the batched variant accumulates access stats, the indexed
-// variant keeps the live table dense.
-func buildAllocChurn(mode metrics.Mode, cfg Config) (*stageRun, error) {
+// a sliding window of live frames: Frame structs recycle through the
+// freelist, access stats accumulate per CPU, and the live table stays
+// dense.
+func buildAllocChurn(cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<17)
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(1024))
-	mem.SetMode(mode)
 	const window = 64
 	live := make([]*memsim.Frame, 0, window)
 	step := func(i int) {
@@ -357,13 +294,11 @@ func buildAllocChurn(mode metrics.Mode, cfg Config) (*stageRun, error) {
 	}, nil
 }
 
-// buildKnodeIndex exercises the knode registry's by-ID hot path
-// (TouchID/GetByID on every page access attribution): the indexed
-// variant replaces the ID map with a dense slice.
-func buildKnodeIndex(mode metrics.Mode, cfg Config) (*stageRun, error) {
+// buildKnodeIndex exercises the knode registry's dense by-ID hot path
+// (TouchID/GetByID on every page access attribution).
+func buildKnodeIndex(cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<17)
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(1024))
-	mem.SetMode(mode)
 	reg := kloc.NewRegistry(mem, 4)
 	const knodes = 512
 	ids := make([]kloc.KnodeID, 0, knodes)
@@ -392,10 +327,10 @@ func buildKnodeIndex(mode metrics.Mode, cfg Config) (*stageRun, error) {
 }
 
 // buildEnd2End runs one full measured simulation (policy, workload,
-// daemons, tracing off) under the variant's accounting mode. It is a
-// single block: harness.Run is indivisible, so p95 degenerates to the
-// mean and the contention proxy stays zero for this stage.
-func buildEnd2End(mode metrics.Mode, cfg Config) (*stageRun, error) {
+// daemons, tracing off). It is a single block: harness.Run is
+// indivisible, so p95 degenerates to the mean and the contention proxy
+// stays zero for this stage.
+func buildEnd2End(cfg Config) (*stageRun, error) {
 	duration := 100 * sim.Millisecond
 	if cfg.Quick {
 		duration = 20 * sim.Millisecond
@@ -407,7 +342,6 @@ func buildEnd2End(mode metrics.Mode, cfg Config) (*stageRun, error) {
 			Workload:   "rocksdb",
 			Seed:       cfg.Seed,
 			Duration:   duration,
-			Accounting: mode,
 		})
 		if err != nil {
 			return 0
@@ -463,7 +397,6 @@ func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 		Workload:   "rocksdb",
 		Seed:       cfg.Seed,
 		Duration:   duration,
-		Accounting: metrics.DefaultMode(),
 	}
 
 	digest := ""
@@ -501,7 +434,7 @@ func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 		}
 		row := LaneRow{Workers: workers, Shards: laneSweepShards,
 			Ops: ops, EventsFired: fired, ShardDigest: d}
-		cells := []string{"lane-sweep", fmt.Sprintf("workers=%d", workers),
+		cells := []string{fmt.Sprintf("lane-sweep workers=%d", workers),
 			fmt.Sprintf("%d", fired), "-", "-", "-", "-"}
 		if cfg.Now != nil && elapsed > 0 {
 			if workers == 1 {
@@ -574,9 +507,8 @@ func measure(run *stageRun, now func() int64) (events uint64, wall *WallRow) {
 	}
 }
 
-// Run executes the sweep: every stage under every variant, baseline
-// first so speedups have their denominator. It returns the rendered
-// table and the machine-readable report.
+// Run executes the sweep: every stage once, then the lane sweep. It
+// returns the rendered table and the machine-readable report.
 func Run(cfg Config) (*harness.Table, *Report, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -590,75 +522,57 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 		Experiment:    "perf",
 		Seed:          cfg.Seed,
 		Quick:         cfg.Quick,
-		Variants:      Variants(),
 	}
 	for _, d := range defs {
 		rep.Stages = append(rep.Stages, d.name)
 	}
 	t := &harness.Table{
-		Title: "Hot-path accounting — same simulated work under each variant",
+		Title: "Hot-path accounting — deterministic meters per stage",
 		Note: "deterministic core always; events/sec, p95 ns/event, long blocks (contention proxy) " +
 			"and allocs/op need an injected wall clock (see PERFORMANCE.md); lane-sweep rows run " +
 			"the same 4-shard fleet at each worker count — results identical by contract, " +
 			"measured wall detail on stdout and (with -perf-wall) in BENCH_perf.json",
-		Header: []string{"stage", "variant", "events", "acc-adds", "acc-commits",
+		Header: []string{"stage", "events", "acc-adds", "acc-commits",
 			"reused", "trc-commits", "ev/s", "p95ns", "long", "allocs/op"},
 	}
-	speedup := map[string]float64{}
-	baselineEPS := map[string]float64{}
 	for _, d := range defs {
-		for _, v := range rep.Variants {
-			if d.warmup {
-				warm, err := d.build(v.Mode, Config{Seed: cfg.Seed, Quick: true})
-				if err != nil {
-					return nil, nil, err
-				}
-				// One discarded 1/8-size pass; its instance is dropped
-				// so counters start clean on the measured build.
-				for _, block := range warm.blocks[:len(warm.blocks)/8+1] {
-					block()
-				}
-			}
-			run, err := d.build(v.Mode, cfg)
+		if d.warmup {
+			warm, err := d.build(Config{Seed: cfg.Seed, Quick: true})
 			if err != nil {
 				return nil, nil, err
 			}
-			events, wall := measure(run, cfg.Now)
-			if events == 0 {
-				return nil, nil, fmt.Errorf("perfbench: stage %s/%s processed no events", d.name, v.Name)
+			// One discarded 1/8-size pass; its instance is dropped so
+			// counters start clean on the measured build.
+			for _, block := range warm.blocks[:len(warm.blocks)/8+1] {
+				block()
 			}
-			row := StageRow{Stage: d.name, Variant: v.Name, Mode: v.ModeString,
-				Events: events, Counters: run.counters()}
-			cells := []string{d.name, v.Name, fmt.Sprintf("%d", events),
-				fmt.Sprintf("%d", row.AccAdds), fmt.Sprintf("%d", row.AccCommits),
-				fmt.Sprintf("%d", row.FramesReused+row.CtxReused),
-				fmt.Sprintf("%d", row.TraceCommits)}
-			if wall != nil {
-				if rep.wallEPS == nil {
-					rep.wallEPS = map[string]float64{}
-				}
-				rep.wallEPS[d.name+"/"+v.Name] = wall.EventsPerSec
-				if v.Name == "baseline" {
-					baselineEPS[d.name] = wall.EventsPerSec
-				} else if base := baselineEPS[d.name]; base > 0 {
-					speedup[d.name+"/"+v.Name] = wall.EventsPerSec / base
-				}
-				cells = append(cells, fmt.Sprintf("%.0f", wall.EventsPerSec),
-					fmt.Sprintf("%.1f", wall.P95NsPerEvent),
-					fmt.Sprintf("%d", wall.LongBlocks),
-					fmt.Sprintf("%.2f", wall.AllocsPerOp))
-				if cfg.IncludeWall {
-					row.Wall = wall
-				}
-			} else {
-				cells = append(cells, "-", "-", "-", "-")
-			}
-			rep.Rows = append(rep.Rows, row)
-			t.AddRow(cells...)
 		}
-	}
-	if cfg.IncludeWall && len(speedup) > 0 {
-		rep.SpeedupVsBaseline = speedup
+		run, err := d.build(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		events, wall := measure(run, cfg.Now)
+		if events == 0 {
+			return nil, nil, fmt.Errorf("perfbench: stage %s processed no events", d.name)
+		}
+		row := StageRow{Stage: d.name, Events: events, Counters: run.counters()}
+		cells := []string{d.name, fmt.Sprintf("%d", events),
+			fmt.Sprintf("%d", row.AccAdds), fmt.Sprintf("%d", row.AccCommits),
+			fmt.Sprintf("%d", row.FramesReused+row.CtxReused),
+			fmt.Sprintf("%d", row.TraceCommits)}
+		if wall != nil {
+			cells = append(cells, fmt.Sprintf("%.0f", wall.EventsPerSec),
+				fmt.Sprintf("%.1f", wall.P95NsPerEvent),
+				fmt.Sprintf("%d", wall.LongBlocks),
+				fmt.Sprintf("%.2f", wall.AllocsPerOp))
+			if cfg.IncludeWall {
+				row.Wall = wall
+			}
+		} else {
+			cells = append(cells, "-", "-", "-", "-")
+		}
+		rep.Rows = append(rep.Rows, row)
+		t.AddRow(cells...)
 	}
 	if err := laneSweep(cfg, rep, t); err != nil {
 		return nil, nil, err

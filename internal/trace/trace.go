@@ -31,7 +31,6 @@ import (
 	"path"
 	"sort"
 
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 )
 
@@ -142,15 +141,6 @@ type Config struct {
 	// SummaryWindow is the virtual-time bucket for per-context summary
 	// counts (default 10 ms).
 	SummaryWindow sim.Duration
-	// Mode selects the summary-accounting path (DESIGN.md §13). The
-	// zero value resolves to metrics.DefaultMode: one merged name-state
-	// lookup per event (ModeIndexed) and run-length batched context/
-	// window commits (ModeBatched). Every mode records byte-identical
-	// events and summaries; only the per-event bookkeeping cost
-	// differs. The ring buffer is natively pooled in every mode — it
-	// is a fixed preallocated array reused in overwrite order — which
-	// is what keeps steady-state Emit at zero heap allocations.
-	Mode metrics.Mode
 }
 
 // Defaults for zero Config fields.
@@ -172,9 +162,8 @@ type ctxStat struct {
 	windows []uint64
 }
 
-// nameState is the merged per-name record of the ModeIndexed fast
-// path: one map lookup answers both "is this name enabled" and "where
-// does its count live".
+// nameState is the merged per-name record: one map lookup answers both
+// "is this name enabled" and "where does its count live".
 type nameState struct {
 	enabled bool
 	count   uint64
@@ -187,13 +176,12 @@ type nameState struct {
 // that instance's engine.
 type Tracer struct {
 	cfg Config
-	// enabled/byName are the legacy per-name stores (two lookups per
-	// event); names merges them under ModeIndexed (one lookup, usually
-	// zero thanks to the lastName MRU register).
-	enabled map[Name]bool
-	byName  map[Name]uint64
-	names   map[Name]*nameState
+	// names holds per-name state; the lastName/lastState MRU register
+	// below usually saves even that one lookup, since emission is bursty.
+	names map[Name]*nameState
 
+	// ring is a fixed preallocated array reused in overwrite order,
+	// which keeps steady-state Emit at zero heap allocations.
 	ring []Event
 	// next is the ring write index; filled counts live entries.
 	next, filled int
@@ -201,12 +189,11 @@ type Tracer struct {
 
 	byCtx map[uint64]*ctxStat
 
-	// batched selects run-length context/window commits (ModeBatched):
+	// Context summaries commit run-length batched (DESIGN.md §13):
 	// consecutive events against the same context in the same summary
-	// window accumulate in the registers below and commit as one net
-	// delta when the run breaks (or on Stats). summaryCommits counts
-	// those commits — the deterministic write-reduction meter.
-	batched        bool
+	// window accumulate in the p* registers and commit as one net delta
+	// when the run breaks (or on Stats). summaryCommits counts those
+	// commits — the deterministic write-reduction meter.
 	lastName       Name
 	lastState      *nameState
 	pCtx           uint64
@@ -224,19 +211,12 @@ func New(cfg Config) *Tracer {
 	if cfg.SummaryWindow <= 0 {
 		cfg.SummaryWindow = DefaultSummaryWindow
 	}
-	t := &Tracer{
-		cfg:     cfg,
-		ring:    make([]Event, 0, cfg.BufferEvents),
-		byCtx:   make(map[uint64]*ctxStat),
-		batched: cfg.Mode.Batched(),
+	return &Tracer{
+		cfg:   cfg,
+		names: make(map[Name]*nameState),
+		ring:  make([]Event, 0, cfg.BufferEvents),
+		byCtx: make(map[uint64]*ctxStat),
 	}
-	if cfg.Mode.Indexed() {
-		t.names = make(map[Name]*nameState)
-	} else {
-		t.enabled = make(map[Name]bool)
-		t.byName = make(map[Name]uint64)
-	}
-	return t
 }
 
 // nameState returns (creating if needed) the merged record for a name.
@@ -275,32 +255,22 @@ func (t *Tracer) flushPending() {
 	t.summaryCommits++
 }
 
-// nameCounts lists per-event-name totals in name order, reading
-// whichever per-name store the mode keeps. Names with zero emissions
-// are enablement memos, not counts, and are skipped — the legacy
-// byName map only ever holds emitted names, and the two stores must
-// summarize identically.
+// nameCounts lists per-event-name totals in name order. Names with
+// zero emissions are enablement memos, not counts, and are skipped.
 func (t *Tracer) nameCounts() []NameCount {
 	var out []NameCount
-	if t.names != nil {
-		for name, ns := range t.names {
-			if ns.count > 0 {
-				out = append(out, NameCount{Name: name, Count: ns.count})
-			}
+	for name, ns := range t.names {
+		if ns.count > 0 {
+			out = append(out, NameCount{Name: name, Count: ns.count})
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		return out
-	}
-	for name, n := range t.byName {
-		out = append(out, NameCount{Name: name, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// SummaryCommits reports the batched path's context-summary commits
-// (0 in legacy mode, where every event writes through). Deterministic:
-// a pure function of the emitted event sequence.
+// SummaryCommits reports the run-length batched context-summary
+// commits. Deterministic: a pure function of the emitted event
+// sequence.
 func (t *Tracer) SummaryCommits() uint64 {
 	if t == nil {
 		return 0
@@ -314,15 +284,7 @@ func (t *Tracer) Enabled(name Name) bool {
 	if t == nil {
 		return false
 	}
-	if t.names != nil {
-		return t.nameState(name).enabled
-	}
-	on, ok := t.enabled[name]
-	if !ok {
-		on = matchAny(t.cfg.Events, string(name))
-		t.enabled[name] = on
-	}
-	return on
+	return t.nameState(name).enabled
 }
 
 // matchAny reports whether s matches at least one pattern (empty
@@ -343,29 +305,17 @@ func matchAny(patterns []string, s string) bool {
 }
 
 // Emit records one event. Nil-safe and strictly passive: no virtual
-// cost, no randomness, no observable effect on the simulation. The
-// recorded events and summary totals are byte-identical in every
-// accounting mode; the fast paths only change how many shared-store
-// writes the bookkeeping costs (DESIGN.md §13).
+// cost, no randomness, no observable effect on the simulation.
 func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, node int, size int64) {
 	if t == nil {
 		return
 	}
-	// Per-name accounting: merged single-lookup state under
-	// ModeIndexed (with an MRU register, since emission is bursty), the
-	// legacy enabled+byName map pair otherwise.
-	var ns *nameState
-	if t.names != nil {
-		if name == t.lastName && t.lastState != nil {
-			ns = t.lastState
-		} else {
-			ns = t.nameState(name)
-			t.lastName, t.lastState = name, ns
-		}
-		if !ns.enabled {
-			return
-		}
-	} else if !t.Enabled(name) {
+	ns := t.lastState
+	if ns == nil || name != t.lastName {
+		ns = t.nameState(name)
+		t.lastName, t.lastState = name, ns
+	}
+	if !ns.enabled {
 		return
 	}
 	e := Event{Seq: t.seq, At: at, Name: name, Ctx: ctx, Obj: obj,
@@ -384,32 +334,19 @@ func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, nod
 	t.next = (t.next + 1) % cap(t.ring)
 
 	// Incremental summaries survive ring drops.
-	if ns != nil {
-		ns.count++
-	} else {
-		t.byName[name]++
-	}
+	ns.count++
 	w := int(at / sim.Time(t.cfg.SummaryWindow))
 	if w >= maxSummaryWindows {
 		w = maxSummaryWindows - 1
 	}
-	if t.batched {
-		// Run-length commit: same context, same window — just extend
-		// the pending run; the net delta commits when the run breaks.
-		if t.pStat != nil && ctx == t.pCtx && w == t.pWin {
-			t.pPending++
-			return
-		}
-		t.flushPending()
-		t.pCtx, t.pStat, t.pWin, t.pPending = ctx, t.ctxState(ctx), w, 1
+	// Run-length commit: same context, same window — just extend the
+	// pending run; the net delta commits when the run breaks.
+	if t.pStat != nil && ctx == t.pCtx && w == t.pWin {
+		t.pPending++
 		return
 	}
-	cs := t.ctxState(ctx)
-	cs.total++
-	for len(cs.windows) <= w {
-		cs.windows = append(cs.windows, 0)
-	}
-	cs.windows[w]++
+	t.flushPending()
+	t.pCtx, t.pStat, t.pWin, t.pPending = ctx, t.ctxState(ctx), w, 1
 }
 
 // Emitted reports the total events recorded (including dropped ones).

@@ -45,7 +45,6 @@ import (
 	"kloc/internal/kloc"
 	"kloc/internal/kobj"
 	"kloc/internal/memsim"
-	"kloc/internal/metrics"
 	"kloc/internal/perfbench"
 	"kloc/internal/policy"
 	"kloc/internal/pressure"
@@ -443,19 +442,11 @@ func ChaosReplay(a *ChaosArtifact) (*ChaosReplayReport, error) { return chaos.Re
 // Hot-path accounting and the perf harness (DESIGN.md §13,
 // PERFORMANCE.md).
 type (
-	// AccountingMode selects the hot-path accounting variant for a run
-	// (RunConfig.Accounting): batched per-CPU stat commits, pooled
-	// records, dense indices, or the exact per-event baseline. The
-	// zero value resolves to the default (all optimizations on); every
-	// mode produces byte-identical simulation results.
-	AccountingMode = metrics.Mode
 	// PerfConfig tunes a perf sweep ("klocbench -exp perf").
 	PerfConfig = perfbench.Config
 	// PerfReport is the machine-readable sweep (BENCH_perf.json).
 	PerfReport = perfbench.Report
-	// PerfVariant is one named accounting configuration under test.
-	PerfVariant = perfbench.Variant
-	// PerfStageRow is one (stage, variant) measurement in a PerfReport.
+	// PerfStageRow is one stage's measurement in a PerfReport.
 	PerfStageRow = perfbench.StageRow
 	// PerfLaneRow is one worker-count row of the shard-pool lane sweep
 	// in a PerfReport (results identical across rows by contract).
@@ -465,26 +456,9 @@ type (
 	RunPerfMeters = harness.PerfMeters
 )
 
-// Accounting mode bits (combine with LegacyAccounting()).
-const (
-	ModeBatched = metrics.ModeBatched
-	ModePooled  = metrics.ModePooled
-	ModeIndexed = metrics.ModeIndexed
-)
-
-// DefaultAccounting is the default mode: batched + pooled + indexed.
-func DefaultAccounting() AccountingMode { return metrics.DefaultMode() }
-
-// LegacyAccounting is the exact per-event baseline (the perf sweep's
-// control variant).
-func LegacyAccounting() AccountingMode { return metrics.LegacyMode() }
-
 // PerfSchemaVersion stamps BENCH_perf.json.
 const PerfSchemaVersion = perfbench.SchemaVersion
 
-// PerfBench runs the accounting-variant sweep ("klocbench -exp perf")
-// and returns the rendered table plus the machine-readable report.
+// PerfBench runs the hot-path sweep ("klocbench -exp perf") and returns
+// the rendered table plus the machine-readable report.
 func PerfBench(cfg PerfConfig) (*Table, *PerfReport, error) { return perfbench.Run(cfg) }
-
-// PerfVariants lists the sweep's accounting variants in run order.
-func PerfVariants() []PerfVariant { return perfbench.Variants() }
