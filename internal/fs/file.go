@@ -120,13 +120,13 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 	if err != nil {
 		return nil, err
 	}
-	p := &Page{Obj: obj, Idx: pageIdx}
-	ind.pages.Set(pageIdx, p)
-	ind.frameIndex[obj.Frame.ID] = pageIdx
-	f.frameOwner[obj.Frame.ID] = ind.Ino
+	// The page enters the cache only once its fill has completed: the
+	// extent allocation's direct reclaim drops clean cached pages, and
+	// the cache must not serve a page whose fill never ran.
 	if viaKnode {
 		ctx.Charge(60) // knode rbtree-cache lookup replaces the extent walk
 	} else if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
+		f.freeObj(ctx, obj)
 		return nil, err
 	}
 	sequential := pageIdx == ind.lastRead+1
@@ -135,14 +135,13 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 		ctx.Charge(lat)
 	}
 	if err != nil {
-		// Hard read failure: unwind the page insertion — the cache must
-		// not serve a page whose fill never completed.
-		ind.pages.Delete(pageIdx)
-		delete(ind.frameIndex, obj.Frame.ID)
-		delete(f.frameOwner, obj.Frame.ID)
 		f.freeObj(ctx, obj)
 		return nil, err
 	}
+	p := &Page{Obj: obj, Idx: pageIdx}
+	ind.pages.Set(pageIdx, p)
+	ind.frameIndex[obj.Frame.ID] = pageIdx
+	f.frameOwner[obj.Frame.ID] = ind.Ino
 	if pageIdx >= ind.SizePages {
 		ind.SizePages = pageIdx + 1
 	}

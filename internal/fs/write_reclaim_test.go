@@ -65,3 +65,51 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 		t.Fatal("no write ran out of memory: the path under test was not reached")
 	}
 }
+
+// TestReadKeepsFreshPageUnderReclaim is the read-side twin: a Read miss
+// allocates its page, then the extent mapping for a fresh extent, whose
+// slab may need a frame of its own and enter direct reclaim. That
+// reclaim drops clean cached pages, and the page being filled must not
+// be among them: a Read that succeeds leaves its page cached with a
+// frame and never reports an access to a page without one, and a Read
+// that fails leaves no page behind.
+func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
+	h := &accessHooks{}
+	// With 9 pages, the 43rd extent needs the extent slab's second frame
+	// just after the page-cache allocation took the last free frame.
+	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
+		FastPages: 9, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
+	})
+	var objIDs, inoGen kstate.IDGen
+	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), h, &objIDs, &inoGen)
+	file, err := f.Create(ctxAt(0), "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedAfterAlloc := 0
+	for i := int64(0); i < 64; i++ {
+		idx := i * extentSpan // every read maps a fresh extent
+		allocs := f.Stats.ObjAllocs[kobj.PageCache]
+		err := f.Read(ctxAt(sim.Time(i*int64(sim.Microsecond))), file, idx)
+		p, cached := file.Inode.pages.Get(idx)
+		if err != nil {
+			if f.Stats.ObjAllocs[kobj.PageCache] > allocs {
+				failedAfterAlloc++
+			}
+			if cached {
+				t.Fatalf("failed read of page %d left the page cached", idx)
+			}
+		} else if !cached || p.Obj.Frame == nil {
+			t.Fatalf("read of page %d succeeded but the page is not cached", idx)
+		}
+		if h.nilAccesses != 0 {
+			t.Fatalf("read of page %d reported an access to a page without a frame", idx)
+		}
+		if live := f.Stats.ObjLive[kobj.PageCache]; live != int64(file.Inode.CachedPages()) {
+			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", idx, live, file.Inode.CachedPages())
+		}
+	}
+	if failedAfterAlloc == 0 {
+		t.Fatal("no read failed after allocating its page: the path under test was not reached")
+	}
+}

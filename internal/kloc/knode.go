@@ -131,26 +131,21 @@ func (k *Knode) MovableFrames() []*memsim.Frame {
 	return out
 }
 
-// AllFrames collects distinct frames including pinned ones (for
-// accounting).
-func (k *Knode) AllFrames() []*memsim.Frame {
-	seen := make(map[memsim.FrameID]struct{})
-	var out []*memsim.Frame
-	collect := func(_ kobj.ID, o *kobj.Object) bool {
+// HasMovableFrame reports whether some frame MovableFrames would return
+// satisfies pred. It stops at the first match and builds no list, so
+// open-time and daemon checks cost no allocation.
+func (k *Knode) HasMovableFrame(pred func(*memsim.Frame) bool) bool {
+	found := false
+	match := func(_ kobj.ID, o *kobj.Object) bool {
 		f := o.Frame
-		if f == nil {
-			return true
-		}
-		if _, dup := seen[f.ID]; dup {
-			return true
-		}
-		seen[f.ID] = struct{}{}
-		out = append(out, f)
-		return true
+		found = f != nil && !f.Pinned && pred(f)
+		return !found
 	}
-	k.rbCache.Ascend(collect)
-	k.rbSlab.Ascend(collect)
-	return out
+	k.rbCache.Ascend(match)
+	if !found {
+		k.rbSlab.Ascend(match)
+	}
+	return found
 }
 
 // metadataBytes is the knode's contribution to Table 6.

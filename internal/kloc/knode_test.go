@@ -155,10 +155,6 @@ func TestMovableFramesExcludesPinnedAndDedups(t *testing.T) {
 	if len(frames) != 1 || frames[0].ID != movable.Frame.ID {
 		t.Fatalf("movable frames = %v", frames)
 	}
-	all := kn.AllFrames()
-	if len(all) != 2 {
-		t.Fatalf("all frames = %d, want 2", len(all))
-	}
 }
 
 func TestActivateDeactivateAndCold(t *testing.T) {

@@ -3,6 +3,8 @@ package kloc
 import (
 	"testing"
 
+	"kloc/internal/kobj"
+	"kloc/internal/memsim"
 	"kloc/internal/sim"
 )
 
@@ -72,6 +74,84 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 			r.TouchID(id, rng.Intn(4), now+1)
 			if kn.Age != 0 || kn.LastTouch != now+1 {
 				t.Fatalf("step %d: TouchID(%d) did not refresh the knode", step, id)
+			}
+		}
+	}
+}
+
+// TestHasMovableFrameMatchesMovableFrames builds random knodes, split
+// and single-tree, from page-cache, KLOC-arena and pinned-slab objects
+// on both nodes, with frames shared between objects and objects whose
+// storage is already released. For node and class predicates it checks
+// HasMovableFrame against the reference "some frame in MovableFrames
+// satisfies pred", that pred never sees a nil or pinned frame, that
+// pred is not called again after the first match, and that the check
+// allocates nothing.
+func TestHasMovableFrameMatchesMovableFrames(t *testing.T) {
+	nodes := []memsim.NodeID{memsim.FastNode, memsim.SlowNode}
+	classes := []memsim.Class{memsim.ClassCache, memsim.ClassKloc, memsim.ClassSlab}
+	types := []kobj.Type{kobj.PageCache, kobj.RxBuf, kobj.Dentry, kobj.Extent, kobj.SkBuff}
+	var preds []func(*memsim.Frame) bool
+	for _, n := range nodes {
+		preds = append(preds, func(f *memsim.Frame) bool { return f.Node == n })
+	}
+	for _, c := range classes {
+		preds = append(preds, func(f *memsim.Frame) bool { return f.Class == c })
+		for _, n := range nodes {
+			preds = append(preds, func(f *memsim.Frame) bool { return f.Class == c && f.Node == n })
+		}
+	}
+	for _, split := range []bool{true, false} {
+		for seed := uint64(1); seed <= 60; seed++ {
+			rng := sim.NewRNG(seed)
+			m := testMem()
+			r := NewRegistry(m, 2)
+			r.SplitTrees = split
+			kn, _, err := r.MapKnode(1, order, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frames []*memsim.Frame
+			objects := kobj.ID(rng.Intn(24))
+			for id := kobj.ID(1); id <= objects; id++ {
+				var f *memsim.Frame
+				switch {
+				case len(frames) > 0 && rng.Bool(0.25): // shared frame
+					f = frames[rng.Intn(len(frames))]
+				case rng.Bool(0.1): // storage already released
+				default:
+					f, err = m.Alloc(nodes[rng.Intn(len(nodes))], classes[rng.Intn(len(classes))], 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.Pinned = f.Class == memsim.ClassSlab && rng.Bool(0.7)
+					frames = append(frames, f)
+				}
+				kn.AddObject(kobj.NewObject(id, types[rng.Intn(len(types))], f, 0, nil))
+			}
+			movable := kn.MovableFrames()
+			for pi, pred := range preds {
+				want := false
+				for _, f := range movable {
+					want = want || pred(f)
+				}
+				matched := false
+				got := kn.HasMovableFrame(func(f *memsim.Frame) bool {
+					if f == nil || f.Pinned {
+						t.Fatalf("split=%v seed %d pred %d: pred called on a nil or pinned frame", split, seed, pi)
+					}
+					if matched {
+						t.Fatalf("split=%v seed %d pred %d: pred called after the first match", split, seed, pi)
+					}
+					matched = pred(f)
+					return matched
+				})
+				if got != want {
+					t.Fatalf("split=%v seed %d pred %d: HasMovableFrame = %v, MovableFrames says %v", split, seed, pi, got, want)
+				}
+				if allocs := testing.AllocsPerRun(5, func() { kn.HasMovableFrame(pred) }); allocs != 0 {
+					t.Fatalf("split=%v seed %d pred %d: HasMovableFrame allocates %.1f per call", split, seed, pi, allocs)
+				}
 			}
 		}
 	}

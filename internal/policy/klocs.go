@@ -227,12 +227,19 @@ func (p *KLOCs) InodeOpened(ctx *kstate.Ctx, ino uint64) {
 	if !ok || !p.cfg.Migration {
 		return
 	}
-	for _, f := range kn.MovableFrames() {
-		if f.Node == memsim.SlowNode {
-			p.enqueue(&p.promoteQueue, kn)
-			break
-		}
+	if kn.HasMovableFrame(onSlowNode) {
+		p.enqueue(&p.promoteQueue, kn)
 	}
+}
+
+// onSlowNode matches a frame in slow memory.
+func onSlowNode(f *memsim.Frame) bool { return f.Node == memsim.SlowNode }
+
+// promotable matches a frame that promotion moves back to fast memory:
+// a page-cache or KLOC-arena frame stranded on the slow node.
+func promotable(f *memsim.Frame) bool {
+	return (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) &&
+		f.Node == memsim.SlowNode
 }
 
 // InodeClosed deactivates the knode; its objects are immediately
@@ -318,15 +325,8 @@ func (p *KLOCs) Tick(now sim.Time) sim.Duration {
 			// KLOCs with objects stranded in slow memory promote (§4.4:
 			// 4-12% of migrations are slow-to-fast, mainly cache pages).
 			for _, kn := range p.Reg.ActiveKnodes() {
-				if kn.Age > 1 {
-					continue
-				}
-				for _, f := range kn.MovableFrames() {
-					if (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) &&
-						f.Node == memsim.SlowNode {
-						p.enqueue(&p.promoteQueue, kn)
-						break
-					}
+				if kn.Age <= 1 && kn.HasMovableFrame(promotable) {
+					p.enqueue(&p.promoteQueue, kn)
 				}
 			}
 		}
@@ -409,8 +409,7 @@ func (p *KLOCs) processPromotions(now sim.Time) sim.Duration {
 		}
 		var movers []*memsim.Frame
 		for _, f := range kn.MovableFrames() {
-			if (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) &&
-				f.Node == memsim.SlowNode {
+			if promotable(f) {
 				movers = append(movers, f)
 			}
 		}

@@ -4,16 +4,19 @@
 // the global kmap of knodes, the per-knode rbtree-cache and rbtree-slab
 // object indexes, and ext4-style extent maps (§4.2). This package is the
 // equivalent substrate: an intrusive-free, generics-based red-black tree
-// with ordered iteration, used by kloc, fs, and memsim.
+// with ordered iteration, used by kloc and fs.
 //
 // The implementation is the classic CLRS algorithm with a sentinel nil
-// leaf. Invariants (validated by Check, used in property tests):
+// leaf, augmented with each node's subtree height so Depth is O(1).
+// Invariants (validated by Check, used in property tests):
 //
 //  1. every node is red or black;
 //  2. the root is black;
 //  3. red nodes have black children;
 //  4. every root-to-leaf path has the same number of black nodes;
-//  5. in-order traversal yields keys in strictly increasing order.
+//  5. in-order traversal yields keys in strictly increasing order;
+//  6. every node's height is one more than its taller child's, and the
+//     sentinel's is 0.
 package rbtree
 
 import "cmp"
@@ -30,6 +33,7 @@ type node[K cmp.Ordered, V any] struct {
 	value               V
 	left, right, parent *node[K, V]
 	color               color
+	height              int32 // of the subtree rooted here; sentinel 0
 }
 
 // Tree is an ordered map from K to V. The zero value is not usable; call
@@ -104,6 +108,7 @@ func (t *Tree[K, V]) Set(key K, value V) bool {
 		parent.right = fresh
 	}
 	t.size++
+	t.fixHeights(fresh)
 	t.insertFixup(fresh)
 	return true
 }
@@ -245,25 +250,20 @@ func (t *Tree[K, V]) Clear() {
 	t.size = 0
 }
 
-// Depth returns the height of the tree (0 for empty). A valid red-black
-// tree has depth <= 2*log2(n+1); memsim uses this in the paper's "ten
-// memory references per traversal" cost model (§4.2.3).
-func (t *Tree[K, V]) Depth() int {
-	var walk func(*node[K, V]) int
-	walk = func(n *node[K, V]) int {
-		if n == t.nil_ {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
-}
+// Depth returns the height of the tree (0 for empty) in O(1). A valid
+// red-black tree has depth <= 2*log2(n+1); kloc prices knode and kmap
+// traversals with it in the paper's "ten memory references per
+// traversal" cost model (§4.2.3).
+func (t *Tree[K, V]) Depth() int { return int(t.root.height) }
 
 // --- rebalancing ---
+
+// fixHeights recomputes stored heights from n up to the root.
+func (t *Tree[K, V]) fixHeights(n *node[K, V]) {
+	for ; n != t.nil_; n = n.parent {
+		n.height = 1 + max(n.left.height, n.right.height)
+	}
+}
 
 func (t *Tree[K, V]) rotateLeft(x *node[K, V]) {
 	y := x.right
@@ -282,6 +282,7 @@ func (t *Tree[K, V]) rotateLeft(x *node[K, V]) {
 	}
 	y.left = x
 	x.parent = y
+	t.fixHeights(x)
 }
 
 func (t *Tree[K, V]) rotateRight(x *node[K, V]) {
@@ -301,6 +302,7 @@ func (t *Tree[K, V]) rotateRight(x *node[K, V]) {
 	}
 	y.right = x
 	x.parent = y
+	t.fixHeights(x)
 }
 
 func (t *Tree[K, V]) insertFixup(z *node[K, V]) {
@@ -388,6 +390,8 @@ func (t *Tree[K, V]) deleteNode(z *node[K, V]) {
 		y.left.parent = y
 		y.color = z.color
 	}
+	// CLRS leaves x.parent set even when x is the sentinel.
+	t.fixHeights(x.parent)
 	if yOriginal == black {
 		t.deleteFixup(x)
 	}
@@ -448,11 +452,15 @@ func (t *Tree[K, V]) deleteFixup(x *node[K, V]) {
 	x.color = black
 }
 
-// Check validates the red-black invariants, returning a descriptive
-// violation or "" when valid. It exists for tests.
+// Check validates the red-black invariants and the stored heights,
+// returning a descriptive violation or "" when valid. It exists for
+// tests.
 func (t *Tree[K, V]) Check() string {
 	if t.root.color != black {
 		return "root is red"
+	}
+	if t.nil_.height != 0 {
+		return "sentinel height is not 0"
 	}
 	_, msg := t.check(t.root)
 	return msg
@@ -461,6 +469,9 @@ func (t *Tree[K, V]) Check() string {
 func (t *Tree[K, V]) check(n *node[K, V]) (blackHeight int, msg string) {
 	if n == t.nil_ {
 		return 1, ""
+	}
+	if n.height != 1+max(n.left.height, n.right.height) {
+		return 0, "stored height out of date"
 	}
 	if n.color == red {
 		if n.left.color == red || n.right.color == red {

@@ -1,6 +1,7 @@
 package rbtree
 
 import (
+	"cmp"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -206,6 +207,64 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refHeight is the reference for Depth: a full recursive walk that
+// trusts no stored field.
+func refHeight[K cmp.Ordered, V any](t *Tree[K, V], n *node[K, V]) int {
+	if n == t.nil_ {
+		return 0
+	}
+	return 1 + max(refHeight(t, n.left), refHeight(t, n.right))
+}
+
+// TestDepthMatchesWalkProperty drives seeded random Set/Delete/Clear
+// sequences and, after every operation, compares the stored-height
+// Depth with a full walk and re-checks every node's stored height.
+func TestDepthMatchesWalkProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := sim.NewRNG(seed)
+		tr := New[int, int]()
+		keySpace := 16 << r.Intn(6) // 16..512: shallow and deep trees
+		for i := 0; i < 2000; i++ {
+			op := "set"
+			switch x := r.Float64(); {
+			case x < 0.001:
+				op = "clear"
+				tr.Clear()
+			case x < 0.45:
+				op = "delete"
+				tr.Delete(r.Intn(keySpace))
+			default:
+				tr.Set(r.Intn(keySpace), i)
+			}
+			if got, want := tr.Depth(), refHeight(tr, tr.root); got != want {
+				t.Fatalf("seed %d op %d (%s): Depth %d, walk %d", seed, i, op, got, want)
+			}
+			if msg := tr.Check(); msg != "" {
+				t.Fatalf("seed %d op %d (%s): %s", seed, i, op, msg)
+			}
+		}
+	}
+}
+
+// TestDepthReadsStoredField: Depth is the root's stored height, read
+// without a walk or an allocation.
+func TestDepthReadsStoredField(t *testing.T) {
+	tr := New[int, int]()
+	for i := 0; i < 1000; i++ {
+		tr.Set(i, i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Depth() }); allocs != 0 {
+		t.Fatalf("Depth allocates %.1f per call", allocs)
+	}
+	stored := tr.root.height
+	tr.root.height = 99
+	got := tr.Depth()
+	tr.root.height = stored
+	if got != 99 {
+		t.Fatalf("Depth = %d, want the stored root height 99: it walked the tree", got)
 	}
 }
 
