@@ -20,7 +20,7 @@ import (
 )
 
 // appIDBit distinguishes app-page frame IDs from kernel-object IDs in
-// the lifetime tracker's shared keyspace.
+// the sanitizer's shared keyspace.
 const appIDBit = uint64(1) << 63
 
 // Policy is what a tiering strategy must provide beyond the kernel
@@ -81,7 +81,8 @@ type Kernel struct {
 	objIDs kstate.IDGen
 	inoGen kstate.IDGen
 
-	appPages map[memsim.FrameID]*memsim.Frame
+	// appMapped counts the frames with Frame.Mapped set (AppPages).
+	appMapped int
 
 	// ctxPool recycles retired op contexts (see NewCtx/PutCtx).
 	// ctxFresh/ctxReused meter the pool.
@@ -98,7 +99,6 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 		Mem:       mem,
 		Policy:    pol,
 		Lifetimes: metrics.NewLifetimeTracker(),
-		appPages:  make(map[memsim.FrameID]*memsim.Frame),
 	}
 	hooks := &muxHooks{kernel: k, policy: pol}
 	mq := blockdev.NewMQ(blockdev.SimNVMe(), mem.NumCPUs())
@@ -172,10 +172,11 @@ func (k *Kernel) SanitizeReport(at sim.Time) *alloc.SanReport {
 	k.San.BeginScan()
 	k.FS.MarkReachable(k.San)
 	k.Net.MarkReachable(k.San)
-	//klocs:unordered marking reachability is idempotent; scan order cannot affect the report
-	for id := range k.appPages {
-		k.San.MarkReachable(appIDBit | uint64(id))
-	}
+	k.Mem.EachLive(func(f *memsim.Frame) {
+		if f.Mapped {
+			k.San.MarkReachable(appIDBit | uint64(f.ID))
+		}
+	})
 	return k.San.Report(at)
 }
 
@@ -282,8 +283,8 @@ func (k *Kernel) AppAlloc(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 		ctx.Charge(300) // page fault + zeroing fast path
 		k.Trace.Emit(trace.AllocPage, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
-		k.appPages[f.ID] = f
-		k.Lifetimes.Born(appIDBit|uint64(f.ID), ctx.Now)
+		f.Mapped = true
+		k.appMapped++
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
 		k.Stats.AppPagesAllocated++
 		k.Policy.PageAllocated(ctx, f)
@@ -315,8 +316,8 @@ func (k *Kernel) AppAllocHuge(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 		ctx.Charge(1200) // huge-page fault: clearing + mapping
 		k.Trace.Emit(trace.AllocPage, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
-		k.appPages[f.ID] = f
-		k.Lifetimes.Born(appIDBit|uint64(f.ID), ctx.Now)
+		f.Mapped = true
+		k.appMapped++
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
 		k.Stats.AppPagesAllocated += uint64(f.Pages())
 		k.Policy.PageAllocated(ctx, f)
@@ -339,14 +340,15 @@ func (k *Kernel) AppAccess(ctx *kstate.Ctx, f *memsim.Frame, bytes int, write bo
 // AppFree releases application pages.
 func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 	for _, f := range frames {
-		if _, ok := k.appPages[f.ID]; !ok {
+		if !f.Mapped {
 			continue
 		}
-		delete(k.appPages, f.ID)
+		f.Mapped = false
+		k.appMapped--
 		k.San.TrackFree(appIDBit|uint64(f.ID), ctx.Now)
 		k.Trace.Emit(trace.ObjFree, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
-		k.Lifetimes.Died(appIDBit|uint64(f.ID), "app", ctx.Now)
+		k.Lifetimes.Died("app", f.Allocated, ctx.Now)
 		k.Policy.PageFreed(ctx, f)
 		k.Mem.Free(f)
 		k.Stats.AppPagesFreed++
@@ -354,7 +356,7 @@ func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 }
 
 // AppPages reports the live app-page count.
-func (k *Kernel) AppPages() int { return len(k.appPages) }
+func (k *Kernel) AppPages() int { return k.appMapped }
 
 // ObjIDs exposes the shared object-ID generator (tests).
 func (k *Kernel) ObjIDs() *kstate.IDGen { return &k.objIDs }
@@ -389,7 +391,6 @@ func (m *muxHooks) InodeClosed(ctx *kstate.Ctx, ino uint64)  { m.policy.InodeClo
 func (m *muxHooks) InodeDeleted(ctx *kstate.Ctx, ino uint64) { m.policy.InodeDeleted(ctx, ino) }
 
 func (m *muxHooks) ObjectCreated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
-	m.kernel.Lifetimes.Born(uint64(o.ID), ctx.Now)
 	m.policy.ObjectCreated(ctx, ino, o)
 }
 func (m *muxHooks) ObjectAssociated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
@@ -397,7 +398,7 @@ func (m *muxHooks) ObjectAssociated(ctx *kstate.Ctx, ino uint64, o *kobj.Object)
 	m.policy.ObjectAssociated(ctx, ino, o)
 }
 func (m *muxHooks) ObjectFreed(ctx *kstate.Ctx, o *kobj.Object) {
-	m.kernel.Lifetimes.Died(uint64(o.ID), lifetimeClass(o.Type), ctx.Now)
+	m.kernel.Lifetimes.Died(lifetimeClass(o.Type), o.Born, ctx.Now)
 	m.policy.ObjectFreed(ctx, o)
 }
 

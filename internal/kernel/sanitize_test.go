@@ -28,7 +28,7 @@ func TestSanitizerCatchesAppPageBugs(t *testing.T) {
 	// Leak: drop the kernel's reference without freeing (the seeded
 	// bug — a real caller loses the frame slice).
 	leaked := frames[1]
-	delete(k.appPages, leaked.ID)
+	leaked.Mapped = false
 
 	r := k.SanitizeReport(k.Eng.Now())
 	if r.Clean() {

@@ -11,8 +11,6 @@
 package lru
 
 import (
-	"container/list"
-
 	"kloc/internal/memsim"
 	"kloc/internal/sim"
 )
@@ -21,83 +19,63 @@ import (
 // LRU scan (2 s / 1 M pages).
 const ScanCostPerPage sim.Duration = 2 * sim.Microsecond
 
-type entry struct {
-	frame *memsim.Frame
-	// seen is the LastAccess value observed at the previous scan; a
-	// frame is "referenced" when LastAccess moved past it.
-	seen   sim.Time
-	active bool
-	elem   *list.Element
-}
-
-// Lists is one LRU domain (typically one per memory node).
+// Lists is one LRU domain (typically one per memory node). Both lists
+// are threaded through the frames themselves (memsim.FrameList, the
+// page->lru analog), and each frame's Seen stamp holds the LastAccess
+// value observed at its previous scan: a frame is "referenced" when
+// LastAccess moved past it. Lists must not be copied.
 type Lists struct {
-	active   *list.List // front = most recently activated
-	inactive *list.List
-	member   map[memsim.FrameID]*entry
+	active   memsim.FrameList // front = most recently activated
+	inactive memsim.FrameList
 
 	// ScannedPages counts LRU work for cost accounting.
 	ScannedPages uint64
 }
 
 // New returns empty lists.
-func New() *Lists {
-	return &Lists{
-		active:   list.New(),
-		inactive: list.New(),
-		member:   make(map[memsim.FrameID]*entry),
-	}
-}
+func New() *Lists { return &Lists{} }
 
 // Len reports (active, inactive) lengths.
 func (l *Lists) Len() (int, int) { return l.active.Len(), l.inactive.Len() }
 
 // Contains reports membership.
 func (l *Lists) Contains(f *memsim.Frame) bool {
-	_, ok := l.member[f.ID]
-	return ok
+	return l.active.Has(f) || l.inactive.Has(f)
 }
 
 // Add inserts a frame (new pages start on the inactive list, like
 // Linux; a subsequent reference activates them).
 func (l *Lists) Add(f *memsim.Frame, now sim.Time) {
-	if _, ok := l.member[f.ID]; ok {
+	if l.Contains(f) {
 		return
 	}
-	e := &entry{frame: f, seen: now}
-	e.elem = l.inactive.PushFront(e)
-	l.member[f.ID] = e
+	f.Seen = now
+	l.inactive.PushFront(f)
 }
 
 // Remove drops a frame (page freed or migrated out of this domain).
 func (l *Lists) Remove(f *memsim.Frame) {
-	e, ok := l.member[f.ID]
-	if !ok {
-		return
-	}
-	if e.active {
-		l.active.Remove(e.elem)
-	} else {
-		l.inactive.Remove(e.elem)
-	}
-	delete(l.member, f.ID)
+	l.active.Remove(f)
+	l.inactive.Remove(f)
+}
+
+// activate moves an inactive frame to the front of the active list.
+func (l *Lists) activate(f *memsim.Frame) {
+	l.inactive.Remove(f)
+	l.active.PushFront(f)
 }
 
 // MarkAccessed promotes a referenced inactive page to the active list
 // (mark_page_accessed).
 func (l *Lists) MarkAccessed(f *memsim.Frame, now sim.Time) {
-	e, ok := l.member[f.ID]
-	if !ok {
-		return
+	switch {
+	case l.active.Has(f):
+		f.Seen = now
+		l.active.MoveToFront(f)
+	case l.inactive.Has(f):
+		f.Seen = now
+		l.activate(f)
 	}
-	e.seen = now
-	if e.active {
-		l.active.MoveToFront(e.elem)
-		return
-	}
-	l.inactive.Remove(e.elem)
-	e.active = true
-	e.elem = l.active.PushFront(e)
 }
 
 // ScanInactive examines up to n pages from the inactive tail. Pages
@@ -107,26 +85,23 @@ func (l *Lists) MarkAccessed(f *memsim.Frame, now sim.Time) {
 // caller must charge to virtual time.
 func (l *Lists) ScanInactive(n int, now sim.Time) (cold []*memsim.Frame, cost sim.Duration) {
 	for i := 0; i < n; i++ {
-		back := l.inactive.Back()
-		if back == nil {
+		f := l.inactive.Back()
+		if f == nil {
 			break
 		}
-		e := back.Value.(*entry)
 		l.ScannedPages++
 		cost += ScanCostPerPage
-		if e.frame.LastAccess > e.seen {
+		referenced := f.LastAccess > f.Seen
+		f.Seen = now
+		if referenced {
 			// Referenced since we last looked: second chance.
-			e.seen = now
-			l.inactive.Remove(e.elem)
-			e.active = true
-			e.elem = l.active.PushFront(e)
+			l.activate(f)
 			continue
 		}
 		// Cold: rotate to the front so the scan window advances, and
 		// report it.
-		e.seen = now
-		l.inactive.MoveToFront(e.elem)
-		cold = append(cold, e.frame)
+		l.inactive.MoveToFront(f)
+		cold = append(cold, f)
 	}
 	return cold, cost
 }
@@ -141,23 +116,21 @@ func (l *Lists) Balance(ratio float64, now sim.Time) sim.Duration {
 	}
 	var cost sim.Duration
 	for float64(l.active.Len()) > ratio*float64(l.inactive.Len()+1) {
-		back := l.active.Back()
-		if back == nil {
+		f := l.active.Back()
+		if f == nil {
 			break
 		}
-		e := back.Value.(*entry)
 		l.ScannedPages++
 		cost += ScanCostPerPage
-		if e.frame.LastAccess > e.seen {
+		referenced := f.LastAccess > f.Seen
+		f.Seen = now
+		if referenced {
 			// Recently referenced: rotate to front instead.
-			e.seen = now
-			l.active.MoveToFront(e.elem)
+			l.active.MoveToFront(f)
 			continue
 		}
-		l.active.Remove(e.elem)
-		e.active = false
-		e.seen = now
-		e.elem = l.inactive.PushFront(e)
+		l.active.Remove(f)
+		l.inactive.PushFront(f)
 	}
 	return cost
 }
@@ -166,8 +139,8 @@ func (l *Lists) Balance(ratio float64, now sim.Time) sim.Duration {
 // the referenced-check (used by policies that trust their own signal).
 func (l *Lists) OldestInactive(n int) []*memsim.Frame {
 	out := make([]*memsim.Frame, 0, n)
-	for e := l.inactive.Back(); e != nil && len(out) < n; e = e.Prev() {
-		out = append(out, e.Value.(*entry).frame)
+	for f := l.inactive.Back(); f != nil && len(out) < n; f = f.Prev() {
+		out = append(out, f)
 	}
 	return out
 }
@@ -179,10 +152,9 @@ func (l *Lists) OldestInactive(n int) []*memsim.Frame {
 func (l *Lists) HottestActive(n int, cutoff sim.Time) ([]*memsim.Frame, sim.Duration) {
 	out := make([]*memsim.Frame, 0, n)
 	var cost sim.Duration
-	for e := l.active.Front(); e != nil && len(out) < n; e = e.Next() {
+	for f := l.active.Front(); f != nil && len(out) < n; f = f.Next() {
 		l.ScannedPages++
 		cost += ScanCostPerPage
-		f := e.Value.(*entry).frame
 		if f.LastAccess >= cutoff {
 			out = append(out, f)
 		} else {

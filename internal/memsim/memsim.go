@@ -171,6 +171,17 @@ type Frame struct {
 	// Migrations counts moves; the paper uses an 8-bit per-page counter
 	// to damp ping-ponging (§4.5).
 	Migrations uint8
+	// Mapped marks an application page the kernel has mapped and not
+	// yet unmapped (kernel.AppAlloc sets it, AppFree clears it).
+	Mapped bool
+
+	// Seen is the reclaim scanner's stamp: the LastAccess value it
+	// observed when it last looked at the frame (lru.Lists).
+	Seen sim.Time
+	// prev/next/list thread the frame onto at most one FrameList
+	// (page->lru); list is nil when the frame is on none.
+	prev, next *Frame
+	list       *FrameList
 
 	// pos is the frame's index in the live table (-1 = not live).
 	// Maintained by Alloc/Free via swap-remove.
@@ -488,13 +499,18 @@ func (m *Memory) AllocFallback(order []NodeID, class Class, now sim.Time) (*Fram
 // (double free); note that the no-op guarantee only holds until the
 // struct is recycled into a new allocation — the
 // sanitizer plane (alloc.Sanitizer) is the gate that proves callers
-// keep the single-free discipline that recycling relies on.
+// keep the single-free discipline that recycling relies on. A frame
+// still on a FrameList comes off it, so no list keeps a link to a
+// struct that is about to be recycled.
 func (m *Memory) Free(f *Frame) {
 	if f == nil {
 		return
 	}
 	if f.pos < 0 || f.pos >= len(m.live) || m.live[f.pos] != f {
 		return // double free is a no-op
+	}
+	if f.list != nil {
+		f.list.Remove(f)
 	}
 	last := len(m.live) - 1
 	moved := m.live[last]
@@ -510,6 +526,15 @@ func (m *Memory) Free(f *Frame) {
 
 // Frames returns the number of live frames.
 func (m *Memory) Frames() int { return len(m.live) }
+
+// EachLive calls fn on every live frame, in live-table order (which is
+// arbitrary: use it only where order cannot matter). fn must not
+// allocate or free frames.
+func (m *Memory) EachLive(fn func(*Frame)) {
+	for _, f := range m.live {
+		fn(f)
+	}
+}
 
 // FramesOn returns the live frames on a node, sorted by frame ID for
 // deterministic iteration (the live table's swap-remove order is

@@ -135,41 +135,28 @@ func (d *Distribution) Quantile(q float64) float64 {
 
 // LifetimeTracker measures object lifetimes per class: Fig 2d plots the
 // mean lifetime of application pages vs slab objects vs page cache
-// pages on a log axis.
+// pages on a log axis. It keeps no per-object state: each object
+// carries its own birth stamp (kobj.Object.Born, memsim.Frame.Allocated)
+// and hands it over when it dies.
 type LifetimeTracker struct {
-	born map[uint64]sim.Time
 	dist map[string]*Distribution
 }
 
 // NewLifetimeTracker returns an empty tracker.
 func NewLifetimeTracker() *LifetimeTracker {
-	return &LifetimeTracker{
-		born: make(map[uint64]sim.Time),
-		dist: make(map[string]*Distribution),
-	}
+	return &LifetimeTracker{dist: make(map[string]*Distribution)}
 }
 
-// Born records that object id came to life at t.
-func (lt *LifetimeTracker) Born(id uint64, t sim.Time) { lt.born[id] = t }
-
-// Died records death of object id at t, attributing the lifetime to
-// class. Unknown ids are ignored (objects born before tracking began).
-func (lt *LifetimeTracker) Died(id uint64, class string, t sim.Time) {
-	b, ok := lt.born[id]
-	if !ok {
-		return
-	}
-	delete(lt.born, id)
+// Died records the death at t of an object born at born, attributing
+// the lifetime to class. Callers record each death once.
+func (lt *LifetimeTracker) Died(class string, born, t sim.Time) {
 	d := lt.dist[class]
 	if d == nil {
 		d = &Distribution{}
 		lt.dist[class] = d
 	}
-	d.Observe(float64(t.Sub(b)))
+	d.Observe(float64(t.Sub(born)))
 }
-
-// Live reports how many tracked objects are currently alive.
-func (lt *LifetimeTracker) Live() int { return len(lt.born) }
 
 // Class returns the lifetime distribution for a class (nil if the class
 // never recorded a death).

@@ -209,27 +209,23 @@ func TestBucketOf(t *testing.T) {
 
 func TestLifetimeTracker(t *testing.T) {
 	lt := NewLifetimeTracker()
-	lt.Born(1, 100)
-	lt.Born(2, 200)
-	lt.Born(3, 300)
-	lt.Died(1, "slab", 150)
-	lt.Died(2, "cache", 1200)
-	if lt.Live() != 1 {
-		t.Fatalf("live = %d", lt.Live())
-	}
+	lt.Died("slab", 100, 150)
+	lt.Died("cache", 200, 1200)
+	lt.Died("cache", 300, 1300)
 	if m := lt.MeanLifetime("slab"); m != 50 {
 		t.Fatalf("slab mean = %v", m)
 	}
 	if m := lt.MeanLifetime("cache"); m != 1000 {
 		t.Fatalf("cache mean = %v", m)
 	}
+	if n := lt.Class("cache").Count(); n != 2 {
+		t.Fatalf("cache deaths = %d, want 2", n)
+	}
 	if m := lt.MeanLifetime("missing"); m != 0 {
 		t.Fatalf("missing class mean = %v", m)
 	}
-	// Death of unknown id is ignored.
-	lt.Died(99, "slab", 500)
-	if lt.Class("slab").Count() != 1 {
-		t.Fatal("unknown id death was recorded")
+	if lt.Class("missing") != nil {
+		t.Fatal("missing class has a distribution")
 	}
 	classes := lt.Classes()
 	if len(classes) != 2 || classes[0] != "cache" || classes[1] != "slab" {

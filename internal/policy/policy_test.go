@@ -136,6 +136,43 @@ func TestNimblePPTracksKernelPages(t *testing.T) {
 	}
 }
 
+// TestSpilledFrameLeavesLRUOnFree: the OOM evictor spills frames with
+// a bare Migrator, so a tracked fast page reaches the slow node while
+// still listed on the fast node's LRU. onFree looks in the slow
+// node's lists and misses it; freeing the frame must still take it
+// off the fast list, or the entry would outlive the page and link a
+// struct memsim recycles into the next allocation.
+func TestSpilledFrameLeavesLRUOnFree(t *testing.T) {
+	mem := memsim.NewTwoTier(memsim.TwoTierConfig{FastPages: 16, SlowPages: 64, FastBandwidth: 30, CPUs: 2})
+	e := newTierEngine(mem, 4, memsim.ClassApp, memsim.ClassCache, memsim.ClassKloc)
+	ctx := &kstate.Ctx{}
+	f, err := mem.Alloc(memsim.FastNode, memsim.ClassCache, ctx.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.onAlloc(ctx, f)
+	spill := &memsim.Migrator{Mem: mem, FixedPerPage: migFixedPerPage, Parallelism: 4}
+	if moved, _, _ := spill.Migrate([]*memsim.Frame{f}, memsim.SlowNode, ctx.Now); moved != 1 {
+		t.Fatalf("spill moved %d frames, want 1", moved)
+	}
+	e.onFree(ctx, f)
+	mem.Free(f)
+	for id, l := range e.lists {
+		if a, i := l.Len(); a+i != 0 {
+			t.Errorf("node %d LRU still lists %d+%d frames", id, a, i)
+		}
+	}
+	// The recycled struct starts unlinked and can be tracked again.
+	g, err := mem.Alloc(memsim.FastNode, memsim.ClassCache, ctx.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.onAlloc(ctx, g)
+	if a, i := e.lists[memsim.FastNode].Len(); a != 0 || i != 1 {
+		t.Fatalf("fast LRU after re-tracking lists %d+%d frames, want 0+1", a, i)
+	}
+}
+
 func TestKLOCsLifecycle(t *testing.T) {
 	p := NewKLOCs(DefaultKLOCConfig())
 	k, _ := twoTierKernel(t, p)

@@ -29,10 +29,12 @@ const (
 // tracks frames of the configured classes in per-node LRU lists and
 // rebalances between the fast and slow nodes on each tick.
 type tierEngine struct {
-	mem     *memsim.Memory
-	mig     *memsim.Migrator
-	classes map[memsim.Class]bool
-	lists   map[memsim.NodeID]*lru.Lists
+	mem *memsim.Memory
+	mig *memsim.Migrator
+	// classes is indexed by Class, lists by NodeID (node IDs are dense
+	// positions in mem.Nodes).
+	classes [6]bool
+	lists   []*lru.Lists
 
 	// promoteWindow: pages accessed within this window of a tick are
 	// promotion candidates.
@@ -50,15 +52,14 @@ func newTierEngine(mem *memsim.Memory, parallelism int, classes ...memsim.Class)
 			FixedPerPage: migFixedPerPage,
 			Parallelism:  parallelism,
 		},
-		classes:       make(map[memsim.Class]bool),
-		lists:         make(map[memsim.NodeID]*lru.Lists),
+		lists:         make([]*lru.Lists, len(mem.Nodes)),
 		promoteWindow: 20 * sim.Millisecond,
 	}
 	for _, c := range classes {
 		e.classes[c] = true
 	}
-	for _, n := range mem.Nodes {
-		e.lists[n.ID] = lru.New()
+	for i := range e.lists {
+		e.lists[i] = lru.New()
 	}
 	return e
 }
@@ -79,25 +80,21 @@ func (e *tierEngine) onAccess(ctx *kstate.Ctx, f *memsim.Frame) {
 }
 
 func (e *tierEngine) onFree(ctx *kstate.Ctx, f *memsim.Frame) {
-	if l, ok := e.lists[f.Node]; ok {
-		l.Remove(f)
-	}
+	e.lists[f.Node].Remove(f)
 }
 
 // moveTracked migrates a batch and keeps list membership coherent.
 func (e *tierEngine) moveTracked(frames []*memsim.Frame, dst memsim.NodeID, now sim.Time) (int, sim.Duration) {
-	src := make(map[memsim.FrameID]memsim.NodeID, len(frames))
-	for _, f := range frames {
-		src[f.ID] = f.Node
+	src := make([]memsim.NodeID, len(frames))
+	for i, f := range frames {
+		src[i] = f.Node
 	}
 	// Frames whose move faulted (EBUSY) stay in their source LRU list,
 	// so the next tick's scan naturally retries them.
 	moved, _, cost := e.mig.Migrate(frames, dst, now)
-	for _, f := range frames {
-		if f.Node == dst && src[f.ID] != dst {
-			if l, ok := e.lists[src[f.ID]]; ok {
-				l.Remove(f)
-			}
+	for i, f := range frames {
+		if f.Node == dst && src[i] != dst {
+			e.lists[src[i]].Remove(f)
 			if e.tracks(f) {
 				e.lists[dst].Add(f, now)
 			}
