@@ -2,7 +2,7 @@
 # keep `make verify` green before merging.
 GO ?= go
 
-.PHONY: verify vet lint build test race bench eval evalfull chaos perf
+.PHONY: verify vet lint build test race bench eval evalfull chaos perf loc
 
 verify: vet lint build race
 
@@ -56,3 +56,10 @@ chaos:
 # mismatch (the allocs/op gate is TestAllocsPerOpCeilings).
 perf:
 	$(GO) run ./cmd/klocbench -exp perf -quick -perf-out BENCH_perf.json
+
+# loc prints the simulator module's non-test Go line count: tracked
+# *.go files outside bench/ and testdata/, excluding _test.go. Run it
+# at the parent and at the change (new files staged) for the net
+# non-test line delta each change states.
+loc:
+	@git ls-files '*.go' | grep -Ev '_test\.go$$|(^|/)testdata/|^bench/' | xargs cat | wc -l

@@ -2,10 +2,8 @@ package alloc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"kloc/internal/memsim"
-	"kloc/internal/sim"
 )
 
 func mem() *memsim.Memory {
@@ -88,8 +86,8 @@ func TestKlocCacheRelocatable(t *testing.T) {
 }
 
 func TestSlabCostOrdering(t *testing.T) {
-	// §4.4: slab < kloc < page < vmalloc.
-	if !(SlabAllocCost < KlocAllocCost && KlocAllocCost < PageAllocCost && PageAllocCost < VmallocCostPer) {
+	// §4.4: slab < kloc < page.
+	if !(SlabAllocCost < KlocAllocCost && KlocAllocCost < PageAllocCost) {
 		t.Fatal("allocation cost ordering violates the paper's model")
 	}
 }
@@ -164,147 +162,9 @@ func TestPageAllocator(t *testing.T) {
 	}
 }
 
-func TestVmalloc(t *testing.T) {
-	m := mem()
-	r, cost, err := Vmalloc(m, order, memsim.ClassKloc, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Frames) != 10 || cost != 10*VmallocCostPer {
-		t.Fatalf("frames=%d cost=%v", len(r.Frames), cost)
-	}
-	r.Release(m)
-	if m.Frames() != 0 {
-		t.Fatal("vmalloc leaked")
-	}
-}
-
-func TestVmallocPartialFailureUnwinds(t *testing.T) {
-	m := memsim.NewTwoTier(memsim.TwoTierConfig{FastPages: 3, SlowPages: 0, FastBandwidth: 30, CPUs: 1})
-	_, _, err := Vmalloc(m, []memsim.NodeID{memsim.FastNode}, memsim.ClassKloc, 5, 0)
-	if err == nil {
-		t.Fatal("oversized vmalloc succeeded")
-	}
-	if m.Frames() != 0 {
-		t.Fatal("failed vmalloc leaked frames")
-	}
-}
-
-func TestBuddyBasic(t *testing.T) {
-	b, err := NewBuddy(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.FreePages() != 16 || b.LargestFree() != 4 {
-		t.Fatalf("fresh buddy: free=%d largest=%d", b.FreePages(), b.LargestFree())
-	}
-	base, err := b.Alloc(2) // 4 pages
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.FreePages() != 12 {
-		t.Fatalf("free after alloc = %d", b.FreePages())
-	}
-	if err := b.Free(base); err != nil {
-		t.Fatal(err)
-	}
-	if b.FreePages() != 16 || b.LargestFree() != 4 {
-		t.Fatal("coalescing failed to restore the full block")
-	}
-}
-
-func TestBuddyErrors(t *testing.T) {
-	if _, err := NewBuddy(12); err == nil {
-		t.Fatal("non-power-of-two accepted")
-	}
-	if _, err := NewBuddy(0); err == nil {
-		t.Fatal("zero size accepted")
-	}
-	b, _ := NewBuddy(8)
-	if _, err := b.Alloc(10); err == nil {
-		t.Fatal("oversized order accepted")
-	}
-	if _, err := b.Alloc(-1); err == nil {
-		t.Fatal("negative order accepted")
-	}
-	if err := b.Free(3); err == nil {
-		t.Fatal("free of unallocated block accepted")
-	}
-}
-
-func TestBuddyExhaustionAndFragmentation(t *testing.T) {
-	b, _ := NewBuddy(8)
-	var bases []int
-	for i := 0; i < 8; i++ {
-		base, err := b.Alloc(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases = append(bases, base)
-	}
-	if _, err := b.Alloc(0); err == nil {
-		t.Fatal("alloc beyond capacity succeeded")
-	}
-	if b.LargestFree() != -1 {
-		t.Fatal("full buddy reports free block")
-	}
-	if b.Fragmentation() != 0 {
-		t.Fatal("full buddy should report 0 fragmentation")
-	}
-	// Free alternating pages: fragmented free space.
-	for i := 0; i < 8; i += 2 {
-		if err := b.Free(bases[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.FreePages() != 4 || b.LargestFree() != 0 {
-		t.Fatalf("free=%d largest=%d", b.FreePages(), b.LargestFree())
-	}
-	if frag := b.Fragmentation(); frag <= 0.5 {
-		t.Fatalf("fragmentation = %v, want > 0.5", frag)
-	}
-	if _, err := b.Alloc(1); err == nil {
-		t.Fatal("order-1 alloc should fail under fragmentation")
-	}
-}
-
-// Property: random alloc/free sequences conserve pages and coalesce
-// back to a single block once everything is freed.
-func TestBuddyConservationProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := sim.NewRNG(seed)
-		b, _ := NewBuddy(64)
-		live := map[int]bool{}
-		for i := 0; i < 500; i++ {
-			if r.Bool(0.6) {
-				if base, err := b.Alloc(r.Intn(3)); err == nil {
-					live[base] = true
-				}
-			} else if len(live) > 0 {
-				for base := range live {
-					if b.Free(base) != nil {
-						return false
-					}
-					delete(live, base)
-					break
-				}
-			}
-		}
-		for base := range live {
-			if b.Free(base) != nil {
-				return false
-			}
-		}
-		return b.FreePages() == 64 && b.LargestFree() == 6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestArenaBumpAllocation(t *testing.T) {
 	m := mem()
-	a := NewArena(m, 7)
+	a := NewArena(m)
 	// 2048-byte objects: two per frame.
 	s1, c1, err := a.Alloc(order, 2048, 0)
 	if err != nil {
@@ -327,15 +187,15 @@ func TestArenaBumpAllocation(t *testing.T) {
 	if a.Frames() != 2 || a.LiveObjects() != 3 {
 		t.Fatalf("frames=%d live=%d", a.Frames(), a.LiveObjects())
 	}
-	// Frames carry the owner stamp and are relocatable ClassKloc.
-	if s1.Frame.Knode != 7 || s1.Frame.Pinned || s1.Frame.Class != memsim.ClassKloc {
+	// Frames are relocatable ClassKloc.
+	if s1.Frame.Pinned || s1.Frame.Class != memsim.ClassKloc {
 		t.Fatalf("frame attrs: %+v", s1.Frame)
 	}
 }
 
 func TestArenaFreeReclaimsFrames(t *testing.T) {
 	m := mem()
-	a := NewArena(m, 1)
+	a := NewArena(m)
 	s1, _, _ := a.Alloc(order, 2048, 0)
 	s2, _, _ := a.Alloc(order, 2048, 0)
 	a.Free(s1)
@@ -355,22 +215,9 @@ func TestArenaFreeReclaimsFrames(t *testing.T) {
 	}
 }
 
-func TestArenaSetOwner(t *testing.T) {
-	m := mem()
-	a := NewArena(m, 0)
-	s, _, _ := a.Alloc(order, 512, 0)
-	if s.Frame.Knode != 0 {
-		t.Fatal("unowned arena stamped a knode")
-	}
-	a.SetOwner(42)
-	if s.Frame.Knode != 42 {
-		t.Fatal("SetOwner did not restamp live frames")
-	}
-}
-
 func TestArenaOversizeClamps(t *testing.T) {
 	m := mem()
-	a := NewArena(m, 1)
+	a := NewArena(m)
 	s, _, err := a.Alloc(order, memsim.PageSize*4, 0)
 	if err != nil || s == nil {
 		t.Fatal("oversize alloc should clamp to one page")

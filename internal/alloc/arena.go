@@ -18,10 +18,6 @@ import (
 type Arena struct {
 	Mem *memsim.Memory
 
-	// Owner is stamped on every frame the arena creates so migration
-	// machinery can attribute them (knode id; 0 until associated).
-	Owner uint64
-
 	frames  map[memsim.FrameID]*arenaFrame
 	current *arenaFrame
 }
@@ -41,8 +37,8 @@ type ArenaSlot struct {
 }
 
 // NewArena creates an empty arena over the memory system.
-func NewArena(mem *memsim.Memory, owner uint64) *Arena {
-	return &Arena{Mem: mem, Owner: owner, frames: make(map[memsim.FrameID]*arenaFrame)}
+func NewArena(mem *memsim.Memory) *Arena {
+	return &Arena{Mem: mem, frames: make(map[memsim.FrameID]*arenaFrame)}
 }
 
 // Alloc carves size bytes, pulling a fresh relocatable frame (trying
@@ -57,7 +53,6 @@ func (a *Arena) Alloc(order []memsim.NodeID, size int, now sim.Time) (*ArenaSlot
 		if err != nil {
 			return nil, 0, err
 		}
-		frame.Knode = a.Owner
 		af := &arenaFrame{frame: frame}
 		a.frames[frame.ID] = af
 		a.current = af
@@ -101,14 +96,4 @@ func (a *Arena) LiveObjects() int {
 		n += af.live
 	}
 	return n
-}
-
-// SetOwner stamps the owner (knode) onto the arena and its frames —
-// used when association happens after allocation (late demux).
-func (a *Arena) SetOwner(owner uint64) {
-	a.Owner = owner
-	//klocs:unordered every iteration stamps the same owner onto a distinct frame
-	for _, af := range a.frames {
-		af.frame.Knode = owner
-	}
 }

@@ -1,0 +1,219 @@
+package alloc
+
+import (
+	"kloc/internal/kobj"
+	"kloc/internal/kstate"
+	"kloc/internal/memsim"
+	"kloc/internal/pressure"
+	"kloc/internal/trace"
+)
+
+// ObjStats counts a subsystem's kernel objects by type.
+type ObjStats struct {
+	// ObjAllocs counts kernel-object allocations by type (Fig 2a).
+	ObjAllocs [16]uint64
+	// ObjLive tracks live objects by type.
+	ObjLive [16]int64
+}
+
+// Objects is the kernel-object path: the filesystem and the network
+// stack allocate, touch and free every Table 1 object through it, the
+// way the paper's KLOC interface is one entry point for the kernel
+// allocation sites it redirects (§4.4). Each allocation picks its
+// backing as the policy directs — the context's arena, a shared KLOC or
+// slab cache, or the page allocator — and is charged to virtual time,
+// counted, reported to the policy hooks, traced and sanitized.
+//
+// Each subsystem owns one Objects; their caches and arenas are never
+// shared.
+type Objects struct {
+	// Pressure, when non-nil, is the kernel's memory-pressure plane: an
+	// allocation that finds no free page enters direct reclaim through
+	// its shrinker registry. It is read at the failure, since the
+	// kernel wires its plane after building the subsystems. Without
+	// one, the fallback shrinker (when non-nil) is scanned instead.
+	Pressure *pressure.Plane
+
+	// Trace, when non-nil, records alloc.slab / alloc.page / obj.free
+	// events. Strictly passive; nil disables tracing.
+	Trace *trace.Tracer
+
+	// San, when non-nil, is the KASAN/kmemleak-analog sanitizer: every
+	// alloc, free, and access is reported to it. Strictly passive; nil
+	// disables sanitizing.
+	San *Sanitizer
+
+	mem      *memsim.Memory
+	hooks    kstate.Hooks
+	ids      *kstate.IDGen
+	stats    *ObjStats
+	fallback pressure.Shrinker
+	pages    PageAllocator
+	slabs    map[kobj.Type]*SlabCache
+	klocs    map[kobj.Type]*SlabCache
+	// arenas are per-context KLOC allocation regions (§4.4): slab-class
+	// objects of a file or socket live in frames private to its KLOC,
+	// so they can migrate with the knode without dragging other
+	// contexts' objects.
+	arenas map[uint64]*Arena
+}
+
+// NewObjects builds an object path over the memory system that counts
+// into stats. ids is shared across subsystems so object IDs are
+// global. fallback, when non-nil, is what a standalone subsystem
+// reclaims from while no pressure plane is wired.
+func NewObjects(mem *memsim.Memory, hooks kstate.Hooks, ids *kstate.IDGen, stats *ObjStats, fallback pressure.Shrinker) *Objects {
+	return &Objects{
+		mem:      mem,
+		hooks:    hooks,
+		ids:      ids,
+		stats:    stats,
+		fallback: fallback,
+		pages:    PageAllocator{Mem: mem},
+		slabs:    make(map[kobj.Type]*SlabCache),
+		klocs:    make(map[kobj.Type]*SlabCache),
+		arenas:   make(map[uint64]*Arena),
+	}
+}
+
+// Alloc allocates a kernel object of type t for context ino (0 while
+// the owner is unknown), charges the cost, and fires the creation
+// hook. When memory is exhausted it reclaims once and retries if the
+// round freed pages.
+func (a *Objects) Alloc(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
+	o, err := a.allocOnce(ctx, t, ino)
+	if err == memsim.ErrNoMemory && a.reclaim(ctx) > 0 {
+		o, err = a.allocOnce(ctx, t, ino)
+	}
+	return o, err
+}
+
+// fallbackBatch is what one failed allocation asks of the fallback
+// shrinker.
+const fallbackBatch = 64
+
+func (a *Objects) reclaim(ctx *kstate.Ctx) int {
+	if a.Pressure != nil {
+		return a.Pressure.DirectReclaim(ctx)
+	}
+	if a.fallback != nil {
+		return a.fallback.Scan(ctx, fallbackBatch)
+	}
+	return 0
+}
+
+func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
+	order := a.hooks.PlaceKernel(ctx, t, ino)
+	id := kobj.ID(a.ids.Next())
+	info := t.Info()
+	var o *kobj.Object
+	if info.Alloc == kobj.AllocPage {
+		frame, cost, err := a.pages.Alloc(order, memsim.ClassCache, ctx.Now)
+		if err != nil {
+			return nil, err
+		}
+		ctx.Charge(cost)
+		o = kobj.NewObject(id, t, frame, ctx.Now, func() { a.pages.Free(frame) })
+		a.hooks.PageAllocated(ctx, frame)
+		a.Trace.Emit(trace.AllocPage, ctx.Now, ino, uint64(id), t.String(), int(frame.Node), int64(o.Size))
+	} else {
+		relocatable := a.hooks.UseKlocAllocator(t)
+		if relocatable && ino != 0 {
+			arena := a.arenas[ino]
+			if arena == nil {
+				arena = NewArena(a.mem)
+				a.arenas[ino] = arena
+			}
+			slot, cost, err := arena.Alloc(order, info.Size, ctx.Now)
+			if err != nil {
+				return nil, err
+			}
+			ctx.Charge(cost)
+			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { arena.Free(slot) })
+		} else {
+			cache, err := a.cache(t, relocatable)
+			if err != nil {
+				return nil, err
+			}
+			slot, cost, err := cache.Alloc(order, ctx.Now)
+			if err != nil {
+				return nil, err
+			}
+			ctx.Charge(cost)
+			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { cache.Free(slot) })
+		}
+		a.Trace.Emit(trace.AllocSlab, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
+	}
+	a.stats.ObjAllocs[t]++
+	a.stats.ObjLive[t]++
+	// Initialization writes the new object's memory: allocation cost is
+	// tier-sensitive, which is why direct placement matters (§3.2).
+	ctx.Charge(a.mem.Access(ctx.CPU, o.Frame, o.Size, true, ctx.Now))
+	a.San.TrackAlloc(uint64(id), t.String(), ino, int64(o.Size), ctx.Now)
+	a.hooks.ObjectCreated(ctx, ino, o)
+	return o, nil
+}
+
+// cache returns (creating on first use) the shared slab cache for t:
+// the KLOC interface's relocatable cache, or the classic pinned one.
+func (a *Objects) cache(t kobj.Type, relocatable bool) (*SlabCache, error) {
+	m := a.slabs
+	if relocatable {
+		m = a.klocs
+	}
+	c := m[t]
+	if c == nil {
+		var err error
+		if relocatable {
+			c, err = NewKlocCache(a.mem, t.String()+"-kloc", t.Info().Size)
+		} else {
+			c, err = NewSlabCache(a.mem, t.String(), t.Info().Size)
+		}
+		if err != nil {
+			return nil, err
+		}
+		m[t] = c
+	}
+	return c, nil
+}
+
+// Free releases an object in ctx, firing the free hooks. The freed
+// object comes first, as in every Free* entry point of the module, so
+// the lifecycle analyzer tracks it. A nil object is a no-op.
+func (a *Objects) Free(o *kobj.Object, ctx *kstate.Ctx) {
+	if o == nil {
+		return
+	}
+	a.San.TrackFree(uint64(o.ID), ctx.Now)
+	node := -1
+	if o.Frame != nil {
+		node = int(o.Frame.Node)
+	}
+	a.Trace.Emit(trace.ObjFree, ctx.Now, o.Knode, uint64(o.ID), o.Type.String(), node, int64(o.Size))
+	a.stats.ObjLive[o.Type]--
+	a.hooks.ObjectFreed(ctx, o)
+	if o.Type.Info().Alloc == kobj.AllocPage && o.Frame != nil {
+		a.hooks.PageFreed(ctx, o.Frame)
+	}
+	o.Release()
+}
+
+// Touch charges a memory access of bytes (the whole object when bytes
+// <= 0) to the object's frame.
+func (a *Objects) Touch(ctx *kstate.Ctx, o *kobj.Object, bytes int, write bool) {
+	if o == nil {
+		return
+	}
+	a.San.CheckAccess(uint64(o.ID), ctx.Now)
+	if o.Frame == nil {
+		return
+	}
+	if bytes <= 0 {
+		bytes = o.Size
+	}
+	ctx.Charge(a.mem.Access(ctx.CPU, o.Frame, bytes, write, ctx.Now))
+}
+
+// DropArena forgets a dead context's arena. Every object in it must
+// already be freed, which leaves the arena empty.
+func (a *Objects) DropArena(ino uint64) { delete(a.arenas, ino) }

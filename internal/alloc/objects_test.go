@@ -1,0 +1,151 @@
+package alloc
+
+import (
+	"errors"
+	"testing"
+
+	"kloc/internal/kobj"
+	"kloc/internal/kstate"
+	"kloc/internal/memsim"
+	"kloc/internal/pressure"
+)
+
+// klocHooks answers UseKlocAllocator with a fixed choice.
+type klocHooks struct {
+	kstate.NopHooks
+	kloc bool
+}
+
+func (h klocHooks) UseKlocAllocator(kobj.Type) bool { return h.kloc }
+
+// TestObjectsBackings allocates one object on each backing the path
+// can choose and frees it again: the context's arena, the shared KLOC
+// cache (relocatable, but no context yet), the pinned slab cache, and
+// the page allocator.
+func TestObjectsBackings(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		typ    kobj.Type
+		kloc   bool
+		ino    uint64
+		class  memsim.Class
+		pinned bool
+		// frames held by the context's arena, the KLOC cache and the
+		// slab cache for the type.
+		frames [3]int
+	}{
+		{"arena", kobj.Dentry, true, 7, memsim.ClassKloc, false, [3]int{1, 0, 0}},
+		{"kloc-cache", kobj.SkBuff, true, 0, memsim.ClassKloc, false, [3]int{0, 1, 0}},
+		{"slab-cache", kobj.Dentry, false, 7, memsim.ClassSlab, true, [3]int{0, 0, 1}},
+		{"page", kobj.PageCache, true, 7, memsim.ClassCache, false, [3]int{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := mem()
+			var ids kstate.IDGen
+			var st ObjStats
+			a := NewObjects(m, klocHooks{kloc: c.kloc}, &ids, &st, nil)
+			ctx := &kstate.Ctx{}
+			o, err := a.Alloc(ctx, c.typ, c.ino)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.ID != 1 || o.Type != c.typ || ctx.Cost <= 0 {
+				t.Fatalf("object %+v, cost %v", o, ctx.Cost)
+			}
+			if o.Frame.Class != c.class || o.Frame.Pinned != c.pinned {
+				t.Fatalf("frame class %v pinned %v, want %v %v", o.Frame.Class, o.Frame.Pinned, c.class, c.pinned)
+			}
+			arenaFrames, klocFrames, slabFrames := 0, 0, 0
+			if ar := a.arenas[c.ino]; ar != nil {
+				arenaFrames = ar.Frames()
+			}
+			if kc := a.klocs[c.typ]; kc != nil {
+				klocFrames = kc.Frames()
+			}
+			if sc := a.slabs[c.typ]; sc != nil {
+				slabFrames = sc.Frames()
+			}
+			if got := [3]int{arenaFrames, klocFrames, slabFrames}; got != c.frames {
+				t.Fatalf("arena/kloc/slab frames = %v, want %v", got, c.frames)
+			}
+			if st.ObjAllocs[c.typ] != 1 || st.ObjLive[c.typ] != 1 {
+				t.Fatalf("allocs %d live %d", st.ObjAllocs[c.typ], st.ObjLive[c.typ])
+			}
+			a.Free(o, ctx)
+			if st.ObjLive[c.typ] != 0 || m.Frames() != 0 {
+				t.Fatalf("after free: live %d, frames %d", st.ObjLive[c.typ], m.Frames())
+			}
+		})
+	}
+}
+
+// heldFrames is a shrinker that frees one held frame per scan.
+type heldFrames struct {
+	m     *memsim.Memory
+	held  []*memsim.Frame
+	scans int
+}
+
+func (s *heldFrames) Name() string { return "held" }
+func (s *heldFrames) Count() int   { return len(s.held) }
+func (s *heldFrames) Scan(*kstate.Ctx, int) int {
+	s.scans++
+	if len(s.held) == 0 {
+		return 0
+	}
+	s.m.Free(s.held[0])
+	s.held = s.held[1:]
+	return 1
+}
+
+// TestObjectsReclaimRetry: an allocation that finds memory exhausted
+// reclaims once, and retries once only if the round freed something.
+// The kernel's pressure plane takes precedence over the fallback.
+func TestObjectsReclaimRetry(t *testing.T) {
+	m := memsim.NewTwoTier(memsim.TwoTierConfig{FastPages: 2, FastBandwidth: 30, CPUs: 1})
+	var ids kstate.IDGen
+	var st ObjStats
+	s := &heldFrames{m: m}
+	for i := 0; i < 2; i++ {
+		f, err := m.Alloc(memsim.FastNode, memsim.ClassApp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.held = append(s.held, f)
+	}
+	ctx := &kstate.Ctx{}
+
+	bare := NewObjects(m, kstate.NopHooks{}, &ids, &st, nil)
+	if _, err := bare.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) {
+		t.Fatalf("no reclaim wired: err = %v", err)
+	}
+	if ids.Next() != 2 {
+		t.Fatal("a failure with no reclaim must not retry")
+	}
+
+	a := NewObjects(m, kstate.NopHooks{}, &ids, &st, s)
+	o, err := a.Alloc(ctx, kobj.PageCache, 1)
+	if err != nil || s.scans != 1 {
+		t.Fatalf("fallback reclaim: err %v after %d scans", err, s.scans)
+	}
+	if o.ID != 4 {
+		t.Fatalf("retried object ID = %d, want 4 (one ID burnt per attempt)", o.ID)
+	}
+	s.held = nil // the last held frame stays allocated: nothing to give back
+	if _, err := a.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) || s.scans != 2 {
+		t.Fatalf("fruitless reclaim: err %v after %d scans", err, s.scans)
+	}
+	if ids.Next() != 6 {
+		t.Fatal("a round that freed nothing must not retry")
+	}
+
+	plane := pressure.NewPlane(m, memsim.FastNode)
+	a.Pressure = plane
+	if _, err := a.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) {
+		t.Fatalf("err = %v", err)
+	}
+	if plane.Stats.DirectReclaims != 1 || s.scans != 2 {
+		t.Fatalf("direct reclaims %d, fallback scans %d: the plane must be used instead of the fallback",
+			plane.Stats.DirectReclaims, s.scans)
+	}
+}

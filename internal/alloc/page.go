@@ -25,38 +25,3 @@ func (p *PageAllocator) Free(f *memsim.Frame) sim.Duration {
 	p.Mem.Free(f)
 	return PageFreeCost
 }
-
-// VmallocRegion is a virtually contiguous, physically scattered
-// multi-page allocation. Relocatable, but expensive to create: each
-// page needs a page-table mapping (§3.3).
-type VmallocRegion struct {
-	Frames []*memsim.Frame
-}
-
-// Vmalloc allocates pages frames of the given class across the node
-// fallback order. On partial failure it unwinds.
-func Vmalloc(mem *memsim.Memory, order []memsim.NodeID, class memsim.Class, pages int, now sim.Time) (*VmallocRegion, sim.Duration, error) {
-	r := &VmallocRegion{Frames: make([]*memsim.Frame, 0, pages)}
-	var cost sim.Duration
-	for i := 0; i < pages; i++ {
-		f, err := mem.AllocFallback(order, class, now)
-		if err != nil {
-			for _, g := range r.Frames {
-				mem.Free(g)
-			}
-			return nil, 0, err
-		}
-		r.Frames = append(r.Frames, f)
-		cost += VmallocCostPer
-	}
-	return r, cost, nil
-}
-
-// Release frees the region.
-func (r *VmallocRegion) Release(mem *memsim.Memory) sim.Duration {
-	for _, f := range r.Frames {
-		mem.Free(f)
-	}
-	r.Frames = nil
-	return VmallocTeardown
-}

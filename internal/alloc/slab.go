@@ -4,16 +4,15 @@
 //   - the slab allocator (kmalloc / kmem_cache_alloc): fast, physically
 //     contiguous, NOT relocatable — slab frames are pinned;
 //   - the page allocator (page_alloc): one relocatable frame at a time;
-//   - vmalloc: multi-page, virtually mapped, relocatable, slow;
 //   - the KLOC allocator: the paper's new interface — nearly slab-fast,
 //     but backed by anonymous-VMA-style mappings so the objects it hands
 //     out CAN migrate (the paper redirected 400+ kernel allocation sites
-//     to it);
-//   - a buddy allocator for physically contiguous multi-order requests
-//     (block-layer DMA rings).
+//     to it), as a shared cache or a per-context arena.
 //
 // All allocators return virtual-time costs; placement (which node) is
-// the caller's/policy's decision via a fallback order.
+// the caller's/policy's decision via a fallback order. Objects is the
+// one kernel-object path over them that the filesystem and the network
+// stack both call.
 package alloc
 
 import (
@@ -25,7 +24,7 @@ import (
 )
 
 // Cost constants for the allocation fast paths. Relative order is what
-// matters: slab < kloc < page < vmalloc (§4.2.2, §4.4).
+// matters: slab < kloc < page (§4.2.2, §4.4).
 const (
 	SlabAllocCost    sim.Duration = 100
 	SlabFreeCost     sim.Duration = 80
@@ -33,8 +32,6 @@ const (
 	KlocFreeCost     sim.Duration = 120
 	PageAllocCost    sim.Duration = 300
 	PageFreeCost     sim.Duration = 200
-	VmallocCostPer   sim.Duration = 1200 // per page: page-table setup
-	VmallocTeardown  sim.Duration = 600
 	slabNewFrameCost sim.Duration = 400 // refilling a slab from the page allocator
 )
 
@@ -179,6 +176,3 @@ func (c *SlabCache) LiveObjects() int {
 	}
 	return n
 }
-
-// FootprintPages is the page footprint (== Frames, one page per slab).
-func (c *SlabCache) FootprintPages() int { return len(c.byFrame) }

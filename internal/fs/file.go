@@ -24,7 +24,7 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	}
 	p, ok := ind.pages.Get(pageIdx)
 	if !ok {
-		obj, err := f.allocObj(ctx, kobj.PageCache, ind.Ino)
+		obj, err := f.Objs.Alloc(ctx, kobj.PageCache, ind.Ino)
 		if err != nil {
 			return err
 		}
@@ -35,13 +35,13 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		// but whose journal commit failed keeps its page, since a later
 		// commit retries the record.
 		if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
-			f.freeObj(ctx, obj)
+			f.Objs.Free(obj, ctx)
 			return err
 		}
 		queued := len(f.journalPending)
 		jerr := f.journalRecord(ctx, journalOp{kind: opBlock, ino: ind.Ino, idx: pageIdx})
 		if jerr != nil && len(f.journalPending) == queued {
-			f.freeObj(ctx, obj)
+			f.Objs.Free(obj, ctx)
 			return jerr
 		}
 		p = &Page{Obj: obj, Idx: pageIdx}
@@ -60,10 +60,10 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	p.Dirty = true
 	// copy_from_user into the cache page, then journal/bookkeeping
 	// re-reads it (§3.1: writes are even more memory-intensive).
-	f.touchObj(ctx, p.Obj, memsim.PageSize, true)
-	f.touchObj(ctx, p.Obj, memsim.PageSize, false)
+	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, true)
+	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
 	f.Hooks.PageAccessed(ctx, p.Obj.Frame)
-	f.touchObj(ctx, ind.inodeObj, 0, true)
+	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 	return nil
 }
 
@@ -76,7 +76,7 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	ind.lastUsed = ctx.Now
 	f.Stats.Reads++
 	// atime update + permission checks touch the inode.
-	f.touchObj(ctx, ind.inodeObj, 0, true)
+	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 	if _, err := f.radixNode(ctx, ind, pageIdx); err != nil {
 		return err
 	}
@@ -91,8 +91,8 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		// Page-cache read: lookup touch + copy_to_user streams the page
 		// out of the cache (two passes over the data in the kernel's
 		// cache-cold case, §3.1).
-		f.touchObj(ctx, p.Obj, memsim.PageSize, false)
-		f.touchObj(ctx, p.Obj, memsim.PageSize, false)
+		f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
+		f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
 		f.Hooks.PageAccessed(ctx, p.Obj.Frame)
 		f.updateStreak(ind, pageIdx)
 		return nil
@@ -102,7 +102,7 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	if err != nil {
 		return err
 	}
-	f.touchObj(ctx, p.Obj, memsim.PageSize, false)
+	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
 	f.Hooks.PageAccessed(ctx, p.Obj.Frame)
 	f.updateStreak(ind, pageIdx)
 	f.maybeReadahead(ctx, ind, pageIdx)
@@ -116,7 +116,7 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 // KLOC-aware prefetch issuance: the knode's object index supplies the
 // block mapping directly, skipping the per-page extent walk (§4.4).
 func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKnode bool) (*Page, error) {
-	obj, err := f.allocObj(ctx, kobj.PageCache, ind.Ino)
+	obj, err := f.Objs.Alloc(ctx, kobj.PageCache, ind.Ino)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 	if viaKnode {
 		ctx.Charge(60) // knode rbtree-cache lookup replaces the extent walk
 	} else if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
-		f.freeObj(ctx, obj)
+		f.Objs.Free(obj, ctx)
 		return nil, err
 	}
 	sequential := pageIdx == ind.lastRead+1
@@ -135,7 +135,7 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 		ctx.Charge(lat)
 	}
 	if err != nil {
-		f.freeObj(ctx, obj)
+		f.Objs.Free(obj, ctx)
 		return nil, err
 	}
 	p := &Page{Obj: obj, Idx: pageIdx}
@@ -221,15 +221,16 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 			continue
 		}
 		run := dirty[runStart:i]
-		bio, err := f.allocObj(ctx, kobj.Block, ind.Ino)
+		bio, err := f.Objs.Alloc(ctx, kobj.Block, ind.Ino)
 		if err != nil {
 			return err
 		}
-		mqObj, err := f.allocObj(ctx, kobj.BlkMQ, ind.Ino)
+		mqObj, err := f.Objs.Alloc(ctx, kobj.BlkMQ, ind.Ino)
 		if err != nil {
+			f.Objs.Free(bio, ctx)
 			return err
 		}
-		f.touchObj(ctx, bio, 0, true)
+		f.Objs.Touch(ctx, bio, 0, true)
 		bytes := len(run) * memsim.PageSize
 		lat, err := f.MQ.Submit(ctx.CPU, ctx.Now, bytes, len(run) > 1, true)
 		if lat > wait {
@@ -244,15 +245,15 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 		} else {
 			for _, p := range run {
 				// Reading the page for the DMA copy.
-				f.touchObj(ctx, p.Obj, memsim.PageSize, false)
+				f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
 				p.Dirty = false
 				f.Stats.WritebackPages++
 			}
 		}
 		// bio and blk_mq request die at completion: the short-lifetime
 		// population of Fig 2d.
-		f.freeObj(ctx, bio)
-		f.freeObj(ctx, mqObj)
+		f.Objs.Free(bio, ctx)
+		f.Objs.Free(mqObj, ctx)
 		runStart = i
 	}
 	ctx.Charge(wait)
@@ -292,7 +293,7 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 	ind.pages.Delete(idx)
 	delete(ind.frameIndex, frame.ID)
 	delete(f.frameOwner, frame.ID)
-	f.freeObj(ctx, p.Obj)
+	f.Objs.Free(p.Obj, ctx)
 	return true
 }
 
@@ -310,7 +311,7 @@ func (f *FS) DropCleanPages(ctx *kstate.Ctx, ind *Inode, n int) int {
 		ind.pages.Delete(p.Idx)
 		delete(ind.frameIndex, p.Obj.Frame.ID)
 		delete(f.frameOwner, p.Obj.Frame.ID)
-		f.freeObj(ctx, p.Obj)
+		f.Objs.Free(p.Obj, ctx)
 	}
 	return len(victims)
 }

@@ -16,10 +16,8 @@ import (
 	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
 	"kloc/internal/fault"
-	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
-	"kloc/internal/pressure"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -52,10 +50,7 @@ type Stats struct {
 	Crashes                         uint64
 	ReplayedInodes                  uint64
 	ReclaimedPages                  uint64
-	// ObjAllocs counts kernel-object allocations by type (Fig 2a).
-	ObjAllocs [16]uint64
-	// ObjLive tracks live objects by type.
-	ObjLive [16]int64
+	alloc.ObjStats
 }
 
 // FS is the simulated filesystem instance.
@@ -63,18 +58,15 @@ type FS struct {
 	Mem   *memsim.Memory
 	MQ    *blockdev.MQ
 	Hooks kstate.Hooks
-	// ObjIDs and InoGen are shared with the network stack so object and
-	// inode namespaces are global (everything is a file).
-	ObjIDs *kstate.IDGen
+	// InoGen is shared with the network stack so the inode namespace is
+	// global (everything is a file).
 	InoGen *kstate.IDGen
 
-	Pager *alloc.PageAllocator
-	slabs map[kobj.Type]*alloc.SlabCache
-	klocs map[kobj.Type]*alloc.SlabCache
-	// arenas are per-inode KLOC allocation regions (§4.4): slab-class
-	// objects of a file live in frames private to its KLOC, so they can
-	// migrate with the knode without dragging other files' objects.
-	arenas map[uint64]*alloc.Arena
+	// Objs is the kernel-object path every FS object is allocated,
+	// touched and freed through. Until a kernel wires its pressure
+	// plane, the path's direct reclaim falls back to this filesystem's
+	// page cache.
+	Objs *alloc.Objects
 
 	inodes map[uint64]*Inode
 	dcache map[string]uint64 // path -> ino
@@ -94,22 +86,9 @@ type FS struct {
 	// commit; 0 means DefaultJournalMaxPending.
 	JournalMaxPending int
 
-	// Pressure, when non-nil, is the kernel's memory-pressure plane:
-	// allocation failures enter direct reclaim through it (scanning
-	// every registered shrinker) instead of the FS-local page-cache
-	// fallback, and journal commits run in atomic context so they can
-	// draw on the watermark reserve.
-	Pressure *pressure.Plane
-
-	// Trace, when non-nil, records alloc.slab / alloc.page / obj.free /
-	// fs.journal.commit events from the FS object paths. Strictly
+	// Trace, when non-nil, records fs.journal.commit events. Strictly
 	// passive; nil disables tracing.
 	Trace *trace.Tracer
-
-	// San, when non-nil, is the KASAN/kmemleak-analog sanitizer: the
-	// object paths report every alloc, free, and access to it. Strictly
-	// passive; nil disables sanitizing.
-	San *alloc.Sanitizer
 
 	journalPending []journalOp
 	// durable is the committed metadata image — what a crash preserves
@@ -121,128 +100,22 @@ type FS struct {
 }
 
 // New builds a filesystem over the given memory and block layers.
+// objIDs and inoGen are shared with the network stack.
 func New(mem *memsim.Memory, mq *blockdev.MQ, hooks kstate.Hooks, objIDs, inoGen *kstate.IDGen) *FS {
 	f := &FS{
 		Mem:             mem,
 		MQ:              mq,
 		Hooks:           hooks,
-		ObjIDs:          objIDs,
 		InoGen:          inoGen,
-		Pager:           &alloc.PageAllocator{Mem: mem},
-		slabs:           make(map[kobj.Type]*alloc.SlabCache),
-		klocs:           make(map[kobj.Type]*alloc.SlabCache),
-		arenas:          make(map[uint64]*alloc.Arena),
 		inodes:          make(map[uint64]*Inode),
 		dcache:          make(map[string]uint64),
 		frameOwner:      make(map[memsim.FrameID]uint64),
 		durable:         make(map[uint64]*durableInode),
 		ReadaheadWindow: 8,
 	}
+	f.Objs = alloc.NewObjects(mem, hooks, objIDs, &f.Stats.ObjStats, f.PageCacheShrinker())
 	return f
 }
-
-func (f *FS) slabFor(t kobj.Type, relocatable bool) (*alloc.SlabCache, error) {
-	m := f.slabs
-	if relocatable {
-		m = f.klocs
-	}
-	c := m[t]
-	if c == nil {
-		var err error
-		if relocatable {
-			c, err = alloc.NewKlocCache(f.Mem, t.String()+"-kloc", t.Info().Size)
-		} else {
-			c, err = alloc.NewSlabCache(f.Mem, t.String(), t.Info().Size)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m[t] = c
-	}
-	return c, nil
-}
-
-// allocObj allocates a kernel object of type t for inode ino through
-// whichever allocator the policy selects, charges the cost, and fires
-// the creation hook. Under memory exhaustion it enters direct reclaim
-// and retries once per round of progress.
-func (f *FS) allocObj(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
-	o, err := f.allocObjOnce(ctx, t, ino)
-	if err == memsim.ErrNoMemory {
-		if f.reclaimForAlloc(ctx) > 0 {
-			o, err = f.allocObjOnce(ctx, t, ino)
-		}
-	}
-	return o, err
-}
-
-// reclaimForAlloc routes an allocation failure into reclaim: through
-// the pressure plane's full shrinker registry when one is wired, or
-// the FS-local page-cache reclaim when the filesystem runs standalone
-// (tests). Returns pages freed.
-func (f *FS) reclaimForAlloc(ctx *kstate.Ctx) int {
-	if f.Pressure != nil {
-		return f.Pressure.DirectReclaim(ctx)
-	}
-	return f.Reclaim(ctx, reclaimBatch)
-}
-
-func (f *FS) allocObjOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
-	order := f.Hooks.PlaceKernel(ctx, t, ino)
-	id := kobj.ID(f.ObjIDs.Next())
-	var o *kobj.Object
-	if t.Info().Alloc == kobj.AllocSlab {
-		if f.Hooks.UseKlocAllocator(t) && ino != 0 {
-			// Per-KLOC region: migratable without cross-file aliasing.
-			arena := f.arenas[ino]
-			if arena == nil {
-				arena = alloc.NewArena(f.Mem, 0)
-				f.arenas[ino] = arena
-			}
-			slot, cost, err := arena.Alloc(order, t.Info().Size, ctx.Now)
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { arena.Free(slot) })
-		} else {
-			cache, err := f.slabFor(t, f.Hooks.UseKlocAllocator(t))
-			if err != nil {
-				return nil, err
-			}
-			slot, cost, err := cache.Alloc(order, ctx.Now)
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { cache.Free(slot) })
-		}
-	} else {
-		frame, cost, err := f.Pager.Alloc(order, memsim.ClassCache, ctx.Now)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Charge(cost)
-		o = kobj.NewObject(id, t, frame, ctx.Now, func() { f.Pager.Free(frame) })
-		f.Hooks.PageAllocated(ctx, frame)
-	}
-	if t.Info().Alloc == kobj.AllocPage {
-		f.Trace.Emit(trace.AllocPage, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
-	} else {
-		f.Trace.Emit(trace.AllocSlab, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
-	}
-	f.Stats.ObjAllocs[t]++
-	f.Stats.ObjLive[t]++
-	// Initialization writes the new object's memory: allocation cost is
-	// tier-sensitive, which is why direct placement matters (§3.2).
-	ctx.Charge(f.Mem.Access(ctx.CPU, o.Frame, o.Size, true, ctx.Now))
-	f.San.TrackAlloc(uint64(id), t.String(), ino, int64(o.Size), ctx.Now)
-	f.Hooks.ObjectCreated(ctx, ino, o)
-	return o, nil
-}
-
-// reclaimBatch pages dropped per reclaim round.
-const reclaimBatch = 64
 
 // Reclaim drops up to n page-cache pages, oldest inode first (a
 // deterministic kswapd stand-in). Clean pages go first; if none exist,
@@ -279,40 +152,6 @@ func (f *FS) Reclaim(ctx *kstate.Ctx, n int) int {
 	return freed
 }
 
-// freeObj releases an object, firing hooks.
-func (f *FS) freeObj(ctx *kstate.Ctx, o *kobj.Object) {
-	if o == nil {
-		return
-	}
-	f.San.TrackFree(uint64(o.ID), ctx.Now)
-	node := -1
-	if o.Frame != nil {
-		node = int(o.Frame.Node)
-	}
-	f.Trace.Emit(trace.ObjFree, ctx.Now, o.Knode, uint64(o.ID), o.Type.String(), node, int64(o.Size))
-	f.Stats.ObjLive[o.Type]--
-	f.Hooks.ObjectFreed(ctx, o)
-	if o.Type.Info().Alloc == kobj.AllocPage && o.Frame != nil {
-		f.Hooks.PageFreed(ctx, o.Frame)
-	}
-	o.Release()
-}
-
-// touchObj charges a memory access to the object's frame.
-func (f *FS) touchObj(ctx *kstate.Ctx, o *kobj.Object, bytes int, write bool) {
-	if o == nil {
-		return
-	}
-	f.San.CheckAccess(uint64(o.ID), ctx.Now)
-	if o.Frame == nil {
-		return
-	}
-	if bytes <= 0 {
-		bytes = o.Size
-	}
-	ctx.Charge(f.Mem.Access(ctx.CPU, o.Frame, bytes, write, ctx.Now))
-}
-
 // MarkReachable marks every object the filesystem still references —
 // each live inode's object tree plus the uncommitted journal buffers —
 // for the sanitizer's kmemleak-style teardown scan.
@@ -343,7 +182,7 @@ func (f *FS) lookupPath(ctx *kstate.Ctx, path string) (*Inode, bool) {
 		if ind != nil {
 			f.Stats.DentryHits++
 			// Dentry cache hit: touch the dentry object.
-			f.touchObj(ctx, ind.dentry, 0, false)
+			f.Objs.Touch(ctx, ind.dentry, 0, false)
 			return ind, true
 		}
 	}

@@ -116,14 +116,14 @@ func (f *FS) Create(ctx *kstate.Ctx, path string) (*File, error) {
 	f.Hooks.InodeCreated(ctx, ino, false)
 
 	var err error
-	if ind.inodeObj, err = f.allocObj(ctx, kobj.Inode, ino); err != nil {
+	if ind.inodeObj, err = f.Objs.Alloc(ctx, kobj.Inode, ino); err != nil {
 		return nil, err
 	}
-	if ind.dentry, err = f.allocObj(ctx, kobj.Dentry, ino); err != nil {
+	if ind.dentry, err = f.Objs.Alloc(ctx, kobj.Dentry, ino); err != nil {
 		return nil, err
 	}
-	f.touchObj(ctx, ind.inodeObj, 0, true)
-	f.touchObj(ctx, ind.dentry, 0, true)
+	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
+	f.Objs.Touch(ctx, ind.dentry, 0, true)
 	if err := f.journalRecord(ctx, journalOp{kind: opCreate, ino: ino, path: path}); err != nil {
 		return nil, err
 	}
@@ -148,12 +148,12 @@ func (f *FS) Open(ctx *kstate.Ctx, path string) (*File, error) {
 		// have been evicted by the dentry/inode shrinker).
 		var err error
 		if ind.inodeObj == nil {
-			if ind.inodeObj, err = f.allocObj(ctx, kobj.Inode, ind.Ino); err != nil {
+			if ind.inodeObj, err = f.Objs.Alloc(ctx, kobj.Inode, ind.Ino); err != nil {
 				return nil, err
 			}
 		}
 		if ind.dentry == nil {
-			if ind.dentry, err = f.allocObj(ctx, kobj.Dentry, ind.Ino); err != nil {
+			if ind.dentry, err = f.Objs.Alloc(ctx, kobj.Dentry, ind.Ino); err != nil {
 				return nil, err
 			}
 		}
@@ -177,7 +177,7 @@ func (f *FS) findByPath(path string) (uint64, bool) {
 func (f *FS) openInode(ctx *kstate.Ctx, ind *Inode) *File {
 	ind.Refs++
 	ind.lastUsed = ctx.Now
-	f.touchObj(ctx, ind.inodeObj, 0, false)
+	f.Objs.Touch(ctx, ind.inodeObj, 0, false)
 	f.Hooks.InodeOpened(ctx, ind.Ino)
 	return &File{Inode: ind, fs: f}
 }
@@ -231,7 +231,7 @@ func (f *FS) Unlink(ctx *kstate.Ctx, path string) error {
 func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 	ind.pages.Ascend(func(_ int64, p *Page) bool {
 		delete(f.frameOwner, p.Obj.Frame.ID)
-		f.freeObj(ctx, p.Obj)
+		f.Objs.Free(p.Obj, ctx)
 		return true
 	})
 	ind.pages.Clear()
@@ -244,19 +244,19 @@ func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 	for _, idx := range slots {
-		f.freeObj(ctx, ind.radixNodes[idx])
+		f.Objs.Free(ind.radixNodes[idx], ctx)
 		delete(ind.radixNodes, idx)
 	}
 	ind.extents.Ascend(func(_ int64, o *kobj.Object) bool {
-		f.freeObj(ctx, o)
+		f.Objs.Free(o, ctx)
 		return true
 	})
 	ind.extents.Clear()
-	f.freeObj(ctx, ind.dentry)
-	f.freeObj(ctx, ind.inodeObj)
+	f.Objs.Free(ind.dentry, ctx)
+	f.Objs.Free(ind.inodeObj, ctx)
 	ind.dentry, ind.inodeObj = nil, nil
 	ind.frameIndex = make(map[memsim.FrameID]int64)
-	delete(f.arenas, ind.Ino) // all objects freed above: the arena is empty
+	f.Objs.DropArena(ind.Ino) // all objects freed above: the arena is empty
 	delete(f.inodes, ind.Ino)
 	for i, ino := range f.inodeOrder {
 		if ino == ind.Ino {
@@ -272,15 +272,15 @@ func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, error) {
 	slot := idx / radixFanout
 	if o, ok := ind.radixNodes[slot]; ok {
-		f.touchObj(ctx, o, 64, false)
+		f.Objs.Touch(ctx, o, 64, false)
 		return o, nil
 	}
-	o, err := f.allocObj(ctx, kobj.RadixNode, ind.Ino)
+	o, err := f.Objs.Alloc(ctx, kobj.RadixNode, ind.Ino)
 	if err != nil {
 		return nil, err
 	}
 	ind.radixNodes[slot] = o
-	f.touchObj(ctx, o, 64, true)
+	f.Objs.Touch(ctx, o, 64, true)
 	return o, nil
 }
 
@@ -289,14 +289,14 @@ func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, er
 func (f *FS) extentFor(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, error) {
 	base := idx / extentSpan
 	if o, ok := ind.extents.Get(base); ok {
-		f.touchObj(ctx, o, 0, false)
+		f.Objs.Touch(ctx, o, 0, false)
 		return o, nil
 	}
-	o, err := f.allocObj(ctx, kobj.Extent, ind.Ino)
+	o, err := f.Objs.Alloc(ctx, kobj.Extent, ind.Ino)
 	if err != nil {
 		return nil, err
 	}
 	ind.extents.Set(base, o)
-	f.touchObj(ctx, o, 0, true)
+	f.Objs.Touch(ctx, o, 0, true)
 	return o, nil
 }

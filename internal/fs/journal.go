@@ -70,13 +70,13 @@ func (f *FS) journalLimit() int {
 // draw on the watermark emergency reserve (GFP_NOFAIL in spirit).
 func (f *FS) journalRecord(ctx *kstate.Ctx, op journalOp) error {
 	exitAtomic := f.Mem.EnterAtomic()
-	o, err := f.allocObj(ctx, kobj.Journal, op.ino)
+	o, err := f.Objs.Alloc(ctx, kobj.Journal, op.ino)
 	exitAtomic()
 	if err != nil {
 		return err
 	}
 	op.obj = o
-	f.touchObj(ctx, o, journalRecordBytes, true)
+	f.Objs.Touch(ctx, o, journalRecordBytes, true)
 	f.journalPending = append(f.journalPending, op)
 	if len(f.journalPending) >= f.journalLimit() {
 		return f.journalCommit(ctx)
@@ -95,7 +95,7 @@ func (f *FS) journalCommit(ctx *kstate.Ctx) error {
 	}
 	bytes := 0
 	for _, op := range f.journalPending {
-		f.touchObj(ctx, op.obj, journalRecordBytes, false)
+		f.Objs.Touch(ctx, op.obj, journalRecordBytes, false)
 		bytes += journalRecordBytes
 	}
 	lat, err := f.MQ.Submit(ctx.CPU, ctx.Now, bytes, true, true)
@@ -108,7 +108,7 @@ func (f *FS) journalCommit(ctx *kstate.Ctx) error {
 		"commit", -1, int64(bytes))
 	for _, op := range f.journalPending {
 		f.applyDurable(op)
-		f.freeObj(ctx, op.obj)
+		f.Objs.Free(op.obj, ctx)
 	}
 	f.journalPending = f.journalPending[:0]
 	f.Stats.JournalCommits++
@@ -176,7 +176,7 @@ func (f *FS) Crash(ctx *kstate.Ctx) {
 	f.Stats.Crashes++
 	// Uncommitted transactions vanish.
 	for _, op := range f.journalPending {
-		f.freeObj(ctx, op.obj)
+		f.Objs.Free(op.obj, ctx)
 	}
 	f.journalPending = f.journalPending[:0]
 	// Tear down every inode. destroyInode mutates inodeOrder, so walk a
@@ -239,10 +239,10 @@ func (f *FS) materializeInode(ctx *kstate.Ctx, ino uint64, d *durableInode) (*In
 	}
 	f.Hooks.InodeCreated(ctx, ino, false)
 	var err error
-	if ind.inodeObj, err = f.allocObj(ctx, kobj.Inode, ino); err != nil {
+	if ind.inodeObj, err = f.Objs.Alloc(ctx, kobj.Inode, ino); err != nil {
 		return nil, err
 	}
-	if ind.dentry, err = f.allocObj(ctx, kobj.Dentry, ino); err != nil {
+	if ind.dentry, err = f.Objs.Alloc(ctx, kobj.Dentry, ino); err != nil {
 		return nil, err
 	}
 	bases := make([]int64, 0, len(d.extents))
@@ -251,7 +251,7 @@ func (f *FS) materializeInode(ctx *kstate.Ctx, ino uint64, d *durableInode) (*In
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	for _, base := range bases {
-		o, err := f.allocObj(ctx, kobj.Extent, ino)
+		o, err := f.Objs.Alloc(ctx, kobj.Extent, ino)
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,7 @@ func (f *FS) Rename(ctx *kstate.Ctx, oldPath, newPath string) error {
 	delete(f.dcache, oldPath)
 	ind.Path = newPath
 	f.dcache[newPath] = ino
-	f.touchObj(ctx, ind.dentry, 0, true)
+	f.Objs.Touch(ctx, ind.dentry, 0, true)
 	f.Stats.Renames++
 	return f.journalRecord(ctx, journalOp{kind: opRename, ino: ino, path: newPath})
 }
@@ -48,7 +48,7 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 	if sizePages >= ind.SizePages {
 		// Logical extension: just metadata.
 		ind.SizePages = sizePages
-		f.touchObj(ctx, ind.inodeObj, 0, true)
+		f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 		return f.journalRecord(ctx, journalOp{kind: opTruncate, ino: ind.Ino, idx: sizePages})
 	}
 	// Collect victims beyond the new size.
@@ -61,7 +61,7 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 		ind.pages.Delete(p.Idx)
 		delete(ind.frameIndex, p.Obj.Frame.ID)
 		delete(f.frameOwner, p.Obj.Frame.ID)
-		f.freeObj(ctx, p.Obj)
+		f.Objs.Free(p.Obj, ctx)
 	}
 	// Drop extents fully beyond the new size.
 	firstKeptExtent := (sizePages + extentSpan - 1) / extentSpan
@@ -72,12 +72,12 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 	})
 	for _, base := range extVictims {
 		if o, ok := ind.extents.Get(base); ok {
-			f.freeObj(ctx, o)
+			f.Objs.Free(o, ctx)
 		}
 		ind.extents.Delete(base)
 	}
 	ind.SizePages = sizePages
-	f.touchObj(ctx, ind.inodeObj, 0, true)
+	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 	f.Stats.Truncates++
 	return f.journalRecord(ctx, journalOp{kind: opTruncate, ino: ind.Ino, idx: sizePages})
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"kloc/internal/alloc"
+	"kloc/internal/blockdev"
 	"kloc/internal/kobj"
+	"kloc/internal/kstate"
+	"kloc/internal/memsim"
 )
 
 // scanFS runs the kmemleak-style teardown scan over the filesystem's
@@ -18,7 +21,7 @@ func scanFS(f *FS, san *alloc.Sanitizer) *alloc.SanReport {
 func TestSanitizerCleanOnNormalLifecycle(t *testing.T) {
 	f, _ := newFS(t, nil)
 	san := alloc.NewSanitizer()
-	f.San = san
+	f.Objs.San = san
 	ctx := ctxAt(0)
 	file, err := f.Create(ctx, "/clean")
 	if err != nil {
@@ -41,7 +44,7 @@ func TestSanitizerCleanOnNormalLifecycle(t *testing.T) {
 func TestSanitizerCatchesSeededDoubleFreeAndUAF(t *testing.T) {
 	f, _ := newFS(t, nil)
 	san := alloc.NewSanitizer()
-	f.San = san
+	f.Objs.San = san
 	file, err := f.Create(ctxAt(0), "/bug")
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +61,9 @@ func TestSanitizerCatchesSeededDoubleFreeAndUAF(t *testing.T) {
 	}
 	// The seeded bug: free the dentry out from under the inode, touch
 	// it, then free it again.
-	f.freeObj(ctxAt(10), dentry)
-	f.touchObj(ctxAt(20), dentry, 0, false)
-	f.freeObj(ctxAt(30), dentry)
+	f.Objs.Free(dentry, ctxAt(10))
+	f.Objs.Touch(ctxAt(20), dentry, 0, false)
+	f.Objs.Free(dentry, ctxAt(30))
 
 	r := scanFS(f, san)
 	if r.TotalFindings != 2 {
@@ -84,7 +87,7 @@ func TestSanitizerCatchesSeededDoubleFreeAndUAF(t *testing.T) {
 func TestSanitizerCatchesSeededLeakWithContext(t *testing.T) {
 	f, _ := newFS(t, nil)
 	san := alloc.NewSanitizer()
-	f.San = san
+	f.Objs.San = san
 	file, err := f.Create(ctxAt(0), "/leak")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +95,7 @@ func TestSanitizerCatchesSeededLeakWithContext(t *testing.T) {
 	ino := file.Inode.Ino
 	// The seeded bug: allocate an extent for the inode but drop it on
 	// the floor — no inode reference, never freed.
-	if _, err := f.allocObjOnce(ctxAt(5), kobj.Extent, ino); err != nil {
+	if _, err := f.Objs.Alloc(ctxAt(5), kobj.Extent, ino); err != nil {
 		t.Fatal(err)
 	}
 	r := scanFS(f, san)
@@ -105,5 +108,50 @@ func TestSanitizerCatchesSeededLeakWithContext(t *testing.T) {
 	}
 	if len(r.LeakGroups) != 1 || r.LeakGroups[0].Ctx != ino || r.LeakGroups[0].Count != 1 {
 		t.Fatalf("LeakGroups = %+v", r.LeakGroups)
+	}
+}
+
+// blkMQOnEmptyNode places blk_mq requests on the slow node, which has
+// no pages, and everything else on the fast node.
+type blkMQOnEmptyNode struct{ kstate.NopHooks }
+
+func (blkMQOnEmptyNode) PlaceKernel(_ *kstate.Ctx, t kobj.Type, _ uint64) []memsim.NodeID {
+	if t == kobj.BlkMQ {
+		return []memsim.NodeID{memsim.SlowNode}
+	}
+	return []memsim.NodeID{memsim.FastNode}
+}
+
+// TestWritebackFreesBioWhenBlkMQAllocFails: writeback allocates a bio
+// and then a blk_mq request per run. When the second allocation fails,
+// the bio must be freed, not leaked, both on the Fsync path and on the
+// reclaim-driven writeback that the failure itself enters.
+func TestWritebackFreesBioWhenBlkMQAllocFails(t *testing.T) {
+	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
+		FastPages: 512, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
+	})
+	var objIDs, inoGen kstate.IDGen
+	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), blkMQOnEmptyNode{}, &objIDs, &inoGen)
+	san := alloc.NewSanitizer()
+	f.Objs.San = san
+	ctx := ctxAt(0)
+	file, err := f.Create(ctx, "/wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(ctx, file, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fsync(ctx, file); err == nil {
+		t.Fatal("Fsync succeeded with no memory for its blk_mq request")
+	}
+	if f.Stats.ObjAllocs[kobj.Block] == 0 {
+		t.Fatal("writeback never allocated a bio")
+	}
+	if live := f.Stats.ObjLive[kobj.Block]; live != 0 {
+		t.Fatalf("%d bio objects leaked", live)
+	}
+	if r := scanFS(f, san); !r.Clean() {
+		t.Fatalf("sanitizer:\n%s", r)
 	}
 }

@@ -69,7 +69,7 @@ func (s dentryShrinker) Scan(ctx *kstate.Ctx, n int) int {
 			if f.dcache[ind.Path] == ind.Ino {
 				delete(f.dcache, ind.Path)
 			}
-			f.freeObj(ctx, ind.dentry)
+			f.Objs.Free(ind.dentry, ctx)
 			ind.dentry = nil
 			freed++
 		}
@@ -84,17 +84,17 @@ func (s dentryShrinker) Scan(ctx *kstate.Ctx, n int) int {
 		}
 		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 		for _, idx := range slots {
-			f.freeObj(ctx, ind.radixNodes[idx])
+			f.Objs.Free(ind.radixNodes[idx], ctx)
 			delete(ind.radixNodes, idx)
 			freed++
 		}
 		ind.extents.Ascend(func(_ int64, o *kobj.Object) bool {
-			f.freeObj(ctx, o)
+			f.Objs.Free(o, ctx)
 			freed++
 			return true
 		})
 		ind.extents.Clear()
-		f.freeObj(ctx, ind.inodeObj)
+		f.Objs.Free(ind.inodeObj, ctx)
 		ind.inodeObj = nil
 		freed++
 	}

@@ -113,8 +113,8 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 	k.Pressure.Register(k.FS.DentryShrinker())
 	k.Pressure.Register(k.Net.SkbuffShrinker())
 	k.Pressure.OOM = &oomEvictor{k: k}
-	k.FS.Pressure = k.Pressure
-	k.Net.Pressure = k.Pressure
+	k.FS.Objs.Pressure = k.Pressure
+	k.Net.Objs.Pressure = k.Pressure
 	pol.Attach(k)
 	return k
 }
@@ -132,15 +132,18 @@ func (k *Kernel) InjectFaults(p *fault.Plane) {
 func (k *Kernel) FaultPlane() *fault.Plane { return k.Mem.Fault }
 
 // AttachTracer arms a tracing plane across every subsystem that emits
-// trace events: the filesystem and network object paths, the blk_mq
-// dispatch layer, the memory system's migrator, the pressure plane,
-// and the kernel's own app-page and OOM paths. The tracer is strictly
+// trace events: the filesystem and the network stack with their
+// kernel-object paths, the blk_mq dispatch layer, the memory system's
+// migrator, the pressure plane, and the kernel's own app-page and OOM
+// paths. The tracer is strictly
 // passive, so attaching (or passing nil to detach) never perturbs the
 // simulation.
 func (k *Kernel) AttachTracer(t *trace.Tracer) {
 	k.Trace = t
 	k.FS.Trace = t
+	k.FS.Objs.Trace = t
 	k.Net.Trace = t
+	k.Net.Objs.Trace = t
 	k.FS.MQ.Trace = t
 	k.Mem.Trace = t
 	k.Pressure.Trace = t
@@ -148,15 +151,15 @@ func (k *Kernel) AttachTracer(t *trace.Tracer) {
 
 // AttachSanitizer arms the KASAN/kmemleak-analog runtime sanitizer
 // across every subsystem that allocates tracked objects: the
-// filesystem and network object paths plus the kernel's own app-page
-// path. Like the tracer, the sanitizer is strictly passive — it never
+// filesystem's and the network stack's kernel-object paths plus the
+// kernel's own app-page path. Like the tracer, the sanitizer is strictly passive — it never
 // charges virtual time or perturbs allocator state — so a sanitized
 // run is bit-identical to an unsanitized one at the same seed.
 // Passing nil detaches.
 func (k *Kernel) AttachSanitizer(s *alloc.Sanitizer) {
 	k.San = s
-	k.FS.San = s
-	k.Net.San = s
+	k.FS.Objs.San = s
+	k.Net.Objs.San = s
 }
 
 // SanitizeReport runs the kmemleak-style teardown scan and returns the

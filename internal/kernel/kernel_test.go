@@ -54,7 +54,7 @@ func TestKernelAssembly(t *testing.T) {
 			t.Fatalf("shrinkers = %v, want %v", names, want)
 		}
 	}
-	if k.FS.Pressure != k.Pressure || k.Net.Pressure != k.Pressure {
+	if k.FS.Objs.Pressure != k.Pressure || k.Net.Objs.Pressure != k.Pressure {
 		t.Fatal("subsystem reclaim not routed through the pressure plane")
 	}
 }

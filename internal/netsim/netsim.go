@@ -15,7 +15,6 @@ import (
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
-	"kloc/internal/pressure"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -50,8 +49,7 @@ type Stats struct {
 	// ReclaimedPackets counts queued packets dropped by the skbuff
 	// shrinker under memory pressure (a subset of Drops).
 	ReclaimedPackets uint64
-	ObjAllocs        [16]uint64
-	ObjLive          [16]int64
+	alloc.ObjStats
 }
 
 // Packet is one in-flight ingress packet.
@@ -76,14 +74,11 @@ func (s *Socket) QueuedPackets() int { return len(s.rxQueue) }
 type Net struct {
 	Mem    *memsim.Memory
 	Hooks  kstate.Hooks
-	ObjIDs *kstate.IDGen
 	InoGen *kstate.IDGen
 
-	Pager *alloc.PageAllocator
-	slabs map[kobj.Type]*alloc.SlabCache
-	klocs map[kobj.Type]*alloc.SlabCache
-	// arenas are per-socket KLOC allocation regions (§4.4).
-	arenas map[uint64]*alloc.Arena
+	// Objs is the kernel-object path every network object is allocated,
+	// touched and freed through.
+	Objs *alloc.Objects
 
 	sockets map[uint64]*Socket
 	// sockOrder keeps creation-order iteration over sockets for the
@@ -92,153 +87,26 @@ type Net struct {
 	// rxBacklogLimit drops ingress packets beyond this per-socket
 	// backlog, like a full receive buffer.
 	rxBacklogLimit int
-	// Pressure, when non-nil, is the kernel's memory-pressure plane:
-	// allocation failures enter direct reclaim through its shrinker
-	// registry, and the ingress path runs in atomic context so it can
-	// draw on the watermark reserve (GFP_ATOMIC, as in a real driver).
-	Pressure *pressure.Plane
 
-	// Trace, when non-nil, records alloc.slab / alloc.page / obj.free /
-	// net.rx / net.tx events from the socket paths. Strictly passive.
+	// Trace, when non-nil, records net.rx / net.tx events from the
+	// socket paths. Strictly passive.
 	Trace *trace.Tracer
-
-	// San, when non-nil, is the KASAN/kmemleak-analog sanitizer: the
-	// object paths report every alloc, free, and access to it. Strictly
-	// passive; nil disables sanitizing.
-	San *alloc.Sanitizer
 
 	Stats Stats
 }
 
-// New builds the network stack.
+// New builds the network stack. objIDs and inoGen are shared with the
+// filesystem.
 func New(mem *memsim.Memory, hooks kstate.Hooks, objIDs, inoGen *kstate.IDGen) *Net {
-	return &Net{
+	n := &Net{
 		Mem:            mem,
 		Hooks:          hooks,
-		ObjIDs:         objIDs,
 		InoGen:         inoGen,
-		Pager:          &alloc.PageAllocator{Mem: mem},
-		slabs:          make(map[kobj.Type]*alloc.SlabCache),
-		klocs:          make(map[kobj.Type]*alloc.SlabCache),
-		arenas:         make(map[uint64]*alloc.Arena),
 		sockets:        make(map[uint64]*Socket),
 		rxBacklogLimit: 1024,
 	}
-}
-
-func (n *Net) slabFor(t kobj.Type, relocatable bool) (*alloc.SlabCache, error) {
-	m := n.slabs
-	if relocatable {
-		m = n.klocs
-	}
-	c := m[t]
-	if c == nil {
-		var err error
-		if relocatable {
-			c, err = alloc.NewKlocCache(n.Mem, t.String()+"-kloc", t.Info().Size)
-		} else {
-			c, err = alloc.NewSlabCache(n.Mem, t.String(), t.Info().Size)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m[t] = c
-	}
-	return c, nil
-}
-
-func (n *Net) allocObj(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
-	o, err := n.allocObjOnce(ctx, t, ino)
-	if err == memsim.ErrNoMemory && n.Pressure != nil {
-		if n.Pressure.DirectReclaim(ctx) > 0 {
-			o, err = n.allocObjOnce(ctx, t, ino)
-		}
-	}
-	return o, err
-}
-
-func (n *Net) allocObjOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
-	order := n.Hooks.PlaceKernel(ctx, t, ino)
-	id := kobj.ID(n.ObjIDs.Next())
-	var o *kobj.Object
-	if t.Info().Alloc == kobj.AllocSlab {
-		if n.Hooks.UseKlocAllocator(t) && ino != 0 {
-			arena := n.arenas[ino]
-			if arena == nil {
-				arena = alloc.NewArena(n.Mem, 0)
-				n.arenas[ino] = arena
-			}
-			slot, cost, err := arena.Alloc(order, t.Info().Size, ctx.Now)
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { arena.Free(slot) })
-		} else {
-			cache, err := n.slabFor(t, n.Hooks.UseKlocAllocator(t))
-			if err != nil {
-				return nil, err
-			}
-			slot, cost, err := cache.Alloc(order, ctx.Now)
-			if err != nil {
-				return nil, err
-			}
-			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { cache.Free(slot) })
-		}
-	} else {
-		frame, cost, err := n.Pager.Alloc(order, memsim.ClassCache, ctx.Now)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Charge(cost)
-		o = kobj.NewObject(id, t, frame, ctx.Now, func() { n.Pager.Free(frame) })
-		n.Hooks.PageAllocated(ctx, frame)
-	}
-	if t.Info().Alloc == kobj.AllocPage {
-		n.Trace.Emit(trace.AllocPage, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
-	} else {
-		n.Trace.Emit(trace.AllocSlab, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
-	}
-	n.Stats.ObjAllocs[t]++
-	n.Stats.ObjLive[t]++
-	// Initialization writes the object's memory (tier-sensitive).
-	ctx.Charge(n.Mem.Access(ctx.CPU, o.Frame, o.Size, true, ctx.Now))
-	n.San.TrackAlloc(uint64(id), t.String(), ino, int64(o.Size), ctx.Now)
-	n.Hooks.ObjectCreated(ctx, ino, o)
-	return o, nil
-}
-
-func (n *Net) freeObj(ctx *kstate.Ctx, o *kobj.Object) {
-	if o == nil {
-		return
-	}
-	n.San.TrackFree(uint64(o.ID), ctx.Now)
-	node := -1
-	if o.Frame != nil {
-		node = int(o.Frame.Node)
-	}
-	n.Trace.Emit(trace.ObjFree, ctx.Now, o.Knode, uint64(o.ID), o.Type.String(), node, int64(o.Size))
-	n.Stats.ObjLive[o.Type]--
-	n.Hooks.ObjectFreed(ctx, o)
-	if o.Type.Info().Alloc == kobj.AllocPage && o.Frame != nil {
-		n.Hooks.PageFreed(ctx, o.Frame)
-	}
-	o.Release()
-}
-
-func (n *Net) touchObj(ctx *kstate.Ctx, o *kobj.Object, bytes int, write bool) {
-	if o == nil {
-		return
-	}
-	n.San.CheckAccess(uint64(o.ID), ctx.Now)
-	if o.Frame == nil {
-		return
-	}
-	if bytes <= 0 {
-		bytes = o.Size
-	}
-	ctx.Charge(n.Mem.Access(ctx.CPU, o.Frame, bytes, write, ctx.Now))
+	n.Objs = alloc.NewObjects(mem, hooks, objIDs, &n.Stats.ObjStats, nil)
+	return n
 }
 
 // MarkReachable marks every object the network stack still references
@@ -281,7 +149,7 @@ func (n *Net) SocketCreate(ctx *kstate.Ctx) (*Socket, error) {
 	ctx.Charge(syscallEntryCost)
 	ino := n.InoGen.Next()
 	n.Hooks.InodeCreated(ctx, ino, true)
-	sockObj, err := n.allocObj(ctx, kobj.Sock, ino)
+	sockObj, err := n.Objs.Alloc(ctx, kobj.Sock, ino)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +173,7 @@ func (n *Net) SocketClose(ctx *kstate.Ctx, s *Socket) {
 		n.freePacket(ctx, p)
 	}
 	s.rxQueue = nil
-	n.freeObj(ctx, s.sockObj)
+	n.Objs.Free(s.sockObj, ctx)
 	s.sockObj = nil
 	delete(n.sockets, s.Ino)
 	for i, ino := range n.sockOrder {
@@ -314,16 +182,16 @@ func (n *Net) SocketClose(ctx *kstate.Ctx, s *Socket) {
 			break
 		}
 	}
-	delete(n.arenas, s.Ino) // all objects freed: the arena is empty
+	n.Objs.DropArena(s.Ino) // all objects freed: the arena is empty
 	n.Hooks.InodeClosed(ctx, s.Ino)
 	n.Hooks.InodeDeleted(ctx, s.Ino)
 	n.Stats.SocketsClosed++
 }
 
 func (n *Net) freePacket(ctx *kstate.Ctx, p *Packet) {
-	n.freeObj(ctx, p.skb)
-	n.freeObj(ctx, p.data)
-	n.freeObj(ctx, p.rxbuf)
+	n.Objs.Free(p.skb, ctx)
+	n.Objs.Free(p.data, ctx)
+	n.Objs.Free(p.rxbuf, ctx)
 }
 
 // Send transmits bytes on the socket: one skbuff + data buffer per MTU
@@ -334,29 +202,29 @@ func (n *Net) Send(ctx *kstate.Ctx, s *Socket, bytes int) error {
 		return fmt.Errorf("netsim: send on closed socket %d: %w", s.Ino, fault.EBADF)
 	}
 	ctx.Charge(syscallEntryCost)
-	n.touchObj(ctx, s.sockObj, 0, true)
+	n.Objs.Touch(ctx, s.sockObj, 0, true)
 	for sent := 0; sent < bytes; sent += mtu {
 		seg := bytes - sent
 		if seg > mtu {
 			seg = mtu
 		}
-		skb, err := n.allocObj(ctx, kobj.SkBuff, s.Ino)
+		skb, err := n.Objs.Alloc(ctx, kobj.SkBuff, s.Ino)
 		if err != nil {
 			return err
 		}
-		data, err := n.allocObj(ctx, kobj.SkBuffData, s.Ino)
+		data, err := n.Objs.Alloc(ctx, kobj.SkBuffData, s.Ino)
 		if err != nil {
-			n.freeObj(ctx, skb)
+			n.Objs.Free(skb, ctx)
 			return err
 		}
-		n.touchObj(ctx, skb, 0, true)
-		n.touchObj(ctx, data, seg, true) // copy from user
+		n.Objs.Touch(ctx, skb, 0, true)
+		n.Objs.Touch(ctx, data, seg, true) // copy from user
 		ctx.Charge(nicPerPacket + sim.Duration(float64(seg)/nicBandwidth))
 		n.Trace.Emit(trace.NetTx, ctx.Now, s.Ino, uint64(skb.ID), "segment", -1, int64(seg))
 		n.Stats.PacketsTx++
 		n.Stats.BytesTx += uint64(seg)
-		n.freeObj(ctx, skb)
-		n.freeObj(ctx, data)
+		n.Objs.Free(skb, ctx)
+		n.Objs.Free(data, ctx)
 	}
 	return nil
 }
@@ -400,17 +268,17 @@ func (n *Net) Deliver(ctx *kstate.Ctx, s *Socket, bytes int) error {
 		if driverKnows {
 			ownerIno = s.Ino
 		}
-		rxbuf, err := n.allocObj(ctx, kobj.RxBuf, ownerIno)
+		rxbuf, err := n.Objs.Alloc(ctx, kobj.RxBuf, ownerIno)
 		if err != nil {
 			return err
 		}
-		skb, err := n.allocObj(ctx, kobj.SkBuff, ownerIno)
+		skb, err := n.Objs.Alloc(ctx, kobj.SkBuff, ownerIno)
 		if err != nil {
-			n.freeObj(ctx, rxbuf)
+			n.Objs.Free(rxbuf, ctx)
 			return err
 		}
-		n.touchObj(ctx, rxbuf, seg, true) // DMA landing
-		n.touchObj(ctx, skb, 0, true)
+		n.Objs.Touch(ctx, rxbuf, seg, true) // DMA landing
+		n.Objs.Touch(ctx, skb, 0, true)
 		p := &Packet{skb: skb, rxbuf: rxbuf, size: seg}
 		if driverKnows {
 			ctx.Charge(driverExtractCost)
@@ -434,7 +302,7 @@ func (n *Net) Recv(ctx *kstate.Ctx, s *Socket, maxBytes int) (int, error) {
 		return 0, fmt.Errorf("netsim: recv on closed socket %d: %w", s.Ino, fault.EBADF)
 	}
 	ctx.Charge(syscallEntryCost)
-	n.touchObj(ctx, s.sockObj, 0, false)
+	n.Objs.Touch(ctx, s.sockObj, 0, false)
 	got := 0
 	for len(s.rxQueue) > 0 && got < maxBytes {
 		p := s.rxQueue[0]
@@ -448,8 +316,8 @@ func (n *Net) Recv(ctx *kstate.Ctx, s *Socket, maxBytes int) (int, error) {
 			n.Hooks.ObjectAssociated(ctx, s.Ino, p.skb)
 			n.Hooks.ObjectAssociated(ctx, s.Ino, p.rxbuf)
 		}
-		n.touchObj(ctx, p.skb, 0, false)
-		n.touchObj(ctx, p.rxbuf, p.size, false) // copy to user
+		n.Objs.Touch(ctx, p.skb, 0, false)
+		n.Objs.Touch(ctx, p.rxbuf, p.size, false) // copy to user
 		got += p.size
 		n.freePacket(ctx, p)
 	}
