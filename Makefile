@@ -2,7 +2,7 @@
 # keep `make verify` green before merging.
 GO ?= go
 
-.PHONY: verify vet lint build test race bench eval evalfull chaos perf loc
+.PHONY: verify vet lint build test race bench eval evalfull chaos loc
 
 verify: vet lint build race
 
@@ -49,13 +49,6 @@ evalfull:
 # `klocbench -exp chaos -replay <file>`.
 chaos:
 	$(GO) run ./cmd/klocbench -exp chaos -quick -chaos-out BENCH_chaos.json
-
-# perf runs the quick hot-path accounting sweep (PERFORMANCE.md) with
-# wall metrics on stdout and the deterministic report in
-# BENCH_perf.json; exits 1 only on a stage error or a lane-sweep digest
-# mismatch (the allocs/op gate is TestAllocsPerOpCeilings).
-perf:
-	$(GO) run ./cmd/klocbench -exp perf -quick -perf-out BENCH_perf.json
 
 # loc prints the simulator module's non-test Go line count: tracked
 # *.go files outside bench/ and testdata/, excluding _test.go. Run it

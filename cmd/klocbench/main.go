@@ -13,9 +13,8 @@
 //	klocbench -exp chaos                # chaos campaign -> BENCH_chaos.json
 //	klocbench -exp chaos -quick         # fixed-seed 50-schedule smoke campaign
 //	klocbench -exp chaos -replay CHAOS_repro_X.json  # re-run a minimized repro
-//	klocbench -exp perf                 # hot-path accounting sweep -> BENCH_perf.json
-//	klocbench -exp perf -quick -perf-wall  # + machine-dependent wall metrics in the JSON
 //	klocbench -exp fig4 -quick          # reduced duration
+//	klocbench -exp fig2a,fig2b,fig2c,fig2d -workloads rocksdb,redis  # Fig 2 on a subset
 //	klocbench -run -policy klocs -workload rocksdb   # one raw run
 //	klocbench -run -trace run.json      # raw run + Chrome trace export
 //	klocbench -run -sanitize            # raw run + KASAN/kmemleak report
@@ -29,8 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"kloc"
 )
@@ -39,9 +38,11 @@ func main() {
 	var (
 		exp      = flag.String("exp", "", "experiment id ("+strings.Join(kloc.ExperimentNames(), ", ")+", a comma-separated list, or 'all')")
 		quick    = flag.Bool("quick", false, "reduced virtual duration (faster, noisier)")
-		duration = flag.Int("duration-ms", 0, "override measured duration in virtual milliseconds")
-		seed     = flag.Uint64("seed", 42, "simulation seed")
-		scale    = flag.Int("scale", 64, "platform scale divisor (Table 4 sizes / scale)")
+		duration = flag.Int("duration-ms", 0, "override measured duration in virtual milliseconds (0 keeps the default)")
+		seed     = flag.Uint64("seed", defaultSeed, "simulation seed (nonzero)")
+		scale    = flag.Int("scale", defaultScale, "platform scale divisor (Table 4 sizes / scale, at least 1)")
+
+		workloads = flag.String("workloads", "", "with -exp: comma-separated workload subset (empty keeps each experiment's set)")
 
 		rawRun   = flag.Bool("run", false, "execute one raw run instead of an experiment")
 		policy   = flag.String("policy", "klocs", "policy for -run")
@@ -53,9 +54,6 @@ func main() {
 		sanitize    = flag.Bool("sanitize", false, "with -run: arm the KASAN/kmemleak-analog sanitizer; findings fail the run (exit 1)")
 		benchOut    = flag.String("bench-out", "BENCH_cluster.json", "with -exp cluster: write the machine-readable sweep to this file")
 
-		perfOut  = flag.String("perf-out", "BENCH_perf.json", "with -exp perf: write the machine-readable sweep to this file")
-		perfWall = flag.Bool("perf-wall", false, "with -exp perf: include wall-clock metrics (events/sec, p95, allocs/op) in the JSON; off keeps the report byte-identical across runs (PERFORMANCE.md)")
-
 		chaosTarget = flag.String("chaos-target", "cluster", "with -exp chaos: campaign target (cluster or machine)")
 		chaosOut    = flag.String("chaos-out", "BENCH_chaos.json", "with -exp chaos: write the machine-readable campaign summary to this file")
 		replayFile  = flag.String("replay", "", "with -exp chaos: replay a CHAOS_repro_*.json artifact instead of running a campaign; a non-reproducing or non-deterministic replay fails (exit 1)")
@@ -64,6 +62,10 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		usageError(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
+	}
+	wls := splitList(*workloads)
+	if err := checkFlags(*scale, *duration, *seed, wls); err != nil {
+		usageError(err)
 	}
 
 	opts := kloc.DefaultOptions()
@@ -75,12 +77,16 @@ func main() {
 	if *duration > 0 {
 		opts.Duration = kloc.Duration(*duration) * kloc.Millisecond
 	}
+	opts.Workloads = wls
 
 	if !*rawRun && (*traceFile != "" || *traceEvents != "") {
 		usageError(fmt.Errorf("-trace/-trace-events require -run (experiments aggregate many runs; trace one of them instead)"))
 	}
 	if !*rawRun && *sanitize {
 		usageError(fmt.Errorf("-sanitize requires -run (experiments aggregate many runs; sanitize one of them instead)"))
+	}
+	if *rawRun && *workloads != "" {
+		usageError(fmt.Errorf("-workloads applies to experiments; -run takes -workload"))
 	}
 
 	if *rawRun {
@@ -97,15 +103,7 @@ func main() {
 		}
 		cfg.Sanitize = *sanitize
 		if *traceFile != "" {
-			tc := kloc.TraceConfig{}
-			if *traceEvents != "" {
-				for _, p := range strings.Split(*traceEvents, ",") {
-					if p = strings.TrimSpace(p); p != "" {
-						tc.Events = append(tc.Events, p)
-					}
-				}
-			}
-			cfg.Trace = &tc
+			cfg.Trace = &kloc.TraceConfig{Events: splitList(*traceEvents)}
 		}
 		res, err := kloc.Run(cfg)
 		if err != nil {
@@ -149,10 +147,6 @@ func main() {
 	}
 	for _, name := range names {
 		switch name {
-		case "perf":
-			if err := runPerfBench(opts, *quick, *perfWall, *perfOut); err != nil {
-				fatal(fmt.Errorf("perf: %w", err))
-			}
 		case "cluster":
 			if err := runClusterBench(opts, *benchOut); err != nil {
 				fatal(fmt.Errorf("cluster: %w", err))
@@ -175,37 +169,6 @@ func main() {
 			fmt.Println(table)
 		}
 	}
-}
-
-// runPerfBench executes the hot-path sweep (PERFORMANCE.md) and writes
-// BENCH_perf.json. This is the tree's single sanctioned wall-clock
-// read: the perf harness must measure real throughput, and injects the
-// reading as a clock function so measurement can never leak into
-// simulation state. The sweep fails (exit 1) only on a stage error or a
-// lane-sweep digest mismatch.
-func runPerfBench(opts kloc.Options, quick, wall bool, out string) error {
-	cfg := kloc.PerfConfig{Seed: opts.Seed, Quick: quick, IncludeWall: wall}
-	//klocs:wallclock perf measurement only; the simulation stays in virtual time
-	base := time.Now()
-	//klocs:wallclock perf measurement only (monotonic delta against base)
-	cfg.Now = func() int64 { return time.Now().Sub(base).Nanoseconds() }
-	table, rep, err := kloc.PerfBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(table)
-	for _, line := range rep.LaneLines() {
-		fmt.Println(line)
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perf sweep written to %s\n", out)
-	return nil
 }
 
 // runChaosCampaign executes a chaos campaign and writes the summary
@@ -314,19 +277,16 @@ func runClusterBench(opts kloc.Options, out string) error {
 // that documented only a subset.
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: klocbench -exp <id>[,<id>...] [-quick] [-duration-ms N] [-seed N] [-scale N]\n"+
+		"usage: klocbench -exp <id>[,<id>...] [-quick] [-duration-ms N] [-seed N] [-scale N] [-workloads W[,W...]]\n"+
 			"       klocbench -exp chaos [-quick] [-chaos-target T] [-replay FILE]\n"+
-			"       klocbench -exp perf [-quick] [-perf-wall] [-perf-out FILE]\n"+
 			"       klocbench -run [-policy P] [-workload W] [-optane] [-sanitize] [-trace FILE [-trace-events GLOBS]]\n\n"+
 			"experiments: %s\n"+
 			"'all' expands to the paper experiments above and composes with the extras\n"+
-			"('all,cluster,chaos,perf' appends them). The extras are excluded from 'all':\n"+
+			"('all,cluster,chaos' appends them). The extras are excluded from 'all':\n"+
 			"  cluster  serving-plane sweep -> BENCH_cluster.json (see -bench-out)\n"+
 			"  chaos    fault-schedule fuzzing campaign -> BENCH_chaos.json plus one\n"+
 			"           CHAOS_repro_*.json replay artifact per invariant violation;\n"+
-			"           violations exit 1 (see -chaos-target, -chaos-out, -replay)\n"+
-			"  perf     hot-path accounting sweep -> BENCH_perf.json\n"+
-			"           (PERFORMANCE.md; see -perf-out, -perf-wall)\n\nflags:\n",
+			"           violations exit 1 (see -chaos-target, -chaos-out, -replay)\n\nflags:\n",
 		strings.Join(kloc.ExperimentNames(), ", "))
 	flag.PrintDefaults()
 }
@@ -369,13 +329,12 @@ func writeTrace(t *kloc.Tracer, path string) error {
 // paper experiments and composes with the extras ("all,cluster,chaos"
 // appends both). Unknown IDs are rejected up front with the valid set,
 // so a typo fails fast instead of after an hour of earlier
-// experiments. "cluster", "chaos", and "perf" are addressable by name
-// but deliberately outside "all": the sweep reports serving-plane
-// metrics (goodput, availability), the campaign hunts invariant
-// violations, and the perf sweep measures the simulator's own hot
-// paths — none regenerates a paper figure.
+// experiments. "cluster" and "chaos" are addressable by name but
+// deliberately outside "all": the sweep reports serving-plane metrics
+// (goodput, availability) and the campaign hunts invariant violations
+// — neither regenerates a paper figure.
 func resolveExperiments(exp string) ([]string, error) {
-	valid := map[string]bool{"cluster": true, "chaos": true, "perf": true}
+	valid := map[string]bool{"cluster": true, "chaos": true}
 	for _, n := range kloc.ExperimentNames() {
 		valid[n] = true
 	}
@@ -399,16 +358,55 @@ func resolveExperiments(exp string) ([]string, error) {
 			continue
 		}
 		if !valid[n] {
-			return nil, fmt.Errorf("unknown experiment %q (valid: %s, cluster, chaos, perf, or 'all')",
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, cluster, chaos, or 'all')",
 				n, strings.Join(kloc.ExperimentNames(), ", "))
 		}
 		add(n)
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("no experiment named (valid: %s, cluster, chaos, perf, or 'all')",
+		return nil, fmt.Errorf("no experiment named (valid: %s, cluster, chaos, or 'all')",
 			strings.Join(kloc.ExperimentNames(), ", "))
 	}
 	return names, nil
+}
+
+// Flag defaults that checkFlags must accept.
+const (
+	defaultSeed  = 42
+	defaultScale = 64
+)
+
+// checkFlags rejects flag values no run can use, before any run starts:
+// a scale divisor below 1, a negative duration, seed 0 (the harness
+// would silently run seed 42 instead) and unknown workload names.
+func checkFlags(scale, durationMS int, seed uint64, workloads []string) error {
+	switch {
+	case scale < 1:
+		return fmt.Errorf("-scale %d: the scale divisor must be at least 1", scale)
+	case durationMS < 0:
+		return fmt.Errorf("-duration-ms %d: the duration must not be negative", durationMS)
+	case seed == 0:
+		return fmt.Errorf("-seed 0: the seed must be nonzero (0 would run seed %d)", defaultSeed)
+	}
+	known := kloc.WorkloadNames()
+	for _, w := range workloads {
+		if !slices.Contains(known, w) {
+			return fmt.Errorf("-workloads: unknown workload %q (valid: %s)", w, strings.Join(known, ", "))
+		}
+	}
+	return nil
+}
+
+// splitList splits a comma-separated flag value, dropping blanks; an
+// empty value gives nil.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // fatal reports a runtime failure (exit 1). Flag-validation problems go

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,53 +177,38 @@ func TestExperimentSmoke(t *testing.T) {
 	}
 }
 
-func TestResolveExperimentsPerf(t *testing.T) {
-	names, err := resolveExperiments("perf")
-	if err != nil || len(names) != 1 || names[0] != "perf" {
-		t.Fatalf("resolve perf = %v, %v", names, err)
-	}
-	// perf is an extra: 'all' must not pull it in.
-	names, err = resolveExperiments("all,perf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(kloc.ExperimentNames()) + 1; len(names) != want {
-		t.Fatalf("all,perf = %d experiments, want %d: %v", len(names), want, names)
-	}
-	if names[len(names)-1] != "perf" {
-		t.Fatalf("perf not appended after 'all': %v", names)
+// TestCheckFlags: the flag defaults pass, and every value no run can
+// use is a usage error before any run starts, never a silent fallback.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		scale      int
+		durationMS int
+		seed       uint64
+		workloads  []string
+		ok         bool
+	}{
+		{"defaults", defaultScale, 0, defaultSeed, nil, true},
+		{"workload subset", defaultScale, 5, 7, []string{"rocksdb", "redis"}, true},
+		{"negative scale", -3, 0, defaultSeed, nil, false},
+		{"zero scale", 0, 0, defaultSeed, nil, false},
+		{"negative duration", defaultScale, -1, defaultSeed, nil, false},
+		{"zero seed", defaultScale, 0, 0, nil, false},
+		{"unknown workload", defaultScale, 0, defaultSeed, []string{"rocksdb", "mysql"}, false},
+	} {
+		err := checkFlags(tc.scale, tc.durationMS, tc.seed, tc.workloads)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags(%d, %d, %d, %v) = %v, want ok=%v",
+				tc.name, tc.scale, tc.durationMS, tc.seed, tc.workloads, err, tc.ok)
+		}
 	}
 }
 
-// TestPerfBenchSmoke drives -exp perf end to end through the same
-// entry point main uses: quick sweep, report written, schema intact,
-// wall metrics kept out of the artifact by default.
-func TestPerfBenchSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_perf.json")
-	opts := kloc.Options{Seed: 42}
-	if err := runPerfBench(opts, true, false, out); err != nil {
-		t.Fatal(err)
+func TestSplitList(t *testing.T) {
+	if got := splitList(""); got != nil {
+		t.Fatalf("splitList(\"\") = %q, want nil", got)
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep kloc.PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("artifact does not parse: %v", err)
-	}
-	if rep.SchemaVersion != kloc.PerfSchemaVersion {
-		t.Fatalf("schema %d, want %d", rep.SchemaVersion, kloc.PerfSchemaVersion)
-	}
-	if !rep.Quick || rep.Seed != 42 {
-		t.Fatalf("config not reflected: quick=%v seed=%d", rep.Quick, rep.Seed)
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows in artifact")
-	}
-	for _, row := range rep.Rows {
-		if row.Wall != nil {
-			t.Fatalf("wall metrics leaked into the default artifact (%s)", row.Stage)
-		}
+	if got := splitList(" rocksdb, ,redis,"); !reflect.DeepEqual(got, []string{"rocksdb", "redis"}) {
+		t.Fatalf("splitList = %q", got)
 	}
 }

@@ -24,12 +24,16 @@ func main() {
 	var (
 		polName = flag.String("policy", "klocs", "tiering policy")
 		wlName  = flag.String("workload", "rocksdb", "workload")
-		slices  = flag.Int("slices", 10, "number of trace slices")
-		durMS   = flag.Int("duration-ms", 200, "virtual duration in ms")
+		slices  = flag.Int("slices", defaultSlices, "number of trace slices (at least 1)")
+		durMS   = flag.Int("duration-ms", defaultDurationMS, "virtual duration in ms (at least 1)")
 		seed    = flag.Uint64("seed", 42, "simulation seed")
-		scale   = flag.Int("scale", 64, "platform scale divisor")
+		scale   = flag.Int("scale", defaultScale, "platform scale divisor (at least 1)")
 	)
 	flag.Parse()
+	if err := checkFlags(*slices, *durMS, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "kloctrace:", err)
+		os.Exit(2)
+	}
 
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(*scale))
 	pol, err := policy.ByName(*polName)
@@ -52,17 +56,20 @@ func main() {
 	total := sim.Duration(*durMS) * sim.Millisecond
 	slice := total / sim.Duration(*slices)
 
-	// Drive the workload threads exactly as the harness does.
+	// Drive the workload threads exactly as the harness does. A failed
+	// step stops its thread and fails the trace once its slice ends.
+	var stepErr error
 	for t := 0; t < wl.Threads(); t++ {
 		t := t
 		rng := root.Fork()
 		var step func(*sim.Engine)
 		step = func(e *sim.Engine) {
-			if e.Now() >= sim.Time(0).Add(total) {
+			if stepErr != nil || e.Now() >= sim.Time(0).Add(total) {
 				return
 			}
 			ctx := k.NewCtx(t)
 			if err := wl.Step(k, ctx, t, rng); err != nil {
+				stepErr = fmt.Errorf("%s thread %d: %w", wl.Name(), t, err)
 				return
 			}
 			cost := ctx.Cost
@@ -83,6 +90,9 @@ func main() {
 	for i := 1; i <= *slices; i++ {
 		deadline := sim.Time(0).Add(slice * sim.Duration(i))
 		eng.RunUntil(deadline)
+		if stepErr != nil {
+			fatal(stepErr)
+		}
 		fast := mem.Node(memsim.FastNode)
 		slow := mem.Node(memsim.SlowNode)
 		klocInfo := "-"
@@ -110,6 +120,28 @@ func occupancy(m *memsim.Memory, node memsim.NodeID, cap_ int) string {
 	return fmt.Sprintf("%d/%d (%d/%d/%d)", used, cap_,
 		byClass[memsim.ClassApp], byClass[memsim.ClassCache],
 		byClass[memsim.ClassSlab]+byClass[memsim.ClassKloc]+byClass[memsim.ClassMeta])
+}
+
+// Flag defaults that checkFlags must accept.
+const (
+	defaultSlices     = 10
+	defaultDurationMS = 200
+	defaultScale      = 64
+)
+
+// checkFlags rejects flag values that cannot produce a trace: no
+// slices (a zero count divides by zero, a negative one prints no rows),
+// no virtual time (every row at 0 ns) or a scale divisor below 1.
+func checkFlags(slices, durationMS, scale int) error {
+	switch {
+	case slices < 1:
+		return fmt.Errorf("-slices %d: need at least 1 slice", slices)
+	case durationMS < 1:
+		return fmt.Errorf("-duration-ms %d: need at least 1 ms of virtual time", durationMS)
+	case scale < 1:
+		return fmt.Errorf("-scale %d: the scale divisor must be at least 1", scale)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -15,9 +15,9 @@ import (
 //   - wall-clock time: time.Now, time.Sleep, and friends — the
 //     simulator runs in virtual time only. The single sanctioned
 //     exception is a time.Now call under a //klocs:wallclock marker:
-//     the perf harness (PERFORMANCE.md) must read the wall clock to
-//     measure real throughput, and injects that reading through a
-//     clock function so measurement never leaks into simulation state;
+//     the host-speed benchmark (bench/) must read the wall clock to
+//     time the simulator from outside, and none of that reading
+//     reaches simulation state;
 //   - ambient randomness: importing math/rand or math/rand/v2 —
 //     internal/sim's seeded RNG is the only sanctioned source;
 //   - map-iteration order: ranging over a map is flagged unless the

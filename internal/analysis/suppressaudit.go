@@ -31,7 +31,7 @@ const SuppressAuditName = "suppressaudit"
 // knownMarkers is the marker vocabulary the suite consults.
 var knownMarkers = map[string]bool{
 	"unordered":        true, // nodeterminism: map range is order-insensitive
-	"wallclock":        true, // nodeterminism: sanctioned wall-clock read (perf measurement only)
+	"wallclock":        true, // nodeterminism: sanctioned wall-clock read (host-speed measurement only)
 	errnoMarker:        true, // errnocheck/errnoflow: error deliberately sunk or anonymous
 	"ignore-allocpair": true, // allocpair: teardown via another path
 	lifecycleMarker:    true, // lifecycle: ownership transfer the analysis cannot see

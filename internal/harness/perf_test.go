@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"kloc/internal/sim"
@@ -31,5 +33,80 @@ func TestPerfMetersReportBookkeeping(t *testing.T) {
 	}
 	if res.Perf.TraceCommits == 0 {
 		t.Fatal("traced run committed no batched summary deltas")
+	}
+}
+
+// end2endRun is the run the end-to-end allocation gate measures: the
+// paper's headline configuration at a size a unit test can afford.
+var end2endRun = RunConfig{
+	PolicyName: "klocs",
+	Workload:   "rocksdb",
+	Seed:       42,
+	Duration:   20 * sim.Millisecond,
+}
+
+// allocsPerOpCeiling caps end2endRun's heap allocations per simulated
+// op. Measured on a 2-CPU host: 27.73 over 89,120 ops (the same under
+// -race); 28.38 before LRU lists, lifetimes and mapped app
+// pages moved off ID-keyed maps, and 30.61 before the KLOC open-time
+// and daemon checks stopped building frame lists. The ceiling is the
+// measured value +10%, rounded up: the count does not depend on machine
+// speed, and the slack absorbs what the runtime allocates beside the
+// simulation.
+const allocsPerOpCeiling = 30.6
+
+// runEnd2End runs end2endRun and returns the result and its heap
+// allocations per simulated op (runtime.MemStats.Mallocs delta / Ops).
+func runEnd2End(tb testing.TB) (*Result, float64) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(end2endRun)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Ops == 0 {
+		tb.Fatal("run completed no ops")
+	}
+	return res, float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+}
+
+// TestEnd2EndAllocsPerOp is the whole-run allocation gate: a change
+// that puts the heap back on a hot path of a full KLOC run fails here.
+// Unlike wall time, an allocation count can gate CI without flaking.
+func TestEnd2EndAllocsPerOp(t *testing.T) {
+	res, perOp := runEnd2End(t)
+	if perOp > allocsPerOpCeiling {
+		t.Fatalf("%.2f allocs/op over %d ops, ceiling %.1f", perOp, res.Ops, allocsPerOpCeiling)
+	}
+	t.Logf("%.2f allocs/op over %d ops (ceiling %.1f)", perOp, res.Ops, allocsPerOpCeiling)
+}
+
+// BenchmarkRun times end2endRun. Besides the per-run ns/op it reports
+// wall time and heap allocations per simulated op.
+func BenchmarkRun(b *testing.B) {
+	ops := 0
+	for n := 0; n < b.N; n++ {
+		res, perOp := runEnd2End(b)
+		ops += res.Ops
+		b.ReportMetric(perOp, "allocs/simop")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
+}
+
+// BenchmarkRunShards times a 4-shard fleet of end2endRun at 1, 2 and 4
+// workers: the shard pool's wall-clock scaling on the host running it.
+// Results are identical at every worker count
+// (TestRunShardsWorkerCountInvariance).
+func BenchmarkRunShards(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				if _, err := RunShards(ShardsConfig{Base: end2endRun, Shards: 4, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -111,11 +111,9 @@ func TestRunShardsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminismAcrossGOMAXPROCS is the satellite-2 gate: the
-// same seed at GOMAXPROCS=1, 2, and NumCPU must produce byte-identical
-// per-shard results and trace exports. (The perfbench suite pins the
-// same property for BENCH_perf.json rows, and the eval byte-stability
-// tests pin it for eval output.)
+// TestShardedDeterminismAcrossGOMAXPROCS: the same seed at
+// GOMAXPROCS=1, 2, and NumCPU must produce byte-identical per-shard
+// results and trace exports.
 func TestShardedDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	run := func() []string {
 		cfg := shardTestConfig()

@@ -342,9 +342,9 @@ func (m *Memory) SyncStats() {
 
 // PerfCounters are the accounting plane's own deterministic meters:
 // accumulator adds vs shared-store commits (the batched write
-// reduction) and frame-pool recycling. The perf harness reports them;
-// they are not part of Stats, which holds only what the simulation
-// observed.
+// reduction) and frame-pool recycling. Each run reports them in
+// harness.Result.Perf; they are not part of Stats, which holds only
+// what the simulation observed.
 type PerfCounters struct {
 	AccAdds, AccCommits       uint64
 	FramesFresh, FramesReused uint64

@@ -30,8 +30,8 @@ import "sync/atomic"
 //     must not go through an Accumulator.
 //
 // Adds and Commits are themselves deterministic functions of the event
-// sequence (same seed → same counts); the perf harness reports their
-// ratio as the shared-store write reduction.
+// sequence (same seed → same counts); their ratio is the shared-store
+// write reduction.
 type Accumulator struct {
 	threshold int64
 	lanes     [][]int64 // [cpu][cell] pending net delta; owner-only plain access
@@ -39,7 +39,7 @@ type Accumulator struct {
 
 	// Adds counts every Add call; Commits counts shared-store writes
 	// (threshold-triggered plus non-empty flushes). Both are exact and
-	// deterministic — BENCH_perf.json reports Commits/Adds. Mutated
+	// deterministic — harness.Result.Perf reports both. Mutated
 	// through sync/atomic (Add runs on every lane); read via Counters.
 	Adds, Commits uint64
 }

@@ -45,7 +45,6 @@ import (
 	"kloc/internal/kloc"
 	"kloc/internal/kobj"
 	"kloc/internal/memsim"
-	"kloc/internal/perfbench"
 	"kloc/internal/policy"
 	"kloc/internal/pressure"
 	"kloc/internal/sim"
@@ -439,26 +438,6 @@ func ParseChaosArtifact(data []byte) (*ChaosArtifact, error) { return chaos.Pars
 // reproduces deterministically.
 func ChaosReplay(a *ChaosArtifact) (*ChaosReplayReport, error) { return chaos.Replay(a) }
 
-// Hot-path accounting and the perf harness (DESIGN.md §13,
-// PERFORMANCE.md).
-type (
-	// PerfConfig tunes a perf sweep ("klocbench -exp perf").
-	PerfConfig = perfbench.Config
-	// PerfReport is the machine-readable sweep (BENCH_perf.json).
-	PerfReport = perfbench.Report
-	// PerfStageRow is one stage's measurement in a PerfReport.
-	PerfStageRow = perfbench.StageRow
-	// PerfLaneRow is one worker-count row of the shard-pool lane sweep
-	// in a PerfReport (results identical across rows by contract).
-	PerfLaneRow = perfbench.LaneRow
-	// RunPerfMeters are one run's deterministic accounting meters
-	// (Result.Perf).
-	RunPerfMeters = harness.PerfMeters
-)
-
-// PerfSchemaVersion stamps BENCH_perf.json.
-const PerfSchemaVersion = perfbench.SchemaVersion
-
-// PerfBench runs the hot-path sweep ("klocbench -exp perf") and returns
-// the rendered table plus the machine-readable report.
-func PerfBench(cfg PerfConfig) (*Table, *PerfReport, error) { return perfbench.Run(cfg) }
+// RunPerfMeters are one run's deterministic hot-path accounting meters
+// (Result.Perf; DESIGN.md §13).
+type RunPerfMeters = harness.PerfMeters
