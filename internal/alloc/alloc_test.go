@@ -25,18 +25,18 @@ func TestSlabPacking(t *testing.T) {
 	if per != memsim.PageSize/192 {
 		t.Fatalf("objects per frame = %d", per)
 	}
-	var slots []*Slot
+	var objs []*memsim.Frame
 	for i := 0; i < per; i++ {
-		s, _, err := c.Alloc(order, 0)
+		f, _, err := c.Alloc(order, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots = append(slots, s)
+		objs = append(objs, f)
 	}
 	if c.Frames() != 1 {
 		t.Fatalf("one frame should hold %d objects, used %d frames", per, c.Frames())
 	}
-	s, _, err := c.Alloc(order, 0)
+	f, _, err := c.Alloc(order, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func TestSlabPacking(t *testing.T) {
 		t.Fatalf("live = %d", c.LiveObjects())
 	}
 	// Free everything; frames return to the memory system.
-	c.Free(s)
-	for _, s := range slots {
-		c.Free(s)
+	c.Free(f)
+	for _, f := range objs {
+		c.Free(f)
 	}
 	if c.Frames() != 0 || m.Node(memsim.FastNode).Used() != 0 {
 		t.Fatal("slab frames leaked")
@@ -58,29 +58,29 @@ func TestSlabPacking(t *testing.T) {
 
 func TestSlabFramesArePinned(t *testing.T) {
 	c, _ := NewSlabCache(mem(), "inode", 600)
-	s, _, _ := c.Alloc(order, 0)
-	if !s.Frame.Pinned {
+	f, _, _ := c.Alloc(order, 0)
+	if !f.Pinned {
 		t.Fatal("slab frame not pinned")
 	}
-	if s.Frame.Class != memsim.ClassSlab {
-		t.Fatalf("slab frame class = %v", s.Frame.Class)
+	if f.Class != memsim.ClassSlab {
+		t.Fatalf("slab frame class = %v", f.Class)
 	}
 }
 
 func TestKlocCacheRelocatable(t *testing.T) {
 	m := mem()
 	c, _ := NewKlocCache(m, "inode-kloc", 600)
-	s, cost, _ := c.Alloc(order, 0)
-	if s.Frame.Pinned {
+	f, cost, _ := c.Alloc(order, 0)
+	if f.Pinned {
 		t.Fatal("KLOC allocator must produce relocatable frames")
 	}
-	if s.Frame.Class != memsim.ClassKloc {
-		t.Fatalf("class = %v", s.Frame.Class)
+	if f.Class != memsim.ClassKloc {
+		t.Fatalf("class = %v", f.Class)
 	}
 	if cost < SlabAllocCost {
 		t.Fatal("KLOC alloc should not be cheaper than slab")
 	}
-	if !m.CanMigrate(s.Frame, memsim.SlowNode) {
+	if !m.CanMigrate(f, memsim.SlowNode) {
 		t.Fatal("KLOC frame should be migratable")
 	}
 }
@@ -92,17 +92,20 @@ func TestSlabCostOrdering(t *testing.T) {
 	}
 }
 
+// TestSlabDoubleFree: freeing a frame that holds no live object, or a
+// nil frame, changes nothing.
 func TestSlabDoubleFree(t *testing.T) {
-	c, _ := NewSlabCache(mem(), "x", 1024)
-	s, _, _ := c.Alloc(order, 0)
-	if c.Free(s) == 0 {
-		t.Fatal("first free had no cost")
+	m := mem()
+	c, _ := NewSlabCache(m, "x", 1024)
+	f, _, _ := c.Alloc(order, 0)
+	c.Free(f)
+	if c.Frames() != 0 || c.LiveObjects() != 0 || m.Frames() != 0 {
+		t.Fatal("first free did not release the frame")
 	}
-	if c.Free(s) != 0 {
-		t.Fatal("double free should be a no-op")
-	}
-	if c.Free(nil) != 0 {
-		t.Fatal("nil free should be a no-op")
+	c.Free(f)
+	c.Free(nil)
+	if c.Frames() != 0 || c.LiveObjects() != 0 || m.Frames() != 0 {
+		t.Fatal("double or nil free changed the cache")
 	}
 }
 
@@ -110,12 +113,12 @@ func TestSlabPartialReuse(t *testing.T) {
 	c, _ := NewSlabCache(mem(), "x", 2048) // 2 per frame
 	a, _, _ := c.Alloc(order, 0)
 	b, _, _ := c.Alloc(order, 0)
-	if a.Frame.ID != b.Frame.ID {
+	if a.ID != b.ID {
 		t.Fatal("two objects should share one frame")
 	}
 	c.Free(a)
 	d, _, _ := c.Alloc(order, 0)
-	if d.Frame.ID != b.Frame.ID {
+	if d.ID != b.ID {
 		t.Fatal("freed slot not reused")
 	}
 }
@@ -127,7 +130,7 @@ func TestSlabFullObjectPerFrame(t *testing.T) {
 	}
 	a, _, _ := c.Alloc(order, 0)
 	b, _, _ := c.Alloc(order, 0)
-	if a.Frame.ID == b.Frame.ID {
+	if a.ID == b.ID {
 		t.Fatal("page-sized objects must not share frames")
 	}
 }
@@ -146,22 +149,6 @@ func TestSlabExhaustion(t *testing.T) {
 	}
 }
 
-func TestPageAllocator(t *testing.T) {
-	m := mem()
-	p := &PageAllocator{Mem: m}
-	f, cost, err := p.Alloc(order, memsim.ClassCache, 5)
-	if err != nil || cost != PageAllocCost {
-		t.Fatalf("alloc: %v cost=%v", err, cost)
-	}
-	if f.Pinned {
-		t.Fatal("page-allocated frame pinned")
-	}
-	p.Free(f)
-	if m.Frames() != 0 {
-		t.Fatal("page leaked")
-	}
-}
-
 func TestArenaBumpAllocation(t *testing.T) {
 	m := mem()
 	a := NewArena(m)
@@ -177,19 +164,19 @@ func TestArenaBumpAllocation(t *testing.T) {
 	if c2 != KlocAllocCost {
 		t.Fatal("second alloc should reuse the frame")
 	}
-	if s1.Frame.ID != s2.Frame.ID {
+	if s1.ID != s2.ID {
 		t.Fatal("bump allocation split across frames prematurely")
 	}
 	s3, _, _ := a.Alloc(order, 2048, 0)
-	if s3.Frame.ID == s1.Frame.ID {
+	if s3.ID == s1.ID {
 		t.Fatal("overflow object did not open a new frame")
 	}
 	if a.Frames() != 2 || a.LiveObjects() != 3 {
 		t.Fatalf("frames=%d live=%d", a.Frames(), a.LiveObjects())
 	}
 	// Frames are relocatable ClassKloc.
-	if s1.Frame.Pinned || s1.Frame.Class != memsim.ClassKloc {
-		t.Fatalf("frame attrs: %+v", s1.Frame)
+	if s1.Pinned || s1.Class != memsim.ClassKloc {
+		t.Fatalf("frame attrs: %+v", s1)
 	}
 }
 
@@ -206,7 +193,8 @@ func TestArenaFreeReclaimsFrames(t *testing.T) {
 	if a.Frames() != 0 || m.Frames() != 0 {
 		t.Fatal("empty arena kept frames")
 	}
-	if a.Free(s2) != 0 {
+	a.Free(s2)
+	if a.Frames() != 0 || a.LiveObjects() != 0 {
 		t.Fatal("double free did work")
 	}
 	// The arena is reusable after draining.

@@ -13,87 +13,65 @@ import (
 // promoted with the owning knode without collateral damage.
 //
 // Allocation is a bump pointer within the current frame; frames are
-// relocatable (not pinned) and carry ClassKloc. A frame is returned to
-// the memory system when its last object dies.
+// relocatable (not pinned) and carry ClassKloc. Each frame keeps its
+// own bump offset (Frame.Bump) and live-object count (Frame.InUse),
+// and returns to the memory system when its last object dies.
 type Arena struct {
 	Mem *memsim.Memory
 
-	frames  map[memsim.FrameID]*arenaFrame
-	current *arenaFrame
-}
-
-type arenaFrame struct {
-	frame *memsim.Frame
-	used  int // bytes bumped
-	live  int // live objects
-}
-
-// ArenaSlot is one object allocation inside an arena.
-type ArenaSlot struct {
-	Frame *memsim.Frame
-	arena *Arena
-	fid   memsim.FrameID
-	freed bool
+	current      *memsim.Frame
+	frames, live int
 }
 
 // NewArena creates an empty arena over the memory system.
 func NewArena(mem *memsim.Memory) *Arena {
-	return &Arena{Mem: mem, frames: make(map[memsim.FrameID]*arenaFrame)}
+	return &Arena{Mem: mem}
 }
 
-// Alloc carves size bytes, pulling a fresh relocatable frame (trying
-// nodes in order) when the current one is exhausted.
-func (a *Arena) Alloc(order []memsim.NodeID, size int, now sim.Time) (*ArenaSlot, sim.Duration, error) {
+// Alloc carves size bytes and returns the frame they live on, pulling
+// a fresh relocatable frame (trying nodes in order) when the current
+// one is exhausted.
+func (a *Arena) Alloc(order []memsim.NodeID, size int, now sim.Time) (*memsim.Frame, sim.Duration, error) {
 	if size <= 0 || size > memsim.PageSize {
 		size = memsim.PageSize
 	}
 	cost := KlocAllocCost
-	if a.current == nil || a.current.used+size > memsim.PageSize {
+	if a.current == nil || int(a.current.Bump)+size > memsim.PageSize {
 		frame, err := a.Mem.AllocFallback(order, memsim.ClassKloc, now)
 		if err != nil {
 			return nil, 0, err
 		}
-		af := &arenaFrame{frame: frame}
-		a.frames[frame.ID] = af
-		a.current = af
+		a.current = frame
+		a.frames++
 		cost += slabNewFrameCost
 	}
-	af := a.current
-	af.used += size
-	af.live++
-	return &ArenaSlot{Frame: af.frame, arena: a, fid: af.frame.ID}, cost, nil
+	f := a.current
+	f.Bump += uint16(size)
+	f.InUse++
+	a.live++
+	return f, cost, nil
 }
 
-// Free releases a slot; the frame returns to the memory system when its
-// last object dies. Idempotent.
-func (a *Arena) Free(s *ArenaSlot) sim.Duration {
-	if s == nil || s.freed || s.arena != a {
-		return 0
+// Free returns one object on frame f; the frame goes back to the
+// memory system when its last object dies. A nil frame, or one with no
+// live object, is a no-op.
+func (a *Arena) Free(f *memsim.Frame) {
+	if f == nil || f.InUse == 0 {
+		return
 	}
-	s.freed = true
-	af, ok := a.frames[s.fid]
-	if !ok {
-		return 0
-	}
-	af.live--
-	if af.live == 0 {
-		delete(a.frames, s.fid)
-		if a.current == af {
+	f.InUse--
+	a.live--
+	if f.InUse == 0 {
+		a.frames--
+		if a.current == f {
 			a.current = nil
 		}
-		a.Mem.Free(af.frame)
+		a.Mem.Free(f)
 	}
-	return KlocFreeCost
 }
 
 // Frames reports live arena frames.
-func (a *Arena) Frames() int { return len(a.frames) }
+func (a *Arena) Frames() int { return a.frames }
 
 // LiveObjects reports live allocations.
-func (a *Arena) LiveObjects() int {
-	n := 0
-	for _, af := range a.frames {
-		n += af.live
-	}
-	return n
-}
+func (a *Arena) LiveObjects() int { return a.live }

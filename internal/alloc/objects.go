@@ -48,7 +48,6 @@ type Objects struct {
 	ids      *kstate.IDGen
 	stats    *ObjStats
 	fallback pressure.Shrinker
-	pages    PageAllocator
 	slabs    map[kobj.Type]*SlabCache
 	klocs    map[kobj.Type]*SlabCache
 	// arenas are per-context KLOC allocation regions (§4.4): slab-class
@@ -69,7 +68,6 @@ func NewObjects(mem *memsim.Memory, hooks kstate.Hooks, ids *kstate.IDGen, stats
 		ids:      ids,
 		stats:    stats,
 		fallback: fallback,
-		pages:    PageAllocator{Mem: mem},
 		slabs:    make(map[kobj.Type]*SlabCache),
 		klocs:    make(map[kobj.Type]*SlabCache),
 		arenas:   make(map[uint64]*Arena),
@@ -108,12 +106,12 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 	info := t.Info()
 	var o *kobj.Object
 	if info.Alloc == kobj.AllocPage {
-		frame, cost, err := a.pages.Alloc(order, memsim.ClassCache, ctx.Now)
+		frame, err := a.mem.AllocFallback(order, memsim.ClassCache, ctx.Now)
 		if err != nil {
 			return nil, err
 		}
-		ctx.Charge(cost)
-		o = kobj.NewObject(id, t, frame, ctx.Now, func() { a.pages.Free(frame) })
+		ctx.Charge(PageAllocCost)
+		o = kobj.NewObject(id, t, frame, ctx.Now, a.mem)
 		a.hooks.PageAllocated(ctx, frame)
 		a.Trace.Emit(trace.AllocPage, ctx.Now, ino, uint64(id), t.String(), int(frame.Node), int64(o.Size))
 	} else {
@@ -124,23 +122,23 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 				arena = NewArena(a.mem)
 				a.arenas[ino] = arena
 			}
-			slot, cost, err := arena.Alloc(order, info.Size, ctx.Now)
+			frame, cost, err := arena.Alloc(order, info.Size, ctx.Now)
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { arena.Free(slot) })
+			o = kobj.NewObject(id, t, frame, ctx.Now, arena)
 		} else {
 			cache, err := a.cache(t, relocatable)
 			if err != nil {
 				return nil, err
 			}
-			slot, cost, err := cache.Alloc(order, ctx.Now)
+			frame, cost, err := cache.Alloc(order, ctx.Now)
 			if err != nil {
 				return nil, err
 			}
 			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, slot.Frame, ctx.Now, func() { cache.Free(slot) })
+			o = kobj.NewObject(id, t, frame, ctx.Now, cache)
 		}
 		a.Trace.Emit(trace.AllocSlab, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
 	}

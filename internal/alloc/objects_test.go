@@ -8,6 +8,7 @@ import (
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
 	"kloc/internal/pressure"
+	"kloc/internal/sim"
 )
 
 // klocHooks answers UseKlocAllocator with a fixed choice.
@@ -18,27 +19,33 @@ type klocHooks struct {
 
 func (h klocHooks) UseKlocAllocator(kobj.Type) bool { return h.kloc }
 
-// TestObjectsBackings allocates one object on each backing the path
-// can choose and frees it again: the context's arena, the shared KLOC
-// cache (relocatable, but no context yet), the pinned slab cache, and
-// the page allocator.
+// backings are the four backings the object path can choose: the
+// context's arena, the shared KLOC cache (relocatable, but no context
+// yet), the pinned slab cache, and the page allocator.
+var backings = []struct {
+	name   string
+	typ    kobj.Type
+	kloc   bool
+	ino    uint64
+	class  memsim.Class
+	pinned bool
+	// frames held by the context's arena, the KLOC cache and the slab
+	// cache for the type.
+	frames [3]int
+	// charge is the first allocation's cost before its initializing
+	// write.
+	charge sim.Duration
+}{
+	{"arena", kobj.Dentry, true, 7, memsim.ClassKloc, false, [3]int{1, 0, 0}, KlocAllocCost + slabNewFrameCost},
+	{"kloc-cache", kobj.SkBuff, true, 0, memsim.ClassKloc, false, [3]int{0, 1, 0}, KlocAllocCost + slabNewFrameCost},
+	{"slab-cache", kobj.Dentry, false, 7, memsim.ClassSlab, true, [3]int{0, 0, 1}, SlabAllocCost + slabNewFrameCost},
+	{"page", kobj.PageCache, true, 7, memsim.ClassCache, false, [3]int{}, PageAllocCost},
+}
+
+// TestObjectsBackings allocates one object on each backing and frees
+// it again.
 func TestObjectsBackings(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		typ    kobj.Type
-		kloc   bool
-		ino    uint64
-		class  memsim.Class
-		pinned bool
-		// frames held by the context's arena, the KLOC cache and the
-		// slab cache for the type.
-		frames [3]int
-	}{
-		{"arena", kobj.Dentry, true, 7, memsim.ClassKloc, false, [3]int{1, 0, 0}},
-		{"kloc-cache", kobj.SkBuff, true, 0, memsim.ClassKloc, false, [3]int{0, 1, 0}},
-		{"slab-cache", kobj.Dentry, false, 7, memsim.ClassSlab, true, [3]int{0, 0, 1}},
-		{"page", kobj.PageCache, true, 7, memsim.ClassCache, false, [3]int{}},
-	} {
+	for _, c := range backings {
 		t.Run(c.name, func(t *testing.T) {
 			m := mem()
 			var ids kstate.IDGen
@@ -49,8 +56,11 @@ func TestObjectsBackings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o.ID != 1 || o.Type != c.typ || ctx.Cost <= 0 {
-				t.Fatalf("object %+v, cost %v", o, ctx.Cost)
+			if o.ID != 1 || o.Type != c.typ {
+				t.Fatalf("object %+v", o)
+			}
+			if want := c.charge + m.Access(ctx.CPU, o.Frame, o.Size, true, ctx.Now); ctx.Cost != want {
+				t.Fatalf("cost %v, want %v", ctx.Cost, want)
 			}
 			if o.Frame.Class != c.class || o.Frame.Pinned != c.pinned {
 				t.Fatalf("frame class %v pinned %v, want %v %v", o.Frame.Class, o.Frame.Pinned, c.class, c.pinned)
@@ -74,6 +84,57 @@ func TestObjectsBackings(t *testing.T) {
 			a.Free(o, ctx)
 			if st.ObjLive[c.typ] != 0 || m.Frames() != 0 {
 				t.Fatalf("after free: live %d, frames %d", st.ObjLive[c.typ], m.Frames())
+			}
+		})
+	}
+}
+
+// objectChurn is one Alloc+Free pair on a backing.
+func objectChurn(tb testing.TB, a *Objects, ctx *kstate.Ctx, typ kobj.Type, ino uint64) {
+	o, err := a.Alloc(ctx, typ, ino)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a.Free(o, ctx)
+}
+
+// warmObjects returns an object path whose first churn on the backing
+// has already created its cache or arena and recycled a frame.
+func warmObjects(tb testing.TB, kloc bool, typ kobj.Type, ino uint64) (*Objects, *kstate.Ctx) {
+	var ids kstate.IDGen
+	hooks := klocHooks{NopHooks: kstate.NopHooks{Order: order}, kloc: kloc}
+	a := NewObjects(mem(), hooks, &ids, &ObjStats{}, nil)
+	ctx := &kstate.Ctx{}
+	for i := 0; i < 4; i++ {
+		objectChurn(tb, a, ctx, typ, ino)
+	}
+	return a, ctx
+}
+
+// TestObjectChurnAllocatesOnlyTheObject is the object path's
+// allocation gate: on a warm path, an Alloc+Free pair on every backing
+// allocates exactly one heap object, the kobj.Object. The storage's
+// bookkeeping lives on the frame and the object keeps its allocator,
+// so a slot, a per-frame record or a release closure shows up here.
+func TestObjectChurnAllocatesOnlyTheObject(t *testing.T) {
+	for _, c := range backings {
+		a, ctx := warmObjects(t, c.kloc, c.typ, c.ino)
+		if avg := testing.AllocsPerRun(200, func() { objectChurn(t, a, ctx, c.typ, c.ino) }); avg != 1 {
+			t.Errorf("%s: %.2f heap allocations per Alloc+Free, want 1 (the object)", c.name, avg)
+		}
+	}
+}
+
+// BenchmarkObjectChurn times the loop of
+// TestObjectChurnAllocatesOnlyTheObject, one Alloc+Free per op.
+func BenchmarkObjectChurn(b *testing.B) {
+	for _, c := range backings {
+		b.Run(c.name, func(b *testing.B) {
+			a, ctx := warmObjects(b, c.kloc, c.typ, c.ino)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				objectChurn(b, a, ctx, c.typ, c.ino)
 			}
 		})
 	}

@@ -3,7 +3,8 @@
 //
 //   - the slab allocator (kmalloc / kmem_cache_alloc): fast, physically
 //     contiguous, NOT relocatable — slab frames are pinned;
-//   - the page allocator (page_alloc): one relocatable frame at a time;
+//   - the page allocator (page_alloc): one relocatable frame at a time,
+//     straight from memsim.Memory at PageAllocCost;
 //   - the KLOC allocator: the paper's new interface — nearly slab-fast,
 //     but backed by anonymous-VMA-style mappings so the objects it hands
 //     out CAN migrate (the paper redirected 400+ kernel allocation sites
@@ -24,34 +25,21 @@ import (
 )
 
 // Cost constants for the allocation fast paths. Relative order is what
-// matters: slab < kloc < page (§4.2.2, §4.4).
+// matters: slab < kloc < page (§4.2.2, §4.4). Frees cost nothing
+// (DESIGN.md §6).
 const (
 	SlabAllocCost    sim.Duration = 100
-	SlabFreeCost     sim.Duration = 80
 	KlocAllocCost    sim.Duration = 180
-	KlocFreeCost     sim.Duration = 120
 	PageAllocCost    sim.Duration = 300
-	PageFreeCost     sim.Duration = 200
 	slabNewFrameCost sim.Duration = 400 // refilling a slab from the page allocator
 )
-
-// Slot is one object-sized allocation inside a slab or KLOC cache
-// frame.
-type Slot struct {
-	Frame *memsim.Frame
-	cache *SlabCache
-}
-
-// slabFrame tracks per-frame occupancy inside a cache.
-type slabFrame struct {
-	frame *memsim.Frame
-	used  int
-}
 
 // SlabCache is a kmem_cache: fixed-size objects packed into pinned
 // frames. Objects from a slab cannot migrate; that is the paper's core
 // criticism of using slab allocation for kernel objects that need
-// tiering (§3.3).
+// tiering (§3.3). An object is known by the frame it lives on; each
+// frame counts its own live objects (Frame.InUse), as struct page
+// does for a slab.
 type SlabCache struct {
 	Mem     *memsim.Memory
 	Name    string
@@ -62,18 +50,18 @@ type SlabCache struct {
 	Class memsim.Class
 	// Pinned controls frame relocatability; true for real slabs.
 	Pinned bool
-	// AllocCost/FreeCost per object.
-	AllocCost, FreeCost sim.Duration
+	// AllocCost per object.
+	AllocCost sim.Duration
 
-	perFrame int
-	partial  []*slabFrame // frames with free slots
-	byFrame  map[memsim.FrameID]*slabFrame
+	perFrame     int
+	partial      []*memsim.Frame // frames with free slots
+	frames, live int
 }
 
 // NewSlabCache returns a classic (pinned) slab cache for objects of the
 // given size. Object sizes outside (0, PageSize] yield EINVAL.
 func NewSlabCache(mem *memsim.Memory, name string, objSize int) (*SlabCache, error) {
-	return newCache(mem, name, objSize, memsim.ClassSlab, true, SlabAllocCost, SlabFreeCost)
+	return newCache(mem, name, objSize, memsim.ClassSlab, true, SlabAllocCost)
 }
 
 // NewKlocCache returns the paper's KLOC allocation interface: same
@@ -81,84 +69,75 @@ func NewSlabCache(mem *memsim.Memory, name string, objSize int) (*SlabCache, err
 // and the per-object cost is slightly higher than slab. Object sizes
 // outside (0, PageSize] yield EINVAL.
 func NewKlocCache(mem *memsim.Memory, name string, objSize int) (*SlabCache, error) {
-	return newCache(mem, name, objSize, memsim.ClassKloc, false, KlocAllocCost, KlocFreeCost)
+	return newCache(mem, name, objSize, memsim.ClassKloc, false, KlocAllocCost)
 }
 
-func newCache(mem *memsim.Memory, name string, objSize int, class memsim.Class, pinned bool, ac, fc sim.Duration) (*SlabCache, error) {
+func newCache(mem *memsim.Memory, name string, objSize int, class memsim.Class, pinned bool, ac sim.Duration) (*SlabCache, error) {
 	if objSize <= 0 || objSize > memsim.PageSize {
 		return nil, fmt.Errorf("alloc: cache %q object size %d out of range: %w", name, objSize, fault.EINVAL)
 	}
-	per := memsim.PageSize / objSize
-	if per < 1 {
-		per = 1
-	}
 	return &SlabCache{
 		Mem: mem, Name: name, ObjSize: objSize, Class: class, Pinned: pinned,
-		AllocCost: ac, FreeCost: fc,
-		perFrame: per,
-		byFrame:  make(map[memsim.FrameID]*slabFrame),
+		AllocCost: ac,
+		perFrame:  memsim.PageSize / objSize,
 	}, nil
 }
 
 // ObjectsPerFrame reports the packing density.
 func (c *SlabCache) ObjectsPerFrame() int { return c.perFrame }
 
-// Alloc carves one object slot, pulling a fresh frame from the memory
-// system (trying nodes in order) when no partial frame has space.
-func (c *SlabCache) Alloc(order []memsim.NodeID, now sim.Time) (*Slot, sim.Duration, error) {
-	cost := c.AllocCost
+// Alloc carves one object and returns the frame it lives on, pulling a
+// fresh frame from the memory system (trying nodes in order) when no
+// partial frame has space.
+func (c *SlabCache) Alloc(order []memsim.NodeID, now sim.Time) (*memsim.Frame, sim.Duration, error) {
 	// Prefer the most-recently added partial frame (LIFO keeps slabs
-	// warm, like the real allocator's per-CPU freelists).
-	for len(c.partial) > 0 {
-		sf := c.partial[len(c.partial)-1]
-		if sf.used < c.perFrame {
-			sf.used++
-			if sf.used == c.perFrame {
-				c.partial = c.partial[:len(c.partial)-1]
-			}
-			return &Slot{Frame: sf.frame, cache: c}, cost, nil
+	// warm, like the real allocator's per-CPU freelists). A full frame
+	// never stays on the list.
+	if n := len(c.partial); n > 0 {
+		f := c.partial[n-1]
+		f.InUse++
+		if int(f.InUse) == c.perFrame {
+			c.partial = c.partial[:n-1]
 		}
-		c.partial = c.partial[:len(c.partial)-1]
+		c.live++
+		return f, c.AllocCost, nil
 	}
-	frame, err := c.Mem.AllocFallback(order, c.Class, now)
+	f, err := c.Mem.AllocFallback(order, c.Class, now)
 	if err != nil {
 		return nil, 0, err
 	}
-	frame.Pinned = c.Pinned
-	sf := &slabFrame{frame: frame, used: 1}
-	c.byFrame[frame.ID] = sf
+	f.Pinned = c.Pinned
+	f.InUse = 1
+	c.frames++
+	c.live++
 	if c.perFrame > 1 {
-		c.partial = append(c.partial, sf)
+		c.partial = append(c.partial, f)
 	}
-	return &Slot{Frame: frame, cache: c}, cost + slabNewFrameCost, nil
+	return f, c.AllocCost + slabNewFrameCost, nil
 }
 
-// Free returns a slot; the backing frame is released when its last
-// object dies. Returns the virtual cost.
-func (c *SlabCache) Free(s *Slot) sim.Duration {
-	if s == nil || s.cache != c {
-		return 0
+// Free returns one object on frame f; the frame is released when its
+// last object dies. A nil frame, or one with no live object, is a
+// no-op.
+func (c *SlabCache) Free(f *memsim.Frame) {
+	if f == nil || f.InUse == 0 {
+		return
 	}
-	sf := c.byFrame[s.Frame.ID]
-	if sf == nil {
-		return 0
-	}
-	wasFull := sf.used == c.perFrame
-	sf.used--
-	if sf.used == 0 {
-		delete(c.byFrame, s.Frame.ID)
-		c.removePartial(sf)
-		c.Mem.Free(sf.frame)
+	wasFull := int(f.InUse) == c.perFrame
+	f.InUse--
+	c.live--
+	if f.InUse == 0 {
+		c.frames--
+		c.removePartial(f)
+		c.Mem.Free(f)
 	} else if wasFull && c.perFrame > 1 {
-		c.partial = append(c.partial, sf)
+		c.partial = append(c.partial, f)
 	}
-	s.cache = nil
-	return c.FreeCost
 }
 
-func (c *SlabCache) removePartial(sf *slabFrame) {
+func (c *SlabCache) removePartial(f *memsim.Frame) {
 	for i, p := range c.partial {
-		if p == sf {
+		if p == f {
 			c.partial = append(c.partial[:i], c.partial[i+1:]...)
 			return
 		}
@@ -166,13 +145,7 @@ func (c *SlabCache) removePartial(sf *slabFrame) {
 }
 
 // Frames reports how many frames the cache currently holds.
-func (c *SlabCache) Frames() int { return len(c.byFrame) }
+func (c *SlabCache) Frames() int { return c.frames }
 
-// LiveObjects reports the number of live slots.
-func (c *SlabCache) LiveObjects() int {
-	n := 0
-	for _, sf := range c.byFrame {
-		n += sf.used
-	}
-	return n
-}
+// LiveObjects reports the number of live objects.
+func (c *SlabCache) LiveObjects() int { return c.live }

@@ -14,9 +14,9 @@ import (
 //   - a named type declaring an Alloc* method must also declare a
 //     Free*/Release*/Teardown* method — an allocator with no give-back
 //     path can only leak;
-//   - kobj.NewObject must receive a real release callback, not a
-//     literal nil — an object without one detaches its storage from
-//     the accounting the moment it dies;
+//   - kobj.NewObject must receive the allocator its frame came from,
+//     not a literal nil — an object without one detaches its storage
+//     from the accounting the moment it dies;
 //   - a package that creates kernel objects (calls kobj.NewObject)
 //     must also contain a free path: a call to (*kobj.Object).Release
 //     and to the ObjectFreed lifecycle hook.
@@ -97,10 +97,10 @@ func checkNewObjectSites(pass *Pass) {
 		switch {
 		case fn.Pkg().Path() == "kloc/internal/kobj" && fn.Name() == "NewObject":
 			newObjectSites = append(newObjectSites, call)
-			// Signature: NewObject(id, t, frame, born, release). A literal
-			// nil release orphans the storage from the accounting.
+			// Signature: NewObject(id, t, frame, born, from). A literal
+			// nil allocator orphans the storage from the accounting.
 			if len(call.Args) == 5 && isNilIdent(info, call.Args[4]) && !pass.Marked(allocPairMarker, call.Pos()) {
-				pass.Reportf(call.Args[4].Pos(), "kobj.NewObject with nil release callback: the object's storage would never return to its allocator; pass the freeing closure (annotate //klocs:ignore-allocpair if teardown is truly external)")
+				pass.Reportf(call.Args[4].Pos(), "kobj.NewObject with nil allocator: the object's storage would never return to it; pass the allocator the frame came from (annotate //klocs:ignore-allocpair if teardown is truly external)")
 			}
 		case fn.Name() == "Release" && isKobjObjectMethod(fn):
 			sawRelease = true

@@ -18,8 +18,8 @@ import (
 //   - interface: calls through an interface-typed receiver resolve,
 //     class-hierarchy-analysis style, to every module type whose
 //     method set implements the interface (this is how the pressure
-//     plane's Shrinker registrations and kobj release callbacks stay
-//     visible to the analyzers);
+//     plane's Shrinker registrations and the allocators behind
+//     kobj.Freer stay visible to the analyzers);
 //   - dynamic: calls through function-typed values (RunConfig hooks,
 //     struct fields, locals). These get no callee edges; instead every
 //     function whose value is taken somewhere is recorded as a Ref of

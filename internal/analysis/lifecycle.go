@@ -151,25 +151,6 @@ func (s *lifeState) join(other *lifeState) bool {
 	return changed
 }
 
-func (s *lifeState) equal(other *lifeState) bool {
-	if len(s.vars) != len(other.vars) || len(s.errLink) != len(other.errLink) {
-		return false
-	}
-	//klocs:unordered pure membership comparison
-	for v, m := range s.vars {
-		if other.vars[v] != m {
-			return false
-		}
-	}
-	//klocs:unordered pure membership comparison
-	for v, o := range s.errLink {
-		if other.errLink[v] != o {
-			return false
-		}
-	}
-	return true
-}
-
 // isFreeName reports whether a function name follows the module's
 // teardown conventions (the same prefixes allocpair enforces).
 func isFreeName(name string) bool {

@@ -26,15 +26,15 @@ type externalPool struct{}
 //klocs:ignore-allocpair fixture: slots are torn down by the harness
 func (p *externalPool) AllocSlot() int { return 0 }
 
-// makeOrphan passes a nil release callback: the object's storage never
-// returns to its allocator.
+// makeOrphan passes a nil allocator: the object's storage never
+// returns to it.
 func makeOrphan(id kobj.ID, born uint64) *kobj.Object {
-	return kobj.NewObject(id, kobj.Inode, nil, 0, nil) // want "nil release callback"
+	return kobj.NewObject(id, kobj.Inode, nil, 0, nil) // want "nil allocator"
 }
 
 // teardown and hooks give the package its free path, so the
 // package-level Release/ObjectFreed diagnostics stay quiet and the
-// test isolates the nil-callback one.
+// test isolates the nil-allocator one.
 func teardown(o *kobj.Object) { o.Release() }
 
 type hooks struct{}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -286,6 +287,11 @@ func TestParseArtifactRejectsGarbage(t *testing.T) {
 		"schedule":{"injections":[{"point":"no.such.point","at_ns":1}]}}`
 	if _, err := ParseArtifact([]byte(bad)); err == nil {
 		t.Fatalf("accepted unknown fault point in schedule")
+	}
+	huge := `{"experiment":"chaos","schema_version":1,"target":"cluster",
+		"schedule":{"injections":[{"point":"blockdev.io","at_ns":1,"burst":20000000}]}}`
+	if _, err := ParseArtifact([]byte(huge)); !errors.Is(err, fault.EINVAL) {
+		t.Fatalf("burst of 20,000,000 in schedule: err %v, want EINVAL", err)
 	}
 }
 

@@ -264,6 +264,9 @@ func (m *machine) step(e *sim.Engine, slot int) (sim.Duration, fault.Errno, erro
 	ctx := m.k.NewCtx(thread)
 	err := m.wl.Step(m.k, ctx, thread, m.rng)
 	cost := ctx.Cost
+	// The op has retired and nothing downstream retains ctx, so it can
+	// go back to the pool.
+	m.k.PutCtx(ctx)
 	if cost < 100 {
 		cost = 100
 	}

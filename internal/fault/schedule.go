@@ -37,9 +37,18 @@ type Injection struct {
 	// Err is the injected errno; zero means the point's DefaultErrno.
 	Err Errno `json:"errno,omitempty"`
 	// Burst is how many consecutive consults of the point fail starting
-	// at At (0 and 1 both mean a single injection).
+	// at At (0 and 1 both mean a single injection). ParseSchedule
+	// rejects a burst above MaxBurst: Rules expands a burst into one
+	// entry per failing consult, so an unchecked burst in a hand-edited
+	// artifact could exhaust memory. The generator draws 2-4 and
+	// minimization never grows a burst; 64 leaves room for hand-written
+	// schedules and is far past the simulator's longest retry loop (4
+	// attempts), so every retry already gives up inside a capped burst.
 	Burst int `json:"burst,omitempty"`
 }
+
+// MaxBurst is the longest Injection.Burst ParseSchedule accepts.
+const MaxBurst = 64
 
 // String renders one injection compactly ("alloc.page@2.5ms m1 ENOMEM x3").
 func (in Injection) String() string {
@@ -180,6 +189,9 @@ func ParseSchedule(data []byte) (Schedule, error) {
 		}
 		if in.At < 0 {
 			return Schedule{}, fmt.Errorf("fault: schedule injection %s before base: %w", in, EINVAL)
+		}
+		if in.Burst > MaxBurst {
+			return Schedule{}, fmt.Errorf("fault: schedule injection %s bursts past %d: %w", in, MaxBurst, EINVAL)
 		}
 	}
 	return s.Normalize(), nil

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 
 	"kloc/internal/sim"
@@ -60,6 +62,24 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSchedule([]byte(`{"injections":[{"point":"blockdev.io","at_ns":-5}]}`)); err == nil {
 		t.Fatal("negative offset accepted")
+	}
+}
+
+// TestParseScheduleBoundsBurst: a burst up to MaxBurst parses, a longer
+// one is EINVAL before Rules can expand it.
+func TestParseScheduleBoundsBurst(t *testing.T) {
+	for _, c := range []struct {
+		burst int
+		ok    bool
+	}{{MaxBurst, true}, {MaxBurst + 1, false}, {20000000, false}} {
+		data := fmt.Sprintf(`{"injections":[{"point":"blockdev.io","at_ns":0,"burst":%d}]}`, c.burst)
+		s, err := ParseSchedule([]byte(data))
+		if c.ok && (err != nil || len(s.Rules(-1, 0)[BlockIO].Timed) != c.burst) {
+			t.Fatalf("burst %d: err %v, schedule %s", c.burst, err, s)
+		}
+		if !c.ok && !errors.Is(err, EINVAL) {
+			t.Fatalf("burst %d: err %v, want EINVAL", c.burst, err)
+		}
 	}
 }
 

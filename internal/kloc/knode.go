@@ -54,9 +54,9 @@ type Knode struct {
 	rbCache *rbtree.Tree[kobj.ID, *kobj.Object]
 	rbSlab  *rbtree.Tree[kobj.ID, *kobj.Object]
 
-	// slot is the knode's own slab storage; knodes are deliberately
+	// frame is the knode's own slab storage; knodes are deliberately
 	// slab-allocated for speed and are not migratable (§4.2.2).
-	slot *alloc.Slot
+	frame *memsim.Frame
 }
 
 // Objects reports (cache, slab) tree sizes.
@@ -257,7 +257,7 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 	if r.slab == nil {
 		return nil, 0, fault.EINVAL
 	}
-	slot, cost, err := r.slab.Alloc(allocOrder, now)
+	frame, cost, err := r.slab.Alloc(allocOrder, now)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -268,7 +268,7 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 		LastTouch: now,
 		rbCache:   rbtree.New[kobj.ID, *kobj.Object](),
 		rbSlab:    rbtree.New[kobj.ID, *kobj.Object](),
-		slot:      slot,
+		frame:     frame,
 	}
 	if !r.SplitTrees {
 		// Ablation: one shared tree.
@@ -377,8 +377,8 @@ func (r *Registry) Delete(inode uint64) sim.Duration {
 	r.kmap.Delete(inode)
 	r.unindexByID(kn)
 	r.fast.Invalidate(kn)
-	r.slab.Free(kn.slot)
-	kn.slot = nil
+	r.slab.Free(kn.frame)
+	kn.frame = nil
 	r.Stats.KnodesDeleted++
 	return cost
 }

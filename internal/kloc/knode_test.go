@@ -70,8 +70,8 @@ func TestKnodeSlabStorageIsMetaAndReclaimed(t *testing.T) {
 	m := testMem()
 	r := NewRegistry(m, 2)
 	kn, _, _ := r.MapKnode(1, order, 0)
-	if kn.slot.Frame.Class != memsim.ClassMeta {
-		t.Fatalf("knode frame class = %v", kn.slot.Frame.Class)
+	if kn.frame.Class != memsim.ClassMeta {
+		t.Fatalf("knode frame class = %v", kn.frame.Class)
 	}
 	used := m.Node(memsim.FastNode).Used()
 	if used == 0 {

@@ -154,6 +154,13 @@ func GroupOf(t Type) Group {
 // ID identifies a live kernel object.
 type ID uint64
 
+// Freer is the allocator an object's frame returns to: the memory
+// system itself for page-allocated objects, a slab cache or an arena
+// for the rest.
+type Freer interface {
+	Free(*memsim.Frame)
+}
+
 // Object is a live kernel object instance.
 type Object struct {
 	ID    ID
@@ -163,26 +170,25 @@ type Object struct {
 	// Knode is the owning KLOC (0 until associated).
 	Knode uint64
 	Born  sim.Time
-	// release returns the object's storage to its allocator.
-	release func()
+	// from is the allocator the frame came from.
+	from Freer
 }
 
-// NewObject constructs an object occupying the given frame. The release
-// callback (may be nil) is invoked exactly once by Release.
-func NewObject(id ID, t Type, frame *memsim.Frame, born sim.Time, release func()) *Object {
-	return &Object{ID: id, Type: t, Size: t.Info().Size, Frame: frame, Born: born, release: release}
+// NewObject constructs an object occupying the given frame of
+// allocator from (may be nil). Release frees the frame to it once.
+func NewObject(id ID, t Type, frame *memsim.Frame, born sim.Time, from Freer) *Object {
+	return &Object{ID: id, Type: t, Size: t.Info().Size, Frame: frame, Born: born, from: from}
 }
 
-// Release returns the object's storage. Safe to call once. The frame
-// pointer is cleared so that any index entry that outlives the object
-// (for example a KLOC tree slot left behind by a late re-association)
-// reads "no storage" instead of aliasing a frame the allocator may
-// recycle.
+// Release returns the object's storage to its allocator; a second
+// call does nothing. The frame pointer is cleared so that any index
+// entry that outlives the object (for example a KLOC tree slot left
+// behind by a late re-association) reads "no storage" instead of
+// aliasing a frame the allocator may recycle.
 func (o *Object) Release() {
-	if o.release != nil {
-		r := o.release
-		o.release = nil
-		r()
+	if o.from != nil {
+		o.from.Free(o.Frame)
+		o.from = nil
 	}
 	o.Frame = nil
 }

@@ -2,9 +2,18 @@ package kobj
 
 import (
 	"testing"
+	"unsafe"
 
 	"kloc/internal/memsim"
 )
+
+// TestObjectSize: an object holding its allocator still fits the
+// runtime's 64-byte size class.
+func TestObjectSize(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 64 {
+		t.Fatalf("Object is %d bytes, want at most 64", n)
+	}
+}
 
 func TestTableOneTaxonomy(t *testing.T) {
 	types := Types()
@@ -81,10 +90,15 @@ func TestGroups(t *testing.T) {
 	}
 }
 
+// countFreer records the frames returned to it.
+type countFreer []*memsim.Frame
+
+func (c *countFreer) Free(f *memsim.Frame) { *c = append(*c, f) }
+
 func TestObjectLifecycle(t *testing.T) {
 	frame := &memsim.Frame{ID: 1}
-	released := 0
-	o := NewObject(7, Dentry, frame, 100, func() { released++ })
+	var freed countFreer
+	o := NewObject(7, Dentry, frame, 100, &freed)
 	if o.Size != Dentry.Info().Size || o.Born != 100 {
 		t.Fatalf("object misconstructed: %+v", o)
 	}
@@ -97,8 +111,8 @@ func TestObjectLifecycle(t *testing.T) {
 	}
 	o.Release()
 	o.Release() // idempotent
-	if released != 1 {
-		t.Fatalf("release ran %d times", released)
+	if len(freed) != 1 || freed[0] != frame {
+		t.Fatalf("release freed %v, want frame 1 once", freed)
 	}
 }
 

@@ -2,9 +2,18 @@ package memsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"kloc/internal/sim"
 )
+
+// TestFrameSize: the slab counters (InUse, Bump) sit in padding, so a
+// Frame stays 96 bytes.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n != 96 {
+		t.Fatalf("Frame is %d bytes, want 96", n)
+	}
+}
 
 // churn is the state of one steady-state alloc/access/free loop; each
 // pattern method runs op c.i and advances it.

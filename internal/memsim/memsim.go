@@ -162,6 +162,10 @@ type Frame struct {
 	Pinned bool
 	// Dirty pages must be written back before reclaim.
 	Dirty bool
+	// InUse counts the live objects on a slab, KLOC-cache or arena
+	// frame, and Bump is an arena frame's bump offset in bytes: the
+	// slab fields Linux keeps in struct page. Alloc zeroes both.
+	InUse, Bump uint16
 
 	// Knode associates the frame with a KLOC (0 = none).
 	Knode uint64
