@@ -163,6 +163,23 @@ func TestSanitizedRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunOptaneWithNoL4 drives `-run -optane -scale 4194305 -policy
+// autonuma -workload redis -quick` through the library call main makes.
+// At that scale DefaultOptane sizes each socket's L4 cache at zero
+// pages, which must miss every access, not panic; seven pages of PMEM
+// per socket then run out, and the run reports ENOMEM.
+func TestRunOptaneWithNoL4(t *testing.T) {
+	opts := kloc.QuickOptions()
+	_, err := kloc.Run(kloc.RunConfig{
+		PolicyName: "autonuma", Workload: "redis",
+		ScaleDiv: 4194305, Seed: opts.Seed, Duration: opts.Duration,
+		Platform: kloc.Optane, MoveTaskAtFrac: 0.1,
+	})
+	if errno, ok := kloc.AsErrno(err); !ok || errno != kloc.ENOMEM {
+		t.Fatalf("run at a zero-page L4: err = %v, want ENOMEM", err)
+	}
+}
+
 // TestExperimentSmoke drives one real experiment end to end through
 // the same entry point main uses, at a tiny scale.
 func TestExperimentSmoke(t *testing.T) {

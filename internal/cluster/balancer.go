@@ -26,8 +26,8 @@ type request struct {
 	measured bool
 
 	inflight []*attempt
-	hedgeEv  *sim.Event
-	retryEv  *sim.Event
+	hedgeEv  sim.Handle
+	retryEv  sim.Handle
 }
 
 // attempt is one dispatch of a request to one machine.
@@ -37,7 +37,7 @@ type attempt struct {
 	n     int // attempt number (1-based)
 	hedge bool
 
-	timeoutEv *sim.Event
+	timeoutEv sim.Handle
 	// settled: this attempt's outcome is decided (success, failure,
 	// timeout abandonment, hedge loss, crash). The server may still be
 	// working on a settled attempt — that shows up as wasted work.
@@ -192,7 +192,6 @@ func (b *balancer) dispatch(e *sim.Engine, req *request, exclude *machine, hedge
 // hedgeFire launches a hedged duplicate if the request is still
 // waiting on exactly its primary attempt.
 func (b *balancer) hedgeFire(e *sim.Engine, req *request) {
-	req.hedgeEv = nil
 	if req.done || req.hedged || len(req.inflight) != 1 {
 		return
 	}
@@ -212,7 +211,6 @@ func (b *balancer) onTimeout(e *sim.Engine, at *attempt) {
 		return
 	}
 	at.settled = true
-	at.timeoutEv = nil
 	if at.req.measured {
 		b.c.stats.Timeouts++
 	}
@@ -247,7 +245,7 @@ func (b *balancer) attemptSucceeded(e *sim.Engine, at *attempt) {
 	}
 	req := at.req
 	at.settled = true
-	b.cancelEv(&at.timeoutEv)
+	b.c.eng.Cancel(at.timeoutEv)
 	b.out[at.m.id]--
 	b.breakerResult(e, at.m.id, true)
 	for _, other := range req.inflight {
@@ -255,7 +253,7 @@ func (b *balancer) attemptSucceeded(e *sim.Engine, at *attempt) {
 			continue
 		}
 		other.settled = true
-		b.cancelEv(&other.timeoutEv)
+		b.c.eng.Cancel(other.timeoutEv)
 		if b.c.cfg.Bug != BugHedgeSlotLeak {
 			b.out[other.m.id]--
 		}
@@ -267,8 +265,8 @@ func (b *balancer) attemptSucceeded(e *sim.Engine, at *attempt) {
 		}
 	}
 	req.inflight = nil
-	b.cancelEv(&req.hedgeEv)
-	b.cancelEv(&req.retryEv)
+	b.c.eng.Cancel(req.hedgeEv)
+	b.c.eng.Cancel(req.retryEv)
 	req.done = true
 	b.outstanding--
 	b.resolvedAll++
@@ -288,7 +286,7 @@ func (b *balancer) attemptSucceeded(e *sim.Engine, at *attempt) {
 // unlink detaches a settled attempt from its request and machine and
 // feeds the failure to the machine's breaker.
 func (b *balancer) unlink(e *sim.Engine, at *attempt) {
-	b.cancelEv(&at.timeoutEv)
+	b.c.eng.Cancel(at.timeoutEv)
 	b.out[at.m.id]--
 	b.breakerResult(e, at.m.id, false)
 	req := at.req
@@ -319,8 +317,8 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 		req.done = true
 		b.outstanding--
 		b.resolvedAll++
-		b.cancelEv(&req.hedgeEv)
-		b.cancelEv(&req.retryEv)
+		b.c.eng.Cancel(req.hedgeEv)
+		b.c.eng.Cancel(req.retryEv)
 		if req.measured {
 			b.c.stats.Failed++
 			if errno == fault.ETIMEDOUT {
@@ -338,9 +336,8 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 		node = last.id
 	}
 	b.c.tr.Emit(trace.LBRetry, e.Now(), req.group, req.id, errno.String(), node, int64(req.attempts))
-	b.cancelEv(&req.retryEv)
+	b.c.eng.Cancel(req.retryEv)
 	req.retryEv = e.After(delay, func(e *sim.Engine) {
-		req.retryEv = nil
 		if req.done {
 			return
 		}
@@ -369,12 +366,5 @@ func (b *balancer) breakerResult(e *sim.Engine, id int, ok bool) {
 			}
 		}
 		b.c.tr.Emit(trace.LBBreaker, e.Now(), 0, uint64(id), after.String(), id, 0)
-	}
-}
-
-func (b *balancer) cancelEv(ev **sim.Event) {
-	if *ev != nil {
-		b.c.eng.Cancel(*ev)
-		*ev = nil
 	}
 }

@@ -16,8 +16,10 @@ import (
 	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
 	"kloc/internal/fault"
+	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
+	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -75,6 +77,11 @@ type FS struct {
 	inodeOrder []uint64
 	// frameOwner maps cache frames to owning inodes for O(1) eviction.
 	frameOwner map[memsim.FrameID]uint64
+	// pageNodes and extentNodes recycle the nodes of every inode's page
+	// and extent trees. A file's trees die with it, so only pools the
+	// filesystem owns can carry their nodes over to the next file.
+	pageNodes   rbtree.Pool[int64, *Page]
+	extentNodes rbtree.Pool[int64, *kobj.Object]
 
 	// ReadaheadWindow is the max pages prefetched on a sequential
 	// streak; 0 disables readahead.

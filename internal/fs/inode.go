@@ -54,12 +54,12 @@ type Inode struct {
 }
 
 // newInode builds an empty in-memory inode (no kernel objects yet).
-func newInode(ino uint64, path string) *Inode {
+func (f *FS) newInode(ino uint64, path string) *Inode {
 	return &Inode{
 		Ino: ino, Path: path, Nlink: 1,
-		pages:      rbtree.New[int64, *Page](),
+		pages:      f.pageNodes.New(),
 		radixNodes: make(map[int64]*kobj.Object),
-		extents:    rbtree.New[int64, *kobj.Object](),
+		extents:    f.extentNodes.New(),
 		frameIndex: make(map[memsim.FrameID]int64),
 		lastRead:   -2,
 	}
@@ -109,7 +109,7 @@ func (f *FS) Create(ctx *kstate.Ctx, path string) (*File, error) {
 		return f.openInode(ctx, ind), nil
 	}
 	ino := f.InoGen.Next()
-	ind := newInode(ino, path)
+	ind := f.newInode(ino, path)
 	f.inodes[ino] = ind
 	f.inodeOrder = append(f.inodeOrder, ino)
 	f.dcache[path] = ino

@@ -229,7 +229,7 @@ func (f *FS) Replay(ctx *kstate.Ctx) error {
 // materializeInode rebuilds one inode (and its kernel objects) from its
 // durable metadata.
 func (f *FS) materializeInode(ctx *kstate.Ctx, ino uint64, d *durableInode) (*Inode, error) {
-	ind := newInode(ino, d.path)
+	ind := f.newInode(ino, d.path)
 	ind.Nlink = d.nlink
 	ind.SizePages = d.sizePages
 	f.inodes[ino] = ind

@@ -46,15 +46,18 @@ var end2endRun = RunConfig{
 }
 
 // allocsPerOpCeiling caps end2endRun's heap allocations per simulated
-// op. Measured on a 2-CPU host: 22.92 over 89,120 ops (the same under
-// -race); 27.73 before kernel objects kept their slab bookkeeping on
-// the frame and their allocator in place of a release closure, 28.38
-// before LRU lists, lifetimes and mapped app pages moved off ID-keyed
-// maps, and 30.61 before the KLOC open-time and daemon checks stopped
-// building frame lists. The ceiling is the measured value +10%,
-// rounded up: the count does not depend on machine speed, and the
-// slack absorbs what the runtime allocates beside the simulation.
-const allocsPerOpCeiling = 25.3
+// op. Measured on a 2-CPU host: 7.97 over 89,120 ops (the same under
+// -race); 22.92 before the op path stopped building CPU lists and
+// placement orders, recycled tree nodes and engine events, and queued
+// packets by value; 27.73 before kernel objects kept their slab
+// bookkeeping on the frame and their allocator in place of a release
+// closure, 28.38 before LRU lists, lifetimes and mapped app pages moved
+// off ID-keyed maps, and 30.61 before the KLOC open-time and daemon
+// checks stopped building frame lists. The ceiling is the measured
+// value +10%, rounded up: the count does not depend on machine speed,
+// and the slack absorbs what the runtime allocates beside the
+// simulation.
+const allocsPerOpCeiling = 8.8
 
 // runEnd2End runs end2endRun and returns the result and its heap
 // allocations per simulated op (runtime.MemStats.Mallocs delta / Ops).

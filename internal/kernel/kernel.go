@@ -77,6 +77,9 @@ type Kernel struct {
 	// experiments migrate the task mid-run). The migration is a
 	// scheduled event on this kernel's own engine.
 	taskSocket int
+	// localCPUs lists taskSocket's CPUs in ID order for CPUFor;
+	// SetTaskSocket rebuilds it.
+	localCPUs []int
 
 	objIDs kstate.IDGen
 	inoGen kstate.IDGen
@@ -100,6 +103,7 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 		Policy:    pol,
 		Lifetimes: metrics.NewLifetimeTracker(),
 	}
+	k.SetTaskSocket(0)
 	hooks := &muxHooks{kernel: k, policy: pol}
 	mq := blockdev.NewMQ(blockdev.SimNVMe(), mem.NumCPUs())
 	k.FS = fs.New(mem, mq, hooks, &k.objIDs, &k.inoGen)
@@ -208,20 +212,22 @@ func (k *Kernel) TaskSocket() int { return k.taskSocket }
 
 // SetTaskSocket moves the workload's execution to another socket
 // (the Optane interference scenario, §6.2).
-func (k *Kernel) SetTaskSocket(s int) { k.taskSocket = s }
+func (k *Kernel) SetTaskSocket(s int) {
+	k.taskSocket = s
+	k.localCPUs = k.localCPUs[:0]
+	for cpu, sock := range k.Mem.CPUSocket {
+		if sock == s {
+			k.localCPUs = append(k.localCPUs, cpu)
+		}
+	}
+}
 
 // CPUFor maps a workload thread to a CPU on the current task socket.
 func (k *Kernel) CPUFor(thread int) int {
-	var local []int
-	for cpu, sock := range k.Mem.CPUSocket {
-		if sock == k.taskSocket {
-			local = append(local, cpu)
-		}
-	}
-	if len(local) == 0 {
+	if len(k.localCPUs) == 0 {
 		return thread % k.Mem.NumCPUs()
 	}
-	return local[thread%len(local)]
+	return k.localCPUs[thread%len(k.localCPUs)]
 }
 
 // NewCtx builds an operation context for a workload thread at the

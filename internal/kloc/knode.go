@@ -169,6 +169,9 @@ type registryStats struct {
 // and the knode slab.
 type Registry struct {
 	kmap *rbtree.Tree[uint64, *Knode]
+	// objNodes recycles the nodes of every knode's object trees, which
+	// die with their knodes.
+	objNodes rbtree.Pool[kobj.ID, *kobj.Object]
 	// byID is the dense ID index: knode IDs are monotonic from 1, so the
 	// ID is the slot — no per-op map hash on the free/touch path.
 	byID   []*Knode
@@ -266,8 +269,8 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 		Inode:     inode,
 		Active:    true,
 		LastTouch: now,
-		rbCache:   rbtree.New[kobj.ID, *kobj.Object](),
-		rbSlab:    rbtree.New[kobj.ID, *kobj.Object](),
+		rbCache:   r.objNodes.New(),
+		rbSlab:    r.objNodes.New(),
 		frame:     frame,
 	}
 	if !r.SplitTrees {

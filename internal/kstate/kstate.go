@@ -42,6 +42,10 @@ func (g *IDGen) Next() uint64 {
 // Hooks is how the kernel subsystems consult the active tiering policy
 // and report lifecycle events. A policy implements Hooks; NopHooks is
 // the do-nothing base to embed.
+//
+// The fallback orders PlaceKernel and PlaceApp return are shared and
+// read-only: a policy hands out the same slice on every call, so
+// placement allocates nothing, and callers must not modify it.
 type Hooks interface {
 	// PlaceKernel returns the node fallback order for a kernel-object
 	// allocation of type t belonging to inode ino (0 when the owner is
@@ -84,11 +88,14 @@ type NopHooks struct {
 	Order []memsim.NodeID
 }
 
+// nodeOrder is NopHooks' order when Order is nil.
+var nodeOrder = []memsim.NodeID{0, 1}
+
 func (n NopHooks) defaultOrder() []memsim.NodeID {
 	if n.Order != nil {
 		return n.Order
 	}
-	return []memsim.NodeID{0, 1}
+	return nodeOrder
 }
 
 // PlaceKernel returns the default order.

@@ -745,20 +745,27 @@ func newL4Cache(capacity int, hitLatency sim.Duration, hitBandwidth float64) *l4
 	}
 }
 
-// access touches id, returns true on hit, and inserts on miss (evicting
-// the LRU entry if full).
+// access touches id, returns true on hit, and inserts on miss. A full
+// cache evicts its LRU entry and reuses it for id; a cache of capacity
+// below one page holds nothing and misses every access.
 func (c *l4Cache) access(id FrameID) bool {
 	if e, ok := c.entries[id]; ok {
 		c.unlink(e)
 		c.pushFront(e)
 		return true
 	}
-	if len(c.entries) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.id)
+	if c.capacity < 1 {
+		return false
 	}
-	e := &l4Entry{id: id}
+	var e *l4Entry
+	if len(c.entries) >= c.capacity {
+		e = c.tail
+		c.unlink(e)
+		delete(c.entries, e.id)
+		e.id = id
+	} else {
+		e = &l4Entry{id: id}
+	}
 	c.entries[id] = e
 	c.pushFront(e)
 	return false

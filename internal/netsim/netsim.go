@@ -63,12 +63,46 @@ type Packet struct {
 type Socket struct {
 	Ino     uint64
 	sockObj *kobj.Object
-	rxQueue []*Packet
+	rxQueue packetQueue
 	Open    bool
 }
 
 // QueuedPackets reports the ingress backlog.
-func (s *Socket) QueuedPackets() int { return len(s.rxQueue) }
+func (s *Socket) QueuedPackets() int { return s.rxQueue.n }
+
+// packetQueue is a socket's ingress FIFO: packets held by value in a
+// ring that reuses its backing array and doubles it only when full, so
+// a steady deliver/recv stream allocates no queue memory.
+type packetQueue struct {
+	buf  []Packet
+	head int // slot of the oldest packet
+	n    int
+}
+
+func (q *packetQueue) push(p Packet) {
+	if q.n == len(q.buf) {
+		buf := make([]Packet, max(2*len(q.buf), 8))
+		for i := range q.n {
+			buf[i] = *q.at(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.n++
+}
+
+// pop removes and returns the oldest packet. The queue must not be
+// empty.
+func (q *packetQueue) pop() Packet {
+	p := q.buf[q.head]
+	q.buf[q.head] = Packet{} // the ring holds no freed object alive
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return p
+}
+
+// at returns the i-th oldest packet, 0 <= i < n.
+func (q *packetQueue) at(i int) *Packet { return &q.buf[(q.head+i)%len(q.buf)] }
 
 // Net is the simulated network stack.
 type Net struct {
@@ -124,7 +158,8 @@ func (n *Net) MarkReachable(s *alloc.Sanitizer) {
 		if sk.sockObj != nil {
 			s.MarkReachable(uint64(sk.sockObj.ID))
 		}
-		for _, p := range sk.rxQueue {
+		for i := range sk.rxQueue.n {
+			p := sk.rxQueue.at(i)
 			for _, o := range []*kobj.Object{p.skb, p.data, p.rxbuf} {
 				if o != nil {
 					s.MarkReachable(uint64(o.ID))
@@ -169,10 +204,11 @@ func (n *Net) SocketClose(ctx *kstate.Ctx, s *Socket) {
 	}
 	ctx.Charge(syscallEntryCost)
 	s.Open = false
-	for _, p := range s.rxQueue {
+	for s.rxQueue.n > 0 {
+		p := s.rxQueue.pop()
 		n.freePacket(ctx, p)
 	}
-	s.rxQueue = nil
+	s.rxQueue = packetQueue{}
 	n.Objs.Free(s.sockObj, ctx)
 	s.sockObj = nil
 	delete(n.sockets, s.Ino)
@@ -188,7 +224,7 @@ func (n *Net) SocketClose(ctx *kstate.Ctx, s *Socket) {
 	n.Stats.SocketsClosed++
 }
 
-func (n *Net) freePacket(ctx *kstate.Ctx, p *Packet) {
+func (n *Net) freePacket(ctx *kstate.Ctx, p Packet) {
 	n.Objs.Free(p.skb, ctx)
 	n.Objs.Free(p.data, ctx)
 	n.Objs.Free(p.rxbuf, ctx)
@@ -251,7 +287,7 @@ func (n *Net) Deliver(ctx *kstate.Ctx, s *Socket, bytes int) error {
 		if seg > mtu {
 			seg = mtu
 		}
-		if len(s.rxQueue) >= n.rxBacklogLimit {
+		if s.rxQueue.n >= n.rxBacklogLimit {
 			n.Stats.Drops++
 			continue
 		}
@@ -279,13 +315,13 @@ func (n *Net) Deliver(ctx *kstate.Ctx, s *Socket, bytes int) error {
 		}
 		n.Objs.Touch(ctx, rxbuf, seg, true) // DMA landing
 		n.Objs.Touch(ctx, skb, 0, true)
-		p := &Packet{skb: skb, rxbuf: rxbuf, size: seg}
+		p := Packet{skb: skb, rxbuf: rxbuf, size: seg}
 		if driverKnows {
 			ctx.Charge(driverExtractCost)
 			p.demuxed = true
 			n.Stats.DriverDemux++
 		}
-		s.rxQueue = append(s.rxQueue, p)
+		s.rxQueue.push(p)
 		n.Trace.Emit(trace.NetRx, ctx.Now, s.Ino, uint64(skb.ID), "segment",
 			int(skb.Frame.Node), int64(seg))
 		n.Stats.PacketsRx++
@@ -304,9 +340,8 @@ func (n *Net) Recv(ctx *kstate.Ctx, s *Socket, maxBytes int) (int, error) {
 	ctx.Charge(syscallEntryCost)
 	n.Objs.Touch(ctx, s.sockObj, 0, false)
 	got := 0
-	for len(s.rxQueue) > 0 && got < maxBytes {
-		p := s.rxQueue[0]
-		s.rxQueue = s.rxQueue[1:]
+	for s.rxQueue.n > 0 && got < maxBytes {
+		p := s.rxQueue.pop()
 		if !p.demuxed {
 			// Walk the TCP stack to find the socket, then associate the
 			// kernel objects with the KLOC (late association).

@@ -29,7 +29,7 @@ func (h *netHooks) ObjectCreated(_ *kstate.Ctx, ino uint64, _ *kobj.Object) {
 }
 func (h *netHooks) ObjectAssociated(*kstate.Ctx, uint64, *kobj.Object) { h.associated++ }
 
-func newNet(t *testing.T, h kstate.Hooks) (*Net, *memsim.Memory) {
+func newNet(t testing.TB, h kstate.Hooks) (*Net, *memsim.Memory) {
 	t.Helper()
 	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
 		FastPages: 512, SlowPages: 2048,

@@ -17,7 +17,7 @@ func (s skbuffShrinker) Name() string { return "net.skbuff" }
 func (s skbuffShrinker) Count() int {
 	total := 0
 	for _, ino := range s.n.sockOrder {
-		total += len(s.n.sockets[ino].rxQueue)
+		total += s.n.sockets[ino].rxQueue.n
 	}
 	return total
 }
@@ -30,9 +30,8 @@ func (s skbuffShrinker) Scan(ctx *kstate.Ctx, want int) int {
 			break
 		}
 		sock := n.sockets[ino]
-		for len(sock.rxQueue) > 0 && freed < want {
-			p := sock.rxQueue[0]
-			sock.rxQueue = sock.rxQueue[1:]
+		for sock.rxQueue.n > 0 && freed < want {
+			p := sock.rxQueue.pop()
 			n.freePacket(ctx, p)
 			n.Stats.Drops++
 			n.Stats.ReclaimedPackets++

@@ -77,15 +77,15 @@ func (l *Lists[T]) Touch(cpu int, item T) bool {
 		}
 	}
 	atomic.AddUint64(&l.Misses, 1)
-	e := Entry[T]{Item: item}
 	if len(list) >= l.cap {
-		// Evict the tail.
-		tail := list[len(list)-1].Item
-		l.forget(cpu, tail)
-		list = list[:len(list)-1]
+		// Evict the tail: its slot is the one the shift below fills.
+		l.forget(cpu, list[len(list)-1].Item)
+	} else {
+		list = append(list, Entry[T]{})
+		l.lists[cpu] = list
 	}
-	list = append([]Entry[T]{e}, list...)
-	l.lists[cpu] = list
+	copy(list[1:], list)
+	list[0] = Entry[T]{Item: item}
 	set := l.where[item]
 	if set == nil {
 		set = make(map[int]struct{})

@@ -176,7 +176,7 @@ func (p *KLOCs) includes(t kobj.Type) bool {
 // --- placement ---
 
 // PlaceApp: fast first (KLOCs prioritize application pages, §4.2.2).
-func (p *KLOCs) PlaceApp(*kstate.Ctx) []memsim.NodeID { return fastFirst() }
+func (p *KLOCs) PlaceApp(*kstate.Ctx) []memsim.NodeID { return fastFirst }
 
 // PlaceKernel: objects of active knodes allocate directly to fast
 // memory; objects of inactive knodes go to slow; untracked types go
@@ -184,17 +184,17 @@ func (p *KLOCs) PlaceApp(*kstate.Ctx) []memsim.NodeID { return fastFirst() }
 // how much fast memory KLOC-managed objects may take.
 func (p *KLOCs) PlaceKernel(ctx *kstate.Ctx, t kobj.Type, ino uint64) []memsim.NodeID {
 	if !p.includes(t) || ino == 0 {
-		return fastFirst()
+		return fastFirst
 	}
 	ctx.Charge(50) // inode flag check (§5: "a fast operation")
 	if p.cfg.FastMemLimitPages > 0 &&
 		p.K.Mem.KernelUsed(memsim.FastNode) >= p.cfg.FastMemLimitPages {
-		return slowFirst()
+		return slowFirst
 	}
 	if kn, ok := p.Reg.Get(ino); ok && !kn.Active {
-		return slowFirst()
+		return slowFirst
 	}
-	return fastFirst()
+	return fastFirst
 }
 
 // SetFastMemLimit adjusts the sys_kloc_memsize cap at runtime (Table 2:
@@ -215,7 +215,7 @@ func (p *KLOCs) DriverSockExtract() bool { return p.cfg.DriverExtract }
 // InodeCreated maps a knode (knodes always allocate to fast memory,
 // §4.2.2).
 func (p *KLOCs) InodeCreated(ctx *kstate.Ctx, ino uint64, _ bool) {
-	_, cost, err := p.Reg.MapKnode(ino, fastFirst(), ctx.Now)
+	_, cost, err := p.Reg.MapKnode(ino, fastFirst, ctx.Now)
 	ctx.Charge(cost)
 	_ = err // allocation failure degrades to untracked inode
 }

@@ -33,7 +33,7 @@ type Nimble struct {
 func NewNimble() *Nimble {
 	return &Nimble{
 		Base:        Base{name: "nimble", period: nimbleScanPeriod},
-		kernelAlloc: slowOnly(),
+		kernelAlloc: slowOnly,
 	}
 }
 
@@ -45,7 +45,7 @@ func NewNimblePP() *Nimble {
 	return &Nimble{
 		Base:        Base{name: "nimble++", period: nimbleScanPeriod},
 		kernelPages: true,
-		kernelAlloc: slowFirst(),
+		kernelAlloc: slowFirst,
 	}
 }
 
@@ -60,7 +60,7 @@ func (n *Nimble) Attach(k *kernel.Kernel) {
 }
 
 // PlaceApp: fast first.
-func (n *Nimble) PlaceApp(*kstate.Ctx) []memsim.NodeID { return fastFirst() }
+func (n *Nimble) PlaceApp(*kstate.Ctx) []memsim.NodeID { return fastFirst }
 
 // PlaceKernel: slow memory (prior art ignores kernel-object tiering at
 // allocation time).

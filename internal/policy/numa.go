@@ -25,6 +25,13 @@ func localNode(k *kernel.Kernel) memsim.NodeID { return memsim.NodeID(k.TaskSock
 
 func otherNode(k *kernel.Kernel) memsim.NodeID { return memsim.NodeID(1 - k.TaskSocket()) }
 
+// socketFirst[s] places on socket s's node, then the other socket's.
+// Like the two-tier orders, the slices are shared and read-only.
+var socketFirst = [2][]memsim.NodeID{
+	{memsim.Socket0Node, memsim.Socket1Node},
+	{memsim.Socket1Node, memsim.Socket0Node},
+}
+
 // AllRemote is Fig 5a's worst-case normalization baseline: every page
 // is pinned to the task's ORIGINAL socket and nothing ever migrates, so
 // once interference pushes the task to the other socket every access
@@ -36,12 +43,12 @@ func NewAllRemote() *AllRemote { return &AllRemote{Base{name: "all-remote"}} }
 
 // PlaceApp pins data to socket 0, where the task starts.
 func (p *AllRemote) PlaceApp(*kstate.Ctx) []memsim.NodeID {
-	return []memsim.NodeID{memsim.Socket0Node, memsim.Socket1Node}
+	return socketFirst[memsim.Socket0Node]
 }
 
 // PlaceKernel pins data to socket 0.
 func (p *AllRemote) PlaceKernel(*kstate.Ctx, kobj.Type, uint64) []memsim.NodeID {
-	return []memsim.NodeID{memsim.Socket0Node, memsim.Socket1Node}
+	return socketFirst[memsim.Socket0Node]
 }
 
 // AllLocal is the ideal: pages allocate locally and follow the task
@@ -59,12 +66,12 @@ func (p *AllLocal) DriverSockExtract() bool { return true }
 
 // PlaceApp places locally.
 func (p *AllLocal) PlaceApp(*kstate.Ctx) []memsim.NodeID {
-	return []memsim.NodeID{localNode(p.K), otherNode(p.K)}
+	return socketFirst[localNode(p.K)]
 }
 
 // PlaceKernel places locally.
 func (p *AllLocal) PlaceKernel(*kstate.Ctx, kobj.Type, uint64) []memsim.NodeID {
-	return []memsim.NodeID{localNode(p.K), otherNode(p.K)}
+	return socketFirst[localNode(p.K)]
 }
 
 // Tick teleports every remote frame to the local node at zero cost —
@@ -155,14 +162,13 @@ func (p *AutoNUMA) Attach(k *kernel.Kernel) {
 
 // PlaceApp allocates on the local socket.
 func (p *AutoNUMA) PlaceApp(*kstate.Ctx) []memsim.NodeID {
-	return []memsim.NodeID{localNode(p.K), otherNode(p.K)}
+	return socketFirst[localNode(p.K)]
 }
 
 // PlaceKernel allocates on the socket of the allocating CPU (what
 // modern OSes do, §3.3).
 func (p *AutoNUMA) PlaceKernel(ctx *kstate.Ctx, _ kobj.Type, _ uint64) []memsim.NodeID {
-	sock := memsim.NodeID(p.K.Mem.SocketOf(ctx.CPU))
-	return []memsim.NodeID{sock, 1 - sock}
+	return socketFirst[p.K.Mem.SocketOf(ctx.CPU)]
 }
 
 // UseKlocAllocator: the KLOC variant needs relocatable kernel objects.

@@ -83,23 +83,27 @@ func (s *Static) PlaceKernel(*kstate.Ctx, kobj.Type, uint64) []memsim.NodeID {
 // AllFast places everything fast-first. Run it on a platform whose fast
 // tier holds the whole footprint to get the paper's ideal bound.
 func AllFast() *Static {
-	p := NewStatic("all-fast", fastFirst(), fastFirst())
+	p := NewStatic("all-fast", fastFirst, fastFirst)
 	p.driverExtract = true
 	return p
 }
 
 // AllSlow places everything in slow memory.
 func AllSlow() *Static {
-	return NewStatic("all-slow", slowOnly(), slowOnly())
+	return NewStatic("all-slow", slowOnly, slowOnly)
 }
 
 // Naive greedily fills fast memory first and never migrates.
 func Naive() *Static {
-	return NewStatic("naive", fastFirst(), fastFirst())
+	return NewStatic("naive", fastFirst, fastFirst)
 }
 
-func fastFirst() []memsim.NodeID { return []memsim.NodeID{memsim.FastNode, memsim.SlowNode} }
-func slowOnly() []memsim.NodeID  { return []memsim.NodeID{memsim.SlowNode} }
-func slowFirst() []memsim.NodeID { return []memsim.NodeID{memsim.SlowNode, memsim.FastNode} }
+// The placement orders every policy hands out. They are shared and
+// read-only (kstate.Hooks), so placing an object allocates nothing.
+var (
+	fastFirst = []memsim.NodeID{memsim.FastNode, memsim.SlowNode}
+	slowOnly  = []memsim.NodeID{memsim.SlowNode}
+	slowFirst = []memsim.NodeID{memsim.SlowNode, memsim.FastNode}
+)
 
 var _ kernel.Policy = (*Static)(nil)

@@ -8,6 +8,8 @@
 //
 // The implementation is the classic CLRS algorithm with a sentinel nil
 // leaf, augmented with each node's subtree height so Depth is O(1).
+// Nodes come from a Pool that Delete and Clear give them back to, the
+// way a kmem_cache recycles its objects.
 // Invariants (validated by Check, used in property tests):
 //
 //  1. every node is red or black;
@@ -37,17 +39,53 @@ type node[K cmp.Ordered, V any] struct {
 }
 
 // Tree is an ordered map from K to V. The zero value is not usable; call
-// New.
+// New or Pool.New.
 type Tree[K cmp.Ordered, V any] struct {
 	root *node[K, V]
 	nil_ *node[K, V] // sentinel leaf
 	size int
+	pool *Pool[K, V]
 }
 
-// New returns an empty tree.
-func New[K cmp.Ordered, V any]() *Tree[K, V] {
+// Pool recycles tree nodes: Delete and Clear push the nodes they remove
+// and Set pops one before it allocates. Trees that share a pool share
+// their freed nodes, so one owner's many short-lived trees (a knode's
+// object indexes, a file's page tree) feed each other, and a tree that
+// is dropped after Clear leaves its nodes behind for the next. The zero
+// value is an empty pool. Like a tree, a pool is not safe for
+// concurrent use.
+type Pool[K cmp.Ordered, V any] struct {
+	free *node[K, V] // linked through parent
+}
+
+// New returns an empty tree with a pool of its own.
+func New[K cmp.Ordered, V any]() *Tree[K, V] { return new(Pool[K, V]).New() }
+
+// New returns an empty tree that takes its nodes from p.
+func (p *Pool[K, V]) New() *Tree[K, V] {
 	sentinel := &node[K, V]{color: black}
-	return &Tree[K, V]{root: sentinel, nil_: sentinel}
+	return &Tree[K, V]{root: sentinel, nil_: sentinel, pool: p}
+}
+
+// newNode returns a red leaf under parent, popped from the pool when it
+// holds one. Every field is written, so nothing of the node's last use
+// survives.
+func (t *Tree[K, V]) newNode(key K, value V, parent *node[K, V]) *node[K, V] {
+	n := t.pool.free
+	if n == nil {
+		n = new(node[K, V])
+	} else {
+		t.pool.free = n.parent
+	}
+	*n = node[K, V]{key: key, value: value, left: t.nil_, right: t.nil_, parent: parent, color: red}
+	return n
+}
+
+// release pushes a node that no tree links to any more onto the pool,
+// zeroing it first so the pool holds no key or value alive.
+func (t *Tree[K, V]) release(n *node[K, V]) {
+	*n = node[K, V]{parent: t.pool.free}
+	t.pool.free = n
 }
 
 // Len reports the number of entries.
@@ -98,7 +136,7 @@ func (t *Tree[K, V]) Set(key K, value V) bool {
 			return false
 		}
 	}
-	fresh := &node[K, V]{key: key, value: value, left: t.nil_, right: t.nil_, parent: parent, color: red}
+	fresh := t.newNode(key, value, parent)
 	switch {
 	case parent == t.nil_:
 		t.root = fresh
@@ -120,6 +158,7 @@ func (t *Tree[K, V]) Delete(key K) bool {
 		return false
 	}
 	t.deleteNode(z)
+	t.release(z)
 	t.size--
 	return true
 }
@@ -244,10 +283,20 @@ func (t *Tree[K, V]) Keys() []K {
 	return out
 }
 
-// Clear empties the tree.
+// Clear empties the tree, returning every node to the pool.
 func (t *Tree[K, V]) Clear() {
+	t.releaseAll(t.root)
 	t.root = t.nil_
 	t.size = 0
+}
+
+func (t *Tree[K, V]) releaseAll(n *node[K, V]) {
+	if n == t.nil_ {
+		return
+	}
+	t.releaseAll(n.left)
+	t.releaseAll(n.right)
+	t.release(n)
 }
 
 // Depth returns the height of the tree (0 for empty) in O(1). A valid

@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. Events fire in (time, sequence) order,
+// event is a scheduled callback. Events fire in (time, sequence) order,
 // which makes simulation runs fully deterministic: ties in virtual time
-// break by scheduling order.
-type Event struct {
+// break by scheduling order. The engine recycles an event once it has
+// fired or been cancelled, so callers hold a Handle, never the event.
+type event struct {
 	at  Time
 	seq uint64
 	fn  func(*Engine)
@@ -16,10 +17,17 @@ type Event struct {
 	index int
 }
 
-// Cancelled reports whether the event was cancelled or already fired.
-func (e *Event) Cancelled() bool { return e.index == -1 && e.fn == nil }
+// Handle names one scheduled event for Cancel. It carries the event's
+// sequence number, which no later Schedule reuses, so a handle whose
+// event has fired or been cancelled cancels nothing, even after the
+// engine has recycled the event for another callback. The zero Handle
+// names no event.
+type Handle struct {
+	ev  *event
+	seq uint64
+}
 
-type eventQueue []*Event
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
@@ -34,7 +42,7 @@ func (q eventQueue) Swap(i, j int) {
 	q[j].index = j
 }
 func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.index = len(*q)
 	*q = append(*q, e)
 }
@@ -58,6 +66,8 @@ type Engine struct {
 	queue  eventQueue
 	fired  uint64
 	halted bool
+	// free holds fired and cancelled events for Schedule to reuse.
+	free []*event
 }
 
 // NewEngine returns an engine at time zero.
@@ -73,18 +83,25 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Schedule arranges for fn to run at the given absolute time. Scheduling
 // in the past panics: it indicates a broken cost model.
-func (e *Engine) Schedule(at Time, fn func(*Engine)) *Event {
+func (e *Engine) Schedule(at Time, fn func(*Engine)) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
+	var ev *event
+	if last := len(e.free) - 1; last >= 0 {
+		ev = e.free[last]
+		e.free = e.free[:last]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: at, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
+	return Handle{ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func(*Engine)) *Event {
+func (e *Engine) After(d Duration, fn func(*Engine)) Handle {
 	if d < 0 {
 		d = 0
 	}
@@ -92,14 +109,21 @@ func (e *Engine) After(d Duration, fn func(*Engine)) *Event {
 }
 
 // Cancel removes a pending event. Cancelling an event that already fired
-// is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
+// or was already cancelled, or the zero Handle, is a no-op.
+func (e *Engine) Cancel(h Handle) {
+	ev := h.ev
+	if ev == nil || ev.seq != h.seq || ev.index < 0 {
 		return
 	}
 	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	e.recycle(ev)
+}
+
+// recycle retires a popped event onto the free list. Clearing fn drops
+// the callback's captured state for the collector.
+func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // Halt stops Run/RunUntil after the current event completes.
@@ -111,10 +135,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.at
 	fn := ev.fn
-	ev.fn = nil
+	e.recycle(ev)
 	e.fired++
 	fn(e)
 	return true

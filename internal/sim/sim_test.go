@@ -215,9 +215,9 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double cancel and nil cancel are no-ops.
+	// Double cancel and the zero Handle are no-ops.
 	e.Cancel(ev)
-	e.Cancel(nil)
+	e.Cancel(Handle{})
 }
 
 func TestEngineRunUntil(t *testing.T) {
