@@ -11,8 +11,8 @@ vet:
 
 # lint runs the repo's own invariant-enforcing analyzers (kloclint):
 # determinism hygiene, errno discipline, trace-name catalog membership,
-# alloc/free pairing, shard isolation (ownership) and RNG stream
-# discipline (rngflow) — DESIGN.md §10, §14 — plus the marker audit.
+# alloc/free pairing and RNG stream discipline (rngflow) — DESIGN.md
+# §10 — plus the marker audit.
 lint:
 	$(GO) run ./cmd/kloclint
 

@@ -32,78 +32,44 @@ import (
 	"strings"
 
 	"kloc"
+	"kloc/internal/trace"
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment id ("+strings.Join(kloc.ExperimentNames(), ", ")+", a comma-separated list, or 'all')")
-		quick    = flag.Bool("quick", false, "reduced virtual duration (faster, noisier)")
-		duration = flag.Int("duration-ms", 0, "override measured duration in virtual milliseconds (0 keeps the default)")
-		seed     = flag.Uint64("seed", defaultSeed, "simulation seed (nonzero)")
-		scale    = flag.Int("scale", defaultScale, "platform scale divisor (Table 4 sizes / scale, at least 1)")
-
-		workloads = flag.String("workloads", "", "with -exp: comma-separated workload subset (empty keeps each experiment's set)")
-
-		rawRun   = flag.Bool("run", false, "execute one raw run instead of an experiment")
-		policy   = flag.String("policy", "klocs", "policy for -run")
-		workload = flag.String("workload", "rocksdb", "workload for -run")
-		optane   = flag.Bool("optane", false, "use the Optane Memory-Mode platform for -run")
-
-		traceFile   = flag.String("trace", "", "with -run: write the run's trace to this file (.json = Chrome trace-event format, else text; see OBSERVABILITY.md)")
-		traceEvents = flag.String("trace-events", "", "comma-separated event-name patterns to trace (\"alloc.*,oom.spill\"); empty traces the full catalog")
-		sanitize    = flag.Bool("sanitize", false, "with -run: arm the KASAN/kmemleak-analog sanitizer; findings fail the run (exit 1)")
-		benchOut    = flag.String("bench-out", "BENCH_cluster.json", "with -exp cluster: write the machine-readable sweep to this file")
-
-		chaosTarget = flag.String("chaos-target", "cluster", "with -exp chaos: campaign target (cluster or machine)")
-		chaosOut    = flag.String("chaos-out", "BENCH_chaos.json", "with -exp chaos: write the machine-readable campaign summary to this file")
-		replayFile  = flag.String("replay", "", "with -exp chaos: replay a CHAOS_repro_*.json artifact instead of running a campaign; a non-reproducing or non-deterministic replay fails (exit 1)")
-	)
+	c := defineFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() > 0 {
-		usageError(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
-	}
-	wls := splitList(*workloads)
-	if err := checkFlags(*scale, *duration, *seed, wls); err != nil {
+	names, err := checkFlags(flag.CommandLine, c)
+	if err != nil {
 		usageError(err)
 	}
 
 	opts := kloc.DefaultOptions()
-	if *quick {
+	if c.quick {
 		opts = kloc.QuickOptions()
 	}
-	opts.Seed = *seed
-	opts.ScaleDiv = *scale
-	if *duration > 0 {
-		opts.Duration = kloc.Duration(*duration) * kloc.Millisecond
+	opts.Seed = c.seed
+	opts.ScaleDiv = c.scale
+	if c.durationMS > 0 {
+		opts.Duration = kloc.Duration(c.durationMS) * kloc.Millisecond
 	}
-	opts.Workloads = wls
+	opts.Workloads = splitList(c.workloads)
 
-	if !*rawRun && (*traceFile != "" || *traceEvents != "") {
-		usageError(fmt.Errorf("-trace/-trace-events require -run (experiments aggregate many runs; trace one of them instead)"))
-	}
-	if !*rawRun && *sanitize {
-		usageError(fmt.Errorf("-sanitize requires -run (experiments aggregate many runs; sanitize one of them instead)"))
-	}
-	if *rawRun && *workloads != "" {
-		usageError(fmt.Errorf("-workloads applies to experiments; -run takes -workload"))
-	}
-
-	if *rawRun {
+	if c.rawRun {
 		cfg := kloc.RunConfig{
-			PolicyName: *policy,
-			Workload:   *workload,
+			PolicyName: c.policy,
+			Workload:   c.workload,
 			ScaleDiv:   opts.ScaleDiv,
 			Seed:       opts.Seed,
 			Duration:   opts.Duration,
 		}
-		if *optane {
+		if c.optane {
 			cfg.Platform = kloc.Optane
 			cfg.MoveTaskAtFrac = 0.1
 		}
-		cfg.Sanitize = *sanitize
-		if *traceFile != "" {
-			cfg.Trace = &kloc.TraceConfig{Events: splitList(*traceEvents)}
+		cfg.Sanitize = c.sanitize
+		if c.traceFile != "" {
+			cfg.Trace = &kloc.TraceConfig{Events: splitList(c.traceEvents)}
 		}
 		res, err := kloc.Run(cfg)
 		if err != nil {
@@ -120,10 +86,10 @@ func main() {
 		}
 		if res.Trace != nil {
 			printTraceSummary(res.TraceStats)
-			if err := writeTrace(res.Trace, *traceFile); err != nil {
+			if err := writeTrace(res.Trace, c.traceFile); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("  trace written to %s\n", *traceFile)
+			fmt.Printf("  trace written to %s\n", c.traceFile)
 		}
 		if res.Sanitize != nil {
 			fmt.Print("  " + strings.ReplaceAll(strings.TrimSuffix(res.Sanitize.String(), "\n"), "\n", "\n  ") + "\n")
@@ -135,30 +101,20 @@ func main() {
 		return
 	}
 
-	if *exp == "" {
-		usageError(fmt.Errorf("nothing to do: pass -exp <id> or -run"))
-	}
-	if *replayFile != "" && *exp != "chaos" {
-		usageError(fmt.Errorf("-replay requires -exp chaos (a replay re-runs one chaos repro, nothing else)"))
-	}
-	names, err := resolveExperiments(*exp)
-	if err != nil {
-		usageError(err)
-	}
 	for _, name := range names {
 		switch name {
 		case "cluster":
-			if err := runClusterBench(opts, *benchOut); err != nil {
+			if err := runClusterBench(opts, c.benchOut); err != nil {
 				fatal(fmt.Errorf("cluster: %w", err))
 			}
 		case "chaos":
-			if *replayFile != "" {
-				if err := runChaosReplay(*replayFile); err != nil {
+			if c.replayFile != "" {
+				if err := runChaosReplay(c.replayFile); err != nil {
 					fatal(fmt.Errorf("chaos replay: %w", err))
 				}
 				continue
 			}
-			if err := runChaosCampaign(*chaosTarget, *seed, *quick, *chaosOut); err != nil {
+			if err := runChaosCampaign(c.chaosTarget, c.seed, c.quick, c.chaosOut); err != nil {
 				fatal(fmt.Errorf("chaos: %w", err))
 			}
 		default:
@@ -376,25 +332,146 @@ const (
 	defaultScale = 64
 )
 
-// checkFlags rejects flag values no run can use, before any run starts:
-// a scale divisor below 1, a negative duration, seed 0 (the harness
-// would silently run seed 42 instead) and unknown workload names.
-func checkFlags(scale, durationMS int, seed uint64, workloads []string) error {
+// cliFlags holds klocbench's flag values.
+type cliFlags struct {
+	exp, workloads           string
+	quick                    bool
+	durationMS, scale        int
+	seed                     uint64
+	rawRun, optane, sanitize bool
+	policy, workload         string
+	traceFile, traceEvents   string
+	benchOut                 string
+	chaosTarget, chaosOut    string
+	replayFile               string
+}
+
+// defineFlags registers klocbench's flags on fs.
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	c := &cliFlags{}
+	fs.StringVar(&c.exp, "exp", "", "experiment id ("+strings.Join(kloc.ExperimentNames(), ", ")+", a comma-separated list, or 'all')")
+	fs.BoolVar(&c.quick, "quick", false, "reduced virtual duration (faster, noisier)")
+	fs.IntVar(&c.durationMS, "duration-ms", 0, "override measured duration in virtual milliseconds (0 keeps the default)")
+	fs.Uint64Var(&c.seed, "seed", defaultSeed, "simulation seed (nonzero)")
+	fs.IntVar(&c.scale, "scale", defaultScale, "platform scale divisor (Table 4 sizes / scale, at least 1)")
+
+	fs.StringVar(&c.workloads, "workloads", "", "with -exp: comma-separated workload subset (empty keeps each experiment's set)")
+
+	fs.BoolVar(&c.rawRun, "run", false, "execute one raw run instead of an experiment")
+	fs.StringVar(&c.policy, "policy", "klocs", "policy for -run")
+	fs.StringVar(&c.workload, "workload", "rocksdb", "workload for -run")
+	fs.BoolVar(&c.optane, "optane", false, "use the Optane Memory-Mode platform for -run")
+
+	fs.StringVar(&c.traceFile, "trace", "", "with -run: write the run's trace to this file (.json = Chrome trace-event format, else text; see OBSERVABILITY.md)")
+	fs.StringVar(&c.traceEvents, "trace-events", "", "with -trace: comma-separated event-name patterns to trace (\"alloc.*,oom.spill\"); empty traces the full catalog")
+	fs.BoolVar(&c.sanitize, "sanitize", false, "with -run: arm the KASAN/kmemleak-analog sanitizer; findings fail the run (exit 1)")
+	fs.StringVar(&c.benchOut, "bench-out", "BENCH_cluster.json", "with -exp cluster: write the machine-readable sweep to this file")
+
+	fs.StringVar(&c.chaosTarget, "chaos-target", "cluster", "with -exp chaos: campaign target (cluster or machine)")
+	fs.StringVar(&c.chaosOut, "chaos-out", "BENCH_chaos.json", "with -exp chaos: write the machine-readable campaign summary to this file")
+	fs.StringVar(&c.replayFile, "replay", "", "with -exp chaos: replay a CHAOS_repro_*.json artifact instead of running a campaign; a non-reproducing or non-deterministic replay fails (exit 1)")
+	return c
+}
+
+// The modes a command line can select.
+const (
+	modeRun     = "-run"
+	modeTrace   = "-run -trace"
+	modePaper   = "-exp <paper experiment>"
+	modeCluster = "-exp cluster"
+	modeChaos   = "-exp chaos"
+	modeReplay  = "-exp chaos -replay"
+)
+
+// flagReaders maps each flag to the modes that read it.
+var flagReaders = map[string][]string{
+	"exp":          {modePaper, modeCluster, modeChaos, modeReplay},
+	"quick":        {modeRun, modePaper, modeCluster, modeChaos},
+	"duration-ms":  {modeRun, modePaper, modeCluster},
+	"seed":         {modeRun, modePaper, modeCluster, modeChaos},
+	"scale":        {modeRun, modePaper, modeCluster},
+	"workloads":    {modePaper},
+	"run":          {modeRun},
+	"policy":       {modeRun},
+	"workload":     {modeRun},
+	"optane":       {modeRun},
+	"trace":        {modeRun},
+	"trace-events": {modeTrace},
+	"sanitize":     {modeRun},
+	"bench-out":    {modeCluster},
+	"chaos-target": {modeChaos},
+	"chaos-out":    {modeChaos},
+	"replay":       {modeReplay},
+}
+
+// checkFlags rejects, before any run starts, a command line no run can
+// honor: stray arguments, a scale divisor below 1, a negative duration,
+// seed 0 (the harness would silently run seed 42 instead), unknown
+// workload names, trace patterns that select no catalog event, and a
+// flag set on the command line that the selected mode never reads. It
+// returns the experiments -exp names (none with -run).
+func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
 	switch {
-	case scale < 1:
-		return fmt.Errorf("-scale %d: the scale divisor must be at least 1", scale)
-	case durationMS < 0:
-		return fmt.Errorf("-duration-ms %d: the duration must not be negative", durationMS)
-	case seed == 0:
-		return fmt.Errorf("-seed 0: the seed must be nonzero (0 would run seed %d)", defaultSeed)
+	case fs.NArg() > 0:
+		return nil, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	case c.scale < 1:
+		return nil, fmt.Errorf("-scale %d: the scale divisor must be at least 1", c.scale)
+	case c.durationMS < 0:
+		return nil, fmt.Errorf("-duration-ms %d: the duration must not be negative", c.durationMS)
+	case c.seed == 0:
+		return nil, fmt.Errorf("-seed 0: the seed must be nonzero (0 would run seed %d)", defaultSeed)
 	}
 	known := kloc.WorkloadNames()
-	for _, w := range workloads {
+	for _, w := range splitList(c.workloads) {
 		if !slices.Contains(known, w) {
-			return fmt.Errorf("-workloads: unknown workload %q (valid: %s)", w, strings.Join(known, ", "))
+			return nil, fmt.Errorf("-workloads: unknown workload %q (valid: %s)", w, strings.Join(known, ", "))
 		}
 	}
-	return nil
+	if err := trace.CheckEvents(splitList(c.traceEvents)); err != nil {
+		return nil, fmt.Errorf("-trace-events: %w", err)
+	}
+
+	var names, modes []string
+	addMode := func(m string) {
+		if !slices.Contains(modes, m) {
+			modes = append(modes, m)
+		}
+	}
+	if c.rawRun {
+		addMode(modeRun)
+		if c.traceFile != "" {
+			addMode(modeTrace)
+		}
+	} else {
+		if c.exp == "" {
+			return nil, fmt.Errorf("nothing to do: pass -exp <id> or -run")
+		}
+		var err error
+		if names, err = resolveExperiments(c.exp); err != nil {
+			return nil, err
+		}
+		for _, n := range names {
+			switch {
+			case n == "cluster":
+				addMode(modeCluster)
+			case n == "chaos" && c.replayFile != "":
+				addMode(modeReplay)
+			case n == "chaos":
+				addMode(modeChaos)
+			default:
+				addMode(modePaper)
+			}
+		}
+	}
+	var ignored error
+	fs.Visit(func(f *flag.Flag) {
+		readers := flagReaders[f.Name]
+		if ignored == nil && !slices.ContainsFunc(modes, func(m string) bool { return slices.Contains(readers, m) }) {
+			ignored = fmt.Errorf("-%s is read only by %s, not by %s",
+				f.Name, strings.Join(readers, " or "), strings.Join(modes, " or "))
+		}
+	})
+	return names, ignored
 }
 
 // splitList splits a comma-separated flag value, dropping blanks; an

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -194,29 +195,67 @@ func TestExperimentSmoke(t *testing.T) {
 	}
 }
 
-// TestCheckFlags: the flag defaults pass, and every value no run can
-// use is a usage error before any run starts, never a silent fallback.
+// TestCheckFlags: the documented command lines pass, and every command
+// line no run can honor is a usage error before any run starts, never a
+// silent fallback: a value no run can use, trace patterns that select
+// no event, or a flag the selected mode never reads.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		scale      int
-		durationMS int
-		seed       uint64
-		workloads  []string
-		ok         bool
+		name string
+		args []string
+		// want is a substring the error must contain; empty means the
+		// command line is accepted.
+		want string
 	}{
-		{"defaults", defaultScale, 0, defaultSeed, nil, true},
-		{"workload subset", defaultScale, 5, 7, []string{"rocksdb", "redis"}, true},
-		{"negative scale", -3, 0, defaultSeed, nil, false},
-		{"zero scale", 0, 0, defaultSeed, nil, false},
-		{"negative duration", defaultScale, -1, defaultSeed, nil, false},
-		{"zero seed", defaultScale, 0, 0, nil, false},
-		{"unknown workload", defaultScale, 0, defaultSeed, []string{"rocksdb", "mysql"}, false},
+		{"defaults", []string{"-exp", "fig4"}, ""},
+		{"workload subset", []string{"-exp", "fig2d", "-duration-ms", "5", "-seed", "7", "-workloads", "rocksdb,redis"}, ""},
+		{"eval", []string{"-exp", "all", "-quick"}, ""},
+		{"cluster sweep", []string{"-exp", "cluster", "-quick", "-bench-out", "BENCH_cluster.json"}, ""},
+		{"chaos campaign", []string{"-exp", "chaos", "-quick", "-chaos-out", "BENCH_chaos.json"}, ""},
+		{"chaos replay", []string{"-exp", "chaos", "-replay", "CHAOS_repro_x.json"}, ""},
+		{"all composes", []string{"-exp", "all,cluster,chaos", "-quick", "-workloads", "rocksdb", "-bench-out", "b.json", "-chaos-out", "c.json"}, ""},
+		{"traced run", []string{"-run", "-policy", "klocs", "-workload", "rocksdb", "-quick", "-trace", "run.json", "-trace-events", "alloc.*,memsim.migrate"}, ""},
+		{"sanitized optane run", []string{"-run", "-quick", "-optane", "-sanitize", "-scale", "128", "-seed", "7"}, ""},
+
+		{"stray argument", []string{"-exp", "fig4", "extra"}, "unexpected arguments"},
+		{"nothing to do", []string{"-quick"}, "nothing to do"},
+		{"unknown experiment", []string{"-exp", "fig99"}, "fig99"},
+		{"negative scale", []string{"-exp", "fig4", "-scale", "-3"}, "-scale"},
+		{"zero scale", []string{"-exp", "fig4", "-scale", "0"}, "-scale"},
+		{"negative duration", []string{"-exp", "fig4", "-duration-ms", "-1"}, "-duration-ms"},
+		{"zero seed", []string{"-exp", "fig4", "-seed", "0"}, "-seed"},
+		{"unknown workload", []string{"-exp", "fig4", "-workloads", "rocksdb,mysql"}, "mysql"},
+
+		{"unknown trace event", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "nosuch.event"}, "nosuch.event"},
+		{"malformed trace pattern", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "["}, "-trace-events"},
+
+		{"-policy with -exp", []string{"-exp", "fig2d", "-quick", "-workloads", "rocksdb", "-policy", "bogus"}, "-policy is read only by -run, not by -exp <paper experiment>"},
+		{"-optane with -exp", []string{"-exp", "fig2d", "-quick", "-workloads", "rocksdb", "-optane"}, "-optane is read only by -run, not by -exp <paper experiment>"},
+		{"-chaos-target with -exp", []string{"-exp", "fig2d", "-quick", "-workloads", "rocksdb", "-chaos-target", "machine"}, "-chaos-target is read only by -exp chaos, not by -exp <paper experiment>"},
+		{"-bench-out with -run", []string{"-run", "-quick", "-bench-out", "x.json"}, "-bench-out is read only by -exp cluster, not by -run"},
+		{"-trace with -exp", []string{"-exp", "fig4", "-trace", "t.json"}, "-trace is read only by -run, not by -exp"},
+		{"-trace-events without -trace", []string{"-run", "-trace-events", "alloc.*"}, "-trace-events is read only by -run -trace, not by -run"},
+		{"-sanitize with -exp", []string{"-exp", "fig4", "-sanitize"}, "-sanitize is read only by -run, not by -exp"},
+		{"-workloads with -run", []string{"-run", "-workloads", "rocksdb"}, "-workloads is read only by -exp <paper experiment>, not by -run"},
+		{"-exp with -run", []string{"-run", "-exp", "fig4"}, "not by -run"},
+		{"-replay without chaos", []string{"-exp", "fig4", "-replay", "x.json"}, "-replay is read only by -exp chaos -replay, not by -exp <paper experiment>"},
+		{"-chaos-out with -replay", []string{"-exp", "chaos", "-replay", "x.json", "-chaos-out", "c.json"}, "-chaos-out is read only by -exp chaos, not by -exp chaos -replay"},
+		{"-scale with chaos", []string{"-exp", "chaos", "-scale", "128"}, "not by -exp chaos"},
+		{"-workloads with cluster", []string{"-exp", "cluster", "-workloads", "rocksdb"}, "-workloads is read only by -exp <paper experiment>, not by -exp cluster"},
 	} {
-		err := checkFlags(tc.scale, tc.durationMS, tc.seed, tc.workloads)
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: checkFlags(%d, %d, %d, %v) = %v, want ok=%v",
-				tc.name, tc.scale, tc.durationMS, tc.seed, tc.workloads, err, tc.ok)
+		fs := flag.NewFlagSet("klocbench", flag.ContinueOnError)
+		c := defineFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%s: parse %q: %v", tc.name, tc.args, err)
+		}
+		_, err := checkFlags(fs, c)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: klocbench %s rejected: %v", tc.name, strings.Join(tc.args, " "), err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: klocbench %s accepted, want an error containing %q", tc.name, strings.Join(tc.args, " "), tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: klocbench %s: error %q does not contain %q", tc.name, strings.Join(tc.args, " "), err, tc.want)
 		}
 	}
 }

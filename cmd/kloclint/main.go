@@ -21,9 +21,6 @@
 //	               from the internal/fault vocabulary
 //	tracereach     every trace catalog constant has a reachable Emit
 //	               site
-//	ownership      no internal package-level var is written outside
-//	               its initializer or init(), so pooled shards share
-//	               no mutable state
 //	rngflow        sim.RNG streams are forked explicitly and confined
 //	               to one owner
 //

@@ -20,7 +20,7 @@
 //   - allocpair: every allocation entry point has a matching
 //     free/teardown path registered with kobj accounting.
 //
-// Five module analyzers reason across call boundaries, over a
+// Four module analyzers reason across call boundaries, over a
 // whole-module call graph (callgraph.go), per-function CFGs (cfg.go),
 // and dataflow with bottom-up SCC summary fixpoints (dataflow.go):
 //
@@ -31,9 +31,6 @@
 //     provably derive from the internal/fault vocabulary;
 //   - tracereach: every trace catalog constant must have an Emit site
 //     reachable from the module's entry surface;
-//   - ownership: no package-level var of an internal package is
-//     written outside its initializer or init(), so the shards of a
-//     harness.RunShards pool share no mutable state (DESIGN.md §14);
 //   - rngflow: sim.RNG streams are single-owner — construction stays
 //     in internal/sim, and a stream handed off is never drawn from
 //     again (Fork a child).

@@ -144,9 +144,6 @@ type CallGraph struct {
 // NodeOf returns the graph node for a declared function or method.
 func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.byObj[obj] }
 
-// NodeOfLit returns the graph node for a function literal.
-func (g *CallGraph) NodeOfLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // BuildCallGraph constructs the call graph over the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{

@@ -6,8 +6,8 @@ import (
 )
 
 // This file builds the per-function control-flow graphs the dataflow
-// analyses (reaching definitions, liveness, the lifecycle state
-// machine) run over. Blocks hold statements in execution order; a
+// analyses (reaching definitions, the lifecycle state machine) run
+// over. Blocks hold statements in execution order; a
 // block that branches carries its condition so path-sensitive clients
 // can refine state along the true/false edges (the `if err != nil`
 // idiom is what makes the lifecycle analyzer precise enough to gate

@@ -7,12 +7,12 @@ import (
 )
 
 // This file holds the dataflow layer of the interprocedural engine:
-// classic reaching definitions and liveness over the CFGs of cfg.go,
-// plus the bottom-up summary fixpoint that lets per-function facts
-// (allocates / frees / errno-clean) compose across call boundaries.
-// All three are deliberately small textbook implementations — the
-// module's functions have tens of blocks, not thousands, so clarity
-// beats bitsets.
+// classic reaching definitions over the CFGs of cfg.go, plus the
+// bottom-up summary fixpoint that lets per-function facts (allocates /
+// frees / errno-clean) compose across call boundaries. Both are
+// deliberately small textbook implementations — the module's
+// functions have tens of blocks, not thousands, so clarity beats
+// bitsets.
 
 // A Def is one static definition of a variable.
 type Def struct {
@@ -251,97 +251,6 @@ func stmtDefs(info *types.Info, s ast.Stmt) []*Def {
 		}
 	}
 	return defs
-}
-
-// Liveness holds the per-block live-variable solution: LiveOut(b) is
-// the set of variables whose current value may still be read on some
-// path leaving b.
-type Liveness struct {
-	liveOut map[*Block]map[*types.Var]bool
-}
-
-// NewLiveness solves backward liveness over cfg.
-func NewLiveness(cfg *CFG, info *types.Info) *Liveness {
-	l := &Liveness{liveOut: make(map[*Block]map[*types.Var]bool)}
-	use := make(map[*Block]map[*types.Var]bool)
-	def := make(map[*Block]map[*types.Var]bool)
-	liveIn := make(map[*Block]map[*types.Var]bool)
-	for _, b := range cfg.Blocks {
-		use[b], def[b] = blockUseDef(info, b)
-		l.liveOut[b] = map[*types.Var]bool{}
-		liveIn[b] = map[*types.Var]bool{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(cfg.Blocks) - 1; i >= 0; i-- {
-			b := cfg.Blocks[i]
-			out := l.liveOut[b]
-			for _, succ := range b.Succs {
-				//klocs:unordered set union is commutative
-				for v := range liveIn[succ] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[b]
-			//klocs:unordered set union is commutative
-			for v := range use[b] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			//klocs:unordered set union minus a fixed def set is commutative
-			for v := range out {
-				if !def[b][v] && !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return l
-}
-
-// LiveOut reports whether v is live on exit from b.
-func (l *Liveness) LiveOut(b *Block, v *types.Var) bool { return l.liveOut[b][v] }
-
-// blockUseDef computes upward-exposed uses and definitions of b.
-// Conservative for aggregates: any identifier read counts as a use.
-func blockUseDef(info *types.Info, b *Block) (use, def map[*types.Var]bool) {
-	use = map[*types.Var]bool{}
-	def = map[*types.Var]bool{}
-	record := func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if _, isLit := m.(*ast.FuncLit); isLit {
-				// A closure's reads keep captured variables live for the
-				// whole enclosing function; over-approximate by counting
-				// them as uses here.
-				return true
-			}
-			if id, ok := m.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok && !def[v] {
-					use[v] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, s := range b.Stmts {
-		// Uses before defs within the statement: visit RHS-ish children
-		// first by recording the whole statement, then the defs.
-		record(s)
-		for _, d := range stmtDefs(info, s) {
-			def[d.Var] = true
-		}
-	}
-	if b.Cond != nil {
-		record(b.Cond)
-	}
-	return use, def
 }
 
 // FixpointSummaries computes one summary per function, bottom-up over

@@ -122,7 +122,7 @@ func RunModuleAnalyzers(m *Module, analyzers []*ModuleAnalyzer, audit *MarkerAud
 
 // AllModule returns the module-analyzer suite in documentation order.
 func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{Lifecycle, ErrnoFlow, TraceReach, Ownership, RNGFlow}
+	return []*ModuleAnalyzer{Lifecycle, ErrnoFlow, TraceReach, RNGFlow}
 }
 
 // sortDiagnostics orders diagnostics by position then analyzer name.

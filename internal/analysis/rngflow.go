@@ -272,7 +272,7 @@ func collectRNGEvents(n *FuncNode, vars map[*types.Var]bool, labels map[*types.V
 	}
 	// retainTargetLabel names where a store lands, for the diagnostic.
 	retainTargetLabel := func(lhs ast.Expr) (string, bool) {
-		refs := stateRefs(info, nil, lhs, false)
+		refs := stateRefs(info, lhs)
 		if len(refs) > 0 {
 			if l, ok := labels[refs[0]]; ok {
 				return l, true
@@ -517,4 +517,79 @@ func moduleStateLabels(m *Module) map[*types.Var]string {
 		}
 	}
 	return labels
+}
+
+// isPackageVar reports whether v is a package-level variable.
+func isPackageVar(v *types.Var) bool {
+	return !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// stateRefs resolves an lvalue to the package vars and struct fields
+// whose stored state the write lands in, innermost first. Selector
+// chains through struct values attribute to every enclosing field; a
+// chain stops at a pointer, since the write lands in the pointee, not
+// in the field holding the pointer. An index marks that the write
+// mutates element contents (backing arrays are shared even through
+// by-value copies); a plain value-typed local root otherwise means the
+// write lands in a local copy and the refs are discarded.
+func stateRefs(info *types.Info, e ast.Expr) []*types.Var {
+	var out []*types.Var
+	discard := false
+	var walk func(e ast.Expr, indexed bool)
+	walk = func(e ast.Expr, indexed bool) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			walk(x.X, true)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				walk(x.X, indexed)
+			}
+		case *ast.StarExpr:
+			// Write through a raw pointer: target unknown.
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+				v, ok := sel.Obj().(*types.Var)
+				if !ok {
+					return
+				}
+				out = append(out, v)
+				if bt := info.TypeOf(x.X); bt != nil {
+					if _, isStruct := bt.Underlying().(*types.Struct); isStruct {
+						// The field's storage lives inline in the base
+						// value: the write mutates it too.
+						walk(x.X, indexed)
+					}
+				}
+				return
+			}
+			// Qualified package var: pkg.Var.
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && isPackageVar(v) {
+				out = append(out, v)
+			}
+		case *ast.Ident:
+			v, ok := info.Uses[x].(*types.Var)
+			if !ok {
+				return
+			}
+			if isPackageVar(v) {
+				out = append(out, v)
+				return
+			}
+			switch v.Type().Underlying().(type) {
+			case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+				// Reference-typed local with unknown origin: the write
+				// may land in shared heap we cannot attribute.
+			default:
+				if !indexed {
+					// Plain value local: the write mutates a copy.
+					discard = true
+				}
+			}
+		}
+	}
+	walk(e, false)
+	if discard {
+		return nil
+	}
+	return out
 }

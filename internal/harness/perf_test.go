@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -97,20 +96,4 @@ func BenchmarkRun(b *testing.B) {
 		b.ReportMetric(perOp, "allocs/simop")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
-}
-
-// BenchmarkRunShards times a 4-shard fleet of end2endRun at 1, 2 and 4
-// workers: the shard pool's wall-clock scaling on the host running it.
-// Results are identical at every worker count
-// (TestRunShardsWorkerCountInvariance).
-func BenchmarkRunShards(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if _, err := RunShards(ShardsConfig{Base: end2endRun, Shards: 4, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -249,7 +249,7 @@ func (c RunConfig) buildMemory() *memsim.Memory {
 
 // Run executes one measured simulation run.
 func Run(cfg RunConfig) (*Result, error) {
-	p, err := prepare(cfg, sim.NewEngine())
+	p, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -258,8 +258,8 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // preparedRun is one fully-scheduled simulation: everything Run does
-// before driving the engine. All fields (and the state the scheduled
-// closures mutate) belong to the one goroutine driving p.eng.
+// before driving the engine, plus the state the scheduled closures
+// mutate.
 type preparedRun struct {
 	cfg    RunConfig
 	eng    *sim.Engine
@@ -279,11 +279,16 @@ type preparedRun struct {
 	base        statSnapshot
 }
 
-// prepare builds the kernel stack for cfg on eng and schedules the
-// workload threads, leaving the engine ready to Run. It performs the
-// setup-phase warp (RunUntil the storage horizon) itself.
-func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
+// prepare builds the kernel stack for cfg on a new engine and
+// schedules the workload threads, leaving the engine ready to Run. It
+// performs the setup-phase warp (RunUntil the storage horizon) itself.
+func prepare(cfg RunConfig) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Trace != nil {
+		if err := trace.CheckEvents(cfg.Trace.Events); err != nil {
+			return nil, fmt.Errorf("harness: %w: %w", err, fault.EINVAL)
+		}
+	}
 	mem := cfg.buildMemory()
 	pol := cfg.Policy
 	if pol == nil {
@@ -298,6 +303,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 		return nil, err
 	}
 
+	eng := sim.NewEngine()
 	k := kernel.New(eng, mem, pol)
 	k.FS.KlocAwareReadahead = cfg.KlocPrefetch
 	if cfg.ReadaheadWindow != 0 {
@@ -425,8 +431,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	return p, nil
 }
 
-// finish collects the run's Result after the engine drained, on the
-// goroutine that drove it.
+// finish collects the run's Result after the engine drained.
 func (p *preparedRun) finish() (*Result, error) {
 	if p.stepErr != nil {
 		return nil, p.stepErr

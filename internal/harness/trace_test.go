@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"kloc/internal/fault"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -85,6 +87,23 @@ func TestTraceExportsAreReproducible(t *testing.T) {
 		name := string(nc.Name)
 		if !strings.HasPrefix(name, "alloc.") && name != "memsim.migrate" {
 			t.Fatalf("disabled event %q was recorded", name)
+		}
+	}
+}
+
+// TestRunRejectsBadTracePatterns: an event pattern that is malformed
+// or matches no catalog name would trace nothing, so Run refuses it
+// with EINVAL before any setup work.
+func TestRunRejectsBadTracePatterns(t *testing.T) {
+	for _, events := range [][]string{
+		{"nosuch.event"},
+		{"["},
+		{"alloc.*", "alloc.slab["},
+	} {
+		cfg := traceTestConfig()
+		cfg.Trace = &trace.Config{Events: events}
+		if _, err := Run(cfg); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("Run with trace events %q: err = %v, want EINVAL", events, err)
 		}
 	}
 }

@@ -264,7 +264,7 @@ type Memory struct {
 	poolFresh  uint64
 	poolReuse  uint64
 	// acc batches the per-access counters (Refs, BytesTouched,
-	// RefsByNode) in per-CPU lanes; SyncStats materializes it into
+	// RefsByNode) per CPU; SyncStats materializes it into
 	// Stats. Cell layout: [0,6) refs by class, [6,12) bytes by class,
 	// [12,12+nodes) refs by node.
 	acc *percpu.Accumulator
@@ -345,7 +345,7 @@ func (m *Memory) SyncStats() {
 }
 
 // PerfCounters are the accounting plane's own deterministic meters:
-// accumulator adds vs shared-store commits (the batched write
+// accumulator adds vs store commits (the batched write
 // reduction) and frame-pool recycling. Each run reports them in
 // harness.Result.Perf; they are not part of Stats, which holds only
 // what the simulation observed.
@@ -356,9 +356,10 @@ type PerfCounters struct {
 
 // PerfCounters reports the accounting plane's meters.
 func (m *Memory) PerfCounters() PerfCounters {
-	pc := PerfCounters{FramesFresh: m.poolFresh, FramesReused: m.poolReuse}
-	pc.AccAdds, pc.AccCommits = m.acc.Counters()
-	return pc
+	return PerfCounters{
+		AccAdds: m.acc.Adds, AccCommits: m.acc.Commits,
+		FramesFresh: m.poolFresh, FramesReused: m.poolReuse,
+	}
 }
 
 // Node returns the node with the given id.

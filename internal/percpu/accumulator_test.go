@@ -85,3 +85,40 @@ func TestAccumulatorDefaults(t *testing.T) {
 		t.Fatalf("threshold = %d", a.threshold)
 	}
 }
+
+// TestAccumulatorConservesAcrossCPUs interleaves eight CPUs' updates,
+// negative deltas included, at a tiny threshold so threshold commits
+// fire constantly, then checks net-delta conservation: after a flush
+// the store holds exactly what every CPU contributed.
+func TestAccumulatorConservesAcrossCPUs(t *testing.T) {
+	const (
+		cpus   = 8
+		cells  = 4
+		rounds = 5000
+	)
+	a := NewAccumulator(cpus, cells, 3) // tiny threshold: constant commits
+	var want [cells]uint64
+	for i := 0; i < rounds; i++ {
+		cell := i % cells
+		for cpu := 0; cpu < cpus; cpu++ {
+			a.Add(cpu, cell, int64(cpu+1))
+			want[cell] += uint64(cpu + 1)
+			if i%7 == 0 {
+				a.Add(cpu, cell, -1)
+				want[cell]--
+			}
+		}
+	}
+	a.Flush()
+	for cell := 0; cell < cells; cell++ {
+		if got := a.Value(cell); got != want[cell] {
+			t.Errorf("cell %d = %d, want %d", cell, got, want[cell])
+		}
+	}
+	if wantAdds := uint64(cpus * (rounds + (rounds+6)/7)); a.Adds != wantAdds {
+		t.Errorf("adds = %d, want %d", a.Adds, wantAdds)
+	}
+	if a.Commits == 0 {
+		t.Error("no commits despite the tiny threshold")
+	}
+}

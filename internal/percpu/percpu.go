@@ -8,19 +8,15 @@
 // the coherence hook Linux's per-CPU list APIs give the real kernel.
 //
 // The package also provides Accumulator, the per-CPU batched counter
-// engine behind memsim's per-access counters: counter updates land in
-// per-CPU lanes and commit net deltas to the shared store at a
-// threshold (DESIGN.md §13). See the Accumulator type for the flush/ordering
-// contract — in short, Add is lane-owner-only, Flush/Value are
-// coordinator-only and always yield exact values, and only
-// commutative counters may be batched.
+// engine behind memsim's per-access counters: counter updates pend per
+// CPU and commit net deltas to a dense store at a threshold (DESIGN.md
+// §13). Value is always exact, and only commutative counters may be
+// batched.
 package percpu
-
-import "sync/atomic"
 
 // Entry is one cached item with its age. Age is reset on every touch
 // and incremented by LRU scans that decline to evict (§4.3). Entries
-// live in one CPU's list, touched only by that CPU's lane.
+// live in one CPU's list.
 type Entry[T comparable] struct {
 	Item T
 	Age  int
@@ -34,11 +30,7 @@ type Lists[T comparable] struct {
 	where map[T]map[int]struct{}
 
 	// Hits/Misses count Touch operations that found/missed the item —
-	// the ablation metric for the fast path. Touch runs on every lane,
-	// so they aggregate cross-lane and go through sync/atomic, the same
-	// treatment as Accumulator's store: write via atomic adds in Touch,
-	// read via HitCount/MissCount/HitRate. Exported for the ablation
-	// tables; read them through those accessors, never directly.
+	// the ablation metric for the fast path.
 	Hits, Misses uint64
 }
 
@@ -72,11 +64,11 @@ func (l *Lists[T]) Touch(cpu int, item T) bool {
 			e.Age = 0
 			copy(list[1:i+1], list[:i])
 			list[0] = e
-			atomic.AddUint64(&l.Hits, 1)
+			l.Hits++
 			return true
 		}
 	}
-	atomic.AddUint64(&l.Misses, 1)
+	l.Misses++
 	if len(list) >= l.cap {
 		// Evict the tail: its slot is the one the shift below fills.
 		l.forget(cpu, list[len(list)-1].Item)
@@ -178,18 +170,11 @@ func (l *Lists[T]) ColdestOn(cpu, threshold int) []T {
 // Len reports the length of cpu's list.
 func (l *Lists[T]) Len(cpu int) int { return len(l.lists[cpu]) }
 
-// HitCount reports Touch operations that found their item cached.
-func (l *Lists[T]) HitCount() uint64 { return atomic.LoadUint64(&l.Hits) }
-
-// MissCount reports Touch operations that missed.
-func (l *Lists[T]) MissCount() uint64 { return atomic.LoadUint64(&l.Misses) }
-
 // HitRate returns Hits/(Hits+Misses), or 0 with no traffic.
 func (l *Lists[T]) HitRate() float64 {
-	hits := atomic.LoadUint64(&l.Hits)
-	total := hits + atomic.LoadUint64(&l.Misses)
+	total := l.Hits + l.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(l.Hits) / float64(total)
 }

@@ -15,8 +15,8 @@ func TestTouchHitMiss(t *testing.T) {
 	if !l.Touch(0, 1) {
 		t.Fatal("second touch reported miss")
 	}
-	if l.HitCount() != 1 || l.MissCount() != 1 {
-		t.Fatalf("hits=%d misses=%d", l.HitCount(), l.MissCount())
+	if l.Hits != 1 || l.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d", l.Hits, l.Misses)
 	}
 	if r := l.HitRate(); r != 0.5 {
 		t.Fatalf("hit rate %v", r)

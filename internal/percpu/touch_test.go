@@ -82,12 +82,12 @@ func warmMissLoop() (*Lists[int], *int) {
 // full list shifts it in place and allocates nothing.
 func TestTouchMissIsAllocFree(t *testing.T) {
 	l, next := warmMissLoop()
-	misses := l.MissCount()
+	misses := l.Misses
 	if n := testing.AllocsPerRun(200, func() { missLoop(l, next) }); n != 0 {
 		t.Fatalf("a Touch miss allocates %v per op", n)
 	}
-	if l.HitCount() != 0 || l.MissCount() == misses {
-		t.Fatalf("the loop did not miss on every Touch: hits=%d misses=%d", l.HitCount(), l.MissCount())
+	if l.Hits != 0 || l.Misses == misses {
+		t.Fatalf("the loop did not miss on every Touch: hits=%d misses=%d", l.Hits, l.Misses)
 	}
 }
 

@@ -58,8 +58,7 @@ func (q *eventQueue) Pop() any {
 
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use; the entire simulation runs on one goroutine, which is
-// what guarantees reproducibility. Sharded runs (harness.RunShards)
-// give each shard its own Engine.
+// what guarantees reproducibility.
 type Engine struct {
 	now    Time
 	seq    uint64

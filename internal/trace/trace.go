@@ -28,7 +28,9 @@
 package trace
 
 import (
+	"fmt"
 	"path"
+	"slices"
 	"sort"
 
 	"kloc/internal/sim"
@@ -288,20 +290,36 @@ func (t *Tracer) Enabled(name Name) bool {
 }
 
 // matchAny reports whether s matches at least one pattern (empty
-// pattern set matches everything). Malformed patterns fall back to
-// literal comparison.
+// pattern set matches everything). A malformed pattern matches
+// nothing; CheckEvents rejects it up front.
 func matchAny(patterns []string, s string) bool {
 	if len(patterns) == 0 {
 		return true
 	}
 	for _, p := range patterns {
-		if ok, err := path.Match(p, s); err == nil && ok {
-			return true
-		} else if err != nil && p == s {
+		if ok, _ := path.Match(p, s); ok {
 			return true
 		}
 	}
 	return false
+}
+
+// CheckEvents rejects a Config.Events pattern that would silently trace
+// nothing: one path.Match reports as malformed, or one that matches no
+// name in the catalog.
+func CheckEvents(patterns []string) error {
+	for _, p := range patterns {
+		if _, err := path.Match(p, ""); err != nil {
+			return fmt.Errorf("trace: event pattern %q: %w", p, err)
+		}
+		if !slices.ContainsFunc(Names(), func(n Name) bool {
+			ok, _ := path.Match(p, string(n))
+			return ok
+		}) {
+			return fmt.Errorf("trace: event pattern %q matches no catalog event (see OBSERVABILITY.md)", p)
+		}
+	}
+	return nil
 }
 
 // Emit records one event. Nil-safe and strictly passive: no virtual

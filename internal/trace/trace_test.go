@@ -50,6 +50,33 @@ func TestRingBoundsAndDropCounting(t *testing.T) {
 	}
 }
 
+// TestCheckEvents: the patterns the docs show pass, and a pattern that
+// would enable nothing is rejected instead of tracing nothing.
+func TestCheckEvents(t *testing.T) {
+	for _, events := range [][]string{
+		nil,
+		{"alloc.*", "memsim.migrate"},
+		{"alloc.*", "memsim.migrate", "oom.spill"},
+		{"alloc.slab", "obj.free", "fs.journal.commit"},
+		{"pressure.*", "oom.*"},
+		{"*"},
+	} {
+		if err := CheckEvents(events); err != nil {
+			t.Errorf("CheckEvents(%q) = %v, want nil", events, err)
+		}
+	}
+	for _, events := range [][]string{
+		{"nosuch.event"},
+		{"["},
+		{"alloc.*", "alloc.slab["},
+		{"alloc"},
+	} {
+		if err := CheckEvents(events); err == nil {
+			t.Errorf("CheckEvents(%q) accepted a pattern that enables nothing", events)
+		}
+	}
+}
+
 func TestEnableGlobs(t *testing.T) {
 	cases := []struct {
 		patterns []string
