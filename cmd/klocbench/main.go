@@ -239,6 +239,7 @@ func usage() {
 			"experiments: %s\n"+
 			"'all' expands to the paper experiments above and composes with the extras\n"+
 			"('all,cluster,chaos' appends them). The extras are excluded from 'all':\n"+
+
 			"  cluster  serving-plane sweep -> BENCH_cluster.json (see -bench-out)\n"+
 			"  chaos    fault-schedule fuzzing campaign -> BENCH_chaos.json plus one\n"+
 			"           CHAOS_repro_*.json replay artifact per invariant violation;\n"+
@@ -355,7 +356,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.Uint64Var(&c.seed, "seed", defaultSeed, "simulation seed (nonzero)")
 	fs.IntVar(&c.scale, "scale", defaultScale, "platform scale divisor (Table 4 sizes / scale, at least 1)")
 
-	fs.StringVar(&c.workloads, "workloads", "", "with -exp: comma-separated workload subset (empty keeps each experiment's set)")
+	fs.StringVar(&c.workloads, "workloads", "", "with -exp: comma-separated workloads to run instead of each experiment's defaults (fig5b, prefetch and ablations only narrow theirs)")
 
 	fs.BoolVar(&c.rawRun, "run", false, "execute one raw run instead of an experiment")
 	fs.StringVar(&c.policy, "policy", "klocs", "policy for -run")
@@ -407,7 +408,8 @@ var flagReaders = map[string][]string{
 // checkFlags rejects, before any run starts, a command line no run can
 // honor: stray arguments, a scale divisor below 1, a negative duration,
 // seed 0 (the harness would silently run seed 42 instead), unknown
-// workload names, trace patterns that select no catalog event, and a
+// workload names, -workloads that leave an experiment nothing to run,
+// trace patterns that select no catalog event, and a
 // flag set on the command line that the selected mode never reads. It
 // returns the experiments -exp names (none with -run).
 func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
@@ -460,6 +462,9 @@ func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
 				addMode(modeChaos)
 			default:
 				addMode(modePaper)
+			}
+			if _, err := (kloc.Options{Workloads: splitList(c.workloads)}).FixedWorkloads(n); err != nil {
+				return nil, fmt.Errorf("-workloads: %w", err)
 			}
 		}
 	}

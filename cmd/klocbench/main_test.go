@@ -214,6 +214,7 @@ func TestCheckFlags(t *testing.T) {
 		{"chaos campaign", []string{"-exp", "chaos", "-quick", "-chaos-out", "BENCH_chaos.json"}, ""},
 		{"chaos replay", []string{"-exp", "chaos", "-replay", "CHAOS_repro_x.json"}, ""},
 		{"all composes", []string{"-exp", "all,cluster,chaos", "-quick", "-workloads", "rocksdb", "-bench-out", "b.json", "-chaos-out", "c.json"}, ""},
+		{"ablations on redis", []string{"-exp", "ablations", "-quick", "-workloads", "redis,spark"}, ""},
 		{"traced run", []string{"-run", "-policy", "klocs", "-workload", "rocksdb", "-quick", "-trace", "run.json", "-trace-events", "alloc.*,memsim.migrate"}, ""},
 		{"sanitized optane run", []string{"-run", "-quick", "-optane", "-sanitize", "-scale", "128", "-seed", "7"}, ""},
 
@@ -225,6 +226,10 @@ func TestCheckFlags(t *testing.T) {
 		{"negative duration", []string{"-exp", "fig4", "-duration-ms", "-1"}, "-duration-ms"},
 		{"zero seed", []string{"-exp", "fig4", "-seed", "0"}, "-seed"},
 		{"unknown workload", []string{"-exp", "fig4", "-workloads", "rocksdb,mysql"}, "mysql"},
+		{"fig5b without rocksdb", []string{"-exp", "fig5b", "-quick", "-workloads", "redis"}, "-workloads: fig5b runs only rocksdb"},
+		{"prefetch without rocksdb", []string{"-exp", "prefetch", "-workloads", "redis,spark"}, "-workloads: prefetch runs only rocksdb"},
+		{"ablations without its workloads", []string{"-exp", "ablations", "-workloads", "filebench"}, "-workloads: ablations runs only rocksdb, redis"},
+		{"all without rocksdb", []string{"-exp", "all", "-quick", "-workloads", "redis"}, "-workloads: fig5b runs only rocksdb"},
 
 		{"unknown trace event", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "nosuch.event"}, "nosuch.event"},
 		{"malformed trace pattern", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "["}, "-trace-events"},

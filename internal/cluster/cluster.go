@@ -408,6 +408,13 @@ func New(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown bug fixture %q: %w", cfg.Bug, fault.EINVAL)
 	}
+	if cfg.Trace != nil {
+		if err := trace.CheckEvents(cfg.Trace.Events); err != nil {
+			// The pattern error carries no errno to keep: EINVAL is the
+			// one callers match.
+			return nil, fmt.Errorf("cluster: %s: %w", err.Error(), fault.EINVAL)
+		}
+	}
 
 	c := &Cluster{cfg: cfg, eng: sim.NewEngine(), arr: arr, backoff: NewBackoff(cfg.Backoff)}
 	if cfg.Trace != nil {

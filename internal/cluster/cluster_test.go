@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"kloc/internal/fault"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -184,6 +186,19 @@ func rateFor(t *testing.T, cfg Config, load float64) float64 {
 	cost := serviceCost(t)
 	capacity := float64(cfg.Machines*cfg.Workers) / cost.Seconds()
 	return load * capacity
+}
+
+// TestNewRejectsBadTracePatterns: an event pattern that is malformed
+// or matches no catalog event is EINVAL, as it is for a single run,
+// rather than a fleet that silently traces nothing.
+func TestNewRejectsBadTracePatterns(t *testing.T) {
+	for _, pattern := range []string{"nosuch.event", "["} {
+		cfg := testConfig()
+		cfg.Trace = &trace.Config{Events: []string{pattern}}
+		if _, err := New(cfg); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("trace events {%q}: New returned %v, want EINVAL", pattern, err)
+		}
+	}
 }
 
 func TestClusterReplayByteIdentical(t *testing.T) {

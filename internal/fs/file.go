@@ -46,8 +46,6 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		}
 		p = &Page{Obj: obj, Idx: pageIdx}
 		ind.pages.Set(pageIdx, p)
-		ind.frameIndex[obj.Frame.ID] = pageIdx
-		f.frameOwner[obj.Frame.ID] = ind.Ino
 		if jerr != nil {
 			return jerr
 		}
@@ -140,8 +138,6 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 	}
 	p := &Page{Obj: obj, Idx: pageIdx}
 	ind.pages.Set(pageIdx, p)
-	ind.frameIndex[obj.Frame.ID] = pageIdx
-	f.frameOwner[obj.Frame.ID] = ind.Ino
 	if pageIdx >= ind.SizePages {
 		ind.SizePages = pageIdx + 1
 	}
@@ -263,22 +259,25 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 // EvictFrame drops the page-cache page backed by the given frame
 // (called by reclaim when memory pressure demands freeing rather than
 // migrating). Dirty pages are written back first. Reports whether the
-// frame belonged to this FS.
+// frame backed a page of this FS.
+//
+// It walks the page trees rather than keep a frame→page map that every
+// page-cache fill and free would write: its only caller is the OOM
+// evictor's last resort, for frames that could not spill, which no
+// experiment reaches.
 func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
-	ino, ok := f.frameOwner[frame.ID]
-	if !ok {
-		return false
-	}
-	ind, ok := f.inodes[ino]
-	if !ok {
-		return false
-	}
-	idx, ok := ind.frameIndex[frame.ID]
-	if !ok {
-		return false
-	}
-	p, ok := ind.pages.Get(idx)
-	if !ok || p.Obj.Frame.ID != frame.ID {
+	var ind *Inode
+	var p *Page
+	f.ForEachInode(func(in *Inode) bool {
+		in.pages.Ascend(func(_ int64, pg *Page) bool {
+			if pg.Obj.Frame == frame {
+				ind, p = in, pg
+			}
+			return p == nil
+		})
+		return p == nil
+	})
+	if p == nil {
 		return false
 	}
 	if p.Dirty {
@@ -290,9 +289,7 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 		}
 		f.Stats.WritebackPages++
 	}
-	ind.pages.Delete(idx)
-	delete(ind.frameIndex, frame.ID)
-	delete(f.frameOwner, frame.ID)
+	ind.pages.Delete(p.Idx)
 	f.Objs.Free(p.Obj, ctx)
 	return true
 }
@@ -309,8 +306,6 @@ func (f *FS) DropCleanPages(ctx *kstate.Ctx, ind *Inode, n int) int {
 	})
 	for _, p := range victims {
 		ind.pages.Delete(p.Idx)
-		delete(ind.frameIndex, p.Obj.Frame.ID)
-		delete(f.frameOwner, p.Obj.Frame.ID)
 		f.Objs.Free(p.Obj, ctx)
 	}
 	return len(victims)

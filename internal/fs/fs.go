@@ -75,8 +75,6 @@ type FS struct {
 	// inodeOrder keeps deterministic (creation-order) iteration for
 	// reclaim; Go map iteration order would break reproducibility.
 	inodeOrder []uint64
-	// frameOwner maps cache frames to owning inodes for O(1) eviction.
-	frameOwner map[memsim.FrameID]uint64
 	// pageNodes and extentNodes recycle the nodes of every inode's page
 	// and extent trees. A file's trees die with it, so only pools the
 	// filesystem owns can carry their nodes over to the next file.
@@ -116,7 +114,6 @@ func New(mem *memsim.Memory, mq *blockdev.MQ, hooks kstate.Hooks, objIDs, inoGen
 		InoGen:          inoGen,
 		inodes:          make(map[uint64]*Inode),
 		dcache:          make(map[string]uint64),
-		frameOwner:      make(map[memsim.FrameID]uint64),
 		durable:         make(map[uint64]*durableInode),
 		ReadaheadWindow: 8,
 	}

@@ -5,7 +5,6 @@ import (
 
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
-	"kloc/internal/memsim"
 	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 )
@@ -37,10 +36,6 @@ type Inode struct {
 	radixNodes map[int64]*kobj.Object // radix subtree index -> node object
 	extents    *rbtree.Tree[int64, *kobj.Object]
 
-	// frameIndex maps cache frames back to page indexes so policies can
-	// evict by frame.
-	frameIndex map[memsim.FrameID]int64
-
 	// Readahead state: last sequentially read index and streak length.
 	lastRead int64
 	streak   int
@@ -60,7 +55,6 @@ func (f *FS) newInode(ino uint64, path string) *Inode {
 		pages:      f.pageNodes.New(),
 		radixNodes: make(map[int64]*kobj.Object),
 		extents:    f.extentNodes.New(),
-		frameIndex: make(map[memsim.FrameID]int64),
 		lastRead:   -2,
 	}
 }
@@ -230,7 +224,6 @@ func (f *FS) Unlink(ctx *kstate.Ctx, path string) error {
 // destroyInode frees every kernel object attached to the inode.
 func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 	ind.pages.Ascend(func(_ int64, p *Page) bool {
-		delete(f.frameOwner, p.Obj.Frame.ID)
 		f.Objs.Free(p.Obj, ctx)
 		return true
 	})
@@ -255,7 +248,6 @@ func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 	f.Objs.Free(ind.dentry, ctx)
 	f.Objs.Free(ind.inodeObj, ctx)
 	ind.dentry, ind.inodeObj = nil, nil
-	ind.frameIndex = make(map[memsim.FrameID]int64)
 	f.Objs.DropArena(ind.Ino) // all objects freed above: the arena is empty
 	delete(f.inodes, ind.Ino)
 	for i, ino := range f.inodeOrder {

@@ -5,7 +5,6 @@ import (
 
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
-	"kloc/internal/memsim"
 	"kloc/internal/trace"
 )
 
@@ -192,7 +191,6 @@ func (f *FS) Crash(ctx *kstate.Ctx) {
 		f.destroyInode(ctx, ind)
 	}
 	f.dcache = make(map[string]uint64)
-	f.frameOwner = make(map[memsim.FrameID]uint64)
 }
 
 // Replay remounts after a Crash: the journal is read back sequentially

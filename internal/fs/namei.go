@@ -59,8 +59,6 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 	})
 	for _, p := range victims {
 		ind.pages.Delete(p.Idx)
-		delete(ind.frameIndex, p.Obj.Frame.ID)
-		delete(f.frameOwner, p.Obj.Frame.ID)
 		f.Objs.Free(p.Obj, ctx)
 	}
 	// Drop extents fully beyond the new size.

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"kloc/internal/fault"
 	"kloc/internal/kobj"
@@ -38,6 +40,25 @@ func (o Options) workloads(def []string) []string {
 		return o.Workloads
 	}
 	return def
+}
+
+// fixedWorkloads are the workload sets of the experiments that run a
+// fixed set, which Options.Workloads can only narrow.
+var fixedWorkloads = map[string][]string{"fig5b": {"rocksdb"}, "prefetch": {"rocksdb"}, "ablations": {"rocksdb", "redis"}}
+
+// FixedWorkloads returns the part of experiment exp's fixed workload
+// set that Options.Workloads keeps (all of it when unset, none for an
+// experiment without a fixed set), and EINVAL if it keeps none of it.
+func (o Options) FixedWorkloads(exp string) ([]string, error) {
+	set := fixedWorkloads[exp]
+	keep := slices.DeleteFunc(slices.Clone(set), func(wl string) bool {
+		return len(o.Workloads) > 0 && !slices.Contains(o.Workloads, wl)
+	})
+	if len(set) > 0 && len(keep) == 0 {
+		return nil, fmt.Errorf("%s runs only %s, which the selection %s leaves out: %w",
+			exp, strings.Join(set, ", "), strings.Join(o.Workloads, ","), fault.EINVAL)
+	}
+	return keep, nil
 }
 
 // perfWorkloads are the Fig 4/5/6 set (§6.1 excludes Spark from the
@@ -247,6 +268,9 @@ func Fig5a(o Options) (*Table, error) {
 // Fig5b reproduces Figure 5b: RocksDB pages allocated in slow memory
 // (page cache and slab) and pages migrated, per strategy.
 func Fig5b(o Options) (*Table, error) {
+	if _, err := o.FixedWorkloads("fig5b"); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Figure 5b — RocksDB: slow-memory allocations and migrations (two-tier)",
 		Header: []string{"strategy", "slow-cache-Kpages", "slow-slab-Kpages", "migrated-Kpages", "demoted", "promoted"},
@@ -389,6 +413,9 @@ func Fig6(o Options) (*Table, error) {
 // cold reads actually reach the device and prefetching has latency to
 // hide.
 func Prefetch(o Options) (*Table, error) {
+	if _, err := o.FixedWorkloads("prefetch"); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "§7.3 — KLOC-aware I/O prefetching (RocksDB, memory-pressured platform)",
 		Header: []string{"config", "throughput", "speedup", "readahead-issued", "readahead-hits"},
@@ -430,6 +457,10 @@ func Prefetch(o Options) (*Table, error) {
 // fast path, the split rbtree, driver-level socket extraction, and the
 // relocatable KLOC allocator.
 func Ablations(o Options) (*Table, error) {
+	wls, err := o.FixedWorkloads("ablations")
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Design ablations — KLOCs variants (throughput relative to the full design)",
 		Header: []string{"variant", "workload", "relative-throughput", "fastpath-hit-rate"},
@@ -449,6 +480,9 @@ func Ablations(o Options) (*Table, error) {
 	}
 	base := map[string]float64{}
 	for _, v := range variants {
+		if !slices.Contains(wls, v.wl) {
+			continue
+		}
 		cfg := policy.DefaultKLOCConfig()
 		v.mod(&cfg)
 		res, err := o.run(RunConfig{

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"kloc/internal/fault"
 	"kloc/internal/memsim"
 	"kloc/internal/policy"
 	"kloc/internal/sim"
@@ -259,6 +261,37 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 	if len(Experiments) != len(ExperimentNames()) {
 		t.Fatal("registry and name list out of sync")
+	}
+}
+
+// TestFixedWorkloadExperimentsHonorSelection: the experiments that run
+// a fixed workload set run only the selected part of it, and a
+// selection that keeps none of it is EINVAL rather than a table of
+// workloads nobody asked for.
+func TestFixedWorkloadExperimentsHonorSelection(t *testing.T) {
+	o := quick()
+	o.Workloads = []string{"rocksdb"}
+	tab, err := Ablations(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 4 {
+		t.Errorf("ablations on rocksdb: %d rows, want its 4 RocksDB variants", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if row[1] != "rocksdb" {
+			t.Errorf("ablations on rocksdb ran %s on %s", row[0], row[1])
+		}
+	}
+	o.Workloads = []string{"redis", "spark"}
+	for _, exp := range []string{"fig5b", "prefetch"} {
+		if _, err := Experiments[exp](o); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("%s on redis,spark: err %v, want EINVAL", exp, err)
+		}
+	}
+	o.Workloads = []string{"filebench"}
+	if _, err := Ablations(o); !errors.Is(err, fault.EINVAL) {
+		t.Errorf("ablations on filebench: err %v, want EINVAL", err)
 	}
 }
 

@@ -293,15 +293,13 @@ func (r *Registry) Lookup(cpu int, inode uint64, now sim.Time) (*Knode, sim.Dura
 		if !ok {
 			return nil, lookupCost(r.kmap.Depth()), false
 		}
-		if r.fast.Contains(cpu, kn) {
-			r.fast.Touch(cpu, kn)
+		if r.fast.Touch(cpu, kn) {
 			r.Stats.FastPathHits++
 			kn.Age = 0
 			kn.LastTouch = now
 			// Fast-path hit: a short list walk instead of tree descent.
 			return kn, treeRefCost * 2, true
 		}
-		r.fast.Touch(cpu, kn)
 		r.Stats.KmapLookups++
 		kn.Age = 0
 		kn.LastTouch = now

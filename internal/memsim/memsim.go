@@ -12,6 +12,7 @@
 package memsim
 
 import (
+	"fmt"
 	"sort"
 
 	"kloc/internal/fault"
@@ -178,6 +179,9 @@ type Frame struct {
 	// Mapped marks an application page the kernel has mapped and not
 	// yet unmapped (kernel.AppAlloc sets it, AppFree clears it).
 	Mapped bool
+	// pos is the frame's index in the live table (-1 = not live).
+	// Maintained by Alloc/Free via swap-remove.
+	pos int32
 
 	// Seen is the reclaim scanner's stamp: the LastAccess value it
 	// observed when it last looked at the frame (lru.Lists).
@@ -187,9 +191,10 @@ type Frame struct {
 	prev, next *Frame
 	list       *FrameList
 
-	// pos is the frame's index in the live table (-1 = not live).
-	// Maintained by Alloc/Free via swap-remove.
-	pos int
+	// l4 holds the frame's entry in each socket's L4 cache: an index
+	// into its slab (0 = none) that counts only while the entry there
+	// still records ID.
+	l4 [l4Sockets]int32
 }
 
 // Stats aggregates the accounting the evaluation section needs. Every
@@ -367,8 +372,13 @@ func (m *Memory) Node(id NodeID) *Node { return m.Nodes[int(id)] }
 
 // AttachL4 installs a hardware-managed DRAM cache of capacityPages in
 // front of all accesses from the given socket, with the given hit
-// latency/bandwidth (Memory Mode, §6.2).
+// latency/bandwidth (Memory Mode, §6.2). Frames keep one L4 slot per
+// socket for sockets 0 and 1 only, so a socket beyond them (or beyond
+// the CPU map) panics: it is a construction bug.
 func (m *Memory) AttachL4(socket, capacityPages int, hitLatency sim.Duration, hitBandwidth float64) {
+	if socket < 0 || socket >= l4Sockets || socket >= len(m.l4) {
+		panic(fmt.Sprintf("memsim: AttachL4 on socket %d of %d: frames have L4 slots for %d", socket, len(m.l4), l4Sockets))
+	}
 	m.l4[socket] = newL4Cache(capacityPages, hitLatency, hitBandwidth)
 }
 
@@ -450,10 +460,9 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		Order:      order,
 		Allocated:  now,
 		LastAccess: now,
-		pos:        -1,
 	}
 	m.nextFrame++
-	f.pos = len(m.live)
+	f.pos = int32(len(m.live))
 	m.live = append(m.live, f)
 	m.allocsDense[node][class] += uint64(pages)
 	m.usedDense[node][class] += pages
@@ -511,7 +520,7 @@ func (m *Memory) Free(f *Frame) {
 	if f == nil {
 		return
 	}
-	if f.pos < 0 || f.pos >= len(m.live) || m.live[f.pos] != f {
+	if f.pos < 0 || int(f.pos) >= len(m.live) || m.live[f.pos] != f {
 		return // double free is a no-op
 	}
 	if f.list != nil {
@@ -579,7 +588,7 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 	// PMEM nodes on the same socket.
 	if node.Kind == PMEM && sock == node.Socket {
 		if c := m.l4[sock]; c != nil {
-			if c.access(f.ID) {
+			if c.access(f, &f.l4[sock]) {
 				m.Stats.L4Hits++
 				return c.hitLatency + sim.Duration(float64(bytes)/c.hitBandwidth)
 			}
@@ -716,85 +725,80 @@ func (mg *Migrator) Migrate(frames []*Frame, dst NodeID, now sim.Time) (moved, f
 
 // --- L4 cache (Memory Mode) ---
 
+// l4Sockets bounds the sockets with an L4 cache: every frame keeps one
+// slot per socket (Frame.l4).
+const l4Sockets = 2
+
 // l4Cache is a fully-associative LRU page cache standing in for the
 // hardware-managed DRAM cache of Optane Memory Mode. Real hardware is
 // direct-mapped at cacheline granularity; at the page granularity our
 // workloads operate on, LRU over frame IDs captures the same
 // hit-when-hot / miss-when-cold behaviour the evaluation depends on.
+//
+// The entries live in one slab, grown by append up to capacity, and a
+// frame reaches its entry through its slot for the cache's socket, so
+// no access probes a map. An entry belongs to the frame whose ID it
+// records. FrameIDs are never reused, so a freed or recycled frame's
+// entry stays on the list as a ghost that holds capacity until it is
+// evicted, and an entry evicted for another frame rewrites its id,
+// which makes the old frame's slot stop matching.
 type l4Cache struct {
 	capacity     int
 	hitLatency   sim.Duration
 	hitBandwidth float64
 
-	// The LRU structure mutates on every simulated access.
-	entries map[FrameID]*l4Entry
-	head    *l4Entry // most recent
-	tail    *l4Entry // least recent
+	// entries is the slab, linked into a circular recency list by
+	// index. Entry 0 is its sentinel: its next is the most recent entry
+	// and its prev the least recent.
+	entries []l4Entry
 }
 
 type l4Entry struct {
 	id         FrameID
-	prev, next *l4Entry
+	prev, next int32
 }
 
 func newL4Cache(capacity int, hitLatency sim.Duration, hitBandwidth float64) *l4Cache {
-	return &l4Cache{
-		capacity:     capacity,
-		hitLatency:   hitLatency,
-		hitBandwidth: hitBandwidth,
-		entries:      make(map[FrameID]*l4Entry),
-	}
+	return &l4Cache{capacity: capacity, hitLatency: hitLatency, hitBandwidth: hitBandwidth,
+		entries: make([]l4Entry, 1)}
 }
 
-// access touches id, returns true on hit, and inserts on miss. A full
-// cache evicts its LRU entry and reuses it for id; a cache of capacity
-// below one page holds nothing and misses every access.
-func (c *l4Cache) access(id FrameID) bool {
-	if e, ok := c.entries[id]; ok {
-		c.unlink(e)
-		c.pushFront(e)
+// access touches frame f, whose slot for this cache's socket is slot,
+// returns true on hit, and inserts on miss. A full cache evicts its LRU
+// entry and reuses it for f; a cache of capacity below one page holds
+// nothing and misses every access.
+func (c *l4Cache) access(f *Frame, slot *int32) bool {
+	i := *slot
+	if i > 0 && int(i) < len(c.entries) && c.entries[i].id == f.ID {
+		c.unlink(i)
+		c.pushFront(i)
 		return true
 	}
 	if c.capacity < 1 {
 		return false
 	}
-	var e *l4Entry
-	if len(c.entries) >= c.capacity {
-		e = c.tail
-		c.unlink(e)
-		delete(c.entries, e.id)
-		e.id = id
+	if len(c.entries) <= c.capacity {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, l4Entry{})
 	} else {
-		e = &l4Entry{id: id}
+		i = c.entries[0].prev
+		c.unlink(i)
 	}
-	c.entries[id] = e
-	c.pushFront(e)
+	c.entries[i].id = f.ID
+	*slot = i
+	c.pushFront(i)
 	return false
 }
 
-func (c *l4Cache) unlink(e *l4Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+func (c *l4Cache) unlink(i int32) {
+	e := c.entries[i]
+	c.entries[e.prev].next = e.next
+	c.entries[e.next].prev = e.prev
 }
 
-func (c *l4Cache) pushFront(e *l4Entry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+func (c *l4Cache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = 0, c.entries[0].next
+	c.entries[e.next].prev = i
+	c.entries[0].next = i
 }
-
-func (c *l4Cache) len() int { return len(c.entries) }

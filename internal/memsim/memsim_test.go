@@ -207,28 +207,6 @@ func TestRemoteAccessCostsMore(t *testing.T) {
 	}
 }
 
-func TestL4Cache(t *testing.T) {
-	c := newL4Cache(3, 90, 25)
-	ids := []FrameID{1, 2, 3}
-	for _, id := range ids {
-		if c.access(id) {
-			t.Fatalf("cold access to %d hit", id)
-		}
-	}
-	for _, id := range ids {
-		if !c.access(id) {
-			t.Fatalf("warm access to %d missed", id)
-		}
-	}
-	c.access(4) // evicts LRU = 1
-	if c.access(1) {
-		t.Fatal("evicted entry still hit")
-	}
-	if c.len() != 3 {
-		t.Fatalf("cache size %d", c.len())
-	}
-}
-
 func TestL4InterceptsLocalPMEM(t *testing.T) {
 	m := NewOptane(DefaultOptane(64))
 	f, _ := m.Alloc(Socket0Node, ClassApp, 0)

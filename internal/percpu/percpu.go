@@ -22,12 +22,12 @@ type Entry[T comparable] struct {
 	Age  int
 }
 
-// Lists is a set of per-CPU bounded recency lists.
+// Lists is a set of per-CPU bounded recency lists. No index records
+// which CPUs cache an item: every query scans the lists themselves, at
+// most capacity entries per CPU.
 type Lists[T comparable] struct {
 	cap   int
 	lists [][]Entry[T] // index 0 = most recently touched
-	// where[item] = set of CPUs caching it, for O(#CPUs) invalidation.
-	where map[T]map[int]struct{}
 
 	// Hits/Misses count Touch operations that found/missed the item —
 	// the ablation metric for the fast path.
@@ -46,7 +46,6 @@ func New[T comparable](cpus, capacity int) *Lists[T] {
 	return &Lists[T]{
 		cap:   capacity,
 		lists: make([][]Entry[T], cpus),
-		where: make(map[T]map[int]struct{}),
 	}
 }
 
@@ -58,89 +57,58 @@ func (l *Lists[T]) CPUs() int { return len(l.lists) }
 // reports whether the item was already cached on that CPU.
 func (l *Lists[T]) Touch(cpu int, item T) bool {
 	list := l.lists[cpu]
-	for i := range list {
-		if list[i].Item == item {
-			e := list[i]
-			e.Age = 0
-			copy(list[1:i+1], list[:i])
-			list[0] = e
-			l.Hits++
-			return true
-		}
+	if i := l.index(cpu, item); i >= 0 {
+		e := list[i]
+		e.Age = 0
+		copy(list[1:i+1], list[:i])
+		list[0] = e
+		l.Hits++
+		return true
 	}
 	l.Misses++
-	if len(list) >= l.cap {
-		// Evict the tail: its slot is the one the shift below fills.
-		l.forget(cpu, list[len(list)-1].Item)
-	} else {
+	// A full list drops its tail: its slot is the one the shift below
+	// fills.
+	if len(list) < l.cap {
 		list = append(list, Entry[T]{})
 		l.lists[cpu] = list
 	}
 	copy(list[1:], list)
 	list[0] = Entry[T]{Item: item}
-	set := l.where[item]
-	if set == nil {
-		set = make(map[int]struct{})
-		l.where[item] = set
-	}
-	set[cpu] = struct{}{}
 	return false
 }
 
-func (l *Lists[T]) forget(cpu int, item T) {
-	if set := l.where[item]; set != nil {
-		delete(set, cpu)
-		if len(set) == 0 {
-			delete(l.where, item)
+// index returns item's position on cpu's list, or -1.
+func (l *Lists[T]) index(cpu int, item T) int {
+	for i, e := range l.lists[cpu] {
+		if e.Item == item {
+			return i
 		}
 	}
+	return -1
 }
 
 // Contains reports whether cpu's list caches item.
-func (l *Lists[T]) Contains(cpu int, item T) bool {
-	set := l.where[item]
-	if set == nil {
-		return false
-	}
-	_, ok := set[cpu]
-	return ok
-}
+func (l *Lists[T]) Contains(cpu int, item T) bool { return l.index(cpu, item) >= 0 }
 
-// CachedAnywhere reports whether any CPU caches item.
-func (l *Lists[T]) CachedAnywhere(item T) bool { return len(l.where[item]) > 0 }
-
-// LastCPU returns some CPU currently caching item (find_cpu in
-// Table 2), or -1.
+// LastCPU returns the highest-numbered CPU currently caching item
+// (find_cpu in Table 2), or -1.
 func (l *Lists[T]) LastCPU(item T) int {
-	set := l.where[item]
-	best := -1
-	//klocs:unordered max reduction is order-insensitive
-	for cpu := range set {
-		if cpu > best {
-			best = cpu
+	for cpu := len(l.lists) - 1; cpu >= 0; cpu-- {
+		if l.Contains(cpu, item) {
+			return cpu
 		}
 	}
-	return best
+	return -1
 }
 
 // Invalidate removes item from every CPU list (coherence on knode
 // deletion).
 func (l *Lists[T]) Invalidate(item T) {
-	set := l.where[item]
-	if set == nil {
-		return
-	}
-	//klocs:unordered each iteration edits a distinct CPU's private list
-	for cpu := range set {
-		list := l.lists[cpu]
-		for i := range list {
-			if list[i].Item == item {
-				l.lists[cpu] = append(list[:i], list[i+1:]...)
-				break
-			}
+	for cpu, list := range l.lists {
+		if i := l.index(cpu, item); i >= 0 {
+			l.lists[cpu] = append(list[:i], list[i+1:]...)
 		}
 	}
-	delete(l.where, item)
 }
 
 // AgeScan increments the age of every entry on cpu's list and calls fn

@@ -57,9 +57,8 @@ func TestTouchMatchesPrepend(t *testing.T) {
 }
 
 // missLoop touches nine items in turn on CPU 0 of a list that holds
-// eight, so every Touch misses and evicts the tail. CPUs 1 and 2 keep
-// every item cached, so the where index only adds and drops CPU 0 in
-// sets that already exist; its per-item sets are a separate cost.
+// eight, so every Touch misses and evicts the tail. CPUs 1 and 2 cache
+// the same items, which a Touch on CPU 0 never scans.
 func missLoop(l *Lists[int], next *int) {
 	l.Touch(0, *next)
 	*next = (*next + 1) % 9
