@@ -5,6 +5,7 @@ import (
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
 	"kloc/internal/pressure"
+	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
 
@@ -55,6 +56,10 @@ type Objects struct {
 	// so they can migrate with the knode without dragging other
 	// contexts' objects.
 	arenas map[uint64]*Arena
+	// free holds released object structs, most recent last; the next
+	// Alloc rewrites one in place instead of allocating, the way a
+	// kmem_cache hands a freed object straight back out.
+	free []*kobj.Object
 }
 
 // NewObjects builds an object path over the memory system that counts
@@ -111,7 +116,7 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 			return nil, err
 		}
 		ctx.Charge(PageAllocCost)
-		o = kobj.NewObject(id, t, frame, ctx.Now, a.mem)
+		o = a.object(id, t, frame, ctx.Now, a.mem)
 		a.hooks.PageAllocated(ctx, frame)
 		a.Trace.Emit(trace.AllocPage, ctx.Now, ino, uint64(id), t.String(), int(frame.Node), int64(o.Size))
 	} else {
@@ -127,7 +132,7 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 				return nil, err
 			}
 			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, frame, ctx.Now, arena)
+			o = a.object(id, t, frame, ctx.Now, arena)
 		} else {
 			cache, err := a.cache(t, relocatable)
 			if err != nil {
@@ -138,7 +143,7 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 				return nil, err
 			}
 			ctx.Charge(cost)
-			o = kobj.NewObject(id, t, frame, ctx.Now, cache)
+			o = a.object(id, t, frame, ctx.Now, cache)
 		}
 		a.Trace.Emit(trace.AllocSlab, ctx.Now, ino, uint64(id), t.String(), int(o.Frame.Node), int64(o.Size))
 	}
@@ -150,6 +155,19 @@ func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Obj
 	a.San.TrackAlloc(uint64(id), t.String(), ino, int64(o.Size), ctx.Now)
 	a.hooks.ObjectCreated(ctx, ino, o)
 	return o, nil
+}
+
+// object builds a new allocation's object, rewriting the most recently
+// released struct when the free list holds one.
+func (a *Objects) object(id kobj.ID, t kobj.Type, frame *memsim.Frame, born sim.Time, from kobj.Freer) *kobj.Object {
+	n := len(a.free)
+	if n == 0 {
+		return kobj.NewObject(id, t, frame, born, from)
+	}
+	o := a.free[n-1]
+	a.free = a.free[:n-1]
+	o.Reset(id, t, frame, born, from)
+	return o
 }
 
 // cache returns (creating on first use) the shared slab cache for t:
@@ -175,9 +193,13 @@ func (a *Objects) cache(t kobj.Type, relocatable bool) (*SlabCache, error) {
 	return c, nil
 }
 
-// Free releases an object in ctx, firing the free hooks. The freed
-// object comes first, as in every Free* entry point of the module, so
-// the lifecycle analyzer tracks it. A nil object is a no-op.
+// Free releases an object in ctx, firing the free hooks, and keeps its
+// struct for reuse. The freed object comes first, as in every Free*
+// entry point of the module, so the lifecycle analyzer tracks it. A nil
+// object is a no-op. A second Free of the same object before its
+// struct is reused reaches the hooks and the sanitizer, which reports
+// it, but does not put the struct on the free list twice; after reuse
+// it would free the new object, so no pointer may outlive a Free.
 func (a *Objects) Free(o *kobj.Object, ctx *kstate.Ctx) {
 	if o == nil {
 		return
@@ -193,7 +215,9 @@ func (a *Objects) Free(o *kobj.Object, ctx *kstate.Ctx) {
 	if o.Type.Info().Alloc == kobj.AllocPage && o.Frame != nil {
 		a.hooks.PageFreed(ctx, o.Frame)
 	}
-	o.Release()
+	if o.Release() {
+		a.free = append(a.free, o)
+	}
 }
 
 // Touch charges a memory access of bytes (the whole object when bytes

@@ -393,7 +393,7 @@ func (ea *errnoAnalysis) classifyCall(call *ast.CallExpr, depth int) dirt {
 			case "New":
 				return dirt{local: "errors.New creates an anonymous error"}
 			case "Join":
-				return ea.classifyErrorArgs(call, depth)
+				return ea.classifyErrorArgs(call.Args, depth)
 			}
 		}
 	}
@@ -429,7 +429,9 @@ func (ea *errnoAnalysis) classifyCall(call *ast.CallExpr, depth int) dirt {
 }
 
 // classifyErrorf handles fmt.Errorf: with a %w verb it derives from
-// its error operands; without one it launders them into a string.
+// the operands its %w verbs consume; without one it launders them into
+// a string. An operand another verb (%v, %s) only formats is not
+// forwarded.
 func (ea *errnoAnalysis) classifyErrorf(call *ast.CallExpr, depth int) dirt {
 	if len(call.Args) == 0 {
 		return dirt{local: "fmt.Errorf without arguments"}
@@ -443,14 +445,58 @@ func (ea *errnoAnalysis) classifyErrorf(call *ast.CallExpr, depth int) dirt {
 	if !strings.Contains(format, "%w") {
 		return dirt{local: "fmt.Errorf without %w severs the errno chain"}
 	}
-	return ea.classifyErrorArgs(call, depth)
+	operands := call.Args[1:]
+	wrapped, ok := wrapOperands(format)
+	if !ok || call.Ellipsis.IsValid() {
+		// Explicit argument indexes or a spread slice: the operand of
+		// each verb is not followed, so every error operand counts.
+		return ea.classifyErrorArgs(operands, depth)
+	}
+	var d dirt
+	for _, i := range wrapped {
+		if i < len(operands) {
+			d.merge(ea.classifyErrorArgs(operands[i:i+1], depth))
+		}
+	}
+	return d
 }
 
-// classifyErrorArgs classifies every error-typed argument of a call
+// wrapOperands returns the positions, among the operands after a
+// format string, that the format's %w verbs consume. ok is false when
+// the format uses explicit argument indexes ("%[2]w").
+func wrapOperands(format string) (pos []int, ok bool) {
+	arg := 0
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' {
+			continue
+		}
+		// Flags, width and precision; a '*' consumes an operand.
+		for i++; i < len(format) && strings.IndexByte("+-# 0123456789.*", format[i]) >= 0; i++ {
+			if format[i] == '*' {
+				arg++
+			}
+		}
+		if i == len(format) {
+			break
+		}
+		switch format[i] {
+		case '[':
+			return nil, false
+		case '%':
+			continue // a literal percent consumes nothing
+		case 'w':
+			pos = append(pos, arg)
+		}
+		arg++
+	}
+	return pos, true
+}
+
+// classifyErrorArgs classifies every error-typed expression among args
 // (the operands a %w or errors.Join forwards).
-func (ea *errnoAnalysis) classifyErrorArgs(call *ast.CallExpr, depth int) dirt {
+func (ea *errnoAnalysis) classifyErrorArgs(args []ast.Expr, depth int) dirt {
 	var d dirt
-	for _, arg := range call.Args {
+	for _, arg := range args {
 		tv, ok := ea.info.Types[arg]
 		if !ok || !isErrorType(tv.Type) {
 			continue

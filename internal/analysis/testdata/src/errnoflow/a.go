@@ -56,6 +56,20 @@ func Wrapped() error {
 	return fmt.Errorf("op failed: %w", fault.EINVAL)
 }
 
+// FormattedCause only formats the naked error with %v and wraps a
+// fault errno with %w: no diagnostic.
+func FormattedCause() error {
+	_, err := strconv.Atoi("nope")
+	return fmt.Errorf("parse: %v: %w", err, fault.EINVAL)
+}
+
+// WrappedCause wraps the naked error itself with %w beside a formatted
+// errno: the chain carries no errno.
+func WrappedCause() error {
+	_, err := strconv.Atoi("nope")
+	return fmt.Errorf("parse: %v: %w", fault.EINVAL, err) // want "error from external call Atoi not wrapped with a fault errno"
+}
+
 // Joined derives from two errnos: no diagnostic.
 func Joined() error {
 	return errors.Join(fault.EINVAL, fault.ENOMEM)

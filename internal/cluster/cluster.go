@@ -363,9 +363,9 @@ type Cluster struct {
 // when it carries one.
 func wrapErr(op string, err error) error {
 	if errno, ok := fault.AsErrno(err); ok {
-		return fmt.Errorf("cluster: %s: %s: %w", op, err.Error(), errno)
+		return fmt.Errorf("cluster: %s: %v: %w", op, err, errno)
 	}
-	return fmt.Errorf("cluster: %s: %s: %w", op, err.Error(), fault.EINVAL)
+	return fmt.Errorf("cluster: %s: %v: %w", op, err, fault.EINVAL)
 }
 
 // New builds the fleet: every machine's kernel and workload are set
@@ -412,7 +412,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err := trace.CheckEvents(cfg.Trace.Events); err != nil {
 			// The pattern error carries no errno to keep: EINVAL is the
 			// one callers match.
-			return nil, fmt.Errorf("cluster: %s: %w", err.Error(), fault.EINVAL)
+			return nil, fmt.Errorf("cluster: %v: %w", err, fault.EINVAL)
 		}
 	}
 

@@ -44,7 +44,7 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 			f.Objs.Free(obj, ctx)
 			return jerr
 		}
-		p = &Page{Obj: obj, Idx: pageIdx}
+		p = obj
 		ind.pages.Set(pageIdx, p)
 		if jerr != nil {
 			return jerr
@@ -58,9 +58,9 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	p.Dirty = true
 	// copy_from_user into the cache page, then journal/bookkeeping
 	// re-reads it (§3.1: writes are even more memory-intensive).
-	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, true)
-	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
-	f.Hooks.PageAccessed(ctx, p.Obj.Frame)
+	f.Objs.Touch(ctx, p, memsim.PageSize, true)
+	f.Objs.Touch(ctx, p, memsim.PageSize, false)
+	f.Hooks.PageAccessed(ctx, p.Frame)
 	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 	return nil
 }
@@ -89,9 +89,9 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		// Page-cache read: lookup touch + copy_to_user streams the page
 		// out of the cache (two passes over the data in the kernel's
 		// cache-cold case, §3.1).
-		f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
-		f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
-		f.Hooks.PageAccessed(ctx, p.Obj.Frame)
+		f.Objs.Touch(ctx, p, memsim.PageSize, false)
+		f.Objs.Touch(ctx, p, memsim.PageSize, false)
+		f.Hooks.PageAccessed(ctx, p.Frame)
 		f.updateStreak(ind, pageIdx)
 		return nil
 	}
@@ -100,8 +100,8 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	if err != nil {
 		return err
 	}
-	f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
-	f.Hooks.PageAccessed(ctx, p.Obj.Frame)
+	f.Objs.Touch(ctx, p, memsim.PageSize, false)
+	f.Hooks.PageAccessed(ctx, p.Frame)
 	f.updateStreak(ind, pageIdx)
 	f.maybeReadahead(ctx, ind, pageIdx)
 	return nil
@@ -113,7 +113,7 @@ func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 // latency (that is what makes prefetching worthwhile). viaKnode marks
 // KLOC-aware prefetch issuance: the knode's object index supplies the
 // block mapping directly, skipping the per-page extent walk (§4.4).
-func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKnode bool) (*Page, error) {
+func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKnode bool) (*kobj.Object, error) {
 	obj, err := f.Objs.Alloc(ctx, kobj.PageCache, ind.Ino)
 	if err != nil {
 		return nil, err
@@ -136,12 +136,11 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 		f.Objs.Free(obj, ctx)
 		return nil, err
 	}
-	p := &Page{Obj: obj, Idx: pageIdx}
-	ind.pages.Set(pageIdx, p)
+	ind.pages.Set(pageIdx, obj)
 	if pageIdx >= ind.SizePages {
 		ind.SizePages = pageIdx + 1
 	}
-	return p, nil
+	return obj, nil
 }
 
 func (f *FS) updateStreak(ind *Inode, pageIdx int64) {
@@ -190,13 +189,20 @@ func (f *FS) Fsync(ctx *kstate.Ctx, file *File) error {
 	return f.writebackInode(ctx, ind)
 }
 
+// pageRef is a page-cache page taken out of its tree for a pass
+// that may change the tree: its index and its object.
+type pageRef struct {
+	idx int64
+	obj *kobj.Object
+}
+
 // writebackInode flushes dirty pages in index order, batching
 // contiguous runs into single block-layer submissions.
 func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
-	var dirty []*Page
-	ind.pages.Ascend(func(_ int64, p *Page) bool {
-		if p.Dirty {
-			dirty = append(dirty, p)
+	var dirty []pageRef
+	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
+		if o.Dirty {
+			dirty = append(dirty, pageRef{idx, o})
 		}
 		return true
 	})
@@ -212,7 +218,7 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 	runStart := 0
 	for i := 1; i <= len(dirty); i++ {
 		endOfRun := i == len(dirty) ||
-			dirty[i].Idx != dirty[i-1].Idx+1 || i-runStart >= 256
+			dirty[i].idx != dirty[i-1].idx+1 || i-runStart >= 256
 		if !endOfRun {
 			continue
 		}
@@ -241,8 +247,8 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 		} else {
 			for _, p := range run {
 				// Reading the page for the DMA copy.
-				f.Objs.Touch(ctx, p.Obj, memsim.PageSize, false)
-				p.Dirty = false
+				f.Objs.Touch(ctx, p.obj, memsim.PageSize, false)
+				p.obj.Dirty = false
 				f.Stats.WritebackPages++
 			}
 		}
@@ -267,20 +273,20 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 // experiment reaches.
 func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 	var ind *Inode
-	var p *Page
+	var p pageRef
 	f.ForEachInode(func(in *Inode) bool {
-		in.pages.Ascend(func(_ int64, pg *Page) bool {
-			if pg.Obj.Frame == frame {
-				ind, p = in, pg
+		in.pages.Ascend(func(idx int64, o *kobj.Object) bool {
+			if o.Frame == frame {
+				ind, p = in, pageRef{idx, o}
 			}
-			return p == nil
+			return p.obj == nil
 		})
-		return p == nil
+		return p.obj == nil
 	})
-	if p == nil {
+	if p.obj == nil {
 		return false
 	}
-	if p.Dirty {
+	if p.obj.Dirty {
 		lat, err := f.MQ.Submit(ctx.CPU, ctx.Now, memsim.PageSize, false, true)
 		ctx.Charge(lat)
 		if err != nil {
@@ -289,24 +295,24 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 		}
 		f.Stats.WritebackPages++
 	}
-	ind.pages.Delete(p.Idx)
-	f.Objs.Free(p.Obj, ctx)
+	ind.pages.Delete(p.idx)
+	f.Objs.Free(p.obj, ctx)
 	return true
 }
 
 // DropCleanPages evicts up to n clean page-cache pages of an inode
 // (used when a file closes under pressure). Returns pages dropped.
 func (f *FS) DropCleanPages(ctx *kstate.Ctx, ind *Inode, n int) int {
-	var victims []*Page
-	ind.pages.Ascend(func(_ int64, p *Page) bool {
-		if !p.Dirty {
-			victims = append(victims, p)
+	var victims []pageRef
+	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
+		if !o.Dirty {
+			victims = append(victims, pageRef{idx, o})
 		}
 		return len(victims) < n
 	})
 	for _, p := range victims {
-		ind.pages.Delete(p.Idx)
-		f.Objs.Free(p.Obj, ctx)
+		ind.pages.Delete(p.idx)
+		f.Objs.Free(p.obj, ctx)
 	}
 	return len(victims)
 }

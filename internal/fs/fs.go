@@ -75,11 +75,10 @@ type FS struct {
 	// inodeOrder keeps deterministic (creation-order) iteration for
 	// reclaim; Go map iteration order would break reproducibility.
 	inodeOrder []uint64
-	// pageNodes and extentNodes recycle the nodes of every inode's page
-	// and extent trees. A file's trees die with it, so only pools the
-	// filesystem owns can carry their nodes over to the next file.
-	pageNodes   rbtree.Pool[int64, *Page]
-	extentNodes rbtree.Pool[int64, *kobj.Object]
+	// nodes recycles the nodes of every inode's page, radix and extent
+	// trees. A file's trees die with it, so only a pool the filesystem
+	// owns can carry their nodes over to the next file.
+	nodes rbtree.Pool[int64, *kobj.Object]
 
 	// ReadaheadWindow is the max pages prefetched on a sequential
 	// streak; 0 disables readahead.

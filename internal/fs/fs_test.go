@@ -329,7 +329,7 @@ func TestEvictFrame(t *testing.T) {
 	file, _ := f.Create(ctx, "/evict")
 	f.Write(ctx, file, 0) // dirty page
 	var frame *memsim.Frame
-	file.Inode.pages.Ascend(func(_ int64, p *Page) bool { frame = p.Obj.Frame; return false })
+	file.Inode.pages.Ascend(func(_ int64, p *kobj.Object) bool { frame = p.Frame; return false })
 	evictCtx := ctxAt(sim.Time(5 * sim.Millisecond))
 	if !f.EvictFrame(evictCtx, frame) {
 		t.Fatal("evict failed")
@@ -367,7 +367,7 @@ func TestDropCleanPages(t *testing.T) {
 		// all clean pages dropped, dirty one remains
 	}
 	remaining := 0
-	file.Inode.pages.Ascend(func(_ int64, p *Page) bool {
+	file.Inode.pages.Ascend(func(_ int64, p *kobj.Object) bool {
 		if p.Dirty {
 			remaining++
 		}

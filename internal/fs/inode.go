@@ -1,24 +1,11 @@
 package fs
 
 import (
-	"sort"
-
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 )
-
-// Page is one page-cache entry: the PageCache object plus writeback
-// state.
-type Page struct {
-	Obj   *kobj.Object
-	Idx   int64
-	Dirty bool
-	// Prefetched marks pages brought in by readahead and not yet
-	// demanded (readahead-hit accounting).
-	Prefetched bool
-}
 
 // Inode is a simulated in-memory inode with its attached kernel
 // objects: the inode slab object itself, its dentry, the radix-tree
@@ -32,8 +19,13 @@ type Inode struct {
 	inodeObj *kobj.Object
 	dentry   *kobj.Object
 
-	pages      *rbtree.Tree[int64, *Page]
-	radixNodes map[int64]*kobj.Object // radix subtree index -> node object
+	// pages is the page cache, page index -> PageCache object; the
+	// object carries the page's Dirty and Prefetched flags, as a
+	// struct page carries PG_dirty and PG_readahead. radixNodes maps a
+	// radix slot (index / radixFanout) to its interior node, and
+	// extents an extent base to its mapping.
+	pages      *rbtree.Tree[int64, *kobj.Object]
+	radixNodes *rbtree.Tree[int64, *kobj.Object]
 	extents    *rbtree.Tree[int64, *kobj.Object]
 
 	// Readahead state: last sequentially read index and streak length.
@@ -52,9 +44,9 @@ type Inode struct {
 func (f *FS) newInode(ino uint64, path string) *Inode {
 	return &Inode{
 		Ino: ino, Path: path, Nlink: 1,
-		pages:      f.pageNodes.New(),
-		radixNodes: make(map[int64]*kobj.Object),
-		extents:    f.extentNodes.New(),
+		pages:      f.nodes.New(),
+		radixNodes: f.nodes.New(),
+		extents:    f.nodes.New(),
 		lastRead:   -2,
 	}
 }
@@ -81,16 +73,10 @@ func (ind *Inode) Objects() []*kobj.Object {
 	if ind.dentry != nil {
 		out = append(out, ind.dentry)
 	}
-	slots := make([]int64, 0, len(ind.radixNodes))
-	for idx := range ind.radixNodes {
-		slots = append(slots, idx)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, idx := range slots {
-		out = append(out, ind.radixNodes[idx])
-	}
-	ind.pages.Ascend(func(_ int64, p *Page) bool { out = append(out, p.Obj); return true })
-	ind.extents.Ascend(func(_ int64, o *kobj.Object) bool { out = append(out, o); return true })
+	add := func(_ int64, o *kobj.Object) bool { out = append(out, o); return true }
+	ind.radixNodes.Ascend(add)
+	ind.pages.Ascend(add)
+	ind.extents.Ascend(add)
 	return out
 }
 
@@ -221,30 +207,25 @@ func (f *FS) Unlink(ctx *kstate.Ctx, path string) error {
 	return nil
 }
 
-// destroyInode frees every kernel object attached to the inode.
-func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
-	ind.pages.Ascend(func(_ int64, p *Page) bool {
-		f.Objs.Free(p.Obj, ctx)
-		return true
-	})
-	ind.pages.Clear()
-	// Free radix interior nodes in slot order: slab free order decides
-	// partial-list state and hence where future allocations land, so
-	// map-iteration order here would leak into simulation state.
-	slots := make([]int64, 0, len(ind.radixNodes))
-	for idx := range ind.radixNodes {
-		slots = append(slots, idx)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, idx := range slots {
-		f.Objs.Free(ind.radixNodes[idx], ctx)
-		delete(ind.radixNodes, idx)
-	}
-	ind.extents.Ascend(func(_ int64, o *kobj.Object) bool {
+// freeTree frees every object of an inode tree in key order, empties
+// the tree and reports how many it freed. Slab free order decides
+// partial-list state and hence where later allocations land, so the
+// order is simulation state.
+func (f *FS) freeTree(ctx *kstate.Ctx, t *rbtree.Tree[int64, *kobj.Object]) int {
+	n := t.Len()
+	t.Ascend(func(_ int64, o *kobj.Object) bool {
 		f.Objs.Free(o, ctx)
 		return true
 	})
-	ind.extents.Clear()
+	t.Clear()
+	return n
+}
+
+// destroyInode frees every kernel object attached to the inode.
+func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
+	f.freeTree(ctx, ind.pages)
+	f.freeTree(ctx, ind.radixNodes)
+	f.freeTree(ctx, ind.extents)
 	f.Objs.Free(ind.dentry, ctx)
 	f.Objs.Free(ind.inodeObj, ctx)
 	ind.dentry, ind.inodeObj = nil, nil
@@ -263,7 +244,7 @@ func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 // a page index, charging the traversal.
 func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, error) {
 	slot := idx / radixFanout
-	if o, ok := ind.radixNodes[slot]; ok {
+	if o, ok := ind.radixNodes.Get(slot); ok {
 		f.Objs.Touch(ctx, o, 64, false)
 		return o, nil
 	}
@@ -271,7 +252,7 @@ func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, er
 	if err != nil {
 		return nil, err
 	}
-	ind.radixNodes[slot] = o
+	ind.radixNodes.Set(slot, o)
 	f.Objs.Touch(ctx, o, 64, true)
 	return o, nil
 }

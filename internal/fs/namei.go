@@ -52,14 +52,14 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 		return f.journalRecord(ctx, journalOp{kind: opTruncate, ino: ind.Ino, idx: sizePages})
 	}
 	// Collect victims beyond the new size.
-	var victims []*Page
-	ind.pages.AscendRange(sizePages, 1<<62, func(_ int64, p *Page) bool {
-		victims = append(victims, p)
+	var victims []pageRef
+	ind.pages.AscendRange(sizePages, 1<<62, func(idx int64, o *kobj.Object) bool {
+		victims = append(victims, pageRef{idx, o})
 		return true
 	})
 	for _, p := range victims {
-		ind.pages.Delete(p.Idx)
-		f.Objs.Free(p.Obj, ctx)
+		ind.pages.Delete(p.idx)
+		f.Objs.Free(p.obj, ctx)
 	}
 	// Drop extents fully beyond the new size.
 	firstKeptExtent := (sizePages + extentSpan - 1) / extentSpan

@@ -178,8 +178,8 @@ func TestFSInvariantsProperty(t *testing.T) {
 			case 4:
 				path := paths[r.Intn(len(paths))]
 				if ind, ok := fsys.Inode(path); ok {
-					ind.pages.Ascend(func(_ int64, p *Page) bool {
-						unlinked = append(unlinked, frameRef{p.Obj.Frame, p.Obj.Frame.ID})
+					ind.pages.Ascend(func(_ int64, p *kobj.Object) bool {
+						unlinked = append(unlinked, frameRef{p.Frame, p.Frame.ID})
 						return true
 					})
 				}
@@ -201,8 +201,8 @@ func TestFSInvariantsProperty(t *testing.T) {
 				case 0:
 					var frames []*memsim.Frame
 					fsys.ForEachInode(func(ind *Inode) bool {
-						ind.pages.Ascend(func(_ int64, p *Page) bool {
-							frames = append(frames, p.Obj.Frame)
+						ind.pages.Ascend(func(_ int64, p *kobj.Object) bool {
+							frames = append(frames, p.Frame)
 							return true
 						})
 						return true
@@ -311,8 +311,8 @@ func cachedFrames(fsys *FS) (map[*memsim.Frame]cachedPage, string) {
 	out := make(map[*memsim.Frame]cachedPage)
 	msg := ""
 	for _, ind := range fsys.inodes {
-		ind.pages.Ascend(func(idx int64, p *Page) bool {
-			fr := p.Obj.Frame
+		ind.pages.Ascend(func(idx int64, p *kobj.Object) bool {
+			fr := p.Frame
 			if _, dup := out[fr]; dup {
 				msg = fmt.Sprintf("frame %d backs two cached pages", fr.ID)
 			} else if fr.Class != memsim.ClassCache {

@@ -5,8 +5,6 @@
 package fs
 
 import (
-	"sort"
-
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
@@ -48,7 +46,7 @@ func (s dentryShrinker) Count() int {
 			n++
 		}
 		if ind.inodeObj != nil && ind.pages.Len() == 0 {
-			n += 1 + len(ind.radixNodes) + ind.extents.Len()
+			n += 1 + ind.radixNodes.Len() + ind.extents.Len()
 		}
 	}
 	return n
@@ -76,24 +74,10 @@ func (s dentryShrinker) Scan(ctx *kstate.Ctx, n int) int {
 		if ind.inodeObj == nil || ind.pages.Len() > 0 {
 			continue
 		}
-		// Full icache eviction: radix nodes in slot order (slab free
-		// order is simulation state), then extents, then the inode.
-		slots := make([]int64, 0, len(ind.radixNodes))
-		for idx := range ind.radixNodes {
-			slots = append(slots, idx)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		for _, idx := range slots {
-			f.Objs.Free(ind.radixNodes[idx], ctx)
-			delete(ind.radixNodes, idx)
-			freed++
-		}
-		ind.extents.Ascend(func(_ int64, o *kobj.Object) bool {
-			f.Objs.Free(o, ctx)
-			freed++
-			return true
-		})
-		ind.extents.Clear()
+		// Full icache eviction: radix nodes in slot order, then
+		// extents, then the inode.
+		freed += f.freeTree(ctx, ind.radixNodes)
+		freed += f.freeTree(ctx, ind.extents)
 		f.Objs.Free(ind.inodeObj, ctx)
 		ind.inodeObj = nil
 		freed++
@@ -120,8 +104,8 @@ func (f *FS) OOMVictimFrames(node memsim.NodeID, now sim.Time) []*memsim.Frame {
 			continue
 		}
 		onNode := 0
-		ind.pages.Ascend(func(_ int64, p *Page) bool {
-			if p.Obj.Frame.Node == node {
+		ind.pages.Ascend(func(_ int64, o *kobj.Object) bool {
+			if o.Frame.Node == node {
 				onNode++
 			}
 			return true
@@ -143,9 +127,9 @@ func (f *FS) OOMVictimFrames(node memsim.NodeID, now sim.Time) []*memsim.Frame {
 		return nil
 	}
 	var frames []*memsim.Frame
-	victim.pages.Ascend(func(_ int64, p *Page) bool {
-		if p.Obj.Frame.Node == node {
-			frames = append(frames, p.Obj.Frame)
+	victim.pages.Ascend(func(_ int64, o *kobj.Object) bool {
+		if o.Frame.Node == node {
+			frames = append(frames, o.Frame)
 		}
 		return true
 	})

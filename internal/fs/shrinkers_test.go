@@ -116,7 +116,7 @@ func TestOOMVictimFramesPicksColdestLargest(t *testing.T) {
 	if !ok {
 		t.Fatal("cold file has no cached pages")
 	}
-	node := firstPage.Obj.Frame.Node
+	node := firstPage.Frame.Node
 	frames := f.OOMVictimFrames(node, sim.Time(0).Add(20*sim.Millisecond))
 	if len(frames) == 0 {
 		t.Fatal("no victim nominated")
@@ -129,8 +129,8 @@ func TestOOMVictimFramesPicksColdestLargest(t *testing.T) {
 	// All frames belong to the cold file: count matches its pages on
 	// that node.
 	want := 0
-	f.inodes[cold.Inode.Ino].pages.Ascend(func(_ int64, p *Page) bool {
-		if p.Obj.Frame.Node == node {
+	f.inodes[cold.Inode.Ino].pages.Ascend(func(_ int64, p *kobj.Object) bool {
+		if p.Frame.Node == node {
 			want++
 		}
 		return true

@@ -51,7 +51,7 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 			if cached {
 				t.Fatalf("failed write of page %d left the page cached", i)
 			}
-		} else if !cached || p.Obj.Frame == nil {
+		} else if !cached || p.Frame == nil {
 			t.Fatalf("write of page %d succeeded but the page is not cached", i)
 		}
 		if h.nilAccesses != 0 {
@@ -99,7 +99,7 @@ func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
 			if cached {
 				t.Fatalf("failed read of page %d left the page cached", idx)
 			}
-		} else if !cached || p.Obj.Frame == nil {
+		} else if !cached || p.Frame == nil {
 			t.Fatalf("read of page %d succeeded but the page is not cached", idx)
 		}
 		if h.nilAccesses != 0 {

@@ -98,14 +98,23 @@ func (k *Knode) treeFor(o *kobj.Object) *rbtree.Tree[kobj.ID, *kobj.Object] {
 	return k.rbCache
 }
 
+// recycled reports whether a tree entry outlived its object: the
+// object was freed without the knode seeing it (the knode was already
+// deleted, or the object had moved to another knode) and its struct
+// now serves a later object. Object IDs are never reused, so the ID is
+// the struct's generation, and the entry's key no longer matches it.
+// An entry whose object is freed but not yet recycled matches, and
+// reads Frame == nil. Every walk over the trees skips recycled entries.
+func recycled(id kobj.ID, o *kobj.Object) bool { return o.ID != id }
+
 // IterCache iterates the rbtree-cache objects (itr_knode_cache).
 func (k *Knode) IterCache(fn func(*kobj.Object) bool) {
-	k.rbCache.Ascend(func(_ kobj.ID, o *kobj.Object) bool { return fn(o) })
+	k.rbCache.Ascend(func(id kobj.ID, o *kobj.Object) bool { return recycled(id, o) || fn(o) })
 }
 
 // IterSlab iterates the rbtree-slab objects (itr_knode_slab).
 func (k *Knode) IterSlab(fn func(*kobj.Object) bool) {
-	k.rbSlab.Ascend(func(_ kobj.ID, o *kobj.Object) bool { return fn(o) })
+	k.rbSlab.Ascend(func(id kobj.ID, o *kobj.Object) bool { return recycled(id, o) || fn(o) })
 }
 
 // MovableFrames collects the distinct, relocatable frames backing the
@@ -114,9 +123,9 @@ func (k *Knode) IterSlab(fn func(*kobj.Object) bool) {
 func (k *Knode) MovableFrames() []*memsim.Frame {
 	seen := make(map[memsim.FrameID]struct{})
 	var out []*memsim.Frame
-	collect := func(_ kobj.ID, o *kobj.Object) bool {
+	collect := func(id kobj.ID, o *kobj.Object) bool {
 		f := o.Frame
-		if f == nil || f.Pinned {
+		if recycled(id, o) || f == nil || f.Pinned {
 			return true
 		}
 		if _, dup := seen[f.ID]; dup {
@@ -136,9 +145,9 @@ func (k *Knode) MovableFrames() []*memsim.Frame {
 // open-time and daemon checks cost no allocation.
 func (k *Knode) HasMovableFrame(pred func(*memsim.Frame) bool) bool {
 	found := false
-	match := func(_ kobj.ID, o *kobj.Object) bool {
+	match := func(id kobj.ID, o *kobj.Object) bool {
 		f := o.Frame
-		found = f != nil && !f.Pinned && pred(f)
+		found = !recycled(id, o) && f != nil && !f.Pinned && pred(f)
 		return !found
 	}
 	k.rbCache.Ascend(match)

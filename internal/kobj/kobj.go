@@ -162,11 +162,23 @@ type Freer interface {
 }
 
 // Object is a live kernel object instance.
+//
+// Released objects are recycled: their allocator rewrites the struct
+// in place for a later object (Reset). IDs are never reused, so the ID
+// is the struct's generation, and an index entry keyed by the ID it
+// was added under tells a recycled struct from its own object.
 type Object struct {
-	ID    ID
-	Type  Type
-	Size  int
-	Frame *memsim.Frame
+	ID   ID
+	Type Type
+	// Dirty and Prefetched are a page-cache page's state, its PG_dirty
+	// and PG_readahead: written and not yet written back, and brought
+	// in by readahead and not yet demanded. They sit in the padding
+	// after Type. Dirty is not memsim.Frame.Dirty, which every write
+	// access sets and only the frame's reuse clears.
+	Dirty      bool
+	Prefetched bool
+	Size       int
+	Frame      *memsim.Frame
 	// Knode is the owning KLOC (0 until associated).
 	Knode uint64
 	Born  sim.Time
@@ -177,20 +189,32 @@ type Object struct {
 // NewObject constructs an object occupying the given frame of
 // allocator from (may be nil). Release frees the frame to it once.
 func NewObject(id ID, t Type, frame *memsim.Frame, born sim.Time, from Freer) *Object {
-	return &Object{ID: id, Type: t, Size: t.Info().Size, Frame: frame, Born: born, from: from}
+	o := new(Object)
+	o.Reset(id, t, frame, born, from)
+	return o
 }
 
-// Release returns the object's storage to its allocator; a second
-// call does nothing. The frame pointer is cleared so that any index
-// entry that outlives the object (for example a KLOC tree slot left
-// behind by a late re-association) reads "no storage" instead of
-// aliasing a frame the allocator may recycle.
-func (o *Object) Release() {
-	if o.from != nil {
+// Reset rewrites every field of o as NewObject would build it, so a
+// released object's struct can serve a new object: nothing of its
+// last use (knode, page flags) survives.
+func (o *Object) Reset(id ID, t Type, frame *memsim.Frame, born sim.Time, from Freer) {
+	*o = Object{ID: id, Type: t, Size: t.Info().Size, Frame: frame, Born: born, from: from}
+}
+
+// Release returns the object's storage to its allocator and reports
+// whether this call did so; a second call does nothing and reports
+// false. The frame pointer is cleared so that any index entry that
+// outlives the object (for example a KLOC tree slot left behind by a
+// late re-association) reads "no storage" instead of aliasing a frame
+// the allocator may recycle, until the struct itself is recycled.
+func (o *Object) Release() bool {
+	released := o.from != nil
+	if released {
 		o.from.Free(o.Frame)
 		o.from = nil
 	}
 	o.Frame = nil
+	return released
 }
 
 // Relocatable reports whether the object's storage can migrate.

@@ -163,18 +163,19 @@ func sameQueues(n *Net, socks []*refSocket) string {
 	return ""
 }
 
-// TestDeliverRecvAllocatesOnlyTheObjects is the ingress gate: once the
-// socket's ring has grown, a steady stream of one-segment deliveries,
-// each received in turn, allocates exactly the segment's two kernel
-// objects (the rx buffer and the skbuff) and nothing for the queue.
-func TestDeliverRecvAllocatesOnlyTheObjects(t *testing.T) {
+// TestDeliverRecvIsAllocFree is the ingress gate: once the socket's
+// ring has grown, a steady stream of one-segment deliveries, each
+// received in turn, allocates nothing. The segment's two kernel
+// objects (the rx buffer and the skbuff) reuse the structs the last
+// received segment freed, and the queue holds packets by value.
+func TestDeliverRecvIsAllocFree(t *testing.T) {
 	n, c, s := warmStream(t)
 	if got := testing.AllocsPerRun(200, func() {
 		if err := streamOp(n, c, s); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 2 {
-		t.Fatalf("Deliver+Recv allocates %v per segment, want 2 (the segment's objects)", got)
+	}); got != 0 {
+		t.Fatalf("Deliver+Recv allocates %v per segment, want 0", got)
 	}
 }
 

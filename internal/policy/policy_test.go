@@ -542,3 +542,83 @@ func TestKLOCsFineGrainedSparesHotObjects(t *testing.T) {
 		t.Fatal("fine-grained mode demoted nothing at all")
 	}
 }
+
+// TestKLOCsSkipsRecycledObjectOfDeletedKnode: a file closed and then
+// unlinked leaves its knode deleted but still on the demote queue, and
+// the journal buffers committed after the unlink stay in the knode's
+// tree, since no live knode sees their free. Once such a buffer's
+// struct is recycled into a live object of another file on the fast
+// node, the daemon's walk of the deleted knode must skip it: the entry
+// keys the buffer's ID, not the new object's, and moving the frame
+// would demote an active file's object.
+func TestKLOCsSkipsRecycledObjectOfDeletedKnode(t *testing.T) {
+	p := NewKLOCs(DefaultKLOCConfig())
+	k, _ := twoTierKernel(t, p)
+	ctx := k.NewCtx(0)
+	file, err := k.FS.Create(ctx, "/gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.FS.Write(ctx, file, 0); err != nil {
+		t.Fatal(err)
+	}
+	kn, _ := p.Reg.Get(file.Inode.Ino)
+	k.FS.Close(ctx, file)
+	if err := k.FS.Unlink(ctx, "/gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Reg.Get(file.Inode.Ino); ok || len(p.demoteQueue) != 1 || p.demoteQueue[0] != kn {
+		t.Fatal("want the unlinked file's knode deleted and still queued for demotion")
+	}
+	// The knode's tree holds only the pending journal buffers now.
+	var buffers []*kobj.Object
+	kn.IterSlab(func(o *kobj.Object) bool { buffers = append(buffers, o); return true })
+	if len(buffers) == 0 {
+		t.Fatal("no journal buffer left in the deleted knode's tree")
+	}
+	for _, o := range buffers {
+		if o.Type != kobj.Journal {
+			t.Fatalf("deleted knode still indexes a live %s", o.Type)
+		}
+	}
+	if err := k.FS.SyncJournal(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, slab := kn.Objects(); slab != len(buffers) {
+		t.Fatalf("deleted knode's tree holds %d entries after the commit, want the %d freed buffers", slab, len(buffers))
+	}
+	// An active file's objects recycle the buffers' structs.
+	live, err := k.FS.Create(ctx, "/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.FS.Write(ctx, live, 0); err != nil {
+		t.Fatal(err)
+	}
+	var frame *memsim.Frame
+	for _, o := range buffers {
+		if o.Frame == nil {
+			continue // freed and not recycled yet
+		}
+		f := o.Frame
+		if !f.Pinned && f.Node == memsim.FastNode && (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) {
+			frame = f
+			break
+		}
+	}
+	if frame == nil {
+		t.Fatal("no buffer struct was recycled into a movable fast-node object")
+	}
+	// Pressure so demotion fires, then run the daemon.
+	if _, err := k.AppAlloc(ctx, k.Mem.Node(memsim.FastNode).Free()-10); err != nil {
+		t.Fatal(err)
+	}
+	now := ctx.Now
+	for i := 0; i < 5; i++ {
+		now = now.Add(klocTickPeriod)
+		p.Tick(now)
+	}
+	if frame.Node != memsim.FastNode || p.KnodeDemotions != 0 {
+		t.Fatalf("the deleted knode's walk demoted a live object's frame (node %d, %d knode demotions)", frame.Node, p.KnodeDemotions)
+	}
+}
