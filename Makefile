@@ -10,9 +10,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repo's own invariant-enforcing analyzers (kloclint):
-# determinism hygiene, errno discipline, trace-name catalog membership,
-# alloc/free pairing and RNG stream discipline (rngflow) — DESIGN.md
-# §10 — plus the marker audit.
+# determinism hygiene, errno discipline, alloc/free pairing across
+# calls (lifecycle) and a truthful trace catalog (tracereach) —
+# DESIGN.md §10 — plus the marker audit.
 lint:
 	$(GO) run ./cmd/kloclint
 

@@ -8,8 +8,6 @@
 //	nodeterminism  no wall-clock time, ambient randomness, or escaping
 //	               map-iteration order
 //	errnocheck     no discarded errno-style error returns
-//	tracenames     Tracer.Emit names come from the registered catalog
-//	allocpair      alloc entry points have matching teardown paths
 //
 // plus, over the whole module at once (call graph, CFGs, dataflow),
 // the interprocedural analyzers:
@@ -19,10 +17,8 @@
 //	               early return
 //	errnoflow      errors escaping errno-speaking boundaries derive
 //	               from the internal/fault vocabulary
-//	tracereach     every trace catalog constant has a reachable Emit
-//	               site
-//	rngflow        sim.RNG streams are forked explicitly and confined
-//	               to one owner
+//	tracereach     Tracer.Emit names are trace catalog constants, and
+//	               every catalog constant has a reachable Emit site
 //
 // A full-suite, whole-module run also audits the //klocs:* marker
 // comments: a marker no analyzer needed (stale) or whose name is not
@@ -45,9 +41,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"kloc/internal/analysis"
@@ -64,13 +60,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range analysis.AllModule() {
-			fmt.Printf("%-16s %s (whole-module)\n", a.Name, a.Doc)
-		}
-		fmt.Printf("%-16s %s\n", analysis.SuppressAuditName, "stale or unknown //klocs:* markers (full-suite runs only)")
+		listAnalyzers(os.Stdout)
 		return
 	}
 	pkgAnalyzers, modAnalyzers, err := selectAnalyzers(*only)
@@ -110,7 +100,7 @@ func main() {
 			continue
 		}
 		pkgs = append(pkgs, pkg)
-		ds, err := analysis.RunAnalyzersAudited(pkg, pkgAnalyzers, audit)
+		ds, err := analysis.RunAnalyzers(pkg, pkgAnalyzers, audit)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kloclint:", err)
 			exit = 1
@@ -132,19 +122,7 @@ func main() {
 		diags = append(diags, analysis.AuditSuppressions(pkgs, audit)...)
 	}
 
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
+	analysis.SortDiagnostics(diags)
 	for i := range diags {
 		diags[i].Pos.Filename = relPath(loader.ModuleDir, diags[i].Pos.Filename)
 	}
@@ -173,6 +151,17 @@ func main() {
 		}
 	}
 	os.Exit(exit)
+}
+
+// listAnalyzers prints the suite, one analyzer per line, for -list.
+func listAnalyzers(w io.Writer) {
+	for _, a := range analysis.All() {
+		fmt.Fprintf(w, "%-16s %s\n", a.Name, a.Doc)
+	}
+	for _, a := range analysis.AllModule() {
+		fmt.Fprintf(w, "%-16s %s (whole-module)\n", a.Name, a.Doc)
+	}
+	fmt.Fprintf(w, "%-16s %s\n", analysis.SuppressAuditName, "stale or unknown //klocs:* markers (full-suite runs only)")
 }
 
 // relPath shortens a filename to be module-relative.

@@ -5,22 +5,18 @@
 // byte-identical exports at a fixed seed), errno-style errors from the
 // fault plane must propagate instead of vanishing, trace events must
 // come from the registered catalog, and every simulated allocation
-// entry point needs a teardown path feeding kobj accounting.
+// needs a free on every path.
 //
-// Four per-package analyzers enforce those invariants over one
-// package at a time:
+// Two per-package analyzers enforce those invariants over one package
+// at a time:
 //
 //   - nodeterminism: forbids wall-clock time, global math/rand, and
 //     map-iteration order escaping into simulation state or output
 //     (internal/sim's RNG is the only sanctioned randomness source);
 //   - errnocheck: forbids silently discarding error returns from the
-//     module's alloc/fs/blockdev/netsim/pressure paths;
-//   - tracenames: every Tracer.Emit call site must use a constant name
-//     from the catalog registered in internal/trace;
-//   - allocpair: every allocation entry point has a matching
-//     free/teardown path registered with kobj accounting.
+//     module's alloc/fs/blockdev/netsim/pressure paths.
 //
-// Four module analyzers reason across call boundaries, over a
+// Three module analyzers reason across call boundaries, over a
 // whole-module call graph (callgraph.go), per-function CFGs (cfg.go),
 // and dataflow with bottom-up SCC summary fixpoints (dataflow.go):
 //
@@ -29,16 +25,18 @@
 //     through callee summaries;
 //   - errnoflow: every error escaping an errno-speaking boundary must
 //     provably derive from the internal/fault vocabulary;
-//   - tracereach: every trace catalog constant must have an Emit site
-//     reachable from the module's entry surface;
-//   - rngflow: sim.RNG streams are single-owner — construction stays
-//     in internal/sim, and a stream handed off is never drawn from
-//     again (Fork a child).
+//   - tracereach: every Tracer.Emit site uses a constant from the
+//     internal/trace catalog, and every catalog constant has an Emit
+//     site reachable from the module's entry surface.
 //
 // A full-suite run also audits the suppression markers themselves
 // (suppressaudit.go): analyzers consult Marked only once a diagnostic
 // is otherwise certain, so a marker that records no hit suppressed
 // nothing and is reported as stale.
+//
+// Each analyzer stays only while it catches a defect no other gate
+// (tests, golden digests, eval identity, the sanitizer) catches; the
+// census behind that rule is in DESIGN.md §10.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic, a multichecker driver in
@@ -53,11 +51,10 @@
 // which should carry a justification:
 //
 //	//klocs:unordered         — this map range is order-insensitive
+//	//klocs:wallclock         — a host-speed measurement, never simulation input
 //	//klocs:ignore-errno      — this error is deliberately sunk or anonymous
-//	//klocs:ignore-allocpair  — teardown happens through another path
 //	//klocs:ignore-lifecycle  — ownership transfer the analysis cannot see
 //	//klocs:ignore-tracereach — catalog entry reserved intentionally
-//	//klocs:ignore-rngflow    — RNG confinement exception
 //
 // DESIGN.md §10 documents what each analyzer guards and its kernel
 // analog; the runtime complement (the KASAN/kmemleak-analog sanitizer)
@@ -204,15 +201,10 @@ func collectMarkerTable(pkg *Package, name string) markerTable {
 
 // RunAnalyzers applies the analyzers to the package and returns the
 // combined diagnostics sorted by position then analyzer name, so
-// driver output is deterministic.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersAudited(pkg, analyzers, nil)
-}
-
-// RunAnalyzersAudited is RunAnalyzers with marker-hit recording: every
-// suppression any analyzer honors is logged with audit, feeding the
-// stale-marker report of AuditSuppressions. audit may be nil.
-func RunAnalyzersAudited(pkg *Package, analyzers []*Analyzer, audit *MarkerAudit) ([]Diagnostic, error) {
+// driver output is deterministic. Every suppression an analyzer honors
+// is logged with audit, feeding the stale-marker report of
+// AuditSuppressions; audit may be nil.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer, audit *MarkerAudit) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags, audit: audit}
@@ -220,13 +212,13 @@ func RunAnalyzersAudited(pkg *Package, analyzers []*Analyzer, audit *MarkerAudit
 			return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	sortDiagnostics(diags)
+	SortDiagnostics(diags)
 	return diags, nil
 }
 
 // All returns the full analyzer suite in documentation order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterminism, ErrnoCheck, TraceNames, AllocPair}
+	return []*Analyzer{NoDeterminism, ErrnoCheck}
 }
 
 // inspectFiles walks every file in the package.

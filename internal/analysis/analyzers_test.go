@@ -45,8 +45,6 @@ func checkFixture(t *testing.T, a *Analyzer, name string) {
 
 func TestNoDeterminismFixture(t *testing.T) { checkFixture(t, NoDeterminism, "nodeterminism") }
 func TestErrnoCheckFixture(t *testing.T)    { checkFixture(t, ErrnoCheck, "errnocheck") }
-func TestTraceNamesFixture(t *testing.T)    { checkFixture(t, TraceNames, "tracenames") }
-func TestAllocPairFixture(t *testing.T)     { checkFixture(t, AllocPair, "allocpair") }
 
 // TestModuleTargets checks the module enumeration finds the load-
 // bearing packages and skips fixture trees.
@@ -82,7 +80,7 @@ func TestModuleIsClean(t *testing.T) {
 	audit := NewMarkerAudit()
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := RunAnalyzersAudited(pkg, All(), audit)
+		diags, err := RunAnalyzers(pkg, All(), audit)
 		if err != nil {
 			t.Fatalf("run %s: %v", pkg.Path, err)
 		}

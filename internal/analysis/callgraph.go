@@ -141,9 +141,6 @@ type CallGraph struct {
 	namedTypes []*types.Named
 }
 
-// NodeOf returns the graph node for a declared function or method.
-func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.byObj[obj] }
-
 // BuildCallGraph constructs the call graph over the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{

@@ -26,14 +26,6 @@ type CFG struct {
 	// OK is false when the body uses control flow the builder does not
 	// model (goto); the graph is then incomplete and must not be used.
 	OK bool
-
-	// stmtBlock locates the block and in-block index of each statement.
-	stmtBlock map[ast.Stmt]stmtLoc
-}
-
-type stmtLoc struct {
-	block *Block
-	index int
 }
 
 // A Block is one basic block.
@@ -49,15 +41,6 @@ type Block struct {
 	Preds []*Block
 	// Return is set when the block ends with a return statement.
 	Return *ast.ReturnStmt
-}
-
-// Find returns the block and statement index holding stmt.
-func (c *CFG) Find(stmt ast.Stmt) (*Block, int, bool) {
-	loc, ok := c.stmtBlock[stmt]
-	if !ok {
-		return nil, 0, false
-	}
-	return loc.block, loc.index, true
 }
 
 type loopCtx struct {
@@ -77,7 +60,7 @@ type cfgBuilder struct {
 
 // NewCFG builds the control-flow graph of body. Check OK before use.
 func NewCFG(body *ast.BlockStmt) *CFG {
-	c := &CFG{OK: true, stmtBlock: make(map[ast.Stmt]stmtLoc)}
+	c := &CFG{OK: true}
 	b := &cfgBuilder{cfg: c}
 	c.Exit = b.newBlock()
 	entry := b.newBlock()
@@ -107,7 +90,6 @@ func (b *cfgBuilder) edge(from, to *Block) {
 
 // add appends stmt to the current block.
 func (b *cfgBuilder) add(stmt ast.Stmt) {
-	b.cfg.stmtBlock[stmt] = stmtLoc{block: b.cur, index: len(b.cur.Stmts)}
 	b.cur.Stmts = append(b.cur.Stmts, stmt)
 }
 

@@ -62,12 +62,12 @@ func checkDiscardedCall(pass *Pass, e ast.Expr, how string) {
 	pass.Reportf(call.Pos(), "error result of %s %s: errno-style errors must propagate (return, wrap, or handle it) or be sunk explicitly with //klocs:ignore-errno", calleeLabel(fn), how)
 }
 
-// checkBlankErrAssign flags `_, err`-style tuples where the error
-// position lands on the blank identifier.
+// checkBlankErrAssign flags assignments where an error result lands
+// on the blank identifier: `_ = f()` and `n, _ := g()`.
 func checkBlankErrAssign(pass *Pass, s *ast.AssignStmt) {
-	// Only the single-call tuple form `a, b := f()` maps LHS positions
-	// onto result positions.
-	if len(s.Rhs) != 1 || len(s.Lhs) < 2 {
+	// Only a single call on the right maps LHS positions onto result
+	// positions.
+	if len(s.Rhs) != 1 {
 		return
 	}
 	call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)

@@ -152,7 +152,7 @@ func (s *lifeState) join(other *lifeState) bool {
 }
 
 // isFreeName reports whether a function name follows the module's
-// teardown conventions (the same prefixes allocpair enforces).
+// teardown conventions.
 func isFreeName(name string) bool {
 	return strings.HasPrefix(name, "Free") || strings.HasPrefix(name, "Release") ||
 		strings.HasPrefix(name, "Teardown") || strings.HasPrefix(name, "Destroy")

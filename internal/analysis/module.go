@@ -116,17 +116,18 @@ func RunModuleAnalyzers(m *Module, analyzers []*ModuleAnalyzer, audit *MarkerAud
 			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 		}
 	}
-	sortDiagnostics(diags)
+	SortDiagnostics(diags)
 	return diags, nil
 }
 
 // AllModule returns the module-analyzer suite in documentation order.
 func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{Lifecycle, ErrnoFlow, TraceReach, RNGFlow}
+	return []*ModuleAnalyzer{Lifecycle, ErrnoFlow, TraceReach}
 }
 
-// sortDiagnostics orders diagnostics by position then analyzer name.
-func sortDiagnostics(diags []Diagnostic) {
+// SortDiagnostics orders diagnostics by position then analyzer name,
+// so driver output is deterministic.
+func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -37,7 +37,10 @@ func checkModuleFixture(t *testing.T, a *ModuleAnalyzer, name string) {
 func TestLifecycleFixture(t *testing.T)  { checkModuleFixture(t, Lifecycle, "lifecycle") }
 func TestErrnoFlowFixture(t *testing.T)  { checkModuleFixture(t, ErrnoFlow, "errnoflow") }
 func TestTraceReachFixture(t *testing.T) { checkModuleFixture(t, TraceReach, "tracereach") }
-func TestRNGFlowFixture(t *testing.T)    { checkModuleFixture(t, RNGFlow, "rngflow") }
+
+// TestTraceNamesFixture runs tracereach over a fixture whose catalog
+// is fully emitted, so it exercises the name check on its own.
+func TestTraceNamesFixture(t *testing.T) { checkModuleFixture(t, TraceReach, "tracenames") }
 
 // TestWantHarnessCatchesMismatch is the meta-test for the fixture
 // harness: wrong expectations must fail in both directions — a
@@ -63,13 +66,13 @@ func TestWantHarnessCatchesMismatch(t *testing.T) {
 	}
 }
 
-// TestRNGFlowWantHarness is the same meta-test for a module analyzer:
-// the rngflowmeta fixture carries one real diagnostic under a
-// non-matching pattern and one phantom expectation, so exactly three
-// problems must surface — the unexpected diagnostic and both unmatched
-// wants.
-func TestRNGFlowWantHarness(t *testing.T) {
-	problems, err := CheckModuleExpectations([]*Package{loadFixturePkg(t, "rngflowmeta")}, RNGFlow)
+// TestModuleWantHarnessCatchesMismatch is the same meta-test for a
+// module analyzer: the modulemeta fixture carries one real tracereach
+// diagnostic under a non-matching pattern and one phantom
+// expectation, so exactly three problems must surface — the
+// unexpected diagnostic and both unmatched wants.
+func TestModuleWantHarnessCatchesMismatch(t *testing.T) {
+	problems, err := CheckModuleExpectations([]*Package{loadFixturePkg(t, "modulemeta")}, TraceReach)
 	if err != nil {
 		t.Fatalf("CheckModuleExpectations: %v", err)
 	}
@@ -80,7 +83,7 @@ func TestRNGFlowWantHarness(t *testing.T) {
 	for _, want := range []string{
 		"unexpected diagnostic",
 		`"this pattern matches nothing"`,
-		"phantom",
+		`"phantom tracereach diagnostic expected here"`,
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("problems lack %s:\n%s", want, joined)

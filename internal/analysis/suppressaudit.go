@@ -30,13 +30,11 @@ const SuppressAuditName = "suppressaudit"
 
 // knownMarkers is the marker vocabulary the suite consults.
 var knownMarkers = map[string]bool{
-	"unordered":        true, // nodeterminism: map range is order-insensitive
-	"wallclock":        true, // nodeterminism: sanctioned wall-clock read (host-speed measurement only)
-	errnoMarker:        true, // errnocheck/errnoflow: error deliberately sunk or anonymous
-	"ignore-allocpair": true, // allocpair: teardown via another path
-	lifecycleMarker:    true, // lifecycle: ownership transfer the analysis cannot see
-	traceReachMarker:   true, // tracereach: catalog entry reserved intentionally
-	rngFlowMarker:      true, // rngflow: stream transfer the analysis cannot see
+	"unordered":      true, // nodeterminism: map range is order-insensitive
+	"wallclock":      true, // nodeterminism: sanctioned wall-clock read (host-speed measurement only)
+	errnoMarker:      true, // errnocheck/errnoflow: error deliberately sunk or anonymous
+	lifecycleMarker:  true, // lifecycle: ownership transfer the analysis cannot see
+	traceReachMarker: true, // tracereach: catalog entry reserved intentionally
 }
 
 // AuditSuppressions scans every marker comment in pkgs and reports
@@ -74,7 +72,7 @@ func AuditSuppressions(pkgs []*Package, audit *MarkerAudit) []Diagnostic {
 			}
 		}
 	}
-	sortDiagnostics(diags)
+	SortDiagnostics(diags)
 	return diags
 }
 

@@ -27,6 +27,10 @@ func blanksError() int {
 	return n
 }
 
+func blanksSingleError() {
+	_ = mayFail() // want "error result of mayFail assigned to _"
+}
+
 func deferred() {
 	defer mayFail() // want "discarded by defer"
 }

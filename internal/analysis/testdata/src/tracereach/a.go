@@ -1,6 +1,7 @@
 // Package fixture carries deliberate tracereach violations for the
 // interprocedural analyzer tests; the go tool never builds testdata
-// trees.
+// trees. It imports the real trace package so Emit resolves to the
+// real method.
 package fixture
 
 import "kloc/internal/trace"
@@ -16,16 +17,25 @@ const (
 	// the balancer: exactly the regression the cluster lb.* constants
 	// would hit if an Emit call were dropped.
 	evLBStale trace.Name = "fixture.lb.stale" // want "has no reachable Tracer.Emit site"
+	// Emitted only from a closure: the literal is reachable through
+	// the function that takes it.
+	evLater trace.Name = "fixture.later"
 )
 
-// Publish is exported, so its Emit site is reachable and keeps
-// evAlive live.
+// Publish is exported, so its Emit sites are reachable and keep
+// evAlive and evLater live.
 func Publish(t *trace.Tracer) {
 	t.Emit(evAlive, 0, 0, 0, "fixture", 0, 0)
+	defer func() {
+		t.Emit(evLater, 0, 0, 0, "fixture", 0, 0)
+		t.Emit("fixture.late", 0, 0, 0, "fixture", 0, 0) // want "unregistered event name \"fixture.late\""
+	}()
 }
 
 // buried emits evBuried, but nothing reachable calls it: an Emit site
-// in dead code does not keep its catalog entry alive.
+// in dead code does not keep its catalog entry alive. Its names are
+// still checked.
 func buried(t *trace.Tracer) {
 	t.Emit(evBuried, 0, 0, 0, "fixture", 0, 0)
+	t.Emit("fixture.bogus", 0, 0, 0, "fixture", 0, 0) // want "unregistered event name \"fixture.bogus\""
 }

@@ -8,26 +8,32 @@ import (
 	"sort"
 )
 
-// TraceReach is the reverse of tracenames: where tracenames proves
-// every Emit site uses a registered catalog name, this analyzer
-// proves every registered catalog name still has a live Emit site. A
-// catalog constant with no reachable emitter is a dead entry — it
-// shows up in trace.Names(), -trace-events patterns match it, and
-// OBSERVABILITY.md documents it, but no run can ever produce the
-// event. That is exactly the drift a tracepoint catalog accumulates
-// when subsystems are refactored and their instrumentation is
-// deleted without unregistering the event.
+// TraceReach keeps the tracepoint catalog truthful in both directions.
+// The catalog is the set of package-level trace.Name constants in the
+// analyzed packages (internal/trace's, in a module run).
 //
-// Reachability runs over the module call graph from its entry
-// surface: exported functions and methods, main, init, and functions
-// referenced from package-level initializers. An Emit site buried in
-// an unexported function nothing calls does not keep its catalog
-// entry alive. Catalog constants kept intentionally (e.g. reserved
-// for an in-flight subsystem) carry //klocs:ignore-tracereach with
-// the justification.
+//   - Every Tracer.Emit site must pass a constant name from the
+//     catalog. A typo'd or ad-hoc name creates an event no
+//     -trace-events pattern enables and no OBSERVABILITY.md section
+//     documents; a non-constant name defeats static auditing of the
+//     catalog entirely.
+//   - Every catalog constant must have an Emit site reachable from the
+//     module's entry surface: exported functions and methods, main,
+//     init, and functions referenced from package-level initializers.
+//     A constant with no reachable emitter is a dead entry — it shows
+//     up in trace.Names(), -trace-events patterns match it, and
+//     OBSERVABILITY.md documents it, but no run can ever produce the
+//     event. An Emit site buried in an unexported function nothing
+//     calls does not keep its entry alive.
+//
+// One walk over every call-graph node's body does both: it checks each
+// Emit site's name, and a reachable node's sites mark their names as
+// emitted. Catalog constants kept intentionally (e.g. reserved for an
+// in-flight subsystem) carry //klocs:ignore-tracereach with the
+// justification.
 var TraceReach = &ModuleAnalyzer{
 	Name: "tracereach",
-	Doc:  "require every internal/trace catalog constant to be emitted from reachable code",
+	Doc:  "require Tracer.Emit names to be internal/trace catalog constants, and every catalog constant to be emitted from reachable code",
 	Run:  runTraceReach,
 }
 
@@ -36,63 +42,60 @@ const traceReachMarker = "ignore-tracereach"
 func runTraceReach(pass *ModulePass) error {
 	g := pass.Module.Graph
 
-	// The catalog under audit: package-level constants of type
-	// trace.Name declared anywhere in the analyzed packages.
 	type catalogEntry struct {
 		name  string
 		ident string
 		pos   token.Pos
 	}
 	var catalog []catalogEntry
+	registered := make(map[string]bool)
 	for _, pkg := range pass.Module.Packages {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			c, ok := scope.Lookup(name).(*types.Const)
-			if !ok || !isTraceName(c.Type()) {
+			if !ok || !isTraceType(c.Type(), "Name") || c.Val().Kind() != constant.String {
 				continue
 			}
-			if c.Val().Kind() != constant.String {
-				continue
-			}
-			catalog = append(catalog, catalogEntry{
-				name:  constant.StringVal(c.Val()),
-				ident: name,
-				pos:   c.Pos(),
-			})
+			entry := catalogEntry{name: constant.StringVal(c.Val()), ident: name, pos: c.Pos()}
+			catalog = append(catalog, entry)
+			registered[entry.name] = true
 		}
-	}
-	if len(catalog) == 0 {
-		return nil
 	}
 
 	reached := g.Reachable(entrySurface(g))
-
-	// Names emitted from reachable code.
 	emitted := make(map[string]bool)
 	for _, n := range g.Nodes {
-		if !reached[n] {
-			continue
-		}
 		body := n.Body()
 		if body == nil {
 			continue
 		}
 		info := n.Pkg.Info
 		ast.Inspect(body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || !isTracerEmit(fn) || len(call.Args) == 0 {
-				return true
-			}
-			if tv, ok := info.Types[call.Args[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				emitted[constant.StringVal(tv.Value)] = true
+			switch m := m.(type) {
+			case *ast.FuncLit:
+				// A nested literal is its own node, walked on its own.
+				return false
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[sel.Sel].(*types.Func)
+				if !ok || !isTracerEmit(fn) || len(m.Args) == 0 {
+					return true
+				}
+				arg := m.Args[0]
+				tv, ok := info.Types[arg]
+				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+					pass.Reportf(arg.Pos(), "Tracer.Emit with non-constant event name: use a trace.Name constant from the internal/trace catalog so enables and documentation can find it")
+					return true
+				}
+				name := constant.StringVal(tv.Value)
+				if !registered[name] {
+					pass.Reportf(arg.Pos(), "Tracer.Emit with unregistered event name %q: not in the internal/trace catalog (see trace.Names and OBSERVABILITY.md)", name)
+				} else if reached[n] {
+					emitted[name] = true
+				}
 			}
 			return true
 		})
@@ -127,12 +130,29 @@ func entrySurface(g *CallGraph) []*FuncNode {
 	return roots
 }
 
-// isTraceName reports whether t is kloc/internal/trace.Name.
-func isTraceName(t types.Type) bool {
+// isTracerEmit reports whether fn is the Emit method of
+// kloc/internal/trace.Tracer.
+func isTracerEmit(fn *types.Func) bool {
+	if fn.Name() != "Emit" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	return isTraceType(t, "Tracer")
+}
+
+// isTraceType reports whether t is the named type kloc/internal/trace.<name>.
+func isTraceType(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Name" && obj.Pkg() != nil && obj.Pkg().Path() == "kloc/internal/trace"
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == "kloc/internal/trace"
 }

@@ -303,6 +303,9 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 // DropCleanPages evicts up to n clean page-cache pages of an inode
 // (used when a file closes under pressure). Returns pages dropped.
 func (f *FS) DropCleanPages(ctx *kstate.Ctx, ind *Inode, n int) int {
+	if n <= 0 {
+		return 0
+	}
 	var victims []pageRef
 	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
 		if !o.Dirty {

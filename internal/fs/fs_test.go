@@ -1,8 +1,11 @@
 package fs
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
@@ -297,23 +300,74 @@ func TestUnlinkDeallocatesEverything(t *testing.T) {
 	}
 }
 
-func TestUnlinkOpenFileDefersDestroy(t *testing.T) {
-	f, _ := newFS(t, nil)
+// inodeEventHooks records the order of inode close and delete hooks.
+type inodeEventHooks struct {
+	kstate.NopHooks
+	events []string
+}
+
+func (h *inodeEventHooks) InodeClosed(_ *kstate.Ctx, ino uint64) {
+	h.events = append(h.events, fmt.Sprintf("closed %d", ino))
+}
+func (h *inodeEventHooks) InodeDeleted(_ *kstate.Ctx, ino uint64) {
+	h.events = append(h.events, fmt.Sprintf("deleted %d", ino))
+}
+
+// TestCloseDestroysUnlinkedInode pins unlink-while-open: the inode
+// outlives its unlink while a file holds it, and the last close
+// destroys it with every object it owned, after the close hook. A
+// second close of the same file destroys nothing.
+func TestCloseDestroysUnlinkedInode(t *testing.T) {
+	h := &inodeEventHooks{}
+	f, _ := newFS(t, h)
+	san := alloc.NewSanitizer()
+	f.Objs.San = san
 	ctx := ctxAt(0)
-	file, _ := f.Create(ctx, "/held")
+	before := f.Stats.ObjLive
+	file, err := f.Create(ctx, "/held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino := file.Inode.Ino
+	for i := int64(0); i < 4; i++ {
+		if err := f.Write(ctx, file, i); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := f.Unlink(ctx, "/held"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Inodes() != 1 {
-		t.Fatal("open inode destroyed by unlink")
+	if f.Inodes() != 1 || len(h.events) != 0 {
+		t.Fatalf("unlink of an open file: %d inodes, hooks %v; want 1 and none", f.Inodes(), h.events)
 	}
-	// POSIX semantics: destroy happens when last ref drops... our sim
-	// destroys lazily at next unlink check; Close alone keeps it. The
-	// inode is at least unreachable by path.
 	if _, err := f.Open(ctxAt(1), "/held"); err == nil {
 		t.Fatal("unlinked path still opens")
 	}
-	_ = file
+
+	f.Close(ctxAt(2), file)
+	if f.Inodes() != 0 {
+		t.Fatalf("%d inodes after the last close of an unlinked file, want 0", f.Inodes())
+	}
+	for typ, was := range before {
+		want := was
+		if kobj.Type(typ) == kobj.Journal {
+			want += int64(len(f.journalPending)) // records wait for the next commit
+		}
+		if got := f.Stats.ObjLive[typ]; got != want {
+			t.Errorf("%s objects live: %d, want %d", kobj.Type(typ), got, want)
+		}
+	}
+	if want := []string{fmt.Sprintf("closed %d", ino), fmt.Sprintf("deleted %d", ino)}; !slices.Equal(h.events, want) {
+		t.Fatalf("hooks %v, want %v", h.events, want)
+	}
+
+	f.Close(ctxAt(3), file)
+	if f.Inodes() != 0 || slices.Index(h.events[2:], fmt.Sprintf("deleted %d", ino)) >= 0 {
+		t.Fatalf("second close: %d inodes, hooks %v", f.Inodes(), h.events)
+	}
+	if r := scanFS(f, san); !r.Clean() {
+		t.Fatalf("sanitizer after a double close:\n%s", r)
+	}
 }
 
 func TestUnlinkMissing(t *testing.T) {

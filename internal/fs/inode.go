@@ -163,16 +163,23 @@ func (f *FS) openInode(ctx *kstate.Ctx, ind *Inode) *File {
 }
 
 // Close drops one reference; at zero the inode's KLOC turns cold
-// (§3.2's first coldness trigger).
+// (§3.2's first coldness trigger). The close that drops the last
+// reference to an inode Unlink left open destroys it, as Unlink does
+// for an inode nothing holds; a second Close of the same file finds no
+// reference to drop and destroys nothing.
 func (f *FS) Close(ctx *kstate.Ctx, file *File) {
 	ctx.Charge(syscallEntryCost)
 	ind := file.Inode
+	last := ind.Refs == 1
 	if ind.Refs > 0 {
 		ind.Refs--
 	}
 	f.Stats.Closes++
 	if ind.Refs == 0 {
 		f.Hooks.InodeClosed(ctx, ind.Ino)
+	}
+	if last && ind.Nlink == 0 {
+		f.destroyInode(ctx, ind)
 	}
 }
 

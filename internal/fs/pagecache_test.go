@@ -295,17 +295,26 @@ func TestPageCacheMatchesReference(t *testing.T) {
 					ref.dropFrom(file.Inode.Ino, size)
 				}
 			case op == 6:
-				n := 1 + rng.Intn(8)
-				fsys.DropCleanPages(ctx, file.Inode, n)
+				n := rng.Intn(9)
+				if got := fsys.DropCleanPages(ctx, file.Inode, n); got > n {
+					t.Fatalf("%s: DropCleanPages(%d) dropped %d pages", at, n, got)
+				}
 				ref.dropClean(file.Inode.Ino, n)
 			case op == 7:
+				// The last close of an unlinked file destroys it with
+				// its pages.
+				unlinked := file.Inode.Nlink == 0
 				fsys.Close(ctx, file)
 				delete(open, path)
+				if unlinked {
+					delete(ref.inodes, file.Inode.Ino)
+				}
 			case op == 8:
-				// An open file outlives its unlink; a closed one is
-				// destroyed with its pages. (A replay can resurrect an
-				// inode whose unlink was not committed beside a newer one
-				// at the same path, so the inode is found afterwards.)
+				// An open file outlives its unlink until its last close;
+				// a closed one is destroyed with its pages. (A replay can
+				// resurrect an inode whose unlink was not committed beside
+				// a newer one at the same path, so the inode is found
+				// afterwards.)
 				if err = fsys.Unlink(ctx, path); err != nil {
 					err = nil // no such path
 					break

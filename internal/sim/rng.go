@@ -13,7 +13,9 @@ func expf(x float64) float64 { return math.Exp(x) }
 type RNG struct {
 	// Every draw advances the state, so a stream is single-owner by
 	// construction: give each RNG one owner and Fork children for
-	// anything that must draw independently (rngflow enforces this).
+	// anything that must draw independently. A shared stream shifts
+	// draws, which TestGoldenRunDigests, eval identity and the cluster
+	// report's identity with BENCH_cluster.json catch.
 	s [4]uint64
 }
 
