@@ -135,7 +135,7 @@ func (ex *executor) run(sched fault.Schedule) (*Outcome, error) {
 func (ex *executor) runCluster(s fault.Schedule) (*Outcome, error) {
 	ccfg := ex.clusterBase()
 	ccfg.Rate = ex.rate
-	ccfg.Chaos = &s
+	ccfg.Faults = &s
 	ccfg.Trace = &trace.Config{}
 	c, err := cluster.New(ccfg)
 	if err != nil {

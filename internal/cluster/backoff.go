@@ -2,58 +2,34 @@ package cluster
 
 import "kloc/internal/sim"
 
-// BackoffConfig parameterizes the client retry schedule: capped
-// exponential growth with seeded jitter. Jitter is the load-bearing
-// half — after a machine crash every in-flight request fails at the
-// same instant, and without jitter their retries arrive as a synchronized
-// convoy that re-overloads the next backend (the classic retry storm).
-type BackoffConfig struct {
-	// Base is the nominal first-retry delay (default 100 µs).
-	Base sim.Duration
-	// Cap bounds the grown delay (default 1 ms).
-	Cap sim.Duration
-	// Mult is the per-attempt growth factor (default 2).
-	Mult float64
-}
+// The client retry schedule: capped exponential growth with seeded
+// jitter. Jitter is the load-bearing half — after a machine crash every
+// in-flight request fails at the same instant, and without jitter their
+// retries arrive as a synchronized convoy that re-overloads the next
+// backend (the classic retry storm).
+const (
+	// backoffBase is the nominal first-retry delay.
+	backoffBase = 100 * sim.Microsecond
+	// backoffCap bounds the grown delay.
+	backoffCap = sim.Millisecond
+	// backoffMult is the per-attempt growth factor.
+	backoffMult = 2
+)
 
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.Base <= 0 {
-		c.Base = 100 * sim.Microsecond
-	}
-	if c.Cap <= 0 {
-		c.Cap = sim.Millisecond
-	}
-	if c.Mult < 1 {
-		c.Mult = 2
-	}
-	return c
-}
-
-// Backoff computes retry delays. The zero value uses the defaults.
-type Backoff struct {
-	cfg BackoffConfig
-}
-
-// NewBackoff builds a backoff schedule from a config.
-func NewBackoff(cfg BackoffConfig) Backoff {
-	return Backoff{cfg: cfg.withDefaults()}
-}
-
-// Delay returns the wait before retry number attempt (1-based: the
-// delay after the first failed attempt is Delay(1)). The grown delay
-// d is equal-jittered: the result is uniform in [d/2, d], drawn from
-// the caller's seeded stream — same seed, same schedule.
-func (b Backoff) Delay(attempt int, r *sim.RNG) sim.Duration {
-	cfg := b.cfg.withDefaults()
-	d := float64(cfg.Base)
+// backoff returns the wait before retry number attempt (1-based: the
+// delay after the first failed attempt is backoff(1, r)). The grown
+// delay d is equal-jittered: the result is uniform in [d/2, d], drawn
+// from the caller's seeded stream — same seed, same schedule.
+func backoff(attempt int, r *sim.RNG) sim.Duration {
+	d := float64(backoffBase)
 	for i := 1; i < attempt; i++ {
-		d *= cfg.Mult
-		if d >= float64(cfg.Cap) {
+		d *= backoffMult
+		if d >= float64(backoffCap) {
 			break
 		}
 	}
-	if d > float64(cfg.Cap) {
-		d = float64(cfg.Cap)
+	if d > float64(backoffCap) {
+		d = float64(backoffCap)
 	}
 	half := sim.Duration(d) / 2
 	if half < 1 {

@@ -85,10 +85,10 @@ func newBalancer(c *Cluster, r router) *balancer {
 		router:   r,
 		breakers: make([]*Breaker, len(c.machines)),
 		out:      make([]int, len(c.machines)),
-		affinity: make(map[uint64]int, c.cfg.Groups),
+		affinity: make(map[uint64]int, groups),
 	}
 	for i := range b.breakers {
-		b.breakers[i] = NewBreaker(c.cfg.Breaker)
+		b.breakers[i] = newBreaker()
 	}
 	return b
 }
@@ -97,7 +97,7 @@ func newBalancer(c *Cluster, r router) *balancer {
 // or sheds it. KLOC-aware shedding: requests whose context group has a
 // home machine (their kernel objects are plausibly hot somewhere) may
 // use the full outstanding budget; cold-context requests are shed
-// earlier, at HotShedFrac of it — under overload the cluster keeps the
+// earlier, at hotShedFrac of it — under overload the cluster keeps the
 // work it can serve cheaply and refuses the work that would run at
 // cold-miss cost.
 func (b *balancer) admit(e *sim.Engine, req *request) {
@@ -108,10 +108,11 @@ func (b *balancer) admit(e *sim.Engine, req *request) {
 		}
 	}
 	klocRoute := b.router.name() == "kloc"
-	limit := b.c.cfg.ShedLimit
+	cfg := &b.c.cfg
+	limit := cfg.Machines * (cfg.Workers + cfg.QueueLimit/2)
 	_, hot := b.affinity[req.group]
 	if klocRoute && !hot {
-		limit = int(float64(limit) * b.c.cfg.HotShedFrac)
+		limit = int(float64(limit) * hotShedFrac)
 	}
 	if b.outstanding >= limit {
 		class := "hot"
@@ -184,7 +185,7 @@ func (b *balancer) dispatch(e *sim.Engine, req *request, exclude *machine, hedge
 	if !hedge && !req.hedged && b.c.cfg.HedgeAfter > 0 {
 		req.hedgeEv = e.After(b.c.cfg.HedgeAfter, func(e *sim.Engine) { b.hedgeFire(e, req) })
 	}
-	at.timeoutEv = e.After(b.c.cfg.Timeout, func(e *sim.Engine) { b.onTimeout(e, at) })
+	at.timeoutEv = e.After(timeout, func(e *sim.Engine) { b.onTimeout(e, at) })
 	m.consultPlane(e)
 	m.enqueue(e, at)
 }
@@ -313,7 +314,7 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 		// good. Let the in-flight leg resolve and drive the retry.
 		return
 	}
-	if req.attempts >= b.c.cfg.MaxAttempts {
+	if req.attempts >= maxAttempts {
 		req.done = true
 		b.outstanding--
 		b.resolvedAll++
@@ -327,7 +328,7 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 		}
 		return
 	}
-	delay := b.c.backoff.Delay(req.attempts, req.rng)
+	delay := backoff(req.attempts, req.rng)
 	if req.measured {
 		b.c.stats.Retries++
 	}

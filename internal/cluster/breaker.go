@@ -32,39 +32,24 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes a per-backend circuit breaker.
-type BreakerConfig struct {
-	// FailThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
-	FailThreshold int
-	// Cooloff is how long the breaker stays open before admitting
-	// half-open probes (default 1 ms).
-	Cooloff sim.Duration
-	// HalfOpenProbes bounds concurrent trial requests while half-open
-	// (default 1).
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 5
-	}
-	if c.Cooloff <= 0 {
-		c.Cooloff = sim.Millisecond
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	return c
-}
+// The per-backend circuit breaker's tuning.
+const (
+	// breakerFailThreshold is the consecutive-failure count that opens
+	// the breaker.
+	breakerFailThreshold = 5
+	// breakerCooloff is how long the breaker stays open before
+	// admitting half-open probes.
+	breakerCooloff = sim.Millisecond
+	// breakerProbes bounds concurrent trial requests while half-open.
+	breakerProbes = 1
+)
 
 // Breaker is a per-backend circuit breaker: closed → open after
-// FailThreshold consecutive failures, open → half-open after Cooloff,
-// half-open → closed on a probe success or back to open on a probe
-// failure. Time is passed in explicitly (virtual time), so the type is
-// directly unit-testable without an engine.
+// breakerFailThreshold consecutive failures, open → half-open after
+// breakerCooloff, half-open → closed on a probe success or back to open
+// on a probe failure. Time is passed in explicitly (virtual time), so
+// the type is directly unit-testable without an engine.
 type Breaker struct {
-	cfg    BreakerConfig
 	state  BreakerState
 	fails  int
 	until  sim.Time // while open: when half-open probes are admitted
@@ -78,10 +63,10 @@ type Breaker struct {
 	Opens, Closes uint64
 }
 
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+// newBreaker builds a closed breaker.
+func newBreaker() *Breaker {
 	// gen starts at 1 so a zero probe token always means "no slot held".
-	return &Breaker{cfg: cfg.withDefaults(), gen: 1}
+	return &Breaker{gen: 1}
 }
 
 // State reports the current state, transitioning open → half-open if
@@ -103,7 +88,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case BreakerClosed:
 		return true
 	case BreakerHalfOpen:
-		return b.probes < b.cfg.HalfOpenProbes
+		return b.probes < breakerProbes
 	default:
 		return false
 	}
@@ -112,9 +97,6 @@ func (b *Breaker) Allow(now sim.Time) bool {
 // Probes reports the outstanding half-open probe count (oracle hook:
 // with no attempts in flight it must be zero, or a probe token leaked).
 func (b *Breaker) Probes() int { return b.probes }
-
-// ProbeBudget reports the configured half-open probe bound.
-func (b *Breaker) ProbeBudget() int { return b.cfg.HalfOpenProbes }
 
 // OnDispatch records that a request was sent to the backend,
 // consuming one half-open probe slot if applicable. The returned
@@ -157,15 +139,15 @@ func (b *Breaker) OnSuccess(now sim.Time) {
 }
 
 // OnFailure records a failed request: a half-open probe failure
-// reopens immediately; the FailThreshold-th consecutive failure while
-// closed opens the breaker.
+// reopens immediately; the breakerFailThreshold-th consecutive failure
+// while closed opens the breaker.
 func (b *Breaker) OnFailure(now sim.Time) {
 	switch b.State(now) {
 	case BreakerHalfOpen:
 		b.open(now)
 	case BreakerClosed:
 		b.fails++
-		if b.fails >= b.cfg.FailThreshold {
+		if b.fails >= breakerFailThreshold {
 			b.open(now)
 		}
 	}
@@ -173,7 +155,7 @@ func (b *Breaker) OnFailure(now sim.Time) {
 
 func (b *Breaker) open(now sim.Time) {
 	b.state = BreakerOpen
-	b.until = now.Add(b.cfg.Cooloff)
+	b.until = now.Add(breakerCooloff)
 	b.fails = 0
 	b.probes = 0
 	b.gen++

@@ -26,18 +26,6 @@ import (
 	"kloc/internal/workload"
 )
 
-// FaultKind selects a machine fault scenario.
-type FaultKind string
-
-// The machine fault scenarios.
-const (
-	// FaultCrash takes the machine down at the scheduled time; it
-	// restarts with cold caches after RestartDelay.
-	FaultCrash FaultKind = "crash"
-	// FaultDegrade slows the machine's fast tier for DegradeFor.
-	FaultDegrade FaultKind = "degrade"
-)
-
 // The reintroducible bugs (Config.Bug). Each reverts one fix from the
 // serving plane's review history, producing an invariant violation the
 // chaos oracles must catch.
@@ -53,15 +41,31 @@ const (
 	BugProbeLeak = "probe-leak"
 )
 
-// MachineFault schedules one deterministic fault on one machine.
-type MachineFault struct {
-	// Machine is the target machine index.
-	Machine int
-	// Kind is the scenario (FaultCrash or FaultDegrade).
-	Kind FaultKind
-	// At is the fault time as an offset from the measured start.
-	At sim.Duration
-}
+// The fleet's fixed shape and resilience tuning: every caller ran
+// with these values, so they are constants rather than Config fields.
+// None is a parameter from the paper.
+const (
+	// PolicyName is every machine's kernel placement policy.
+	PolicyName = "klocs"
+	// groups is the number of KLOC context groups (client/tenant
+	// identities) requests are drawn from, Zipf-skewed with exponent
+	// groupSkew.
+	groups    = 64
+	groupSkew = 1.2
+	// hotCap is each machine's hot-set capacity in groups; a request
+	// whose group is cold on its machine pays coldPenalty× its service
+	// cost.
+	hotCap      = 16
+	coldPenalty = 4
+	// timeout is the client's per-attempt deadline; maxAttempts bounds
+	// dispatches per request, hedges included.
+	timeout     = 2 * sim.Millisecond
+	maxAttempts = 3
+	// hotShedFrac is the fraction of the shed limit available to
+	// cold-context requests under the kloc route: overload sheds the
+	// expensive work first.
+	hotShedFrac = 0.5
+)
 
 // Config describes one cluster run.
 type Config struct {
@@ -70,14 +74,14 @@ type Config struct {
 	// Workers is each machine's service concurrency (default 4).
 	Workers int
 	// QueueLimit bounds each machine's accept queue (default 64).
+	// Admitted-but-unresolved requests are capped at
+	// Machines·(Workers+QueueLimit/2); at the cap new arrivals are shed
+	// with EAGAIN.
 	QueueLimit int
 
-	// Policy is the per-machine kernel placement policy (default
-	// "klocs"); Workload the per-machine serving workload (default
-	// "redis"). WLConfig tunes it; ScaleDiv scales footprints.
-	Policy   string
+	// Workload is the per-machine serving workload (default "redis");
+	// ScaleDiv scales footprints.
 	Workload string
-	WLConfig workload.Config
 	ScaleDiv int
 
 	// Route selects the balancer policy: "round-robin", "least-loaded",
@@ -89,52 +93,21 @@ type Config struct {
 	Arrival string
 	Rate    float64
 
-	// Groups is the number of KLOC context groups (client/tenant
-	// identities) requests are drawn from, Zipf-skewed with exponent
-	// GroupSkew (defaults 64 and 1.2). HotCap is each machine's hot-set
-	// capacity in groups (default 16); a request whose group is cold on
-	// its machine pays ColdPenalty× its service cost (default 4).
-	Groups      int
-	GroupSkew   float64
-	HotCap      int
-	ColdPenalty float64
+	// HedgeAfter launches a duplicate of a still-waiting first attempt
+	// (default 500 µs; a negative value disables hedging).
+	HedgeAfter sim.Duration
 
-	// Timeout is the client's per-attempt deadline (default 2 ms).
-	// MaxAttempts bounds dispatches per request, hedges included
-	// (default 3). HedgeAfter launches a duplicate of a still-waiting
-	// first attempt (default 500 µs; a negative value disables hedging).
-	Timeout     sim.Duration
-	MaxAttempts int
-	HedgeAfter  sim.Duration
-
-	// Backoff, Breaker, Health tune the resilience primitives.
-	Backoff BackoffConfig
-	Breaker BreakerConfig
-	Health  HealthConfig
-
-	// ShedLimit caps admitted-but-unresolved requests (default
-	// Machines·(Workers+QueueLimit/2)); at the cap new arrivals are
-	// shed with EAGAIN. HotShedFrac (default 0.5) is the fraction of
-	// the cap available to cold-context requests under the kloc route:
-	// overload sheds the expensive work first.
-	ShedLimit   int
-	HotShedFrac float64
-
-	// Faults schedules deterministic machine faults. RestartDelay is
-	// crash downtime (default 10 ms); DegradeFor the degradation window
-	// (default 10 ms); DegradeFactor its service-cost multiplier
-	// (default 4).
-	Faults        []MachineFault
+	// Faults is an exact-time fault schedule over the full
+	// fault.Points() catalog, offsets rebased to the measured start.
+	// cluster.crash and cluster.degrade injections hit the targeted
+	// machine; every other point arms that machine's kernel-level fault
+	// plane. Nil runs without faults. RestartDelay is crash downtime
+	// (default 10 ms); DegradeFor the degradation window (default
+	// 10 ms); DegradeFactor its service-cost multiplier (default 4).
+	Faults        *fault.Schedule
 	RestartDelay  sim.Duration
 	DegradeFor    sim.Duration
 	DegradeFactor float64
-
-	// Chaos is an exact-time fault schedule over the full fault.Points()
-	// catalog, offsets rebased to the measured start. cluster.crash and
-	// cluster.degrade injections merge with Faults on the targeted
-	// machine; every other point arms that machine's kernel-level fault
-	// plane. Nil runs without chaos injections.
-	Chaos *fault.Schedule
 
 	// Bug re-introduces a historical accounting defect so the chaos
 	// engine's oracles can be tested against a known-bad fleet. Empty
@@ -169,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 64
 	}
-	if c.Policy == "" {
-		c.Policy = "klocs"
-	}
 	if c.Workload == "" {
 		c.Workload = "redis"
 	}
@@ -184,34 +154,10 @@ func (c Config) withDefaults() Config {
 	if c.Arrival == "" {
 		c.Arrival = "poisson"
 	}
-	if c.Groups <= 0 {
-		c.Groups = 64
-	}
-	if c.GroupSkew <= 1 {
-		c.GroupSkew = 1.2
-	}
-	if c.HotCap <= 0 {
-		c.HotCap = 16
-	}
-	if c.ColdPenalty < 1 {
-		c.ColdPenalty = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * sim.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.HedgeAfter < 0 {
 		c.HedgeAfter = 0
 	} else if c.HedgeAfter == 0 {
 		c.HedgeAfter = 500 * sim.Microsecond
-	}
-	if c.ShedLimit <= 0 {
-		c.ShedLimit = c.Machines * (c.Workers + c.QueueLimit/2)
-	}
-	if c.HotShedFrac <= 0 || c.HotShedFrac > 1 {
-		c.HotShedFrac = 0.5
 	}
 	if c.RestartDelay <= 0 {
 		c.RestartDelay = 10 * sim.Millisecond
@@ -342,7 +288,6 @@ type Cluster struct {
 	// fork from it at admission.
 	clientRNG *sim.RNG
 	groupZipf *sim.Zipf
-	backoff   Backoff
 	reqIDs    uint64
 
 	// measuring opens at the measured window's start; only requests
@@ -386,20 +331,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: unknown route %q (valid: round-robin, least-loaded, kloc): %w",
 			cfg.Route, fault.EINVAL)
 	}
-	for _, f := range cfg.Faults {
-		if f.Machine < 0 || f.Machine >= cfg.Machines {
-			return nil, fmt.Errorf("cluster: fault targets machine %d of %d: %w",
-				f.Machine, cfg.Machines, fault.EINVAL)
-		}
-		if f.Kind != FaultCrash && f.Kind != FaultDegrade {
-			return nil, fmt.Errorf("cluster: unknown fault kind %q: %w", f.Kind, fault.EINVAL)
-		}
-	}
-	if cfg.Chaos != nil {
-		for _, in := range cfg.Chaos.Injections {
+	if cfg.Faults != nil {
+		for _, in := range cfg.Faults.Injections {
 			if in.Machine < 0 || in.Machine >= cfg.Machines {
-				return nil, fmt.Errorf("cluster: chaos injection %s targets machine %d of %d: %w",
+				return nil, fmt.Errorf("cluster: fault injection %s targets machine %d of %d: %w",
 					in, in.Machine, cfg.Machines, fault.EINVAL)
+			}
+			if !fault.KnownPoint(in.Point) {
+				return nil, fmt.Errorf("cluster: fault injection %s names unknown point %q: %w",
+					in, in.Point, fault.EINVAL)
 			}
 		}
 	}
@@ -416,7 +356,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	c := &Cluster{cfg: cfg, eng: sim.NewEngine(), arr: arr, backoff: NewBackoff(cfg.Backoff)}
+	c := &Cluster{cfg: cfg, eng: sim.NewEngine(), arr: arr}
 	if cfg.Trace != nil {
 		c.tr = trace.New(*cfg.Trace)
 	}
@@ -430,7 +370,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.machines = append(c.machines, m)
 	}
 	c.clientRNG = root.Fork()
-	c.groupZipf = sim.NewZipf(c.clientRNG.Fork(), cfg.GroupSkew, cfg.Groups)
+	c.groupZipf = sim.NewZipf(c.clientRNG.Fork(), groupSkew, groups)
 	c.lb = newBalancer(c, rt)
 	c.health = newHealthChecker(c)
 
@@ -488,69 +428,7 @@ func (c *Cluster) Run() (*Report, error) {
 	start := warmStart.Add(cfg.Warmup)
 	deadline := start.Add(cfg.Duration)
 
-	// Arm machine fault schedules relative to the measured start, and
-	// record the windows for availability accounting.
-	for i, m := range c.machines {
-		rules := make(map[fault.Point]fault.Rule, 2)
-		for _, f := range cfg.Faults {
-			if f.Machine != i {
-				continue
-			}
-			at := start.Add(f.At)
-			switch f.Kind {
-			case FaultCrash:
-				r := rules[fault.MachineCrash]
-				r.Times = append(r.Times, at)
-				rules[fault.MachineCrash] = r
-				c.windows = append(c.windows, [2]sim.Time{at, at.Add(cfg.RestartDelay)})
-			case FaultDegrade:
-				r := rules[fault.MachineDegrade]
-				r.Times = append(r.Times, at)
-				rules[fault.MachineDegrade] = r
-				c.windows = append(c.windows, [2]sim.Time{at, at.Add(cfg.DegradeFor)})
-			}
-		}
-		if cfg.Chaos != nil {
-			chaosRules := cfg.Chaos.Rules(i, start)
-			var kernelRules map[fault.Point]fault.Rule
-			// Iterate the catalog, not the rule map, so arming order (and
-			// window order) is deterministic.
-			for _, pt := range fault.Points() {
-				r, ok := chaosRules[pt]
-				if !ok {
-					continue
-				}
-				switch pt {
-				case fault.MachineCrash, fault.MachineDegrade:
-					mr := rules[pt]
-					mr.Timed = append(mr.Timed, r.Timed...)
-					rules[pt] = mr
-					window := cfg.RestartDelay
-					if pt == fault.MachineDegrade {
-						window = cfg.DegradeFor
-					}
-					for _, ti := range r.Timed {
-						c.windows = append(c.windows, [2]sim.Time{ti.At, ti.At.Add(window)})
-					}
-				default:
-					if kernelRules == nil {
-						kernelRules = make(map[fault.Point]fault.Rule)
-					}
-					kernelRules[pt] = r
-				}
-			}
-			if kernelRules != nil {
-				m.k.InjectFaults(fault.NewPlane(fault.Config{
-					Seed:  cfg.Seed ^ (uint64(i)+1)<<32,
-					Rules: kernelRules,
-				}))
-			}
-		}
-		if len(rules) > 0 {
-			m.plane = fault.NewPlane(fault.Config{Seed: cfg.Seed + uint64(i), Rules: rules})
-		}
-	}
-
+	c.armFaults(start)
 	for _, m := range c.machines {
 		m.k.Start()
 	}
@@ -582,6 +460,43 @@ func (c *Cluster) Run() (*Report, error) {
 	return c.report(deadline.Sub(start)), nil
 }
 
+// armFaults arms each machine's share of the fault schedule relative
+// to the measured start, and records the crash and degrade windows for
+// availability accounting.
+func (c *Cluster) armFaults(start sim.Time) {
+	cfg := c.cfg
+	if cfg.Faults == nil {
+		return
+	}
+	for i, m := range c.machines {
+		rules := cfg.Faults.Rules(i, start)
+		// The crash and degrade points drive the machine itself; every
+		// other point arms its kernel.
+		machineRules := make(map[fault.Point]fault.Rule, 2)
+		for _, pt := range []fault.Point{fault.MachineCrash, fault.MachineDegrade} {
+			r, ok := rules[pt]
+			if !ok {
+				continue
+			}
+			delete(rules, pt)
+			machineRules[pt] = r
+			window := cfg.RestartDelay
+			if pt == fault.MachineDegrade {
+				window = cfg.DegradeFor
+			}
+			for _, ti := range r.Timed {
+				c.windows = append(c.windows, [2]sim.Time{ti.At, ti.At.Add(window)})
+			}
+		}
+		if len(rules) > 0 {
+			m.k.InjectFaults(fault.NewPlane(fault.Config{Seed: cfg.Seed ^ (uint64(i)+1)<<32, Rules: rules}))
+		}
+		if len(machineRules) > 0 {
+			m.plane = fault.NewPlane(fault.Config{Seed: cfg.Seed + uint64(i), Rules: machineRules})
+		}
+	}
+}
+
 // drain polls until no requests are outstanding, then halts the
 // engine (the policy daemons never stop on their own).
 func (c *Cluster) drain(e *sim.Engine) {
@@ -597,7 +512,7 @@ func (c *Cluster) report(dur sim.Duration) *Report {
 		Route:    c.lb.router.name(),
 		Arrival:  c.arr.Name(),
 		Workload: c.cfg.Workload,
-		Policy:   c.cfg.Policy,
+		Policy:   PolicyName,
 		Machines: c.cfg.Machines,
 		Rate:     c.cfg.Rate,
 		Duration: dur,
@@ -642,7 +557,7 @@ func EstimateServiceCost(cfg Config) (sim.Duration, error) {
 		eng.RunUntil(h)
 	}
 	m.k.Start()
-	zipf := sim.NewZipf(root.Fork(), cfg.GroupSkew, cfg.Groups)
+	zipf := sim.NewZipf(root.Fork(), groupSkew, groups)
 	const probes = 512
 	var total sim.Duration
 	for i := 0; i < probes; i++ {
@@ -652,7 +567,7 @@ func EstimateServiceCost(cfg Config) (sim.Duration, error) {
 			return 0, wrapErr("probe", err)
 		}
 		if !hot {
-			cost = sim.Duration(float64(cost) * cfg.ColdPenalty)
+			cost = sim.Duration(float64(cost) * coldPenalty)
 		}
 		total += cost
 		eng.RunUntil(eng.Now().Add(cost))

@@ -11,26 +11,31 @@ import (
 	"kloc/internal/trace"
 )
 
+// fail feeds n consecutive failures to a breaker.
+func fail(br *Breaker, now sim.Time, n int) {
+	for i := 0; i < n; i++ {
+		br.OnFailure(now)
+	}
+}
+
 func TestBreakerTransitions(t *testing.T) {
-	br := NewBreaker(BreakerConfig{FailThreshold: 3, Cooloff: sim.Millisecond, HalfOpenProbes: 1})
+	br := newBreaker()
 	now := sim.Time(0)
 	if got := br.State(now); got != BreakerClosed {
 		t.Fatalf("initial state %v, want closed", got)
 	}
 	// Failures below the threshold keep it closed; a success resets the
 	// streak.
-	br.OnFailure(now)
-	br.OnFailure(now)
+	fail(br, now, breakerFailThreshold-1)
 	br.OnSuccess(now)
-	br.OnFailure(now)
-	br.OnFailure(now)
+	fail(br, now, breakerFailThreshold-1)
 	if got := br.State(now); got != BreakerClosed {
 		t.Fatalf("state after interrupted streak %v, want closed", got)
 	}
 	// The threshold-th consecutive failure opens it.
 	br.OnFailure(now)
 	if got := br.State(now); got != BreakerOpen {
-		t.Fatalf("state after 3 consecutive failures %v, want open", got)
+		t.Fatalf("state after %d consecutive failures %v, want open", breakerFailThreshold, got)
 	}
 	if br.Allow(now) {
 		t.Fatal("open breaker allowed a request")
@@ -68,9 +73,9 @@ func TestBreakerTransitions(t *testing.T) {
 // breaker would stay half-open with an exhausted budget forever and
 // the backend would never re-enter routing.
 func TestBreakerCancelReleasesProbe(t *testing.T) {
-	br := NewBreaker(BreakerConfig{FailThreshold: 1, Cooloff: sim.Millisecond, HalfOpenProbes: 1})
+	br := newBreaker()
 	now := sim.Time(0)
-	br.OnFailure(now)
+	fail(br, now, breakerFailThreshold)
 	now = now.Add(sim.Millisecond)
 	token := br.OnDispatch(now)
 	if token == 0 {
@@ -109,12 +114,11 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 }
 
 func TestBackoffDeterminism(t *testing.T) {
-	bo := NewBackoff(BackoffConfig{Base: 100 * sim.Microsecond, Cap: sim.Millisecond})
 	draw := func(seed uint64) []sim.Duration {
 		r := sim.NewRNG(seed)
 		out := make([]sim.Duration, 0, 8)
 		for a := 1; a <= 8; a++ {
-			out = append(out, bo.Delay(a, r))
+			out = append(out, backoff(a, r))
 		}
 		return out
 	}
@@ -142,7 +146,7 @@ func TestBackoffDeterminism(t *testing.T) {
 		if d > sim.Millisecond {
 			d = sim.Millisecond
 		}
-		got := bo.Delay(a, r)
+		got := backoff(a, r)
 		if got < d/2 || got > d {
 			t.Fatalf("attempt %d delay %v outside [%v, %v]", a, got, d/2, d)
 		}
@@ -188,6 +192,39 @@ func rateFor(t *testing.T, cfg Config, load float64) float64 {
 	return load * capacity
 }
 
+// schedule builds a fault schedule from its injections.
+func schedule(ins ...fault.Injection) *fault.Schedule {
+	return &fault.Schedule{Injections: ins}
+}
+
+// TestNewRejectsBadFaults: an injection that targets a machine outside
+// the fleet or names a point outside the catalog is EINVAL, rather than
+// an injection the arming loop silently skips.
+func TestNewRejectsBadFaults(t *testing.T) {
+	valid := fault.Injection{Point: fault.MachineCrash, Machine: 1}
+	cfg := testConfig()
+	cfg.Faults = schedule(valid)
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("in-range injection: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   fault.Injection
+	}{
+		{"negative machine", fault.Injection{Point: fault.MachineCrash, Machine: -1}},
+		{"machine past the fleet", fault.Injection{Point: fault.MachineDegrade, Machine: 2}},
+		{"kernel point past the fleet", fault.Injection{Point: fault.AllocPage, Machine: 7}},
+		{"unknown point", fault.Injection{Point: "cluster.meltdown", Machine: 0}},
+		{"empty point", fault.Injection{Machine: 1}},
+	} {
+		cfg := testConfig()
+		cfg.Faults = schedule(valid, tc.in)
+		if _, err := New(cfg); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("%s (%s): New returned %v, want EINVAL", tc.name, tc.in, err)
+		}
+	}
+}
+
 // TestNewRejectsBadTracePatterns: an event pattern that is malformed
 // or matches no catalog event is EINVAL, as it is for a single run,
 // rather than a fleet that silently traces nothing.
@@ -206,7 +243,7 @@ func TestClusterReplayByteIdentical(t *testing.T) {
 		cfg := testConfig()
 		cfg.Route = "kloc"
 		cfg.Rate = rateFor(t, cfg, 0.7)
-		cfg.Faults = []MachineFault{{Machine: 1, Kind: FaultCrash, At: 8 * sim.Millisecond}}
+		cfg.Faults = schedule(fault.Injection{Point: fault.MachineCrash, Machine: 1, At: 8 * sim.Millisecond})
 		cfg.RestartDelay = 4 * sim.Millisecond
 		cfg.Trace = &trace.Config{}
 		c, err := New(cfg)
@@ -244,10 +281,9 @@ func TestHedgingCancelsLoser(t *testing.T) {
 	cfg.Route = "round-robin"
 	cfg.Rate = rateFor(t, cfg, 0.2)
 	cfg.HedgeAfter = 20 * sim.Microsecond
-	cfg.Timeout = 50 * sim.Millisecond // keep timeouts out of the picture
 	cfg.DegradeFactor = 400
 	cfg.DegradeFor = 40 * sim.Millisecond // the whole run
-	cfg.Faults = []MachineFault{{Machine: 1, Kind: FaultDegrade, At: 0}}
+	cfg.Faults = schedule(fault.Injection{Point: fault.MachineDegrade, Machine: 1})
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -292,19 +328,18 @@ func TestShedUnderOverload(t *testing.T) {
 	}
 }
 
-// TestTimeoutsExhaustAttempts: a single 500x-degraded machine cannot
-// answer inside the client deadline, so requests time out, retry into
-// the same machine, and finally fail with ETIMEDOUT.
+// TestTimeoutsExhaustAttempts: a single 1000x-degraded machine cannot
+// answer inside the 2 ms client deadline, so requests time out, retry
+// into the same machine, and finally fail with ETIMEDOUT.
 func TestTimeoutsExhaustAttempts(t *testing.T) {
 	cfg := testConfig()
 	cfg.Machines = 1
 	cfg.Route = "round-robin"
 	cfg.Rate = rateFor(t, cfg, 0.1)
-	cfg.Timeout = 200 * sim.Microsecond
 	cfg.HedgeAfter = -1 // disabled: isolate the timeout path
-	cfg.DegradeFactor = 500
+	cfg.DegradeFactor = 1000
 	cfg.DegradeFor = 40 * sim.Millisecond
-	cfg.Faults = []MachineFault{{Machine: 0, Kind: FaultDegrade, At: 0}}
+	cfg.Faults = schedule(fault.Injection{Point: fault.MachineDegrade, Machine: 0})
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +366,7 @@ func TestCrashWindowRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.Route = "least-loaded"
 	cfg.Rate = rateFor(t, cfg, 0.5)
-	cfg.Faults = []MachineFault{{Machine: 0, Kind: FaultCrash, At: 6 * sim.Millisecond}}
+	cfg.Faults = schedule(fault.Injection{Point: fault.MachineCrash, Machine: 0, At: 6 * sim.Millisecond})
 	cfg.RestartDelay = 5 * sim.Millisecond
 	c, err := New(cfg)
 	if err != nil {
@@ -372,10 +407,10 @@ func TestHealthProberFlapping(t *testing.T) {
 	cfg.Route = "least-loaded"
 	cfg.Rate = rateFor(t, cfg, 0.5)
 	cfg.RestartDelay = 3 * sim.Millisecond
-	cfg.Faults = []MachineFault{
-		{Machine: 0, Kind: FaultCrash, At: 4 * sim.Millisecond},
-		{Machine: 0, Kind: FaultCrash, At: 10 * sim.Millisecond},
-	}
+	cfg.Faults = schedule(
+		fault.Injection{Point: fault.MachineCrash, Machine: 0, At: 4 * sim.Millisecond},
+		fault.Injection{Point: fault.MachineCrash, Machine: 0, At: 10 * sim.Millisecond},
+	)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

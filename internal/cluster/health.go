@@ -5,38 +5,24 @@ import (
 	"kloc/internal/trace"
 )
 
-// HealthConfig parameterizes the balancer's active health checker.
-type HealthConfig struct {
-	// Interval between probes of each machine (default 500 µs).
-	Interval sim.Duration
-	// FailAfter consecutive probe failures eject the machine from the
-	// routable set (default 2).
-	FailAfter int
-	// ReadmitAfter consecutive probe successes re-admit it (default 2).
-	ReadmitAfter int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Interval <= 0 {
-		c.Interval = 500 * sim.Microsecond
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 2
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
-	}
-	return c
-}
+// The balancer's active health checker's tuning.
+const (
+	// healthInterval is the period between probes of each machine.
+	healthInterval = 500 * sim.Microsecond
+	// healthFailAfter consecutive probe failures eject the machine from
+	// the routable set.
+	healthFailAfter = 2
+	// healthReadmitAfter consecutive probe successes re-admit it.
+	healthReadmitAfter = 2
+)
 
 // healthChecker actively probes every machine on a fixed period and
-// maintains the balancer's routable set: FailAfter consecutive failed
-// probes eject a machine, ReadmitAfter successes bring it back. Probes
-// consult the machine's fault plane, so a scheduled crash on an idle
-// machine is discovered within one probe period.
+// maintains the balancer's routable set: healthFailAfter consecutive
+// failed probes eject a machine, healthReadmitAfter successes bring it
+// back. Probes consult the machine's fault plane, so a scheduled crash
+// on an idle machine is discovered within one probe period.
 type healthChecker struct {
 	c    *Cluster
-	cfg  HealthConfig
 	fail []int // consecutive failed probes per machine
 	ok   []int // consecutive successful probes per machine
 }
@@ -44,7 +30,6 @@ type healthChecker struct {
 func newHealthChecker(c *Cluster) *healthChecker {
 	return &healthChecker{
 		c:    c,
-		cfg:  c.cfg.Health.withDefaults(),
 		fail: make([]int, len(c.machines)),
 		ok:   make([]int, len(c.machines)),
 	}
@@ -58,7 +43,7 @@ func (h *healthChecker) start(e *sim.Engine, at sim.Time) {
 		var probe func(*sim.Engine)
 		probe = func(e *sim.Engine) {
 			h.probe(e, i, m)
-			e.After(h.cfg.Interval, probe)
+			e.After(healthInterval, probe)
 		}
 		e.Schedule(at.Add(sim.Duration(i)), probe)
 	}
@@ -70,7 +55,7 @@ func (h *healthChecker) probe(e *sim.Engine, i int, m *machine) {
 	if m.up {
 		h.ok[i]++
 		h.fail[i] = 0
-		if !m.healthy && h.ok[i] >= h.cfg.ReadmitAfter {
+		if !m.healthy && h.ok[i] >= healthReadmitAfter {
 			m.healthy = true
 			if h.c.measuring {
 				h.c.stats.Readmissions++
@@ -81,7 +66,7 @@ func (h *healthChecker) probe(e *sim.Engine, i int, m *machine) {
 	}
 	h.fail[i]++
 	h.ok[i] = 0
-	if m.healthy && h.fail[i] >= h.cfg.FailAfter {
+	if m.healthy && h.fail[i] >= healthFailAfter {
 		m.healthy = false
 		if h.c.measuring {
 			h.c.stats.Ejections++

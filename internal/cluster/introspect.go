@@ -72,7 +72,7 @@ func (c *Cluster) Introspect() Introspection {
 		br := c.lb.breakers[i]
 		in.BreakerState[i] = br.State(in.Now)
 		in.BreakerProbes[i] = br.Probes()
-		in.BreakerBudget[i] = br.ProbeBudget()
+		in.BreakerBudget[i] = breakerProbes
 	}
 	return in
 }
@@ -87,7 +87,7 @@ func (c *Cluster) Introspect() Introspection {
 // stats before returning.
 func (c *Cluster) Settle(bound sim.Duration) bool {
 	deadline := c.eng.Now().Add(bound)
-	step := c.health.cfg.Interval
+	step := healthInterval
 	for {
 		if c.quiescent() {
 			return true

@@ -46,26 +46,20 @@ type machine struct {
 	// of at most hotCap entries. A request whose group misses pays the
 	// cold-context penalty (its kernel objects — sockets, dentries,
 	// journal state — are not resident in the fast tier).
-	hot    []uint64
-	hotCap int
+	hot []uint64
 }
 
 // newMachine builds one backend stack. The caller owns scheduling;
 // nothing runs until the cluster starts the kernel daemons.
 func newMachine(cfg Config, eng *sim.Engine, id int, rng *sim.RNG) (*machine, error) {
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(cfg.ScaleDiv))
-	pol, err := policy.ByName(cfg.Policy)
+	pol, err := policy.ByName(PolicyName)
 	if err != nil {
 		return nil, wrapErr("policy", err)
 	}
-	wcfg := cfg.WLConfig
-	wcfg.ScaleDiv = cfg.ScaleDiv
-	if wcfg.Threads <= 0 {
-		// One workload thread per worker slot: served requests map onto
-		// per-thread workload state (e.g. redis client sockets).
-		wcfg.Threads = cfg.Workers
-	}
-	wl, err := workload.ByName(cfg.Workload, wcfg)
+	// One workload thread per worker slot: served requests map onto
+	// per-thread workload state (e.g. redis client sockets).
+	wl, err := workload.ByName(cfg.Workload, workload.Config{ScaleDiv: cfg.ScaleDiv, Threads: cfg.Workers})
 	if err != nil {
 		return nil, wrapErr("workload", err)
 	}
@@ -81,7 +75,6 @@ func newMachine(cfg Config, eng *sim.Engine, id int, rng *sim.RNG) (*machine, er
 		up:      true,
 		healthy: true,
 		workers: cfg.Workers,
-		hotCap:  cfg.HotCap,
 	}
 	if err := wl.Setup(k, wlRNG); err != nil {
 		return nil, wrapErr("setup", err)
@@ -102,8 +95,8 @@ func (m *machine) hotTouch(group uint64) bool {
 	m.hot = append(m.hot, 0)
 	copy(m.hot[1:], m.hot)
 	m.hot[0] = group
-	if len(m.hot) > m.hotCap {
-		m.hot = m.hot[:m.hotCap]
+	if len(m.hot) > hotCap {
+		m.hot = m.hot[:hotCap]
 	}
 	return false
 }
@@ -242,7 +235,7 @@ func (m *machine) startService(e *sim.Engine, at *attempt) {
 		return
 	}
 	if !hot {
-		cost = sim.Duration(float64(cost) * m.c.cfg.ColdPenalty)
+		cost = sim.Duration(float64(cost) * coldPenalty)
 		if at.req.measured {
 			m.c.stats.ColdServed++
 		}

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"kloc/internal/sim"
@@ -184,8 +183,9 @@ func Points() []Point {
 		MachineCrash, MachineDegrade}
 }
 
-// DefaultErrno is the canonical errno each point injects when its rule
-// does not name one.
+// DefaultErrno is the canonical errno each point injects: every
+// probabilistic injection, and every scheduled one that names none
+// (Schedule.Rules resolves it).
 func DefaultErrno(pt Point) Errno {
 	switch pt {
 	case BlockIO:
@@ -209,29 +209,22 @@ func DefaultErrno(pt Point) Errno {
 
 // Rule configures injection at one point. Probability and schedule
 // compose: scheduled times fire exactly once each (on the first consult
-// at or after the time), probability applies to every other consult.
+// at or after the time), probability applies to every other consult
+// and injects the point's DefaultErrno.
 type Rule struct {
 	// Prob is the per-consult injection probability in [0, 1].
 	Prob float64
-	// Times schedules exact virtual-time injections; must be ascending.
-	// The first consult at or after each time injects once, with the
-	// rule's Err.
-	Times []sim.Time
-	// Timed schedules exact virtual-time injections that carry their own
-	// errno (zero falls back to the rule's Err, then the point default).
-	// Chaos schedules compose into these; Times and Timed merge into one
-	// time-ordered sequence when the plane is armed.
+	// Timed schedules exact virtual-time injections, ascending by At.
+	// Schedule.Rules compiles a fault schedule into these, resolving
+	// each injection's errno.
 	Timed []TimedInjection
-	// Err is the injected errno; zero means the point's DefaultErrno.
-	Err Errno
 }
 
-// TimedInjection is one exact-virtual-time scheduled injection with an
-// optional per-injection errno.
+// TimedInjection is one exact-virtual-time scheduled injection.
 type TimedInjection struct {
 	// At is the virtual time; the first consult at or after it injects.
 	At sim.Time
-	// Err is the injected errno (zero = the rule's Err / point default).
+	// Err is the injected errno.
 	Err Errno
 }
 
@@ -270,12 +263,9 @@ func (r Record) String() string {
 	return fmt.Sprintf("%d %d %s %s", r.Seq, int64(r.At), r.Point, r.Err)
 }
 
-// pointState is one point's live injection state. sched is the
-// normalized, time-ordered merge of the rule's Times and Timed entries
-// with every errno resolved.
+// pointState is one point's live injection state.
 type pointState struct {
-	rule  Rule
-	sched []TimedInjection
+	rule Rule
 	// rng drives this point's probabilistic draws; consulted only by
 	// the plane's own kernel instance.
 	rng       *sim.RNG
@@ -299,23 +289,8 @@ func NewPlane(cfg Config) *Plane {
 	p := &Plane{points: make(map[Point]*pointState, len(cfg.Rules))}
 	//klocs:unordered arming writes one independent entry per point; RNG streams are seeded by point name
 	for pt, rule := range cfg.Rules {
-		if rule.Err == 0 {
-			rule.Err = DefaultErrno(pt)
-		}
-		sched := make([]TimedInjection, 0, len(rule.Times)+len(rule.Timed))
-		for _, at := range rule.Times {
-			sched = append(sched, TimedInjection{At: at, Err: rule.Err})
-		}
-		for _, ti := range rule.Timed {
-			if ti.Err == 0 {
-				ti.Err = rule.Err
-			}
-			sched = append(sched, ti)
-		}
-		sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
 		p.points[pt] = &pointState{
-			rule:  rule,
-			sched: sched,
+			rule: rule,
 			// A private stream per point: seed mixed with the point name
 			// so streams are independent and stable.
 			rng: sim.NewRNG(cfg.Seed ^ fnv64(string(pt))),
@@ -348,13 +323,13 @@ func (p *Plane) Check(pt Point, now sim.Time) Errno {
 	}
 	st.consults++
 	// Scheduled injections take precedence and fire exactly once each.
-	if st.nextSched < len(st.sched) && now >= st.sched[st.nextSched].At {
-		errno := st.sched[st.nextSched].Err
+	if timed := st.rule.Timed; st.nextSched < len(timed) && now >= timed[st.nextSched].At {
+		errno := timed[st.nextSched].Err
 		st.nextSched++
 		return p.inject(pt, st, now, errno)
 	}
 	if st.rule.Prob > 0 && st.rng.Float64() < st.rule.Prob {
-		return p.inject(pt, st, now, st.rule.Err)
+		return p.inject(pt, st, now, DefaultErrno(pt))
 	}
 	return 0
 }

@@ -105,7 +105,7 @@ func TestZeroProbabilityDrawsNothing(t *testing.T) {
 
 func TestScheduledInjection(t *testing.T) {
 	p := NewPlane(Config{Seed: 3, Rules: map[Point]Rule{
-		BlockIO: {Times: []sim.Time{100, 250}},
+		BlockIO: {Timed: []TimedInjection{{At: 100, Err: EIO}, {At: 250, Err: EIO}}},
 	}})
 	type step struct {
 		at   sim.Time
@@ -126,15 +126,6 @@ func TestScheduledInjection(t *testing.T) {
 	}
 	if p.Injected() != 2 {
 		t.Fatalf("Injected = %d, want 2", p.Injected())
-	}
-}
-
-func TestRuleErrOverride(t *testing.T) {
-	p := NewPlane(Config{Seed: 9, Rules: map[Point]Rule{
-		BlockIO: {Prob: 1, Err: EAGAIN},
-	}})
-	if e := p.Check(BlockIO, 0); e != EAGAIN {
-		t.Fatalf("got %v, want overridden EAGAIN", e)
 	}
 }
 

@@ -184,7 +184,7 @@ func ParseSchedule(data []byte) (Schedule, error) {
 		return Schedule{}, fmt.Errorf("fault: parse schedule: %w", err)
 	}
 	for _, in := range s.Injections {
-		if !knownPoint(in.Point) {
+		if !KnownPoint(in.Point) {
 			return Schedule{}, fmt.Errorf("fault: schedule names unknown point %q: %w", in.Point, EINVAL)
 		}
 		if in.At < 0 {
@@ -197,8 +197,8 @@ func ParseSchedule(data []byte) (Schedule, error) {
 	return s.Normalize(), nil
 }
 
-// knownPoint reports whether pt is in the catalog.
-func knownPoint(pt Point) bool {
+// KnownPoint reports whether pt is in the catalog.
+func KnownPoint(pt Point) bool {
 	for _, p := range Points() {
 		if p == pt {
 			return true

@@ -160,24 +160,3 @@ func TestScheduleRulesPerMachine(t *testing.T) {
 		t.Fatalf("unfiltered rules dropped injections: %+v", all)
 	}
 }
-
-// TestTimedAndTimesCompose: legacy Times entries and Timed entries
-// merge into one time-ordered sequence on the same point.
-func TestTimedAndTimesCompose(t *testing.T) {
-	p := NewPlane(Config{Seed: 1, Rules: map[Point]Rule{
-		BlockIO: {
-			Times: []sim.Time{sim.Time(20)},
-			Timed: []TimedInjection{{At: sim.Time(10), Err: EAGAIN}},
-			Err:   EIO,
-		},
-	}})
-	if got := p.Check(BlockIO, sim.Time(15)); got != EAGAIN {
-		t.Fatalf("first injection %v, want EAGAIN (the earlier Timed entry)", got)
-	}
-	if got := p.Check(BlockIO, sim.Time(25)); got != EIO {
-		t.Fatalf("second injection %v, want EIO (the Times entry)", got)
-	}
-	if got := p.Check(BlockIO, sim.Time(30)); got != 0 {
-		t.Fatalf("third consult injected %v", got)
-	}
-}

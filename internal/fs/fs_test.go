@@ -370,6 +370,48 @@ func TestCloseDestroysUnlinkedInode(t *testing.T) {
 	}
 }
 
+// TestRepeatCloseChangesNothing: closing a handle a second time counts
+// no close, fires no hook, and leaves the references other handles
+// hold on the inode alone.
+func TestRepeatCloseChangesNothing(t *testing.T) {
+	h := &inodeEventHooks{}
+	f, _ := newFS(t, h)
+	ctx := ctxAt(0)
+	file, err := f.Create(ctx, "/once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino := file.Inode.Ino
+	if err := f.Unlink(ctx, "/once"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close(ctx, file)
+	f.Close(ctx, file)
+	if want := []string{fmt.Sprintf("closed %d", ino), fmt.Sprintf("deleted %d", ino)}; !slices.Equal(h.events, want) {
+		t.Fatalf("create, unlink, close, close: hooks %v, want %v", h.events, want)
+	}
+	if f.Stats.Closes != 1 {
+		t.Fatalf("Closes = %d after a repeat close, want 1", f.Stats.Closes)
+	}
+
+	h.events = nil
+	a, err := f.Create(ctx, "/shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Open(ctx, "/shared"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close(ctx, a)
+	f.Close(ctx, a)
+	if a.Inode.Refs != 1 {
+		t.Fatalf("refs = %d after closing handle A twice, want B's 1", a.Inode.Refs)
+	}
+	if len(h.events) != 0 {
+		t.Fatalf("hooks %v while handle B is still open", h.events)
+	}
+}
+
 func TestUnlinkMissing(t *testing.T) {
 	f, _ := newFS(t, nil)
 	if err := f.Unlink(ctxAt(0), "/nope"); err == nil {

@@ -54,7 +54,8 @@ func (f *FS) newInode(ino uint64, path string) *Inode {
 // Open file handle.
 type File struct {
 	Inode *Inode
-	fs    *FS
+	// closed is set by the handle's first Close.
+	closed bool
 }
 
 // CachedPages reports the inode's page-cache population.
@@ -159,15 +160,20 @@ func (f *FS) openInode(ctx *kstate.Ctx, ind *Inode) *File {
 	ind.lastUsed = ctx.Now
 	f.Objs.Touch(ctx, ind.inodeObj, 0, false)
 	f.Hooks.InodeOpened(ctx, ind.Ino)
-	return &File{Inode: ind, fs: f}
+	return &File{Inode: ind}
 }
 
-// Close drops one reference; at zero the inode's KLOC turns cold
-// (§3.2's first coldness trigger). The close that drops the last
+// Close drops the handle's reference; at zero the inode's KLOC turns
+// cold (§3.2's first coldness trigger). The close that drops the last
 // reference to an inode Unlink left open destroys it, as Unlink does
-// for an inode nothing holds; a second Close of the same file finds no
-// reference to drop and destroys nothing.
+// for an inode nothing holds. A repeat Close of the same handle changes
+// nothing: it counts no close, fires no hook and drops no reference
+// another handle holds.
 func (f *FS) Close(ctx *kstate.Ctx, file *File) {
+	if file.closed {
+		return
+	}
+	file.closed = true
 	ctx.Charge(syscallEntryCost)
 	ind := file.Inode
 	last := ind.Refs == 1

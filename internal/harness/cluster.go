@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"kloc/internal/cluster"
+	"kloc/internal/fault"
 	"kloc/internal/sim"
 )
 
@@ -101,7 +102,7 @@ func ClusterBench(o Options) (*Table, *ClusterBenchReport, error) {
 		SchemaVersion:  BenchSchemaVersion,
 		Experiment:     "cluster",
 		Workload:       base.Workload,
-		Policy:         base.Policy,
+		Policy:         cluster.PolicyName,
 		Machines:       base.Machines,
 		Workers:        base.Workers,
 		Seed:           o.Seed,
@@ -174,10 +175,10 @@ func ClusterBench(o Options) (*Table, *ClusterBenchReport, error) {
 // degradation windows sized to the run.
 func baseWithFaults(cfg cluster.Config) cluster.Config {
 	cfg = cfg.WithDefaults()
-	cfg.Faults = []cluster.MachineFault{
-		{Machine: 1, Kind: cluster.FaultCrash, At: sim.Duration(float64(cfg.Duration) * 0.4)},
-		{Machine: 2, Kind: cluster.FaultDegrade, At: sim.Duration(float64(cfg.Duration) * 0.6)},
-	}
+	cfg.Faults = &fault.Schedule{Injections: []fault.Injection{
+		{Point: fault.MachineCrash, Machine: 1, At: sim.Duration(float64(cfg.Duration) * 0.4)},
+		{Point: fault.MachineDegrade, Machine: 2, At: sim.Duration(float64(cfg.Duration) * 0.6)},
+	}}
 	cfg.RestartDelay = cfg.Duration / 8
 	cfg.DegradeFor = cfg.Duration / 8
 	return cfg

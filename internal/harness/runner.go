@@ -41,9 +41,8 @@ const (
 // RunConfig describes one measured run.
 type RunConfig struct {
 	Platform Platform
-	// TwoTier / Optane override the default (scaled) platform configs.
+	// TwoTier overrides the default (scaled) two-tier platform config.
 	TwoTier *memsim.TwoTierConfig
-	Optane  *memsim.OptaneConfig
 	// ScaleDiv applies when no explicit platform config is given, and
 	// always scales the workload.
 	ScaleDiv int
@@ -71,11 +70,10 @@ type RunConfig struct {
 
 	// Duration is the measured virtual run length; throughput is ops
 	// completed within it. Default 400 ms of virtual time. The
-	// workload's TotalOps acts as a safety cap.
+	// workload's TotalOps acts as a safety cap. A warmup of Duration/2
+	// runs the workload (and daemons) before measurement begins so
+	// policies are judged at steady state.
 	Duration sim.Duration
-	// Warmup runs the workload (and daemons) before measurement begins
-	// so policies are judged at steady state. Default Duration/2.
-	Warmup sim.Duration
 
 	// Fault arms a deterministic fault-injection plane for the run.
 	// The plane attaches after workload setup, so setup is never
@@ -219,9 +217,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Duration <= 0 {
 		c.Duration = 400 * sim.Millisecond
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = c.Duration / 2
-	}
 	c.WLConfig.ScaleDiv = c.ScaleDiv
 	return c
 }
@@ -229,11 +224,7 @@ func (c RunConfig) withDefaults() RunConfig {
 func (c RunConfig) buildMemory() *memsim.Memory {
 	switch c.Platform {
 	case Optane:
-		cfg := memsim.DefaultOptane(c.ScaleDiv)
-		if c.Optane != nil {
-			cfg = *c.Optane
-		}
-		return memsim.NewOptane(cfg)
+		return memsim.NewOptane(memsim.DefaultOptane(c.ScaleDiv))
 	default:
 		cfg := memsim.DefaultTwoTier(c.ScaleDiv)
 		if c.TwoTier != nil {
@@ -249,40 +240,6 @@ func (c RunConfig) buildMemory() *memsim.Memory {
 
 // Run executes one measured simulation run.
 func Run(cfg RunConfig) (*Result, error) {
-	p, err := prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.eng.Run()
-	return p.finish()
-}
-
-// preparedRun is one fully-scheduled simulation: everything Run does
-// before driving the engine, plus the state the scheduled closures
-// mutate.
-type preparedRun struct {
-	cfg    RunConfig
-	eng    *sim.Engine
-	k      *kernel.Kernel
-	pol    kernel.Policy
-	wl     workload.Workload
-	tracer *trace.Tracer
-	plane  *fault.Plane
-	start  sim.Time
-
-	threads     int
-	done        int
-	globalOps   int
-	degradedOps uint64
-	stepErr     error
-	opCosts     metrics.Distribution
-	base        statSnapshot
-}
-
-// prepare builds the kernel stack for cfg on a new engine and
-// schedules the workload threads, leaving the engine ready to Run. It
-// performs the setup-phase warp (RunUntil the storage horizon) itself.
-func prepare(cfg RunConfig) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Trace != nil {
 		if err := trace.CheckEvents(cfg.Trace.Events); err != nil {
@@ -338,7 +295,7 @@ func prepare(cfg RunConfig) (*preparedRun, error) {
 		eng.RunUntil(horizon)
 	}
 	setupEnd := eng.Now()
-	start := setupEnd.Add(cfg.Warmup)
+	start := setupEnd.Add(cfg.Duration / 2)
 	// Arm the fault plane only now: setup ran clean, and the plane's
 	// per-point RNG streams start from the configured seed regardless of
 	// how long setup took, so traces are comparable across policies.
@@ -363,12 +320,17 @@ func prepare(cfg RunConfig) (*preparedRun, error) {
 	}
 	k.Start()
 
-	p := &preparedRun{
-		cfg: cfg, eng: eng, k: k, pol: pol, wl: wl,
-		tracer: tracer, plane: plane, start: start,
-		threads: wl.Threads(),
-	}
-	perThread := wl.TotalOps() / p.threads
+	// The state the scheduled closures mutate.
+	threads := wl.Threads()
+	var (
+		done        int
+		globalOps   int
+		degradedOps uint64
+		stepErr     error
+		opCosts     metrics.Distribution
+		base        statSnapshot
+	)
+	perThread := wl.TotalOps() / threads
 	if perThread < 1 {
 		perThread = 1
 	}
@@ -378,27 +340,27 @@ func prepare(cfg RunConfig) (*preparedRun, error) {
 		eng.Schedule(moveAt, func(*sim.Engine) { k.SetTaskSocket(1) })
 	}
 
-	eng.Schedule(start, func(*sim.Engine) { p.base = snapshot(k) })
-	for t := 0; t < p.threads; t++ {
+	eng.Schedule(start, func(*sim.Engine) { base = snapshot(k) })
+	for t := 0; t < threads; t++ {
 		t := t
 		rng := root.Fork()
 		remaining := perThread
 		var step func(*sim.Engine)
 		finish := func(e *sim.Engine) {
-			p.done++
-			if p.done == p.threads {
+			done++
+			if done == threads {
 				// All threads retired: stop the policy daemons too.
 				e.Halt()
 			}
 		}
 		step = func(e *sim.Engine) {
-			if p.stepErr != nil || remaining == 0 || e.Now() >= deadline {
+			if stepErr != nil || remaining == 0 || e.Now() >= deadline {
 				finish(e)
 				return
 			}
 			remaining--
 			if e.Now() >= start {
-				p.globalOps++
+				globalOps++
 			}
 			ctx := k.NewCtx(t)
 			if err := wl.Step(k, ctx, t, rng); err != nil {
@@ -406,9 +368,9 @@ func prepare(cfg RunConfig) (*preparedRun, error) {
 					// Graceful degradation: an injected (or induced)
 					// errno fails this operation, not the run. The op
 					// still pays the virtual time it consumed.
-					p.degradedOps++
+					degradedOps++
 				} else {
-					p.stepErr = fmt.Errorf("harness: %s thread %d: %w", wl.Name(), t, err)
+					stepErr = fmt.Errorf("harness: %s thread %d: %w", wl.Name(), t, err)
 					finish(e)
 					return
 				}
@@ -421,42 +383,39 @@ func prepare(cfg RunConfig) (*preparedRun, error) {
 				cost = 100
 			}
 			if e.Now() >= start {
-				p.opCosts.Observe(float64(cost))
+				opCosts.Observe(float64(cost))
 			}
 			e.After(cost, step)
 		}
 		// Stagger thread starts to avoid artificial convoys.
 		eng.Schedule(setupEnd.Add(sim.Duration(t)), step)
 	}
-	return p, nil
-}
+	eng.Run()
 
-// finish collects the run's Result after the engine drained.
-func (p *preparedRun) finish() (*Result, error) {
-	if p.stepErr != nil {
-		return nil, p.stepErr
+	// Collect the Result now that the engine has drained.
+	if stepErr != nil {
+		return nil, stepErr
 	}
-	if p.done != p.threads {
-		return nil, fmt.Errorf("harness: %d/%d threads finished", p.done, p.threads)
+	if done != threads {
+		return nil, fmt.Errorf("harness: %d/%d threads finished", done, threads)
 	}
-	cfg, k := p.cfg, p.k
-	res := collect(cfg, k, p.pol, p.wl, p.globalOps, p.start, p.base)
-	res.OpCost = p.opCosts
-	res.DegradedOps = p.degradedOps
-	if p.plane != nil {
-		res.FaultsInjected = p.plane.Injected()
-		res.FaultTrace = p.plane.TraceString()
+	res := collect(cfg, k, pol, wl, globalOps, start, base)
+	res.OpCost = opCosts
+	res.DegradedOps = degradedOps
+	if plane != nil {
+		res.FaultsInjected = plane.Injected()
+		res.FaultTrace = plane.TraceString()
 	}
 	res.IORetries = k.FS.MQ.Retries
 	res.IOHardFailures = k.FS.MQ.HardFailures
 	res.Pressure = k.Pressure.Stats
 	res.ReserveDips = k.Mem.Stats.ReserveDips
 	res.ShrinkerStats = k.Pressure.ShrinkerStats()
-	res.Trace = p.tracer
-	res.TraceStats = p.tracer.Stats()
-	res.Perf = PerfMeters{Mem: k.Mem.PerfCounters(), TraceCommits: p.tracer.SummaryCommits()}
+	res.Trace = tracer
+	res.TraceStats = tracer.Stats()
+	res.Perf = PerfMeters{Mem: k.Mem.PerfCounters(), TraceCommits: tracer.SummaryCommits()}
 	res.Perf.CtxFresh, res.Perf.CtxReused = k.CtxPoolCounters()
-	res.Sanitize = k.SanitizeReport(p.eng.Now())
+	res.Sanitize = k.SanitizeReport(eng.Now())
 	if cfg.CrashReplay {
 		res.CrashReplayed = true
 		res.CrashViolation = crashReplayCheck(k)

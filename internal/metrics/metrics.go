@@ -1,12 +1,14 @@
-// Package metrics collects the counters and distributions the paper's
-// evaluation reports: allocation counts by object type (Fig 2a/2b),
-// memory-reference splits (Fig 2c), object lifetimes (Fig 2d),
-// slow-memory allocation and migration counts (Fig 5b), and KLOC
-// metadata overhead (Table 6).
+// Package metrics holds the distributions the paper's evaluation
+// summarizes: per-operation virtual costs and request latencies
+// (Distribution) and object lifetimes by allocation class (Fig 2d,
+// LifetimeTracker). The counts the other figures report — allocations
+// by object type (Fig 2a/2b), memory-reference splits (Fig 2c),
+// slow-memory allocations and migrations (Fig 5b) and KLOC metadata
+// overhead (Table 6) — live on the subsystems that count them
+// (memsim.Stats, fs.Stats, netsim.Stats and the KLOCs policy).
 //
-// All statistics are keyed by small enums or strings and accumulate in
-// plain integers — the simulator is single-goroutine, so no locking is
-// needed, and snapshots are cheap value copies.
+// The simulator is single-goroutine, so no locking is needed, and
+// snapshots are cheap value copies.
 //
 // Subsystems with hot-path counters (memsim, trace, kernel, kloc) keep
 // them batched, pooled and densely indexed (DESIGN.md §13). The
@@ -18,24 +20,10 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 
 	"kloc/internal/sim"
 )
-
-// Counter is a monotonically increasing count. Each counter belongs
-// to the kernel instance that meters through it.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
 
 // Distribution accumulates scalar samples and reports summary
 // statistics. It keeps all samples when small and switches to a
@@ -179,50 +167,4 @@ func (lt *LifetimeTracker) MeanLifetime(class string) sim.Duration {
 		return 0
 	}
 	return sim.Duration(d.Mean())
-}
-
-// Set is a bag of named counters used for ad-hoc accounting (syscall
-// counts, rbtree accesses, prefetch hits...).
-type Set struct {
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// Counter returns (creating if needed) the named counter.
-func (s *Set) Counter(name string) *Counter {
-	c := s.counters[name]
-	if c == nil {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Value returns the named counter's value (0 if absent).
-func (s *Set) Value(name string) uint64 {
-	if c := s.counters[name]; c != nil {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns counter names in sorted order.
-func (s *Set) Names() []string {
-	out := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders the set for debugging.
-func (s *Set) String() string {
-	out := ""
-	for _, n := range s.Names() {
-		out += fmt.Sprintf("%s=%d ", n, s.Value(n))
-	}
-	return out
 }

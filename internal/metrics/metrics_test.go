@@ -8,15 +8,6 @@ import (
 	"kloc/internal/sim"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 6 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-}
-
 func TestDistributionExact(t *testing.T) {
 	var d Distribution
 	for i := 1; i <= 100; i++ {
@@ -230,22 +221,5 @@ func TestLifetimeTracker(t *testing.T) {
 	classes := lt.Classes()
 	if len(classes) != 2 || classes[0] != "cache" || classes[1] != "slab" {
 		t.Fatalf("classes = %v", classes)
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Inc()
-	s.Counter("a").Inc()
-	s.Counter("b").Add(10)
-	if s.Value("a") != 2 || s.Value("b") != 10 || s.Value("zzz") != 0 {
-		t.Fatalf("set values wrong: %s", s)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
 	}
 }

@@ -172,12 +172,6 @@ func (n *Net) MarkReachable(s *alloc.Sanitizer) {
 // Sockets reports open sockets.
 func (n *Net) Sockets() int { return len(n.sockets) }
 
-// Socket returns a socket by inode.
-func (n *Net) Socket(ino uint64) (*Socket, bool) {
-	s, ok := n.sockets[ino]
-	return s, ok
-}
-
 // SocketCreate opens a socket: an inode is born (sockets are files) and
 // the sock object is allocated.
 func (n *Net) SocketCreate(ctx *kstate.Ctx) (*Socket, error) {

@@ -51,10 +51,6 @@ type KLOCConfig struct {
 	// FastMemLimitPages caps the fast-tier pages KLOC-managed kernel
 	// objects may occupy (Table 2's sys_kloc_memsize; 0 = unlimited).
 	FastMemLimitPages int
-	// FineGrained migrates individual cold objects instead of whole
-	// knodes (the §4.4 future-work design, kept for the ablation
-	// bench). Coarse knode-granularity tracking is the paper's default.
-	FineGrained bool
 }
 
 // DefaultKLOCConfig is the full paper design.
@@ -359,15 +355,9 @@ func (p *KLOCs) processDemotions(now sim.Time) sim.Duration {
 		// per-KLOC arena frames (ClassKloc) — both migrate with the
 		// knode. Shared (pinned) slab frames never move.
 		var victims []*memsim.Frame
-		cutoff := now.Add(-sim.Duration(klocAgeEvery) * klocTickPeriod)
 		for _, f := range kn.MovableFrames() {
 			if (f.Class != memsim.ClassCache && f.Class != memsim.ClassKloc) ||
 				f.Node != memsim.FastNode || f.Migrations >= pingPongLimit {
-				continue
-			}
-			if p.cfg.FineGrained && f.LastAccess >= cutoff {
-				// Fine-grained mode spares individually-hot objects of a
-				// cold knode; the default migrates the KLOC as a unit.
 				continue
 			}
 			victims = append(victims, f)

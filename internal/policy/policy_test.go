@@ -204,14 +204,15 @@ func TestKLOCsLifecycle(t *testing.T) {
 		t.Fatal("close did not queue demotion")
 	}
 	// Reopen reactivates.
-	if _, err := k.FS.Open(ctx, "/f"); err != nil {
+	reopened, err := k.FS.Open(ctx, "/f")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !kn.Active {
 		t.Fatal("reopen did not reactivate the knode")
 	}
 	// Unlink after close deletes the knode.
-	k.FS.Close(ctx, file)
+	k.FS.Close(ctx, reopened)
 	if err := k.FS.Unlink(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
@@ -500,46 +501,6 @@ func TestKLOCsFastMemLimit(t *testing.T) {
 	p.SetFastMemLimit(0) // lift the cap
 	if order := p.PlaceKernel(ctx, kobj.PageCache, file.Inode.Ino); order[0] != memsim.FastNode {
 		t.Fatal("lifted cap still routes slow")
-	}
-}
-
-func TestKLOCsFineGrainedSparesHotObjects(t *testing.T) {
-	cfg := DefaultKLOCConfig()
-	cfg.FineGrained = true
-	p := NewKLOCs(cfg)
-	k, _ := twoTierKernel(t, p)
-	ctx := k.NewCtx(0)
-	file, _ := k.FS.Create(ctx, "/f")
-	for i := int64(0); i < 16; i++ {
-		k.FS.Write(ctx, file, i)
-	}
-	// Pressure so demotion fires.
-	if _, err := k.AppAlloc(ctx, k.Mem.Node(memsim.FastNode).Free()-8); err != nil {
-		t.Fatal(err)
-	}
-	kn, _ := p.Reg.Get(file.Inode.Ino)
-	k.FS.Close(ctx, file)
-	// Touch page 0 "now"; the rest of the knode is cold.
-	now := sim.Time(200 * sim.Millisecond)
-	var hot *memsim.Frame
-	kn.IterCache(func(o *kobj.Object) bool { hot = o.Frame; return false })
-	k.Mem.Access(0, hot, 64, false, now)
-	for i := 0; i < 15; i++ {
-		now = now.Add(klocTickPeriod)
-		p.Tick(now)
-	}
-	if hot.Node != memsim.FastNode {
-		t.Fatal("fine-grained mode demoted a hot object")
-	}
-	demotedAny := false
-	kn.IterCache(func(o *kobj.Object) bool {
-		if o.Frame.Node == memsim.SlowNode {
-			demotedAny = true
-		}
-		return true
-	})
-	if !demotedAny {
-		t.Fatal("fine-grained mode demoted nothing at all")
 	}
 }
 

@@ -87,17 +87,13 @@ type Config struct {
 	// KswapdPeriod is the background reclaimer's tick period; zero
 	// disables the daemon.
 	KswapdPeriod sim.Duration
-	// KswapdBatch bounds the reclaim rounds per wakeup (default 8).
-	KswapdBatch int
-	// DirectRetries bounds the shrink rounds per direct-reclaim call
-	// (default 4).
-	DirectRetries int
 }
 
-// defaults for zero Config fields.
 const (
-	defaultDirectRetries = 4
-	defaultKswapdBatch   = 8
+	// directRetries bounds the shrink rounds per direct-reclaim call.
+	directRetries = 4
+	// kswapdBatch bounds the reclaim rounds per kswapd wakeup.
+	kswapdBatch = 8
 	// minReclaimTarget is the floor on a direct-reclaim page target,
 	// replacing the old hardcoded one-shot FS.Reclaim(ctx, 64).
 	minReclaimTarget = 64
@@ -282,13 +278,8 @@ func (p *Plane) DirectReclaim(ctx *kstate.Ctx) int {
 	if target < minReclaimTarget {
 		target = minReclaimTarget
 	}
-	retries := p.cfg.DirectRetries
-	if retries <= 0 {
-		retries = defaultDirectRetries
-	}
-
 	freed := 0
-	for round := 0; round < retries && freed < target; round++ {
+	for round := 0; round < directRetries && freed < target; round++ {
 		if e := p.Mem.Fault.Check(fault.Reclaim, ctx.Now); e != 0 {
 			p.Stats.ReclaimFaults++
 			break
@@ -356,12 +347,8 @@ func (p *Plane) kswapdTick(ctx *kstate.Ctx) {
 		p.reclaiming = false
 	}()
 
-	rounds := p.cfg.KswapdBatch
-	if rounds <= 0 {
-		rounds = defaultKswapdBatch
-	}
 	freed := 0
-	for round := 0; round < rounds && node.Free() < wm.High; round++ {
+	for round := 0; round < kswapdBatch && node.Free() < wm.High; round++ {
 		if e := p.Mem.Fault.Check(fault.Reclaim, ctx.Now); e != 0 {
 			p.Stats.ReclaimFaults++
 			break

@@ -124,13 +124,13 @@ func TestDirectReclaimBoundedRetries(t *testing.T) {
 	sh := &frameShrinker{name: "slow", mem: mem, perScan: 2}
 	sh.fill(t, memsim.FastNode, 512)
 	p.Register(sh)
-	p.Configure(Config{DirectRetries: 3})
+	p.Configure(Config{})
 
 	freed := p.DirectReclaim(&kstate.Ctx{})
-	if freed != 6 {
-		t.Fatalf("freed %d pages, want 3 rounds x 2", freed)
+	if freed != 2*directRetries {
+		t.Fatalf("freed %d pages, want %d rounds x 2", freed, directRetries)
 	}
-	if sh.scans != 3 {
+	if sh.scans != directRetries {
 		t.Fatalf("scans = %d, want the retry budget", sh.scans)
 	}
 }

@@ -341,8 +341,9 @@ func (e errUnknownExperiment) Error() string {
 // Cluster serving plane (the fleet robustness plane; DESIGN.md §11).
 type (
 	// ClusterConfig describes a simulated serving fleet: machine count
-	// and worker pools, open-loop arrival process, client retry/hedge
-	// budgets, routing policy, and the deterministic fault schedule.
+	// and worker pools, open-loop arrival process, hedge delay, routing
+	// policy, and the deterministic fault schedule (a FaultSchedule whose
+	// cluster.crash and cluster.degrade injections hit whole machines).
 	ClusterConfig = cluster.Config
 	// ClusterReport is one cluster run's outcome (goodput, latency
 	// quantiles, availability through fault windows, and counters).
@@ -351,21 +352,11 @@ type (
 	ClusterStats = cluster.Stats
 	// Cluster is a running fleet: N machine stacks behind the balancer.
 	Cluster = cluster.Cluster
-	// MachineFault schedules one deterministic machine fault.
-	MachineFault = cluster.MachineFault
-	// ClusterFaultKind selects crash-restart or fast-tier degrade.
-	ClusterFaultKind = cluster.FaultKind
 	// ClusterBenchReport is the machine-readable cluster sweep
 	// (BENCH_cluster.json).
 	ClusterBenchReport = harness.ClusterBenchReport
 	// ClusterBenchRow is one sweep point in a ClusterBenchReport.
 	ClusterBenchRow = harness.ClusterBenchRow
-)
-
-// Machine fault kinds for ClusterConfig.Faults.
-const (
-	FaultCrash   = cluster.FaultCrash
-	FaultDegrade = cluster.FaultDegrade
 )
 
 // NewCluster builds a serving fleet from a config.
