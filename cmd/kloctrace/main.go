@@ -62,7 +62,7 @@ func main() {
 	for t := 0; t < wl.Threads(); t++ {
 		t := t
 		rng := root.Fork()
-		var step func(*sim.Engine)
+		var step sim.Func
 		step = func(e *sim.Engine) {
 			if stepErr != nil || e.Now() >= sim.Time(0).Add(total) {
 				return

@@ -1,6 +1,10 @@
 package chaos
 
-import "fmt"
+import (
+	"fmt"
+
+	"kloc/internal/cluster"
+)
 
 // The oracle ids.
 const (
@@ -186,7 +190,7 @@ func checkBreaker(o *Outcome) string {
 		}
 		detail := fmt.Sprintf("machine %d's breaker holds %d probe slots (%s) with nothing in flight",
 			i, probes, in.BreakerState[i])
-		if probes >= in.BreakerBudget[i] {
+		if probes >= cluster.BreakerProbeBudget {
 			detail += " — budget exhausted, machine unroutable forever"
 		}
 		return detail

@@ -9,12 +9,16 @@ import (
 // request is one open-loop client request from arrival to resolution
 // (success, final failure, or shed).
 type request struct {
+	lb      *balancer
 	id      uint64
 	group   uint64 // KLOC context group (Zipf-drawn client/tenant id)
 	arrived sim.Time
-	// rng drives this request's retry jitter, forked from the client
-	// stream at admission so retry schedules are per-request streams.
-	rng *sim.RNG
+	// rng drives this request's retry jitter. Its seed is drawn from the
+	// client stream at arrival, so retry schedules are per-request
+	// streams, but the stream is built only at the first retry: most
+	// requests never retry.
+	seed uint64
+	rng  *sim.RNG
 
 	attempts int
 	hedged   bool
@@ -25,9 +29,45 @@ type request struct {
 	// the window opens would otherwise skew them).
 	measured bool
 
+	// inflight lists the dispatched, unsettled attempts. It starts on
+	// legs, which holds a primary and its hedge, the most a request has
+	// in flight at once.
 	inflight []*attempt
-	hedgeEv  sim.Handle
-	retryEv  sim.Handle
+	legs     [2]*attempt
+	// last is the machine the pending retry steers away from (nil when
+	// the failure named none).
+	last    *machine
+	hedgeEv sim.Handle
+	retryEv sim.Handle
+}
+
+// The balancer's timers fire on the request or attempt they belong to,
+// so arming one allocates nothing. Each type names one timer.
+type (
+	// hedgeTimer launches the request's hedge (hedgeFire).
+	hedgeTimer request
+	// retryTimer dispatches the request's pending retry.
+	retryTimer request
+	// timeoutTimer abandons the attempt at its deadline (onTimeout).
+	timeoutTimer attempt
+)
+
+func (t *hedgeTimer) Fire(e *sim.Engine) {
+	req := (*request)(t)
+	req.lb.hedgeFire(e, req)
+}
+
+func (t *retryTimer) Fire(e *sim.Engine) {
+	req := (*request)(t)
+	if req.done {
+		return
+	}
+	req.lb.dispatch(e, req, req.last, false)
+}
+
+func (t *timeoutTimer) Fire(e *sim.Engine) {
+	at := (*attempt)(t)
+	at.req.lb.onTimeout(e, at)
 }
 
 // attempt is one dispatch of a request to one machine.
@@ -45,6 +85,9 @@ type attempt struct {
 	// started: a worker began serving it (distinguishes wasted service
 	// from attempts that died in the queue).
 	started bool
+	// errno is the service's outcome, recorded when service starts and
+	// reported when it completes.
+	errno fault.Errno
 	// serviceEpoch snapshots the machine epoch at service start so a
 	// completion from before a crash cannot corrupt the restarted
 	// machine's slot accounting.
@@ -70,6 +113,8 @@ type balancer struct {
 	// and the cold-shed admission check. Written only by klocAware.pick;
 	// read by key, never iterated.
 	affinity map[uint64]int
+	// elig is eligible's result, reused by every dispatch.
+	elig []*machine
 
 	// admittedAll/resolvedAll count admitted requests and their terminal
 	// resolutions over the whole run, warmup included. The chaos
@@ -141,9 +186,10 @@ func (b *balancer) admit(e *sim.Engine, req *request) {
 }
 
 // eligible lists machines the router may pick: healthy, breaker-
-// admitted, not the excluded one. Ascending id (deterministic).
+// admitted, not the excluded one. Ascending id (deterministic). The
+// list is valid until the next call.
 func (b *balancer) eligible(e *sim.Engine, exclude *machine) []*machine {
-	elig := make([]*machine, 0, len(b.c.machines))
+	b.elig = b.elig[:0]
 	for i, m := range b.c.machines {
 		if m == exclude || !m.healthy {
 			continue
@@ -151,9 +197,9 @@ func (b *balancer) eligible(e *sim.Engine, exclude *machine) []*machine {
 		if !b.breakers[i].Allow(e.Now()) {
 			continue
 		}
-		elig = append(elig, m)
+		b.elig = append(b.elig, m)
 	}
-	return elig
+	return b.elig
 }
 
 // dispatch sends one attempt of the request to a routed machine, arms
@@ -183,9 +229,9 @@ func (b *balancer) dispatch(e *sim.Engine, req *request, exclude *machine, hedge
 	}
 	b.c.tr.Emit(trace.LBRoute, e.Now(), req.group, req.id, class, m.id, int64(at.n))
 	if !hedge && !req.hedged && b.c.cfg.HedgeAfter > 0 {
-		req.hedgeEv = e.After(b.c.cfg.HedgeAfter, func(e *sim.Engine) { b.hedgeFire(e, req) })
+		req.hedgeEv = e.After(b.c.cfg.HedgeAfter, (*hedgeTimer)(req))
 	}
-	at.timeoutEv = e.After(timeout, func(e *sim.Engine) { b.onTimeout(e, at) })
+	at.timeoutEv = e.After(timeout, (*timeoutTimer)(at))
 	m.consultPlane(e)
 	m.enqueue(e, at)
 }
@@ -265,7 +311,7 @@ func (b *balancer) attemptSucceeded(e *sim.Engine, at *attempt) {
 			b.breakers[other.m.id].OnCancel(e.Now(), other.probe)
 		}
 	}
-	req.inflight = nil
+	req.inflight = req.inflight[:0]
 	b.c.eng.Cancel(req.hedgeEv)
 	b.c.eng.Cancel(req.retryEv)
 	req.done = true
@@ -328,6 +374,9 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 		}
 		return
 	}
+	if req.rng == nil {
+		req.rng = sim.NewRNG(req.seed)
+	}
 	delay := backoff(req.attempts, req.rng)
 	if req.measured {
 		b.c.stats.Retries++
@@ -338,12 +387,8 @@ func (b *balancer) retryOrFail(e *sim.Engine, req *request, last *machine, errno
 	}
 	b.c.tr.Emit(trace.LBRetry, e.Now(), req.group, req.id, errno.String(), node, int64(req.attempts))
 	b.c.eng.Cancel(req.retryEv)
-	req.retryEv = e.After(delay, func(e *sim.Engine) {
-		if req.done {
-			return
-		}
-		b.dispatch(e, req, last, false)
-	})
+	req.last = last
+	req.retryEv = e.After(delay, (*retryTimer)(req))
 }
 
 // breakerResult feeds an outcome to a machine's breaker and emits a

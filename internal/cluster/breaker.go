@@ -40,8 +40,9 @@ const (
 	// breakerCooloff is how long the breaker stays open before
 	// admitting half-open probes.
 	breakerCooloff = sim.Millisecond
-	// breakerProbes bounds concurrent trial requests while half-open.
-	breakerProbes = 1
+	// BreakerProbeBudget bounds concurrent trial requests while
+	// half-open.
+	BreakerProbeBudget = 1
 )
 
 // Breaker is a per-backend circuit breaker: closed → open after
@@ -88,7 +89,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case BreakerClosed:
 		return true
 	case BreakerHalfOpen:
-		return b.probes < breakerProbes
+		return b.probes < BreakerProbeBudget
 	default:
 		return false
 	}

@@ -401,15 +401,17 @@ func (c *Cluster) fatal(e *sim.Engine, err error) {
 func (c *Cluster) Tracer() *trace.Tracer { return c.tr }
 
 // newRequest draws one arrival: a Zipf-distributed context group and
-// a private jitter stream.
+// the seed of a private jitter stream.
 func (c *Cluster) newRequest(now sim.Time) *request {
 	req := &request{
+		lb:       c.lb,
 		id:       c.reqIDs,
 		group:    uint64(c.groupZipf.Next()),
 		arrived:  now,
-		rng:      c.clientRNG.Fork(),
+		seed:     c.clientRNG.Uint64(),
 		measured: c.measuring,
 	}
+	req.inflight = req.legs[:0]
 	c.reqIDs++
 	for _, w := range c.windows {
 		if now >= w[0] && now < w[1] {
@@ -434,7 +436,7 @@ func (c *Cluster) Run() (*Report, error) {
 	}
 	c.health.start(c.eng, warmStart)
 
-	var arrive func(*sim.Engine)
+	var arrive sim.Func
 	arrive = func(e *sim.Engine) {
 		if e.Now() >= deadline {
 			return
@@ -447,12 +449,12 @@ func (c *Cluster) Run() (*Report, error) {
 	// routing affinity) without touching the counters; requests
 	// arriving from the measured start on are the ones counted, even
 	// if they resolve after the deadline during drain.
-	c.eng.Schedule(start, func(*sim.Engine) { c.measuring = true })
+	c.eng.Schedule(start, sim.Func(func(*sim.Engine) { c.measuring = true }))
 	// Drain: past the deadline no new arrivals come; in-flight requests
 	// resolve (complete, fail, or time out) before the queue empties and
 	// the run halts on its own. The kernels' periodic daemons would run
 	// forever, so halt explicitly once the serving plane is quiet.
-	c.eng.Schedule(deadline, func(e *sim.Engine) { c.drain(e) })
+	c.eng.Schedule(deadline, sim.Func(c.drain))
 	c.eng.Run()
 	if c.runErr != nil {
 		return nil, wrapErr("run", c.runErr)
@@ -504,7 +506,7 @@ func (c *Cluster) drain(e *sim.Engine) {
 		e.Halt()
 		return
 	}
-	e.After(100*sim.Microsecond, func(e *sim.Engine) { c.drain(e) })
+	e.After(100*sim.Microsecond, sim.Func(c.drain))
 }
 
 func (c *Cluster) report(dur sim.Duration) *Report {

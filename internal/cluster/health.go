@@ -40,7 +40,7 @@ func newHealthChecker(c *Cluster) *healthChecker {
 func (h *healthChecker) start(e *sim.Engine, at sim.Time) {
 	for i, m := range h.c.machines {
 		i, m := i, m
-		var probe func(*sim.Engine)
+		var probe sim.Func
 		probe = func(e *sim.Engine) {
 			h.probe(e, i, m)
 			e.After(healthInterval, probe)

@@ -32,12 +32,11 @@ type Introspection struct {
 	Healthy  []bool
 	Degraded []bool
 
-	// BreakerState/BreakerProbes/BreakerBudget snapshot each machine's
-	// circuit breaker (conservation: with nothing in flight, no breaker
-	// holds a probe slot).
+	// BreakerState/BreakerProbes snapshot each machine's circuit
+	// breaker (conservation: with nothing in flight, no breaker holds a
+	// probe slot; one holding BreakerProbeBudget admits no request).
 	BreakerState  []BreakerState
 	BreakerProbes []int
-	BreakerBudget []int
 }
 
 // Introspect snapshots the serving plane. Call after Run (and
@@ -59,7 +58,6 @@ func (c *Cluster) Introspect() Introspection {
 		Degraded:      make([]bool, n),
 		BreakerState:  make([]BreakerState, n),
 		BreakerProbes: make([]int, n),
-		BreakerBudget: make([]int, n),
 	}
 	copy(in.Out, c.lb.out)
 	for i, m := range c.machines {
@@ -72,7 +70,6 @@ func (c *Cluster) Introspect() Introspection {
 		br := c.lb.breakers[i]
 		in.BreakerState[i] = br.State(in.Now)
 		in.BreakerProbes[i] = br.Probes()
-		in.BreakerBudget[i] = breakerProbes
 	}
 	return in
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"kloc/internal/fault"
 	"kloc/internal/kernel"
 	"kloc/internal/memsim"
@@ -145,10 +147,12 @@ func (m *machine) crash(e *sim.Engine) {
 		m.c.stats.Crashes++
 	}
 	m.c.tr.Emit(trace.MachineCrash, now, 0, uint64(m.id), "crash", m.id, int64(dropped+m.busy))
+	// Nothing enqueues or starts service on a down machine, so both
+	// lists keep their backing arrays for after the restart.
 	queued := m.queue
 	inService := m.serving
-	m.queue = nil
-	m.serving = nil
+	m.queue = m.queue[:0]
+	m.serving = m.serving[:0]
 	m.busy = 0
 	for _, at := range queued {
 		m.c.lb.attemptFailed(e, at, fault.EIO)
@@ -158,7 +162,7 @@ func (m *machine) crash(e *sim.Engine) {
 	for _, at := range inService {
 		m.c.lb.attemptFailed(e, at, fault.EIO)
 	}
-	e.After(m.c.cfg.RestartDelay, func(e *sim.Engine) { m.restart(e) })
+	e.After(m.c.cfg.RestartDelay, sim.Func(m.restart))
 }
 
 // restart brings the machine back up with cold caches (the hot set was
@@ -177,12 +181,12 @@ func (m *machine) restart(e *sim.Engine) {
 func (m *machine) degrade(e *sim.Engine) {
 	m.degraded = true
 	m.c.tr.Emit(trace.MachineHealth, e.Now(), 0, uint64(m.id), "degrade", m.id, 0)
-	e.After(m.c.cfg.DegradeFor, func(e *sim.Engine) {
+	e.After(m.c.cfg.DegradeFor, sim.Func(func(e *sim.Engine) {
 		if m.degraded {
 			m.degraded = false
 			m.c.tr.Emit(trace.MachineHealth, e.Now(), 0, uint64(m.id), "recover", m.id, 0)
 		}
-	})
+	}))
 }
 
 // enqueue accepts a dispatched attempt, or fails it fast: a down
@@ -211,7 +215,7 @@ func (m *machine) enqueue(e *sim.Engine, at *attempt) {
 func (m *machine) maybeServe(e *sim.Engine) {
 	for m.up && m.busy < m.workers && len(m.queue) > 0 {
 		at := m.queue[0]
-		m.queue = m.queue[1:]
+		m.queue = slices.Delete(m.queue, 0, 1)
 		if at.settled || at.req.done {
 			continue
 		}
@@ -245,7 +249,16 @@ func (m *machine) startService(e *sim.Engine, at *attempt) {
 	if m.degraded {
 		cost = sim.Duration(float64(cost) * m.c.cfg.DegradeFactor)
 	}
-	e.After(cost, func(e *sim.Engine) { m.complete(e, at, errno) })
+	at.errno = errno
+	e.After(cost, (*serviceDone)(at))
+}
+
+// serviceDone is an attempt's service-completion timer.
+type serviceDone attempt
+
+func (t *serviceDone) Fire(e *sim.Engine) {
+	at := (*attempt)(t)
+	at.m.complete(e, at)
 }
 
 // step executes one workload operation on a worker slot and returns
@@ -277,8 +290,8 @@ func (m *machine) step(e *sim.Engine, slot int) (sim.Duration, fault.Errno, erro
 
 // complete finishes one service: frees the worker slot (unless the
 // machine crashed since, which already zeroed it) and resolves the
-// attempt with the balancer.
-func (m *machine) complete(e *sim.Engine, at *attempt, errno fault.Errno) {
+// attempt with the balancer, by the outcome its service recorded.
+func (m *machine) complete(e *sim.Engine, at *attempt) {
 	live := at.serviceEpoch == m.epoch && m.up
 	if live {
 		m.busy--
@@ -295,8 +308,8 @@ func (m *machine) complete(e *sim.Engine, at *attempt, errno fault.Errno) {
 		if at.req.measured {
 			m.c.stats.WastedWork++
 		}
-	} else if errno != 0 {
-		m.c.lb.attemptFailed(e, at, errno)
+	} else if at.errno != 0 {
+		m.c.lb.attemptFailed(e, at, at.errno)
 	} else {
 		m.c.lb.attemptSucceeded(e, at)
 	}

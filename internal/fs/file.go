@@ -199,13 +199,21 @@ type pageRef struct {
 // writebackInode flushes dirty pages in index order, batching
 // contiguous runs into single block-layer submissions.
 func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
-	var dirty []pageRef
+	dirty := f.dirtyRuns[:0]
+	f.dirtyRuns = nil
 	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
 		if o.Dirty {
 			dirty = append(dirty, pageRef{idx, o})
 		}
 		return true
 	})
+	err := f.writeRuns(ctx, ind, dirty)
+	f.dirtyRuns = dirty[:0]
+	return err
+}
+
+// writeRuns writes back an inode's dirty pages, given in index order.
+func (f *FS) writeRuns(ctx *kstate.Ctx, ind *Inode, dirty []pageRef) error {
 	if len(dirty) == 0 {
 		return nil
 	}

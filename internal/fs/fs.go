@@ -95,6 +95,11 @@ type FS struct {
 	Trace *trace.Tracer
 
 	journalPending []journalOp
+	// dirtyRuns is writebackInode's page list, kept between calls. A
+	// call takes it off the FS while it runs, so a writeback nested
+	// under its allocations (direct reclaim writing back another inode)
+	// builds its own.
+	dirtyRuns []pageRef
 	// durable is the committed metadata image — what a crash preserves
 	// and Replay rebuilds.
 	durable    map[uint64]*durableInode

@@ -7,6 +7,7 @@ import (
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
+	"kloc/internal/pressure"
 	"kloc/internal/sim"
 )
 
@@ -111,5 +112,74 @@ func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
 	}
 	if failedAfterAlloc == 0 {
 		t.Fatal("no read failed after allocating its page: the path under test was not reached")
+	}
+}
+
+// TestNestedWritebackKeepsItsOwnPages: Fsync of b enters writeback,
+// whose first bio allocation is refused at the Min watermark. Direct
+// reclaim runs under that allocation, finds no clean page, and writes
+// back a, the older inode, in a writeback nested inside b's. The nested
+// call must build its own page list: had it refilled b's, b's writeback
+// would then submit a's pages and leave b's dirty.
+func TestNestedWritebackKeepsItsOwnPages(t *testing.T) {
+	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
+		FastPages: 256, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
+	})
+	var objIDs, inoGen kstate.IDGen
+	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), kstate.NopHooks{}, &objIDs, &inoGen)
+	plane := pressure.NewPlane(mem, memsim.FastNode)
+	plane.Register(f.PageCacheShrinker())
+	f.Objs.Pressure = plane
+
+	const aPages, bPages = 96, 32
+	write := func(path string, pages int64) *File {
+		file, err := f.Create(ctxAt(0), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < pages; i++ {
+			if err := f.Write(ctxAt(0), file, i); err != nil {
+				t.Fatalf("%s page %d: %v", path, i, err)
+			}
+		}
+		return file
+	}
+	a, b := write("/a", aPages), write("/b", bPages)
+	// Fence off every free page as the reserve: only reclaim, which
+	// runs in atomic context, may still allocate.
+	free := mem.Node(memsim.FastNode).Free()
+	if free < 2 {
+		t.Fatalf("%d free pages: nested writeback needs one each for its bio and blk-mq slabs", free)
+	}
+	plane.Configure(pressure.Config{Watermarks: memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3}})
+
+	if err := f.Fsync(ctxAt(sim.Time(sim.Millisecond)), b); err != nil {
+		t.Fatal(err)
+	}
+	if plane.Stats.DirectReclaims == 0 {
+		t.Fatal("Fsync never entered direct reclaim: the nesting was not reached")
+	}
+	check := func(file *File, name string, cached int) {
+		t.Helper()
+		if n := file.Inode.CachedPages(); n != cached {
+			t.Errorf("%s: %d pages cached, want %d", name, n, cached)
+		}
+		dirty := 0
+		file.Inode.pages.Ascend(func(_ int64, o *kobj.Object) bool {
+			if o.Dirty {
+				dirty++
+			}
+			return true
+		})
+		if dirty != 0 {
+			t.Errorf("%s: %d pages still dirty", name, dirty)
+		}
+	}
+	// Reclaim wants 64 pages: it drops a's first 64 once they are
+	// clean, and stops before it reaches b.
+	check(a, "a", aPages-64)
+	check(b, "b", bPages)
+	if got := f.Stats.WritebackPages; got != aPages+bPages {
+		t.Errorf("%d pages written back, want %d", got, aPages+bPages)
 	}
 }

@@ -337,15 +337,15 @@ func Run(cfg RunConfig) (*Result, error) {
 	deadline := start.Add(cfg.Duration)
 	if cfg.Platform == Optane && cfg.MoveTaskAtFrac > 0 {
 		moveAt := start.Add(sim.Duration(cfg.MoveTaskAtFrac * float64(cfg.Duration)))
-		eng.Schedule(moveAt, func(*sim.Engine) { k.SetTaskSocket(1) })
+		eng.Schedule(moveAt, sim.Func(func(*sim.Engine) { k.SetTaskSocket(1) }))
 	}
 
-	eng.Schedule(start, func(*sim.Engine) { base = snapshot(k) })
+	eng.Schedule(start, sim.Func(func(*sim.Engine) { base = snapshot(k) }))
 	for t := 0; t < threads; t++ {
 		t := t
 		rng := root.Fork()
 		remaining := perThread
-		var step func(*sim.Engine)
+		var step sim.Func
 		finish := func(e *sim.Engine) {
 			done++
 			if done == threads {

@@ -195,7 +195,7 @@ func (k *Kernel) Start() {
 	if period <= 0 {
 		return
 	}
-	var tick func(*sim.Engine)
+	var tick sim.Func
 	tick = func(e *sim.Engine) {
 		cost := k.Policy.Tick(e.Now())
 		next := period

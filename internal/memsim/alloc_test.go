@@ -15,6 +15,44 @@ func TestFrameSize(t *testing.T) {
 	}
 }
 
+// TestFrameChunkFitsSizeClass: a chunk of Frames plus Go's 8-byte
+// malloc header fills the 16 KiB size class, and one more frame would
+// spill into the next class, so a Frame that grows cannot silently
+// leave chunks in a wasteful class.
+func TestFrameChunkFitsSizeClass(t *testing.T) {
+	const header, class = 8, 16384
+	size := unsafe.Sizeof(Frame{})
+	if used := frameChunk*size + header; used > class {
+		t.Errorf("%d frames of %d B + header = %d B, over the %d B class", frameChunk, size, used, class)
+	}
+	if next := (frameChunk+1)*size + header; next <= class {
+		t.Errorf("%d frames of %d B + header = %d B still fit the %d B class: raise frameChunk", frameChunk+1, size, next, class)
+	}
+}
+
+// TestFreshFramesComeInChunks: fresh frames are carved frameChunk at a
+// time, so allocating 2·frameChunk of them costs exactly two heap
+// objects.
+func TestFreshFramesComeInChunks(t *testing.T) {
+	m := NewTwoTier(DefaultTwoTier(1))
+	// AllocsPerRun makes one warm-up pass before the measured one; size
+	// the live table for both so only the chunks are counted.
+	m.live = make([]*Frame, 0, 4*frameChunk)
+	avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2*frameChunk; i++ {
+			if _, err := m.Alloc(FastNode, ClassApp, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg != 2 {
+		t.Errorf("allocating %d fresh frames made %.0f heap objects, want 2", 2*frameChunk, avg)
+	}
+	if pc := m.PerfCounters(); pc.FramesFresh != 4*frameChunk || pc.FramesReused != 0 {
+		t.Errorf("fresh=%d reused=%d, want %d fresh", pc.FramesFresh, pc.FramesReused, 4*frameChunk)
+	}
+}
+
 // churn is the state of one steady-state alloc/access/free loop; each
 // pattern method runs op c.i and advances it.
 type churn struct {

@@ -266,8 +266,12 @@ type Memory struct {
 	// structs, Alloc recycles them (with fresh IDs, so stale FrameIDs
 	// never alias a new allocation's identity).
 	freeFrames []*Frame
-	poolFresh  uint64
-	poolReuse  uint64
+	// chunk holds the fresh Frames not yet handed out from the last
+	// frameChunk-sized block, the way struct page comes out of one
+	// mem_map array rather than one allocation per page.
+	chunk     []Frame
+	poolFresh uint64
+	poolReuse uint64
 	// acc batches the per-access counters (Refs, BytesTouched,
 	// RefsByNode) per CPU; SyncStats materializes it into
 	// Stats. Cell layout: [0,6) refs by class, [6,12) bytes by class,
@@ -450,7 +454,11 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		m.freeFrames = m.freeFrames[:last]
 		m.poolReuse++
 	} else {
-		f = new(Frame)
+		if len(m.chunk) == 0 {
+			m.chunk = make([]Frame, frameChunk)
+		}
+		f = &m.chunk[0]
+		m.chunk = m.chunk[1:]
 		m.poolFresh++
 	}
 	*f = Frame{
@@ -468,6 +476,13 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 	m.usedDense[node][class] += pages
 	return f, nil
 }
+
+// frameChunk is how many fresh Frames one allocation carves. A block
+// of Frames holds pointers, so Go adds an 8-byte header to it: 170 ×
+// 96 B + 8 fills the 16 KiB size class, where 256 frames would land in
+// the 27,264-byte class and waste a tenth of every block.
+// TestFrameChunkFitsSizeClass pins the arithmetic.
+const frameChunk = 170
 
 // EnterAtomic enters GFP_ATOMIC context: until the returned function is
 // called, allocations may dip into the watermark reserve below Min.

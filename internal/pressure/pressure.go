@@ -318,7 +318,7 @@ func (p *Plane) StartKswapd(e *sim.Engine) {
 	}
 	p.kswapdOn = true
 	period := p.cfg.KswapdPeriod
-	var tick func(e *sim.Engine)
+	var tick sim.Func
 	tick = func(e *sim.Engine) {
 		ctx := &kstate.Ctx{CPU: 0, Now: e.Now()}
 		p.kswapdTick(ctx)

@@ -5,6 +5,19 @@ import (
 	"fmt"
 )
 
+// Callback is what a scheduled event runs. A long-lived object that
+// owns a timer implements it on itself, so arming the timer allocates
+// nothing; a plain closure goes through Func.
+type Callback interface {
+	Fire(*Engine)
+}
+
+// Func adapts a closure to a Callback.
+type Func func(*Engine)
+
+// Fire calls f.
+func (f Func) Fire(e *Engine) { f(e) }
+
 // event is a scheduled callback. Events fire in (time, sequence) order,
 // which makes simulation runs fully deterministic: ties in virtual time
 // break by scheduling order. The engine recycles an event once it has
@@ -12,7 +25,7 @@ import (
 type event struct {
 	at  Time
 	seq uint64
-	fn  func(*Engine)
+	cb  Callback
 	// index in the heap, or -1 once popped/cancelled.
 	index int
 }
@@ -80,9 +93,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have run so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Schedule arranges for fn to run at the given absolute time. Scheduling
-// in the past panics: it indicates a broken cost model.
-func (e *Engine) Schedule(at Time, fn func(*Engine)) Handle {
+// Schedule arranges for cb to fire at the given absolute time.
+// Scheduling in the past panics: it indicates a broken cost model.
+func (e *Engine) Schedule(at Time, cb Callback) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
@@ -93,18 +106,18 @@ func (e *Engine) Schedule(at Time, fn func(*Engine)) Handle {
 	} else {
 		ev = new(event)
 	}
-	*ev = event{at: at, seq: e.seq, fn: fn}
+	*ev = event{at: at, seq: e.seq, cb: cb}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return Handle{ev: ev, seq: ev.seq}
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func(*Engine)) Handle {
+// After schedules cb to fire d nanoseconds from now.
+func (e *Engine) After(d Duration, cb Callback) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return e.Schedule(e.now.Add(d), fn)
+	return e.Schedule(e.now.Add(d), cb)
 }
 
 // Cancel removes a pending event. Cancelling an event that already fired
@@ -118,10 +131,10 @@ func (e *Engine) Cancel(h Handle) {
 	e.recycle(ev)
 }
 
-// recycle retires a popped event onto the free list. Clearing fn drops
-// the callback's captured state for the collector.
+// recycle retires a popped event onto the free list. Clearing cb drops
+// the callback's state for the collector.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.cb = nil
 	e.free = append(e.free, ev)
 }
 
@@ -136,10 +149,10 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.at
-	fn := ev.fn
+	cb := ev.cb
 	e.recycle(ev)
 	e.fired++
-	fn(e)
+	cb.Fire(e)
 	return true
 }
 

@@ -145,7 +145,7 @@ func (d *engineDiff) reserve(a action) int {
 	return len(d.acts) - 1
 }
 
-func (d *engineDiff) fn(id int) func(*Engine) {
+func (d *engineDiff) fn(id int) Func {
 	return func(e *Engine) {
 		d.log = append(d.log, id)
 		switch a := d.acts[id]; a.kind {
@@ -264,10 +264,10 @@ func TestEngineMatchesReference(t *testing.T) {
 // the old handle must not cancel the new event.
 func TestStaleHandleCancelsNothing(t *testing.T) {
 	e := NewEngine()
-	old := e.Schedule(1, func(*Engine) {})
+	old := e.Schedule(1, Func(func(*Engine) {}))
 	e.Run()
 	fired := false
-	fresh := e.Schedule(2, func(*Engine) { fired = true })
+	fresh := e.Schedule(2, Func(func(*Engine) { fired = true }))
 	if fresh.ev != old.ev {
 		t.Fatal("the fired event was not recycled")
 	}
@@ -282,7 +282,7 @@ func TestStaleHandleCancelsNothing(t *testing.T) {
 // and firing, or scheduling and cancelling, allocates nothing.
 func TestScheduleStepIsAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func(*Engine) {}
+	fn := Func(func(*Engine) {})
 	e.Schedule(1, fn)
 	e.Step()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -293,9 +293,33 @@ func TestScheduleStepIsAllocFree(t *testing.T) {
 	}
 }
 
+// countdown is a Callback on a long-lived object, the way the cluster's
+// requests and attempts carry their own timers.
+type countdown struct{ fired int }
+
+func (c *countdown) Fire(*Engine) { c.fired++ }
+
+// TestPointerCallbackIsAllocFree: a pointer Callback goes into the
+// event as it is, so scheduling and firing one allocates nothing.
+func TestPointerCallbackIsAllocFree(t *testing.T) {
+	e := NewEngine()
+	c := &countdown{}
+	e.Schedule(1, c)
+	e.Step()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(1, c)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("After+Step of a pointer Callback allocates %v per op", n)
+	}
+	if c.fired != 1002 {
+		t.Fatalf("callback fired %d times, want 1002", c.fired)
+	}
+}
+
 func TestAfterCancelIsAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func(*Engine) {}
+	fn := Func(func(*Engine) {})
 	e.Cancel(e.After(1, fn))
 	if n := testing.AllocsPerRun(1000, func() {
 		e.Cancel(e.After(1, fn))
@@ -307,7 +331,7 @@ func TestAfterCancelIsAllocFree(t *testing.T) {
 // BenchmarkScheduleStep times the gate's loops over a queue of 64
 // pending events, so each op also pays a realistic heap depth.
 func BenchmarkScheduleStep(b *testing.B) {
-	fn := func(*Engine) {}
+	fn := Func(func(*Engine) {})
 	setup := func() *Engine {
 		e := NewEngine()
 		for i := 0; i < 64; i++ {

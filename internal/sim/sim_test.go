@@ -167,10 +167,10 @@ func TestZipfStatisticalShape(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func(*Engine) { order = append(order, 3) })
-	e.Schedule(10, func(*Engine) { order = append(order, 1) })
-	e.Schedule(20, func(*Engine) { order = append(order, 2) })
-	e.Schedule(10, func(*Engine) { order = append(order, 11) }) // tie: scheduled later fires later
+	e.Schedule(30, Func(func(*Engine) { order = append(order, 3) }))
+	e.Schedule(10, Func(func(*Engine) { order = append(order, 1) }))
+	e.Schedule(20, Func(func(*Engine) { order = append(order, 2) }))
+	e.Schedule(10, Func(func(*Engine) { order = append(order, 11) })) // tie: scheduled later fires later
 	e.Run()
 	want := []int{1, 11, 2, 3}
 	if len(order) != len(want) {
@@ -189,7 +189,7 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineAfterAndReschedule(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func(*Engine)
+	var tick Func
 	tick = func(en *Engine) {
 		count++
 		if count < 5 {
@@ -209,7 +209,7 @@ func TestEngineAfterAndReschedule(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func(*Engine) { fired = true })
+	ev := e.Schedule(10, Func(func(*Engine) { fired = true }))
 	e.Cancel(ev)
 	e.Run()
 	if fired {
@@ -225,7 +225,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 15, 25} {
 		at := at
-		e.Schedule(at, func(en *Engine) { fired = append(fired, en.Now()) })
+		e.Schedule(at, Func(func(en *Engine) { fired = append(fired, en.Now()) }))
 	}
 	e.RunUntil(20)
 	if len(fired) != 2 {
@@ -246,8 +246,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineHalt(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Schedule(1, func(en *Engine) { count++; en.Halt() })
-	e.Schedule(2, func(en *Engine) { count++ })
+	e.Schedule(1, Func(func(en *Engine) { count++; en.Halt() }))
+	e.Schedule(2, Func(func(en *Engine) { count++ }))
 	e.Run()
 	if count != 1 {
 		t.Fatalf("halt did not stop the run: count=%d", count)
@@ -260,20 +260,20 @@ func TestEngineHalt(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func(*Engine) {})
+	e.Schedule(10, Func(func(*Engine) {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func(*Engine) {})
+	e.Schedule(5, Func(func(*Engine) {}))
 }
 
 func TestEngineNegativeAfterClamps(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.After(-5, func(*Engine) { fired = true })
+	e.After(-5, Func(func(*Engine) { fired = true }))
 	e.Run()
 	if !fired {
 		t.Fatal("negative After never fired")
@@ -289,7 +289,7 @@ func TestEngineDeterminismProperty(t *testing.T) {
 		var order []int
 		for i := 0; i < 200; i++ {
 			i := i
-			e.Schedule(Time(r.Intn(50)), func(*Engine) { order = append(order, i) })
+			e.Schedule(Time(r.Intn(50)), Func(func(*Engine) { order = append(order, i) }))
 		}
 		e.Run()
 		return order

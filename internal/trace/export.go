@@ -3,9 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // WriteText writes the buffered events as a human-readable log, one
@@ -17,27 +17,53 @@ import (
 // knows whether the ring wrapped. Output is byte-identical across
 // same-seed runs.
 func (t *Tracer) WriteText(w io.Writer) error {
-	events := t.Events()
-	if _, err := fmt.Fprintf(w,
-		"# kloc trace: events=%d buffered=%d dropped=%d\n"+
-			"# schema: seq at(ns) name ctx obj class node size\n",
-		t.Emitted(), len(events), t.Dropped()); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if _, err := fmt.Fprintf(w, "%d %d %s ctx=%d obj=%d class=%s node=%d size=%d\n",
-			e.Seq, int64(e.At), e.Name, e.Ctx, e.Obj, e.Class, e.Node, e.Size); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(t.appendText(nil))
+	return err
 }
 
-// TextString renders WriteText to a string (tests, small traces).
-func (t *Tracer) TextString() string {
-	var b strings.Builder
-	t.WriteText(&b) //klocs:ignore-errno strings.Builder writes cannot fail
-	return b.String()
+// TextString renders WriteText to a string (tests, small traces, and
+// the chaos executor's per-schedule digests).
+func (t *Tracer) TextString() string { return string(t.appendText(nil)) }
+
+// textLineBytes is a typical WriteText line's length, for sizing the
+// buffer up front.
+const textLineBytes = 80
+
+// appendText appends WriteText's output to buf, reading the ring in
+// place.
+func (t *Tracer) appendText(buf []byte) []byte {
+	older, newer := t.buffered()
+	n := len(older) + len(newer)
+	buf = slices.Grow(buf, (n+2)*textLineBytes)
+	buf = append(buf, "# kloc trace: events="...)
+	buf = strconv.AppendUint(buf, t.Emitted(), 10)
+	buf = append(buf, " buffered="...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, " dropped="...)
+	buf = strconv.AppendUint(buf, t.Dropped(), 10)
+	buf = append(buf, "\n# schema: seq at(ns) name ctx obj class node size\n"...)
+	for _, run := range [2][]Event{older, newer} {
+		for i := range run {
+			e := &run[i]
+			buf = strconv.AppendUint(buf, e.Seq, 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(e.At), 10)
+			buf = append(buf, ' ')
+			buf = append(buf, e.Name...)
+			buf = append(buf, " ctx="...)
+			buf = strconv.AppendUint(buf, e.Ctx, 10)
+			buf = append(buf, " obj="...)
+			buf = strconv.AppendUint(buf, e.Obj, 10)
+			buf = append(buf, " class="...)
+			buf = append(buf, e.Class...)
+			buf = append(buf, " node="...)
+			buf = strconv.AppendInt(buf, int64(e.Node), 10)
+			buf = append(buf, " size="...)
+			buf = strconv.AppendInt(buf, e.Size, 10)
+			buf = append(buf, '\n')
+		}
+	}
+	return buf
 }
 
 // WriteChrome writes the buffered events in the Chrome trace-event JSON

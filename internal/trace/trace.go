@@ -182,11 +182,14 @@ type Tracer struct {
 	// below usually saves even that one lookup, since emission is bursty.
 	names map[Name]*nameState
 
-	// ring is a fixed preallocated array reused in overwrite order,
-	// which keeps steady-state Emit at zero heap allocations.
+	// ring grows by append up to cfg.BufferEvents, since most tracers
+	// hold far fewer events than the bound, and is then reused in
+	// overwrite order, which keeps steady-state Emit at zero heap
+	// allocations. Append may leave its capacity above the bound, so
+	// the bound, not cap, decides when it is full.
 	ring []Event
-	// next is the ring write index; filled counts live entries.
-	next, filled int
+	// next is the ring write index.
+	next         int
 	seq, dropped uint64
 
 	byCtx map[uint64]*ctxStat
@@ -216,7 +219,6 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:   cfg,
 		names: make(map[Name]*nameState),
-		ring:  make([]Event, 0, cfg.BufferEvents),
 		byCtx: make(map[uint64]*ctxStat),
 	}
 }
@@ -340,16 +342,15 @@ func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, nod
 		Class: class, Node: node, Size: size}
 	t.seq++
 
-	// Ring: grow until capacity, then overwrite oldest (counted as a
+	// Ring: grow until the bound, then overwrite oldest (counted as a
 	// drop, like ftrace's overwrite mode).
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.cfg.BufferEvents {
 		t.ring = append(t.ring, e)
-		t.filled++
 	} else {
 		t.ring[t.next] = e
 		t.dropped++
 	}
-	t.next = (t.next + 1) % cap(t.ring)
+	t.next = (t.next + 1) % t.cfg.BufferEvents
 
 	// Incremental summaries survive ring drops.
 	ns.count++
@@ -386,18 +387,24 @@ func (t *Tracer) Dropped() uint64 {
 // Events returns the buffered events oldest-first. The slice is a copy;
 // mutating it does not disturb the ring.
 func (t *Tracer) Events() []Event {
-	if t == nil || t.filled == 0 {
+	older, newer := t.buffered()
+	if len(older) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, t.filled)
-	start := 0
-	if t.filled == cap(t.ring) {
-		start = t.next
+	return append(append(make([]Event, 0, len(older)+len(newer)), older...), newer...)
+}
+
+// buffered returns the ring's events oldest-first as two runs, without
+// copying: once the ring has wrapped, the oldest event is the one at
+// the write index.
+func (t *Tracer) buffered() (older, newer []Event) {
+	if t == nil {
+		return nil, nil
 	}
-	for i := 0; i < t.filled; i++ {
-		out = append(out, t.ring[(start+i)%cap(t.ring)])
+	if len(t.ring) < t.cfg.BufferEvents {
+		return t.ring, nil
 	}
-	return out
+	return t.ring[t.next:], t.ring[:t.next]
 }
 
 // NameCount is one event name's total.
