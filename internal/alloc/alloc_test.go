@@ -15,13 +15,23 @@ func mem() *memsim.Memory {
 
 var order = []memsim.NodeID{memsim.FastNode, memsim.SlowNode}
 
+// liveFrames counts m's live frames and the objects on them; in these
+// tests every frame of m belongs to the one cache or arena under test.
+func liveFrames(m *memsim.Memory) (frames, objects int) {
+	m.EachLive(func(f *memsim.Frame) {
+		frames++
+		objects += int(f.InUse)
+	})
+	return frames, objects
+}
+
 func TestSlabPacking(t *testing.T) {
 	m := mem()
 	c, err := NewSlabCache(m, "dentry", 192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := c.ObjectsPerFrame()
+	per := c.perFrame
 	if per != memsim.PageSize/192 {
 		t.Fatalf("objects per frame = %d", per)
 	}
@@ -33,25 +43,26 @@ func TestSlabPacking(t *testing.T) {
 		}
 		objs = append(objs, f)
 	}
-	if c.Frames() != 1 {
-		t.Fatalf("one frame should hold %d objects, used %d frames", per, c.Frames())
+	if frames, _ := liveFrames(m); frames != 1 {
+		t.Fatalf("one frame should hold %d objects, used %d frames", per, frames)
 	}
 	f, _, err := c.Alloc(order, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Frames() != 2 {
-		t.Fatalf("overflow object should open frame 2, got %d", c.Frames())
+	frames, live := liveFrames(m)
+	if frames != 2 {
+		t.Fatalf("overflow object should open frame 2, got %d", frames)
 	}
-	if c.LiveObjects() != per+1 {
-		t.Fatalf("live = %d", c.LiveObjects())
+	if live != per+1 {
+		t.Fatalf("live = %d", live)
 	}
 	// Free everything; frames return to the memory system.
 	c.Free(f)
 	for _, f := range objs {
 		c.Free(f)
 	}
-	if c.Frames() != 0 || m.Node(memsim.FastNode).Used() != 0 {
+	if frames, _ := liveFrames(m); frames != 0 || m.Node(memsim.FastNode).Used() != 0 {
 		t.Fatal("slab frames leaked")
 	}
 }
@@ -99,12 +110,12 @@ func TestSlabDoubleFree(t *testing.T) {
 	c, _ := NewSlabCache(m, "x", 1024)
 	f, _, _ := c.Alloc(order, 0)
 	c.Free(f)
-	if c.Frames() != 0 || c.LiveObjects() != 0 || m.Frames() != 0 {
+	if frames, live := liveFrames(m); frames != 0 || live != 0 || len(c.partial) != 0 {
 		t.Fatal("first free did not release the frame")
 	}
 	c.Free(f)
 	c.Free(nil)
-	if c.Frames() != 0 || c.LiveObjects() != 0 || m.Frames() != 0 {
+	if frames, live := liveFrames(m); frames != 0 || live != 0 || len(c.partial) != 0 {
 		t.Fatal("double or nil free changed the cache")
 	}
 }
@@ -125,8 +136,8 @@ func TestSlabPartialReuse(t *testing.T) {
 
 func TestSlabFullObjectPerFrame(t *testing.T) {
 	c, _ := NewSlabCache(mem(), "page-sized", memsim.PageSize)
-	if c.ObjectsPerFrame() != 1 {
-		t.Fatalf("page-sized slab packs %d", c.ObjectsPerFrame())
+	if c.perFrame != 1 {
+		t.Fatalf("page-sized slab packs %d", c.perFrame)
 	}
 	a, _, _ := c.Alloc(order, 0)
 	b, _, _ := c.Alloc(order, 0)
@@ -171,8 +182,8 @@ func TestArenaBumpAllocation(t *testing.T) {
 	if s3.ID == s1.ID {
 		t.Fatal("overflow object did not open a new frame")
 	}
-	if a.Frames() != 2 || a.LiveObjects() != 3 {
-		t.Fatalf("frames=%d live=%d", a.Frames(), a.LiveObjects())
+	if frames, live := liveFrames(m); frames != 2 || live != 3 {
+		t.Fatalf("frames=%d live=%d", frames, live)
 	}
 	// Frames are relocatable ClassKloc.
 	if s1.Pinned || s1.Class != memsim.ClassKloc {
@@ -186,15 +197,15 @@ func TestArenaFreeReclaimsFrames(t *testing.T) {
 	s1, _, _ := a.Alloc(order, 2048, 0)
 	s2, _, _ := a.Alloc(order, 2048, 0)
 	a.Free(s1)
-	if a.Frames() != 1 {
+	if frames, _ := liveFrames(m); frames != 1 {
 		t.Fatal("frame freed while objects remain")
 	}
 	a.Free(s2)
-	if a.Frames() != 0 || m.Frames() != 0 {
+	if frames, _ := liveFrames(m); frames != 0 || a.current != nil {
 		t.Fatal("empty arena kept frames")
 	}
 	a.Free(s2)
-	if a.Frames() != 0 || a.LiveObjects() != 0 {
+	if frames, live := liveFrames(m); frames != 0 || live != 0 {
 		t.Fatal("double free did work")
 	}
 	// The arena is reusable after draining.
@@ -210,7 +221,7 @@ func TestArenaOversizeClamps(t *testing.T) {
 	if err != nil || s == nil {
 		t.Fatal("oversize alloc should clamp to one page")
 	}
-	if a.LiveObjects() != 1 || a.Frames() != 1 {
+	if frames, live := liveFrames(m); live != 1 || frames != 1 {
 		t.Fatal("clamped alloc accounting wrong")
 	}
 }

@@ -19,8 +19,7 @@ import (
 type Arena struct {
 	Mem *memsim.Memory
 
-	current      *memsim.Frame
-	frames, live int
+	current *memsim.Frame
 }
 
 // NewArena creates an empty arena over the memory system.
@@ -42,13 +41,11 @@ func (a *Arena) Alloc(order []memsim.NodeID, size int, now sim.Time) (*memsim.Fr
 			return nil, 0, err
 		}
 		a.current = frame
-		a.frames++
 		cost += slabNewFrameCost
 	}
 	f := a.current
 	f.Bump += uint16(size)
 	f.InUse++
-	a.live++
 	return f, cost, nil
 }
 
@@ -60,18 +57,10 @@ func (a *Arena) Free(f *memsim.Frame) {
 		return
 	}
 	f.InUse--
-	a.live--
 	if f.InUse == 0 {
-		a.frames--
 		if a.current == f {
 			a.current = nil
 		}
 		a.Mem.Free(f)
 	}
 }
-
-// Frames reports live arena frames.
-func (a *Arena) Frames() int { return a.frames }
-
-// LiveObjects reports live allocations.
-func (a *Arena) LiveObjects() int { return a.live }

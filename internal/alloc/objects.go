@@ -32,7 +32,7 @@ type Objects struct {
 	// allocation that finds no free page enters direct reclaim through
 	// its shrinker registry. It is read at the failure, since the
 	// kernel wires its plane after building the subsystems. Without
-	// one, the fallback shrinker (when non-nil) is scanned instead.
+	// one, an exhausted allocation fails without reclaim.
 	Pressure *pressure.Plane
 
 	// Trace, when non-nil, records alloc.slab / alloc.page / obj.free
@@ -44,13 +44,12 @@ type Objects struct {
 	// disables sanitizing.
 	San *Sanitizer
 
-	mem      *memsim.Memory
-	hooks    kstate.Hooks
-	ids      *kstate.IDGen
-	stats    *ObjStats
-	fallback pressure.Shrinker
-	slabs    map[kobj.Type]*SlabCache
-	klocs    map[kobj.Type]*SlabCache
+	mem   *memsim.Memory
+	hooks kstate.Hooks
+	ids   *kstate.IDGen
+	stats *ObjStats
+	slabs map[kobj.Type]*SlabCache
+	klocs map[kobj.Type]*SlabCache
 	// arenas are per-context KLOC allocation regions (§4.4): slab-class
 	// objects of a file or socket live in frames private to its KLOC,
 	// so they can migrate with the knode without dragging other
@@ -64,45 +63,29 @@ type Objects struct {
 
 // NewObjects builds an object path over the memory system that counts
 // into stats. ids is shared across subsystems so object IDs are
-// global. fallback, when non-nil, is what a standalone subsystem
-// reclaims from while no pressure plane is wired.
-func NewObjects(mem *memsim.Memory, hooks kstate.Hooks, ids *kstate.IDGen, stats *ObjStats, fallback pressure.Shrinker) *Objects {
+// global.
+func NewObjects(mem *memsim.Memory, hooks kstate.Hooks, ids *kstate.IDGen, stats *ObjStats) *Objects {
 	return &Objects{
-		mem:      mem,
-		hooks:    hooks,
-		ids:      ids,
-		stats:    stats,
-		fallback: fallback,
-		slabs:    make(map[kobj.Type]*SlabCache),
-		klocs:    make(map[kobj.Type]*SlabCache),
-		arenas:   make(map[uint64]*Arena),
+		mem:    mem,
+		hooks:  hooks,
+		ids:    ids,
+		stats:  stats,
+		slabs:  make(map[kobj.Type]*SlabCache),
+		klocs:  make(map[kobj.Type]*SlabCache),
+		arenas: make(map[uint64]*Arena),
 	}
 }
 
 // Alloc allocates a kernel object of type t for context ino (0 while
 // the owner is unknown), charges the cost, and fires the creation
-// hook. When memory is exhausted it reclaims once and retries if the
-// round freed pages.
+// hook. When memory is exhausted it enters direct reclaim once and
+// retries if the round freed pages.
 func (a *Objects) Alloc(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {
 	o, err := a.allocOnce(ctx, t, ino)
-	if err == memsim.ErrNoMemory && a.reclaim(ctx) > 0 {
+	if err == memsim.ErrNoMemory && a.Pressure.DirectReclaim(ctx) > 0 {
 		o, err = a.allocOnce(ctx, t, ino)
 	}
 	return o, err
-}
-
-// fallbackBatch is what one failed allocation asks of the fallback
-// shrinker.
-const fallbackBatch = 64
-
-func (a *Objects) reclaim(ctx *kstate.Ctx) int {
-	if a.Pressure != nil {
-		return a.Pressure.DirectReclaim(ctx)
-	}
-	if a.fallback != nil {
-		return a.fallback.Scan(ctx, fallbackBatch)
-	}
-	return 0
 }
 
 func (a *Objects) allocOnce(ctx *kstate.Ctx, t kobj.Type, ino uint64) (*kobj.Object, error) {

@@ -50,7 +50,7 @@ func TestObjectsBackings(t *testing.T) {
 			m := mem()
 			var ids kstate.IDGen
 			var st ObjStats
-			a := NewObjects(m, klocHooks{kloc: c.kloc}, &ids, &st, nil)
+			a := NewObjects(m, klocHooks{kloc: c.kloc}, &ids, &st)
 			ctx := &kstate.Ctx{}
 			o, err := a.Alloc(ctx, c.typ, c.ino)
 			if err != nil {
@@ -65,25 +65,24 @@ func TestObjectsBackings(t *testing.T) {
 			if o.Frame.Class != c.class || o.Frame.Pinned != c.pinned {
 				t.Fatalf("frame class %v pinned %v, want %v %v", o.Frame.Class, o.Frame.Pinned, c.class, c.pinned)
 			}
-			arenaFrames, klocFrames, slabFrames := 0, 0, 0
-			if ar := a.arenas[c.ino]; ar != nil {
-				arenaFrames = ar.Frames()
+			// The object's frame is m's only one, held by the backing
+			// that exists.
+			held := func(exists bool) int {
+				if frames, _ := liveFrames(m); exists && frames == 1 {
+					return 1
+				}
+				return 0
 			}
-			if kc := a.klocs[c.typ]; kc != nil {
-				klocFrames = kc.Frames()
-			}
-			if sc := a.slabs[c.typ]; sc != nil {
-				slabFrames = sc.Frames()
-			}
-			if got := [3]int{arenaFrames, klocFrames, slabFrames}; got != c.frames {
+			got := [3]int{held(a.arenas[c.ino] != nil), held(a.klocs[c.typ] != nil), held(a.slabs[c.typ] != nil)}
+			if got != c.frames {
 				t.Fatalf("arena/kloc/slab frames = %v, want %v", got, c.frames)
 			}
 			if st.ObjAllocs[c.typ] != 1 || st.ObjLive[c.typ] != 1 {
 				t.Fatalf("allocs %d live %d", st.ObjAllocs[c.typ], st.ObjLive[c.typ])
 			}
 			a.Free(o, ctx)
-			if st.ObjLive[c.typ] != 0 || m.Frames() != 0 {
-				t.Fatalf("after free: live %d, frames %d", st.ObjLive[c.typ], m.Frames())
+			if frames, _ := liveFrames(m); st.ObjLive[c.typ] != 0 || frames != 0 {
+				t.Fatalf("after free: live %d, frames %d", st.ObjLive[c.typ], frames)
 			}
 		})
 	}
@@ -102,8 +101,8 @@ func objectChurn(tb testing.TB, a *Objects, ctx *kstate.Ctx, typ kobj.Type, ino 
 // has already created its cache or arena and recycled a frame.
 func warmObjects(tb testing.TB, kloc bool, typ kobj.Type, ino uint64) (*Objects, *kstate.Ctx) {
 	var ids kstate.IDGen
-	hooks := klocHooks{NopHooks: kstate.NopHooks{Order: order}, kloc: kloc}
-	a := NewObjects(mem(), hooks, &ids, &ObjStats{}, nil)
+	hooks := klocHooks{NopHooks: kstate.NopHooks{}, kloc: kloc}
+	a := NewObjects(mem(), hooks, &ids, &ObjStats{})
 	ctx := &kstate.Ctx{}
 	for i := 0; i < 4; i++ {
 		objectChurn(tb, a, ctx, typ, ino)
@@ -161,8 +160,8 @@ func (s *heldFrames) Scan(*kstate.Ctx, int) int {
 }
 
 // TestObjectsReclaimRetry: an allocation that finds memory exhausted
-// reclaims once, and retries once only if the round freed something.
-// The kernel's pressure plane takes precedence over the fallback.
+// enters the pressure plane's direct reclaim once, and retries once
+// only if the round freed something.
 func TestObjectsReclaimRetry(t *testing.T) {
 	m := memsim.NewTwoTier(memsim.TwoTierConfig{FastPages: 2, FastBandwidth: 30, CPUs: 1})
 	var ids kstate.IDGen
@@ -177,7 +176,7 @@ func TestObjectsReclaimRetry(t *testing.T) {
 	}
 	ctx := &kstate.Ctx{}
 
-	bare := NewObjects(m, kstate.NopHooks{}, &ids, &st, nil)
+	bare := NewObjects(m, kstate.NopHooks{}, &ids, &st)
 	if _, err := bare.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) {
 		t.Fatalf("no reclaim wired: err = %v", err)
 	}
@@ -185,29 +184,29 @@ func TestObjectsReclaimRetry(t *testing.T) {
 		t.Fatal("a failure with no reclaim must not retry")
 	}
 
-	a := NewObjects(m, kstate.NopHooks{}, &ids, &st, s)
+	a := NewObjects(m, kstate.NopHooks{}, &ids, &st)
+	plane := pressure.NewPlane(m, memsim.FastNode)
+	plane.Register(s)
+	a.Pressure = plane
 	o, err := a.Alloc(ctx, kobj.PageCache, 1)
-	if err != nil || s.scans != 1 {
-		t.Fatalf("fallback reclaim: err %v after %d scans", err, s.scans)
+	if err != nil || s.scans == 0 || plane.Stats.DirectReclaims != 1 {
+		t.Fatalf("reclaim: err %v after %d scans and %d direct reclaims", err, s.scans, plane.Stats.DirectReclaims)
 	}
 	if o.ID != 4 {
 		t.Fatalf("retried object ID = %d, want 4 (one ID burnt per attempt)", o.ID)
 	}
-	s.held = nil // the last held frame stays allocated: nothing to give back
-	if _, err := a.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) || s.scans != 2 {
-		t.Fatalf("fruitless reclaim: err %v after %d scans", err, s.scans)
+	// Fill what the round freed beyond the retry with frames the
+	// shrinker does not hold: nothing is left to give back.
+	s.held = nil
+	for m.Node(memsim.FastNode).Free() > 0 {
+		if _, err := m.Alloc(memsim.FastNode, memsim.ClassApp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) || plane.Stats.DirectReclaims != 2 {
+		t.Fatalf("fruitless reclaim: err %v after %d direct reclaims", err, plane.Stats.DirectReclaims)
 	}
 	if ids.Next() != 6 {
 		t.Fatal("a round that freed nothing must not retry")
-	}
-
-	plane := pressure.NewPlane(m, memsim.FastNode)
-	a.Pressure = plane
-	if _, err := a.Alloc(ctx, kobj.PageCache, 1); !errors.Is(err, memsim.ErrNoMemory) {
-		t.Fatalf("err = %v", err)
-	}
-	if plane.Stats.DirectReclaims != 1 || s.scans != 2 {
-		t.Fatalf("direct reclaims %d, fallback scans %d: the plane must be used instead of the fallback",
-			plane.Stats.DirectReclaims, s.scans)
 	}
 }

@@ -62,9 +62,9 @@ func newPoolSide() poolSide {
 		FastPages: 24, SlowPages: 24,
 		FastBandwidth: 30, BandwidthRatio: 4, CPUs: 2,
 	})
-	s := poolSide{hooks: &recHooks{NopHooks: kstate.NopHooks{Order: order}}, stats: &ObjStats{}, san: NewSanitizer()}
+	s := poolSide{hooks: &recHooks{NopHooks: kstate.NopHooks{}}, stats: &ObjStats{}, san: NewSanitizer()}
 	var ids kstate.IDGen
-	s.a = NewObjects(m, s.hooks, &ids, s.stats, nil)
+	s.a = NewObjects(m, s.hooks, &ids, s.stats)
 	s.a.San = s.san
 	return s
 }

@@ -187,6 +187,12 @@ type side struct {
 	live   func() int
 }
 
+// memFrames counts the live frames of the side's memory.
+func (s side) memFrames() int {
+	f, _ := liveFrames(s.mem)
+	return f
+}
+
 // smallMem is small enough that the alloc-heavy phases exhaust it.
 func smallMem() *memsim.Memory {
 	return memsim.NewTwoTier(memsim.TwoTierConfig{
@@ -212,7 +218,8 @@ func cacheSides(t *testing.T, objSize int, kloc bool) (got, want side) {
 			return f, f, cost, err
 		},
 		free:   func(h any) { c.Free(h.(*memsim.Frame)) },
-		frames: c.Frames, live: c.LiveObjects,
+		frames: func() int { f, _ := liveFrames(c.Mem); return f },
+		live:   func() int { _, o := liveFrames(c.Mem); return o },
 	}
 	want = side{mem: r.mem,
 		alloc: func(_ int, now sim.Time) (any, *memsim.Frame, sim.Duration, error) {
@@ -237,7 +244,8 @@ func arenaSides(*testing.T) (got, want side) {
 			return f, f, cost, err
 		},
 		free:   func(h any) { a.Free(h.(*memsim.Frame)) },
-		frames: a.Frames, live: a.LiveObjects,
+		frames: func() int { f, _ := liveFrames(a.Mem); return f },
+		live:   func() int { _, o := liveFrames(a.Mem); return o },
 	}
 	want = side{mem: r.mem,
 		alloc: func(size int, now sim.Time) (any, *memsim.Frame, sim.Duration, error) {
@@ -257,8 +265,9 @@ func arenaSides(*testing.T) (got, want side) {
 // through slab caches, a KLOC cache and an arena, and through their
 // slot-and-map references, and requires the two to agree after every
 // step: the frame each object lands on (ID, node, pinning), the alloc
-// cost and error, Frames(), LiveObjects() and the memory's live-frame
-// count. Alloc-heavy and free-heavy phases alternate, so frames fill,
+// cost and error, the frames and live objects in the allocator's memory
+// against the reference's own counts, and the two memories' live-frame
+// counts. Alloc-heavy and free-heavy phases alternate, so frames fill,
 // drain, return to the partial list and run out.
 func TestCachesMatchReference(t *testing.T) {
 	arenaSizes := []int{0, 96, 192, 232, 600, 1024, 2048, memsim.PageSize, 2 * memsim.PageSize}
@@ -313,7 +322,7 @@ func TestCachesMatchReference(t *testing.T) {
 					if g, w := got.live(), want.live(); g != w || g != len(held) {
 						t.Fatalf("%s: LiveObjects() = %d, reference %d, held %d", at, g, w, len(held))
 					}
-					if g, w := got.mem.Frames(), want.mem.Frames(); g != w {
+					if g, w := got.frames(), want.memFrames(); g != w {
 						t.Fatalf("%s: live frames %d, reference %d", at, g, w)
 					}
 				}

@@ -53,9 +53,8 @@ type SlabCache struct {
 	// AllocCost per object.
 	AllocCost sim.Duration
 
-	perFrame     int
-	partial      []*memsim.Frame // frames with free slots
-	frames, live int
+	perFrame int
+	partial  []*memsim.Frame // frames with free slots
 }
 
 // NewSlabCache returns a classic (pinned) slab cache for objects of the
@@ -83,9 +82,6 @@ func newCache(mem *memsim.Memory, name string, objSize int, class memsim.Class, 
 	}, nil
 }
 
-// ObjectsPerFrame reports the packing density.
-func (c *SlabCache) ObjectsPerFrame() int { return c.perFrame }
-
 // Alloc carves one object and returns the frame it lives on, pulling a
 // fresh frame from the memory system (trying nodes in order) when no
 // partial frame has space.
@@ -99,7 +95,6 @@ func (c *SlabCache) Alloc(order []memsim.NodeID, now sim.Time) (*memsim.Frame, s
 		if int(f.InUse) == c.perFrame {
 			c.partial = c.partial[:n-1]
 		}
-		c.live++
 		return f, c.AllocCost, nil
 	}
 	f, err := c.Mem.AllocFallback(order, c.Class, now)
@@ -108,8 +103,6 @@ func (c *SlabCache) Alloc(order []memsim.NodeID, now sim.Time) (*memsim.Frame, s
 	}
 	f.Pinned = c.Pinned
 	f.InUse = 1
-	c.frames++
-	c.live++
 	if c.perFrame > 1 {
 		c.partial = append(c.partial, f)
 	}
@@ -125,9 +118,7 @@ func (c *SlabCache) Free(f *memsim.Frame) {
 	}
 	wasFull := int(f.InUse) == c.perFrame
 	f.InUse--
-	c.live--
 	if f.InUse == 0 {
-		c.frames--
 		c.removePartial(f)
 		c.Mem.Free(f)
 	} else if wasFull && c.perFrame > 1 {
@@ -143,9 +134,3 @@ func (c *SlabCache) removePartial(f *memsim.Frame) {
 		}
 	}
 }
-
-// Frames reports how many frames the cache currently holds.
-func (c *SlabCache) Frames() int { return c.frames }
-
-// LiveObjects reports the number of live objects.
-func (c *SlabCache) LiveObjects() int { return c.live }

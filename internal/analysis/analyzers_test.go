@@ -76,23 +76,22 @@ func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	pkgs := loadModulePackages(t)
+	m := testModule(t)
 	audit := NewMarkerAudit()
 	var all []Diagnostic
-	for _, pkg := range pkgs {
+	for _, pkg := range m.Packages {
 		diags, err := RunAnalyzers(pkg, All(), audit)
 		if err != nil {
 			t.Fatalf("run %s: %v", pkg.Path, err)
 		}
 		all = append(all, diags...)
 	}
-	m := NewModule(pkgs)
 	diags, err := RunModuleAnalyzers(m, AllModule(), audit)
 	if err != nil {
 		t.Fatalf("run module analyzers: %v", err)
 	}
 	all = append(all, diags...)
-	all = append(all, AuditSuppressions(pkgs, audit)...)
+	all = append(all, AuditSuppressions(m.Packages, audit)...)
 	for _, d := range all {
 		t.Errorf("%s", d)
 	}

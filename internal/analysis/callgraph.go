@@ -27,6 +27,11 @@ import (
 //     keeping its target alive — the same over-approximation Go's
 //     deadcode tool makes.
 //
+// A method of an instantiated generic type resolves to its generic
+// declaration (types.Func.Origin), and the callees of calls made in
+// package-level initializers join PackageRefs, since those calls run
+// when the package loads.
+//
 // Bottom-up traversal for summary fixpoints comes from Tarjan SCCs,
 // which this implementation emits callee-first.
 
@@ -130,7 +135,7 @@ func recvTypeName(sig *types.Signature) string {
 type CallGraph struct {
 	// Nodes lists every function in deterministic (file, offset) order.
 	Nodes []*FuncNode
-	// PackageRefs are functions referenced from package-level
+	// PackageRefs are functions referenced or called from package-level
 	// initializers (var blocks): alive as soon as the package loads.
 	PackageRefs []*FuncNode
 
@@ -139,6 +144,13 @@ type CallGraph struct {
 	// namedTypes are the module's package-level named types, for
 	// class-hierarchy interface resolution.
 	namedTypes []*types.Named
+}
+
+// node returns the module node declaring fn, mapping an instantiated
+// generic method or function to its declaration (nil when fn is not a
+// module function).
+func (g *CallGraph) node(fn *types.Func) *FuncNode {
+	return g.byObj[fn.Origin()]
 }
 
 // BuildCallGraph constructs the call graph over the loaded packages.
@@ -265,7 +277,7 @@ func (g *CallGraph) walkBody(pkg *Package, node *FuncNode, root ast.Node) {
 				return true
 			}
 			if fn, ok := pkg.Info.Uses[n].(*types.Func); ok {
-				ref(cur, g.byObj[fn])
+				ref(cur, g.node(fn))
 			}
 			return true
 		}
@@ -274,8 +286,8 @@ func (g *CallGraph) walkBody(pkg *Package, node *FuncNode, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool { return walk(n, node) })
 }
 
-// resolveCall classifies one call site and attaches it to cur (calls
-// at package scope only contribute refs through their arguments).
+// resolveCall classifies one call site and attaches it to cur; at
+// package scope its callees join PackageRefs instead.
 func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr, calleeIdents map[*ast.Ident]bool) {
 	site := &CallSite{Call: call, Caller: cur}
 	fun := ast.Unparen(call.Fun)
@@ -284,7 +296,7 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 		calleeIdents[f] = true
 		switch obj := pkg.Info.Uses[f].(type) {
 		case *types.Func:
-			if target := g.byObj[obj]; target != nil {
+			if target := g.node(obj); target != nil {
 				site.Kind, site.Callees = CallStatic, []*FuncNode{target}
 			} else {
 				site.Kind = CallExternal
@@ -309,7 +321,7 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 				if types.IsInterface(sel.Recv()) {
 					site.Kind = CallInterface
 					site.Callees = g.implementersOf(sel.Recv(), fn.Name())
-				} else if target := g.byObj[fn]; target != nil {
+				} else if target := g.node(fn); target != nil {
 					site.Kind, site.Callees = CallStatic, []*FuncNode{target}
 				} else {
 					site.Kind = CallExternal
@@ -319,7 +331,7 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 			// Package-qualified: pkg.F(...) or pkg.Var(...).
 			switch obj := pkg.Info.Uses[f.Sel].(type) {
 			case *types.Func:
-				if target := g.byObj[obj]; target != nil {
+				if target := g.node(obj); target != nil {
 					site.Kind, site.Callees = CallStatic, []*FuncNode{target}
 				} else {
 					site.Kind = CallExternal
@@ -343,9 +355,11 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 		}
 		site.Kind = CallDynamic
 	}
-	if cur != nil {
-		cur.Calls = append(cur.Calls, site)
+	if cur == nil {
+		g.PackageRefs = append(g.PackageRefs, site.Callees...)
+		return
 	}
+	cur.Calls = append(cur.Calls, site)
 }
 
 // implementersOf resolves an interface method to every module named
@@ -366,7 +380,7 @@ func (g *CallGraph) implementersOf(recv types.Type, method string) []*FuncNode {
 		}
 		obj, _, _ := types.LookupFieldOrMethod(ptr, true, named.Obj().Pkg(), method)
 		if fn, ok := obj.(*types.Func); ok {
-			if target := g.byObj[fn]; target != nil {
+			if target := g.node(fn); target != nil {
 				targets = append(targets, target)
 			}
 		}

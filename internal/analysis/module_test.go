@@ -5,6 +5,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -156,12 +157,25 @@ func TestCallGraphResolution(t *testing.T) {
 		t.Errorf("Direct resolves to %s, want fixture.helper", got)
 	}
 
+	// A method of an instantiated generic type resolves statically to
+	// its generic declaration.
+	unbox := nodeNamed(t, g, "Unbox")
+	if len(unbox.Calls) != 1 || unbox.Calls[0].Kind != CallStatic {
+		t.Errorf("Unbox's call should be CallStatic, got %+v", unbox.Calls)
+	} else if got := unbox.Calls[0].Callees[0].String(); got != "fixture.box.Get" {
+		t.Errorf("Unbox resolves to %s, want fixture.box.Get", got)
+	}
+
 	// Reachability follows Refs: storing a hook keeps its target alive.
 	reached := g.Reachable([]*FuncNode{takeRefs})
 	for _, want := range []string{"fixture.helper", "fixture.fileObj.Close"} {
 		if !reached[nodeNamed(t, g, strings.TrimPrefix(want, "fixture."))] {
 			t.Errorf("%s not reachable through TakeRefs' references", want)
 		}
+	}
+	// A call in a package-level initializer roots its callee.
+	if !reached[nodeNamed(t, g, "initial")] {
+		t.Error("initial, called by a package initializer, is not reachable")
 	}
 }
 
@@ -236,6 +250,23 @@ func TestReachingDefs(t *testing.T) {
 	}
 }
 
+// The module view is built once per process: TestModuleIsClean, the
+// reachability census and the dispatch test share its load and graph.
+var sharedModule struct {
+	once   sync.Once
+	module *Module
+}
+
+// testModule returns the module view over every lintable package.
+func testModule(t *testing.T) *Module {
+	t.Helper()
+	sharedModule.once.Do(func() { sharedModule.module = NewModule(loadModulePackages(t)) })
+	if sharedModule.module == nil {
+		t.Fatal("module load failed in an earlier test")
+	}
+	return sharedModule.module
+}
+
 // loadModulePackages loads every lintable package of the real module.
 func loadModulePackages(t *testing.T) []*Package {
 	t.Helper()
@@ -263,7 +294,7 @@ func TestShrinkerDispatchResolvesAcrossPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	m := NewModule(loadModulePackages(t))
+	m := testModule(t)
 	calleePkgs := map[string]bool{}
 	for _, n := range m.Graph.Nodes {
 		if n.Pkg == nil || n.Pkg.Path != "kloc/internal/pressure" {

@@ -1,6 +1,7 @@
 // Package fixture exercises the call graph's resolution strategies —
 // static calls, interface dispatch, method values, function-typed
-// fields — and gives the CFG/dataflow tests small known shapes. The go
+// fields, methods of instantiated generic types, calls in package
+// initializers — and gives the CFG/dataflow tests small known shapes. The go
 // tool never builds testdata trees.
 package fixture
 
@@ -45,6 +46,21 @@ func TakeRefs(f *fileObj) (func() int, func() int) {
 
 // Direct is a plain static call.
 func Direct() int { return helper() }
+
+// box is generic: a call to Get on box[int] names an instantiated
+// method, which resolves to the one declaration.
+type box[T any] struct{ v T }
+
+func (b *box[T]) Get() T { return b.v }
+
+// Unbox calls a method of an instantiated generic type.
+func Unbox(b *box[int]) int { return b.Get() }
+
+// initial is called only from a package-level initializer, which
+// runs when the package loads.
+func initial() int { return 7 }
+
+var loaded = []int{initial()}
 
 // even and odd are mutually recursive: one strongly connected
 // component, emitted callee-first ahead of Parity.

@@ -215,12 +215,3 @@ func (mq *MQ) Submit(cpu int, now sim.Time, bytes int, sequential, write bool) (
 	mq.Trace.Emit(trace.BlockDispatch, now, 0, uint64(attempts), class, q, int64(bytes))
 	return total, err
 }
-
-// Requests reports total dispatched requests.
-func (mq *MQ) Requests() uint64 {
-	var n uint64
-	for _, c := range mq.PerQueue {
-		n += c
-	}
-	return n
-}

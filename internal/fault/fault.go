@@ -270,8 +270,6 @@ type pointState struct {
 	// the plane's own kernel instance.
 	rng       *sim.RNG
 	nextSched int
-	consults  uint64
-	injected  uint64
 }
 
 // Plane is an armed fault-injection plane. A nil *Plane is valid and
@@ -321,21 +319,19 @@ func (p *Plane) Check(pt Point, now sim.Time) Errno {
 	if st == nil {
 		return 0
 	}
-	st.consults++
 	// Scheduled injections take precedence and fire exactly once each.
 	if timed := st.rule.Timed; st.nextSched < len(timed) && now >= timed[st.nextSched].At {
 		errno := timed[st.nextSched].Err
 		st.nextSched++
-		return p.inject(pt, st, now, errno)
+		return p.inject(pt, now, errno)
 	}
 	if st.rule.Prob > 0 && st.rng.Float64() < st.rule.Prob {
-		return p.inject(pt, st, now, DefaultErrno(pt))
+		return p.inject(pt, now, DefaultErrno(pt))
 	}
 	return 0
 }
 
-func (p *Plane) inject(pt Point, st *pointState, now sim.Time, errno Errno) Errno {
-	st.injected++
+func (p *Plane) inject(pt Point, now sim.Time, errno Errno) Errno {
 	p.trace = append(p.trace, Record{Seq: p.seq, At: now, Point: pt, Err: errno})
 	p.seq++
 	return errno
@@ -347,30 +343,6 @@ func (p *Plane) Injected() uint64 {
 		return 0
 	}
 	return p.seq
-}
-
-// InjectedAt reports the number of faults injected at one point.
-func (p *Plane) InjectedAt(pt Point) uint64 {
-	if p == nil || p.points[pt] == nil {
-		return 0
-	}
-	return p.points[pt].injected
-}
-
-// Consults reports how many times a point was consulted.
-func (p *Plane) Consults(pt Point) uint64 {
-	if p == nil || p.points[pt] == nil {
-		return 0
-	}
-	return p.points[pt].consults
-}
-
-// Trace returns the injected-fault records in injection order.
-func (p *Plane) Trace() []Record {
-	if p == nil {
-		return nil
-	}
-	return p.trace
 }
 
 // TraceString serializes the fault trace, one record per line, in a

@@ -47,7 +47,7 @@ func TestNilPlaneNeverFaults(t *testing.T) {
 			t.Fatalf("nil plane injected %v", e)
 		}
 	}
-	if p.Injected() != 0 || p.Trace() != nil || p.TraceString() != "" {
+	if p.Injected() != 0 || p.TraceString() != "" {
 		t.Fatal("nil plane must report zero state")
 	}
 }
@@ -59,8 +59,8 @@ func TestUnruledPointNeverFaults(t *testing.T) {
 			t.Fatalf("unruled point injected %v", e)
 		}
 	}
-	if p.Consults(AllocSlab) != 0 {
-		t.Fatal("unruled point should not track consults")
+	if p.points[AllocSlab] != nil {
+		t.Fatal("unruled point should hold no state")
 	}
 }
 
@@ -71,8 +71,8 @@ func TestProbabilityOneAlwaysFaults(t *testing.T) {
 			t.Fatalf("consult %d: got %v, want EIO", i, e)
 		}
 	}
-	if got := p.InjectedAt(BlockIO); got != 10 {
-		t.Fatalf("InjectedAt = %d, want 10", got)
+	if got := p.Injected(); got != 10 {
+		t.Fatalf("Injected = %d, want 10", got)
 	}
 	// Canonical errnos per point.
 	if e := p.Check(AllocSlab, 0); e != ENOMEM {
@@ -98,8 +98,9 @@ func TestZeroProbabilityDrawsNothing(t *testing.T) {
 	if p.Injected() != 0 {
 		t.Fatal("rate-0 plane injected faults")
 	}
-	if p.Consults(AllocPage) != 1000 {
-		t.Fatalf("consults = %d, want 1000", p.Consults(AllocPage))
+	// The point's stream is where a fresh one starts.
+	if got, want := p.points[AllocPage].rng.Uint64(), sim.NewRNG(7^fnv64(string(AllocPage))).Uint64(); got != want {
+		t.Fatalf("rate-0 point drew from its stream: next draw %d, fresh stream %d", got, want)
 	}
 }
 
@@ -163,7 +164,7 @@ func TestPointStreamIndependence(t *testing.T) {
 			p.Check(AllocPage, sim.Time(i))
 		}
 		var only []Record
-		for _, r := range p.Trace() {
+		for _, r := range p.trace {
 			if r.Point == BlockIO {
 				only = append(only, Record{At: r.At, Point: r.Point, Err: r.Err})
 			}
@@ -194,7 +195,7 @@ func TestProbabilityRoughlyCalibrated(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.Check(BlockIO, sim.Time(i))
 	}
-	got := float64(p.InjectedAt(BlockIO)) / n
+	got := float64(p.Injected()) / n
 	if got < 0.08 || got > 0.12 {
 		t.Fatalf("injection rate %.4f too far from 0.1", got)
 	}

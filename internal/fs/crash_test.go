@@ -211,7 +211,7 @@ func TestCrashReplayMetadataConsistent(t *testing.T) {
 			}
 			wantExtents := 0
 			for ino, ref := range model {
-				ind, ok := f.InodeByNum(ino)
+				ind, ok := f.inodes[ino]
 				if !ok {
 					t.Fatalf("inode %d missing after replay", ino)
 				}
@@ -221,8 +221,8 @@ func TestCrashReplayMetadataConsistent(t *testing.T) {
 				if ind.SizePages != ref.size {
 					t.Fatalf("inode %d size %d, want %d", ino, ind.SizePages, ref.size)
 				}
-				if ind.Extents() != len(ref.extents) {
-					t.Fatalf("inode %d has %d extents, want %d", ino, ind.Extents(), len(ref.extents))
+				if ind.extents.Len() != len(ref.extents) {
+					t.Fatalf("inode %d has %d extents, want %d", ino, ind.extents.Len(), len(ref.extents))
 				}
 				wantExtents += len(ref.extents)
 			}

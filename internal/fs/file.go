@@ -207,7 +207,9 @@ func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
 		}
 		return true
 	})
+	ind.writeback = true
 	err := f.writeRuns(ctx, ind, dirty)
+	ind.writeback = false
 	f.dirtyRuns = dirty[:0]
 	return err
 }
@@ -272,8 +274,8 @@ func (f *FS) writeRuns(ctx *kstate.Ctx, ind *Inode, dirty []pageRef) error {
 
 // EvictFrame drops the page-cache page backed by the given frame
 // (called by reclaim when memory pressure demands freeing rather than
-// migrating). Dirty pages are written back first. Reports whether the
-// frame backed a page of this FS.
+// migrating). Dirty pages are written back first. Reports whether it
+// dropped a page of this FS; a page of an inode under writeback stays.
 //
 // It walks the page trees rather than keep a frame→page map that every
 // page-cache fill and free would write: its only caller is the OOM
@@ -291,7 +293,7 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 		})
 		return p.obj == nil
 	})
-	if p.obj == nil {
+	if p.obj == nil || ind.writeback {
 		return false
 	}
 	if p.obj.Dirty {

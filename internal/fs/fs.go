@@ -121,7 +121,7 @@ func New(mem *memsim.Memory, mq *blockdev.MQ, hooks kstate.Hooks, objIDs, inoGen
 		durable:         make(map[uint64]*durableInode),
 		ReadaheadWindow: 8,
 	}
-	f.Objs = alloc.NewObjects(mem, hooks, objIDs, &f.Stats.ObjStats, f.PageCacheShrinker())
+	f.Objs = alloc.NewObjects(mem, hooks, objIDs, &f.Stats.ObjStats)
 	return f
 }
 
@@ -129,7 +129,8 @@ func New(mem *memsim.Memory, mq *blockdev.MQ, hooks kstate.Hooks, objIDs, inoGen
 // deterministic kswapd stand-in). Clean pages go first; if none exist,
 // dirty pages are written back and dropped. Reports pages freed.
 // Re-entrant calls (writeback allocating under pressure, the kernel's
-// PF_MEMALLOC situation) return 0 immediately.
+// PF_MEMALLOC situation) return 0 immediately, and an inode under
+// writeback is skipped: the writeback that allocated holds its pages.
 func (f *FS) Reclaim(ctx *kstate.Ctx, n int) int {
 	if f.reclaiming {
 		return 0
@@ -143,7 +144,7 @@ func (f *FS) Reclaim(ctx *kstate.Ctx, n int) int {
 				break
 			}
 			ind, ok := f.inodes[ino]
-			if !ok {
+			if !ok || ind.writeback {
 				continue
 			}
 			if pass == 0 {
@@ -197,22 +198,6 @@ func (f *FS) lookupPath(ctx *kstate.Ctx, path string) (*Inode, bool) {
 	f.Stats.DentryMisses++
 	ctx.Charge(pathWalkCost)
 	return nil, false
-}
-
-// Inode returns the inode for a path (test/inspection helper).
-func (f *FS) Inode(path string) (*Inode, bool) {
-	ino, ok := f.dcache[path]
-	if !ok {
-		return nil, false
-	}
-	ind, ok := f.inodes[ino]
-	return ind, ok
-}
-
-// InodeByNum returns an inode by number.
-func (f *FS) InodeByNum(ino uint64) (*Inode, bool) {
-	ind, ok := f.inodes[ino]
-	return ind, ok
 }
 
 // errNotFound reports a missing path.

@@ -51,6 +51,13 @@ func newFS(t *testing.T, hooks kstate.Hooks) (*FS, *memsim.Memory) {
 
 func ctxAt(now sim.Time) *kstate.Ctx { return &kstate.Ctx{CPU: 0, Now: now} }
 
+// liveFrames counts m's live frames.
+func liveFrames(m *memsim.Memory) int {
+	n := 0
+	m.EachLive(func(*memsim.Frame) { n++ })
+	return n
+}
+
 func TestCreateAllocatesTableOneObjects(t *testing.T) {
 	h := &recordingHooks{}
 	f, _ := newFS(t, h)
@@ -108,8 +115,8 @@ func TestWriteBuildsPageCacheAndJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if file.Inode.CachedPages() != 10 {
-		t.Fatalf("cached pages = %d", file.Inode.CachedPages())
+	if file.Inode.pages.Len() != 10 {
+		t.Fatalf("cached pages = %d", file.Inode.pages.Len())
 	}
 	if f.Stats.ObjAllocs[kobj.PageCache] != 10 {
 		t.Fatalf("page cache allocs = %d", f.Stats.ObjAllocs[kobj.PageCache])
@@ -125,7 +132,7 @@ func TestWriteBuildsPageCacheAndJournal(t *testing.T) {
 	}
 	// Rewrite is a cache hit and does not grow the cache.
 	f.Write(ctx, file, 3)
-	if file.Inode.CachedPages() != 10 || f.Stats.CacheHits == 0 {
+	if file.Inode.pages.Len() != 10 || f.Stats.CacheHits == 0 {
 		t.Fatal("rewrite missed the cache")
 	}
 }
@@ -295,8 +302,8 @@ func TestUnlinkDeallocatesEverything(t *testing.T) {
 			t.Fatalf("type %s leaked %d objects", kobj.Type(typ), f.Stats.ObjLive[typ])
 		}
 	}
-	if mem.Frames() != 0 {
-		t.Fatalf("%d frames leaked", mem.Frames())
+	if liveFrames(mem) != 0 {
+		t.Fatalf("%d frames leaked", liveFrames(mem))
 	}
 }
 
@@ -433,7 +440,7 @@ func TestEvictFrame(t *testing.T) {
 	if evictCtx.Cost <= 0 {
 		t.Fatal("dirty eviction without writeback cost")
 	}
-	if file.Inode.CachedPages() != 0 {
+	if file.Inode.pages.Len() != 0 {
 		t.Fatal("page survived eviction")
 	}
 	// Unknown frame.
@@ -452,14 +459,14 @@ func TestDropCleanPages(t *testing.T) {
 	}
 	f.Fsync(ctx, file) // all clean now
 	dropped := f.DropCleanPages(ctx, file.Inode, 4)
-	if dropped != 4 || file.Inode.CachedPages() != 6 {
-		t.Fatalf("dropped=%d cached=%d", dropped, file.Inode.CachedPages())
+	if dropped != 4 || file.Inode.pages.Len() != 6 {
+		t.Fatalf("dropped=%d cached=%d", dropped, file.Inode.pages.Len())
 	}
 	// Dirty pages are not droppable.
 	f.Write(ctx, file, 20)
-	before := file.Inode.CachedPages()
+	before := file.Inode.pages.Len()
 	f.DropCleanPages(ctx, file.Inode, 100)
-	if file.Inode.CachedPages() != before-(before-1) {
+	if file.Inode.pages.Len() != before-(before-1) {
 		// all clean pages dropped, dirty one remains
 	}
 	remaining := 0

@@ -36,6 +36,11 @@ type Inode struct {
 	// input to OOM victim scoring.
 	lastUsed sim.Time
 
+	// writeback is set while writeRuns submits the inode's dirty pages,
+	// as PG_writeback marks a page in flight: Reclaim and EvictFrame
+	// leave the inode's pages alone until it clears.
+	writeback bool
+
 	// SizePages is the logical file size in pages.
 	SizePages int64
 }
@@ -57,12 +62,6 @@ type File struct {
 	// closed is set by the handle's first Close.
 	closed bool
 }
-
-// CachedPages reports the inode's page-cache population.
-func (ind *Inode) CachedPages() int { return ind.pages.Len() }
-
-// Extents reports the inode's extent-mapping count (tests).
-func (ind *Inode) Extents() int { return ind.extents.Len() }
 
 // Objects returns all kernel objects currently attached to the inode
 // (for accounting and tests).

@@ -30,7 +30,7 @@ func TestRename(t *testing.T) {
 	if g.Inode != file.Inode {
 		t.Fatal("rename changed identity")
 	}
-	if g.Inode.CachedPages() != 1 {
+	if g.Inode.pages.Len() != 1 {
 		t.Fatal("rename lost page cache")
 	}
 	if f.Stats.Renames != 1 {
@@ -75,17 +75,17 @@ func TestTruncateShrink(t *testing.T) {
 		f.Write(ctx, file, i)
 	}
 	f.Fsync(ctx, file)
-	framesBefore := mem.Frames()
+	framesBefore := liveFrames(mem)
 	if err := f.Truncate(ctx, file, 10); err != nil {
 		t.Fatal(err)
 	}
 	if file.Inode.SizePages != 10 {
 		t.Fatalf("size = %d", file.Inode.SizePages)
 	}
-	if got := file.Inode.CachedPages(); got != 10 {
+	if got := file.Inode.pages.Len(); got != 10 {
 		t.Fatalf("cached pages after truncate = %d", got)
 	}
-	if mem.Frames() >= framesBefore {
+	if liveFrames(mem) >= framesBefore {
 		t.Fatal("truncate freed no frames")
 	}
 	// Extents beyond the new size are gone; the first survives.
@@ -106,7 +106,7 @@ func TestTruncateExtend(t *testing.T) {
 	if err := f.Truncate(ctx, file, 100); err != nil {
 		t.Fatal(err)
 	}
-	if file.Inode.SizePages != 100 || file.Inode.CachedPages() != 1 {
+	if file.Inode.SizePages != 100 || file.Inode.pages.Len() != 1 {
 		t.Fatal("logical extension should not allocate pages")
 	}
 	// Negative clamps to zero.
@@ -177,7 +177,7 @@ func TestFSInvariantsProperty(t *testing.T) {
 				}
 			case 4:
 				path := paths[r.Intn(len(paths))]
-				if ind, ok := fsys.Inode(path); ok {
+				if ind, ok := fsys.inodes[fsys.dcache[path]]; ok {
 					ind.pages.Ascend(func(_ int64, p *kobj.Object) bool {
 						unlinked = append(unlinked, frameRef{p.Frame, p.Frame.ID})
 						return true

@@ -9,6 +9,7 @@ import (
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
+	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 )
 
@@ -176,19 +177,26 @@ func (r *refCache) dropClean(ino uint64, n int) {
 	}
 }
 
+// treeKeys lists a page-cache tree's indexes in increasing order.
+func treeKeys(tr *rbtree.Tree[int64, *kobj.Object]) []int64 {
+	var keys []int64
+	tr.Ascend(func(idx int64, _ *kobj.Object) bool { keys = append(keys, idx); return true })
+	return keys
+}
+
 // check compares the filesystem with the reference: every live inode's
 // cached indexes, each page's object, ID and flags, its radix nodes in
 // slot order, and the three page-cache counters.
 func (r *refCache) check(fsys *FS) error {
 	for ino := range r.inodes {
-		if _, ok := fsys.InodeByNum(ino); !ok {
+		if _, ok := fsys.inodes[ino]; !ok {
 			return fmt.Errorf("inode %d is gone from the filesystem but not from the reference", ino)
 		}
 	}
 	var err error
 	fsys.ForEachInode(func(ind *Inode) bool {
 		ri := r.inode(ind.Ino)
-		if got, want := ind.pages.Keys(), sortedIdx(ri.pages); !slices.Equal(got, want) {
+		if got, want := treeKeys(ind.pages), sortedIdx(ri.pages); !slices.Equal(got, want) {
 			err = fmt.Errorf("inode %d caches pages %v, reference %v", ind.Ino, got, want)
 			return false
 		}
@@ -208,7 +216,7 @@ func (r *refCache) check(fsys *FS) error {
 		if err != nil {
 			return false
 		}
-		if got, want := ind.radixNodes.Keys(), sortedIdx(ri.slots); !slices.Equal(got, want) {
+		if got, want := treeKeys(ind.radixNodes), sortedIdx(ri.slots); !slices.Equal(got, want) {
 			err = fmt.Errorf("inode %d has radix nodes for slots %v, reference %v", ind.Ino, got, want)
 			return false
 		}
@@ -320,7 +328,7 @@ func TestPageCacheMatchesReference(t *testing.T) {
 					break
 				}
 				for ino := range ref.inodes {
-					if _, live := fsys.InodeByNum(ino); !live {
+					if _, live := fsys.inodes[ino]; !live {
 						delete(ref.inodes, ino)
 					}
 				}

@@ -112,8 +112,9 @@ func TestOOMVictimFramesPicksColdestLargest(t *testing.T) {
 	f.Fsync(later, hot)
 	f.Close(later, hot)
 
-	_, firstPage, ok := f.inodes[cold.Inode.Ino].pages.Min()
-	if !ok {
+	var firstPage *kobj.Object
+	f.inodes[cold.Inode.Ino].pages.Ascend(func(_ int64, o *kobj.Object) bool { firstPage = o; return false })
+	if firstPage == nil {
 		t.Fatal("cold file has no cached pages")
 	}
 	node := firstPage.Frame.Node

@@ -3,6 +3,7 @@ package fs
 import (
 	"testing"
 
+	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
@@ -23,6 +24,18 @@ func (h *accessHooks) PageAccessed(_ *kstate.Ctx, f *memsim.Frame) {
 	}
 }
 
+// newPressuredFS builds a standalone FS whose allocations reclaim
+// through a pressure plane wired the way kernel.New wires it.
+func newPressuredFS(mem *memsim.Memory, hooks kstate.Hooks) (*FS, *pressure.Plane) {
+	var objIDs, inoGen kstate.IDGen
+	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), hooks, &objIDs, &inoGen)
+	plane := pressure.NewPlane(mem, memsim.FastNode)
+	plane.Register(f.PageCacheShrinker())
+	plane.Register(f.DentryShrinker())
+	f.Objs.Pressure = plane
+	return f, plane
+}
+
 // TestWriteKeepsFreshPageUnderReclaim: on a fast node too small for
 // the file, a Write's journal-record allocation enters direct reclaim,
 // which drops clean cached pages. The page being written is clean until
@@ -37,8 +50,7 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
 		FastPages: 14, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
 	})
-	var objIDs, inoGen kstate.IDGen
-	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), h, &objIDs, &inoGen)
+	f, plane := newPressuredFS(mem, h)
 	file, err := f.Create(ctxAt(0), "/f")
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +70,13 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 		if h.nilAccesses != 0 {
 			t.Fatalf("write of page %d reported an access to a page without a frame", i)
 		}
-		if live := f.Stats.ObjLive[kobj.PageCache]; live != int64(file.Inode.CachedPages()) {
-			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", i, live, file.Inode.CachedPages())
+		if live := f.Stats.ObjLive[kobj.PageCache]; live != int64(file.Inode.pages.Len()) {
+			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", i, live, file.Inode.pages.Len())
 		}
 	}
-	if failed == 0 {
-		t.Fatal("no write ran out of memory: the path under test was not reached")
+	if failed == 0 || plane.Stats.DirectReclaims == 0 {
+		t.Fatalf("%d writes ran out of memory after %d direct reclaims: the path under test was not reached",
+			failed, plane.Stats.DirectReclaims)
 	}
 }
 
@@ -81,8 +94,7 @@ func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
 	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
 		FastPages: 9, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
 	})
-	var objIDs, inoGen kstate.IDGen
-	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), h, &objIDs, &inoGen)
+	f, plane := newPressuredFS(mem, h)
 	file, err := f.Create(ctxAt(0), "/f")
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +118,13 @@ func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
 		if h.nilAccesses != 0 {
 			t.Fatalf("read of page %d reported an access to a page without a frame", idx)
 		}
-		if live := f.Stats.ObjLive[kobj.PageCache]; live != int64(file.Inode.CachedPages()) {
-			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", idx, live, file.Inode.CachedPages())
+		if live := f.Stats.ObjLive[kobj.PageCache]; live != int64(file.Inode.pages.Len()) {
+			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", idx, live, file.Inode.pages.Len())
 		}
 	}
-	if failedAfterAlloc == 0 {
-		t.Fatal("no read failed after allocating its page: the path under test was not reached")
+	if failedAfterAlloc == 0 || plane.Stats.DirectReclaimPages == 0 {
+		t.Fatalf("%d reads failed after allocating their page, reclaim freed %d pages: the path under test was not reached",
+			failedAfterAlloc, plane.Stats.DirectReclaimPages)
 	}
 }
 
@@ -161,7 +174,7 @@ func TestNestedWritebackKeepsItsOwnPages(t *testing.T) {
 	}
 	check := func(file *File, name string, cached int) {
 		t.Helper()
-		if n := file.Inode.CachedPages(); n != cached {
+		if n := file.Inode.pages.Len(); n != cached {
 			t.Errorf("%s: %d pages cached, want %d", name, n, cached)
 		}
 		dirty := 0
@@ -181,5 +194,60 @@ func TestNestedWritebackKeepsItsOwnPages(t *testing.T) {
 	check(b, "b", bPages)
 	if got := f.Stats.WritebackPages; got != aPages+bPages {
 		t.Errorf("%d pages written back, want %d", got, aPages+bPages)
+	}
+}
+
+// TestReclaimSkipsInodeUnderWriteback: as above, but a holds fewer
+// pages than reclaim's 64-page target, so the reclaim under b's first
+// bio allocation goes on past a to b itself. b's dirty pages are under
+// writeback (PG_writeback): reclaim must leave them to b's Fsync, which
+// would otherwise write back, un-dirty and count page objects the
+// nested pass already freed.
+func TestReclaimSkipsInodeUnderWriteback(t *testing.T) {
+	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
+		FastPages: 256, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
+	})
+	var objIDs, inoGen kstate.IDGen
+	f := New(mem, blockdev.NewMQ(blockdev.DefaultNVMe(), 1), kstate.NopHooks{}, &objIDs, &inoGen)
+	san := alloc.NewSanitizer()
+	f.Objs.San = san
+	plane := pressure.NewPlane(mem, memsim.FastNode)
+	plane.Register(f.PageCacheShrinker())
+	f.Objs.Pressure = plane
+
+	const aPages, bPages = 32, 96
+	var b *File
+	for _, w := range []struct {
+		path  string
+		pages int64
+	}{{"/a", aPages}, {"/b", bPages}} {
+		file, err := f.Create(ctxAt(0), w.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < w.pages; i++ {
+			if err := f.Write(ctxAt(0), file, i); err != nil {
+				t.Fatalf("%s page %d: %v", w.path, i, err)
+			}
+		}
+		b = file
+	}
+	free := mem.Node(memsim.FastNode).Free()
+	plane.Configure(pressure.Config{Watermarks: memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3}})
+
+	if err := f.Fsync(ctxAt(sim.Time(sim.Millisecond)), b); err != nil {
+		t.Fatal(err)
+	}
+	if plane.Stats.DirectReclaims == 0 {
+		t.Fatal("Fsync never entered direct reclaim: the nesting was not reached")
+	}
+	if r := san.Report(sim.Time(sim.Millisecond)); r.TotalFindings != 0 {
+		t.Errorf("sanitizer:\n%s", r)
+	}
+	if got := f.Stats.WritebackPages; got != aPages+bPages {
+		t.Errorf("%d pages written back, want the %d dirty ones", got, aPages+bPages)
+	}
+	if n := b.Inode.pages.Len(); n != bPages {
+		t.Errorf("b: %d pages cached, want %d", n, bPages)
 	}
 }

@@ -69,10 +69,9 @@ type RunConfig struct {
 	MoveTaskAtFrac float64
 
 	// Duration is the measured virtual run length; throughput is ops
-	// completed within it. Default 400 ms of virtual time. The
-	// workload's TotalOps acts as a safety cap. A warmup of Duration/2
-	// runs the workload (and daemons) before measurement begins so
-	// policies are judged at steady state.
+	// completed within it. Default 400 ms of virtual time. A warmup of
+	// Duration/2 runs the workload (and daemons) before measurement
+	// begins so policies are judged at steady state.
 	Duration sim.Duration
 
 	// Fault arms a deterministic fault-injection plane for the run.
@@ -330,10 +329,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		opCosts     metrics.Distribution
 		base        statSnapshot
 	)
-	perThread := wl.TotalOps() / threads
-	if perThread < 1 {
-		perThread = 1
-	}
 	deadline := start.Add(cfg.Duration)
 	if cfg.Platform == Optane && cfg.MoveTaskAtFrac > 0 {
 		moveAt := start.Add(sim.Duration(cfg.MoveTaskAtFrac * float64(cfg.Duration)))
@@ -344,7 +339,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	for t := 0; t < threads; t++ {
 		t := t
 		rng := root.Fork()
-		remaining := perThread
 		var step sim.Func
 		finish := func(e *sim.Engine) {
 			done++
@@ -354,11 +348,10 @@ func Run(cfg RunConfig) (*Result, error) {
 			}
 		}
 		step = func(e *sim.Engine) {
-			if stepErr != nil || remaining == 0 || e.Now() >= deadline {
+			if stepErr != nil || e.Now() >= deadline {
 				finish(e)
 				return
 			}
-			remaining--
 			if e.Now() >= start {
 				globalOps++
 			}

@@ -24,7 +24,7 @@ func TestWritebackIOFailuresAreClean(t *testing.T) {
 		PolicyName: "klocs", Workload: "rocksdb",
 		Sanitize: true, CrashReplay: true,
 		Fault: &fault.Config{Seed: 42, Rules: map[fault.Point]fault.Rule{fault.BlockIO: {Prob: 0.5}}},
-		Trace: &trace.Config{Events: []string{string(trace.AllocSlab), string(trace.BlockDispatch)}, BufferEvents: 1 << 20},
+		Trace: &trace.Config{Events: []string{string(trace.AllocSlab), string(trace.BlockDispatch)}},
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,13 @@ import (
 const appIDBit = uint64(1) << 63
 
 // Policy is what a tiering strategy must provide beyond the kernel
-// hooks: identity, attachment, and a periodic daemon tick.
+// hooks: application-page placement, identity, attachment, and a
+// periodic daemon tick.
 type Policy interface {
 	kstate.Hooks
+	// PlaceApp returns the fallback order for application pages, a
+	// shared read-only slice like PlaceKernel's.
+	PlaceApp(ctx *kstate.Ctx) []memsim.NodeID
 	Name() string
 	// Attach wires the policy to the kernel before the run starts.
 	Attach(k *Kernel)
@@ -84,9 +88,6 @@ type Kernel struct {
 	objIDs kstate.IDGen
 	inoGen kstate.IDGen
 
-	// appMapped counts the frames with Frame.Mapped set (AppPages).
-	appMapped int
-
 	// ctxPool recycles retired op contexts (see NewCtx/PutCtx).
 	// ctxFresh/ctxReused meter the pool.
 	ctxPool             []*kstate.Ctx
@@ -131,9 +132,6 @@ func (k *Kernel) InjectFaults(p *fault.Plane) {
 	k.Mem.Fault = p
 	k.FS.MQ.Dev.Fault = p
 }
-
-// FaultPlane returns the armed plane, if any.
-func (k *Kernel) FaultPlane() *fault.Plane { return k.Mem.Fault }
 
 // AttachTracer arms a tracing plane across every subsystem that emits
 // trace events: the filesystem and the network stack with their
@@ -293,7 +291,6 @@ func (k *Kernel) AppAlloc(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 		k.Trace.Emit(trace.AllocPage, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
 		f.Mapped = true
-		k.appMapped++
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
 		k.Stats.AppPagesAllocated++
 		k.Policy.PageAllocated(ctx, f)
@@ -326,7 +323,6 @@ func (k *Kernel) AppAllocHuge(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 		k.Trace.Emit(trace.AllocPage, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
 		f.Mapped = true
-		k.appMapped++
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
 		k.Stats.AppPagesAllocated += uint64(f.Pages())
 		k.Policy.PageAllocated(ctx, f)
@@ -353,7 +349,6 @@ func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 			continue
 		}
 		f.Mapped = false
-		k.appMapped--
 		k.San.TrackFree(appIDBit|uint64(f.ID), ctx.Now)
 		k.Trace.Emit(trace.ObjFree, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
@@ -363,12 +358,6 @@ func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 		k.Stats.AppPagesFreed++
 	}
 }
-
-// AppPages reports the live app-page count.
-func (k *Kernel) AppPages() int { return k.appMapped }
-
-// ObjIDs exposes the shared object-ID generator (tests).
-func (k *Kernel) ObjIDs() *kstate.IDGen { return &k.objIDs }
 
 // lifetimeClass buckets object types the way Fig 2d reports them.
 func lifetimeClass(t kobj.Type) string {
@@ -388,9 +377,8 @@ type muxHooks struct {
 func (m *muxHooks) PlaceKernel(ctx *kstate.Ctx, t kobj.Type, ino uint64) []memsim.NodeID {
 	return m.policy.PlaceKernel(ctx, t, ino)
 }
-func (m *muxHooks) PlaceApp(ctx *kstate.Ctx) []memsim.NodeID { return m.policy.PlaceApp(ctx) }
-func (m *muxHooks) UseKlocAllocator(t kobj.Type) bool        { return m.policy.UseKlocAllocator(t) }
-func (m *muxHooks) DriverSockExtract() bool                  { return m.policy.DriverSockExtract() }
+func (m *muxHooks) UseKlocAllocator(t kobj.Type) bool { return m.policy.UseKlocAllocator(t) }
+func (m *muxHooks) DriverSockExtract() bool           { return m.policy.DriverSockExtract() }
 
 func (m *muxHooks) InodeCreated(ctx *kstate.Ctx, ino uint64, sock bool) {
 	m.policy.InodeCreated(ctx, ino, sock)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"kloc/internal/kobj"
@@ -18,10 +19,31 @@ type testPolicy struct {
 	cost   sim.Duration
 }
 
+func (p *testPolicy) PlaceApp(*kstate.Ctx) []memsim.NodeID {
+	return []memsim.NodeID{memsim.FastNode, memsim.SlowNode}
+}
 func (p *testPolicy) Name() string               { return "test" }
 func (p *testPolicy) Attach(k *Kernel)           { p.k = k }
 func (p *testPolicy) TickPeriod() sim.Duration   { return p.period }
 func (p *testPolicy) Tick(sim.Time) sim.Duration { p.ticks++; return p.cost }
+
+// mappedFrames counts m's live frames mapped as application pages.
+func mappedFrames(m *memsim.Memory) int {
+	n := 0
+	m.EachLive(func(f *memsim.Frame) {
+		if f.Mapped {
+			n++
+		}
+	})
+	return n
+}
+
+// liveFrames counts m's live frames.
+func liveFrames(m *memsim.Memory) int {
+	n := 0
+	m.EachLive(func(*memsim.Frame) { n++ })
+	return n
+}
 
 func newTestKernel(period sim.Duration) (*Kernel, *testPolicy, *sim.Engine) {
 	eng := sim.NewEngine()
@@ -44,15 +66,13 @@ func TestKernelAssembly(t *testing.T) {
 	if k.Pressure == nil {
 		t.Fatal("pressure plane not assembled")
 	}
-	names := k.Pressure.ShrinkerNames()
-	want := []string{"fs.pagecache", "fs.dentry", "net.skbuff"}
-	if len(names) != len(want) {
-		t.Fatalf("shrinkers = %v, want %v", names, want)
+	var names []string
+	for _, s := range k.Pressure.ShrinkerStats() {
+		names = append(names, s.Name)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("shrinkers = %v, want %v", names, want)
-		}
+	want := []string{"fs.pagecache", "fs.dentry", "net.skbuff"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("shrinkers = %v, want %v", names, want)
 	}
 	if k.FS.Objs.Pressure != k.Pressure || k.Net.Objs.Pressure != k.Pressure {
 		t.Fatal("subsystem reclaim not routed through the pressure plane")
@@ -66,8 +86,8 @@ func TestAppPageLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 10 || k.AppPages() != 10 {
-		t.Fatalf("allocated %d, tracked %d", len(frames), k.AppPages())
+	if len(frames) != 10 || mappedFrames(k.Mem) != 10 {
+		t.Fatalf("allocated %d, mapped %d", len(frames), mappedFrames(k.Mem))
 	}
 	if ctx.Cost <= 0 {
 		t.Fatal("allocation was free")
@@ -82,7 +102,7 @@ func TestAppPageLifecycle(t *testing.T) {
 		t.Fatal("access not counted")
 	}
 	k.AppFree(ctx, frames)
-	if k.AppPages() != 0 || k.Mem.Frames() != 0 {
+	if mappedFrames(k.Mem) != 0 || liveFrames(k.Mem) != 0 {
 		t.Fatal("free leaked")
 	}
 	// Lifetime recorded under "app".
@@ -119,7 +139,7 @@ func TestDaemonBackoffWhenBusy(t *testing.T) {
 func TestNoDaemonForZeroPeriod(t *testing.T) {
 	k, _, eng := newTestKernel(0)
 	k.Start()
-	if eng.Pending() != 0 {
+	if eng.Step() {
 		t.Fatal("zero-period policy scheduled a daemon")
 	}
 }

@@ -115,8 +115,10 @@ func checkEvictWorst(t *testing.T, k *kernel.Kernel, file *fs.File, victims []*m
 	if ctx.Cost <= 0 {
 		t.Fatal("evicting dirty pages charged no writeback")
 	}
-	if n := file.Inode.CachedPages(); n != 0 {
-		t.Fatalf("%d cached pages survived eviction", n)
+	for _, o := range file.Inode.Objects() {
+		if o.Type == kobj.PageCache {
+			t.Fatalf("cached page %d survived eviction", o.ID)
+		}
 	}
 	for f := range cached {
 		if f.Class != memsim.ClassFree {

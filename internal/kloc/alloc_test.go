@@ -33,7 +33,7 @@ func newKnodeIndex(t testing.TB) *knodeIndex {
 // attribution makes, and refreshes its recency on every 16th event.
 func (x *knodeIndex) step() {
 	id := x.ids[x.i%len(x.ids)]
-	if _, ok := x.reg.GetByID(id); ok {
+	if _, ok := x.reg.knodeByID(id); ok {
 		x.hits++
 	}
 	if x.i&15 == 0 {
@@ -64,7 +64,7 @@ func TestKnodeIndexIsAllocFree(t *testing.T) {
 		t.Fatalf("knode-index loop allocated %.2f objects per 64 events in steady state", avg)
 	}
 	if x.hits != x.i {
-		t.Fatalf("GetByID resolved %d of %d mapped IDs", x.hits, x.i)
+		t.Fatalf("knodeByID resolved %d of %d mapped IDs", x.hits, x.i)
 	}
 }
 

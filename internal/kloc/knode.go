@@ -59,9 +59,6 @@ type Knode struct {
 	frame *memsim.Frame
 }
 
-// Objects reports (cache, slab) tree sizes.
-func (k *Knode) Objects() (int, int) { return k.rbCache.Len(), k.rbSlab.Len() }
-
 // lookupCost models a traversal of one of the knode's trees.
 func lookupCost(depth int) sim.Duration {
 	if depth < 1 {
@@ -395,11 +392,6 @@ func (r *Registry) Delete(inode uint64) sim.Duration {
 
 // Get returns the knode for an inode without touching recency state.
 func (r *Registry) Get(inode uint64) (*Knode, bool) { return r.kmap.Get(inode) }
-
-// GetByID returns a knode by its ID.
-func (r *Registry) GetByID(id KnodeID) (*Knode, bool) {
-	return r.knodeByID(id)
-}
 
 // TouchID refreshes a knode's recency by ID (used when a page access is
 // attributed to its KLOC via the frame's knode stamp).

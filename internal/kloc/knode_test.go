@@ -91,7 +91,7 @@ func TestObjectIndexingSplitTrees(t *testing.T) {
 	page := obj(m, 2, kobj.PageCache, false)
 	r.AddObject(0, 7, dentry, 10)
 	r.AddObject(0, 7, page, 10)
-	c, s := kn.Objects()
+	c, s := kn.rbCache.Len(), kn.rbSlab.Len()
 	if c != 1 || s != 1 {
 		t.Fatalf("tree split wrong: cache=%d slab=%d", c, s)
 	}
@@ -105,7 +105,7 @@ func TestObjectIndexingSplitTrees(t *testing.T) {
 		t.Fatalf("iteration: slab=%d cache=%d", slabSeen, cacheSeen)
 	}
 	r.RemoveObject(dentry)
-	if _, s := kn.Objects(); s != 0 {
+	if kn.rbSlab.Len() != 0 {
 		t.Fatal("remove failed")
 	}
 	if dentry.Knode != 0 {
@@ -124,7 +124,7 @@ func TestSingleTreeAblation(t *testing.T) {
 	kn, _, _ := r.MapKnode(7, order, 0)
 	r.AddObject(0, 7, obj(m, 1, kobj.Dentry, true), 0)
 	r.AddObject(0, 7, obj(m, 2, kobj.PageCache, false), 0)
-	c, s := kn.Objects()
+	c, s := kn.rbCache.Len(), kn.rbSlab.Len()
 	if c != 2 || s != 2 {
 		t.Fatalf("single-tree mode should share: cache=%d slab=%d", c, s)
 	}

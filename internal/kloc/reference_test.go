@@ -11,7 +11,7 @@ import (
 // TestIDIndexMatchesKmap churns knodes through MapKnode/Delete (inodes
 // are re-mapped after deletion, so one inode owns several IDs over the
 // run) and checks the dense ID index against the kmap and a plain
-// inode -> ID reference map: GetByID finds exactly the live knodes,
+// inode -> ID reference map: knodeByID finds exactly the live knodes,
 // each under its own ID, and TouchID refreshes a live knode but leaves
 // a deleted one untouched.
 func TestIDIndexMatchesKmap(t *testing.T) {
@@ -48,11 +48,11 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 			t.Fatalf("step %d: kmap holds %d knodes, reference %d", step, r.Len(), len(live))
 		}
 		for id := KnodeID(0); id <= maxID+2; id++ {
-			got, ok := r.GetByID(id)
+			got, ok := r.knodeByID(id)
 			kn := issued[id]
 			wantLive := kn != nil && live[kn.Inode] == id
 			if ok != wantLive {
-				t.Fatalf("step %d: GetByID(%d) found=%v, reference live=%v", step, id, ok, wantLive)
+				t.Fatalf("step %d: knodeByID(%d) found=%v, reference live=%v", step, id, ok, wantLive)
 			}
 			if !ok {
 				if kn != nil {
@@ -65,7 +65,7 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 				continue
 			}
 			if got != kn {
-				t.Fatalf("step %d: GetByID(%d) returned the wrong knode", step, id)
+				t.Fatalf("step %d: knodeByID(%d) returned the wrong knode", step, id)
 			}
 			if viaKmap, ok := r.Get(kn.Inode); !ok || viaKmap != got {
 				t.Fatalf("step %d: ID %d resolves to inode %d, which the kmap maps elsewhere", step, id, kn.Inode)

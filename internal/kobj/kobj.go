@@ -216,6 +216,3 @@ func (o *Object) Release() bool {
 	o.Frame = nil
 	return released
 }
-
-// Relocatable reports whether the object's storage can migrate.
-func (o *Object) Relocatable() bool { return o.Frame != nil && !o.Frame.Pinned }

@@ -102,13 +102,6 @@ func TestObjectLifecycle(t *testing.T) {
 	if o.Size != Dentry.Info().Size || o.Born != 100 {
 		t.Fatalf("object misconstructed: %+v", o)
 	}
-	if !o.Relocatable() {
-		t.Fatal("unpinned frame should be relocatable")
-	}
-	frame.Pinned = true
-	if o.Relocatable() {
-		t.Fatal("pinned frame reported relocatable")
-	}
 	o.Release()
 	o.Release() // idempotent
 	if len(freed) != 1 || freed[0] != frame {
@@ -119,7 +112,4 @@ func TestObjectLifecycle(t *testing.T) {
 func TestObjectNilReleaseAndFrame(t *testing.T) {
 	o := NewObject(1, Inode, nil, 0, nil)
 	o.Release() // must not panic
-	if o.Relocatable() {
-		t.Fatal("frameless object reported relocatable")
-	}
 }

@@ -43,16 +43,14 @@ func (g *IDGen) Next() uint64 {
 // and report lifecycle events. A policy implements Hooks; NopHooks is
 // the do-nothing base to embed.
 //
-// The fallback orders PlaceKernel and PlaceApp return are shared and
-// read-only: a policy hands out the same slice on every call, so
-// placement allocates nothing, and callers must not modify it.
+// The fallback order PlaceKernel returns is shared and read-only: a
+// policy hands out the same slice on every call, so placement
+// allocates nothing, and callers must not modify it.
 type Hooks interface {
 	// PlaceKernel returns the node fallback order for a kernel-object
 	// allocation of type t belonging to inode ino (0 when the owner is
 	// not yet known, e.g. an undemuxed ingress packet).
 	PlaceKernel(ctx *Ctx, t kobj.Type, ino uint64) []memsim.NodeID
-	// PlaceApp returns the fallback order for application pages.
-	PlaceApp(ctx *Ctx) []memsim.NodeID
 	// UseKlocAllocator reports whether slab-class objects of type t
 	// should come from the relocatable KLOC allocation interface
 	// instead of the pinned slab (§4.4).
@@ -82,27 +80,13 @@ type Hooks interface {
 // NopHooks implements Hooks with defaults: allocate everywhere in node
 // order, classic slab, TCP-layer demux, ignore all notifications.
 // Embed it to implement only what a policy needs.
-type NopHooks struct {
-	// Order is the default fallback order returned by both placement
-	// hooks; nil means node 0 then node 1.
-	Order []memsim.NodeID
-}
+type NopHooks struct{}
 
-// nodeOrder is NopHooks' order when Order is nil.
+// nodeOrder is NopHooks' placement: node 0, then node 1.
 var nodeOrder = []memsim.NodeID{0, 1}
 
-func (n NopHooks) defaultOrder() []memsim.NodeID {
-	if n.Order != nil {
-		return n.Order
-	}
-	return nodeOrder
-}
-
-// PlaceKernel returns the default order.
-func (n NopHooks) PlaceKernel(*Ctx, kobj.Type, uint64) []memsim.NodeID { return n.defaultOrder() }
-
-// PlaceApp returns the default order.
-func (n NopHooks) PlaceApp(*Ctx) []memsim.NodeID { return n.defaultOrder() }
+// PlaceKernel returns node 0, then node 1.
+func (n NopHooks) PlaceKernel(*Ctx, kobj.Type, uint64) []memsim.NodeID { return nodeOrder }
 
 // UseKlocAllocator is false: classic slab.
 func (n NopHooks) UseKlocAllocator(kobj.Type) bool { return false }

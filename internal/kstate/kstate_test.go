@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kloc/internal/kobj"
-	"kloc/internal/memsim"
 )
 
 func TestCtxCharge(t *testing.T) {
@@ -32,10 +31,6 @@ func TestNopHooksDefaults(t *testing.T) {
 	}
 	if h.UseKlocAllocator(kobj.Dentry) || h.DriverSockExtract() {
 		t.Fatal("NopHooks should default to classic kernel behaviour")
-	}
-	custom := NopHooks{Order: []memsim.NodeID{1}}
-	if o := custom.PlaceApp(nil); len(o) != 1 || o[0] != 1 {
-		t.Fatalf("custom order = %v", o)
 	}
 	// Notifications must be safe no-ops.
 	h.InodeCreated(nil, 1, false)

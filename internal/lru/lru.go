@@ -35,9 +35,6 @@ type Lists struct {
 // New returns empty lists.
 func New() *Lists { return &Lists{} }
 
-// Len reports (active, inactive) lengths.
-func (l *Lists) Len() (int, int) { return l.active.Len(), l.inactive.Len() }
-
 // Contains reports membership.
 func (l *Lists) Contains(f *memsim.Frame) bool {
 	return l.active.Has(f) || l.inactive.Has(f)
@@ -133,16 +130,6 @@ func (l *Lists) Balance(ratio float64, now sim.Time) sim.Duration {
 		l.inactive.PushFront(f)
 	}
 	return cost
-}
-
-// OldestInactive returns up to n frames from the inactive tail without
-// the referenced-check (used by policies that trust their own signal).
-func (l *Lists) OldestInactive(n int) []*memsim.Frame {
-	out := make([]*memsim.Frame, 0, n)
-	for f := l.inactive.Back(); f != nil && len(out) < n; f = f.Prev() {
-		out = append(out, f)
-	}
-	return out
 }
 
 // HottestActive returns up to n frames from the active head whose last

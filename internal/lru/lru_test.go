@@ -21,7 +21,7 @@ func TestAddRemoveContains(t *testing.T) {
 	for _, f := range fs {
 		l.Add(f, 0)
 	}
-	a, i := l.Len()
+	a, i := l.active.Len(), l.inactive.Len()
 	if a != 0 || i != 3 {
 		t.Fatalf("len = %d/%d", a, i)
 	}
@@ -29,7 +29,7 @@ func TestAddRemoveContains(t *testing.T) {
 		t.Fatal("missing member")
 	}
 	l.Add(fs[0], 5) // duplicate add is a no-op
-	if _, i := l.Len(); i != 3 {
+	if l.inactive.Len() != 3 {
 		t.Fatal("duplicate add changed length")
 	}
 	l.Remove(fs[1])
@@ -44,12 +44,12 @@ func TestMarkAccessedActivates(t *testing.T) {
 	f := frames(1)[0]
 	l.Add(f, 0)
 	l.MarkAccessed(f, 10)
-	a, i := l.Len()
+	a, i := l.active.Len(), l.inactive.Len()
 	if a != 1 || i != 0 {
 		t.Fatalf("after activation: %d/%d", a, i)
 	}
 	l.MarkAccessed(f, 20) // already active: just refreshes
-	if a, _ := l.Len(); a != 1 {
+	if l.active.Len() != 1 {
 		t.Fatal("double activation duplicated entry")
 	}
 	l.MarkAccessed(&memsim.Frame{ID: 99}, 5) // unknown frame: no-op
@@ -77,7 +77,7 @@ func TestScanInactiveColdDetection(t *testing.T) {
 		}
 	}
 	// Referenced frames moved to active.
-	a, i := l.Len()
+	a, i := l.active.Len(), l.inactive.Len()
 	if a != 2 || i != 2 {
 		t.Fatalf("after scan: %d/%d", a, i)
 	}
@@ -126,7 +126,7 @@ func TestBalanceDeactivates(t *testing.T) {
 	if cost == 0 {
 		t.Fatal("balance did no work")
 	}
-	a, i := l.Len()
+	a, i := l.active.Len(), l.inactive.Len()
 	if a+i != 10 {
 		t.Fatalf("frames lost: %d/%d", a, i)
 	}
@@ -148,7 +148,7 @@ func TestBalanceRespectsRecentReference(t *testing.T) {
 		f.LastAccess = 50
 	}
 	l.Balance(1, 100)
-	a, i := l.Len()
+	a, i := l.active.Len(), l.inactive.Len()
 	if a+i != 6 {
 		t.Fatalf("frames lost: %d/%d", a, i)
 	}
@@ -161,25 +161,6 @@ func TestBalanceZeroRatioDefaults(t *testing.T) {
 		l.MarkAccessed(f, 1)
 	}
 	l.Balance(0, 10) // should not loop forever or panic
-}
-
-func TestOldestInactive(t *testing.T) {
-	l := New()
-	fs := frames(5)
-	for _, f := range fs {
-		l.Add(f, 0)
-	}
-	old := l.OldestInactive(2)
-	if len(old) != 2 {
-		t.Fatalf("got %d", len(old))
-	}
-	// Oldest = first added (tail of the list).
-	if old[0].ID != fs[0].ID || old[1].ID != fs[1].ID {
-		t.Fatalf("wrong order: %v %v", old[0].ID, old[1].ID)
-	}
-	if n := len(l.OldestInactive(100)); n != 5 {
-		t.Fatalf("overscan returned %d", n)
-	}
 }
 
 func TestScanCostMatchesPaper(t *testing.T) {

@@ -72,7 +72,3 @@ func (l *FrameList) MoveToFront(f *Frame) {
 // Next returns the frame behind f on its list (towards the back), or
 // nil at the back or when f is on no list.
 func (f *Frame) Next() *Frame { return f.next }
-
-// Prev returns the frame ahead of f on its list (towards the front),
-// or nil at the front or when f is on no list.
-func (f *Frame) Prev() *Frame { return f.prev }

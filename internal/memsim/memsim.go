@@ -240,9 +240,6 @@ type Memory struct {
 	CPUSocket []int
 	// Interconnect is the added latency for a cross-socket access.
 	Interconnect sim.Duration
-	// RemoteBandwidthFactor scales bandwidth for cross-socket accesses
-	// (QPI/UPI is narrower than the local memory bus).
-	RemoteBandwidthFactor float64
 
 	// Fault, when non-nil, is consulted on every allocation and every
 	// batched migration. A nil plane injects nothing. Armed between
@@ -297,11 +294,10 @@ type Memory struct {
 // New builds a Memory from nodes and a CPU->socket map.
 func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 	m := &Memory{
-		Nodes:                 nodes,
-		CPUSocket:             cpuSocket,
-		Interconnect:          interconnect,
-		RemoteBandwidthFactor: 0.6,
-		nextFrame:             1,
+		Nodes:        nodes,
+		CPUSocket:    cpuSocket,
+		Interconnect: interconnect,
+		nextFrame:    1,
 	}
 	m.Stats.AllocsByClassNode = make(map[NodeID]*[6]uint64)
 	m.Stats.RefsByNode = make(map[NodeID]uint64)
@@ -494,18 +490,8 @@ func (m *Memory) EnterAtomic() func() {
 	return func() { m.atomicDepth-- }
 }
 
-// InAtomic reports whether an atomic-context scope is open.
-func (m *Memory) InAtomic() bool { return m.atomicDepth > 0 }
-
 // Pages reports the base pages a frame covers.
 func (f *Frame) Pages() int { return 1 << f.Order }
-
-// UsedByClass reports a node's current page occupancy for a class.
-// Occupancy is control flow (capacity limits consult it mid-run), so
-// it is updated exactly and this read never needs a flush.
-func (m *Memory) UsedByClass(node NodeID, class Class) int {
-	return m.usedDense[node][class]
-}
 
 // KernelUsed reports a node's current page occupancy across all
 // kernel-object classes.
@@ -552,9 +538,6 @@ func (m *Memory) Free(f *Frame) {
 	f.Class = ClassFree
 	m.freeFrames = append(m.freeFrames, f)
 }
-
-// Frames returns the number of live frames.
-func (m *Memory) Frames() int { return len(m.live) }
 
 // EachLive calls fn on every live frame, in live-table order (which is
 // arbitrary: use it only where order cannot matter). fn must not
@@ -619,7 +602,7 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 	bw := node.Bandwidth
 	if sock != node.Socket {
 		lat += m.Interconnect
-		bw *= m.RemoteBandwidthFactor
+		bw *= remoteBandwidthFactor
 	}
 	if now < node.migBusyUntil {
 		// Background migration is consuming this node's bandwidth.
@@ -631,6 +614,10 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 // migrationBandwidthShare is the fraction of node bandwidth left for
 // foreground traffic while migration copies are in flight.
 const migrationBandwidthShare = 0.8
+
+// remoteBandwidthFactor scales bandwidth for cross-socket accesses
+// (QPI/UPI is narrower than the local memory bus).
+const remoteBandwidthFactor = 0.6
 
 // NoteMigrationLoad extends a node's migration-busy horizon by d.
 func (m *Memory) NoteMigrationLoad(id NodeID, now sim.Time, d sim.Duration) {

@@ -24,11 +24,11 @@ func TestAllocFree(t *testing.T) {
 	if f.Node != FastNode || f.Class != ClassApp || f.Allocated != 10 {
 		t.Fatalf("bad frame: %+v", f)
 	}
-	if m.Node(FastNode).Used() != 1 || m.Frames() != 1 {
+	if m.Node(FastNode).Used() != 1 || len(m.live) != 1 {
 		t.Fatal("occupancy wrong after alloc")
 	}
 	m.Free(f)
-	if m.Node(FastNode).Used() != 0 || m.Frames() != 0 {
+	if m.Node(FastNode).Used() != 0 || len(m.live) != 0 {
 		t.Fatal("occupancy wrong after free")
 	}
 	m.Free(f) // double free is a no-op
@@ -246,9 +246,6 @@ func TestGBMBHelpers(t *testing.T) {
 	if GB(1) != int(1e9)/PageSize {
 		t.Fatalf("GB(1) = %d", GB(1))
 	}
-	if MB(4) != int(4e6)/PageSize {
-		t.Fatalf("MB(4) = %d", MB(4))
-	}
 }
 
 func TestPlatformConstruction(t *testing.T) {
@@ -302,7 +299,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			}
 		}
 		total := m.Node(FastNode).Used() + m.Node(SlowNode).Used()
-		if total != len(live) || m.Frames() != len(live) {
+		if total != len(live) || len(m.live) != len(live) {
 			return false
 		}
 		perNode := map[NodeID]int{}

@@ -5,9 +5,6 @@ import "kloc/internal/sim"
 // GB converts gigabytes to a page count.
 func GB(gb float64) int { return int(gb * 1e9 / PageSize) }
 
-// MB converts megabytes to a page count.
-func MB(mb float64) int { return int(mb * 1e6 / PageSize) }
-
 // TwoTierConfig describes the paper's software-managed two-tier
 // platform (Table 4): a fast, capacity-limited tier and a slow,
 // high-capacity tier, with the slow tier realized by bandwidth

@@ -56,8 +56,8 @@ func referenceMemory() *Memory {
 // AllocOrder/Access/MoveFrame/Free calls (double frees included)
 // through Memory and through refMemory, and after SyncStats requires
 // every accounting read to agree: Stats.Refs/BytesTouched/RefsByNode/
-// AllocsByClassNode, MigratedPages, UsedByClass, KernelUsed, Frames and
-// FramesOn. Reads happen at random points mid-sequence too, so a stale
+// AllocsByClassNode, MigratedPages, per-class occupancy, KernelUsed,
+// the live-frame count and FramesOn. Reads happen at random points mid-sequence too, so a stale
 // batched value cannot hide behind a final flush.
 func TestAccountingMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 42} {
@@ -154,8 +154,8 @@ func (ref *refMemory) check(t *testing.T, m *Memory, seed uint64, step int) {
 		t.Fatalf("seed %d step %d: migrated %d pages in %d+%d moves, reference %d in %d",
 			seed, step, s.MigratedPages, s.Promotions, s.Demotions, ref.migrated, ref.moves)
 	}
-	if m.Frames() != len(ref.live) {
-		t.Fatalf("seed %d step %d: %d live frames, reference %d", seed, step, m.Frames(), len(ref.live))
+	if len(m.live) != len(ref.live) {
+		t.Fatalf("seed %d step %d: %d live frames, reference %d", seed, step, len(m.live), len(ref.live))
 	}
 	for i, n := range m.Nodes {
 		id := NodeID(i)
@@ -167,7 +167,7 @@ func (ref *refMemory) check(t *testing.T, m *Memory, seed uint64, step int) {
 		}
 		kernel := 0
 		for c := Class(0); c < 6; c++ {
-			if got := m.UsedByClass(id, c); got != ref.used[i][c] {
+			if got := m.usedDense[id][c]; got != ref.used[i][c] {
 				t.Fatalf("seed %d step %d: node %d class %s used %d, reference %d", seed, step, i, c, got, ref.used[i][c])
 			}
 			if c.Kernel() {

@@ -52,7 +52,7 @@ func TestAtomicContextDipsIntoReserve(t *testing.T) {
 		}
 	}
 	exit := m.EnterAtomic()
-	if !m.InAtomic() {
+	if m.atomicDepth == 0 {
 		t.Fatal("not in atomic context")
 	}
 	// GFP_ATOMIC may take the reserve down to zero pages...
@@ -69,7 +69,7 @@ func TestAtomicContextDipsIntoReserve(t *testing.T) {
 		t.Fatalf("atomic alloc on a full node: %v", err)
 	}
 	exit()
-	if m.InAtomic() {
+	if m.atomicDepth > 0 {
 		t.Fatal("atomic context survived exit")
 	}
 }
@@ -79,11 +79,11 @@ func TestEnterAtomicNests(t *testing.T) {
 	exit1 := m.EnterAtomic()
 	exit2 := m.EnterAtomic()
 	exit2()
-	if !m.InAtomic() {
+	if m.atomicDepth == 0 {
 		t.Fatal("inner exit closed the outer scope")
 	}
 	exit1()
-	if m.InAtomic() {
+	if m.atomicDepth > 0 {
 		t.Fatal("atomic depth leaked")
 	}
 }

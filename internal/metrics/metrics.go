@@ -150,16 +150,6 @@ func (lt *LifetimeTracker) Died(class string, born, t sim.Time) {
 // never recorded a death).
 func (lt *LifetimeTracker) Class(class string) *Distribution { return lt.dist[class] }
 
-// Classes returns class names in sorted order.
-func (lt *LifetimeTracker) Classes() []string {
-	out := make([]string, 0, len(lt.dist))
-	for k := range lt.dist {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MeanLifetime returns the mean lifetime for class as a sim.Duration.
 func (lt *LifetimeTracker) MeanLifetime(class string) sim.Duration {
 	d := lt.dist[class]

@@ -218,8 +218,4 @@ func TestLifetimeTracker(t *testing.T) {
 	if lt.Class("missing") != nil {
 		t.Fatal("missing class has a distribution")
 	}
-	classes := lt.Classes()
-	if len(classes) != 2 || classes[0] != "cache" || classes[1] != "slab" {
-		t.Fatalf("classes = %v", classes)
-	}
 }

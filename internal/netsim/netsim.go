@@ -67,9 +67,6 @@ type Socket struct {
 	Open    bool
 }
 
-// QueuedPackets reports the ingress backlog.
-func (s *Socket) QueuedPackets() int { return s.rxQueue.n }
-
 // packetQueue is a socket's ingress FIFO: packets held by value in a
 // ring that reuses its backing array and doubles it only when full, so
 // a steady deliver/recv stream allocates no queue memory.
@@ -139,7 +136,7 @@ func New(mem *memsim.Memory, hooks kstate.Hooks, objIDs, inoGen *kstate.IDGen) *
 		sockets:        make(map[uint64]*Socket),
 		rxBacklogLimit: 1024,
 	}
-	n.Objs = alloc.NewObjects(mem, hooks, objIDs, &n.Stats.ObjStats, nil)
+	n.Objs = alloc.NewObjects(mem, hooks, objIDs, &n.Stats.ObjStats)
 	return n
 }
 
@@ -168,9 +165,6 @@ func (n *Net) MarkReachable(s *alloc.Sanitizer) {
 		}
 	}
 }
-
-// Sockets reports open sockets.
-func (n *Net) Sockets() int { return len(n.sockets) }
 
 // SocketCreate opens a socket: an inode is born (sockets are files) and
 // the sock object is allocated.

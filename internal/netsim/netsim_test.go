@@ -44,6 +44,13 @@ func newNet(t testing.TB, h kstate.Hooks) (*Net, *memsim.Memory) {
 
 func ctx() *kstate.Ctx { return &kstate.Ctx{CPU: 0, Now: 0} }
 
+// liveFrames counts m's live frames.
+func liveFrames(m *memsim.Memory) int {
+	n := 0
+	m.EachLive(func(*memsim.Frame) { n++ })
+	return n
+}
+
 func TestSocketLifecycle(t *testing.T) {
 	h := &netHooks{}
 	n, mem := newNet(t, h)
@@ -58,17 +65,17 @@ func TestSocketLifecycle(t *testing.T) {
 	if len(h.sockInodes) != 1 || h.sockInodes[0] != s.Ino {
 		t.Fatal("socket inode creation hook wrong")
 	}
-	if n.Sockets() != 1 {
+	if len(n.sockets) != 1 {
 		t.Fatal("socket not registered")
 	}
 	if n.Stats.ObjAllocs[kobj.Sock] != 1 {
 		t.Fatal("no sock object allocated")
 	}
 	n.SocketClose(c, s)
-	if n.Sockets() != 0 || s.Open {
+	if len(n.sockets) != 0 || s.Open {
 		t.Fatal("close failed")
 	}
-	if mem.Frames() != 0 {
+	if liveFrames(mem) != 0 {
 		t.Fatal("socket close leaked frames")
 	}
 	n.SocketClose(c, s) // double close is a no-op
@@ -94,7 +101,7 @@ func TestSendSegmentsAndFrees(t *testing.T) {
 		t.Fatal("send was free")
 	}
 	n.SocketClose(c, s)
-	if mem.Frames() != 0 {
+	if liveFrames(mem) != 0 {
 		t.Fatal("frames leaked")
 	}
 }
@@ -131,8 +138,8 @@ func TestIngressDriverExtraction(t *testing.T) {
 			t.Fatalf("ingress object created with ino %d, want %d", ino, s.Ino)
 		}
 	}
-	if s.QueuedPackets() != 2 {
-		t.Fatalf("queued = %d", s.QueuedPackets())
+	if s.rxQueue.n != 2 {
+		t.Fatalf("queued = %d", s.rxQueue.n)
 	}
 	got, err := n.Recv(c, s, 1<<20)
 	if err != nil || got != 3000 {
@@ -195,8 +202,8 @@ func TestBacklogDrops(t *testing.T) {
 	c := ctx()
 	s, _ := n.SocketCreate(c)
 	n.Deliver(c, s, 1500*5)
-	if s.QueuedPackets() != 2 {
-		t.Fatalf("queued = %d", s.QueuedPackets())
+	if s.rxQueue.n != 2 {
+		t.Fatalf("queued = %d", s.rxQueue.n)
 	}
 	if n.Stats.Drops != 3 {
 		t.Fatalf("drops = %d", n.Stats.Drops)
@@ -225,8 +232,8 @@ func TestRecvRespectsMaxBytes(t *testing.T) {
 	if got != 3000 { // two whole packets to exceed 2000
 		t.Fatalf("got %d", got)
 	}
-	if s.QueuedPackets() != 2 {
-		t.Fatalf("remaining = %d", s.QueuedPackets())
+	if s.rxQueue.n != 2 {
+		t.Fatalf("remaining = %d", s.rxQueue.n)
 	}
 }
 
@@ -239,7 +246,7 @@ func TestSocketCloseFreesQueuedPackets(t *testing.T) {
 	if n.Stats.ObjLive[kobj.SkBuff] != 0 || n.Stats.ObjLive[kobj.RxBuf] != 0 {
 		t.Fatal("queued packet objects leaked")
 	}
-	if mem.Frames() != 0 {
+	if liveFrames(mem) != 0 {
 		t.Fatal("frames leaked")
 	}
 }
@@ -310,7 +317,7 @@ func TestNetInvariantsProperty(t *testing.T) {
 		// ingress path (each queued packet holds exactly one skb).
 		queued := 0
 		for _, s := range socks {
-			queued += s.QueuedPackets()
+			queued += s.rxQueue.n
 		}
 		if int64(queued) != n.Stats.ObjLive[kobj.SkBuff] {
 			return false
@@ -319,7 +326,7 @@ func TestNetInvariantsProperty(t *testing.T) {
 		for _, s := range socks {
 			n.SocketClose(c, s)
 		}
-		return mem.Frames() == 0
+		return liveFrames(mem) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

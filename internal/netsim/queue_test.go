@@ -147,7 +147,7 @@ func sameQueues(n *Net, socks []*refSocket) string {
 	total := 0
 	for _, rs := range socks {
 		q := &rs.s.rxQueue
-		if q.n != len(rs.queue) || rs.s.QueuedPackets() != len(rs.queue) {
+		if q.n != len(rs.queue) || rs.s.rxQueue.n != len(rs.queue) {
 			return fmt.Sprintf("socket %d holds %d packets, reference %d", rs.s.Ino, q.n, len(rs.queue))
 		}
 		for i, want := range rs.queue {
@@ -200,7 +200,7 @@ func streamOp(n *Net, c *kstate.Ctx, s *Socket) error {
 	if err := n.Deliver(c, s, mtu); err != nil {
 		return err
 	}
-	if s.QueuedPackets() > 2 {
+	if s.rxQueue.n > 2 {
 		if _, err := n.Recv(c, s, mtu); err != nil {
 			return err
 		}

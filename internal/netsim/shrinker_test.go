@@ -22,18 +22,18 @@ func TestSkbuffShrinkerCountScan(t *testing.T) {
 	if sh.Count() != 6 {
 		t.Fatalf("count = %d, want 6 queued packets", sh.Count())
 	}
-	framesBefore := mem.Frames()
+	framesBefore := liveFrames(mem)
 	if freed := sh.Scan(c, 4); freed != 4 {
 		t.Fatalf("scan freed %d, want 4", freed)
 	}
 	// Socket-creation order is scan order: s1 drained first.
-	if s1.QueuedPackets() != 0 || s2.QueuedPackets() != 2 {
-		t.Fatalf("queues = %d/%d, want 0/2", s1.QueuedPackets(), s2.QueuedPackets())
+	if s1.rxQueue.n != 0 || s2.rxQueue.n != 2 {
+		t.Fatalf("queues = %d/%d, want 0/2", s1.rxQueue.n, s2.rxQueue.n)
 	}
 	if n.Stats.ReclaimedPackets != 4 || n.Stats.Drops != 4 {
 		t.Fatalf("stats: %+v", n.Stats)
 	}
-	if mem.Frames() >= framesBefore {
+	if liveFrames(mem) >= framesBefore {
 		t.Fatal("reclaim freed no memory")
 	}
 	// The surviving backlog is still deliverable to the app.
@@ -72,8 +72,8 @@ func TestRxDropFaultPoint(t *testing.T) {
 	if n.Stats.InjectedDrops != 4 || n.Stats.Drops != 4 || n.Stats.PacketsRx != 0 {
 		t.Fatalf("stats: %+v", n.Stats)
 	}
-	if s.QueuedPackets() != 0 {
-		t.Fatalf("queued = %d after total loss", s.QueuedPackets())
+	if s.rxQueue.n != 0 {
+		t.Fatalf("queued = %d after total loss", s.rxQueue.n)
 	}
 	// The app-side read sees an empty queue — the would-block (EAGAIN)
 	// path, not an error.
@@ -81,8 +81,8 @@ func TestRxDropFaultPoint(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Fatalf("recv on drained socket: %d, %v", got, err)
 	}
-	if mem.Fault.InjectedAt(fault.RxDrop) != 4 {
-		t.Fatalf("trace counted %d rxdrops", mem.Fault.InjectedAt(fault.RxDrop))
+	if mem.Fault.Injected() != 4 {
+		t.Fatalf("trace counted %d rxdrops", mem.Fault.Injected())
 	}
 }
 
@@ -98,7 +98,7 @@ func TestRxDropFaultDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			n.Deliver(c, s, 1500)
 		}
-		return n.Stats.InjectedDrops, s.QueuedPackets()
+		return n.Stats.InjectedDrops, s.rxQueue.n
 	}
 	d1, q1 := run(11)
 	d2, q2 := run(11)
@@ -127,8 +127,8 @@ func TestDeliverDipsIntoReserveUnderWatermark(t *testing.T) {
 	if err := n.Deliver(c, s, 1500*2); err != nil {
 		t.Fatalf("rx path failed at the watermark: %v", err)
 	}
-	if s.QueuedPackets() != 2 {
-		t.Fatalf("queued = %d", s.QueuedPackets())
+	if s.rxQueue.n != 2 {
+		t.Fatalf("queued = %d", s.rxQueue.n)
 	}
 	if mem.Stats.ReserveDips == 0 {
 		t.Fatal("ingress allocations did not dip into the reserve")

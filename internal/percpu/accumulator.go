@@ -50,9 +50,6 @@ func NewAccumulator(cpus, cells int, threshold int64) *Accumulator {
 // CPUs reports the CPU count.
 func (a *Accumulator) CPUs() int { return len(a.pending) }
 
-// Cells reports the per-CPU cell count.
-func (a *Accumulator) Cells() int { return len(a.store) }
-
 // Add accumulates delta into cpu's pending count for cell, committing
 // the cell's net pending to the store once its magnitude reaches the
 // threshold.

@@ -78,8 +78,8 @@ func TestAccumulatorFlush(t *testing.T) {
 
 func TestAccumulatorDefaults(t *testing.T) {
 	a := NewAccumulator(0, 1, 0)
-	if a.CPUs() != 1 || a.Cells() != 1 {
-		t.Fatalf("cpus=%d cells=%d", a.CPUs(), a.Cells())
+	if a.CPUs() != 1 || len(a.store) != 1 {
+		t.Fatalf("cpus=%d cells=%d", a.CPUs(), len(a.store))
 	}
 	if a.threshold != DefaultCommitThreshold {
 		t.Fatalf("threshold = %d", a.threshold)

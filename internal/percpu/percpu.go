@@ -124,17 +124,6 @@ func (l *Lists[T]) AgeScan(cpu int, fn func(item T, age int)) {
 	}
 }
 
-// ColdestOn returns the entries on cpu's list with age >= threshold.
-func (l *Lists[T]) ColdestOn(cpu, threshold int) []T {
-	var out []T
-	for _, e := range l.lists[cpu] {
-		if e.Age >= threshold {
-			out = append(out, e.Item)
-		}
-	}
-	return out
-}
-
 // Len reports the length of cpu's list.
 func (l *Lists[T]) Len(cpu int) int { return len(l.lists[cpu]) }
 

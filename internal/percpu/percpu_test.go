@@ -101,10 +101,6 @@ func TestAgeScanAndColdest(t *testing.T) {
 	if ages[1] != 1 || ages[2] != 4 {
 		t.Fatalf("ages after touch = %v", ages)
 	}
-	cold := l.ColdestOn(0, 4)
-	if len(cold) != 1 || cold[0] != 2 {
-		t.Fatalf("coldest = %v", cold)
-	}
 	l.AgeScan(0, nil) // nil fn allowed
 }
 

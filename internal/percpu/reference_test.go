@@ -95,16 +95,6 @@ func (l *refLists[T]) AgeScan(cpu int) {
 	}
 }
 
-func (l *refLists[T]) ColdestOn(cpu, threshold int) []T {
-	var out []T
-	for _, e := range l.lists[cpu] {
-		if e.Age >= threshold {
-			out = append(out, e.Item)
-		}
-	}
-	return out
-}
-
 // diff describes the first way l differs from the reference in its
 // counters or in cpu's list (order and ages), or returns "".
 func (ref *refLists[T]) diff(l *Lists[T], cpu int) string {
@@ -122,8 +112,8 @@ func (ref *refLists[T]) diff(l *Lists[T], cpu int) string {
 // CPUs with per-CPU capacities of 1-64, over item sets small enough
 // that most items sit on several CPUs at once. After every step it
 // compares Touch's result, Hits/Misses, each list's order and ages,
-// Len, ColdestOn, and Contains and LastCPU for the item just used and
-// for one drawn at random.
+// Len, and Contains and LastCPU for the item just used and for one
+// drawn at random.
 func TestPerCPUListsMatchReference(t *testing.T) {
 	r := sim.NewRNG(1)
 	spread := 0 // queries and invalidations of an item cached on 2+ CPUs
@@ -162,10 +152,6 @@ func TestPerCPUListsMatchReference(t *testing.T) {
 			}
 			if d := ref.diff(l, cpu); d != "" {
 				fail(step, "%s", d)
-			}
-			threshold := r.Intn(6)
-			if got, want := l.ColdestOn(cpu, threshold), ref.ColdestOn(cpu, threshold); !slices.Equal(got, want) {
-				fail(step, "ColdestOn(%d, %d) = %v, reference %v", cpu, threshold, got, want)
 			}
 			for _, it := range []int{item, r.Intn(items)} {
 				if len(ref.where[it]) > 1 {

@@ -80,9 +80,4 @@ func (n *Nimble) PageFreed(ctx *kstate.Ctx, f *memsim.Frame) { n.engine.onFree(c
 // Tick runs the scan/migrate pass.
 func (n *Nimble) Tick(now sim.Time) sim.Duration { return n.engine.tick(now) }
 
-// Engine exposes the tier engine for tests and stats.
-func (n *Nimble) Engine() (demoted, promoted uint64) {
-	return n.engine.DemotedPages, n.engine.PromotedPages
-}
-
 var _ kernel.Policy = (*Nimble)(nil)

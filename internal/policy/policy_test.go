@@ -4,11 +4,19 @@ import (
 	"testing"
 
 	"kloc/internal/kernel"
+	"kloc/internal/kloc"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
 	"kloc/internal/sim"
 )
+
+// knodeObjects counts the objects IterCache and IterSlab visit on kn.
+func knodeObjects(kn *kloc.Knode) (cache, slab int) {
+	kn.IterCache(func(*kobj.Object) bool { cache++; return true })
+	kn.IterSlab(func(*kobj.Object) bool { slab++; return true })
+	return cache, slab
+}
 
 func twoTierKernel(t *testing.T, pol kernel.Policy) (*kernel.Kernel, *sim.Engine) {
 	t.Helper()
@@ -103,8 +111,7 @@ func TestNimbleAppTiering(t *testing.T) {
 		}
 		n.Tick(now)
 	}
-	dem, _ := n.Engine()
-	if dem == 0 {
+	if k.Mem.Stats.Demotions == 0 {
 		t.Fatal("nimble never demoted cold app pages under pressure")
 	}
 	// Hot frames should have survived in fast memory.
@@ -158,8 +165,8 @@ func TestSpilledFrameLeavesLRUOnFree(t *testing.T) {
 	e.onFree(ctx, f)
 	mem.Free(f)
 	for id, l := range e.lists {
-		if a, i := l.Len(); a+i != 0 {
-			t.Errorf("node %d LRU still lists %d+%d frames", id, a, i)
+		if l.Contains(f) {
+			t.Errorf("node %d LRU still lists the freed frame", id)
 		}
 	}
 	// The recycled struct starts unlinked and can be tracked again.
@@ -168,8 +175,9 @@ func TestSpilledFrameLeavesLRUOnFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.onAlloc(ctx, g)
-	if a, i := e.lists[memsim.FastNode].Len(); a != 0 || i != 1 {
-		t.Fatalf("fast LRU after re-tracking lists %d+%d frames, want 0+1", a, i)
+	fast := e.lists[memsim.FastNode]
+	if hot, _ := fast.HottestActive(16, 0); len(hot) != 0 || !fast.Contains(g) {
+		t.Fatalf("fast LRU after re-tracking: %d active frames, lists the new one: %v; want it inactive only", len(hot), fast.Contains(g))
 	}
 }
 
@@ -192,7 +200,7 @@ func TestKLOCsLifecycle(t *testing.T) {
 	if !kn.Active {
 		t.Fatal("knode of open file inactive")
 	}
-	c, s := kn.Objects()
+	c, s := knodeObjects(kn)
 	if c == 0 || s == 0 {
 		t.Fatalf("knode trees empty: cache=%d slab=%d", c, s)
 	}
@@ -313,7 +321,7 @@ func TestKLOCsGroupFilter(t *testing.T) {
 	file, _ := k.FS.Create(ctx, "/f")
 	k.FS.Write(ctx, file, 0)
 	kn, _ := p.Reg.Get(file.Inode.Ino)
-	c, s := kn.Objects()
+	c, s := knodeObjects(kn)
 	if c == 0 {
 		t.Fatal("included page-cache objects not tracked")
 	}
@@ -545,7 +553,7 @@ func TestKLOCsSkipsRecycledObjectOfDeletedKnode(t *testing.T) {
 	if err := k.FS.SyncJournal(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, slab := kn.Objects(); slab != len(buffers) {
+	if _, slab := knodeObjects(kn); slab != len(buffers) {
 		t.Fatalf("deleted knode's tree holds %d entries after the commit, want the %d freed buffers", slab, len(buffers))
 	}
 	// An active file's objects recycle the buffers' structs.

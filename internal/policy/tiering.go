@@ -39,9 +39,6 @@ type tierEngine struct {
 	// promoteWindow: pages accessed within this window of a tick are
 	// promotion candidates.
 	promoteWindow sim.Duration
-
-	// Scanned/Migrated for introspection.
-	DemotedPages, PromotedPages uint64
 }
 
 func newTierEngine(mem *memsim.Memory, parallelism int, classes ...memsim.Class) *tierEngine {
@@ -83,15 +80,16 @@ func (e *tierEngine) onFree(ctx *kstate.Ctx, f *memsim.Frame) {
 	e.lists[f.Node].Remove(f)
 }
 
-// moveTracked migrates a batch and keeps list membership coherent.
-func (e *tierEngine) moveTracked(frames []*memsim.Frame, dst memsim.NodeID, now sim.Time) (int, sim.Duration) {
+// moveTracked migrates a batch, keeps list membership coherent, and
+// returns the migration's cost.
+func (e *tierEngine) moveTracked(frames []*memsim.Frame, dst memsim.NodeID, now sim.Time) sim.Duration {
 	src := make([]memsim.NodeID, len(frames))
 	for i, f := range frames {
 		src[i] = f.Node
 	}
 	// Frames whose move faulted (EBUSY) stay in their source LRU list,
 	// so the next tick's scan naturally retries them.
-	moved, _, cost := e.mig.Migrate(frames, dst, now)
+	_, _, cost := e.mig.Migrate(frames, dst, now)
 	for i, f := range frames {
 		if f.Node == dst && src[i] != dst {
 			e.lists[src[i]].Remove(f)
@@ -100,7 +98,7 @@ func (e *tierEngine) moveTracked(frames []*memsim.Frame, dst memsim.NodeID, now 
 			}
 		}
 	}
-	return moved, cost
+	return cost
 }
 
 // tick runs one pass of balance + demotion + promotion between the
@@ -129,9 +127,7 @@ func (e *tierEngine) tick(now sim.Time) sim.Duration {
 				kept = append(kept, f)
 			}
 		}
-		moved, migCost := e.moveTracked(kept, memsim.SlowNode, now)
-		e.DemotedPages += uint64(moved)
-		cost += migCost
+		cost += e.moveTracked(kept, memsim.SlowNode, now)
 	}
 
 	// Promote recently hot slow pages while fast has headroom.
@@ -144,9 +140,7 @@ func (e *tierEngine) tick(now sim.Time) sim.Duration {
 		cost += scanCost
 		// No ping-pong filter on promotion: the paper's 8-bit counters
 		// retain pages in FAST memory; they never strand them in slow.
-		moved, migCost := e.moveTracked(hot, memsim.FastNode, now)
-		e.PromotedPages += uint64(moved)
-		cost += migCost
+		cost += e.moveTracked(hot, memsim.FastNode, now)
 	}
 	return cost
 }

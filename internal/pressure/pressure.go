@@ -162,18 +162,6 @@ func (p *Plane) Register(s Shrinker) {
 	p.shrinkers = append(p.shrinkers, &shrinkerEntry{s: s, stat: ShrinkerStat{Name: s.Name()}})
 }
 
-// ShrinkerNames lists registered shrinkers in scan order.
-func (p *Plane) ShrinkerNames() []string {
-	if p == nil {
-		return nil
-	}
-	out := make([]string, len(p.shrinkers))
-	for i, e := range p.shrinkers {
-		out[i] = e.s.Name()
-	}
-	return out
-}
-
 // ShrinkerStats returns per-shrinker reclaim accounting in scan order.
 func (p *Plane) ShrinkerStats() []ShrinkerStat {
 	if p == nil {

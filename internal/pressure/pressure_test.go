@@ -72,7 +72,7 @@ func TestNilPlaneNoOps(t *testing.T) {
 	if got := p.DirectReclaim(&kstate.Ctx{}); got != 0 {
 		t.Fatalf("nil plane reclaimed %d", got)
 	}
-	if p.ShrinkerNames() != nil || p.ShrinkerStats() != nil {
+	if p.ShrinkerStats() != nil {
 		t.Fatal("nil plane reported shrinkers")
 	}
 	if p.KswapdEnabled() {
@@ -164,6 +164,23 @@ func (s *reentrantShrinker) Scan(ctx *kstate.Ctx, _ int) int {
 	return 0
 }
 
+// inAtomic reports whether mem is in atomic context, the only one whose
+// allocations may dip into a node's watermark reserve: it fences every
+// free page of the fast node off as reserve and tries one allocation.
+func inAtomic(mem *memsim.Memory) bool {
+	n := mem.Node(memsim.FastNode)
+	saved := n.NodeWatermarks()
+	defer n.SetWatermarks(saved)
+	free := n.Free()
+	n.SetWatermarks(memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3})
+	f, err := mem.Alloc(memsim.FastNode, memsim.ClassApp, 0)
+	if err != nil {
+		return false
+	}
+	mem.Free(f)
+	return true
+}
+
 func TestDirectReclaimReentrancyGuard(t *testing.T) {
 	mem := newTestMem(256, 256)
 	p := NewPlane(mem, memsim.FastNode)
@@ -177,7 +194,7 @@ func TestDirectReclaimReentrancyGuard(t *testing.T) {
 	if p.Stats.DirectReclaims != 1 {
 		t.Fatalf("recursive entry counted: %+v", p.Stats)
 	}
-	if mem.InAtomic() {
+	if inAtomic(mem) {
 		t.Fatal("atomic context leaked after reclaim")
 	}
 }
@@ -187,7 +204,7 @@ func TestDirectReclaimRunsInAtomicContext(t *testing.T) {
 	p := NewPlane(mem, memsim.FastNode)
 	saw := false
 	p.Register(&funcShrinker{count: 1, scan: func(*kstate.Ctx, int) int {
-		saw = mem.InAtomic()
+		saw = inAtomic(mem)
 		return 0
 	}})
 	p.DirectReclaim(&kstate.Ctx{})

@@ -64,8 +64,8 @@ func (f freshTree) Clear() {
 }
 
 // sameTree compares every observable of a pooled tree with its
-// reference: the invariants of both, size, entries in order, the
-// extremes, Floor and Ceil of a probe, and Depth.
+// reference: the invariants of both, size, entries in order, Get of a
+// probe, and Depth.
 func sameTree(got *Tree[int, int], want freshTree, probe int) string {
 	if msg := got.Check(); msg != "" {
 		return "invariant violated: " + msg
@@ -79,23 +79,10 @@ func sameTree(got *Tree[int, int], want freshTree, probe int) string {
 	if g, w := entries(got), entries(want.Tree); !slices.Equal(g, w) {
 		return fmt.Sprintf("entries %v, reference %v", g, w)
 	}
-	type kvok struct {
-		k, v int
-		ok   bool
-	}
-	pair := func(k, v int, ok bool) kvok { return kvok{k, v, ok} }
-	for _, c := range []struct {
-		name      string
-		got, want kvok
-	}{
-		{"Min", pair(got.Min()), pair(want.Min())},
-		{"Max", pair(got.Max()), pair(want.Max())},
-		{"Floor", pair(got.Floor(probe)), pair(want.Floor(probe))},
-		{"Ceil", pair(got.Ceil(probe)), pair(want.Ceil(probe))},
-	} {
-		if c.got != c.want {
-			return fmt.Sprintf("%s(%d) = %v, reference %v", c.name, probe, c.got, c.want)
-		}
+	gv, gok := got.Get(probe)
+	wv, wok := want.Get(probe)
+	if gv != wv || gok != wok {
+		return fmt.Sprintf("Get(%d) = %d, %v, reference %d, %v", probe, gv, gok, wv, wok)
 	}
 	return ""
 }

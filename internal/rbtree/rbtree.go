@@ -101,9 +101,6 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return n.value, true
 }
 
-// Has reports whether key is present.
-func (t *Tree[K, V]) Has(key K) bool { return t.lookup(key) != t.nil_ }
-
 func (t *Tree[K, V]) lookup(key K) *node[K, V] {
 	n := t.root
 	for n != t.nil_ {
@@ -163,77 +160,6 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	return true
 }
 
-// Min returns the smallest key and its value.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	if t.root == t.nil_ {
-		var k K
-		var v V
-		return k, v, false
-	}
-	n := t.minimum(t.root)
-	return n.key, n.value, true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	if t.root == t.nil_ {
-		var k K
-		var v V
-		return k, v, false
-	}
-	n := t.root
-	for n.right != t.nil_ {
-		n = n.right
-	}
-	return n.key, n.value, true
-}
-
-// Floor returns the largest entry with key <= want.
-func (t *Tree[K, V]) Floor(want K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != t.nil_ {
-		if n.key == want {
-			return n.key, n.value, true
-		}
-		if n.key < want {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
-		var k K
-		var v V
-		return k, v, false
-	}
-	return best.key, best.value, true
-}
-
-// Ceil returns the smallest entry with key >= want.
-func (t *Tree[K, V]) Ceil(want K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != t.nil_ {
-		if n.key == want {
-			return n.key, n.value, true
-		}
-		if n.key > want {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		var k K
-		var v V
-		return k, v, false
-	}
-	return best.key, best.value, true
-}
-
 // Ascend calls fn for each entry in increasing key order until fn
 // returns false. fn must not mutate the tree.
 func (t *Tree[K, V]) Ascend(fn func(K, V) bool) {
@@ -274,13 +200,6 @@ func (t *Tree[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(K, V) bool) bo
 		return t.ascendRange(n.right, lo, hi, fn)
 	}
 	return true
-}
-
-// Keys returns all keys in increasing order.
-func (t *Tree[K, V]) Keys() []K {
-	out := make([]K, 0, t.size)
-	t.Ascend(func(k K, _ V) bool { out = append(out, k); return true })
-	return out
 }
 
 // Clear empties the tree, returning every node to the pool.

@@ -17,12 +17,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(1); ok {
 		t.Fatal("Get on empty tree succeeded")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree succeeded")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree succeeded")
-	}
 	if tr.Delete(1) {
 		t.Fatal("Delete on empty tree reported success")
 	}
@@ -63,37 +57,6 @@ func TestSetGetDelete(t *testing.T) {
 	}
 	if msg := tr.Check(); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
-	}
-}
-
-func TestMinMaxFloorCeil(t *testing.T) {
-	tr := New[int, string]()
-	for _, k := range []int{40, 10, 30, 20} {
-		tr.Set(k, "v")
-	}
-	if k, _, _ := tr.Min(); k != 10 {
-		t.Fatalf("Min = %d", k)
-	}
-	if k, _, _ := tr.Max(); k != 40 {
-		t.Fatalf("Max = %d", k)
-	}
-	if k, _, ok := tr.Floor(25); !ok || k != 20 {
-		t.Fatalf("Floor(25) = %d,%v", k, ok)
-	}
-	if k, _, ok := tr.Floor(20); !ok || k != 20 {
-		t.Fatalf("Floor(20) = %d,%v", k, ok)
-	}
-	if _, _, ok := tr.Floor(5); ok {
-		t.Fatal("Floor(5) found something")
-	}
-	if k, _, ok := tr.Ceil(25); !ok || k != 30 {
-		t.Fatalf("Ceil(25) = %d,%v", k, ok)
-	}
-	if k, _, ok := tr.Ceil(30); !ok || k != 30 {
-		t.Fatalf("Ceil(30) = %d,%v", k, ok)
-	}
-	if _, _, ok := tr.Ceil(45); ok {
-		t.Fatal("Ceil(45) found something")
 	}
 }
 
@@ -148,7 +111,7 @@ func TestClear(t *testing.T) {
 		tr.Set(i, i)
 	}
 	tr.Clear()
-	if tr.Len() != 0 || tr.Has(3) {
+	if _, ok := tr.Get(3); tr.Len() != 0 || ok {
 		t.Fatal("Clear left entries behind")
 	}
 	tr.Set(1, 1)
@@ -265,17 +228,6 @@ func TestDepthReadsStoredField(t *testing.T) {
 	tr.root.height = stored
 	if got != 99 {
 		t.Fatalf("Depth = %d, want the stored root height 99: it walked the tree", got)
-	}
-}
-
-func TestKeys(t *testing.T) {
-	tr := New[string, int]()
-	tr.Set("b", 2)
-	tr.Set("a", 1)
-	tr.Set("c", 3)
-	keys := tr.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("Keys = %v", keys)
 	}
 }
 

@@ -76,7 +76,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	queue  eventQueue
-	fired  uint64
 	halted bool
 	// free holds fired and cancelled events for Schedule to reuse.
 	free []*event
@@ -89,9 +88,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired reports how many events have run so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Schedule arranges for cb to fire at the given absolute time.
 // Scheduling in the past panics: it indicates a broken cost model.
@@ -151,7 +147,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	cb := ev.cb
 	e.recycle(ev)
-	e.fired++
 	cb.Fire(e)
 	return true
 }
@@ -174,6 +169,3 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -80,19 +80,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a random permutation of [0, n), Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Fork derives an independent generator. Two forks from the same parent
 // state produce distinct, deterministic streams; use one per workload
 // thread so that thread interleavings do not perturb each other's draws.

@@ -36,9 +36,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds reports the duration in (fractional) seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Milliseconds reports the duration in (fractional) milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
-
 // String formats a duration with an adaptive unit, e.g. "36ms" or "2.0s".
 func (d Duration) String() string {
 	switch {

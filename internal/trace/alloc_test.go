@@ -7,23 +7,22 @@ import (
 )
 
 // emitStream is one steady-state event stream: emit sends event i,
-// stamped at i*100 ns, into a tracer with a ring of ring slots.
+// stamped at i*100 ns, into a tracer.
 type emitStream struct {
 	name string
-	ring int
 	emit func(tr *Tracer, i int)
 }
 
 var emitStreams = []emitStream{
 	// One name, the context changing every event.
-	{"one-name", 1 << 10, func(tr *Tracer, i int) {
+	{"one-name", func(tr *Tracer, i int) {
 		tr.Emit(AllocSlab, sim.Time(i*100), uint64(1+i&7), uint64(i), "inode", 0, 600)
 	}},
 	// A bursty stream: the context changes every 256 events, so the
 	// run-length summary path both extends and flushes, and four names
 	// rotate, so the name-state lookup misses its MRU register on
 	// every event.
-	{"burst", 1 << 12, func(tr *Tracer, i int) {
+	{"burst", func(tr *Tracer, i int) {
 		now, ctx := sim.Time(i*100), uint64(1+(i>>8)&7)
 		switch i & 3 {
 		case 0:
@@ -42,8 +41,8 @@ var emitStreams = []emitStream{
 // and through every context, so the loop that follows is steady state.
 // It returns the index of the next event.
 func warmEmit(s emitStream) (*Tracer, int) {
-	tr := New(Config{BufferEvents: s.ring})
-	const warm = 1 << 14
+	tr := New(Config{})
+	const warm = bufferEvents + 1<<14
 	for i := 0; i < warm; i++ {
 		s.emit(tr, i)
 	}

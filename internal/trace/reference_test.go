@@ -56,7 +56,7 @@ func referenceStats(events []Event, window sim.Duration) (byName []NameCount, co
 // and streams that break them rarely both run, some with a name filter,
 // and Stats is read mid-stream so a flush in the middle of a run is
 // covered too. Times run past maxSummaryWindows windows, so the clamp
-// on the last window is exercised.
+// on the last window is exercised; the ring holds every event.
 func TestSummaryMatchesReference(t *testing.T) {
 	names := []Name{AllocSlab, AllocPage, ObjFree, NetRx, Migrate}
 	cases := []struct {
@@ -72,13 +72,13 @@ func TestSummaryMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			const window = sim.Microsecond
-			tr := New(Config{BufferEvents: tc.events, SummaryWindow: window, Events: tc.filter})
+			tr := New(Config{Events: tc.filter})
 			rng := sim.NewRNG(uint64(len(tc.name)))
 			var now sim.Time
 			ctx := uint64(1)
 			for i := 0; i < tc.events; i++ {
-				now += sim.Time(rng.Intn(2000))
+				// Up to two thousandths of a window apart.
+				now += sim.Time(rng.Intn(2000)) * sim.Time(summaryWindow) / 1000
 				if rng.Intn(tc.runLen) == 0 {
 					ctx = uint64(rng.Intn(tc.ctxs))
 				}
@@ -94,7 +94,7 @@ func TestSummaryMatchesReference(t *testing.T) {
 			if uint64(len(events)) != tr.Emitted() {
 				t.Fatalf("%d buffered events, %d emitted", len(events), tr.Emitted())
 			}
-			wantNames, wantCtxs := referenceStats(events, window)
+			wantNames, wantCtxs := referenceStats(events, summaryWindow)
 			got := tr.Stats()
 			if !reflect.DeepEqual(got.ByName, wantNames) {
 				t.Fatalf("ByName %v, reference %v", got.ByName, wantNames)

@@ -25,6 +25,9 @@ func referenceText(t *trace.Tracer) string {
 	return b.String()
 }
 
+// ringEvents is the trace ring's size.
+const ringEvents = 1 << 16
+
 // checkText holds a tracer's WriteText and TextString to the reference.
 func checkText(t *testing.T, what string, tr *trace.Tracer) {
 	t.Helper()
@@ -47,30 +50,30 @@ func checkText(t *testing.T, what string, tr *trace.Tracer) {
 // largest IDs and times), and for a real traced run whose ring wraps.
 func TestTextMatchesReference(t *testing.T) {
 	checkText(t, "nil tracer", nil)
-	checkText(t, "empty ring", trace.New(trace.Config{BufferEvents: 8}))
+	checkText(t, "empty ring", trace.New(trace.Config{}))
 
-	edge := trace.New(trace.Config{BufferEvents: 16})
+	edge := trace.New(trace.Config{})
 	edge.Emit(trace.LBShed, 0, 0, 0, "", -1, -1)
 	edge.Emit(trace.AllocSlab, sim.Time(1<<62), ^uint64(0), ^uint64(0), "dentry", 1<<31, -1<<62)
 	edge.Emit(trace.NetRx, 7, 3, 9, "a class with spaces", -7, 0)
 	checkText(t, "edge values", edge)
 
-	for _, n := range []int{5, 16, 17, 40} {
-		tr := trace.New(trace.Config{BufferEvents: 16})
+	for _, n := range []int{5, ringEvents, ringEvents + 1, ringEvents + 24} {
+		tr := trace.New(trace.Config{})
 		for i := 0; i < n; i++ {
 			tr.Emit(trace.Names()[i%len(trace.Names())], sim.Time(i*1000), uint64(i%3),
 				uint64(i), "page", i%2-1, int64(4096*i-100))
 		}
-		if wrapped := n > 16; wrapped != (tr.Dropped() > 0) {
-			t.Fatalf("%d events in a 16-slot ring: dropped %d", n, tr.Dropped())
+		if wrapped := n > ringEvents; wrapped != (tr.Dropped() > 0) {
+			t.Fatalf("%d events in a %d-slot ring: dropped %d", n, ringEvents, tr.Dropped())
 		}
-		checkText(t, fmt.Sprintf("%d events in a 16-slot ring", n), tr)
+		checkText(t, fmt.Sprintf("%d events in a %d-slot ring", n, ringEvents), tr)
 	}
 
 	res, err := harness.Run(harness.RunConfig{
 		PolicyName: "klocs", Workload: "rocksdb", ScaleDiv: 256,
 		Duration: 10 * sim.Millisecond,
-		Trace:    &trace.Config{BufferEvents: 4096},
+		Trace:    &trace.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -129,29 +129,26 @@ type Event struct {
 	Size int64
 }
 
-// Config arms a Tracer. The zero value enables the full catalog with
-// default buffer and window sizes.
+// Config arms a Tracer. The zero value enables the full catalog. The
+// ring holds the last bufferEvents events and per-context summaries
+// count in summaryWindow buckets.
 type Config struct {
-	// BufferEvents bounds the ring buffer (default 65536 events).
-	// Older events are overwritten — and counted as dropped — once the
-	// ring wraps.
-	BufferEvents int
 	// Events enables only the event names matching at least one
 	// pattern ("alloc.slab", "alloc.*", "pressure.*"). Empty enables
 	// everything. Patterns use path.Match syntax over the dotted name.
 	Events []string
-	// SummaryWindow is the virtual-time bucket for per-context summary
-	// counts (default 10 ms).
-	SummaryWindow sim.Duration
 }
 
-// Defaults for zero Config fields.
 const (
-	DefaultBufferEvents  = 1 << 16
-	DefaultSummaryWindow = 10 * sim.Millisecond
+	// bufferEvents bounds the ring buffer. Older events are
+	// overwritten — and counted as dropped — once the ring wraps.
+	bufferEvents = 1 << 16
+	// summaryWindow is the virtual-time bucket for per-context summary
+	// counts.
+	summaryWindow = 10 * sim.Millisecond
 	// maxSummaryWindows bounds per-context window slices; events past
 	// the last window accumulate there (a run longer than
-	// SummaryWindow × maxSummaryWindows keeps bounded memory).
+	// summaryWindow × maxSummaryWindows keeps bounded memory).
 	maxSummaryWindows = 1 << 12
 	// maxStatsContexts bounds the contexts a Stats report carries.
 	maxStatsContexts = 16
@@ -182,7 +179,7 @@ type Tracer struct {
 	// below usually saves even that one lookup, since emission is bursty.
 	names map[Name]*nameState
 
-	// ring grows by append up to cfg.BufferEvents, since most tracers
+	// ring grows by append up to bufferEvents, since most tracers
 	// hold far fewer events than the bound, and is then reused in
 	// overwrite order, which keeps steady-state Emit at zero heap
 	// allocations. Append may leave its capacity above the bound, so
@@ -210,12 +207,6 @@ type Tracer struct {
 
 // New arms a tracer from a config.
 func New(cfg Config) *Tracer {
-	if cfg.BufferEvents <= 0 {
-		cfg.BufferEvents = DefaultBufferEvents
-	}
-	if cfg.SummaryWindow <= 0 {
-		cfg.SummaryWindow = DefaultSummaryWindow
-	}
 	return &Tracer{
 		cfg:   cfg,
 		names: make(map[Name]*nameState),
@@ -282,15 +273,6 @@ func (t *Tracer) SummaryCommits() uint64 {
 	return t.summaryCommits
 }
 
-// Enabled reports whether events of the given name are recorded.
-// Nil-safe: a nil tracer records nothing.
-func (t *Tracer) Enabled(name Name) bool {
-	if t == nil {
-		return false
-	}
-	return t.nameState(name).enabled
-}
-
 // matchAny reports whether s matches at least one pattern (empty
 // pattern set matches everything). A malformed pattern matches
 // nothing; CheckEvents rejects it up front.
@@ -344,17 +326,17 @@ func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, nod
 
 	// Ring: grow until the bound, then overwrite oldest (counted as a
 	// drop, like ftrace's overwrite mode).
-	if len(t.ring) < t.cfg.BufferEvents {
+	if len(t.ring) < bufferEvents {
 		t.ring = append(t.ring, e)
 	} else {
 		t.ring[t.next] = e
 		t.dropped++
 	}
-	t.next = (t.next + 1) % t.cfg.BufferEvents
+	t.next = (t.next + 1) % bufferEvents
 
 	// Incremental summaries survive ring drops.
 	ns.count++
-	w := int(at / sim.Time(t.cfg.SummaryWindow))
+	w := int(at / sim.Time(summaryWindow))
 	if w >= maxSummaryWindows {
 		w = maxSummaryWindows - 1
 	}
@@ -401,7 +383,7 @@ func (t *Tracer) buffered() (older, newer []Event) {
 	if t == nil {
 		return nil, nil
 	}
-	if len(t.ring) < t.cfg.BufferEvents {
+	if len(t.ring) < bufferEvents {
 		return t.ring, nil
 	}
 	return t.ring[t.next:], t.ring[:t.next]
@@ -419,7 +401,7 @@ type ContextSummary struct {
 	Ctx uint64
 	// Total counts every event emitted against the context.
 	Total uint64
-	// Windows counts events per SummaryWindow slice of virtual time,
+	// Windows counts events per summaryWindow slice of virtual time,
 	// starting at time zero.
 	Windows []uint64
 }
@@ -446,7 +428,7 @@ func (t *Tracer) Stats() Stats {
 		return Stats{}
 	}
 	t.flushPending()
-	s := Stats{Emitted: t.seq, Dropped: t.dropped, Window: t.cfg.SummaryWindow}
+	s := Stats{Emitted: t.seq, Dropped: t.dropped, Window: summaryWindow}
 	s.ByName = t.nameCounts()
 	for ctx, cs := range t.byCtx {
 		s.Contexts = append(s.Contexts, ContextSummary{

@@ -14,9 +14,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Emitted() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
-	if tr.Enabled(AllocSlab) {
-		t.Fatal("nil tracer claims events enabled")
-	}
 	s := tr.Stats()
 	if s.Emitted != 0 || len(s.ByName) != 0 || len(s.Contexts) != 0 {
 		t.Fatalf("nil tracer stats = %+v", s)
@@ -24,28 +21,29 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestRingBoundsAndDropCounting(t *testing.T) {
-	tr := New(Config{BufferEvents: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(Config{})
+	const emitted = bufferEvents + 6
+	for i := 0; i < emitted; i++ {
 		tr.Emit(NetRx, sim.Time(i*100), 7, uint64(i), "seg", 0, 1500)
 	}
-	if tr.Emitted() != 10 {
+	if tr.Emitted() != emitted {
 		t.Fatalf("emitted = %d", tr.Emitted())
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", tr.Dropped())
 	}
 	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("buffered = %d, want 4", len(events))
+	if len(events) != bufferEvents {
+		t.Fatalf("buffered = %d, want %d", len(events), bufferEvents)
 	}
-	// Oldest-first, the last 4 emitted survive.
+	// Oldest-first, the last bufferEvents emitted survive.
 	for i, e := range events {
 		if want := uint64(6 + i); e.Seq != want {
 			t.Fatalf("event[%d].Seq = %d, want %d", i, e.Seq, want)
 		}
 	}
 	// Summary counters are drop-independent.
-	if s := tr.Stats(); s.ByName[0].Count != 10 || s.Contexts[0].Total != 10 {
+	if s := tr.Stats(); s.ByName[0].Count != emitted || s.Contexts[0].Total != emitted {
 		t.Fatalf("stats lost dropped events: %+v", s)
 	}
 }
@@ -97,9 +95,6 @@ func TestEnableGlobs(t *testing.T) {
 	}
 	for _, c := range cases {
 		tr := New(Config{Events: c.patterns})
-		if got := tr.Enabled(c.name); got != c.want {
-			t.Errorf("Enabled(%q) with %v = %v, want %v", c.name, c.patterns, got, c.want)
-		}
 		tr.Emit(c.name, 0, 0, 0, "x", -1, 0)
 		if got := tr.Emitted() == 1; got != c.want {
 			t.Errorf("Emit(%q) with %v recorded=%v, want %v", c.name, c.patterns, got, c.want)
@@ -108,7 +103,7 @@ func TestEnableGlobs(t *testing.T) {
 }
 
 func TestDisabledNamesCostNothing(t *testing.T) {
-	tr := New(Config{Events: []string{"net.rx"}, BufferEvents: 2})
+	tr := New(Config{Events: []string{"net.rx"}})
 	tr.Emit(AllocSlab, 1, 1, 1, "dentry", 0, 192)
 	tr.Emit(AllocPage, 2, 1, 2, "page_cache", 0, 4096)
 	if tr.Emitted() != 0 || len(tr.Events()) != 0 {
@@ -117,15 +112,17 @@ func TestDisabledNamesCostNothing(t *testing.T) {
 }
 
 func TestContextWindowSummary(t *testing.T) {
-	tr := New(Config{SummaryWindow: 100})
+	tr := New(Config{})
+	// at places an event a hundredth of a summary window apart.
+	at := func(hundredths int) sim.Time { return sim.Time(hundredths) * sim.Time(summaryWindow) / 100 }
 	// Context 5: two events in window 0, one in window 2.
-	tr.Emit(AllocSlab, 10, 5, 1, "inode", 0, 600)
-	tr.Emit(AllocSlab, 90, 5, 2, "dentry", 0, 192)
-	tr.Emit(ObjFree, 250, 5, 1, "inode", 0, 600)
+	tr.Emit(AllocSlab, at(10), 5, 1, "inode", 0, 600)
+	tr.Emit(AllocSlab, at(90), 5, 2, "dentry", 0, 192)
+	tr.Emit(ObjFree, at(250), 5, 1, "inode", 0, 600)
 	// Context 9: one event in window 1.
-	tr.Emit(NetRx, 150, 9, 3, "seg", 1, 1500)
+	tr.Emit(NetRx, at(150), 9, 3, "seg", 1, 1500)
 	s := tr.Stats()
-	if s.Window != 100 {
+	if s.Window != summaryWindow {
 		t.Fatalf("window = %v", s.Window)
 	}
 	if len(s.Contexts) != 2 || s.Contexts[0].Ctx != 5 || s.Contexts[0].Total != 3 {

@@ -147,9 +147,6 @@ func (d Diurnal) Next(now sim.Time, r *sim.RNG) sim.Duration {
 	return expGap(rate, r)
 }
 
-// ArrivalNames lists the arrival-process catalog.
-func ArrivalNames() []string { return []string{"poisson", "bursty", "diurnal"} }
-
 // ArrivalByName constructs an arrival process of the named shape with
 // the given long-run mean rate (requests per virtual second).
 func ArrivalByName(name string, rate float64) (Arrival, error) {

@@ -20,9 +20,12 @@ func meanRate(t *testing.T, a Arrival, span sim.Duration, seed uint64) float64 {
 	return float64(n) / span.Seconds()
 }
 
+// arrivalNames is ArrivalByName's catalog.
+var arrivalNames = []string{"poisson", "bursty", "diurnal"}
+
 func TestArrivalMeanRates(t *testing.T) {
 	const rate = 200_000 // 200k req/s over 200 ms ⇒ ~40k samples
-	for _, name := range ArrivalNames() {
+	for _, name := range arrivalNames {
 		a, err := ArrivalByName(name, rate)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +38,7 @@ func TestArrivalMeanRates(t *testing.T) {
 }
 
 func TestArrivalDeterminism(t *testing.T) {
-	for _, name := range ArrivalNames() {
+	for _, name := range arrivalNames {
 		a, err := ArrivalByName(name, 100_000)
 		if err != nil {
 			t.Fatal(err)

@@ -56,9 +56,6 @@ func (w *Cassandra) Name() string { return "cassandra" }
 // Threads implements Workload.
 func (w *Cassandra) Threads() int { return w.cfg.Threads }
 
-// TotalOps implements Workload.
-func (w *Cassandra) TotalOps() int { return w.cfg.Ops }
-
 // Setup allocates the JVM heap, opens sockets, and seeds SSTables.
 func (w *Cassandra) Setup(k *kernel.Kernel, r *sim.RNG) error {
 	// 11 GB footprint, heavily application-resident. SSTables keep a

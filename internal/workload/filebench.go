@@ -49,9 +49,6 @@ func (w *Filebench) Name() string { return "filebench" }
 // Threads implements Workload.
 func (w *Filebench) Threads() int { return w.cfg.Threads }
 
-// TotalOps implements Workload.
-func (w *Filebench) TotalOps() int { return w.cfg.Ops }
-
 // Setup builds the fileset and pre-writes each file so reads have data
 // to find. Each thread starts with its first file open.
 func (w *Filebench) Setup(k *kernel.Kernel, r *sim.RNG) error {

@@ -45,9 +45,6 @@ func (w *Redis) Name() string { return "redis" }
 // Threads implements Workload.
 func (w *Redis) Threads() int { return w.cfg.Threads }
 
-// TotalOps implements Workload.
-func (w *Redis) TotalOps() int { return w.cfg.Ops }
-
 // DatasetPages implements Sized: the keyspace store plus one
 // checkpoint file per instance.
 func (w *Redis) DatasetPages() int {

@@ -75,9 +75,6 @@ func (w *RocksDB) Name() string { return "rocksdb" }
 // Threads implements Workload.
 func (w *RocksDB) Threads() int { return w.cfg.Threads }
 
-// TotalOps implements Workload.
-func (w *RocksDB) TotalOps() int { return w.cfg.Ops }
-
 // DatasetPages implements Sized: the app heap (memtable + block cache)
 // plus the on-disk SSTable dataset at the configured scale.
 func (w *RocksDB) DatasetPages() int {

@@ -52,9 +52,6 @@ func (w *Spark) Name() string { return "spark" }
 // Threads implements Workload.
 func (w *Spark) Threads() int { return w.cfg.Threads }
 
-// TotalOps implements Workload.
-func (w *Spark) TotalOps() int { return w.cfg.Ops }
-
 // Setup allocates the executor heaps.
 func (w *Spark) Setup(k *kernel.Kernel, r *sim.RNG) error {
 	if w.blockPages < 1 || w.blocksPerThread() < 1 {

@@ -25,8 +25,6 @@ type Workload interface {
 	Name() string
 	// Threads the workload drives (Table 3: 16 everywhere).
 	Threads() int
-	// TotalOps across all threads for one measured run.
-	TotalOps() int
 	// Setup builds initial state (datasets, sockets, app heap).
 	Setup(k *kernel.Kernel, r *sim.RNG) error
 	// Step executes one operation on the given thread. The context
@@ -47,8 +45,6 @@ type Config struct {
 	// ScaleDiv divides Table-3 footprints (64 = default laptop scale;
 	// must match the platform's scale divisor).
 	ScaleDiv int
-	// Ops is the total operation count for the measured phase.
-	Ops int
 	// Small selects the 10 GB input-class configuration of Fig 2b
 	// instead of the 40 GB (Large) default.
 	Small bool
@@ -62,9 +58,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ScaleDiv <= 0 {
 		c.ScaleDiv = 64
-	}
-	if c.Ops <= 0 {
-		c.Ops = 50_000_000
 	}
 	if c.Threads <= 0 {
 		c.Threads = 16

@@ -223,9 +223,9 @@ func DeriveWatermarks(capacityPages int) Watermarks {
 // Tracing (the tracepoint-analog observability plane; DESIGN.md §9,
 // OBSERVABILITY.md).
 type (
-	// TraceConfig arms the tracing plane for a run (RunConfig.Trace):
-	// ring-buffer size, enabled event-name patterns, and the summary
-	// window width.
+	// TraceConfig arms the tracing plane for a run (RunConfig.Trace)
+	// with the enabled event-name patterns. The ring holds the last
+	// 65,536 events and summaries count in 10 ms windows.
 	TraceConfig = trace.Config
 	// Tracer is an armed tracing plane; Result.Trace carries the run's
 	// tracer for export via WriteText / WriteChrome.
