@@ -41,9 +41,7 @@ const (
 // frame counts its own live objects (Frame.InUse), as struct page
 // does for a slab.
 type SlabCache struct {
-	Mem     *memsim.Memory
-	Name    string
-	ObjSize int
+	Mem *memsim.Memory
 	// Class of frames this cache allocates (ClassSlab for the classic
 	// slab; the KLOC allocator reuses this machinery with ClassKloc and
 	// unpinned frames).
@@ -76,7 +74,7 @@ func newCache(mem *memsim.Memory, name string, objSize int, class memsim.Class, 
 		return nil, fmt.Errorf("alloc: cache %q object size %d out of range: %w", name, objSize, fault.EINVAL)
 	}
 	return &SlabCache{
-		Mem: mem, Name: name, ObjSize: objSize, Class: class, Pinned: pinned,
+		Mem: mem, Class: class, Pinned: pinned,
 		AllocCost: ac,
 		perFrame:  memsim.PageSize / objSize,
 	}, nil

@@ -27,7 +27,8 @@ import (
 //     keeping its target alive — the same over-approximation Go's
 //     deadcode tool makes.
 //
-// A method of an instantiated generic type resolves to its generic
+// A method of an instantiated generic type, and an explicit
+// instantiation of a generic function, resolve to the generic
 // declaration (types.Func.Origin), and the callees of calls made in
 // package-level initializers join PackageRefs, since those calls run
 // when the package loads.
@@ -71,9 +72,8 @@ type FuncNode struct {
 
 // A CallSite is one resolved call expression inside a function.
 type CallSite struct {
-	Call   *ast.CallExpr
-	Caller *FuncNode
-	Kind   CallKind
+	Call *ast.CallExpr
+	Kind CallKind
 	// Callees are the resolved module targets: exactly one for
 	// CallStatic, zero or more for CallInterface, none for
 	// CallDynamic/CallExternal.
@@ -289,8 +289,16 @@ func (g *CallGraph) walkBody(pkg *Package, node *FuncNode, root ast.Node) {
 // resolveCall classifies one call site and attaches it to cur; at
 // package scope its callees join PackageRefs instead.
 func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr, calleeIdents map[*ast.Ident]bool) {
-	site := &CallSite{Call: call, Caller: cur}
+	site := &CallSite{Call: call}
 	fun := ast.Unparen(call.Fun)
+	// An explicit instantiation, F[T](...) or pkg.F[K, V](...), calls
+	// the generic function its base names.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = genericBase(pkg.Info, fun, ix.X)
+	case *ast.IndexListExpr:
+		fun = genericBase(pkg.Info, fun, ix.X)
+	}
 	switch f := fun.(type) {
 	case *ast.Ident:
 		calleeIdents[f] = true
@@ -360,6 +368,21 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 		return
 	}
 	cur.Calls = append(cur.Calls, site)
+}
+
+// genericBase returns the base of index expression e when the base
+// names a function, which makes e an instantiation of it, and e
+// otherwise (an index into a slice or map of function values).
+func genericBase(info *types.Info, e, base ast.Expr) ast.Expr {
+	base = ast.Unparen(base)
+	id, _ := base.(*ast.Ident)
+	if sel, ok := base.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if _, ok := info.Uses[id].(*types.Func); ok {
+		return base
+	}
+	return e
 }
 
 // implementersOf resolves an interface method to every module named

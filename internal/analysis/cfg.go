@@ -30,7 +30,6 @@ type CFG struct {
 
 // A Block is one basic block.
 type Block struct {
-	Index int
 	// Stmts are the block's statements in order. Range statements
 	// appear as the last statement of their head block.
 	Stmts []ast.Stmt
@@ -38,7 +37,6 @@ type Block struct {
 	// Succs[0] is the true edge and Succs[1] the false edge.
 	Cond  ast.Expr
 	Succs []*Block
-	Preds []*Block
 	// Return is set when the block ends with a return statement.
 	Return *ast.ReturnStmt
 }
@@ -67,7 +65,6 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	b.cur = entry
 	// Entry must be Blocks[0]: swap the synthetic exit to the back.
 	c.Blocks[0], c.Blocks[1] = c.Blocks[1], c.Blocks[0]
-	c.Blocks[0].Index, c.Blocks[1].Index = 0, 1
 	b.stmts(body.List)
 	// Fall off the end of the body.
 	b.edge(b.cur, c.Exit)
@@ -75,7 +72,7 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks)}
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -85,7 +82,6 @@ func (b *cfgBuilder) edge(from, to *Block) {
 		return
 	}
 	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
 }
 
 // add appends stmt to the current block.

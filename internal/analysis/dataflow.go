@@ -68,7 +68,6 @@ func (s defSet) merge(other defSet) bool {
 // ReachingDefs holds the per-block reaching-definition solution for
 // one function.
 type ReachingDefs struct {
-	cfg  *CFG
 	info *types.Info
 	// in holds the definitions reaching each block's entry.
 	in map[*Block]defSet
@@ -94,7 +93,7 @@ func (r *ReachingDefs) stmtDefsCached(s ast.Stmt) []*Def {
 // Zero/parameter definitions so queries distinguish "defined before
 // any assignment" from "unknown variable".
 func NewReachingDefs(cfg *CFG, info *types.Info, sig *ast.FuncType, recv *ast.FieldList) *ReachingDefs {
-	r := &ReachingDefs{cfg: cfg, info: info, in: make(map[*Block]defSet), defs: make(map[ast.Stmt][]*Def)}
+	r := &ReachingDefs{info: info, in: make(map[*Block]defSet), defs: make(map[ast.Stmt][]*Def)}
 	entry := defSet{}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {

@@ -54,8 +54,7 @@ func errnoInScope(path string) bool {
 // errnoSummary says whether every error an escape path of the
 // function produces derives from the fault vocabulary.
 type errnoSummary struct {
-	returnsError bool
-	clean        bool
+	clean bool
 }
 
 func errnoSummaryChanged(a, b errnoSummary) bool { return a != b }
@@ -272,9 +271,8 @@ func (ea *errnoAnalysis) returnSites() []errnoReturnSite {
 
 // summarize derives the function's errno summary.
 func (ea *errnoAnalysis) summarize() errnoSummary {
-	sites := ea.returnSites()
-	sum := errnoSummary{returnsError: len(sites) > 0, clean: true}
-	for _, site := range sites {
+	sum := errnoSummary{clean: true}
+	for _, site := range ea.returnSites() {
 		d := ea.classifyExpr(site.expr, 0)
 		if !d.isClean() {
 			sum.clean = false

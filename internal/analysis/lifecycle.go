@@ -217,7 +217,7 @@ func seedSummary(n *FuncNode, sum lifeSummary) lifeSummary {
 func runLifecycle(pass *ModulePass) error {
 	g := pass.Module.Graph
 	compute := func(n *FuncNode, get func(*FuncNode) (lifeSummary, bool)) lifeSummary {
-		la := newLifeAnalysis(pass.Module, n, get)
+		la := newLifeAnalysis(n, get)
 		if la.cfg == nil {
 			return seedSummary(n, lifeSummary{})
 		}
@@ -231,7 +231,7 @@ func runLifecycle(pass *ModulePass) error {
 	}
 	var reports []lifeReport
 	for _, n := range g.Nodes {
-		la := newLifeAnalysis(pass.Module, n, getFinal)
+		la := newLifeAnalysis(n, getFinal)
 		if la.cfg == nil {
 			continue
 		}
@@ -268,7 +268,6 @@ type lifeReport struct {
 
 // lifeAnalysis solves the state machine over one function.
 type lifeAnalysis struct {
-	mod    *Module
 	n      *FuncNode
 	pkg    *Package
 	info   *types.Info
@@ -281,7 +280,7 @@ type lifeAnalysis struct {
 	reports []lifeReport
 }
 
-func newLifeAnalysis(mod *Module, n *FuncNode, get func(*FuncNode) (lifeSummary, bool)) *lifeAnalysis {
+func newLifeAnalysis(n *FuncNode, get func(*FuncNode) (lifeSummary, bool)) *lifeAnalysis {
 	body := n.Body()
 	if body == nil {
 		return &lifeAnalysis{}
@@ -291,7 +290,6 @@ func newLifeAnalysis(mod *Module, n *FuncNode, get func(*FuncNode) (lifeSummary,
 		return &lifeAnalysis{}
 	}
 	return &lifeAnalysis{
-		mod:     mod,
 		n:       n,
 		pkg:     n.Pkg,
 		info:    n.Pkg.Info,

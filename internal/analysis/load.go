@@ -19,8 +19,6 @@ type Package struct {
 	// Path is the import path ("kloc/internal/fs"); testdata packages
 	// get synthetic paths.
 	Path string
-	// Dir is the package directory on disk.
-	Dir  string
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, comments included.
 	Files []*ast.File
@@ -220,7 +218,6 @@ func (l *Loader) check(dir, importPath string, info *types.Info) (*Package, erro
 	}
 	return &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,

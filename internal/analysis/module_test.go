@@ -166,6 +166,21 @@ func TestCallGraphResolution(t *testing.T) {
 		t.Errorf("Unbox resolves to %s, want fixture.box.Get", got)
 	}
 
+	// An explicit instantiation, with one type argument or several,
+	// resolves statically to the generic function.
+	inst := nodeNamed(t, g, "Instantiate")
+	var instCallees []string
+	for _, site := range inst.Calls {
+		if site.Kind != CallStatic || len(site.Callees) != 1 {
+			t.Errorf("Instantiate's call %s should be CallStatic with one callee, got kind %d with %d", types.ExprString(site.Call.Fun), site.Kind, len(site.Callees))
+			continue
+		}
+		instCallees = append(instCallees, site.Callees[0].String())
+	}
+	if got := strings.Join(instCallees, " "); got != "fixture.first fixture.pick" {
+		t.Errorf("Instantiate resolves to %q, want \"fixture.first fixture.pick\"", got)
+	}
+
 	// Reachability follows Refs: storing a hook keeps its target alive.
 	reached := g.Reachable([]*FuncNode{takeRefs})
 	for _, want := range []string{"fixture.helper", "fixture.fileObj.Close"} {

@@ -1,7 +1,7 @@
 // Package fixture exercises the call graph's resolution strategies —
 // static calls, interface dispatch, method values, function-typed
-// fields, methods of instantiated generic types, calls in package
-// initializers — and gives the CFG/dataflow tests small known shapes. The go
+// fields, methods of instantiated generic types, explicit
+// instantiations, calls in package initializers — and gives the CFG/dataflow tests small known shapes. The go
 // tool never builds testdata trees.
 package fixture
 
@@ -55,6 +55,16 @@ func (b *box[T]) Get() T { return b.v }
 
 // Unbox calls a method of an instantiated generic type.
 func Unbox(b *box[int]) int { return b.Get() }
+
+// first and pick are generic functions that Instantiate calls through
+// explicit instantiations of one and of two type arguments; both calls
+// resolve to the generic declarations.
+func first[T any](xs []T) T { return xs[0] }
+
+func pick[K comparable, V any](k K, v V) V { return v }
+
+// Instantiate makes the two instantiated calls.
+func Instantiate() int { return first[int]([]int{1}) + pick[string, int]("a", 2) }
 
 // initial is called only from a package-level initializer, which
 // runs when the package loads.

@@ -19,7 +19,6 @@ import (
 // the least-busy channel, so a single slow stream does not serialize
 // the whole device.
 type Device struct {
-	Name string
 	// SeqBandwidth and RandBandwidth in bytes/ns (per channel aggregate
 	// share — bandwidth figures are device-wide, split across busy
 	// channels implicitly by queueing).
@@ -37,19 +36,11 @@ type Device struct {
 
 	// busyUntil per channel: new commands start no earlier.
 	busyUntil []sim.Time
-
-	// Stats.
-	Commands     uint64
-	BytesRead    uint64
-	BytesWritten uint64
-	// IOErrors counts commands the device failed.
-	IOErrors uint64
 }
 
 // DefaultNVMe mirrors Table 4's 512 GB NVMe.
 func DefaultNVMe() *Device {
 	return &Device{
-		Name:           "nvme0",
 		SeqBandwidth:   1.2,
 		RandBandwidth:  0.412,
 		CommandLatency: 20 * sim.Microsecond,
@@ -84,8 +75,8 @@ func (d *Device) TransferCost(bytes int, sequential bool) sim.Duration {
 // until completion (queueing + service) plus a device error, if any.
 // The command lands on the least-busy channel; a failed command still
 // occupies the channel for its full service time (the device worked,
-// then reported EIO), but its bytes do not count as transferred.
-func (d *Device) Submit(now sim.Time, bytes int, sequential, write bool) (sim.Duration, error) {
+// then reported EIO).
+func (d *Device) Submit(now sim.Time, bytes int, sequential bool) (sim.Duration, error) {
 	if d.busyUntil == nil {
 		n := d.Channels
 		if n < 1 {
@@ -106,15 +97,8 @@ func (d *Device) Submit(now sim.Time, bytes int, sequential, write bool) (sim.Du
 	}
 	complete := start.Add(service)
 	d.busyUntil[best] = complete
-	d.Commands++
 	if e := d.Fault.Check(fault.BlockIO, now); e != 0 {
-		d.IOErrors++
 		return complete.Sub(now), e
-	}
-	if write {
-		d.BytesWritten += uint64(bytes)
-	} else {
-		d.BytesRead += uint64(bytes)
 	}
 	return complete.Sub(now), nil
 }
@@ -145,8 +129,6 @@ type MQ struct {
 	// request (the analog of block:block_rq_issue). Strictly passive.
 	Trace *trace.Tracer
 
-	// PerQueue counts dispatched requests by queue.
-	PerQueue []uint64
 	// Retries counts device-failed commands that were re-driven.
 	Retries uint64
 	// HardFailures counts requests that exhausted their retry budget
@@ -172,7 +154,6 @@ func NewMQ(dev *Device, queues int) *MQ {
 		Dev:          dev,
 		Queues:       queues,
 		DispatchCost: 2 * sim.Microsecond,
-		PerQueue:     make([]uint64, queues),
 	}
 }
 
@@ -186,7 +167,6 @@ func (mq *MQ) Submit(cpu int, now sim.Time, bytes int, sequential, write bool) (
 	if mq.Queues > 0 {
 		q = cpu % mq.Queues
 	}
-	mq.PerQueue[q]++
 	var total sim.Duration
 	var err error
 	backoff := ioRetryBackoff
@@ -195,7 +175,7 @@ func (mq *MQ) Submit(cpu int, now sim.Time, bytes int, sequential, write bool) (
 		attempts++
 		total += mq.DispatchCost
 		var lat sim.Duration
-		lat, err = mq.Dev.Submit(now.Add(total), bytes, sequential, write)
+		lat, err = mq.Dev.Submit(now.Add(total), bytes, sequential)
 		total += lat
 		if err == nil {
 			break

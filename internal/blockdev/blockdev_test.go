@@ -1,9 +1,12 @@
 package blockdev
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"kloc/internal/sim"
+	"kloc/internal/trace"
 )
 
 func TestTransferCostSeqVsRand(t *testing.T) {
@@ -21,38 +24,33 @@ func TestTransferCostSeqVsRand(t *testing.T) {
 
 func TestSubmitQueueing(t *testing.T) {
 	d := DefaultNVMe()
-	l1, _ := d.Submit(0, 4096, true, false)
+	l1, _ := d.Submit(0, 4096, true)
 	// Second command at the same instant queues behind the first.
-	l2, _ := d.Submit(0, 4096, true, false)
+	l2, _ := d.Submit(0, 4096, true)
 	if l2 <= l1 {
 		t.Fatalf("queued command latency %v not greater than first %v", l2, l1)
 	}
-	if d.Commands != 2 {
-		t.Fatalf("commands = %d", d.Commands)
-	}
 	// A command far in the future sees an idle device again.
-	l3, _ := d.Submit(d.BusyUntil().Add(sim.Second), 4096, true, false)
+	l3, _ := d.Submit(d.BusyUntil().Add(sim.Second), 4096, true)
 	if l3 != l1 {
 		t.Fatalf("idle-device latency %v, want %v", l3, l1)
 	}
 }
 
-func TestReadWriteAccounting(t *testing.T) {
-	d := DefaultNVMe()
-	d.Submit(0, 100, true, false)
-	d.Submit(0, 200, true, true)
-	if d.BytesRead != 100 || d.BytesWritten != 200 {
-		t.Fatalf("rw accounting: r=%d w=%d", d.BytesRead, d.BytesWritten)
-	}
-}
-
+// TestMQDispatch: each request goes to its CPU's software queue, which
+// its blockdev.dispatch event names.
 func TestMQDispatch(t *testing.T) {
 	d := DefaultNVMe()
 	mq := NewMQ(d, 4)
+	mq.Trace = trace.New(trace.Config{})
 	mq.Submit(0, 0, 4096, true, false)
-	mq.Submit(5, 0, 4096, true, false) // cpu 5 -> queue 1
-	if mq.PerQueue[0] != 1 || mq.PerQueue[1] != 1 || mq.PerQueue[2] != 0 || mq.PerQueue[3] != 0 {
-		t.Fatalf("queue distribution: %v", mq.PerQueue)
+	mq.Submit(5, 0, 4096, true, true) // cpu 5 -> queue 1
+	var got []string
+	for _, e := range mq.Trace.Events() {
+		got = append(got, fmt.Sprintf("%s %s q%d", e.Name, e.Class, e.Node))
+	}
+	if want := "blockdev.dispatch read q0,blockdev.dispatch write q1"; strings.Join(got, ",") != want {
+		t.Fatalf("dispatches %v, want %s", got, want)
 	}
 }
 

@@ -27,19 +27,16 @@ const (
 // Outcome is one executed schedule's observable state — everything
 // the invariant oracles judge.
 type Outcome struct {
-	Target   string
 	Schedule fault.Schedule
 
 	// RunErr is a non-errno failure out of the run itself (a harness
 	// bug, never a modeled fault) — the run.error oracle's subject.
 	RunErr error
 
-	// Cluster-target state: the run report, the post-settle
-	// introspection snapshot, and whether the fleet reached quiescence
-	// inside the settle bound.
-	ClusterReport *cluster.Report
-	Intro         *cluster.Introspection
-	Settled       bool
+	// Cluster-target state: the post-settle introspection snapshot, and
+	// whether the fleet reached quiescence inside the settle bound.
+	Intro   *cluster.Introspection
+	Settled bool
 
 	// Machine-target state.
 	Result *harness.Result
@@ -141,7 +138,7 @@ func (ex *executor) runCluster(s fault.Schedule) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Target: TargetCluster, Schedule: s, tr: c.Tracer()}
+	out := &Outcome{Schedule: s, tr: c.Tracer()}
 	out.emitSchedule()
 	rep, err := c.Run()
 	if err != nil {
@@ -149,7 +146,6 @@ func (ex *executor) runCluster(s fault.Schedule) (*Outcome, error) {
 		out.Trace = "error: " + err.Error() + "\n" + c.Tracer().TextString()
 		return out, nil
 	}
-	out.ClusterReport = rep
 	out.Settled = c.Settle(ex.cfg.SettleBound)
 	in := c.Introspect()
 	out.Intro = &in
@@ -169,7 +165,7 @@ func (ex *executor) runMachine(s fault.Schedule) (*Outcome, error) {
 		CrashReplay:   true,
 		Trace:         &trace.Config{},
 	}
-	out := &Outcome{Target: TargetMachine, Schedule: s}
+	out := &Outcome{Schedule: s}
 	res, err := harness.Run(rcfg)
 	if err != nil {
 		out.RunErr = err

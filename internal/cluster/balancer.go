@@ -82,9 +82,6 @@ type attempt struct {
 	// timeout abandonment, hedge loss, crash). The server may still be
 	// working on a settled attempt — that shows up as wasted work.
 	settled bool
-	// started: a worker began serving it (distinguishes wasted service
-	// from attempts that died in the queue).
-	started bool
 	// errno is the service's outcome, recorded when service starts and
 	// reported when it completes.
 	errno fault.Errno

@@ -58,10 +58,6 @@ type Breaker struct {
 	// gen counts state transitions; probe tokens from a previous
 	// generation are stale and must not release a current probe slot.
 	gen uint64
-
-	// Opens counts closed/half-open → open transitions; Closes counts
-	// half-open → closed transitions.
-	Opens, Closes uint64
 }
 
 // newBreaker builds a closed breaker.
@@ -133,7 +129,6 @@ func (b *Breaker) OnSuccess(now sim.Time) {
 		b.fails = 0
 		b.probes = 0
 		b.gen++
-		b.Closes++
 	default:
 		b.fails = 0
 	}
@@ -160,5 +155,4 @@ func (b *Breaker) open(now sim.Time) {
 	b.fails = 0
 	b.probes = 0
 	b.gen++
-	b.Opens++
 }

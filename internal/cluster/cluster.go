@@ -235,8 +235,6 @@ type Report struct {
 	Machines int
 	// Rate is the offered arrival rate (requests per virtual second).
 	Rate float64
-	// Duration is the measured window.
-	Duration sim.Duration
 
 	Stats Stats
 
@@ -517,7 +515,6 @@ func (c *Cluster) report(dur sim.Duration) *Report {
 		Policy:   PolicyName,
 		Machines: c.cfg.Machines,
 		Rate:     c.cfg.Rate,
-		Duration: dur,
 		Stats:    c.stats,
 	}
 	if c.lat.Count() > 0 {

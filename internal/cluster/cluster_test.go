@@ -63,9 +63,6 @@ func TestBreakerTransitions(t *testing.T) {
 	if got := br.State(now); got != BreakerClosed {
 		t.Fatalf("state after probe success %v, want closed", got)
 	}
-	if br.Opens != 2 || br.Closes != 1 {
-		t.Fatalf("opens=%d closes=%d, want 2 and 1", br.Opens, br.Closes)
-	}
 }
 
 // TestBreakerCancelReleasesProbe: a half-open probe abandoned without

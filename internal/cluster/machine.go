@@ -229,7 +229,6 @@ func (m *machine) maybeServe(e *sim.Engine) {
 func (m *machine) startService(e *sim.Engine, at *attempt) {
 	slot := m.busy
 	m.busy++
-	at.started = true
 	at.serviceEpoch = m.epoch
 	m.serving = append(m.serving, at)
 	hot := m.hotTouch(at.req.group)

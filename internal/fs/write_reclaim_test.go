@@ -38,15 +38,17 @@ func newPressuredFS(mem *memsim.Memory, hooks kstate.Hooks) (*FS, *pressure.Plan
 
 // TestWriteKeepsFreshPageUnderReclaim: on a fast node too small for
 // the file, a Write's journal-record allocation enters direct reclaim,
-// which drops clean cached pages. The page being written is clean until
-// the write completes, and it must not be one of them: a Write that
-// succeeds leaves its page cached with a frame and never reports an
-// access to a page without one, and a Write that fails leaves no page
-// behind.
+// which drops clean cached pages. The first pages are synced, so they
+// are clean and reclaim drops them. The page being written is clean
+// until the write completes, and it must not be one of them: a Write
+// that succeeds leaves its page cached with a frame and never reports
+// an access to a page without one, and a Write that fails leaves no
+// page behind.
 func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 	h := &accessHooks{}
-	// 14 pages leave exactly one free frame when the journal slab next
-	// needs a frame of its own.
+	// On 14 pages, the writes after the sync fill the node: reclaim
+	// first drops the synced pages, and later writes fail once only
+	// dirty pages are left.
 	mem := memsim.NewTwoTier(memsim.TwoTierConfig{
 		FastPages: 14, SlowPages: 0, FastBandwidth: 30, BandwidthRatio: 4, CPUs: 1,
 	})
@@ -55,9 +57,16 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const synced = 4
 	failed := 0
 	for i := int64(0); i < 16; i++ {
-		err := f.Write(ctxAt(sim.Time(i*int64(sim.Microsecond))), file, i)
+		at := ctxAt(sim.Time(i * int64(sim.Microsecond)))
+		if i == synced {
+			if err := f.Fsync(at, file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := f.Write(at, file, i)
 		p, cached := file.Inode.pages.Get(i)
 		if err != nil {
 			failed++
@@ -74,9 +83,9 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 			t.Fatalf("after page %d: %d live page-cache objects, %d cached pages", i, live, file.Inode.pages.Len())
 		}
 	}
-	if failed == 0 || plane.Stats.DirectReclaims == 0 {
-		t.Fatalf("%d writes ran out of memory after %d direct reclaims: the path under test was not reached",
-			failed, plane.Stats.DirectReclaims)
+	if failed == 0 || plane.Stats.DirectReclaimPages == 0 {
+		t.Fatalf("%d writes ran out of memory, direct reclaim dropped %d pages: the path under test was not reached",
+			failed, plane.Stats.DirectReclaimPages)
 	}
 }
 
@@ -164,7 +173,7 @@ func TestNestedWritebackKeepsItsOwnPages(t *testing.T) {
 	if free < 2 {
 		t.Fatalf("%d free pages: nested writeback needs one each for its bio and blk-mq slabs", free)
 	}
-	plane.Configure(pressure.Config{Watermarks: memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3}})
+	mem.Node(memsim.FastNode).SetWatermarks(memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3})
 
 	if err := f.Fsync(ctxAt(sim.Time(sim.Millisecond)), b); err != nil {
 		t.Fatal(err)
@@ -233,7 +242,7 @@ func TestReclaimSkipsInodeUnderWriteback(t *testing.T) {
 		b = file
 	}
 	free := mem.Node(memsim.FastNode).Free()
-	plane.Configure(pressure.Config{Watermarks: memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3}})
+	mem.Node(memsim.FastNode).SetWatermarks(memsim.Watermarks{Min: free + 1, Low: free + 2, High: free + 3})
 
 	if err := f.Fsync(ctxAt(sim.Time(sim.Millisecond)), b); err != nil {
 		t.Fatal(err)

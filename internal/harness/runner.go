@@ -93,10 +93,10 @@ type RunConfig struct {
 	// other counters are collected before the crash and are unaffected.
 	CrashReplay bool
 
-	// Pressure configures the memory-pressure plane: watermarks on the
-	// fast node (enabling the emergency-reserve gate) and, with a
-	// nonzero KswapdPeriod, the background reclaimer. Applied after
-	// workload setup, like Fault. Nil leaves watermarks off — direct
+	// Pressure configures the memory-pressure plane: capacity-derived
+	// watermarks on the fast node (enabling the emergency-reserve gate)
+	// and, with a nonzero KswapdPeriod, the background reclaimer.
+	// Applied after workload setup, like Fault. Nil leaves watermarks off — direct
 	// reclaim through the shrinker registry still works; only the
 	// reserve gate and kswapd stay disabled.
 	Pressure *pressure.Config
@@ -190,9 +190,8 @@ type Result struct {
 
 	// Perf reports the run's hot-path accounting meters (DESIGN.md
 	// §13): deterministic evidence of how much bookkeeping the run did —
-	// accumulator adds vs committed net deltas, frame/ctx pool
-	// recycling, trace summary commits. Purely informational; the
-	// simulation never reads them.
+	// accesses counted, frame/ctx pool recycling, trace summary
+	// commits. Purely informational; the simulation never reads them.
 	Perf PerfMeters
 
 	// Sanitize is the runtime sanitizer's end-of-run report (nil when
@@ -417,7 +416,7 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // PerfMeters are one run's hot-path accounting meters (DESIGN.md §13):
-// Mem carries the per-CPU accumulator and frame-pool counters,
+// Mem carries the accesses counted and the frame-pool counters,
 // TraceCommits the tracer's batched summary commits (zero when tracing
 // was off), and CtxFresh/CtxReused the op-context pool's behavior.
 // All are deterministic at a given seed.

@@ -42,14 +42,6 @@ type Policy interface {
 	TickPeriod() sim.Duration
 }
 
-// Stats aggregates kernel-level accounting, bumped on the op hot path.
-type Stats struct {
-	AppPagesAllocated uint64
-	AppPagesFreed     uint64
-	AppAccesses       uint64
-	Syscalls          uint64
-}
-
 // Kernel is the assembled simulated OS instance.
 type Kernel struct {
 	Eng *sim.Engine
@@ -92,8 +84,6 @@ type Kernel struct {
 	// ctxFresh/ctxReused meter the pool.
 	ctxPool             []*kstate.Ctx
 	ctxFresh, ctxReused uint64
-
-	Stats Stats
 }
 
 // New assembles a kernel over a memory platform with the given policy.
@@ -105,7 +95,7 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 		Lifetimes: metrics.NewLifetimeTracker(),
 	}
 	k.SetTaskSocket(0)
-	hooks := &muxHooks{kernel: k, policy: pol}
+	hooks := &muxHooks{Hooks: pol, kernel: k}
 	mq := blockdev.NewMQ(blockdev.SimNVMe(), mem.NumCPUs())
 	k.FS = fs.New(mem, mq, hooks, &k.objIDs, &k.inoGen)
 	k.Net = netsim.New(mem, hooks, &k.objIDs, &k.inoGen)
@@ -233,7 +223,6 @@ func (k *Kernel) CPUFor(thread int) int {
 // instead of allocated; the reset writes every field, so a recycled
 // context is indistinguishable from a fresh one.
 func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
-	k.Stats.Syscalls++
 	if last := len(k.ctxPool) - 1; last >= 0 {
 		c := k.ctxPool[last]
 		k.ctxPool = k.ctxPool[:last]
@@ -292,7 +281,6 @@ func (k *Kernel) AppAlloc(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
 		f.Mapped = true
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
-		k.Stats.AppPagesAllocated++
 		k.Policy.PageAllocated(ctx, f)
 		out = append(out, f)
 	}
@@ -324,7 +312,6 @@ func (k *Kernel) AppAllocHuge(ctx *kstate.Ctx, n int) ([]*memsim.Frame, error) {
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
 		f.Mapped = true
 		k.San.TrackAlloc(appIDBit|uint64(f.ID), "app", 0, int64(f.Pages())*memsim.PageSize, ctx.Now)
-		k.Stats.AppPagesAllocated += uint64(f.Pages())
 		k.Policy.PageAllocated(ctx, f)
 		out = append(out, f)
 	}
@@ -338,7 +325,6 @@ func (k *Kernel) AppAccess(ctx *kstate.Ctx, f *memsim.Frame, bytes int, write bo
 	}
 	k.San.CheckAccess(appIDBit|uint64(f.ID), ctx.Now)
 	ctx.Charge(k.Mem.Access(ctx.CPU, f, bytes, write, ctx.Now))
-	k.Stats.AppAccesses++
 	k.Policy.PageAccessed(ctx, f)
 }
 
@@ -355,7 +341,6 @@ func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 		k.Lifetimes.Died("app", f.Allocated, ctx.Now)
 		k.Policy.PageFreed(ctx, f)
 		k.Mem.Free(f)
-		k.Stats.AppPagesFreed++
 	}
 }
 
@@ -367,40 +352,21 @@ func lifetimeClass(t kobj.Type) string {
 	return "cache"
 }
 
-// muxHooks fans kernel-internal accounting and the policy's hooks out
-// of one Hooks implementation handed to fs and netsim.
+// muxHooks is the Hooks implementation handed to fs and netsim: the
+// policy's own, with the kernel's work added to two of them.
 type muxHooks struct {
-	kernel *Kernel
-	policy Policy
+	kstate.Hooks // the policy
+	kernel       *Kernel
 }
 
-func (m *muxHooks) PlaceKernel(ctx *kstate.Ctx, t kobj.Type, ino uint64) []memsim.NodeID {
-	return m.policy.PlaceKernel(ctx, t, ino)
-}
-func (m *muxHooks) UseKlocAllocator(t kobj.Type) bool { return m.policy.UseKlocAllocator(t) }
-func (m *muxHooks) DriverSockExtract() bool           { return m.policy.DriverSockExtract() }
-
-func (m *muxHooks) InodeCreated(ctx *kstate.Ctx, ino uint64, sock bool) {
-	m.policy.InodeCreated(ctx, ino, sock)
-}
-func (m *muxHooks) InodeOpened(ctx *kstate.Ctx, ino uint64)  { m.policy.InodeOpened(ctx, ino) }
-func (m *muxHooks) InodeClosed(ctx *kstate.Ctx, ino uint64)  { m.policy.InodeClosed(ctx, ino) }
-func (m *muxHooks) InodeDeleted(ctx *kstate.Ctx, ino uint64) { m.policy.InodeDeleted(ctx, ino) }
-
-func (m *muxHooks) ObjectCreated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
-	m.policy.ObjectCreated(ctx, ino, o)
-}
+// ObjectAssociated tells the sanitizer the object's new context first.
 func (m *muxHooks) ObjectAssociated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
 	m.kernel.San.Associate(uint64(o.ID), ino)
-	m.policy.ObjectAssociated(ctx, ino, o)
+	m.Hooks.ObjectAssociated(ctx, ino, o)
 }
+
+// ObjectFreed records the object's lifetime (Fig 2d) first.
 func (m *muxHooks) ObjectFreed(ctx *kstate.Ctx, o *kobj.Object) {
 	m.kernel.Lifetimes.Died(lifetimeClass(o.Type), o.Born, ctx.Now)
-	m.policy.ObjectFreed(ctx, o)
+	m.Hooks.ObjectFreed(ctx, o)
 }
-
-func (m *muxHooks) PageAllocated(ctx *kstate.Ctx, f *memsim.Frame) { m.policy.PageAllocated(ctx, f) }
-func (m *muxHooks) PageAccessed(ctx *kstate.Ctx, f *memsim.Frame)  { m.policy.PageAccessed(ctx, f) }
-func (m *muxHooks) PageFreed(ctx *kstate.Ctx, f *memsim.Frame)     { m.policy.PageFreed(ctx, f) }
-
-var _ kstate.Hooks = (*muxHooks)(nil)

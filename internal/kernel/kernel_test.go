@@ -98,7 +98,7 @@ func TestAppPageLifecycle(t *testing.T) {
 		}
 	}
 	k.AppAccess(ctx, frames[0], 512, true)
-	if k.Stats.AppAccesses != 1 {
+	if k.Mem.Stats.Refs[memsim.ClassApp] != 1 {
 		t.Fatal("access not counted")
 	}
 	k.AppFree(ctx, frames)
@@ -111,7 +111,7 @@ func TestAppPageLifecycle(t *testing.T) {
 	}
 	// Double free is a no-op.
 	k.AppFree(ctx, frames)
-	if k.Stats.AppPagesFreed != 10 {
+	if k.Lifetimes.Class("app").Count() != 10 {
 		t.Fatal("double free counted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kloc/internal/memsim"
-	"kloc/internal/sim"
 )
 
 // knodeIndex is the state of the knode-index loop: a registry of 512
@@ -37,7 +36,7 @@ func (x *knodeIndex) step() {
 		x.hits++
 	}
 	if x.i&15 == 0 {
-		x.reg.TouchID(id, x.i&3, sim.Time(x.i))
+		x.reg.TouchID(id, x.i&3)
 	}
 	x.i++
 }

@@ -42,14 +42,12 @@ const objPointerBytes = 8
 
 // Knode is the per-inode table of contents over kernel objects.
 type Knode struct {
-	ID    KnodeID
-	Inode uint64
+	ID KnodeID
 	// Active (the paper's `inuse`): true while the file/socket is open.
 	Active bool
-	// Age grows as LRU scans pass without a touch (§4.3).
+	// Age grows as LRU scans pass without a touch and resets on one
+	// (§4.3): the knode's recency.
 	Age int
-	// LastTouch is the last access time, for tie-breaking.
-	LastTouch sim.Time
 
 	rbCache *rbtree.Tree[kobj.ID, *kobj.Object]
 	rbSlab  *rbtree.Tree[kobj.ID, *kobj.Object]
@@ -162,15 +160,6 @@ func (k *Knode) metadataBytes() int {
 // percpuEntryBytes sizes a per-CPU list entry (pointer + age).
 const percpuEntryBytes = 16
 
-// registryStats aggregates the registry's own activity.
-type registryStats struct {
-	KnodesCreated  uint64
-	KnodesDeleted  uint64
-	ObjectsIndexed uint64
-	KmapLookups    uint64
-	FastPathHits   uint64
-}
-
 // Registry is the global KLOC state: the kmap, the per-CPU fast paths,
 // and the knode slab.
 type Registry struct {
@@ -195,8 +184,6 @@ type Registry struct {
 	// migrationList tracks pages queued for migration (Table 6 counts
 	// its memory).
 	migrationList int
-
-	Stats registryStats
 }
 
 // perCPUListCap bounds each CPU's fast-path list; restricting the size
@@ -260,7 +247,6 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 	if kn, ok := r.kmap.Get(inode); ok {
 		kn.Active = true
 		kn.Age = 0
-		kn.LastTouch = now
 		return kn, lookupCost(r.kmap.Depth()), nil
 	}
 	if r.slab == nil {
@@ -271,13 +257,11 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 		return nil, 0, err
 	}
 	kn := &Knode{
-		ID:        r.nextID,
-		Inode:     inode,
-		Active:    true,
-		LastTouch: now,
-		rbCache:   r.objNodes.New(),
-		rbSlab:    r.objNodes.New(),
-		frame:     frame,
+		ID:      r.nextID,
+		Active:  true,
+		rbCache: r.objNodes.New(),
+		rbSlab:  r.objNodes.New(),
+		frame:   frame,
 	}
 	if !r.SplitTrees {
 		// Ablation: one shared tree.
@@ -286,50 +270,33 @@ func (r *Registry) MapKnode(inode uint64, allocOrder []memsim.NodeID, now sim.Ti
 	r.nextID++
 	r.kmap.Set(inode, kn)
 	r.indexByID(kn)
-	r.Stats.KnodesCreated++
 	return kn, cost + lookupCost(r.kmap.Depth()), nil
 }
 
 // Lookup finds the knode for an inode, consulting the per-CPU fast path
 // first. It returns the knode, the virtual cost, and whether it exists.
-func (r *Registry) Lookup(cpu int, inode uint64, now sim.Time) (*Knode, sim.Duration, bool) {
-	// Fast path: scan cpu's list (bounded, cheap).
-	if r.FastPathEnabled {
-		kn, ok := r.kmap.Get(inode) // index lookup to identify the knode
-		if !ok {
-			return nil, lookupCost(r.kmap.Depth()), false
-		}
-		if r.fast.Touch(cpu, kn) {
-			r.Stats.FastPathHits++
-			kn.Age = 0
-			kn.LastTouch = now
-			// Fast-path hit: a short list walk instead of tree descent.
-			return kn, treeRefCost * 2, true
-		}
-		r.Stats.KmapLookups++
-		kn.Age = 0
-		kn.LastTouch = now
-		return kn, lookupCost(r.kmap.Depth()), true
+func (r *Registry) Lookup(cpu int, inode uint64) (*Knode, sim.Duration, bool) {
+	kn, ok := r.kmap.Get(inode) // index lookup to identify the knode
+	if !ok {
+		return nil, lookupCost(r.kmap.Depth()), false
 	}
-	r.Stats.KmapLookups++
-	kn, ok := r.kmap.Get(inode)
-	cost := lookupCost(r.kmap.Depth())
-	if ok {
-		kn.Age = 0
-		kn.LastTouch = now
+	kn.Age = 0
+	// Fast path: scan cpu's list (bounded, cheap). A hit costs a short
+	// list walk instead of a tree descent.
+	if r.FastPathEnabled && r.fast.Touch(cpu, kn) {
+		return kn, treeRefCost * 2, true
 	}
-	return kn, cost, ok
+	return kn, lookupCost(r.kmap.Depth()), true
 }
 
 // AddObject indexes an object under the inode's knode (knode_add_obj
 // from a syscall path). Missing knodes are a no-op (KLOC disabled for
 // that file).
-func (r *Registry) AddObject(cpu int, inode uint64, o *kobj.Object, now sim.Time) sim.Duration {
-	kn, cost, ok := r.Lookup(cpu, inode, now)
+func (r *Registry) AddObject(cpu int, inode uint64, o *kobj.Object) sim.Duration {
+	kn, cost, ok := r.Lookup(cpu, inode)
 	if !ok {
 		return cost
 	}
-	r.Stats.ObjectsIndexed++
 	return cost + kn.AddObject(o)
 }
 
@@ -347,25 +314,23 @@ func (r *Registry) RemoveObject(o *kobj.Object) sim.Duration {
 
 // Deactivate marks the inode's knode inactive (file/socket closed,
 // §3.2: its objects become migration candidates immediately).
-func (r *Registry) Deactivate(inode uint64, now sim.Time) (*Knode, bool) {
+func (r *Registry) Deactivate(inode uint64) (*Knode, bool) {
 	kn, ok := r.kmap.Get(inode)
 	if !ok {
 		return nil, false
 	}
 	kn.Active = false
-	kn.LastTouch = now
 	return kn, true
 }
 
 // Activate marks the inode's knode active again (file reopened).
-func (r *Registry) Activate(cpu int, inode uint64, now sim.Time) (*Knode, bool) {
+func (r *Registry) Activate(cpu int, inode uint64) (*Knode, bool) {
 	kn, ok := r.kmap.Get(inode)
 	if !ok {
 		return nil, false
 	}
 	kn.Active = true
 	kn.Age = 0
-	kn.LastTouch = now
 	if r.FastPathEnabled {
 		r.fast.Touch(cpu, kn)
 	}
@@ -386,7 +351,6 @@ func (r *Registry) Delete(inode uint64) sim.Duration {
 	r.fast.Invalidate(kn)
 	r.slab.Free(kn.frame)
 	kn.frame = nil
-	r.Stats.KnodesDeleted++
 	return cost
 }
 
@@ -395,13 +359,12 @@ func (r *Registry) Get(inode uint64) (*Knode, bool) { return r.kmap.Get(inode) }
 
 // TouchID refreshes a knode's recency by ID (used when a page access is
 // attributed to its KLOC via the frame's knode stamp).
-func (r *Registry) TouchID(id KnodeID, cpu int, now sim.Time) {
+func (r *Registry) TouchID(id KnodeID, cpu int) {
 	kn, ok := r.knodeByID(id)
 	if !ok {
 		return
 	}
 	kn.Age = 0
-	kn.LastTouch = now
 	if r.FastPathEnabled {
 		r.fast.Touch(cpu, kn)
 	}

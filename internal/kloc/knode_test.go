@@ -40,10 +40,10 @@ func TestMapKnodeLifecycle(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("knode creation was free")
 	}
-	if !kn.Active || kn.Inode != 42 {
+	if got, ok := r.Get(42); !kn.Active || !ok || got != kn {
 		t.Fatalf("knode state: %+v", kn)
 	}
-	if r.Len() != 1 || r.Stats.KnodesCreated != 1 {
+	if r.Len() != 1 {
 		t.Fatal("registry accounting wrong")
 	}
 	// Mapping the same inode returns the existing knode.
@@ -55,7 +55,7 @@ func TestMapKnodeLifecycle(t *testing.T) {
 		t.Fatal("duplicate in kmap")
 	}
 	r.Delete(42)
-	if r.Len() != 0 || r.Stats.KnodesDeleted != 1 {
+	if r.Len() != 0 {
 		t.Fatal("delete accounting wrong")
 	}
 	if _, ok := r.Get(42); ok {
@@ -89,8 +89,8 @@ func TestObjectIndexingSplitTrees(t *testing.T) {
 	kn, _, _ := r.MapKnode(7, order, 0)
 	dentry := obj(m, 1, kobj.Dentry, true)
 	page := obj(m, 2, kobj.PageCache, false)
-	r.AddObject(0, 7, dentry, 10)
-	r.AddObject(0, 7, page, 10)
+	r.AddObject(0, 7, dentry)
+	r.AddObject(0, 7, page)
 	c, s := kn.rbCache.Len(), kn.rbSlab.Len()
 	if c != 1 || s != 1 {
 		t.Fatalf("tree split wrong: cache=%d slab=%d", c, s)
@@ -122,8 +122,8 @@ func TestSingleTreeAblation(t *testing.T) {
 	r := NewRegistry(m, 2)
 	r.SplitTrees = false
 	kn, _, _ := r.MapKnode(7, order, 0)
-	r.AddObject(0, 7, obj(m, 1, kobj.Dentry, true), 0)
-	r.AddObject(0, 7, obj(m, 2, kobj.PageCache, false), 0)
+	r.AddObject(0, 7, obj(m, 1, kobj.Dentry, true))
+	r.AddObject(0, 7, obj(m, 2, kobj.PageCache, false))
 	c, s := kn.rbCache.Len(), kn.rbSlab.Len()
 	if c != 2 || s != 2 {
 		t.Fatalf("single-tree mode should share: cache=%d slab=%d", c, s)
@@ -134,7 +134,7 @@ func TestAddObjectWithoutKnode(t *testing.T) {
 	m := testMem()
 	r := NewRegistry(m, 2)
 	o := obj(m, 1, kobj.Dentry, true)
-	r.AddObject(0, 999, o, 0) // no knode mapped: silently skipped
+	r.AddObject(0, 999, o) // no knode mapped: silently skipped
 	if o.Knode != 0 {
 		t.Fatal("orphan object got a knode")
 	}
@@ -148,9 +148,9 @@ func TestMovableFramesExcludesPinnedAndDedups(t *testing.T) {
 	movable := obj(m, 2, kobj.PageCache, false)
 	// Two objects sharing one frame must dedup.
 	shared := kobj.NewObject(3, kobj.Extent, movable.Frame, 0, nil)
-	r.AddObject(0, 7, pinned, 0)
-	r.AddObject(0, 7, movable, 0)
-	r.AddObject(0, 7, shared, 0)
+	r.AddObject(0, 7, pinned)
+	r.AddObject(0, 7, movable)
+	r.AddObject(0, 7, shared)
 	frames := kn.MovableFrames()
 	if len(frames) != 1 || frames[0].ID != movable.Frame.ID {
 		t.Fatalf("movable frames = %v", frames)
@@ -160,18 +160,18 @@ func TestMovableFramesExcludesPinnedAndDedups(t *testing.T) {
 func TestActivateDeactivateAndCold(t *testing.T) {
 	m := testMem()
 	r := NewRegistry(m, 2)
-	r.MapKnode(1, order, 0)
-	r.MapKnode(2, order, 0)
-	kn, ok := r.Deactivate(1, 50)
-	if !ok || kn.Active {
+	kn1, _, _ := r.MapKnode(1, order, 0)
+	kn2, _, _ := r.MapKnode(2, order, 0)
+	kn, ok := r.Deactivate(1)
+	if !ok || kn != kn1 || kn.Active {
 		t.Fatal("deactivate failed")
 	}
 	cold := r.ColdKnodes(100)
-	if len(cold) != 1 || cold[0].Inode != 1 {
+	if len(cold) != 1 || cold[0] != kn1 {
 		t.Fatalf("cold knodes = %d", len(cold))
 	}
 	active := r.ActiveKnodes()
-	if len(active) != 1 || active[0].Inode != 2 {
+	if len(active) != 1 || active[0] != kn2 {
 		t.Fatalf("active knodes = %d", len(active))
 	}
 	// Aging makes active knodes cold too.
@@ -183,14 +183,13 @@ func TestActivateDeactivateAndCold(t *testing.T) {
 		t.Fatalf("after aging, cold = %d", len(cold))
 	}
 	// Reactivation resets age.
-	kn2, ok := r.Activate(0, 2, 60)
-	if !ok || !kn2.Active || kn2.Age != 0 {
+	if kn, ok := r.Activate(0, 2); !ok || kn != kn2 || !kn.Active || kn.Age != 0 {
 		t.Fatal("activate failed to reset age")
 	}
-	if _, ok := r.Deactivate(99, 0); ok {
+	if _, ok := r.Deactivate(99); ok {
 		t.Fatal("deactivate of unknown inode succeeded")
 	}
-	if _, ok := r.Activate(0, 99, 0); ok {
+	if _, ok := r.Activate(0, 99); ok {
 		t.Fatal("activate of unknown inode succeeded")
 	}
 }
@@ -199,28 +198,25 @@ func TestLookupFastPath(t *testing.T) {
 	m := testMem()
 	r := NewRegistry(m, 2)
 	r.MapKnode(5, order, 0)
-	_, coldCost, ok := r.Lookup(0, 5, 10)
+	_, coldCost, ok := r.Lookup(0, 5)
 	if !ok {
 		t.Fatal("lookup failed")
 	}
-	_, warmCost, _ := r.Lookup(0, 5, 20)
+	_, warmCost, _ := r.Lookup(0, 5)
 	if warmCost >= coldCost && r.kmap.Depth() > 2 {
 		t.Fatalf("fast-path hit (%v) not cheaper than miss (%v)", warmCost, coldCost)
 	}
-	if r.Stats.FastPathHits != 1 {
-		t.Fatalf("fast path hits = %d", r.Stats.FastPathHits)
-	}
-	if rate := r.FastPathHitRate(); rate <= 0 {
-		t.Fatalf("hit rate = %v", rate)
+	if rate := r.FastPathHitRate(); rate != 0.5 {
+		t.Fatalf("hit rate = %v, want 0.5 (one miss, one hit)", rate)
 	}
 	// Unknown inode.
-	_, _, ok = r.Lookup(0, 999, 30)
+	_, _, ok = r.Lookup(0, 999)
 	if ok {
 		t.Fatal("lookup of unknown inode succeeded")
 	}
 	// Disabled fast path still works.
 	r.FastPathEnabled = false
-	if _, _, ok := r.Lookup(1, 5, 40); !ok {
+	if _, _, ok := r.Lookup(1, 5); !ok {
 		t.Fatal("slow-path lookup failed")
 	}
 }
@@ -232,7 +228,7 @@ func TestFindCPU(t *testing.T) {
 	if cpu := r.FindCPU(kn); cpu != -1 {
 		t.Fatalf("untouched knode has CPU %d", cpu)
 	}
-	r.Lookup(2, 5, 10)
+	r.Lookup(2, 5)
 	if cpu := r.FindCPU(kn); cpu != 2 {
 		t.Fatalf("FindCPU = %d, want 2", cpu)
 	}
@@ -254,7 +250,7 @@ func TestMetadataBytesTable6(t *testing.T) {
 		t.Fatalf("metadata %d below knode size", base)
 	}
 	for i := 0; i < 10; i++ {
-		r.AddObject(0, 1, obj(m, kobj.ID(i+1), kobj.PageCache, false), 0)
+		r.AddObject(0, 1, obj(m, kobj.ID(i+1), kobj.PageCache, false))
 	}
 	withObjs := r.MetadataBytes()
 	// AddObject's lookup put the knode on one per-CPU list.
@@ -309,8 +305,8 @@ func TestLookupTimestamp(t *testing.T) {
 	if kn.Age != 1 {
 		t.Fatal("age scan missed knode")
 	}
-	r.Lookup(0, 3, 77)
-	if kn.Age != 0 || kn.LastTouch != 77 {
-		t.Fatalf("lookup did not refresh: age=%d touch=%v", kn.Age, kn.LastTouch)
+	r.Lookup(0, 3)
+	if kn.Age != 0 {
+		t.Fatalf("lookup did not refresh: age=%d", kn.Age)
 	}
 }

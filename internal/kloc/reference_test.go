@@ -20,6 +20,7 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 	rng := sim.NewRNG(7)
 	live := map[uint64]KnodeID{} // reference: inode -> live knode ID
 	issued := map[KnodeID]*Knode{}
+	inodeOf := map[KnodeID]uint64{}
 	var maxID KnodeID
 	for step := 0; step < 3000; step++ {
 		now := sim.Time(step)
@@ -37,6 +38,7 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 			}
 			live[inode] = kn.ID
 			issued[kn.ID] = kn
+			inodeOf[kn.ID] = inode
 			if kn.ID > maxID {
 				maxID = kn.ID
 			}
@@ -50,15 +52,15 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 		for id := KnodeID(0); id <= maxID+2; id++ {
 			got, ok := r.knodeByID(id)
 			kn := issued[id]
-			wantLive := kn != nil && live[kn.Inode] == id
+			wantLive := kn != nil && live[inodeOf[id]] == id
 			if ok != wantLive {
 				t.Fatalf("step %d: knodeByID(%d) found=%v, reference live=%v", step, id, ok, wantLive)
 			}
 			if !ok {
 				if kn != nil {
-					before := kn.LastTouch
-					r.TouchID(id, rng.Intn(4), now+1)
-					if kn.LastTouch != before {
+					kn.Age = 3
+					r.TouchID(id, rng.Intn(4))
+					if kn.Age != 3 {
 						t.Fatalf("step %d: TouchID(%d) touched a deleted knode", step, id)
 					}
 				}
@@ -67,12 +69,12 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 			if got != kn {
 				t.Fatalf("step %d: knodeByID(%d) returned the wrong knode", step, id)
 			}
-			if viaKmap, ok := r.Get(kn.Inode); !ok || viaKmap != got {
-				t.Fatalf("step %d: ID %d resolves to inode %d, which the kmap maps elsewhere", step, id, kn.Inode)
+			if viaKmap, ok := r.Get(inodeOf[id]); !ok || viaKmap != got {
+				t.Fatalf("step %d: ID %d resolves to inode %d, which the kmap maps elsewhere", step, id, inodeOf[id])
 			}
 			kn.Age = 3
-			r.TouchID(id, rng.Intn(4), now+1)
-			if kn.Age != 0 || kn.LastTouch != now+1 {
+			r.TouchID(id, rng.Intn(4))
+			if kn.Age != 0 {
 				t.Fatalf("step %d: TouchID(%d) did not refresh the knode", step, id)
 			}
 		}

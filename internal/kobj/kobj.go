@@ -32,27 +32,6 @@ const (
 	numTypes
 )
 
-// Domain says which subsystem an object belongs to.
-type Domain uint8
-
-// Domains.
-const (
-	DomainFS Domain = iota
-	DomainNet
-	DomainBoth
-)
-
-func (d Domain) String() string {
-	switch d {
-	case DomainNet:
-		return "network"
-	case DomainBoth:
-		return "fs/network"
-	default:
-		return "fs"
-	}
-}
-
 // AllocClass says which allocator creates objects of a type (§3.3).
 type AllocClass uint8
 
@@ -65,24 +44,23 @@ const (
 // Info describes a kernel object type.
 type Info struct {
 	Name  string
-	Dom   Domain
 	Size  int // bytes per object
 	Alloc AllocClass
 }
 
 var infos = [numTypes]Info{
-	Inode:      {"inode", DomainBoth, 600, AllocSlab},
-	Block:      {"block", DomainFS, 256, AllocSlab},
-	Journal:    {"journal", DomainFS, 1024, AllocSlab},
-	PageCache:  {"page_cache", DomainFS, memsim.PageSize, AllocPage},
-	Dentry:     {"dentry", DomainFS, 192, AllocSlab},
-	Extent:     {"extent", DomainFS, 96, AllocSlab},
-	BlkMQ:      {"blk_mq", DomainFS, 512, AllocSlab},
-	Sock:       {"sock", DomainNet, 1024, AllocSlab},
-	SkBuff:     {"skbuff", DomainNet, 232, AllocSlab},
-	SkBuffData: {"skbuff_data", DomainNet, 2048, AllocPage},
-	RxBuf:      {"rx_buf", DomainNet, memsim.PageSize, AllocPage},
-	RadixNode:  {"radix_node", DomainFS, 576, AllocSlab},
+	Inode:      {"inode", 600, AllocSlab},
+	Block:      {"block", 256, AllocSlab},
+	Journal:    {"journal", 1024, AllocSlab},
+	PageCache:  {"page_cache", memsim.PageSize, AllocPage},
+	Dentry:     {"dentry", 192, AllocSlab},
+	Extent:     {"extent", 96, AllocSlab},
+	BlkMQ:      {"blk_mq", 512, AllocSlab},
+	Sock:       {"sock", 1024, AllocSlab},
+	SkBuff:     {"skbuff", 232, AllocSlab},
+	SkBuffData: {"skbuff_data", 2048, AllocPage},
+	RxBuf:      {"rx_buf", memsim.PageSize, AllocPage},
+	RadixNode:  {"radix_node", 576, AllocSlab},
 }
 
 // Info returns the descriptor for a type.
@@ -173,8 +151,8 @@ type Object struct {
 	// Dirty and Prefetched are a page-cache page's state, its PG_dirty
 	// and PG_readahead: written and not yet written back, and brought
 	// in by readahead and not yet demanded. They sit in the padding
-	// after Type. Dirty is not memsim.Frame.Dirty, which every write
-	// access sets and only the frame's reuse clears.
+	// after Type. Only a page-cache page is dirty: memsim.Frame keeps
+	// no dirty bit, since nothing but writeback asks.
 	Dirty      bool
 	Prefetched bool
 	Size       int

@@ -34,16 +34,6 @@ func TestTableOneTaxonomy(t *testing.T) {
 			t.Fatalf("%s: implausible size %d", info.Name, info.Size)
 		}
 	}
-	// Table 1 domain spot-checks.
-	if Inode.Info().Dom != DomainBoth {
-		t.Fatal("inode must be fs/network (everything is a file)")
-	}
-	if Sock.Info().Dom != DomainNet || Journal.Info().Dom != DomainFS {
-		t.Fatal("domain misassignment")
-	}
-	if DomainBoth.String() != "fs/network" || DomainNet.String() != "network" || DomainFS.String() != "fs" {
-		t.Fatal("domain names wrong")
-	}
 }
 
 func TestAllocClassMatchesPaper(t *testing.T) {

@@ -27,9 +27,6 @@ const ScanCostPerPage sim.Duration = 2 * sim.Microsecond
 type Lists struct {
 	active   memsim.FrameList // front = most recently activated
 	inactive memsim.FrameList
-
-	// ScannedPages counts LRU work for cost accounting.
-	ScannedPages uint64
 }
 
 // New returns empty lists.
@@ -86,7 +83,6 @@ func (l *Lists) ScanInactive(n int, now sim.Time) (cold []*memsim.Frame, cost si
 		if f == nil {
 			break
 		}
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		referenced := f.LastAccess > f.Seen
 		f.Seen = now
@@ -117,7 +113,6 @@ func (l *Lists) Balance(ratio float64, now sim.Time) sim.Duration {
 		if f == nil {
 			break
 		}
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		referenced := f.LastAccess > f.Seen
 		f.Seen = now
@@ -140,7 +135,6 @@ func (l *Lists) HottestActive(n int, cutoff sim.Time) ([]*memsim.Frame, sim.Dura
 	out := make([]*memsim.Frame, 0, n)
 	var cost sim.Duration
 	for f := l.active.Front(); f != nil && len(out) < n; f = f.Next() {
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		if f.LastAccess >= cutoff {
 			out = append(out, f)

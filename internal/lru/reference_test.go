@@ -14,10 +14,9 @@ import (
 // reference: every entry is a heap object beside the frame, found
 // through an ID-keyed map.
 type refLists struct {
-	active       *list.List // front = most recently activated
-	inactive     *list.List
-	member       map[memsim.FrameID]*refEntry
-	ScannedPages uint64
+	active   *list.List // front = most recently activated
+	inactive *list.List
+	member   map[memsim.FrameID]*refEntry
 }
 
 type refEntry struct {
@@ -86,7 +85,6 @@ func (l *refLists) ScanInactive(n int, now sim.Time) (cold []*memsim.Frame, cost
 			break
 		}
 		e := back.Value.(*refEntry)
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		if e.frame.LastAccess > e.seen {
 			e.seen = now
@@ -113,7 +111,6 @@ func (l *refLists) Balance(ratio float64, now sim.Time) sim.Duration {
 			break
 		}
 		e := back.Value.(*refEntry)
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		if e.frame.LastAccess > e.seen {
 			e.seen = now
@@ -132,7 +129,6 @@ func (l *refLists) HottestActive(n int, cutoff sim.Time) ([]*memsim.Frame, sim.D
 	out := make([]*memsim.Frame, 0, n)
 	var cost sim.Duration
 	for e := l.active.Front(); e != nil && len(out) < n; e = e.Next() {
-		l.ScannedPages++
 		cost += ScanCostPerPage
 		f := e.Value.(*refEntry).frame
 		if f.LastAccess >= cutoff {
@@ -157,8 +153,8 @@ func sameFrames(t *testing.T, where string, got, want []*memsim.Frame) {
 	}
 }
 
-// sameState compares one domain with its reference: lengths, scan
-// work, the full front-to-back order of both lists, and every listed
+// sameState compares one domain with its reference: lengths, the full
+// front-to-back order of both lists, and every listed
 // frame's scan stamp.
 func sameState(t *testing.T, where string, got *Lists, want *refLists) {
 	t.Helper()
@@ -166,9 +162,6 @@ func sameState(t *testing.T, where string, got *Lists, want *refLists) {
 	wa, wi := want.Len()
 	if ga != wa || gi != wi {
 		t.Fatalf("%s: lengths %d/%d, reference %d/%d", where, ga, gi, wa, wi)
-	}
-	if got.ScannedPages != want.ScannedPages {
-		t.Fatalf("%s: ScannedPages %d, reference %d", where, got.ScannedPages, want.ScannedPages)
 	}
 	for _, side := range []struct {
 		name string
@@ -195,8 +188,8 @@ func sameState(t *testing.T, where string, got *Lists, want *refLists) {
 // TestListsMatchReference drives seeded random operation sequences
 // over several domains through Lists and refLists and requires them to
 // agree after every operation: lengths, membership of every frame,
-// list order, scan stamps, the order of every returned frame, costs
-// and ScannedPages. Frames move between domains the way the tiering
+// list order, scan stamps, the order of every returned frame and
+// costs. Frames move between domains the way the tiering
 // engine's moveTracked moves them (Remove from the source domain, Add
 // to the destination), including whole cold batches with duplicates.
 func TestListsMatchReference(t *testing.T) {

@@ -61,13 +61,13 @@ func NewTwoTier(cfg TwoTierConfig) *Memory {
 		cfg.SlowLatency = sim.Duration(float64(cfg.FastLatency) * ratio)
 	}
 	fast := &Node{
-		ID: FastNode, Name: "fast", Kind: DRAM, Socket: 0,
+		ID: FastNode, Kind: DRAM, Socket: 0,
 		Capacity:    cfg.FastPages,
 		ReadLatency: cfg.FastLatency, WriteLatency: cfg.FastLatency,
 		Bandwidth: cfg.FastBandwidth,
 	}
 	slow := &Node{
-		ID: SlowNode, Name: "slow", Kind: DRAM, Socket: 0,
+		ID: SlowNode, Kind: DRAM, Socket: 0,
 		Capacity:    cfg.SlowPages,
 		ReadLatency: cfg.SlowLatency, WriteLatency: cfg.SlowLatency,
 		Bandwidth: cfg.FastBandwidth / ratio,
@@ -126,13 +126,13 @@ const (
 // each fronted by a DRAM L4 cache; CPUs split evenly across sockets.
 func NewOptane(cfg OptaneConfig) *Memory {
 	n0 := &Node{
-		ID: Socket0Node, Name: "socket0-pmem", Kind: PMEM, Socket: 0,
+		ID: Socket0Node, Kind: PMEM, Socket: 0,
 		Capacity:    cfg.PMEMPages,
 		ReadLatency: cfg.PMEMReadLatency, WriteLatency: cfg.PMEMWriteLatency,
 		Bandwidth: cfg.PMEMBandwidth,
 	}
 	n1 := &Node{
-		ID: Socket1Node, Name: "socket1-pmem", Kind: PMEM, Socket: 1,
+		ID: Socket1Node, Kind: PMEM, Socket: 1,
 		Capacity:    cfg.PMEMPages,
 		ReadLatency: cfg.PMEMReadLatency, WriteLatency: cfg.PMEMWriteLatency,
 		Bandwidth: cfg.PMEMBandwidth,

@@ -45,9 +45,9 @@ func newRefMemory(nodes int) *refMemory {
 // allocations and refused moves.
 func referenceMemory() *Memory {
 	nodes := []*Node{
-		{ID: 0, Name: "fast", Kind: DRAM, Socket: 0, Capacity: 24, ReadLatency: 90, WriteLatency: 90, Bandwidth: 30},
-		{ID: 1, Name: "slow", Kind: DRAM, Socket: 0, Capacity: 48, ReadLatency: 360, WriteLatency: 360, Bandwidth: 7.5},
-		{ID: 2, Name: "remote", Kind: PMEM, Socket: 1, Capacity: 96, ReadLatency: 300, WriteLatency: 500, Bandwidth: 8},
+		{ID: 0, Kind: DRAM, Socket: 0, Capacity: 24, ReadLatency: 90, WriteLatency: 90, Bandwidth: 30},
+		{ID: 1, Kind: DRAM, Socket: 0, Capacity: 48, ReadLatency: 360, WriteLatency: 360, Bandwidth: 7.5},
+		{ID: 2, Kind: PMEM, Socket: 1, Capacity: 96, ReadLatency: 300, WriteLatency: 500, Bandwidth: 8},
 	}
 	return New(nodes, []int{0, 0, 1, 1}, 120)
 }

@@ -10,13 +10,14 @@
 // The simulator is single-goroutine, so no locking is needed, and
 // snapshots are cheap value copies.
 //
-// Subsystems with hot-path counters (memsim, trace, kernel, kloc) keep
-// them batched, pooled and densely indexed (DESIGN.md §13). The
+// Subsystems with hot-path counters (memsim, trace, kernel, kloc) write
+// them directly or into dense, pooled stores (DESIGN.md §13). The
 // contract they keep: accounting is invisible to the simulation (it
 // charges no virtual cost and influences no control flow), and any
-// value a reader can observe is exact at the moment of reading —
-// batched stores flush before a read (memsim.SyncStats,
-// trace.Tracer.Stats), so no caller ever sees a counter mid-batch.
+// value a reader can observe is exact at the moment of reading — a
+// dense store is copied into its map and the tracer's batches commit
+// before a read (memsim.SyncStats, trace.Tracer.Stats), so no caller
+// ever sees a counter mid-batch.
 package metrics
 
 import (

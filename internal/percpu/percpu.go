@@ -6,12 +6,6 @@
 //
 // The same knode can appear on several CPUs' lists; Invalidate provides
 // the coherence hook Linux's per-CPU list APIs give the real kernel.
-//
-// The package also provides Accumulator, the per-CPU batched counter
-// engine behind memsim's per-access counters: counter updates pend per
-// CPU and commit net deltas to a dense store at a threshold (DESIGN.md
-// §13). Value is always exact, and only commutative counters may be
-// batched.
 package percpu
 
 // Entry is one cached item with its age. Age is reset on every touch

@@ -83,11 +83,6 @@ type KLOCs struct {
 	promoteQueue []*kloc.Knode
 	queued       map[kloc.KnodeID]bool
 	ticks        int
-
-	// KnodeDemotions/KnodePromotions count en-masse KLOC migrations.
-	KnodeDemotions, KnodePromotions uint64
-	// MigrationRetries counts knodes requeued after an injected EBUSY.
-	MigrationRetries uint64
 }
 
 // NewKLOCs builds the policy.
@@ -219,7 +214,7 @@ func (p *KLOCs) InodeCreated(ctx *kstate.Ctx, ino uint64, _ bool) {
 // InodeOpened reactivates the knode and queues promotion of any of its
 // objects that were demoted.
 func (p *KLOCs) InodeOpened(ctx *kstate.Ctx, ino uint64) {
-	kn, ok := p.Reg.Activate(ctx.CPU, ino, ctx.Now)
+	kn, ok := p.Reg.Activate(ctx.CPU, ino)
 	if !ok || !p.cfg.Migration {
 		return
 	}
@@ -242,7 +237,7 @@ func promotable(f *memsim.Frame) bool {
 // queued for demotion — the short-circuit that scan-based policies
 // lack.
 func (p *KLOCs) InodeClosed(ctx *kstate.Ctx, ino uint64) {
-	kn, ok := p.Reg.Deactivate(ino, ctx.Now)
+	kn, ok := p.Reg.Deactivate(ino)
 	if !ok || !p.cfg.Migration {
 		return
 	}
@@ -260,7 +255,7 @@ func (p *KLOCs) ObjectCreated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
 	if ino == 0 || !p.includes(o.Type) {
 		return
 	}
-	ctx.Charge(p.Reg.AddObject(ctx.CPU, ino, o, ctx.Now))
+	ctx.Charge(p.Reg.AddObject(ctx.CPU, ino, o))
 	if o.Frame != nil && o.Knode != 0 {
 		o.Frame.Knode = o.Knode
 	}
@@ -285,7 +280,7 @@ func (p *KLOCs) PageAllocated(ctx *kstate.Ctx, f *memsim.Frame) { p.engine.onAll
 func (p *KLOCs) PageAccessed(ctx *kstate.Ctx, f *memsim.Frame) {
 	p.engine.onAccess(ctx, f)
 	if f.Knode != 0 {
-		p.Reg.TouchID(kloc.KnodeID(f.Knode), ctx.CPU, ctx.Now)
+		p.Reg.TouchID(kloc.KnodeID(f.Knode), ctx.CPU)
 	}
 }
 
@@ -365,15 +360,11 @@ func (p *KLOCs) processDemotions(now sim.Time) sim.Duration {
 		if len(victims) == 0 {
 			continue
 		}
-		moved, faulted, c := p.mig.Migrate(victims, memsim.SlowNode, now)
+		_, faulted, c := p.mig.Migrate(victims, memsim.SlowNode, now)
 		cost += c
-		if moved > 0 {
-			p.KnodeDemotions++
-		}
 		if faulted > 0 {
 			// EBUSY pages stayed on the fast node: requeue the knode so
 			// the next tick retries them.
-			p.MigrationRetries++
 			p.enqueue(&p.demoteQueue, kn)
 		}
 	}
@@ -406,13 +397,9 @@ func (p *KLOCs) processPromotions(now sim.Time) sim.Duration {
 		if len(movers) == 0 {
 			continue
 		}
-		moved, faulted, c := p.mig.Migrate(movers, memsim.FastNode, now)
+		_, faulted, c := p.mig.Migrate(movers, memsim.FastNode, now)
 		cost += c
-		if moved > 0 {
-			p.KnodePromotions++
-		}
 		if faulted > 0 {
-			p.MigrationRetries++
 			p.enqueue(&p.promoteQueue, kn)
 		}
 	}

@@ -116,8 +116,6 @@ type AutoNUMA struct {
 	// registry (the AutoNUMA+KLOCs configuration).
 	moveKernel bool
 	Reg        *kloc.Registry
-
-	MigratedApp, MigratedKernel uint64
 }
 
 // NewAutoNUMA returns vanilla AutoNUMA.
@@ -214,14 +212,14 @@ func (p *AutoNUMA) InodeCreated(ctx *kstate.Ctx, ino uint64, _ bool) {
 // InodeOpened reactivates.
 func (p *AutoNUMA) InodeOpened(ctx *kstate.Ctx, ino uint64) {
 	if p.Reg != nil {
-		p.Reg.Activate(ctx.CPU, ino, ctx.Now)
+		p.Reg.Activate(ctx.CPU, ino)
 	}
 }
 
 // InodeClosed deactivates.
 func (p *AutoNUMA) InodeClosed(ctx *kstate.Ctx, ino uint64) {
 	if p.Reg != nil {
-		p.Reg.Deactivate(ino, ctx.Now)
+		p.Reg.Deactivate(ino)
 	}
 }
 
@@ -237,7 +235,7 @@ func (p *AutoNUMA) ObjectCreated(ctx *kstate.Ctx, ino uint64, o *kobj.Object) {
 	if p.Reg == nil || ino == 0 {
 		return
 	}
-	ctx.Charge(p.Reg.AddObject(ctx.CPU, ino, o, ctx.Now))
+	ctx.Charge(p.Reg.AddObject(ctx.CPU, ino, o))
 }
 
 // ObjectAssociated indexes late.
@@ -269,8 +267,7 @@ func (p *AutoNUMA) Tick(now sim.Time) sim.Duration {
 			victims = append(victims, f)
 		}
 	}
-	moved, _, c := p.mig.Migrate(victims, local, now)
-	p.MigratedApp += uint64(moved)
+	_, _, c := p.mig.Migrate(victims, local, now)
 	cost += c
 
 	// Kernel objects via KLOCs (the §4.5 enhancement). Short-lived
@@ -289,8 +286,7 @@ func (p *AutoNUMA) Tick(now sim.Time) sim.Duration {
 			if len(remote) == 0 {
 				continue
 			}
-			moved, _, c := p.mig.Migrate(remote, local, now)
-			p.MigratedKernel += uint64(moved)
+			_, _, c := p.mig.Migrate(remote, local, now)
 			cost += c
 		}
 	}

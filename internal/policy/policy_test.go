@@ -287,9 +287,21 @@ func TestKLOCsDemotionMovesCachePagesOnly(t *testing.T) {
 	if slowCache == 0 {
 		t.Fatal("inactive knode's cache pages were not demoted")
 	}
-	if p.KnodeDemotions == 0 {
-		t.Fatal("demotion counter not incremented")
+	if movedKernelFrames(k.Mem) == 0 || k.Mem.Stats.Demotions == 0 {
+		t.Fatal("demotion not counted")
 	}
+}
+
+// movedKernelFrames counts the live kernel-object frames that have
+// migrated at least once.
+func movedKernelFrames(m *memsim.Memory) int {
+	n := 0
+	m.EachLive(func(f *memsim.Frame) {
+		if f.Class.Kernel() && f.Migrations > 0 {
+			n++
+		}
+	})
+	return n
 }
 
 func TestKLOCsNoMigrationVariant(t *testing.T) {
@@ -307,7 +319,7 @@ func TestKLOCsNoMigrationVariant(t *testing.T) {
 		t.Fatal("nomigration variant queued a demotion")
 	}
 	p.Tick(sim.Time(klocTickPeriod))
-	if p.KnodeDemotions != 0 {
+	if k.Mem.Stats.MigratedPages != 0 {
 		t.Fatal("nomigration variant migrated")
 	}
 }
@@ -436,10 +448,16 @@ func TestAutoNUMAMigratesAppOnly(t *testing.T) {
 		k.Mem.Access(k.CPUFor(0), f, 64, false, now)
 	}
 	p.Tick(now.Add(1000))
-	if p.MigratedApp == 0 {
+	appMoved := 0
+	for _, f := range frames {
+		if f.Node == memsim.Socket1Node {
+			appMoved++
+		}
+	}
+	if appMoved == 0 {
 		t.Fatal("autonuma migrated no app pages after the task moved")
 	}
-	if p.MigratedKernel != 0 {
+	if k.Mem.Stats.MigratedPages != uint64(appMoved) || movedKernelFrames(k.Mem) != 0 {
 		t.Fatal("vanilla autonuma migrated kernel pages")
 	}
 	// Kernel page stayed on socket 0.
@@ -465,7 +483,7 @@ func TestAutoNUMAKlocsMovesKernelObjects(t *testing.T) {
 	k.SetTaskSocket(1)
 	// Tick well past the young-frame threshold (one scan period).
 	p.Tick(sim.Time(200 * sim.Millisecond))
-	if p.MigratedKernel == 0 {
+	if movedKernelFrames(k.Mem) == 0 {
 		t.Fatal("autonuma+klocs moved no kernel objects")
 	}
 	moved := 0
@@ -587,7 +605,7 @@ func TestKLOCsSkipsRecycledObjectOfDeletedKnode(t *testing.T) {
 		now = now.Add(klocTickPeriod)
 		p.Tick(now)
 	}
-	if frame.Node != memsim.FastNode || p.KnodeDemotions != 0 {
-		t.Fatalf("the deleted knode's walk demoted a live object's frame (node %d, %d knode demotions)", frame.Node, p.KnodeDemotions)
+	if frame.Node != memsim.FastNode || movedKernelFrames(k.Mem) != 0 {
+		t.Fatalf("the deleted knode's walk demoted a live object's frame (node %d, %d kernel frames moved)", frame.Node, movedKernelFrames(k.Mem))
 	}
 }

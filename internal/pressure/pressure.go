@@ -77,13 +77,9 @@ type Stats struct {
 	ReclaimFaults uint64
 }
 
-// Config tunes the plane. The zero value keeps the reserve gate off
-// (no watermarks installed) and kswapd disabled; direct reclaim and
-// the shrinker registry work regardless.
+// Config tunes the plane. The zero value keeps kswapd disabled; direct
+// reclaim and the shrinker registry work regardless.
 type Config struct {
-	// Watermarks to install on the pressured node; zero derives them
-	// from the node capacity (min ≈ capacity/64).
-	Watermarks memsim.Watermarks
 	// KswapdPeriod is the background reclaimer's tick period; zero
 	// disables the daemon.
 	KswapdPeriod sim.Duration
@@ -138,18 +134,16 @@ func NewPlane(mem *memsim.Memory, node memsim.NodeID) *Plane {
 	return &Plane{Mem: mem, Node: node}
 }
 
-// Configure applies cfg: watermarks are installed on the pressured
-// node (derived from capacity when zero), enabling the allocation
-// reserve gate in memsim.
+// Configure applies cfg and installs watermarks derived from the
+// pressured node's capacity (min ≈ capacity/64), enabling the
+// allocation reserve gate in memsim; until then the gate is off. Other
+// thresholds are installed on the node itself (Node.SetWatermarks).
 func (p *Plane) Configure(cfg Config) {
 	if p == nil {
 		return
 	}
 	n := p.Mem.Node(p.Node)
-	if cfg.Watermarks.Zero() {
-		cfg.Watermarks = memsim.DeriveWatermarks(n.Capacity)
-	}
-	n.SetWatermarks(cfg.Watermarks)
+	n.SetWatermarks(memsim.DeriveWatermarks(n.Capacity))
 	p.cfg = cfg
 }
 

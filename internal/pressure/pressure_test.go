@@ -89,11 +89,6 @@ func TestConfigureDerivesWatermarks(t *testing.T) {
 	if wm != want {
 		t.Fatalf("derived watermarks = %+v, want %+v", wm, want)
 	}
-	// Explicit watermarks are installed verbatim.
-	p.Configure(Config{Watermarks: memsim.Watermarks{Min: 10, Low: 20, High: 30}})
-	if wm := mem.Node(memsim.FastNode).NodeWatermarks(); wm.Min != 10 || wm.High != 30 {
-		t.Fatalf("explicit watermarks not installed: %+v", wm)
-	}
 }
 
 func TestDirectReclaimFreesTowardTarget(t *testing.T) {
@@ -306,10 +301,8 @@ func TestKswapdReclaimsInBackground(t *testing.T) {
 	// ones so the scenario is unambiguous.
 	sh.fill(t, memsim.FastNode, 240)
 	p.Register(sh)
-	p.Configure(Config{
-		Watermarks:   memsim.Watermarks{Min: 8, Low: 32, High: 64},
-		KswapdPeriod: sim.Millisecond,
-	})
+	p.Configure(Config{KswapdPeriod: sim.Millisecond})
+	mem.Node(memsim.FastNode).SetWatermarks(memsim.Watermarks{Min: 8, Low: 32, High: 64})
 	if !p.KswapdEnabled() {
 		t.Fatal("kswapd not enabled")
 	}

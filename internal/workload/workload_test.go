@@ -206,7 +206,7 @@ func TestCassandraEndToEnd(t *testing.T) {
 	}
 	// The app cache absorbs most reads: app refs should dominate
 	// relative to a pure FS workload.
-	if k.Stats.AppAccesses == 0 {
+	if k.Mem.Stats.Refs[memsim.ClassApp] == 0 {
 		t.Fatal("no app-level work (Java overhead model)")
 	}
 }

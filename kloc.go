@@ -197,9 +197,10 @@ func AsErrno(err error) (Errno, bool) { return fault.AsErrno(err) }
 
 // Memory pressure (the watermark/reclaim plane; DESIGN.md §8).
 type (
-	// PressureConfig configures watermarks, the kswapd-analog
-	// background reclaimer, and direct-reclaim retry bounds for a run
-	// (RunConfig.Pressure).
+	// PressureConfig arms the pressure plane for a run
+	// (RunConfig.Pressure): capacity-derived watermarks on the fast
+	// node and, with a nonzero KswapdPeriod, the kswapd-analog
+	// background reclaimer.
 	PressureConfig = pressure.Config
 	// PressurePlane is the assembled reclaim machinery — shrinker
 	// registry, bounded direct reclaim, kswapd, OOM-grade eviction.
@@ -430,5 +431,6 @@ func ParseChaosArtifact(data []byte) (*ChaosArtifact, error) { return chaos.Pars
 func ChaosReplay(a *ChaosArtifact) (*ChaosReplayReport, error) { return chaos.Replay(a) }
 
 // RunPerfMeters are one run's deterministic hot-path accounting meters
-// (Result.Perf; DESIGN.md §13).
+// (Result.Perf; DESIGN.md §13): accesses counted, frame and op-context
+// pool recycling, and the tracer's summary commits.
 type RunPerfMeters = harness.PerfMeters
