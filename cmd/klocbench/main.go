@@ -44,17 +44,7 @@ func main() {
 		usageError(err)
 	}
 
-	opts := kloc.DefaultOptions()
-	if c.quick {
-		opts = kloc.QuickOptions()
-	}
-	opts.Seed = c.seed
-	opts.ScaleDiv = c.scale
-	if c.durationMS > 0 {
-		opts.Duration = kloc.Duration(c.durationMS) * kloc.Millisecond
-	}
-	opts.Workloads = splitList(c.workloads)
-
+	opts := c.options()
 	if c.rawRun {
 		cfg := kloc.RunConfig{
 			PolicyName: c.policy,
@@ -347,6 +337,21 @@ type cliFlags struct {
 	replayFile               string
 }
 
+// options returns the experiment options the flags select.
+func (c *cliFlags) options() kloc.Options {
+	opts := kloc.DefaultOptions()
+	if c.quick {
+		opts = kloc.QuickOptions()
+	}
+	opts.Seed = c.seed
+	opts.ScaleDiv = c.scale
+	if c.durationMS > 0 {
+		opts.Duration = kloc.Duration(c.durationMS) * kloc.Millisecond
+	}
+	opts.Workloads = splitList(c.workloads)
+	return opts
+}
+
 // defineFlags registers klocbench's flags on fs.
 func defineFlags(fs *flag.FlagSet) *cliFlags {
 	c := &cliFlags{}
@@ -407,11 +412,11 @@ var flagReaders = map[string][]string{
 
 // checkFlags rejects, before any run starts, a command line no run can
 // honor: stray arguments, a scale divisor below 1, a negative duration,
-// seed 0 (the harness would silently run seed 42 instead), unknown
-// workload names, -workloads that leave an experiment nothing to run,
-// trace patterns that select no catalog event, and a
-// flag set on the command line that the selected mode never reads. It
-// returns the experiments -exp names (none with -run).
+// seed 0 (the harness would silently run seed 42 instead), trace
+// patterns that select no catalog event, -workloads that some named
+// paper experiment cannot run (each is planned, not run, to find out),
+// and a flag set on the command line that the selected mode never
+// reads. It returns the experiments -exp names (none with -run).
 func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
 	switch {
 	case fs.NArg() > 0:
@@ -422,12 +427,6 @@ func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
 		return nil, fmt.Errorf("-duration-ms %d: the duration must not be negative", c.durationMS)
 	case c.seed == 0:
 		return nil, fmt.Errorf("-seed 0: the seed must be nonzero (0 would run seed %d)", defaultSeed)
-	}
-	known := kloc.WorkloadNames()
-	for _, w := range splitList(c.workloads) {
-		if !slices.Contains(known, w) {
-			return nil, fmt.Errorf("-workloads: unknown workload %q (valid: %s)", w, strings.Join(known, ", "))
-		}
 	}
 	if err := trace.CheckEvents(splitList(c.traceEvents)); err != nil {
 		return nil, fmt.Errorf("-trace-events: %w", err)
@@ -462,9 +461,9 @@ func checkFlags(fs *flag.FlagSet, c *cliFlags) ([]string, error) {
 				addMode(modeChaos)
 			default:
 				addMode(modePaper)
-			}
-			if _, err := (kloc.Options{Workloads: splitList(c.workloads)}).FixedWorkloads(n); err != nil {
-				return nil, fmt.Errorf("-workloads: %w", err)
+				if err := kloc.CheckExperiment(n, c.options()); err != nil {
+					return nil, fmt.Errorf("-workloads: %w", err)
+				}
 			}
 		}
 	}

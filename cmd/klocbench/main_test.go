@@ -230,6 +230,8 @@ func TestCheckFlags(t *testing.T) {
 		{"prefetch without rocksdb", []string{"-exp", "prefetch", "-workloads", "redis,spark"}, "-workloads: prefetch runs only rocksdb"},
 		{"ablations without its workloads", []string{"-exp", "ablations", "-workloads", "filebench"}, "-workloads: ablations runs only rocksdb, redis"},
 		{"all without rocksdb", []string{"-exp", "all", "-quick", "-workloads", "redis"}, "-workloads: fig5b runs only rocksdb"},
+		{"pressure without a dataset size", []string{"-exp", "pressure", "-workloads", "filebench"}, `-workloads: pressure: workload "filebench" does not report a dataset size`},
+		{"faults before pressure without a dataset size", []string{"-exp", "faults,pressure", "-quick", "-workloads", "redis,filebench"}, `-workloads: pressure: workload "filebench" does not report a dataset size`},
 
 		{"unknown trace event", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "nosuch.event"}, "nosuch.event"},
 		{"malformed trace pattern", []string{"-run", "-quick", "-trace", "t.txt", "-trace-events", "["}, "-trace-events"},

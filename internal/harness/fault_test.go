@@ -87,7 +87,7 @@ func TestFaultSweepSurvives(t *testing.T) {
 func TestFaultsExperimentRuns(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"filebench"}
-	tb, err := Faults(o)
+	tb, err := Experiment("faults", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,13 @@ package harness
 
 import (
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"kloc/internal/fault"
+	"kloc/internal/kobj"
 	"kloc/internal/memsim"
 	"kloc/internal/policy"
 	"kloc/internal/sim"
@@ -42,11 +45,11 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunUnknownNamesFail(t *testing.T) {
-	if _, err := Run(quickRun(RunConfig{PolicyName: "bogus", Workload: "rocksdb"})); err == nil {
-		t.Fatal("unknown policy accepted")
+	if _, err := Run(quickRun(RunConfig{PolicyName: "bogus", Workload: "rocksdb"})); !errors.Is(err, fault.EINVAL) {
+		t.Fatalf("unknown policy: err %v, want EINVAL", err)
 	}
-	if _, err := Run(quickRun(RunConfig{PolicyName: "naive", Workload: "bogus"})); err == nil {
-		t.Fatal("unknown workload accepted")
+	if _, err := Run(quickRun(RunConfig{PolicyName: "naive", Workload: "mysql"})); !errors.Is(err, fault.EINVAL) {
+		t.Fatalf("unknown workload: err %v, want EINVAL", err)
 	}
 }
 
@@ -186,26 +189,35 @@ func TestTableRendering(t *testing.T) {
 func TestFig2aRuns(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"filebench"}
-	tb, err := Fig2a(o)
+	tb, err := Experiment("fig2a", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// Filebench is the purest kernel workload: OS share must dominate.
-	if !strings.Contains(tb.Rows[0][1], "0.0%") && tb.Rows[0][1] != "0.0%" {
-		// app% may be tiny but nonzero; just sanity check format
-	}
 	if len(tb.Rows[0]) != 5 {
 		t.Fatalf("row shape: %v", tb.Rows[0])
+	}
+	// Filebench is the purest kernel workload: its OS share
+	// (page-cache% + slab%) must dominate its app%.
+	share := func(cell string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell, err)
+		}
+		return v
+	}
+	app, os := share(tb.Rows[0][1]), share(tb.Rows[0][2])+share(tb.Rows[0][3])
+	if os <= app {
+		t.Fatalf("filebench OS share %.1f%% does not exceed app %.1f%%: %v", os, app, tb.Rows[0])
 	}
 }
 
 func TestFig2dShortLifetimes(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"rocksdb"}
-	tb, err := Fig2d(o)
+	tb, err := Experiment("fig2d", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +229,7 @@ func TestFig2dShortLifetimes(t *testing.T) {
 func TestFig4QuickShape(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"redis"}
-	tb, err := Fig4(o)
+	tb, err := Experiment("fig4", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +241,7 @@ func TestFig4QuickShape(t *testing.T) {
 func TestTable6Runs(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"redis"}
-	tb, err := Table6(o)
+	tb, err := Experiment("table6", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,29 +250,63 @@ func TestTable6Runs(t *testing.T) {
 	}
 }
 
-func TestFig5cConfigsCumulative(t *testing.T) {
-	configs := fig5cConfigs()
-	if len(configs) != 6 {
-		t.Fatalf("configs = %d, want app-only + 5 groups", len(configs))
+// TestFig5cPlanCumulative: fig5c plans six runs per workload, and run
+// i tracks exactly the first i object groups. Run 0, the app-only
+// baseline, must track none: a nil IncludedGroups would track every
+// group and turn the baseline into full KLOCs.
+func TestFig5cPlanCumulative(t *testing.T) {
+	p, err := planOf("fig5c", QuickOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if configs[0].Name != "app-only" || len(configs[0].Groups) != 0 {
-		t.Fatalf("first config: %+v", configs[0])
+	groups := kobj.Groups()
+	if len(p.groups) != 2 {
+		t.Fatalf("fig5c plans %d groups, want one per workload (rocksdb, redis)", len(p.groups))
 	}
-	for i := 1; i < len(configs); i++ {
-		if len(configs[i].Groups) != i {
-			t.Fatalf("config %d has %d groups", i, len(configs[i].Groups))
+	for _, g := range p.groups {
+		if len(g.runs) != len(groups)+1 {
+			t.Fatalf("fig5c plans %d runs for %s, want app-only + %d groups", len(g.runs), g.runs[0].Workload, len(groups))
+		}
+		for i, run := range g.runs {
+			pol, ok := run.Policy.(*policy.KLOCs)
+			if !ok {
+				t.Fatalf("run %d: policy %T, want *policy.KLOCs", i, run.Policy)
+			}
+			for _, typ := range kobj.Types() {
+				want := slices.Index(groups, kobj.GroupOf(typ)) < i
+				if got := pol.UseKlocAllocator(typ); got != want {
+					t.Errorf("%s run %d: tracks %v = %v, want %v", run.Workload, i, typ, got, want)
+				}
+			}
 		}
 	}
 }
 
-func TestExperimentRegistryComplete(t *testing.T) {
-	for _, name := range ExperimentNames() {
-		if Experiments[name] == nil {
-			t.Fatalf("experiment %q not registered", name)
-		}
+// TestPlanRunCounts plans all fourteen experiments at QuickOptions, none
+// of them run, and pins how many runs each lists.
+func TestPlanRunCounts(t *testing.T) {
+	want := map[string]int{
+		"fig2a": 5, "fig2b": 10, "fig2c": 5, "fig2d": 2, "fig4": 28, "table6": 5,
+		"fig5a": 20, "fig5b": 4, "fig5c": 12, "fig6": 144, "prefetch": 3,
+		"ablations": 6, "faults": 24, "pressure": 6,
 	}
-	if len(Experiments) != len(ExperimentNames()) {
-		t.Fatal("registry and name list out of sync")
+	total := 0
+	for _, name := range ExperimentNames() {
+		p, err := planOf(name, QuickOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := 0
+		for _, g := range p.groups {
+			n += len(g.runs)
+		}
+		if n != want[name] {
+			t.Errorf("%s plans %d runs, want %d", name, n, want[name])
+		}
+		total += n
+	}
+	if len(ExperimentNames()) != len(want) || total != 274 {
+		t.Errorf("%d experiments plan %d runs, want 14 and 274", len(ExperimentNames()), total)
 	}
 }
 
@@ -271,7 +317,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 func TestFixedWorkloadExperimentsHonorSelection(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"rocksdb"}
-	tab, err := Ablations(o)
+	tab, err := Experiment("ablations", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +331,12 @@ func TestFixedWorkloadExperimentsHonorSelection(t *testing.T) {
 	}
 	o.Workloads = []string{"redis", "spark"}
 	for _, exp := range []string{"fig5b", "prefetch"} {
-		if _, err := Experiments[exp](o); !errors.Is(err, fault.EINVAL) {
+		if _, err := Experiment(exp, o); !errors.Is(err, fault.EINVAL) {
 			t.Errorf("%s on redis,spark: err %v, want EINVAL", exp, err)
 		}
 	}
 	o.Workloads = []string{"filebench"}
-	if _, err := Ablations(o); !errors.Is(err, fault.EINVAL) {
+	if _, err := Experiment("ablations", o); !errors.Is(err, fault.EINVAL) {
 		t.Errorf("ablations on filebench: err %v, want EINVAL", err)
 	}
 }

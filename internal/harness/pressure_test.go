@@ -54,7 +54,7 @@ func TestPressureTightFastTierCompletes(t *testing.T) {
 		tt.FastPages = dataset / 2
 		tt.SlowPages = dataset + dataset/8 - tt.FastPages
 		cfg := pressured(wl)
-		cfg.TwoTier = &tt
+		cfg.TwoTier = tt
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s under 2x pressure: %v", wl, err)
@@ -97,7 +97,7 @@ func TestPressureShrinkerStatsReported(t *testing.T) {
 func TestPressureExperimentRuns(t *testing.T) {
 	o := quick()
 	o.Workloads = []string{"rocksdb"}
-	tbl, err := Pressure(o)
+	tbl, err := Experiment("pressure", o)
 	if err != nil {
 		t.Fatal(err)
 	}

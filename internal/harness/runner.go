@@ -6,10 +6,12 @@
 // workload, seed, duration, plus the optional planes (Fault, Pressure,
 // Trace) — with a warmup phase so policies are judged at steady state,
 // and returns a Result carrying the measured-window counters every
-// table is built from. Experiments maps the paper's figure/table names
-// to batch drivers over Run; Options trades fidelity for wall time
-// (quick mode). Determinism is inherited from the substrate: the same
-// RunConfig always yields the same Result.
+// table is built from. Each of the paper's figures and tables is a
+// plan in one ordered registry: its table's frame and its runs, listed
+// before any executes, in groups whose reducers turn results into rows.
+// Experiment plans one and runs its configs in list order; Options
+// trades fidelity for wall time (quick mode). Determinism is inherited
+// from the substrate: the same RunConfig always yields the same Result.
 package harness
 
 import (
@@ -41,10 +43,11 @@ const (
 // RunConfig describes one measured run.
 type RunConfig struct {
 	Platform Platform
-	// TwoTier overrides the default (scaled) two-tier platform config.
-	TwoTier *memsim.TwoTierConfig
-	// ScaleDiv applies when no explicit platform config is given, and
-	// always scales the workload.
+	// TwoTier is the two-tier platform's config; the zero value means
+	// the Table-4 default scaled by ScaleDiv.
+	TwoTier memsim.TwoTierConfig
+	// ScaleDiv scales the platform when TwoTier is zero or Platform is
+	// Optane, and always scales the workload.
 	ScaleDiv int
 
 	PolicyName string
@@ -224,9 +227,9 @@ func (c RunConfig) buildMemory() *memsim.Memory {
 	case Optane:
 		return memsim.NewOptane(memsim.DefaultOptane(c.ScaleDiv))
 	default:
-		cfg := memsim.DefaultTwoTier(c.ScaleDiv)
-		if c.TwoTier != nil {
-			cfg = *c.TwoTier
+		cfg := c.TwoTier
+		if cfg == (memsim.TwoTierConfig{}) {
+			cfg = memsim.DefaultTwoTier(c.ScaleDiv)
 		}
 		if c.PolicyName == "all-fast" {
 			// The ideal bound: fast memory big enough for everything.

@@ -56,13 +56,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // f2 formats a float with 2 decimals.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 

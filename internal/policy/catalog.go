@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 
+	"kloc/internal/fault"
 	"kloc/internal/kernel"
 )
 
@@ -38,7 +39,7 @@ func ByName(name string) (kernel.Policy, error) {
 	case "autonuma+klocs":
 		return NewAutoNUMAKlocs(), nil
 	default:
-		return nil, fmt.Errorf("policy: unknown strategy %q", name)
+		return nil, fmt.Errorf("policy: unknown strategy %q: %w", name, fault.EINVAL)
 	}
 }
 

@@ -107,7 +107,7 @@ func ByName(name string, cfg Config) (Workload, error) {
 			return w, nil
 		}
 	}
-	return nil, fmt.Errorf("workload: unknown workload %q", name)
+	return nil, fmt.Errorf("workload: unknown workload %q: %w", name, fault.EINVAL)
 }
 
 // Names lists the catalog.

@@ -34,8 +34,6 @@
 package kloc
 
 import (
-	"strings"
-
 	"kloc/internal/alloc"
 	"kloc/internal/chaos"
 	"kloc/internal/cluster"
@@ -315,13 +313,15 @@ func Run(cfg RunConfig) (*Result, error) { return harness.Run(cfg) }
 
 // Experiment runs a named paper experiment ("fig2a".."fig6", "table6",
 // "prefetch", "ablations", "faults", "pressure") and returns its table.
-func Experiment(name string, o Options) (*Table, error) {
-	fn, ok := harness.Experiments[name]
-	if !ok {
-		return nil, errUnknownExperiment(name)
-	}
-	return fn(o)
-}
+// It lists the experiment's runs before the first executes, so an
+// unknown name and Options no run can use are EINVAL before any run.
+func Experiment(name string, o Options) (*Table, error) { return harness.Experiment(name, o) }
+
+// CheckExperiment plans a named experiment without running it and
+// returns the error Experiment would fail with before its first run:
+// EINVAL for an unknown name, a ScaleDiv below 1, an unknown workload,
+// or a Workloads selection the experiment cannot run.
+func CheckExperiment(name string, o Options) error { return harness.CheckExperiment(name, o) }
 
 // ExperimentNames lists experiments in presentation order.
 func ExperimentNames() []string { return harness.ExperimentNames() }
@@ -331,13 +331,6 @@ func DefaultOptions() Options { return harness.DefaultOptions() }
 
 // QuickOptions trades fidelity for wall time.
 func QuickOptions() Options { return harness.QuickOptions() }
-
-type errUnknownExperiment string
-
-func (e errUnknownExperiment) Error() string {
-	return "kloc: unknown experiment " + string(e) +
-		" (valid: " + strings.Join(ExperimentNames(), ", ") + ")"
-}
 
 // Cluster serving plane (the fleet robustness plane; DESIGN.md §11).
 type (

@@ -38,6 +38,34 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 }
 
+// TestExperimentRejectsBadOptions: an unknown experiment name, a scale
+// divisor below 1 and an unknown workload are EINVAL from the planning
+// step, before any run starts, and never a panic.
+func TestExperimentRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		exp string
+		o   kloc.Options
+	}{
+		{"fig6", kloc.Options{Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
+		{"fig6", kloc.Options{ScaleDiv: -64, Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
+		{"table6", kloc.Options{Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
+		{"fig4", kloc.Options{ScaleDiv: 256, Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"mysql"}}},
+		{"fig99", kloc.QuickOptions()},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Experiment(%q, %+v) panicked: %v", tc.exp, tc.o, r)
+				}
+			}()
+			_, err := kloc.Experiment(tc.exp, tc.o)
+			if errno, ok := kloc.AsErrno(err); !ok || errno != kloc.EINVAL {
+				t.Errorf("Experiment(%q, %+v): err %v, want EINVAL", tc.exp, tc.o, err)
+			}
+		}()
+	}
+}
+
 func TestPublicRunEndToEnd(t *testing.T) {
 	res, err := kloc.Run(kloc.RunConfig{
 		PolicyName: "klocs",
