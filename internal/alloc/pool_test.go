@@ -81,19 +81,19 @@ func (s poolSide) report(held []*kobj.Object, now sim.Time) *SanReport {
 
 // objectView is what an object tells its holder.
 type objectView struct {
-	ID                kobj.ID
-	Type              kobj.Type
-	Size              int
-	Frame             memsim.FrameID
-	Node              memsim.NodeID
-	Knode             uint64
-	Born              sim.Time
-	Dirty, Prefetched bool
+	ID         kobj.ID
+	Type       kobj.Type
+	Size       int
+	Frame      memsim.FrameID
+	Node       memsim.NodeID
+	Knode      uint64
+	Born       sim.Time
+	Prefetched bool
 }
 
 func viewOf(o *kobj.Object) objectView {
 	v := objectView{ID: o.ID, Type: o.Type, Size: o.Size, Node: -1, Knode: o.Knode, Born: o.Born,
-		Dirty: o.Dirty, Prefetched: o.Prefetched}
+		Prefetched: o.Prefetched}
 	if o.Frame != nil {
 		v.Frame, v.Node = o.Frame.ID, o.Frame.Node
 	}
@@ -102,12 +102,12 @@ func viewOf(o *kobj.Object) objectView {
 
 // TestPooledObjectsMatchFresh drives a pooled object path and a fresh
 // one through one seeded random sequence of allocs, frees, touches,
-// page-flag writes and stale uses (a touch and a second free of an
+// readahead-flag writes and stale uses (a touch and a second free of an
 // object whose struct has not been reused yet) across all four
 // backings and several contexts. The fresh side drains its free list
 // before every Alloc, which is the path before objects recycled. After
 // every step the two must agree on every held object (ID, type, size,
-// frame, node, knode, birth, page flags), each alloc's cost and error,
+// frame, node, knode, birth, readahead flag), each alloc's cost and error,
 // ObjStats, the hook call sequence and the sanitizer report; the
 // memory is small, so allocations fail too. Recycled structs must
 // occur.
@@ -168,9 +168,9 @@ func TestPooledObjectsMatchFresh(t *testing.T) {
 				got.a.Touch(gctx, held[i][0], bytes, write)
 				want.a.Touch(wctx, held[i][1], bytes, write)
 			case r < allocPct+37:
-				i, dirty, prefetched := rng.Intn(len(held)), rng.Intn(2) == 0, rng.Intn(2) == 0
+				i, prefetched := rng.Intn(len(held)), rng.Intn(2) == 0
 				for _, o := range held[i] {
-					o.Dirty, o.Prefetched = dirty, prefetched
+					o.Prefetched = prefetched
 				}
 			default:
 				if len(freed) == 0 {

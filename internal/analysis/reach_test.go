@@ -9,7 +9,7 @@ import (
 
 // reachKeep lists the functions the module keeps although no
 // production root reaches them, each with its reason. They are rooted
-// too, so what only they call (Truncate's rbtree.AscendRange) needs no
+// too, so what only they call (rbtree.Tree.Check's check) needs no
 // entry of its own. Labels are reachLabel's.
 var reachKeep = map[string]string{
 	"internal/fs.FS.Rename":                  "syscall surface the model-based syscall fuzzer is to drive",

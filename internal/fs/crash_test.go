@@ -112,7 +112,7 @@ func TestCrashReplayMetadataConsistent(t *testing.T) {
 						continue
 					}
 					idx := int64(rng.Intn(16))
-					_, cached := file.Inode.pages.Get(idx)
+					cached := file.Inode.pages.get(uint64(idx)) != nil
 					if err := f.Write(ctx, file, idx); err != nil {
 						t.Fatalf("write %s@%d: %v", p, idx, err)
 					}

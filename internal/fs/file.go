@@ -12,18 +12,22 @@ import (
 // record for the metadata update (the Fig 3b write path).
 func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	ctx.Charge(syscallEntryCost)
+	if pageIdx < 0 {
+		return errNegativeIndex(pageIdx)
+	}
+	idx := uint64(pageIdx)
 	ind := file.Inode
 	ind.lastUsed = ctx.Now
 	f.Stats.Writes++
-	if _, err := f.radixNode(ctx, ind, pageIdx); err != nil {
+	if _, err := f.radixNode(ctx, ind, idx); err != nil {
 		return err
 	}
 	// Block mapping consults the extent tree on every write.
-	if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
+	if _, err := f.extentFor(ctx, ind, idx); err != nil {
 		return err
 	}
-	p, ok := ind.pages.Get(pageIdx)
-	if !ok {
+	p := ind.pages.get(idx)
+	if p == nil {
 		obj, err := f.Objs.Alloc(ctx, kobj.PageCache, ind.Ino)
 		if err != nil {
 			return err
@@ -34,7 +38,7 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		// allocation fails the page is freed; a record that was queued
 		// but whose journal commit failed keeps its page, since a later
 		// commit retries the record.
-		if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
+		if _, err := f.extentFor(ctx, ind, idx); err != nil {
 			f.Objs.Free(obj, ctx)
 			return err
 		}
@@ -45,7 +49,7 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 			return jerr
 		}
 		p = obj
-		ind.pages.Set(pageIdx, p)
+		ind.pages.set(&f.nodes, idx, p)
 		if jerr != nil {
 			return jerr
 		}
@@ -55,7 +59,7 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	} else {
 		f.Stats.CacheHits++
 	}
-	p.Dirty = true
+	ind.pages.mark(idx)
 	// copy_from_user into the cache page, then journal/bookkeeping
 	// re-reads it (§3.1: writes are even more memory-intensive).
 	f.Objs.Touch(ctx, p, memsim.PageSize, true)
@@ -70,16 +74,18 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 // sequential streaks (§4.4).
 func (f *FS) Read(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 	ctx.Charge(syscallEntryCost)
+	if pageIdx < 0 {
+		return errNegativeIndex(pageIdx)
+	}
 	ind := file.Inode
 	ind.lastUsed = ctx.Now
 	f.Stats.Reads++
 	// atime update + permission checks touch the inode.
 	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
-	if _, err := f.radixNode(ctx, ind, pageIdx); err != nil {
+	if _, err := f.radixNode(ctx, ind, uint64(pageIdx)); err != nil {
 		return err
 	}
-	p, ok := ind.pages.Get(pageIdx)
-	if ok {
+	if p := ind.pages.get(uint64(pageIdx)); p != nil {
 		f.Stats.CacheHits++
 		if p.Prefetched {
 			// First demand touch of a prefetched page.
@@ -123,7 +129,7 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 	// the cache must not serve a page whose fill never ran.
 	if viaKnode {
 		ctx.Charge(60) // knode rbtree-cache lookup replaces the extent walk
-	} else if _, err := f.extentFor(ctx, ind, pageIdx); err != nil {
+	} else if _, err := f.extentFor(ctx, ind, uint64(pageIdx)); err != nil {
 		f.Objs.Free(obj, ctx)
 		return nil, err
 	}
@@ -136,7 +142,7 @@ func (f *FS) fillPage(ctx *kstate.Ctx, ind *Inode, pageIdx int64, demand, viaKno
 		f.Objs.Free(obj, ctx)
 		return nil, err
 	}
-	ind.pages.Set(pageIdx, obj)
+	ind.pages.set(&f.nodes, uint64(pageIdx), obj)
 	if pageIdx >= ind.SizePages {
 		ind.SizePages = pageIdx + 1
 	}
@@ -163,7 +169,7 @@ func (f *FS) maybeReadahead(ctx *kstate.Ctx, ind *Inode, pageIdx int64) {
 	issued := 0
 	for i := int64(1); i <= int64(f.ReadaheadWindow); i++ {
 		idx := pageIdx + i
-		if _, ok := ind.pages.Get(idx); ok {
+		if ind.pages.get(uint64(idx)) != nil {
 			continue
 		}
 		p, err := f.fillPage(ctx, ind, idx, false, f.KlocAwareReadahead)
@@ -189,24 +195,28 @@ func (f *FS) Fsync(ctx *kstate.Ctx, file *File) error {
 	return f.writebackInode(ctx, ind)
 }
 
-// pageRef is a page-cache page taken out of its tree for a pass
-// that may change the tree: its index and its object.
+// pageRef is a page-cache page taken out of its index for a pass
+// that may change the index: its index and its object.
 type pageRef struct {
-	idx int64
+	idx uint64
 	obj *kobj.Object
+}
+
+// dirtyPages appends the inode's marked pages to dst in index order:
+// the page list writeback submits.
+func (ind *Inode) dirtyPages(dst []pageRef) []pageRef {
+	x := &ind.pages
+	for idx, o := x.find(0, xaMarked); o != nil; idx, o = x.find(idx+1, xaMarked) {
+		dst = append(dst, pageRef{idx, o})
+	}
+	return dst
 }
 
 // writebackInode flushes dirty pages in index order, batching
 // contiguous runs into single block-layer submissions.
 func (f *FS) writebackInode(ctx *kstate.Ctx, ind *Inode) error {
-	dirty := f.dirtyRuns[:0]
+	dirty := ind.dirtyPages(f.dirtyRuns[:0])
 	f.dirtyRuns = nil
-	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
-		if o.Dirty {
-			dirty = append(dirty, pageRef{idx, o})
-		}
-		return true
-	})
 	ind.writeback = true
 	err := f.writeRuns(ctx, ind, dirty)
 	ind.writeback = false
@@ -258,7 +268,7 @@ func (f *FS) writeRuns(ctx *kstate.Ctx, ind *Inode, dirty []pageRef) error {
 			for _, p := range run {
 				// Reading the page for the DMA copy.
 				f.Objs.Touch(ctx, p.obj, memsim.PageSize, false)
-				p.obj.Dirty = false
+				ind.pages.clearMark(p.idx)
 				f.Stats.WritebackPages++
 			}
 		}
@@ -277,26 +287,27 @@ func (f *FS) writeRuns(ctx *kstate.Ctx, ind *Inode, dirty []pageRef) error {
 // migrating). Dirty pages are written back first. Reports whether it
 // dropped a page of this FS; a page of an inode under writeback stays.
 //
-// It walks the page trees rather than keep a frame→page map that every
-// page-cache fill and free would write: its only caller is the OOM
-// evictor's last resort, for frames that could not spill, which no
+// It walks the page indexes rather than keep a frame→page map that
+// every page-cache fill and free would write: its only caller is the
+// OOM evictor's last resort, for frames that could not spill, which no
 // experiment reaches.
 func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 	var ind *Inode
 	var p pageRef
 	f.ForEachInode(func(in *Inode) bool {
-		in.pages.Ascend(func(idx int64, o *kobj.Object) bool {
+		x := &in.pages
+		for idx, o := x.find(0, xaAll); o != nil; idx, o = x.find(idx+1, xaAll) {
 			if o.Frame == frame {
 				ind, p = in, pageRef{idx, o}
+				return false
 			}
-			return p.obj == nil
-		})
-		return p.obj == nil
+		}
+		return true
 	})
 	if p.obj == nil || ind.writeback {
 		return false
 	}
-	if p.obj.Dirty {
+	if ind.pages.marked(p.idx) {
 		lat, err := f.MQ.Submit(ctx.CPU, ctx.Now, memsim.PageSize, false, true)
 		ctx.Charge(lat)
 		if err != nil {
@@ -305,27 +316,20 @@ func (f *FS) EvictFrame(ctx *kstate.Ctx, frame *memsim.Frame) bool {
 		}
 		f.Stats.WritebackPages++
 	}
-	ind.pages.Delete(p.idx)
+	ind.pages.del(&f.nodes, p.idx)
 	f.Objs.Free(p.obj, ctx)
 	return true
 }
 
-// DropCleanPages evicts up to n clean page-cache pages of an inode
-// (used when a file closes under pressure). Returns pages dropped.
+// DropCleanPages evicts up to n clean page-cache pages of an inode in
+// index order (used when a file closes under pressure). Returns pages
+// dropped.
 func (f *FS) DropCleanPages(ctx *kstate.Ctx, ind *Inode, n int) int {
-	if n <= 0 {
-		return 0
+	x, dropped := &ind.pages, 0
+	for idx, o := x.find(0, xaUnmarked); o != nil && dropped < n; idx, o = x.find(idx, xaUnmarked) {
+		x.del(&f.nodes, idx)
+		f.Objs.Free(o, ctx)
+		dropped++
 	}
-	var victims []pageRef
-	ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
-		if !o.Dirty {
-			victims = append(victims, pageRef{idx, o})
-		}
-		return len(victims) < n
-	})
-	for _, p := range victims {
-		ind.pages.Delete(p.idx)
-		f.Objs.Free(p.obj, ctx)
-	}
-	return len(victims)
+	return dropped
 }

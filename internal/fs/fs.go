@@ -1,7 +1,7 @@
 // Package fs simulates the filesystem stack the paper instruments: a
 // VFS layer (inodes, a dentry cache), an ext4-like body (extent maps, a
-// jbd2-style journal), a radix-tree page cache with adaptive readahead,
-// and writeback through the blk_mq block layer.
+// jbd2-style journal), a radix-tree (xarray) page cache with adaptive
+// readahead, and writeback through the blk_mq block layer.
 //
 // Every kernel object from Table 1's FS rows is allocated through the
 // real (simulated) allocator suite, reported to the policy layer via
@@ -16,10 +16,8 @@ import (
 	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
 	"kloc/internal/fault"
-	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
-	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
@@ -75,10 +73,10 @@ type FS struct {
 	// inodeOrder keeps deterministic (creation-order) iteration for
 	// reclaim; Go map iteration order would break reproducibility.
 	inodeOrder []uint64
-	// nodes recycles the nodes of every inode's page, radix and extent
-	// trees. A file's trees die with it, so only a pool the filesystem
-	// owns can carry their nodes over to the next file.
-	nodes rbtree.Pool[int64, *kobj.Object]
+	// nodes is the free list of every inode's page, radix-node and
+	// extent index. A file's indexes die with it, so only a list the
+	// filesystem owns can carry their nodes over to the next file.
+	nodes xaNodes
 
 	// ReadaheadWindow is the max pages prefetched on a sequential
 	// streak; 0 disables readahead.
@@ -203,6 +201,11 @@ func (f *FS) lookupPath(ctx *kstate.Ctx, path string) (*Inode, bool) {
 // errNotFound reports a missing path.
 func errNotFound(path string) error {
 	return fmt.Errorf("fs: %s: no such file: %w", path, fault.ENOENT)
+}
+
+// errNegativeIndex rejects a page index below zero.
+func errNegativeIndex(idx int64) error {
+	return fmt.Errorf("fs: page index %d is negative: %w", idx, fault.EINVAL)
 }
 
 // CachePages reports total page-cache pages across all inodes.

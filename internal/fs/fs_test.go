@@ -431,8 +431,7 @@ func TestEvictFrame(t *testing.T) {
 	ctx := ctxAt(0)
 	file, _ := f.Create(ctx, "/evict")
 	f.Write(ctx, file, 0) // dirty page
-	var frame *memsim.Frame
-	file.Inode.pages.Ascend(func(_ int64, p *kobj.Object) bool { frame = p.Frame; return false })
+	frame := entries(&file.Inode.pages)[0].obj.Frame
 	evictCtx := ctxAt(sim.Time(5 * sim.Millisecond))
 	if !f.EvictFrame(evictCtx, frame) {
 		t.Fatal("evict failed")
@@ -470,12 +469,11 @@ func TestDropCleanPages(t *testing.T) {
 		// all clean pages dropped, dirty one remains
 	}
 	remaining := 0
-	file.Inode.pages.Ascend(func(_ int64, p *kobj.Object) bool {
-		if p.Dirty {
+	for _, e := range entries(&file.Inode.pages) {
+		if e.marked {
 			remaining++
 		}
-		return true
-	})
+	}
 	if remaining != 1 {
 		t.Fatalf("dirty pages after drop: %d", remaining)
 	}

@@ -3,13 +3,13 @@ package fs
 import (
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
-	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 )
 
 // Inode is a simulated in-memory inode with its attached kernel
 // objects: the inode slab object itself, its dentry, the radix-tree
-// page cache, radix-tree interior nodes, and the extent map.
+// page cache, radix-tree interior nodes, and the extent map, the last
+// three each in an xarray whose head the inode embeds.
 type Inode struct {
 	Ino  uint64
 	Path string
@@ -19,14 +19,13 @@ type Inode struct {
 	inodeObj *kobj.Object
 	dentry   *kobj.Object
 
-	// pages is the page cache, page index -> PageCache object; the
-	// object carries the page's Dirty and Prefetched flags, as a
-	// struct page carries PG_dirty and PG_readahead. radixNodes maps a
-	// radix slot (index / radixFanout) to its interior node, and
-	// extents an extent base to its mapping.
-	pages      *rbtree.Tree[int64, *kobj.Object]
-	radixNodes *rbtree.Tree[int64, *kobj.Object]
-	extents    *rbtree.Tree[int64, *kobj.Object]
+	// pages is the page cache, page index -> PageCache object. A page's
+	// dirty state is its mark there (PAGECACHE_TAG_DIRTY: written and
+	// not yet written back); its object carries Prefetched, as a struct
+	// page carries PG_readahead. radixNodes maps a radix slot
+	// (index / radixFanout) to its interior node, and extents an extent
+	// base to its mapping.
+	pages, radixNodes, extents xarray
 
 	// Readahead state: last sequentially read index and streak length.
 	lastRead int64
@@ -46,14 +45,8 @@ type Inode struct {
 }
 
 // newInode builds an empty in-memory inode (no kernel objects yet).
-func (f *FS) newInode(ino uint64, path string) *Inode {
-	return &Inode{
-		Ino: ino, Path: path, Nlink: 1,
-		pages:      f.nodes.New(),
-		radixNodes: f.nodes.New(),
-		extents:    f.nodes.New(),
-		lastRead:   -2,
-	}
+func newInode(ino uint64, path string) *Inode {
+	return &Inode{Ino: ino, Path: path, Nlink: 1, lastRead: -2}
 }
 
 // Open file handle.
@@ -73,10 +66,11 @@ func (ind *Inode) Objects() []*kobj.Object {
 	if ind.dentry != nil {
 		out = append(out, ind.dentry)
 	}
-	add := func(_ int64, o *kobj.Object) bool { out = append(out, o); return true }
-	ind.radixNodes.Ascend(add)
-	ind.pages.Ascend(add)
-	ind.extents.Ascend(add)
+	for _, x := range [...]*xarray{&ind.radixNodes, &ind.pages, &ind.extents} {
+		for idx, o := x.find(0, xaAll); o != nil; idx, o = x.find(idx+1, xaAll) {
+			out = append(out, o)
+		}
+	}
 	return out
 }
 
@@ -89,7 +83,7 @@ func (f *FS) Create(ctx *kstate.Ctx, path string) (*File, error) {
 		return f.openInode(ctx, ind), nil
 	}
 	ino := f.InoGen.Next()
-	ind := f.newInode(ino, path)
+	ind := newInode(ino, path)
 	f.inodes[ino] = ind
 	f.inodeOrder = append(f.inodeOrder, ino)
 	f.dcache[path] = ino
@@ -219,25 +213,25 @@ func (f *FS) Unlink(ctx *kstate.Ctx, path string) error {
 	return nil
 }
 
-// freeTree frees every object of an inode tree in key order, empties
-// the tree and reports how many it freed. Slab free order decides
-// partial-list state and hence where later allocations land, so the
-// order is simulation state.
-func (f *FS) freeTree(ctx *kstate.Ctx, t *rbtree.Tree[int64, *kobj.Object]) int {
-	n := t.Len()
-	t.Ascend(func(_ int64, o *kobj.Object) bool {
+// freeFrom frees the objects of an inode index at or after index from
+// in index order, removes them and reports how many it freed. Slab free
+// order decides partial-list state and hence where later allocations
+// land, so the order is simulation state.
+func (f *FS) freeFrom(ctx *kstate.Ctx, x *xarray, from uint64) int {
+	n := 0
+	for idx, o := x.find(from, xaAll); o != nil; idx, o = x.find(idx, xaAll) {
+		x.del(&f.nodes, idx)
 		f.Objs.Free(o, ctx)
-		return true
-	})
-	t.Clear()
+		n++
+	}
 	return n
 }
 
 // destroyInode frees every kernel object attached to the inode.
 func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
-	f.freeTree(ctx, ind.pages)
-	f.freeTree(ctx, ind.radixNodes)
-	f.freeTree(ctx, ind.extents)
+	f.freeFrom(ctx, &ind.pages, 0)
+	f.freeFrom(ctx, &ind.radixNodes, 0)
+	f.freeFrom(ctx, &ind.extents, 0)
 	f.Objs.Free(ind.dentry, ctx)
 	f.Objs.Free(ind.inodeObj, ctx)
 	ind.dentry, ind.inodeObj = nil, nil
@@ -254,9 +248,9 @@ func (f *FS) destroyInode(ctx *kstate.Ctx, ind *Inode) {
 
 // radixNode returns (allocating on demand) the radix-tree node covering
 // a page index, charging the traversal.
-func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, error) {
+func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx uint64) (*kobj.Object, error) {
 	slot := idx / radixFanout
-	if o, ok := ind.radixNodes.Get(slot); ok {
+	if o := ind.radixNodes.get(slot); o != nil {
 		f.Objs.Touch(ctx, o, 64, false)
 		return o, nil
 	}
@@ -264,16 +258,16 @@ func (f *FS) radixNode(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, er
 	if err != nil {
 		return nil, err
 	}
-	ind.radixNodes.Set(slot, o)
+	ind.radixNodes.set(&f.nodes, slot, o)
 	f.Objs.Touch(ctx, o, 64, true)
 	return o, nil
 }
 
 // extentFor returns (allocating on demand) the extent mapping covering
 // a page index.
-func (f *FS) extentFor(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, error) {
+func (f *FS) extentFor(ctx *kstate.Ctx, ind *Inode, idx uint64) (*kobj.Object, error) {
 	base := idx / extentSpan
-	if o, ok := ind.extents.Get(base); ok {
+	if o := ind.extents.get(base); o != nil {
 		f.Objs.Touch(ctx, o, 0, false)
 		return o, nil
 	}
@@ -281,7 +275,7 @@ func (f *FS) extentFor(ctx *kstate.Ctx, ind *Inode, idx int64) (*kobj.Object, er
 	if err != nil {
 		return nil, err
 	}
-	ind.extents.Set(base, o)
+	ind.extents.set(&f.nodes, base, o)
 	f.Objs.Touch(ctx, o, 0, true)
 	return o, nil
 }

@@ -227,7 +227,7 @@ func (f *FS) Replay(ctx *kstate.Ctx) error {
 // materializeInode rebuilds one inode (and its kernel objects) from its
 // durable metadata.
 func (f *FS) materializeInode(ctx *kstate.Ctx, ino uint64, d *durableInode) (*Inode, error) {
-	ind := f.newInode(ino, d.path)
+	ind := newInode(ino, d.path)
 	ind.Nlink = d.nlink
 	ind.SizePages = d.sizePages
 	f.inodes[ino] = ind
@@ -253,7 +253,7 @@ func (f *FS) materializeInode(ctx *kstate.Ctx, ino uint64, d *durableInode) (*In
 		if err != nil {
 			return nil, err
 		}
-		ind.extents.Set(base, o)
+		ind.extents.set(&f.nodes, uint64(base), o)
 	}
 	return ind, nil
 }

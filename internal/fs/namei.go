@@ -1,9 +1,6 @@
 package fs
 
-import (
-	"kloc/internal/kobj"
-	"kloc/internal/kstate"
-)
+import "kloc/internal/kstate"
 
 // Rename moves a file to a new path: the dentry cache is updated, the
 // old dentry is invalidated, and the metadata update is journalled.
@@ -51,29 +48,10 @@ func (f *FS) Truncate(ctx *kstate.Ctx, file *File, sizePages int64) error {
 		f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 		return f.journalRecord(ctx, journalOp{kind: opTruncate, ino: ind.Ino, idx: sizePages})
 	}
-	// Collect victims beyond the new size.
-	var victims []pageRef
-	ind.pages.AscendRange(sizePages, 1<<62, func(idx int64, o *kobj.Object) bool {
-		victims = append(victims, pageRef{idx, o})
-		return true
-	})
-	for _, p := range victims {
-		ind.pages.Delete(p.idx)
-		f.Objs.Free(p.obj, ctx)
-	}
-	// Drop extents fully beyond the new size.
-	firstKeptExtent := (sizePages + extentSpan - 1) / extentSpan
-	var extVictims []int64
-	ind.extents.AscendRange(firstKeptExtent, 1<<62, func(base int64, _ *kobj.Object) bool {
-		extVictims = append(extVictims, base)
-		return true
-	})
-	for _, base := range extVictims {
-		if o, ok := ind.extents.Get(base); ok {
-			f.Objs.Free(o, ctx)
-		}
-		ind.extents.Delete(base)
-	}
+	// Drop the pages beyond the new size, then the extents fully
+	// beyond it, each in index order.
+	f.freeFrom(ctx, &ind.pages, uint64(sizePages))
+	f.freeFrom(ctx, &ind.extents, uint64((sizePages+extentSpan-1)/extentSpan))
 	ind.SizePages = sizePages
 	f.Objs.Touch(ctx, ind.inodeObj, 0, true)
 	f.Stats.Truncates++

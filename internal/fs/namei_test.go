@@ -178,10 +178,9 @@ func TestFSInvariantsProperty(t *testing.T) {
 			case 4:
 				path := paths[r.Intn(len(paths))]
 				if ind, ok := fsys.inodes[fsys.dcache[path]]; ok {
-					ind.pages.Ascend(func(_ int64, p *kobj.Object) bool {
-						unlinked = append(unlinked, frameRef{p.Frame, p.Frame.ID})
-						return true
-					})
+					for _, e := range entries(&ind.pages) {
+						unlinked = append(unlinked, frameRef{e.obj.Frame, e.obj.Frame.ID})
+					}
 				}
 				fsys.Unlink(ctx, path)
 			case 5:
@@ -201,10 +200,9 @@ func TestFSInvariantsProperty(t *testing.T) {
 				case 0:
 					var frames []*memsim.Frame
 					fsys.ForEachInode(func(ind *Inode) bool {
-						ind.pages.Ascend(func(_ int64, p *kobj.Object) bool {
-							frames = append(frames, p.Frame)
-							return true
-						})
+						for _, e := range entries(&ind.pages) {
+							frames = append(frames, e.obj.Frame)
+						}
 						return true
 					})
 					if len(frames) > 0 {
@@ -299,7 +297,7 @@ func TestFSInvariantsProperty(t *testing.T) {
 // and dirty bit.
 type cachedPage struct {
 	ind   *Inode
-	idx   int64
+	idx   uint64
 	dirty bool
 }
 
@@ -311,16 +309,15 @@ func cachedFrames(fsys *FS) (map[*memsim.Frame]cachedPage, string) {
 	out := make(map[*memsim.Frame]cachedPage)
 	msg := ""
 	for _, ind := range fsys.inodes {
-		ind.pages.Ascend(func(idx int64, p *kobj.Object) bool {
-			fr := p.Frame
+		for _, e := range entries(&ind.pages) {
+			fr := e.obj.Frame
 			if _, dup := out[fr]; dup {
 				msg = fmt.Sprintf("frame %d backs two cached pages", fr.ID)
 			} else if fr.Class != memsim.ClassCache {
-				msg = fmt.Sprintf("page %d of inode %d sits on a %v frame", idx, ind.Ino, fr.Class)
+				msg = fmt.Sprintf("page %d of inode %d sits on a %v frame", e.idx, ind.Ino, fr.Class)
 			}
-			out[fr] = cachedPage{ind, idx, p.Dirty}
-			return true
-		})
+			out[fr] = cachedPage{ind, e.idx, e.marked}
+		}
 	}
 	return out, msg
 }

@@ -1,21 +1,22 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"testing"
 
+	"kloc/internal/fault"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
-	"kloc/internal/rbtree"
 	"kloc/internal/sim"
 )
 
 // refPage is the page-cache entry as the filesystem kept it before the
-// flags moved onto the object: the object, the ID it had when it was
-// cached, and writeback and readahead state beside it.
+// flags left it: the object, the ID it had when it was cached, and
+// writeback and readahead state beside it.
 type refPage struct {
 	obj        *kobj.Object
 	id         kobj.ID
@@ -69,8 +70,8 @@ func sortedIdx[V any](m map[int64]V) []int64 {
 // adopt records a page the filesystem has just cached at idx. Its
 // object must be new: an ID never seen before.
 func (r *refCache) adopt(ri *pcInode, ind *Inode, idx int64, prefetched bool) error {
-	o, ok := ind.pages.Get(idx)
-	if !ok {
+	o := ind.pages.get(uint64(idx))
+	if o == nil {
 		return fmt.Errorf("page %d not cached", idx)
 	}
 	if id, ok := r.seen[o]; ok {
@@ -153,6 +154,18 @@ func (r *refCache) writeback(ino uint64) {
 	}
 }
 
+// dirty lists an inode's dirty pages in index order.
+func (r *refCache) dirty(ino uint64) []pageRef {
+	ri := r.inode(ino)
+	var out []pageRef
+	for _, i := range sortedIdx(ri.pages) {
+		if p := ri.pages[i]; p.dirty {
+			out = append(out, pageRef{uint64(i), p.obj})
+		}
+	}
+	return out
+}
+
 // dropFrom drops the pages at or beyond idx.
 func (r *refCache) dropFrom(ino uint64, idx int64) {
 	ri := r.inode(ino)
@@ -177,16 +190,19 @@ func (r *refCache) dropClean(ino uint64, n int) {
 	}
 }
 
-// treeKeys lists a page-cache tree's indexes in increasing order.
-func treeKeys(tr *rbtree.Tree[int64, *kobj.Object]) []int64 {
+// indexKeys lists an index's keys in increasing order.
+func indexKeys(x *xarray) []int64 {
 	var keys []int64
-	tr.Ascend(func(idx int64, _ *kobj.Object) bool { keys = append(keys, idx); return true })
+	for _, e := range entries(x) {
+		keys = append(keys, int64(e.idx))
+	}
 	return keys
 }
 
 // check compares the filesystem with the reference: every live inode's
-// cached indexes, each page's object, ID and flags, its radix nodes in
-// slot order, and the three page-cache counters.
+// cached indexes, each page's object, ID, dirty mark and readahead
+// flag, its radix nodes in slot order, and the three page-cache
+// counters.
 func (r *refCache) check(fsys *FS) error {
 	for ino := range r.inodes {
 		if _, ok := fsys.inodes[ino]; !ok {
@@ -196,37 +212,36 @@ func (r *refCache) check(fsys *FS) error {
 	var err error
 	fsys.ForEachInode(func(ind *Inode) bool {
 		ri := r.inode(ind.Ino)
-		if got, want := treeKeys(ind.pages), sortedIdx(ri.pages); !slices.Equal(got, want) {
+		if got, want := indexKeys(&ind.pages), sortedIdx(ri.pages); !slices.Equal(got, want) {
 			err = fmt.Errorf("inode %d caches pages %v, reference %v", ind.Ino, got, want)
 			return false
 		}
-		ind.pages.Ascend(func(idx int64, o *kobj.Object) bool {
-			p := ri.pages[idx]
+		for _, e := range entries(&ind.pages) {
+			o, p := e.obj, ri.pages[int64(e.idx)]
 			switch {
 			case o != p.obj || o.ID != p.id:
-				err = fmt.Errorf("inode %d page %d is object %d, reference object %d", ind.Ino, idx, o.ID, p.id)
+				err = fmt.Errorf("inode %d page %d is object %d, reference object %d", ind.Ino, e.idx, o.ID, p.id)
 			case o.Type != kobj.PageCache || o.Frame == nil:
-				err = fmt.Errorf("inode %d page %d is a %s with frame %v", ind.Ino, idx, o.Type, o.Frame)
-			case o.Dirty != p.dirty || o.Prefetched != p.prefetched:
+				err = fmt.Errorf("inode %d page %d is a %s with frame %v", ind.Ino, e.idx, o.Type, o.Frame)
+			case e.marked != p.dirty || o.Prefetched != p.prefetched:
 				err = fmt.Errorf("inode %d page %d dirty %v prefetched %v, reference %v %v",
-					ind.Ino, idx, o.Dirty, o.Prefetched, p.dirty, p.prefetched)
+					ind.Ino, e.idx, e.marked, o.Prefetched, p.dirty, p.prefetched)
 			}
-			return err == nil
-		})
-		if err != nil {
-			return false
+			if err != nil {
+				return false
+			}
 		}
-		if got, want := treeKeys(ind.radixNodes), sortedIdx(ri.slots); !slices.Equal(got, want) {
+		if got, want := indexKeys(&ind.radixNodes), sortedIdx(ri.slots); !slices.Equal(got, want) {
 			err = fmt.Errorf("inode %d has radix nodes for slots %v, reference %v", ind.Ino, got, want)
 			return false
 		}
-		ind.radixNodes.Ascend(func(slot int64, o *kobj.Object) bool {
-			if o.Type != kobj.RadixNode || o.Frame == nil {
-				err = fmt.Errorf("inode %d radix slot %d is a %s with frame %v", ind.Ino, slot, o.Type, o.Frame)
+		for _, e := range entries(&ind.radixNodes) {
+			if o := e.obj; o.Type != kobj.RadixNode || o.Frame == nil {
+				err = fmt.Errorf("inode %d radix slot %d is a %s with frame %v", ind.Ino, e.idx, o.Type, o.Frame)
+				return false
 			}
-			return err == nil
-		})
-		return err == nil
+		}
+		return true
 	})
 	if err != nil {
 		return err
@@ -244,14 +259,20 @@ func (r *refCache) check(fsys *FS) error {
 // fires and its pages are hit), Fsync, Truncate, Unlink,
 // DropCleanPages, EvictFrame, a full dentry-shrinker scan and
 // Crash/Replay, and after every op compares the filesystem, whose page
-// cache keeps flags on the objects, with a reference that keeps the
-// per-page {object, dirty, prefetched} wrapper the filesystem used to
-// keep. Freed page objects are recycled into later pages, so a flag
-// that survives recycling, or a stale entry, shows up.
+// cache keeps the dirty state as a mark in its index and the readahead
+// flag on the object, with a reference that keeps the per-page
+// {object, dirty, prefetched} wrapper the filesystem used to keep.
+// Before each Fsync, the page list writeback gathers must be the
+// reference's dirty pages in index order. Random reads and writes
+// sometimes draw an index beyond 64² (an index three levels tall) or
+// a negative one, which must fail with EINVAL and cache nothing. Freed
+// page objects are recycled into later pages, so a flag that survives
+// recycling, or a stale entry, shows up.
 func TestPageCacheMatchesReference(t *testing.T) {
 	paths := []string{"/a", "/b", "/c", "/d"}
 	var ops [12]int
 	recycled, raHits := 0, uint64(0)
+	far, negative := 0, 0
 	for _, seed := range []uint64{1, 2, 3, 7, 42} {
 		fsys, mem := newFSQuiet()
 		ref := &refCache{inodes: make(map[uint64]*pcInode), seen: make(map[*kobj.Object]kobj.ID)}
@@ -279,20 +300,38 @@ func TestPageCacheMatchesReference(t *testing.T) {
 				}
 				open[path] = file
 			case op == 1:
-				idx := rng.Int63n(3 * radixFanout)
-				if err = fsys.Write(ctx, file, idx); err == nil {
+				idx := pageCacheIdx(rng)
+				switch err = fsys.Write(ctx, file, idx); {
+				case idx < 0:
+					err = wantEINVAL(err, idx)
+					negative++
+				case err == nil:
+					if idx >= radixFanout*radixFanout {
+						far++
+					}
 					err = ref.write(file.Inode, idx)
 				}
 			case op == 2 || op == 3:
-				idx := rng.Int63n(3 * radixFanout)
+				idx := pageCacheIdx(rng)
 				if op == 3 {
 					idx = next[path]
 					next[path] = (idx + 1) % (3 * radixFanout)
 				}
-				if err = fsys.Read(ctx, file, idx); err == nil {
+				switch err = fsys.Read(ctx, file, idx); {
+				case idx < 0:
+					err = wantEINVAL(err, idx)
+					negative++
+				case err == nil:
+					if idx >= radixFanout*radixFanout {
+						far++
+					}
 					err = ref.read(file.Inode, idx, fsys.ReadaheadWindow)
 				}
 			case op == 4:
+				got, want := file.Inode.dirtyPages(nil), ref.dirty(file.Inode.Ino)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: writeback would submit %v, reference dirty pages %v", at, got, want)
+				}
 				if err = fsys.Fsync(ctx, file); err == nil {
 					ref.writeback(file.Inode.Ino)
 				}
@@ -397,10 +436,35 @@ func TestPageCacheMatchesReference(t *testing.T) {
 			t.Fatalf("op %d never ran: %v", op, ops)
 		}
 	}
-	if recycled == 0 || raHits == 0 {
-		t.Fatalf("%d pages cached in a recycled object and %d readahead hits; want both", recycled, raHits)
+	if recycled == 0 || raHits == 0 || far == 0 || negative == 0 {
+		t.Fatalf("%d pages cached in a recycled object, %d readahead hits, %d pages beyond 64², %d negative indexes; want each",
+			recycled, raHits, far, negative)
 	}
-	t.Logf("ops run: %v; %d pages cached in recycled objects, %d readahead hits", ops, recycled, raHits)
+	t.Logf("ops run: %v; %d pages cached in recycled objects, %d readahead hits, %d pages beyond 64², %d negative indexes",
+		ops, recycled, raHits, far, negative)
+}
+
+// pageCacheIdx draws a page index for a random Read or Write: mostly
+// within the first three radix slots, sometimes beyond 64² and so in a
+// three-level index, and now and then negative.
+func pageCacheIdx(rng *sim.RNG) int64 {
+	switch r := rng.Intn(100); {
+	case r < 3:
+		return -1 - rng.Int63n(3*radixFanout)
+	case r < 12:
+		return radixFanout*radixFanout + rng.Int63n(3*radixFanout)
+	default:
+		return rng.Int63n(3 * radixFanout)
+	}
+}
+
+// wantEINVAL checks that a Read or Write of a negative index failed
+// with EINVAL.
+func wantEINVAL(err error, idx int64) error {
+	if !errors.Is(err, fault.EINVAL) {
+		return fmt.Errorf("page index %d: err %v, want EINVAL", idx, err)
+	}
+	return nil
 }
 
 // pageCacheOp maps a percentile to an op of

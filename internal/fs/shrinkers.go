@@ -5,7 +5,6 @@
 package fs
 
 import (
-	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
 	"kloc/internal/pressure"
@@ -76,8 +75,8 @@ func (s dentryShrinker) Scan(ctx *kstate.Ctx, n int) int {
 		}
 		// Full icache eviction: radix nodes in slot order, then
 		// extents, then the inode.
-		freed += f.freeTree(ctx, ind.radixNodes)
-		freed += f.freeTree(ctx, ind.extents)
+		freed += f.freeFrom(ctx, &ind.radixNodes, 0)
+		freed += f.freeFrom(ctx, &ind.extents, 0)
 		f.Objs.Free(ind.inodeObj, ctx)
 		ind.inodeObj = nil
 		freed++
@@ -104,12 +103,11 @@ func (f *FS) OOMVictimFrames(node memsim.NodeID, now sim.Time) []*memsim.Frame {
 			continue
 		}
 		onNode := 0
-		ind.pages.Ascend(func(_ int64, o *kobj.Object) bool {
+		for idx, o := ind.pages.find(0, xaAll); o != nil; idx, o = ind.pages.find(idx+1, xaAll) {
 			if o.Frame.Node == node {
 				onNode++
 			}
-			return true
-		})
+		}
 		if onNode == 0 {
 			continue
 		}
@@ -127,11 +125,11 @@ func (f *FS) OOMVictimFrames(node memsim.NodeID, now sim.Time) []*memsim.Frame {
 		return nil
 	}
 	var frames []*memsim.Frame
-	victim.pages.Ascend(func(_ int64, o *kobj.Object) bool {
+	x := &victim.pages
+	for idx, o := x.find(0, xaAll); o != nil; idx, o = x.find(idx+1, xaAll) {
 		if o.Frame.Node == node {
 			frames = append(frames, o.Frame)
 		}
-		return true
-	})
+	}
 	return frames
 }

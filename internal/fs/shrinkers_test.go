@@ -112,12 +112,11 @@ func TestOOMVictimFramesPicksColdestLargest(t *testing.T) {
 	f.Fsync(later, hot)
 	f.Close(later, hot)
 
-	var firstPage *kobj.Object
-	f.inodes[cold.Inode.Ino].pages.Ascend(func(_ int64, o *kobj.Object) bool { firstPage = o; return false })
-	if firstPage == nil {
+	coldPages := entries(&f.inodes[cold.Inode.Ino].pages)
+	if len(coldPages) == 0 {
 		t.Fatal("cold file has no cached pages")
 	}
-	node := firstPage.Frame.Node
+	node := coldPages[0].obj.Frame.Node
 	frames := f.OOMVictimFrames(node, sim.Time(0).Add(20*sim.Millisecond))
 	if len(frames) == 0 {
 		t.Fatal("no victim nominated")
@@ -130,12 +129,11 @@ func TestOOMVictimFramesPicksColdestLargest(t *testing.T) {
 	// All frames belong to the cold file: count matches its pages on
 	// that node.
 	want := 0
-	f.inodes[cold.Inode.Ino].pages.Ascend(func(_ int64, p *kobj.Object) bool {
-		if p.Frame.Node == node {
+	for _, e := range coldPages {
+		if e.obj.Frame.Node == node {
 			want++
 		}
-		return true
-	})
+	}
 	if len(frames) != want {
 		t.Fatalf("victim frames = %d, want the cold file's %d", len(frames), want)
 	}

@@ -67,7 +67,8 @@ func TestWriteKeepsFreshPageUnderReclaim(t *testing.T) {
 			}
 		}
 		err := f.Write(at, file, i)
-		p, cached := file.Inode.pages.Get(i)
+		p := file.Inode.pages.get(uint64(i))
+		cached := p != nil
 		if err != nil {
 			failed++
 			if cached {
@@ -113,7 +114,8 @@ func TestReadKeepsFreshPageUnderReclaim(t *testing.T) {
 		idx := i * extentSpan // every read maps a fresh extent
 		allocs := f.Stats.ObjAllocs[kobj.PageCache]
 		err := f.Read(ctxAt(sim.Time(i*int64(sim.Microsecond))), file, idx)
-		p, cached := file.Inode.pages.Get(idx)
+		p := file.Inode.pages.get(uint64(idx))
+		cached := p != nil
 		if err != nil {
 			if f.Stats.ObjAllocs[kobj.PageCache] > allocs {
 				failedAfterAlloc++
@@ -187,12 +189,11 @@ func TestNestedWritebackKeepsItsOwnPages(t *testing.T) {
 			t.Errorf("%s: %d pages cached, want %d", name, n, cached)
 		}
 		dirty := 0
-		file.Inode.pages.Ascend(func(_ int64, o *kobj.Object) bool {
-			if o.Dirty {
+		for _, e := range entries(&file.Inode.pages) {
+			if e.marked {
 				dirty++
 			}
-			return true
-		})
+		}
 		if dirty != 0 {
 			t.Errorf("%s: %d pages still dirty", name, dirty)
 		}

@@ -104,8 +104,10 @@ func ExperimentNames() []string {
 }
 
 // planOf plans the named experiment without running any of it. An
-// unknown name, a scale divisor below 1, an unknown workload and a
-// selection the experiment cannot run are EINVAL.
+// unknown name, a scale divisor below 1, a negative duration, seed 0
+// (a plan would arm seed-0 fault planes under runs that Run re-seeds
+// to 42), an unknown workload and a selection the experiment cannot
+// run are EINVAL.
 func planOf(name string, o Options) (*plan, error) {
 	i := slices.Index(ExperimentNames(), name)
 	switch {
@@ -114,6 +116,10 @@ func planOf(name string, o Options) (*plan, error) {
 			name, strings.Join(ExperimentNames(), ", "), fault.EINVAL)
 	case o.ScaleDiv < 1:
 		return nil, fmt.Errorf("%s: scale divisor %d is below 1: %w", name, o.ScaleDiv, fault.EINVAL)
+	case o.Duration < 0:
+		return nil, fmt.Errorf("%s: duration %v is negative: %w", name, o.Duration, fault.EINVAL)
+	case o.Seed == 0:
+		return nil, fmt.Errorf("%s: seed 0 names no run: %w", name, fault.EINVAL)
 	}
 	for _, wl := range o.Workloads {
 		if !slices.Contains(workload.Names(), wl) {

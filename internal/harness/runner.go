@@ -72,9 +72,10 @@ type RunConfig struct {
 	MoveTaskAtFrac float64
 
 	// Duration is the measured virtual run length; throughput is ops
-	// completed within it. Default 400 ms of virtual time. A warmup of
-	// Duration/2 runs the workload (and daemons) before measurement
-	// begins so policies are judged at steady state.
+	// completed within it. Zero means 400 ms of virtual time; a
+	// negative one is EINVAL. A warmup of Duration/2 runs the workload
+	// (and daemons) before measurement begins so policies are judged at
+	// steady state.
 	Duration sim.Duration
 
 	// Fault arms a deterministic fault-injection plane for the run.
@@ -215,7 +216,7 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.Duration <= 0 {
+	if c.Duration == 0 {
 		c.Duration = 400 * sim.Millisecond
 	}
 	c.WLConfig.ScaleDiv = c.ScaleDiv
@@ -241,6 +242,9 @@ func (c RunConfig) buildMemory() *memsim.Memory {
 
 // Run executes one measured simulation run.
 func Run(cfg RunConfig) (*Result, error) {
+	if cfg.Duration < 0 {
+		return nil, fmt.Errorf("harness: duration %v is negative: %w", cfg.Duration, fault.EINVAL)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Trace != nil {
 		if err := trace.CheckEvents(cfg.Trace.Events); err != nil {

@@ -148,12 +148,12 @@ type Freer interface {
 type Object struct {
 	ID   ID
 	Type Type
-	// Dirty and Prefetched are a page-cache page's state, its PG_dirty
-	// and PG_readahead: written and not yet written back, and brought
-	// in by readahead and not yet demanded. They sit in the padding
-	// after Type. Only a page-cache page is dirty: memsim.Frame keeps
-	// no dirty bit, since nothing but writeback asks.
-	Dirty      bool
+	// Prefetched is a page-cache page's PG_readahead: brought in by
+	// readahead and not yet demanded. It sits in the padding after
+	// Type. A page's dirty state is not on the object but its mark in
+	// the page-cache index (fs), as PAGECACHE_TAG_DIRTY marks a page in
+	// the kernel's: writeback asks the index for marked pages, never
+	// the object or its frame.
 	Prefetched bool
 	Size       int
 	Frame      *memsim.Frame

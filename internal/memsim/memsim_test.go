@@ -72,8 +72,8 @@ func TestAccessCostOrdering(t *testing.T) {
 }
 
 // TestAccessDirtyAndBytes: a write access counts its bytes against the
-// frame's class, like a read. A dirty page-cache page is marked on its
-// kernel object (kobj.Object.Dirty), not on the frame.
+// frame's class, like a read. A dirty page-cache page is marked in the
+// filesystem's page-cache index, not on the frame.
 func TestAccessDirtyAndBytes(t *testing.T) {
 	m := testMem()
 	f, _ := m.Alloc(FastNode, ClassCache, 0)

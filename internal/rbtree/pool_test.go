@@ -8,11 +8,10 @@ import (
 	"kloc/internal/sim"
 )
 
-// freshTree is the reference for a pooled tree: Set, Delete and Clear
-// as they were before trees had pools, kept only for
-// TestPooledTreesMatchFresh. Set allocates a new node, Delete unlinks
-// its node and leaves it to the collector, and Clear drops the root, so
-// none of them touches a pool. Reads go through the embedded Tree,
+// freshTree is the reference for a pooled tree: Set and Delete as they
+// were before trees had pools, kept only for TestPooledTreesMatchFresh.
+// Set allocates a new node and Delete unlinks its node and leaves it to
+// the collector, so neither touches a pool. Reads go through the embedded Tree,
 // whose read paths pools did not change.
 type freshTree struct{ *Tree[int, int] }
 
@@ -58,11 +57,6 @@ func (f freshTree) Delete(key int) bool {
 	return true
 }
 
-func (f freshTree) Clear() {
-	f.root = f.nil_
-	f.size = 0
-}
-
 // sameTree compares every observable of a pooled tree with its
 // reference: the invariants of both, size, entries in order, Get of a
 // probe, and Depth.
@@ -97,9 +91,9 @@ func entries(t *Tree[int, int]) [][2]int {
 }
 
 // TestPooledTreesMatchFresh drives several trees on one pool and their
-// fresh-allocation references through the same random Set, Delete and
-// Clear steps, so nodes one tree frees are reused by the others, and
-// compares every tree after every step.
+// fresh-allocation references through the same random Set and Delete
+// steps, some of which empty a tree, so nodes one tree frees are reused
+// by the others, and compares every tree after every step.
 func TestPooledTreesMatchFresh(t *testing.T) {
 	const trees, keys = 4, 96
 	for _, seed := range []uint64{1, 2, 3, 7, 42} {
@@ -130,9 +124,11 @@ func TestPooledTreesMatchFresh(t *testing.T) {
 					t.Fatalf("seed %d step %d tree %d: %s = %v, reference %v", seed, step, i, what, g, w)
 				}
 			default:
-				what = "Clear"
-				got[i].Clear()
-				want[i].Clear()
+				what = "empty"
+				for _, k := range keysOf(got[i]) {
+					got[i].Delete(k)
+					want[i].Delete(k)
+				}
 			}
 			for j := range got {
 				if msg := sameTree(got[j], want[j], r.Intn(keys+2)-1); msg != "" {
@@ -155,8 +151,9 @@ func TestPooledNodesHoldNothing(t *testing.T) {
 		v := i
 		tr.Set(i, &v)
 	}
-	tr.Delete(3)
-	tr.Clear()
+	for _, k := range keysOf(tr) {
+		tr.Delete(k)
+	}
 	n := 0
 	for nd := pool.free; nd != nil; nd = nd.parent {
 		if nd.value != nil || nd.key != 0 || nd.left != nil || nd.right != nil {

@@ -1,15 +1,17 @@
 // Package rbtree implements a generic red-black tree.
 //
 // The paper leans on Linux's rbtree for every index in the KLOC design:
-// the global kmap of knodes, the per-knode rbtree-cache and rbtree-slab
-// object indexes, and ext4-style extent maps (§4.2). This package is the
-// equivalent substrate: an intrusive-free, generics-based red-black tree
-// with ordered iteration, used by kloc and fs.
+// the global kmap of knodes and the per-knode rbtree-cache and
+// rbtree-slab object indexes (§4.2). This package is the equivalent
+// substrate: an intrusive-free, generics-based red-black tree with
+// ordered iteration, used by kloc. (The filesystem's page cache,
+// radix-node and extent maps are indexed by page number, as the
+// kernel's xarray indexes them, in fs.)
 //
 // The implementation is the classic CLRS algorithm with a sentinel nil
 // leaf, augmented with each node's subtree height so Depth is O(1).
-// Nodes come from a Pool that Delete and Clear give them back to, the
-// way a kmem_cache recycles its objects.
+// Nodes come from a Pool that Delete gives them back to, the way a
+// kmem_cache recycles its objects.
 // Invariants (validated by Check, used in property tests):
 //
 //  1. every node is red or black;
@@ -47,13 +49,12 @@ type Tree[K cmp.Ordered, V any] struct {
 	pool *Pool[K, V]
 }
 
-// Pool recycles tree nodes: Delete and Clear push the nodes they remove
-// and Set pops one before it allocates. Trees that share a pool share
-// their freed nodes, so one owner's many short-lived trees (a knode's
-// object indexes, a file's page tree) feed each other, and a tree that
-// is dropped after Clear leaves its nodes behind for the next. The zero
-// value is an empty pool. Like a tree, a pool is not safe for
-// concurrent use.
+// Pool recycles tree nodes: Delete pushes the node it removes and Set
+// pops one before it allocates. Trees that share a pool share their
+// freed nodes, so one owner's many short-lived trees (the knodes'
+// object indexes) feed each other, and a tree emptied by Deletes
+// leaves its nodes behind for the next. The zero value is an empty
+// pool. Like a tree, a pool is not safe for concurrent use.
 type Pool[K cmp.Ordered, V any] struct {
 	free *node[K, V] // linked through parent
 }
@@ -177,45 +178,6 @@ func (t *Tree[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 		return false
 	}
 	return t.ascend(n.right, fn)
-}
-
-// AscendRange calls fn for entries with lo <= key < hi in order.
-func (t *Tree[K, V]) AscendRange(lo, hi K, fn func(K, V) bool) {
-	t.ascendRange(t.root, lo, hi, fn)
-}
-
-func (t *Tree[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(K, V) bool) bool {
-	if n == t.nil_ {
-		return true
-	}
-	if n.key >= lo {
-		if !t.ascendRange(n.left, lo, hi, fn) {
-			return false
-		}
-		if n.key < hi && !fn(n.key, n.value) {
-			return false
-		}
-	}
-	if n.key < hi {
-		return t.ascendRange(n.right, lo, hi, fn)
-	}
-	return true
-}
-
-// Clear empties the tree, returning every node to the pool.
-func (t *Tree[K, V]) Clear() {
-	t.releaseAll(t.root)
-	t.root = t.nil_
-	t.size = 0
-}
-
-func (t *Tree[K, V]) releaseAll(n *node[K, V]) {
-	if n == t.nil_ {
-		return
-	}
-	t.releaseAll(n.left)
-	t.releaseAll(n.right)
-	t.release(n)
 }
 
 // Depth returns the height of the tree (0 for empty) in O(1). A valid

@@ -81,45 +81,6 @@ func TestAscendOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	tr := New[int, int]()
-	for i := 0; i < 100; i++ {
-		tr.Set(i, i)
-	}
-	var got []int
-	tr.AscendRange(25, 30, func(k, _ int) bool { got = append(got, k); return true })
-	want := []int{25, 26, 27, 28, 29}
-	if len(got) != len(want) {
-		t.Fatalf("AscendRange got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AscendRange got %v, want %v", got, want)
-		}
-	}
-	// Early stop inside a range.
-	n := 0
-	tr.AscendRange(0, 100, func(int, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("range early stop visited %d", n)
-	}
-}
-
-func TestClear(t *testing.T) {
-	tr := New[int, int]()
-	for i := 0; i < 10; i++ {
-		tr.Set(i, i)
-	}
-	tr.Clear()
-	if _, ok := tr.Get(3); tr.Len() != 0 || ok {
-		t.Fatal("Clear left entries behind")
-	}
-	tr.Set(1, 1)
-	if tr.Len() != 1 {
-		t.Fatal("tree unusable after Clear")
-	}
-}
-
 func TestDepthLogarithmic(t *testing.T) {
 	tr := New[int, int]()
 	const n = 1 << 14
@@ -182,9 +143,17 @@ func refHeight[K cmp.Ordered, V any](t *Tree[K, V], n *node[K, V]) int {
 	return 1 + max(refHeight(t, n.left), refHeight(t, n.right))
 }
 
-// TestDepthMatchesWalkProperty drives seeded random Set/Delete/Clear
-// sequences and, after every operation, compares the stored-height
-// Depth with a full walk and re-checks every node's stored height.
+// keysOf lists a tree's keys in order.
+func keysOf[V any](tr *Tree[int, V]) []int {
+	var keys []int
+	tr.Ascend(func(k int, _ V) bool { keys = append(keys, k); return true })
+	return keys
+}
+
+// TestDepthMatchesWalkProperty drives seeded random Set/Delete
+// sequences, now and then emptying the tree, and after every operation
+// compares the stored-height Depth with a full walk and re-checks
+// every node's stored height.
 func TestDepthMatchesWalkProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := sim.NewRNG(seed)
@@ -194,8 +163,10 @@ func TestDepthMatchesWalkProperty(t *testing.T) {
 			op := "set"
 			switch x := r.Float64(); {
 			case x < 0.001:
-				op = "clear"
-				tr.Clear()
+				op = "empty"
+				for _, k := range keysOf(tr) {
+					tr.Delete(k)
+				}
 			case x < 0.45:
 				op = "delete"
 				tr.Delete(r.Intn(keySpace))

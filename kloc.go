@@ -308,7 +308,8 @@ const (
 	Optane  = harness.Optane
 )
 
-// Run executes one measured simulation run.
+// Run executes one measured simulation run. A negative Duration is
+// EINVAL; zero means the 400 ms default.
 func Run(cfg RunConfig) (*Result, error) { return harness.Run(cfg) }
 
 // Experiment runs a named paper experiment ("fig2a".."fig6", "table6",
@@ -319,8 +320,9 @@ func Experiment(name string, o Options) (*Table, error) { return harness.Experim
 
 // CheckExperiment plans a named experiment without running it and
 // returns the error Experiment would fail with before its first run:
-// EINVAL for an unknown name, a ScaleDiv below 1, an unknown workload,
-// or a Workloads selection the experiment cannot run.
+// EINVAL for an unknown name, a ScaleDiv below 1, a negative Duration,
+// Seed 0, an unknown workload, or a Workloads selection the experiment
+// cannot run.
 func CheckExperiment(name string, o Options) error { return harness.CheckExperiment(name, o) }
 
 // ExperimentNames lists experiments in presentation order.

@@ -39,8 +39,9 @@ func TestPublicAPISurface(t *testing.T) {
 }
 
 // TestExperimentRejectsBadOptions: an unknown experiment name, a scale
-// divisor below 1 and an unknown workload are EINVAL from the planning
-// step, before any run starts, and never a panic.
+// divisor below 1, a negative duration, seed 0 and an unknown workload
+// are EINVAL from the planning step, before any run starts, and never a
+// panic; so is a negative duration handed to Run.
 func TestExperimentRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		exp string
@@ -50,6 +51,8 @@ func TestExperimentRejectsBadOptions(t *testing.T) {
 		{"fig6", kloc.Options{ScaleDiv: -64, Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
 		{"table6", kloc.Options{Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
 		{"fig4", kloc.Options{ScaleDiv: 256, Duration: kloc.Millisecond, Seed: 42, Workloads: []string{"mysql"}}},
+		{"faults", kloc.Options{ScaleDiv: 256, Duration: 5 * kloc.Millisecond, Workloads: []string{"rocksdb"}}},
+		{"fig4", kloc.Options{ScaleDiv: 256, Duration: -5 * kloc.Millisecond, Seed: 42, Workloads: []string{"redis"}}},
 		{"fig99", kloc.QuickOptions()},
 	} {
 		func() {
@@ -63,6 +66,10 @@ func TestExperimentRejectsBadOptions(t *testing.T) {
 				t.Errorf("Experiment(%q, %+v): err %v, want EINVAL", tc.exp, tc.o, err)
 			}
 		}()
+	}
+	_, err := kloc.Run(kloc.RunConfig{PolicyName: "klocs", Workload: "redis", ScaleDiv: 256, Duration: -5 * kloc.Millisecond})
+	if errno, ok := kloc.AsErrno(err); !ok || errno != kloc.EINVAL {
+		t.Errorf("Run with a negative duration: err %v, want EINVAL", err)
 	}
 }
 
