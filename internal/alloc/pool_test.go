@@ -84,6 +84,7 @@ type objectView struct {
 	ID         kobj.ID
 	Type       kobj.Type
 	Size       int
+	HasFrame   bool
 	Frame      memsim.FrameID
 	Node       memsim.NodeID
 	Knode      uint64
@@ -92,10 +93,10 @@ type objectView struct {
 }
 
 func viewOf(o *kobj.Object) objectView {
-	v := objectView{ID: o.ID, Type: o.Type, Size: o.Size, Node: -1, Knode: o.Knode, Born: o.Born,
+	v := objectView{ID: o.ID, Type: o.Type, Size: o.Size, Knode: o.Knode, Born: o.Born,
 		Prefetched: o.Prefetched}
 	if o.Frame != nil {
-		v.Frame, v.Node = o.Frame.ID, o.Frame.Node
+		v.HasFrame, v.Frame, v.Node = true, o.Frame.ID, o.Frame.Node
 	}
 	return v
 }

@@ -46,7 +46,9 @@ var end2endRun = RunConfig{
 }
 
 // allocsPerOpCeiling caps end2endRun's heap allocations per simulated
-// op. Measured on a 2-CPU host: 2.25 over 89,120 ops; 3.19 before the
+// op. Measured on a 2-CPU host: 2.16 over 89,120 ops; 2.25 before the
+// KLOC daemons and AutoNUMA kept their per-frame walk and tracking state
+// on the frame (Frame.Stamp, Frame.Slot); 3.19 before the
 // page cache, radix nodes and extents moved from red-black trees to an
 // xarray with an embedded head and recycled 64-slot nodes; 4.47 before
 // fresh frames were carved from chunks and writeback kept its
@@ -64,11 +66,20 @@ var end2endRun = RunConfig{
 // value +10%, rounded up: the count does not depend on machine speed,
 // and the slack absorbs what the runtime allocates beside the
 // simulation.
-const allocsPerOpCeiling = 2.5
+const allocsPerOpCeiling = 2.4
+
+// bytesPerOpCeiling caps end2endRun's heap bytes allocated per
+// simulated op, which the count above does not see: a change can keep
+// the number of allocations and make each larger. Measured on a 2-CPU
+// host: 339.1 over 89,120 ops; 385.6 before the knode walk stopped
+// building a frame set and list per call. The ceiling is the measured
+// value +10%, rounded up.
+const bytesPerOpCeiling = 374
 
 // runEnd2End runs end2endRun and returns the result and its heap
-// allocations per simulated op (runtime.MemStats.Mallocs delta / Ops).
-func runEnd2End(tb testing.TB) (*Result, float64) {
+// allocations and bytes allocated per simulated op (the
+// runtime.MemStats Mallocs and TotalAlloc deltas over Ops).
+func runEnd2End(tb testing.TB) (res *Result, allocsPerOp, bytesPerOp float64) {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -80,28 +91,35 @@ func runEnd2End(tb testing.TB) (*Result, float64) {
 	if res.Ops == 0 {
 		tb.Fatal("run completed no ops")
 	}
-	return res, float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+	ops := float64(res.Ops)
+	return res, float64(after.Mallocs-before.Mallocs) / ops, float64(after.TotalAlloc-before.TotalAlloc) / ops
 }
 
 // TestEnd2EndAllocsPerOp is the whole-run allocation gate: a change
 // that puts the heap back on a hot path of a full KLOC run fails here.
-// Unlike wall time, an allocation count can gate CI without flaking.
+// Unlike wall time, allocation counts and bytes can gate CI without
+// flaking.
 func TestEnd2EndAllocsPerOp(t *testing.T) {
-	res, perOp := runEnd2End(t)
+	res, perOp, bytesPerOp := runEnd2End(t)
 	if perOp > allocsPerOpCeiling {
-		t.Fatalf("%.2f allocs/op over %d ops, ceiling %.1f", perOp, res.Ops, allocsPerOpCeiling)
+		t.Errorf("%.2f allocs/op over %d ops, ceiling %.1f", perOp, res.Ops, allocsPerOpCeiling)
 	}
-	t.Logf("%.2f allocs/op over %d ops (ceiling %.1f)", perOp, res.Ops, allocsPerOpCeiling)
+	if bytesPerOp > bytesPerOpCeiling {
+		t.Errorf("%.1f B/op over %d ops, ceiling %d", bytesPerOp, res.Ops, bytesPerOpCeiling)
+	}
+	t.Logf("%.2f allocs/op and %.1f B/op over %d ops (ceilings %.1f and %d)",
+		perOp, bytesPerOp, res.Ops, allocsPerOpCeiling, bytesPerOpCeiling)
 }
 
 // BenchmarkRun times end2endRun. Besides the per-run ns/op it reports
-// wall time and heap allocations per simulated op.
+// wall time, heap allocations and heap bytes per simulated op.
 func BenchmarkRun(b *testing.B) {
 	ops := 0
 	for n := 0; n < b.N; n++ {
-		res, perOp := runEnd2End(b)
+		res, perOp, bytesPerOp := runEnd2End(b)
 		ops += res.Ops
 		b.ReportMetric(perOp, "allocs/simop")
+		b.ReportMetric(bytesPerOp, "B/simop")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/simop")
 }

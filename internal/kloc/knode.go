@@ -10,6 +10,14 @@
 // inode number), with per-CPU fast-path lists acting as a software
 // cache of the kmap (§4.3). The Registry type owns all of this and
 // exposes the Table-2 API.
+//
+// A cold context moves en masse by walking its knode (§4.4):
+// Registry.EachMovableFrame visits each relocatable frame behind the
+// knode's objects once, in tree order. Objects share frames, so the
+// walk marks each frame it visits with a stamp the memory system
+// issues per walk (memsim.Frame.Stamp), the way Linux keeps a walk's
+// per-page state in struct page; it builds no set and no list, and
+// its caller decides what to keep.
 package kloc
 
 import (
@@ -112,44 +120,30 @@ func (k *Knode) IterSlab(fn func(*kobj.Object) bool) {
 	k.rbSlab.Ascend(func(id kobj.ID, o *kobj.Object) bool { return recycled(id, o) || fn(o) })
 }
 
-// MovableFrames collects the distinct, relocatable frames backing the
-// knode's objects — the unit the migration engine moves en masse
-// (§4.4). Slab-pinned frames are excluded.
-func (k *Knode) MovableFrames() []*memsim.Frame {
-	seen := make(map[memsim.FrameID]struct{})
-	var out []*memsim.Frame
-	collect := func(id kobj.ID, o *kobj.Object) bool {
+// EachMovableFrame calls fn on each distinct relocatable frame backing
+// kn's objects, the unit the migration engine moves en masse (§4.4), in
+// tree order (rbtree-cache, then rbtree-slab), until fn returns false.
+// It reports whether fn stopped the walk. Slab-pinned frames are
+// skipped, and a frame shared by several objects is visited once: the
+// walk drops it by its stamp (memsim.Memory.NextStamp), so it builds no
+// set and no list. fn must not start another walk.
+func (r *Registry) EachMovableFrame(kn *Knode, fn func(*memsim.Frame) bool) bool {
+	stamp := r.mem.NextStamp()
+	stopped := false
+	visit := func(id kobj.ID, o *kobj.Object) bool {
 		f := o.Frame
-		if recycled(id, o) || f == nil || f.Pinned {
+		if recycled(id, o) || f == nil || f.Pinned || f.Stamp == stamp {
 			return true
 		}
-		if _, dup := seen[f.ID]; dup {
-			return true
-		}
-		seen[f.ID] = struct{}{}
-		out = append(out, f)
-		return true
+		f.Stamp = stamp
+		stopped = !fn(f)
+		return !stopped
 	}
-	k.rbCache.Ascend(collect)
-	k.rbSlab.Ascend(collect)
-	return out
-}
-
-// HasMovableFrame reports whether some frame MovableFrames would return
-// satisfies pred. It stops at the first match and builds no list, so
-// open-time and daemon checks cost no allocation.
-func (k *Knode) HasMovableFrame(pred func(*memsim.Frame) bool) bool {
-	found := false
-	match := func(id kobj.ID, o *kobj.Object) bool {
-		f := o.Frame
-		found = !recycled(id, o) && f != nil && !f.Pinned && pred(f)
-		return !found
+	kn.rbCache.Ascend(visit)
+	if !stopped && kn.rbSlab != kn.rbCache {
+		kn.rbSlab.Ascend(visit)
 	}
-	k.rbCache.Ascend(match)
-	if !found {
-		k.rbSlab.Ascend(match)
-	}
-	return found
+	return stopped
 }
 
 // metadataBytes is the knode's contribution to Table 6.
@@ -163,6 +157,7 @@ const percpuEntryBytes = 16
 // Registry is the global KLOC state: the kmap, the per-CPU fast paths,
 // and the knode slab.
 type Registry struct {
+	mem  *memsim.Memory
 	kmap *rbtree.Tree[uint64, *Knode]
 	// objNodes recycles the nodes of every knode's object trees, which
 	// die with their knodes.
@@ -203,6 +198,7 @@ func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 		slab.Class = memsim.ClassMeta
 	}
 	return &Registry{
+		mem:             mem,
 		kmap:            rbtree.New[uint64, *Knode](),
 		byID:            make([]*Knode, 1), // slot 0 unused: IDs start at 1
 		fast:            percpu.New[*Knode](cpus, perCPUListCap),

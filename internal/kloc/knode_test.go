@@ -151,7 +151,7 @@ func TestMovableFramesExcludesPinnedAndDedups(t *testing.T) {
 	r.AddObject(0, 7, pinned)
 	r.AddObject(0, 7, movable)
 	r.AddObject(0, 7, shared)
-	frames := kn.MovableFrames()
+	frames := movableFrames(r, kn)
 	if len(frames) != 1 || frames[0].ID != movable.Frame.ID {
 		t.Fatalf("movable frames = %v", frames)
 	}

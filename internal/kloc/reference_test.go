@@ -1,7 +1,10 @@
 package kloc
 
 import (
+	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"kloc/internal/kobj"
 	"kloc/internal/memsim"
@@ -81,14 +84,63 @@ func TestIDIndexMatchesKmap(t *testing.T) {
 	}
 }
 
-// TestHasMovableFrameMatchesMovableFrames builds random knodes, split
-// and single-tree, from page-cache, KLOC-arena and pinned-slab objects
-// on both nodes, with frames shared between objects and objects whose
-// storage is already released. For node and class predicates it checks
-// HasMovableFrame against the reference "some frame in MovableFrames
-// satisfies pred", that pred never sees a nil or pinned frame, that
-// pred is not called again after the first match, and that the check
-// allocates nothing.
+// movableFramesRef is the map-deduplicated walk that EachMovableFrame
+// replaced: the distinct unpinned frames of kn's live objects, in tree
+// order (rbtree-cache, then rbtree-slab).
+func movableFramesRef(kn *Knode) []*memsim.Frame {
+	seen := map[memsim.FrameID]bool{}
+	var out []*memsim.Frame
+	collect := func(id kobj.ID, o *kobj.Object) bool {
+		if f := o.Frame; !recycled(id, o) && f != nil && !f.Pinned && !seen[f.ID] {
+			seen[f.ID] = true
+			out = append(out, f)
+		}
+		return true
+	}
+	kn.rbCache.Ascend(collect)
+	kn.rbSlab.Ascend(collect)
+	return out
+}
+
+// movableFrames lists the frames a full walk of kn visits.
+func movableFrames(r *Registry, kn *Knode) []*memsim.Frame {
+	var out []*memsim.Frame
+	r.EachMovableFrame(kn, func(f *memsim.Frame) bool { out = append(out, f); return true })
+	return out
+}
+
+// setWalkStamp moves m's walk-stamp counter to s, so a test reaches the
+// counter's wrap without 2^32 walks.
+func setWalkStamp(m *memsim.Memory, s uint32) {
+	v := reflect.ValueOf(m).Elem().FieldByName("stamp")
+	*(*uint32)(unsafe.Pointer(v.UnsafeAddr())) = s
+}
+
+// A knodeWalk is one walk of the differential test: a full walk, a walk
+// that fn stops after stopAfter frames, or a predicate walk (the
+// daemons' early-exit check) that stops at the first frame pred
+// matches.
+type knodeWalk struct {
+	knode     int
+	stopAfter int // > 0: stop after this many frames
+	pred      int // >= 0: stop at the first frame preds[pred] matches
+}
+
+// TestHasMovableFrameMatchesMovableFrames checks the stamp-deduplicated
+// walk, EachMovableFrame, against movableFramesRef, the map-based walk
+// it replaced. Each seed builds four knodes, split or single-tree, from
+// page-cache, KLOC-arena and pinned-slab objects on both nodes. The
+// knodes share frames with each other and their own objects share
+// frames too; some objects' storage is already released, and some tree
+// entries outlive their object's struct, which a later object reuses.
+// A seeded sequence of walks over random knodes then runs twice:
+// - every walk visits exactly the reference's frames, in its order, up
+// to where it stops, and reports whether fn stopped it;
+// - between the two runs the stamp counter is moved to the end of its
+// range, so the second run wraps it. A stamp left on a frame from the
+// first run would then hide that frame from the replayed walk that
+// reuses its value.
+// The walk allocates nothing.
 func TestHasMovableFrameMatchesMovableFrames(t *testing.T) {
 	nodes := []memsim.NodeID{memsim.FastNode, memsim.SlowNode}
 	classes := []memsim.Class{memsim.ClassCache, memsim.ClassKloc, memsim.ClassSlab}
@@ -109,19 +161,24 @@ func TestHasMovableFrameMatchesMovableFrames(t *testing.T) {
 			m := testMem()
 			r := NewRegistry(m, 2)
 			r.SplitTrees = split
-			kn, _, err := r.MapKnode(1, order, 0)
-			if err != nil {
-				t.Fatal(err)
+			var kns []*Knode
+			for ino := uint64(1); ino <= 4; ino++ {
+				kn, _, err := r.MapKnode(ino, order, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kns = append(kns, kn)
 			}
 			var frames []*memsim.Frame
-			objects := kobj.ID(rng.Intn(24))
+			objects := kobj.ID(rng.Intn(64))
 			for id := kobj.ID(1); id <= objects; id++ {
 				var f *memsim.Frame
 				switch {
-				case len(frames) > 0 && rng.Bool(0.25): // shared frame
+				case len(frames) > 0 && rng.Bool(0.3): // shared frame
 					f = frames[rng.Intn(len(frames))]
 				case rng.Bool(0.1): // storage already released
 				default:
+					var err error
 					f, err = m.Alloc(nodes[rng.Intn(len(nodes))], classes[rng.Intn(len(classes))], 0)
 					if err != nil {
 						t.Fatal(err)
@@ -129,31 +186,73 @@ func TestHasMovableFrameMatchesMovableFrames(t *testing.T) {
 					f.Pinned = f.Class == memsim.ClassSlab && rng.Bool(0.7)
 					frames = append(frames, f)
 				}
-				kn.AddObject(kobj.NewObject(id, types[rng.Intn(len(types))], f, 0, nil))
+				o := kobj.NewObject(id, types[rng.Intn(len(types))], f, 0, nil)
+				kns[rng.Intn(len(kns))].AddObject(o)
+				if rng.Bool(0.05) { // the struct now serves a later object
+					o.Reset(1000+id, o.Type, f, 0, nil)
+				}
 			}
-			movable := kn.MovableFrames()
-			for pi, pred := range preds {
-				want := false
-				for _, f := range movable {
-					want = want || pred(f)
+			walks := make([]knodeWalk, 16)
+			for i := range walks {
+				w := knodeWalk{knode: rng.Intn(len(kns)), pred: -1}
+				switch rng.Intn(3) {
+				case 1:
+					w.stopAfter = 1 + rng.Intn(8)
+				case 2:
+					w.pred = rng.Intn(len(preds))
 				}
-				matched := false
-				got := kn.HasMovableFrame(func(f *memsim.Frame) bool {
-					if f == nil || f.Pinned {
-						t.Fatalf("split=%v seed %d pred %d: pred called on a nil or pinned frame", split, seed, pi)
+				walks[i] = w
+			}
+			check := func(run, i int, w knodeWalk) {
+				kn := kns[w.knode]
+				want := movableFramesRef(kn)
+				wantStop := false
+				switch {
+				case w.stopAfter > 0 && w.stopAfter <= len(want):
+					want, wantStop = want[:w.stopAfter], true
+				case w.pred >= 0:
+					for j, f := range want {
+						if preds[w.pred](f) {
+							want, wantStop = want[:j+1], true
+							break
+						}
 					}
-					if matched {
-						t.Fatalf("split=%v seed %d pred %d: pred called after the first match", split, seed, pi)
+				}
+				var got []*memsim.Frame
+				stopped := r.EachMovableFrame(kn, func(f *memsim.Frame) bool {
+					got = append(got, f)
+					switch {
+					case w.stopAfter > 0:
+						return len(got) < w.stopAfter
+					case w.pred >= 0:
+						return !preds[w.pred](f)
 					}
-					matched = pred(f)
-					return matched
+					return true
 				})
-				if got != want {
-					t.Fatalf("split=%v seed %d pred %d: HasMovableFrame = %v, MovableFrames says %v", split, seed, pi, got, want)
+				if stopped != wantStop || len(got) != len(want) {
+					t.Fatalf("split=%v seed %d run %d walk %d %+v: visited %d frames (stopped %v), reference %d (stopped %v)",
+						split, seed, run, i, w, len(got), stopped, len(want), wantStop)
 				}
-				if allocs := testing.AllocsPerRun(5, func() { kn.HasMovableFrame(pred) }); allocs != 0 {
-					t.Fatalf("split=%v seed %d pred %d: HasMovableFrame allocates %.1f per call", split, seed, pi, allocs)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("split=%v seed %d run %d walk %d %+v: frame %d is %d, reference %d",
+							split, seed, run, i, w, j, got[j].ID, want[j].ID)
+					}
 				}
+			}
+			for i, w := range walks {
+				check(0, i, w)
+			}
+			setWalkStamp(m, math.MaxUint32-1)
+			check(1, -1, knodeWalk{knode: rng.Intn(len(kns)), pred: -1}) // the last stamp before the wrap
+			for i, w := range walks {
+				check(1, i, w)
+			}
+			kn, pred := kns[rng.Intn(len(kns))], preds[rng.Intn(len(preds))]
+			if allocs := testing.AllocsPerRun(5, func() {
+				r.EachMovableFrame(kn, func(f *memsim.Frame) bool { return !pred(f) })
+			}); allocs != 0 {
+				t.Fatalf("split=%v seed %d: a walk allocates %.1f per call", split, seed, allocs)
 			}
 		}
 	}

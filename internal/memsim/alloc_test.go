@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 
@@ -133,5 +134,47 @@ func BenchmarkFrameChurn(b *testing.B) {
 				p.op(c)
 			}
 		})
+	}
+}
+
+// TestNextStampWraps: walk stamps count up from 1, and when the
+// counter wraps NextStamp skips 0 and first clears every live frame's
+// stamp, so a stamp from before the wrap matches no later walk. A
+// recycled frame starts from 0 like a fresh one.
+func TestNextStampWraps(t *testing.T) {
+	m := NewTwoTier(DefaultTwoTier(1024))
+	var frames [4]*Frame
+	for i := range frames {
+		f, err := m.Alloc(FastNode, ClassCache, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Stamp != 0 {
+			t.Fatalf("fresh frame %d carries stamp %d", f.ID, f.Stamp)
+		}
+		frames[i] = f
+	}
+	for i, f := range frames {
+		if s := m.NextStamp(); s != uint32(i+1) {
+			t.Fatalf("walk %d got stamp %d, want %d", i+1, s, i+1)
+		}
+		f.Stamp = m.stamp
+	}
+	m.Free(frames[3])
+	m.stamp = math.MaxUint32 - 1
+	if s := m.NextStamp(); s != math.MaxUint32 {
+		t.Fatalf("stamp before the wrap = %d", s)
+	}
+	frames[0].Stamp = math.MaxUint32
+	if s := m.NextStamp(); s != 1 {
+		t.Fatalf("the wrap issued stamp %d, want 1", s)
+	}
+	for _, f := range frames[:3] {
+		if f.Stamp != 0 {
+			t.Errorf("live frame %d kept stamp %d across the wrap", f.ID, f.Stamp)
+		}
+	}
+	if f, err := m.Alloc(FastNode, ClassCache, 0); err != nil || f != frames[3] || f.Stamp != 0 {
+		t.Errorf("recycled frame: err %v, same struct %v, stamp %d", err, f == frames[3], f.Stamp)
 	}
 }

@@ -112,7 +112,8 @@ func l4Access(m *Memory, cpu int, f *Frame) (cached, hit bool) {
 // stay as ghosts), recycling of freed Frame structs and moves to the
 // other socket and back, and compares the L4 caches with one
 // FrameID-keyed reference per socket: every hit or miss, and after
-// every step each cache's length and recency order. Accesses favour a
+// every step each cache's length and recency order, and that its slab
+// never has room for more than capacity+1 entries. Accesses favour a
 // hot set that fits, so the sequence mixes hits, misses and
 // evictions, and some frames return to a socket whose cache still
 // holds their entry.
@@ -181,6 +182,9 @@ func TestL4CacheMatchesReference(t *testing.T) {
 			for s := range ref {
 				if d := ref[s].diff(m.l4[s]); d != "" {
 					t.Fatalf("capacity %d step %d: socket %d: %s", capacity, step, s, d)
+				}
+				if c := cap(m.l4[s].entries); c > capacity+1 {
+					t.Fatalf("capacity %d step %d: socket %d's slab has room for %d entries, more than capacity+1", capacity, step, s, c)
 				}
 			}
 		}

@@ -24,8 +24,10 @@ import (
 // 4 KB pages (§5, "KLOC support for multi-page size").
 const PageSize = 4096
 
-// NodeID identifies a memory node.
-type NodeID int
+// NodeID identifies a memory node. Node IDs are dense positions in
+// Memory.Nodes, and both platforms have two nodes, so one byte holds
+// every ID and lets Frame keep its node in the word after its ID.
+type NodeID uint8
 
 // NodeKind distinguishes memory technologies.
 type NodeKind uint8
@@ -149,6 +151,26 @@ type FrameID uint64
 // Frame is the metadata for one simulated physical page — or, when
 // Order > 0, a compound (huge) page covering 2^Order base pages (§5's
 // multi-page-size support: THP regions tier as a unit).
+//
+// A Frame is 96 bytes, 170 of them to a 16 KiB chunk (frameChunk), so
+// every field is placed. By byte offset:
+//
+//	 0  ID
+//	 8  Node, Class, Order, Pinned (one byte each), InUse, Bump
+//	16  Knode
+//	24  Allocated
+//	32  LastAccess
+//	40  Migrations, Mapped, two bytes of padding, pos
+//	48  Seen
+//	56  prev, next, list
+//	80  l4
+//	88  Stamp, Slot
+//
+// Like struct page, a frame carries its owners' per-page state so that
+// none of them keeps a map keyed by FrameID. Each such field has one
+// owner: Seen is the reclaim scanner's (lru.Lists), prev/next/list the
+// FrameList's, l4 the L4 caches', Stamp the frame walks' (NextStamp)
+// and Slot the AutoNUMA tracked set's. Alloc zeroes all of them.
 type Frame struct {
 	ID    FrameID
 	Node  NodeID
@@ -191,6 +213,14 @@ type Frame struct {
 	// into its slab (0 = none) that counts only while the entry there
 	// still records ID.
 	l4 [l4Sockets]int32
+
+	// Stamp is the stamp of the last frame walk that visited the frame:
+	// a walk takes a fresh stamp from NextStamp and skips a frame that
+	// already carries it, so it visits each frame once without a set.
+	Stamp uint32
+	// Slot is the frame's position in AutoNUMA's tracked set plus one
+	// (0 = untracked); that set keeps it current as it swap-removes.
+	Slot int32
 }
 
 // Stats aggregates the accounting the evaluation section needs. Every
@@ -274,6 +304,8 @@ type Memory struct {
 	refsByNode  []uint64
 	allocsDense [][6]uint64
 	usedDense   [][6]int
+	// stamp is the last walk stamp NextStamp issued (0 = none yet).
+	stamp uint32
 	// atomicDepth > 0 marks GFP_ATOMIC context: allocations may dip
 	// into the watermark reserve (rx path, journal commits, reclaim
 	// itself — the PF_MEMALLOC analog). The simulation is single-
@@ -467,6 +499,25 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 // the 27,264-byte class and waste a tenth of every block.
 // TestFrameChunkFitsSizeClass pins the arithmetic.
 const frameChunk = 170
+
+// NextStamp starts a frame walk and returns its stamp. A walk marks
+// each frame it visits by setting Frame.Stamp to the stamp, and treats
+// a frame that already carries it as seen, so a walk over objects that
+// share frames visits each frame once and builds no set. A walk must
+// finish before the next one starts, and visits only live frames.
+// Stamps skip 0, which Alloc gives every frame; when the counter wraps,
+// NextStamp first clears every live frame's stamp, so no stamp left
+// from before the wrap can match a later walk.
+func (m *Memory) NextStamp() uint32 {
+	m.stamp++
+	if m.stamp == 0 {
+		for _, f := range m.live {
+			f.Stamp = 0
+		}
+		m.stamp = 1
+	}
+	return m.stamp
+}
 
 // EnterAtomic enters GFP_ATOMIC context: until the returned function is
 // called, allocations may dip into the watermark reserve below Min.
@@ -668,7 +719,7 @@ type Migrator struct {
 // foreground accesses then contend for).
 func (mg *Migrator) Migrate(frames []*Frame, dst NodeID, now sim.Time) (moved, faulted int, cost sim.Duration) {
 	var serial sim.Duration
-	srcSeen := make(map[NodeID]struct{})
+	var srcSeen [1 << 8]bool // by NodeID
 	for _, f := range frames {
 		if !mg.Mem.CanMigrate(f, dst) {
 			continue
@@ -683,7 +734,7 @@ func (mg *Migrator) Migrate(frames []*Frame, dst NodeID, now sim.Time) (moved, f
 		if err != nil {
 			continue // lost a race with another mutation; skip
 		}
-		srcSeen[src] = struct{}{}
+		srcSeen[src] = true
 		serial += d
 		moved++
 		mg.Mem.Trace.Emit(trace.Migrate, now, f.Knode, uint64(f.ID),
@@ -696,9 +747,10 @@ func (mg *Migrator) Migrate(frames []*Frame, dst NodeID, now sim.Time) (moved, f
 	cost = serial / sim.Duration(p)
 	if moved > 0 {
 		mg.Mem.NoteMigrationLoad(dst, now, cost)
-		//klocs:unordered one independent load note per distinct source node
-		for src := range srcSeen {
-			mg.Mem.NoteMigrationLoad(src, now, cost)
+		for _, n := range mg.Mem.Nodes {
+			if srcSeen[n.ID] {
+				mg.Mem.NoteMigrationLoad(n.ID, now, cost)
+			}
 		}
 	}
 	return moved, faulted, cost
@@ -716,10 +768,12 @@ const l4Sockets = 2
 // workloads operate on, LRU over frame IDs captures the same
 // hit-when-hot / miss-when-cold behaviour the evaluation depends on.
 //
-// The entries live in one slab, grown by append up to capacity, and a
-// frame reaches its entry through its slot for the cache's socket, so
-// no access probes a map. An entry belongs to the frame whose ID it
-// records. FrameIDs are never reused, so a freed or recycled frame's
+// The entries live in one slab, and a frame reaches its entry through
+// its slot for the cache's socket, so no access probes a map. The slab
+// grows as misses fill it, doubling up to capacity+1 entries (the
+// sentinel included): reserving it up front would cost a full-scale
+// run about 62 MB per socket before the first access. An entry
+// belongs to the frame whose ID it records. FrameIDs are never reused, so a freed or recycled frame's
 // entry stays on the list as a ghost that holds capacity until it is
 // evicted, and an entry evicted for another frame rewrites its id,
 // which makes the old frame's slot stop matching.
@@ -758,9 +812,14 @@ func (c *l4Cache) access(f *Frame, slot *int32) bool {
 	if c.capacity < 1 {
 		return false
 	}
-	if len(c.entries) <= c.capacity {
-		i = int32(len(c.entries))
-		c.entries = append(c.entries, l4Entry{})
+	if n := len(c.entries); n <= c.capacity {
+		if n == cap(c.entries) {
+			grown := make([]l4Entry, n, min(2*n, c.capacity+1))
+			copy(grown, c.entries)
+			c.entries = grown
+		}
+		i = int32(n)
+		c.entries = c.entries[:n+1]
 	} else {
 		i = c.entries[0].prev
 		c.unlink(i)

@@ -83,6 +83,9 @@ type KLOCs struct {
 	promoteQueue []*kloc.Knode
 	queued       map[kloc.KnodeID]bool
 	ticks        int
+	// scratch holds one knode's victims or movers: Migrate does not
+	// keep the batch, so the next knode reuses it.
+	scratch []*memsim.Frame
 }
 
 // NewKLOCs builds the policy.
@@ -133,18 +136,13 @@ func (p *KLOCs) OOMVictimFrames(node memsim.NodeID, now sim.Time) []*memsim.Fram
 			if kn.Active && !includeActive {
 				continue
 			}
-			var onNode []*memsim.Frame
-			for _, f := range kn.MovableFrames() {
-				if f.Node == node {
-					onNode = append(onNode, f)
-				}
-			}
+			onNode := p.collect(kn, func(f *memsim.Frame) bool { return f.Node == node })
 			if len(onNode) == 0 {
 				continue
 			}
 			score := uint64(len(onNode)) * uint64(kn.Age+1)
 			if score > best {
-				best, bestFrames = score, onNode
+				best, bestFrames = score, append(bestFrames[:0], onNode...)
 			}
 		}
 		return bestFrames
@@ -218,7 +216,7 @@ func (p *KLOCs) InodeOpened(ctx *kstate.Ctx, ino uint64) {
 	if !ok || !p.cfg.Migration {
 		return
 	}
-	if kn.HasMovableFrame(onSlowNode) {
+	if hasMovableFrame(p.Reg, kn, onSlowNode) {
 		p.enqueue(&p.promoteQueue, kn)
 	}
 }
@@ -231,6 +229,34 @@ func onSlowNode(f *memsim.Frame) bool { return f.Node == memsim.SlowNode }
 func promotable(f *memsim.Frame) bool {
 	return (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) &&
 		f.Node == memsim.SlowNode
+}
+
+// demotable matches a frame that demotion moves to slow memory: a
+// page-cache or KLOC-arena frame on the fast node that has not yet
+// ping-ponged to the retention limit.
+func demotable(f *memsim.Frame) bool {
+	return (f.Class == memsim.ClassCache || f.Class == memsim.ClassKloc) &&
+		f.Node == memsim.FastNode && f.Migrations < pingPongLimit
+}
+
+// hasMovableFrame reports whether some movable frame of kn matches
+// pred, stopping at the first match.
+func hasMovableFrame(reg *kloc.Registry, kn *kloc.Knode, pred func(*memsim.Frame) bool) bool {
+	return reg.EachMovableFrame(kn, func(f *memsim.Frame) bool { return !pred(f) })
+}
+
+// collect gathers kn's movable frames that match pred into the policy's
+// scratch slice, which the next collect overwrites.
+func (p *KLOCs) collect(kn *kloc.Knode, pred func(*memsim.Frame) bool) []*memsim.Frame {
+	out := p.scratch[:0]
+	p.Reg.EachMovableFrame(kn, func(f *memsim.Frame) bool {
+		if pred(f) {
+			out = append(out, f)
+		}
+		return true
+	})
+	p.scratch = out
+	return out
 }
 
 // InodeClosed deactivates the knode; its objects are immediately
@@ -316,7 +342,7 @@ func (p *KLOCs) Tick(now sim.Time) sim.Duration {
 			// KLOCs with objects stranded in slow memory promote (§4.4:
 			// 4-12% of migrations are slow-to-fast, mainly cache pages).
 			for _, kn := range p.Reg.ActiveKnodes() {
-				if kn.Age <= 1 && kn.HasMovableFrame(promotable) {
+				if kn.Age <= 1 && hasMovableFrame(p.Reg, kn, promotable) {
 					p.enqueue(&p.promoteQueue, kn)
 				}
 			}
@@ -349,14 +375,7 @@ func (p *KLOCs) processDemotions(now sim.Time) sim.Duration {
 		// Page-cache frames are per-file; slab-class objects live in
 		// per-KLOC arena frames (ClassKloc) — both migrate with the
 		// knode. Shared (pinned) slab frames never move.
-		var victims []*memsim.Frame
-		for _, f := range kn.MovableFrames() {
-			if (f.Class != memsim.ClassCache && f.Class != memsim.ClassKloc) ||
-				f.Node != memsim.FastNode || f.Migrations >= pingPongLimit {
-				continue
-			}
-			victims = append(victims, f)
-		}
+		victims := p.collect(kn, demotable)
 		if len(victims) == 0 {
 			continue
 		}
@@ -388,12 +407,7 @@ func (p *KLOCs) processPromotions(now sim.Time) sim.Duration {
 		if float64(fast.Free()) < highWaterFrac*float64(fast.Capacity) {
 			continue
 		}
-		var movers []*memsim.Frame
-		for _, f := range kn.MovableFrames() {
-			if promotable(f) {
-				movers = append(movers, f)
-			}
-		}
+		movers := p.collect(kn, promotable)
 		if len(movers) == 0 {
 			continue
 		}

@@ -108,10 +108,13 @@ func framesOn(m *memsim.Memory, node memsim.NodeID) []*memsim.Frame {
 // migrated — the gap KLOCs fill (§4.5).
 type AutoNUMA struct {
 	Base
-	// tracked app frames, insertion-ordered for deterministic scans.
+	// frames are the tracked app frames, in a deterministic order: a
+	// tracked frame's Slot is its index here plus one.
 	frames []*memsim.Frame
-	member map[memsim.FrameID]int
-	mig    *memsim.Migrator
+	// scratch holds one pass's victims or one knode's remote frames:
+	// Migrate does not keep the batch.
+	scratch []*memsim.Frame
+	mig     *memsim.Migrator
 	// moveKernel extends migration to kernel objects via the KLOC
 	// registry (the AutoNUMA+KLOCs configuration).
 	moveKernel bool
@@ -120,10 +123,7 @@ type AutoNUMA struct {
 
 // NewAutoNUMA returns vanilla AutoNUMA.
 func NewAutoNUMA() *AutoNUMA {
-	return &AutoNUMA{
-		Base:   Base{name: "autonuma", period: autoNUMAScanPeriod},
-		member: make(map[memsim.FrameID]int),
-	}
+	return &AutoNUMA{Base: Base{name: "autonuma", period: autoNUMAScanPeriod}}
 }
 
 // NewNimbleNUMA returns Nimble on the Optane platform: the same
@@ -180,21 +180,21 @@ func (p *AutoNUMA) PageAllocated(_ *kstate.Ctx, f *memsim.Frame) {
 	if f.Class != memsim.ClassApp {
 		return
 	}
-	p.member[f.ID] = len(p.frames)
 	p.frames = append(p.frames, f)
+	f.Slot = int32(len(p.frames))
 }
 
-// PageFreed forgets the frame.
+// PageFreed forgets the frame: the last tracked frame takes its slot.
 func (p *AutoNUMA) PageFreed(_ *kstate.Ctx, f *memsim.Frame) {
-	i, ok := p.member[f.ID]
-	if !ok {
+	if f.Slot == 0 {
 		return
 	}
-	last := len(p.frames) - 1
-	p.frames[i] = p.frames[last]
-	p.member[p.frames[i].ID] = i
+	i, last := f.Slot-1, len(p.frames)-1
+	moved := p.frames[last]
+	p.frames[i] = moved
+	moved.Slot = i + 1
 	p.frames = p.frames[:last]
-	delete(p.member, f.ID)
+	f.Slot = 0
 }
 
 // KLOC bookkeeping hooks (only live in the +KLOCs variant).
@@ -257,7 +257,7 @@ func (p *AutoNUMA) Tick(now sim.Time) sim.Duration {
 	var cost sim.Duration
 
 	// App pages: sample up to numaBatch recently used remote frames.
-	var victims []*memsim.Frame
+	victims := p.scratch[:0]
 	for _, f := range p.frames {
 		if len(victims) >= numaBatch {
 			break
@@ -269,6 +269,7 @@ func (p *AutoNUMA) Tick(now sim.Time) sim.Duration {
 	}
 	_, _, c := p.mig.Migrate(victims, local, now)
 	cost += c
+	p.scratch = victims
 
 	// Kernel objects via KLOCs (the §4.5 enhancement). Short-lived
 	// frames (younger than a scan period) are skipped: transient packet
@@ -277,12 +278,14 @@ func (p *AutoNUMA) Tick(now sim.Time) sim.Duration {
 	if p.Reg != nil {
 		young := now.Add(-p.period)
 		for _, kn := range p.Reg.ActiveKnodes() {
-			var remote []*memsim.Frame
-			for _, f := range kn.MovableFrames() {
+			remote := p.scratch[:0]
+			p.Reg.EachMovableFrame(kn, func(f *memsim.Frame) bool {
 				if f.Node != local && f.Allocated < young {
 					remote = append(remote, f)
 				}
-			}
+				return true
+			})
+			p.scratch = remote
 			if len(remote) == 0 {
 				continue
 			}
