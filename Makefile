@@ -10,9 +10,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repo's own invariant-enforcing analyzers (kloclint):
-# determinism hygiene, errno discipline, alloc/free pairing across
-# calls (lifecycle) and a truthful trace catalog (tracereach) —
-# DESIGN.md §10 — plus the marker audit.
+# determinism hygiene (nodeterminism), no discarded errors (errnocheck)
+# and a truthful trace catalog (tracereach) — DESIGN.md §10 — plus the
+# suppression audit of the //klocs:* markers.
 lint:
 	$(GO) run ./cmd/kloclint
 

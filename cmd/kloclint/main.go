@@ -9,14 +9,9 @@
 //	               map-iteration order
 //	errnocheck     no discarded errno-style error returns
 //
-// plus, over the whole module at once (call graph, CFGs, dataflow),
-// the interprocedural analyzers:
+// plus, over the whole module's call graph at once, the module
+// analyzer:
 //
-//	lifecycle      alloc/free pairing proven across call boundaries:
-//	               no double free, no path-dependent free, no leak on
-//	               early return
-//	errnoflow      errors escaping errno-speaking boundaries derive
-//	               from the internal/fault vocabulary
 //	tracereach     Tracer.Emit names are trace catalog constants, and
 //	               every catalog constant has a reachable Emit site
 //
@@ -28,7 +23,7 @@
 //
 //	kloclint              # lint the whole module
 //	kloclint -list        # show the analyzer suite
-//	kloclint -only errnocheck,lifecycle
+//	kloclint -only errnocheck,tracereach
 //	kloclint -json        # diagnostics as a JSON array on stdout
 //	kloclint -sarif out.sarif   # also write SARIF 2.1.0 for CI upload
 //	kloclint internal/fs internal/netsim   # specific package dirs
@@ -251,7 +246,7 @@ func usage() {
 			"Lints the module's packages with the invariant analyzer suite\n"+
 			"(see internal/analysis and DESIGN.md §10). With no package\n"+
 			"directories the whole module is linted, including the\n"+
-			"interprocedural analyzers and the marker suppression audit.\n\nflags:\n")
+			"module analyzer and the marker suppression audit.\n\nflags:\n")
 	flag.PrintDefaults()
 }
 

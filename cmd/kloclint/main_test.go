@@ -7,13 +7,13 @@ import (
 )
 
 // keptSuite is the analyzer suite -list must show, in order.
-var keptSuite = []string{"nodeterminism", "errnocheck", "lifecycle", "errnoflow", "tracereach", "suppressaudit"}
+var keptSuite = []string{"nodeterminism", "errnocheck", "tracereach", "suppressaudit"}
 
 // TestSelectAnalyzersRejectsDeletedNames pins that the deleted and
 // folded analyzers are gone from -only, and that the error lists the
 // valid names.
 func TestSelectAnalyzersRejectsDeletedNames(t *testing.T) {
-	for _, name := range []string{"rngflow", "allocpair", "tracenames"} {
+	for _, name := range []string{"rngflow", "allocpair", "tracenames", "lifecycle", "errnoflow"} {
 		_, _, err := selectAnalyzers(name)
 		if err == nil {
 			t.Fatalf("-only %s: accepted", name)
@@ -32,8 +32,8 @@ func TestSelectAnalyzersRejectsDeletedNames(t *testing.T) {
 
 func TestSelectAnalyzers(t *testing.T) {
 	pkg, mod, err := selectAnalyzers("")
-	if err != nil || len(pkg) != 2 || len(mod) != 3 {
-		t.Fatalf("default selection: %d package, %d module analyzers, err %v; want 2, 3, nil", len(pkg), len(mod), err)
+	if err != nil || len(pkg) != 2 || len(mod) != 1 {
+		t.Fatalf("default selection: %d package, %d module analyzers, err %v; want 2, 1, nil", len(pkg), len(mod), err)
 	}
 	pkg, mod, err = selectAnalyzers(" errnocheck, tracereach,")
 	if err != nil {

@@ -1,8 +1,10 @@
 package alloc
 
 import (
+	"errors"
 	"testing"
 
+	"kloc/internal/fault"
 	"kloc/internal/memsim"
 )
 
@@ -223,5 +225,21 @@ func TestArenaOversizeClamps(t *testing.T) {
 	}
 	if frames, live := liveFrames(m); live != 1 || frames != 1 {
 		t.Fatal("clamped alloc accounting wrong")
+	}
+}
+
+// TestCacheObjectSizeOutOfRange: a cache whose objects would not fit a
+// page, or have no size, is EINVAL.
+func TestCacheObjectSizeOutOfRange(t *testing.T) {
+	for _, size := range []int{-1, 0, memsim.PageSize + 1} {
+		if _, err := NewSlabCache(mem(), "x", size); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("slab cache of %d-byte objects: %v, want EINVAL", size, err)
+		}
+		if _, err := NewKlocCache(mem(), "x", size); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("KLOC cache of %d-byte objects: %v, want EINVAL", size, err)
+		}
+	}
+	if _, err := NewSlabCache(mem(), "x", memsim.PageSize); err != nil {
+		t.Errorf("slab cache of page-sized objects: %v", err)
 	}
 }

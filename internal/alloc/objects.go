@@ -177,12 +177,11 @@ func (a *Objects) cache(t kobj.Type, relocatable bool) (*SlabCache, error) {
 }
 
 // Free releases an object in ctx, firing the free hooks, and keeps its
-// struct for reuse. The freed object comes first, as in every Free*
-// entry point of the module, so the lifecycle analyzer tracks it. A nil
-// object is a no-op. A second Free of the same object before its
-// struct is reused reaches the hooks and the sanitizer, which reports
-// it, but does not put the struct on the free list twice; after reuse
-// it would free the new object, so no pointer may outlive a Free.
+// struct for reuse. A nil object is a no-op. A second Free of the same
+// object before its struct is reused reaches the hooks and the
+// sanitizer, which reports it, but does not put the struct on the free
+// list twice; after reuse it would free the new object, so no pointer
+// may outlive a Free.
 func (a *Objects) Free(o *kobj.Object, ctx *kstate.Ctx) {
 	if o == nil {
 		return

@@ -3,9 +3,8 @@
 // whole reproduction rests on properties no compiler checks: runs must
 // be deterministic in virtual time (the trace plane promises
 // byte-identical exports at a fixed seed), errno-style errors from the
-// fault plane must propagate instead of vanishing, trace events must
-// come from the registered catalog, and every simulated allocation
-// needs a free on every path.
+// fault plane must not be dropped, and trace events must come from the
+// registered catalog.
 //
 // Two per-package analyzers enforce those invariants over one package
 // at a time:
@@ -16,18 +15,17 @@
 //   - errnocheck: forbids silently discarding error returns from the
 //     module's alloc/fs/blockdev/netsim/pressure paths.
 //
-// Three module analyzers reason across call boundaries, over a
-// whole-module call graph (callgraph.go), per-function CFGs (cfg.go),
-// and dataflow with bottom-up SCC summary fixpoints (dataflow.go):
+// One module analyzer reasons across call boundaries, over a
+// whole-module call graph (callgraph.go):
 //
-//   - lifecycle: path-sensitive alloc/free state machine — double
-//     free, free-on-some-paths-only, leak on early return, composed
-//     through callee summaries;
-//   - errnoflow: every error escaping an errno-speaking boundary must
-//     provably derive from the internal/fault vocabulary;
 //   - tracereach: every Tracer.Emit site uses a constant from the
 //     internal/trace catalog, and every catalog constant has an Emit
 //     site reachable from the module's entry surface.
+//
+// That errors keep their errno and every allocation is freed on every
+// path, error paths included, is checked at runtime instead: the
+// sanitizer in internal/alloc and the harness's fault-table test, in
+// which a fault-armed run fails on any error that carries no errno.
 //
 // A full-suite run also audits the suppression markers themselves
 // (suppressaudit.go): analyzers consult Marked only once a diagnostic
@@ -52,8 +50,7 @@
 //
 //	//klocs:unordered         — this map range is order-insensitive
 //	//klocs:wallclock         — a host-speed measurement, never simulation input
-//	//klocs:ignore-errno      — this error is deliberately sunk or anonymous
-//	//klocs:ignore-lifecycle  — ownership transfer the analysis cannot see
+//	//klocs:ignore-errno      — this error is deliberately sunk
 //	//klocs:ignore-tracereach — catalog entry reserved intentionally
 //
 // DESIGN.md §10 documents what each analyzer guards and its kernel

@@ -72,8 +72,8 @@ func CheckExpectations(pkg *Package, a *Analyzer) ([]string, error) {
 }
 
 // CheckModuleExpectations is CheckExpectations for module analyzers:
-// it builds a Module over pkgs, runs the analyzer through the
-// interprocedural driver path, and diffs the diagnostics against the
+// it builds a Module over pkgs, runs the analyzer through the module
+// driver path, and diffs the diagnostics against the
 // packages' combined `// want` comments.
 func CheckModuleExpectations(pkgs []*Package, a *ModuleAnalyzer) ([]string, error) {
 	m := NewModule(pkgs)

@@ -69,7 +69,7 @@ func TestModuleTargets(t *testing.T) {
 }
 
 // TestModuleIsClean runs the full suite — per-package analyzers, the
-// interprocedural module analyzers, and the suppression audit — over
+// module analyzer, and the suppression audit — over
 // every lintable package of the module: the in-test equivalent of
 // `make lint` passing.
 func TestModuleIsClean(t *testing.T) {

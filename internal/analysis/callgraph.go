@@ -8,18 +8,18 @@ import (
 	"sort"
 )
 
-// This file builds the whole-module call graph the interprocedural
-// analyzers (lifecycle, errnoflow, tracereach) run over. The graph is
-// source-level, matching the loader: nodes are the module's declared
-// functions, methods, and function literals; edges are resolved per
-// call site. Three resolution strategies cover the module's idioms:
+// This file builds the whole-module call graph that tracereach and the
+// reachability census run over. The graph is source-level, matching
+// the loader: nodes are the module's declared functions, methods, and
+// function literals; edges are resolved per call site. Three
+// resolution strategies cover the module's idioms:
 //
 //   - static: direct calls to a named function or method;
 //   - interface: calls through an interface-typed receiver resolve,
 //     class-hierarchy-analysis style, to every module type whose
 //     method set implements the interface (this is how the pressure
 //     plane's Shrinker registrations and the allocators behind
-//     kobj.Freer stay visible to the analyzers);
+//     kobj.Freer stay visible);
 //   - dynamic: calls through function-typed values (RunConfig hooks,
 //     struct fields, locals). These get no callee edges; instead every
 //     function whose value is taken somewhere is recorded as a Ref of
@@ -32,27 +32,6 @@ import (
 // declaration (types.Func.Origin), and the callees of calls made in
 // package-level initializers join PackageRefs, since those calls run
 // when the package loads.
-//
-// Bottom-up traversal for summary fixpoints comes from Tarjan SCCs,
-// which this implementation emits callee-first.
-
-// CallKind classifies how a call site was resolved.
-type CallKind uint8
-
-// Call site kinds.
-const (
-	// CallStatic is a direct call to a known function or method.
-	CallStatic CallKind = iota
-	// CallInterface is a call through an interface method, resolved to
-	// the module implementations by class-hierarchy analysis.
-	CallInterface
-	// CallDynamic is a call through a function-typed value; targets are
-	// unknown (covered by Refs-based reachability).
-	CallDynamic
-	// CallExternal targets a function outside the analyzed module
-	// (standard library or unexported runtime machinery).
-	CallExternal
-)
 
 // A FuncNode is one function in the module call graph: a declared
 // function or method (Obj/Decl set) or a function literal (Lit set).
@@ -62,22 +41,15 @@ type FuncNode struct {
 	Lit  *ast.FuncLit
 	Pkg  *Package
 
-	// Calls lists the node's call sites in source order.
-	Calls []*CallSite
+	// Calls lists the module functions the node's calls resolve to, in
+	// source order: one per static call, every implementation for a
+	// call through an interface, none for a call through a function
+	// value or to a function outside the module.
+	Calls []*FuncNode
 	// Refs lists module functions whose value this function takes
 	// without calling (method values, hook assignments, func idents
 	// passed as arguments).
 	Refs []*FuncNode
-}
-
-// A CallSite is one resolved call expression inside a function.
-type CallSite struct {
-	Call *ast.CallExpr
-	Kind CallKind
-	// Callees are the resolved module targets: exactly one for
-	// CallStatic, zero or more for CallInterface, none for
-	// CallDynamic/CallExternal.
-	Callees []*FuncNode
 }
 
 // Body returns the function's body block (nil for bodyless decls).
@@ -286,10 +258,15 @@ func (g *CallGraph) walkBody(pkg *Package, node *FuncNode, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool { return walk(n, node) })
 }
 
-// resolveCall classifies one call site and attaches it to cur; at
-// package scope its callees join PackageRefs instead.
+// resolveCall resolves one call to its module callees and attaches
+// them to cur; at package scope they join PackageRefs instead.
 func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr, calleeIdents map[*ast.Ident]bool) {
-	site := &CallSite{Call: call}
+	var callees []*FuncNode
+	static := func(fn *types.Func) {
+		if target := g.node(fn); target != nil {
+			callees = append(callees, target)
+		}
+	}
 	fun := ast.Unparen(call.Fun)
 	// An explicit instantiation, F[T](...) or pkg.F[K, V](...), calls
 	// the generic function its base names.
@@ -302,72 +279,35 @@ func (g *CallGraph) resolveCall(pkg *Package, cur *FuncNode, call *ast.CallExpr,
 	switch f := fun.(type) {
 	case *ast.Ident:
 		calleeIdents[f] = true
-		switch obj := pkg.Info.Uses[f].(type) {
-		case *types.Func:
-			if target := g.node(obj); target != nil {
-				site.Kind, site.Callees = CallStatic, []*FuncNode{target}
-			} else {
-				site.Kind = CallExternal
-			}
-		case *types.Var:
-			site.Kind = CallDynamic
-		default:
-			// Builtin, type conversion, or unresolved: not a call edge.
-			return
+		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
+			static(fn)
 		}
 	case *ast.SelectorExpr:
 		calleeIdents[f.Sel] = true
 		if sel, ok := pkg.Info.Selections[f]; ok {
-			switch sel.Kind() {
-			case types.FieldVal:
-				site.Kind = CallDynamic
-			case types.MethodVal, types.MethodExpr:
-				fn, ok := sel.Obj().(*types.Func)
-				if !ok {
-					return
-				}
+			// A method call or method expression; a call through a
+			// function-typed field selects a Var and has no callee.
+			if fn, ok := sel.Obj().(*types.Func); ok {
 				if types.IsInterface(sel.Recv()) {
-					site.Kind = CallInterface
-					site.Callees = g.implementersOf(sel.Recv(), fn.Name())
-				} else if target := g.node(fn); target != nil {
-					site.Kind, site.Callees = CallStatic, []*FuncNode{target}
+					callees = g.implementersOf(sel.Recv(), fn.Name())
 				} else {
-					site.Kind = CallExternal
+					static(fn)
 				}
 			}
-		} else {
-			// Package-qualified: pkg.F(...) or pkg.Var(...).
-			switch obj := pkg.Info.Uses[f.Sel].(type) {
-			case *types.Func:
-				if target := g.node(obj); target != nil {
-					site.Kind, site.Callees = CallStatic, []*FuncNode{target}
-				} else {
-					site.Kind = CallExternal
-				}
-			case *types.Var:
-				site.Kind = CallDynamic
-			default:
-				return
-			}
+		} else if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
+			static(fn) // package-qualified: pkg.F(...)
 		}
 	case *ast.FuncLit:
-		// Immediately-invoked literal: edge added after the walk reaches
-		// the literal (its node exists already).
+		// Immediately-invoked literal: its node exists already.
 		if target := g.byLit[f]; target != nil {
-			site.Kind, site.Callees = CallStatic, []*FuncNode{target}
+			callees = append(callees, target)
 		}
-	default:
-		// Conversions, index expressions over func slices, etc.
-		if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-			return // type conversion
-		}
-		site.Kind = CallDynamic
 	}
 	if cur == nil {
-		g.PackageRefs = append(g.PackageRefs, site.Callees...)
+		g.PackageRefs = append(g.PackageRefs, callees...)
 		return
 	}
-	cur.Calls = append(cur.Calls, site)
+	cur.Calls = append(cur.Calls, callees...)
 }
 
 // genericBase returns the base of index expression e when the base
@@ -411,59 +351,6 @@ func (g *CallGraph) implementersOf(recv types.Type, method string) []*FuncNode {
 	return targets
 }
 
-// SCCs returns the strongly connected components of the call edges in
-// bottom-up (callee-first) order — the traversal order for summary
-// fixpoints. Tarjan's algorithm emits components in reverse
-// topological order of the condensation, which is exactly that.
-func (g *CallGraph) SCCs() [][]*FuncNode {
-	index := make(map[*FuncNode]int, len(g.Nodes))
-	lowlink := make(map[*FuncNode]int, len(g.Nodes))
-	onStack := make(map[*FuncNode]bool, len(g.Nodes))
-	var stack []*FuncNode
-	var sccs [][]*FuncNode
-	next := 0
-
-	var strongconnect func(n *FuncNode)
-	strongconnect = func(n *FuncNode) {
-		index[n] = next
-		lowlink[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, site := range n.Calls {
-			for _, m := range site.Callees {
-				if _, seen := index[m]; !seen {
-					strongconnect(m)
-					if lowlink[m] < lowlink[n] {
-						lowlink[n] = lowlink[m]
-					}
-				} else if onStack[m] && index[m] < lowlink[n] {
-					lowlink[n] = index[m]
-				}
-			}
-		}
-		if lowlink[n] == index[n] {
-			var scc []*FuncNode
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				scc = append(scc, m)
-				if m == n {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, n := range g.Nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-	return sccs
-}
-
 // Reachable computes the functions reachable from roots, following
 // call edges and value references (a stored hook keeps its target
 // reachable). PackageRefs are implicitly rooted: package initializers
@@ -486,10 +373,8 @@ func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]bool {
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, site := range n.Calls {
-			for _, m := range site.Callees {
-				add(m)
-			}
+		for _, m := range n.Calls {
+			add(m)
 		}
 		for _, m := range n.Refs {
 			add(m)

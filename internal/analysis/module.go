@@ -9,10 +9,9 @@ import (
 // This file is the whole-module layer of the framework: where an
 // Analyzer sees one package at a time, a ModuleAnalyzer sees every
 // loaded package plus the call graph over them, so it can reason
-// across call boundaries (alloc in one helper, free in another; an
-// errno laundered two packages away from the boundary it escapes).
-// The driver loads the module once, builds one Module, and runs the
-// interprocedural suite over it.
+// across call boundaries (a trace event emitted only from a function
+// nothing reachable calls). The driver loads the module once, builds
+// one Module, and runs the module suite over it.
 
 // A Module is the whole-program view: every loaded package and the
 // call graph connecting them.
@@ -122,7 +121,7 @@ func RunModuleAnalyzers(m *Module, analyzers []*ModuleAnalyzer, audit *MarkerAud
 
 // AllModule returns the module-analyzer suite in documentation order.
 func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{Lifecycle, ErrnoFlow, TraceReach}
+	return []*ModuleAnalyzer{TraceReach}
 }
 
 // SortDiagnostics orders diagnostics by position then analyzer name,

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/types"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -35,8 +33,6 @@ func checkModuleFixture(t *testing.T, a *ModuleAnalyzer, name string) {
 	}
 }
 
-func TestLifecycleFixture(t *testing.T)  { checkModuleFixture(t, Lifecycle, "lifecycle") }
-func TestErrnoFlowFixture(t *testing.T)  { checkModuleFixture(t, ErrnoFlow, "errnoflow") }
 func TestTraceReachFixture(t *testing.T) { checkModuleFixture(t, TraceReach, "tracereach") }
 
 // TestTraceNamesFixture runs tracereach over a fixture whose catalog
@@ -105,35 +101,28 @@ func nodeNamed(t *testing.T, g *CallGraph, label string) *FuncNode {
 	return nil
 }
 
+// calls labels the functions n's calls resolve to, in order.
+func calls(n *FuncNode) string {
+	labels := make([]string, len(n.Calls))
+	for i, c := range n.Calls {
+		labels[i] = c.String()
+	}
+	return strings.Join(labels, " ")
+}
+
 func TestCallGraphResolution(t *testing.T) {
 	pkg := loadFixturePkg(t, "callgraph")
 	g := BuildCallGraph([]*Package{pkg})
 
-	// Interface dispatch resolves to every implementing module type.
-	closeAll := nodeNamed(t, g, "CloseAll")
-	var ifaceSites []*CallSite
-	for _, site := range closeAll.Calls {
-		if site.Kind == CallInterface {
-			ifaceSites = append(ifaceSites, site)
-		}
-	}
-	if len(ifaceSites) != 1 {
-		t.Fatalf("CloseAll has %d interface call sites, want 1", len(ifaceSites))
-	}
-	callees := map[string]bool{}
-	for _, c := range ifaceSites[0].Callees {
-		callees[c.String()] = true
-	}
-	for _, want := range []string{"fixture.fileObj.Close", "fixture.sockObj.Close"} {
-		if !callees[want] {
-			t.Errorf("interface dispatch missing callee %s (got %v)", want, callees)
-		}
+	// Interface dispatch resolves CloseAll's one call to every
+	// implementing module type.
+	if got, want := calls(nodeNamed(t, g, "CloseAll")), "fixture.fileObj.Close fixture.sockObj.Close"; got != want {
+		t.Errorf("CloseAll calls %q, want %q", got, want)
 	}
 
-	// A call through a function-typed field is dynamic with no callees.
-	fire := nodeNamed(t, g, "Fire")
-	if len(fire.Calls) != 1 || fire.Calls[0].Kind != CallDynamic || len(fire.Calls[0].Callees) != 0 {
-		t.Errorf("Fire's hook call should be CallDynamic with no callees, got %+v", fire.Calls)
+	// A call through a function-typed field has no callee.
+	if got := calls(nodeNamed(t, g, "Fire")); got != "" {
+		t.Errorf("Fire's hook call resolves to %q, want no callee", got)
 	}
 
 	// Method values and function idents taken as values become Refs.
@@ -148,37 +137,18 @@ func TestCallGraphResolution(t *testing.T) {
 		}
 	}
 
-	// Direct calls resolve statically.
-	direct := nodeNamed(t, g, "Direct")
-	if len(direct.Calls) != 1 || direct.Calls[0].Kind != CallStatic {
-		t.Fatalf("Direct's call should be CallStatic, got %+v", direct.Calls)
-	}
-	if got := direct.Calls[0].Callees[0].String(); got != "fixture.helper" {
-		t.Errorf("Direct resolves to %s, want fixture.helper", got)
-	}
-
-	// A method of an instantiated generic type resolves statically to
-	// its generic declaration.
-	unbox := nodeNamed(t, g, "Unbox")
-	if len(unbox.Calls) != 1 || unbox.Calls[0].Kind != CallStatic {
-		t.Errorf("Unbox's call should be CallStatic, got %+v", unbox.Calls)
-	} else if got := unbox.Calls[0].Callees[0].String(); got != "fixture.box.Get" {
-		t.Errorf("Unbox resolves to %s, want fixture.box.Get", got)
-	}
-
-	// An explicit instantiation, with one type argument or several,
-	// resolves statically to the generic function.
-	inst := nodeNamed(t, g, "Instantiate")
-	var instCallees []string
-	for _, site := range inst.Calls {
-		if site.Kind != CallStatic || len(site.Callees) != 1 {
-			t.Errorf("Instantiate's call %s should be CallStatic with one callee, got kind %d with %d", types.ExprString(site.Call.Fun), site.Kind, len(site.Callees))
-			continue
+	// Direct calls resolve statically, and so does a method of an
+	// instantiated generic type, to its generic declaration, and an
+	// explicit instantiation, with one type argument or several, to the
+	// generic function.
+	for _, c := range []struct{ label, want string }{
+		{"Direct", "fixture.helper"},
+		{"Unbox", "fixture.box.Get"},
+		{"Instantiate", "fixture.first fixture.pick"},
+	} {
+		if got := calls(nodeNamed(t, g, c.label)); got != c.want {
+			t.Errorf("%s calls %q, want %q", c.label, got, c.want)
 		}
-		instCallees = append(instCallees, site.Callees[0].String())
-	}
-	if got := strings.Join(instCallees, " "); got != "fixture.first fixture.pick" {
-		t.Errorf("Instantiate resolves to %q, want \"fixture.first fixture.pick\"", got)
 	}
 
 	// Reachability follows Refs: storing a hook keeps its target alive.
@@ -191,77 +161,6 @@ func TestCallGraphResolution(t *testing.T) {
 	// A call in a package-level initializer roots its callee.
 	if !reached[nodeNamed(t, g, "initial")] {
 		t.Error("initial, called by a package initializer, is not reachable")
-	}
-}
-
-// TestSCCsCalleeFirst pins the bottom-up traversal order the summary
-// fixpoint depends on: a recursive cycle forms one component, emitted
-// before its caller.
-func TestSCCsCalleeFirst(t *testing.T) {
-	pkg := loadFixturePkg(t, "callgraph")
-	g := BuildCallGraph([]*Package{pkg})
-	even := nodeNamed(t, g, "even")
-	odd := nodeNamed(t, g, "odd")
-	parity := nodeNamed(t, g, "Parity")
-	sccs := g.SCCs()
-	idx := func(n *FuncNode) int {
-		for i, scc := range sccs {
-			for _, m := range scc {
-				if m == n {
-					return i
-				}
-			}
-		}
-		return -1
-	}
-	if idx(even) < 0 || idx(even) != idx(odd) {
-		t.Errorf("even (scc %d) and odd (scc %d) should share one SCC", idx(even), idx(odd))
-	}
-	if idx(even) >= idx(parity) {
-		t.Errorf("cycle SCC %d should be emitted before its caller's SCC %d", idx(even), idx(parity))
-	}
-}
-
-// TestReachingDefs pins the dataflow layer on a known shape: both
-// definitions of x reach the return.
-func TestReachingDefs(t *testing.T) {
-	pkg := loadFixturePkg(t, "callgraph")
-	var decl *ast.FuncDecl
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "Branchy" {
-				decl = fd
-			}
-		}
-	}
-	if decl == nil {
-		t.Fatal("fixture lacks Branchy")
-	}
-	cfg := NewCFG(decl.Body)
-	if cfg == nil || !cfg.OK {
-		t.Fatal("CFG construction failed for Branchy")
-	}
-	var x *types.Var
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "x" {
-			if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-				x = v
-			}
-		}
-		return true
-	})
-	if x == nil {
-		t.Fatal("no definition of x in Branchy")
-	}
-	rd := NewReachingDefs(cfg, pkg.Info, decl.Type, decl.Recv)
-	foundJoin := false
-	for _, b := range cfg.Blocks {
-		if b.Return != nil && len(rd.At(b, 0, x)) == 2 {
-			foundJoin = true
-		}
-	}
-	if !foundJoin {
-		t.Error("no return block sees both definitions of x")
 	}
 }
 
@@ -302,9 +201,9 @@ func loadModulePackages(t *testing.T) []*Package {
 }
 
 // TestShrinkerDispatchResolvesAcrossPackages pins the cross-package
-// interface resolution the interprocedural analyzers rely on: the
-// pressure plane's Shrinker.Scan dispatch must see the fs and netsim
-// registrations.
+// interface resolution reachability relies on: the pressure plane's
+// Shrinker.Scan dispatch must see the fs and netsim registrations,
+// which pressure does not import.
 func TestShrinkerDispatchResolvesAcrossPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -315,17 +214,14 @@ func TestShrinkerDispatchResolvesAcrossPackages(t *testing.T) {
 		if n.Pkg == nil || n.Pkg.Path != "kloc/internal/pressure" {
 			continue
 		}
-		for _, site := range n.Calls {
-			if site.Kind != CallInterface || calleeName(site.Call) != "Scan" {
-				continue
-			}
-			for _, c := range site.Callees {
+		for _, c := range n.Calls {
+			if c.Obj != nil && c.Obj.Name() == "Scan" {
 				calleePkgs[c.Pkg.Path] = true
 			}
 		}
 	}
 	if len(calleePkgs) == 0 {
-		t.Fatal("no interface Scan dispatch found in kloc/internal/pressure")
+		t.Fatal("no Scan call from kloc/internal/pressure resolves")
 	}
 	for _, want := range []string{"kloc/internal/fs", "kloc/internal/netsim"} {
 		if !calleePkgs[want] {

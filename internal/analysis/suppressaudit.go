@@ -32,8 +32,7 @@ const SuppressAuditName = "suppressaudit"
 var knownMarkers = map[string]bool{
 	"unordered":      true, // nodeterminism: map range is order-insensitive
 	"wallclock":      true, // nodeterminism: sanctioned wall-clock read (host-speed measurement only)
-	errnoMarker:      true, // errnocheck/errnoflow: error deliberately sunk or anonymous
-	lifecycleMarker:  true, // lifecycle: ownership transfer the analysis cannot see
+	errnoMarker:      true, // errnocheck: error deliberately sunk
 	traceReachMarker: true, // tracereach: catalog entry reserved intentionally
 }
 

@@ -1,8 +1,8 @@
-// Package fixture exercises the call graph's resolution strategies —
+// Package fixture exercises the call graph's resolution strategies:
 // static calls, interface dispatch, method values, function-typed
 // fields, methods of instantiated generic types, explicit
-// instantiations, calls in package initializers — and gives the CFG/dataflow tests small known shapes. The go
-// tool never builds testdata trees.
+// instantiations and calls in package initializers. The go tool never
+// builds testdata trees.
 package fixture
 
 // Closer is the dispatch interface.
@@ -71,32 +71,3 @@ func Instantiate() int { return first[int]([]int{1}) + pick[string, int]("a", 2)
 func initial() int { return 7 }
 
 var loaded = []int{initial()}
-
-// even and odd are mutually recursive: one strongly connected
-// component, emitted callee-first ahead of Parity.
-func even(n int) bool {
-	if n == 0 {
-		return true
-	}
-	return odd(n - 1)
-}
-
-func odd(n int) bool {
-	if n == 0 {
-		return false
-	}
-	return even(n - 1)
-}
-
-// Parity calls into the cycle.
-func Parity(n int) bool { return even(n) }
-
-// Branchy is the reaching-definitions and liveness specimen: two
-// definitions of x merge at the return.
-func Branchy(flag bool) int {
-	x := 1
-	if flag {
-		x = 2
-	}
-	return x
-}

@@ -1,5 +1,5 @@
 // Package fixture carries deliberate tracereach violations for the
-// interprocedural analyzer tests; the go tool never builds testdata
+// module analyzer tests; the go tool never builds testdata
 // trees. It imports the real trace package so Emit resolves to the
 // real method.
 package fixture

@@ -222,6 +222,27 @@ func TestNewRejectsBadFaults(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: a rate, route, arrival process or bug
+// fixture New cannot run is EINVAL.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"zero rate", func(c *Config) { c.Rate = 0 }},
+		{"negative rate", func(c *Config) { c.Rate = -1 }},
+		{"unknown route", func(c *Config) { c.Route = "random" }},
+		{"unknown arrival", func(c *Config) { c.Arrival = "uniform" }},
+		{"unknown bug fixture", func(c *Config) { c.Bug = "nosuch" }},
+	} {
+		cfg := testConfig()
+		tc.mod(&cfg)
+		if _, err := New(cfg); !errors.Is(err, fault.EINVAL) {
+			t.Errorf("%s: New returned %v, want EINVAL", tc.name, err)
+		}
+	}
+}
+
 // TestNewRejectsBadTracePatterns: an event pattern that is malformed
 // or matches no catalog event is EINVAL, as it is for a single run,
 // rather than a fleet that silently traces nothing.

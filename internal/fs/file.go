@@ -23,7 +23,8 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		return err
 	}
 	// Block mapping consults the extent tree on every write.
-	if _, err := f.extentFor(ctx, ind, idx); err != nil {
+	ext, err := f.extentFor(ctx, ind, idx)
+	if err != nil {
 		return err
 	}
 	p := ind.pages.get(idx)
@@ -32,16 +33,17 @@ func (f *FS) Write(ctx *kstate.Ctx, file *File, pageIdx int64) error {
 		if err != nil {
 			return err
 		}
-		// Allocate the extent and journal record before the page enters
-		// the cache: their direct reclaim drops clean cached pages, and a
-		// fresh page is clean until the write completes. If either
-		// allocation fails the page is freed; a record that was queued
-		// but whose journal commit failed keeps its page, since a later
-		// commit retries the record.
-		if _, err := f.extentFor(ctx, ind, idx); err != nil {
-			f.Objs.Free(obj, ctx)
-			return err
-		}
+		// A miss maps the new page's block through its extent again. The
+		// extent outlives the page allocation's direct reclaim: only
+		// destroyInode, Truncate and the dentry shrinker free extents, and
+		// the shrinker skips an inode that, like this one, is open.
+		f.Objs.Touch(ctx, ext, 0, false)
+		// Allocate the journal record before the page enters the cache:
+		// its direct reclaim drops clean cached pages, and a fresh page
+		// is clean until the write completes. If the allocation fails the
+		// page is freed; a record that was queued but whose journal
+		// commit failed keeps its page, since a later commit retries the
+		// record.
 		queued := len(f.journalPending)
 		jerr := f.journalRecord(ctx, journalOp{kind: opBlock, ino: ind.Ino, idx: pageIdx})
 		if jerr != nil && len(f.journalPending) == queued {

@@ -1,12 +1,14 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"kloc/internal/alloc"
 	"kloc/internal/blockdev"
+	"kloc/internal/fault"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
@@ -101,8 +103,8 @@ func TestCreateExistingOpens(t *testing.T) {
 
 func TestOpenMissingFails(t *testing.T) {
 	f, _ := newFS(t, nil)
-	if _, err := f.Open(ctxAt(0), "/missing"); err == nil {
-		t.Fatal("open of missing path succeeded")
+	if _, err := f.Open(ctxAt(0), "/missing"); !errors.Is(err, fault.ENOENT) {
+		t.Fatalf("open of missing path: %v, want ENOENT", err)
 	}
 }
 
@@ -421,8 +423,8 @@ func TestRepeatCloseChangesNothing(t *testing.T) {
 
 func TestUnlinkMissing(t *testing.T) {
 	f, _ := newFS(t, nil)
-	if err := f.Unlink(ctxAt(0), "/nope"); err == nil {
-		t.Fatal("unlink of missing file succeeded")
+	if err := f.Unlink(ctxAt(0), "/nope"); !errors.Is(err, fault.ENOENT) {
+		t.Fatalf("unlink of missing file: %v, want ENOENT", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"kloc/internal/fault"
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
@@ -111,11 +113,11 @@ func TestSendOnClosedSocket(t *testing.T) {
 	c := ctx()
 	s, _ := n.SocketCreate(c)
 	n.SocketClose(c, s)
-	if err := n.Send(c, s, 100); err == nil {
-		t.Fatal("send on closed socket succeeded")
+	if err := n.Send(c, s, 100); !errors.Is(err, fault.EBADF) {
+		t.Fatalf("send on closed socket: %v, want EBADF", err)
 	}
-	if _, err := n.Recv(c, s, 100); err == nil {
-		t.Fatal("recv on closed socket succeeded")
+	if _, err := n.Recv(c, s, 100); !errors.Is(err, fault.EBADF) {
+		t.Fatalf("recv on closed socket: %v, want EBADF", err)
 	}
 }
 

@@ -323,6 +323,15 @@ func (p *KLOCs) enqueue(q *[]*kloc.Knode, kn *kloc.Knode) {
 	*q = append(*q, kn)
 }
 
+// dequeue drops a processed batch, the first n knodes of q, and moves
+// the rest, requeued knodes last, to the front of q's array, which the
+// next enqueue reuses.
+func dequeue(q []*kloc.Knode, n int) []*kloc.Knode {
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	return q[:rest]
+}
+
 // Tick processes the demotion/promotion queues every period and runs
 // aging plus the app-page scan at the slower cadence.
 func (p *KLOCs) Tick(now sim.Time) sim.Duration {
@@ -356,13 +365,8 @@ func (p *KLOCs) Tick(now sim.Time) sim.Duration {
 func (p *KLOCs) processDemotions(now sim.Time) sim.Duration {
 	fast := p.K.Mem.Node(memsim.FastNode)
 	var cost sim.Duration
-	n := len(p.demoteQueue)
-	if n > klocKnodesPerTick {
-		n = klocKnodesPerTick
-	}
-	batch := p.demoteQueue[:n]
-	p.demoteQueue = p.demoteQueue[n:]
-	for _, kn := range batch {
+	n := min(len(p.demoteQueue), klocKnodesPerTick)
+	for _, kn := range p.demoteQueue[:n] {
 		delete(p.queued, kn.ID)
 		// A knode reactivated while queued is skipped.
 		if kn.Active && kn.Age < klocAgeThreshold {
@@ -387,19 +391,15 @@ func (p *KLOCs) processDemotions(now sim.Time) sim.Duration {
 			p.enqueue(&p.demoteQueue, kn)
 		}
 	}
+	p.demoteQueue = dequeue(p.demoteQueue, n)
 	return cost
 }
 
 func (p *KLOCs) processPromotions(now sim.Time) sim.Duration {
 	fast := p.K.Mem.Node(memsim.FastNode)
 	var cost sim.Duration
-	n := len(p.promoteQueue)
-	if n > klocKnodesPerTick {
-		n = klocKnodesPerTick
-	}
-	batch := p.promoteQueue[:n]
-	p.promoteQueue = p.promoteQueue[n:]
-	for _, kn := range batch {
+	n := min(len(p.promoteQueue), klocKnodesPerTick)
+	for _, kn := range p.promoteQueue[:n] {
 		delete(p.queued, kn.ID)
 		if !kn.Active {
 			continue
@@ -417,6 +417,7 @@ func (p *KLOCs) processPromotions(now sim.Time) sim.Duration {
 			p.enqueue(&p.promoteQueue, kn)
 		}
 	}
+	p.promoteQueue = dequeue(p.promoteQueue, n)
 	return cost
 }
 

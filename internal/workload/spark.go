@@ -25,6 +25,9 @@ type Spark struct {
 	heap       []*memsim.Frame
 	blockPages int64
 	nBlocks    int
+	// paths holds each thread's block paths, thread-major, built once
+	// at Setup: a block file is reopened for every page read back.
+	paths []string
 
 	// phase progress, per thread: each thread owns nBlocks/threads
 	// blocks and walks generate -> sort -> write.
@@ -71,13 +74,18 @@ func (w *Spark) Setup(k *kernel.Kernel, r *sim.RNG) error {
 	w.outBlock = make([]int, n)
 	w.outPage = make([]int64, n)
 	w.outFiles = make([]*fs.File, n)
+	per := w.blocksPerThread()
+	w.paths = make([]string, n*per)
+	for i := range w.paths {
+		w.paths[i] = fmt.Sprintf("/hdfs/part-%02d-%04d", i/per, i%per)
+	}
 	return nil
 }
 
 func (w *Spark) blocksPerThread() int { return w.nBlocks / w.cfg.Threads }
 
 func (w *Spark) blockPath(thread, b int) string {
-	return fmt.Sprintf("/hdfs/part-%02d-%04d", thread, b)
+	return w.paths[thread*w.blocksPerThread()+b]
 }
 
 // Step advances the thread's pipeline: each call performs one
