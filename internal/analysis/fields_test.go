@@ -12,9 +12,7 @@ import (
 // fieldKeep lists the struct fields the module keeps although no
 // production code reads them, each with its reason. A label is the
 // package path below the module, the type and the field.
-var fieldKeep = map[string]string{
-	"internal/chaos.Oracle.Desc": "the one-line statement of the invariant that the root API's ChaosOracles hands a library user",
-}
+var fieldKeep = map[string]string{}
 
 // TestEveryFieldHasAProductionReader is the field census, the
 // reachability census's twin for state: every struct field the module

@@ -12,17 +12,16 @@ import (
 // too, so what only they call (rbtree.Tree.Check's check) needs no
 // entry of its own. Labels are reachLabel's.
 var reachKeep = map[string]string{
-	"internal/fs.FS.Rename":                  "syscall surface the model-based syscall fuzzer is to drive",
-	"internal/fs.FS.Truncate":                "syscall surface the model-based syscall fuzzer is to drive",
-	"internal/fs.FS.SyncJournal":             "syscall surface the model-based syscall fuzzer is to drive",
-	"internal/netsim.Net.SocketClose":        "syscall surface the model-based syscall fuzzer is to drive",
-	"internal/kernel.Kernel.AppFree":         "syscall surface the model-based syscall fuzzer is to drive",
-	"internal/policy.KLOCs.SetFastMemLimit":  "the paper's Table 2 interface (sys_kloc_memsize)",
-	"internal/kloc.Knode.IterCache":          "the paper's Table 2 interface (itr_knode_cache)",
-	"internal/kloc.Knode.IterSlab":           "the paper's Table 2 interface (itr_knode_slab)",
-	"internal/kloc.Registry.FindCPU":         "the paper's Table 2 interface (find_cpu)",
-	"internal/rbtree.Tree.Check":             "the red-black invariant oracle the rbtree tests run after every step",
-	"internal/metrics.LifetimeTracker.Class": "the per-class distribution the kernel's lifetime differential test compares; runs report only its mean",
+	"internal/fs.FS.Rename":                 "syscall surface the model-based syscall fuzzer is to drive",
+	"internal/fs.FS.Truncate":               "syscall surface the model-based syscall fuzzer is to drive",
+	"internal/fs.FS.SyncJournal":            "syscall surface the model-based syscall fuzzer is to drive",
+	"internal/netsim.Net.SocketClose":       "syscall surface the model-based syscall fuzzer is to drive",
+	"internal/kernel.Kernel.AppFree":        "syscall surface the model-based syscall fuzzer is to drive",
+	"internal/policy.KLOCs.SetFastMemLimit": "the paper's Table 2 interface (sys_kloc_memsize)",
+	"internal/kloc.Knode.IterCache":         "the paper's Table 2 interface (itr_knode_cache)",
+	"internal/kloc.Knode.IterSlab":          "the paper's Table 2 interface (itr_knode_slab)",
+	"internal/kloc.Registry.FindCPU":        "the paper's Table 2 interface (find_cpu)",
+	"internal/rbtree.Tree.Check":            "the red-black invariant oracle the rbtree tests run after every step",
 }
 
 // TestEveryFunctionHasAProductionCaller is the reachability census:

@@ -60,8 +60,8 @@ type Config struct {
 	DeterminismEvery int
 	// Workload is the per-target workload (default "redis").
 	Workload string
-	// ScaleDiv scales the platform (default 256: chaos wants many
-	// small runs, not few faithful ones).
+	// ScaleDiv scales the platform (zero means 256: chaos wants many
+	// small runs, not few faithful ones; a negative divisor is EINVAL).
 	ScaleDiv int
 	// Duration is each run's measured window (default 10 ms).
 	Duration sim.Duration
@@ -92,7 +92,7 @@ func (c Config) withDefaults() Config {
 	if c.Workload == "" {
 		c.Workload = "redis"
 	}
-	if c.ScaleDiv <= 0 {
+	if c.ScaleDiv == 0 {
 		c.ScaleDiv = 256
 	}
 	if c.Duration <= 0 {
@@ -110,6 +110,9 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown target %q (valid: %s, %s): %w",
 			c.Target, TargetCluster, TargetMachine, fault.EINVAL)
+	}
+	if c.ScaleDiv < 0 {
+		return fmt.Errorf("chaos: scale divisor %d is negative: %w", c.ScaleDiv, fault.EINVAL)
 	}
 	return nil
 }

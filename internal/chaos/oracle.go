@@ -43,7 +43,6 @@ const (
 // the violation detail, or "" when the invariant held.
 type Oracle struct {
 	ID    string
-	Desc  string
 	Check func(*Outcome) string
 }
 
@@ -51,8 +50,7 @@ type Oracle struct {
 // (the first violation is the one reported and minimized against).
 func Registry(target string) []Oracle {
 	oracles := []Oracle{{
-		ID:   OracleRunError,
-		Desc: "the run completes without a non-errno failure",
+		ID: OracleRunError,
 		Check: func(o *Outcome) string {
 			if o.RunErr != nil {
 				return o.RunErr.Error()
@@ -64,39 +62,32 @@ func Registry(target string) []Oracle {
 		return append(oracles,
 			Oracle{
 				ID:    OracleJournal,
-				Desc:  "crash teardown is total and journal replay rebuilds the durable image exactly",
 				Check: checkJournal,
 			},
 			Oracle{
 				ID:    OracleSanitizer,
-				Desc:  "no double frees, use-after-free accesses, or leaked objects",
 				Check: checkSanitizer,
 			})
 	}
 	return append(oracles,
 		Oracle{
 			ID:    OracleDrain,
-			Desc:  "every in-flight request drains inside the settle bound",
 			Check: checkDrain,
 		},
 		Oracle{
 			ID:    OracleReadmit,
-			Desc:  "every ejected machine is eventually re-admitted",
 			Check: checkReadmit,
 		},
 		Oracle{
 			ID:    OracleOutstanding,
-			Desc:  "balancer and machine gauges return to zero after drain",
 			Check: checkOutstanding,
 		},
 		Oracle{
 			ID:    OracleTerminate,
-			Desc:  "every admitted request terminates exactly once",
 			Check: checkTerminate,
 		},
 		Oracle{
 			ID:    OracleBreaker,
-			Desc:  "no breaker holds half-open probe slots with nothing in flight",
 			Check: checkBreaker,
 		})
 }

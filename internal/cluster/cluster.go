@@ -80,7 +80,8 @@ type Config struct {
 	QueueLimit int
 
 	// Workload is the per-machine serving workload (default "redis");
-	// ScaleDiv scales footprints.
+	// ScaleDiv scales footprints (zero means 64; a negative divisor is
+	// EINVAL).
 	Workload string
 	ScaleDiv int
 
@@ -316,6 +317,9 @@ func wrapErr(op string, err error) error {
 // and the balancer, health checker, and fault schedules are armed.
 // Nothing is measured until Run.
 func New(cfg Config) (*Cluster, error) {
+	if cfg.ScaleDiv < 0 {
+		return nil, fmt.Errorf("cluster: scale divisor %d is negative: %w", cfg.ScaleDiv, fault.EINVAL)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("cluster: arrival rate must be positive: %w", fault.EINVAL)

@@ -272,7 +272,7 @@ func TestFig5cPlanCumulative(t *testing.T) {
 			if !ok {
 				t.Fatalf("run %d: policy %T, want *policy.KLOCs", i, run.Policy)
 			}
-			for _, typ := range kobj.Types() {
+			for typ := kobj.Inode; typ <= kobj.RadixNode; typ++ { // every type, in declaration order
 				want := slices.Index(groups, kobj.GroupOf(typ)) < i
 				if got := pol.UseKlocAllocator(typ); got != want {
 					t.Errorf("%s run %d: tracks %v = %v, want %v", run.Workload, i, typ, got, want)

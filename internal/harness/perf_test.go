@@ -71,10 +71,12 @@ const allocsPerOpCeiling = 2.4
 // bytesPerOpCeiling caps end2endRun's heap bytes allocated per
 // simulated op, which the count above does not see: a change can keep
 // the number of allocations and make each larger. Measured on a 2-CPU
-// host: 339.1 over 89,120 ops; 385.6 before the knode walk stopped
+// host: 277.7 over 89,120 ops (278.4 under -race); 339.1 before memsim
+// dropped its live-frame table and the lifetime tracker its samples,
+// which left the count at 2.16; 385.6 before the knode walk stopped
 // building a frame set and list per call. The ceiling is the measured
 // value +10%, rounded up.
-const bytesPerOpCeiling = 374
+const bytesPerOpCeiling = 306
 
 // runEnd2End runs end2endRun and returns the result and its heap
 // allocations and bytes allocated per simulated op (the

@@ -47,7 +47,8 @@ type RunConfig struct {
 	// the Table-4 default scaled by ScaleDiv.
 	TwoTier memsim.TwoTierConfig
 	// ScaleDiv scales the platform when TwoTier is zero or Platform is
-	// Optane, and always scales the workload.
+	// Optane, and always scales the workload. Zero means 64; a negative
+	// divisor is EINVAL.
 	ScaleDiv int
 
 	PolicyName string
@@ -244,6 +245,9 @@ func (c RunConfig) buildMemory() *memsim.Memory {
 func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Duration < 0 {
 		return nil, fmt.Errorf("harness: duration %v is negative: %w", cfg.Duration, fault.EINVAL)
+	}
+	if cfg.ScaleDiv < 0 {
+		return nil, fmt.Errorf("harness: scale divisor %d is negative: %w", cfg.ScaleDiv, fault.EINVAL)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Trace != nil {
@@ -530,9 +534,9 @@ func collect(cfg RunConfig, k *kernel.Kernel, pol kernel.Policy, wl workload.Wor
 			}
 		}
 	}
-	res.AppLifetime = k.Lifetimes.MeanLifetime("app")
-	res.SlabLifetime = k.Lifetimes.MeanLifetime("slab")
-	res.CacheLifetime = k.Lifetimes.MeanLifetime("cache")
+	res.AppLifetime = k.Lifetimes.Class(metrics.LifetimeApp).Mean()
+	res.SlabLifetime = k.Lifetimes.Class(metrics.LifetimeSlab).Mean()
+	res.CacheLifetime = k.Lifetimes.Class(metrics.LifetimeCache).Mean()
 	res.ReadaheadIssued = k.FS.Stats.ReadaheadIssued - base.raIssued
 	res.ReadaheadHits = k.FS.Stats.ReadaheadHits - base.raHits
 	res.FS = k.FS.Stats

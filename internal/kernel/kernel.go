@@ -67,7 +67,7 @@ type Kernel struct {
 	San *alloc.Sanitizer
 
 	// Lifetimes records object/page lifetimes by class (Fig 2d).
-	Lifetimes *metrics.LifetimeTracker
+	Lifetimes metrics.LifetimeTracker
 
 	// taskSocket is the socket the workload currently runs on (Optane
 	// experiments migrate the task mid-run). The migration is a
@@ -89,10 +89,9 @@ type Kernel struct {
 // New assembles a kernel over a memory platform with the given policy.
 func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 	k := &Kernel{
-		Eng:       eng,
-		Mem:       mem,
-		Policy:    pol,
-		Lifetimes: metrics.NewLifetimeTracker(),
+		Eng:    eng,
+		Mem:    mem,
+		Policy: pol,
 	}
 	k.SetTaskSocket(0)
 	hooks := &muxHooks{Hooks: pol, kernel: k}
@@ -338,18 +337,18 @@ func (k *Kernel) AppFree(ctx *kstate.Ctx, frames []*memsim.Frame) {
 		k.San.TrackFree(appIDBit|uint64(f.ID), ctx.Now)
 		k.Trace.Emit(trace.ObjFree, ctx.Now, 0, uint64(f.ID), "app",
 			int(f.Node), int64(f.Pages())*memsim.PageSize)
-		k.Lifetimes.Died("app", f.Allocated, ctx.Now)
+		k.Lifetimes.Died(metrics.LifetimeApp, f.Allocated, ctx.Now)
 		k.Policy.PageFreed(ctx, f)
 		k.Mem.Free(f)
 	}
 }
 
 // lifetimeClass buckets object types the way Fig 2d reports them.
-func lifetimeClass(t kobj.Type) string {
+func lifetimeClass(t kobj.Type) metrics.LifetimeClass {
 	if t.Info().Alloc == kobj.AllocSlab {
-		return "slab"
+		return metrics.LifetimeSlab
 	}
-	return "cache"
+	return metrics.LifetimeCache
 }
 
 // muxHooks is the Hooks implementation handed to fs and netsim: the

@@ -7,6 +7,7 @@ import (
 	"kloc/internal/kobj"
 	"kloc/internal/kstate"
 	"kloc/internal/memsim"
+	"kloc/internal/metrics"
 	"kloc/internal/sim"
 )
 
@@ -105,13 +106,13 @@ func TestAppPageLifecycle(t *testing.T) {
 	if mappedFrames(k.Mem) != 0 || liveFrames(k.Mem) != 0 {
 		t.Fatal("free leaked")
 	}
-	// Lifetime recorded under "app".
-	if k.Lifetimes.Class("app") == nil || k.Lifetimes.Class("app").Count() != 10 {
+	// Lifetime recorded under app.
+	if k.Lifetimes.Class(metrics.LifetimeApp).Deaths != 10 {
 		t.Fatal("app lifetimes not recorded")
 	}
 	// Double free is a no-op.
 	k.AppFree(ctx, frames)
-	if k.Lifetimes.Class("app").Count() != 10 {
+	if k.Lifetimes.Class(metrics.LifetimeApp).Deaths != 10 {
 		t.Fatal("double free counted")
 	}
 }
@@ -182,16 +183,16 @@ func TestObjectLifetimesViaHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slab objects (inode, dentry, extent...) and cache pages died.
-	if k.Lifetimes.Class("slab") == nil || k.Lifetimes.Class("slab").Count() == 0 {
+	if k.Lifetimes.Class(metrics.LifetimeSlab).Deaths == 0 {
 		t.Fatal("no slab lifetimes recorded")
 	}
-	if k.Lifetimes.Class("cache") == nil || k.Lifetimes.Class("cache").Count() == 0 {
+	if k.Lifetimes.Class(metrics.LifetimeCache).Deaths == 0 {
 		t.Fatal("no cache lifetimes recorded")
 	}
 }
 
 func TestLifetimeClassMapping(t *testing.T) {
-	if lifetimeClass(kobj.Dentry) != "slab" || lifetimeClass(kobj.PageCache) != "cache" {
+	if lifetimeClass(kobj.Dentry) != metrics.LifetimeSlab || lifetimeClass(kobj.PageCache) != metrics.LifetimeCache {
 		t.Fatal("lifetime class mapping wrong")
 	}
 }

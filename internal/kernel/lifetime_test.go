@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"kloc/internal/harness"
@@ -29,7 +28,7 @@ type bornMapPolicy struct {
 	kernel.Policy
 	k    *kernel.Kernel
 	born map[uint64]sim.Time
-	dist map[string]*metrics.Distribution
+	dist map[metrics.LifetimeClass]*metrics.Distribution
 	dead map[uint64]bool
 	bad  []string
 }
@@ -38,7 +37,7 @@ func newBornMapPolicy(inner kernel.Policy) *bornMapPolicy {
 	return &bornMapPolicy{
 		Policy: inner,
 		born:   make(map[uint64]sim.Time),
-		dist:   make(map[string]*metrics.Distribution),
+		dist:   make(map[metrics.LifetimeClass]*metrics.Distribution),
 		dead:   make(map[uint64]bool),
 	}
 }
@@ -65,14 +64,14 @@ func (p *bornMapPolicy) bornAt(id uint64, t sim.Time) {
 	p.born[id] = t
 }
 
-func (p *bornMapPolicy) diedAt(id uint64, class string, t sim.Time) {
+func (p *bornMapPolicy) diedAt(id uint64, class metrics.LifetimeClass, t sim.Time) {
 	if p.dead[id] {
-		p.bad = append(p.bad, fmt.Sprintf("%s id %#x died twice", class, id))
+		p.bad = append(p.bad, fmt.Sprintf("%s id %#x died twice", lifetimeNames[class], id))
 	}
 	p.dead[id] = true
 	b, ok := p.born[id]
 	if !ok {
-		p.bad = append(p.bad, fmt.Sprintf("%s id %#x died without a live birth", class, id))
+		p.bad = append(p.bad, fmt.Sprintf("%s id %#x died without a live birth", lifetimeNames[class], id))
 		return
 	}
 	delete(p.born, id)
@@ -90,9 +89,9 @@ func (p *bornMapPolicy) ObjectCreated(ctx *kstate.Ctx, ino uint64, o *kobj.Objec
 }
 
 func (p *bornMapPolicy) ObjectFreed(ctx *kstate.Ctx, o *kobj.Object) {
-	class := "cache"
+	class := metrics.LifetimeCache
 	if o.Type.Info().Alloc == kobj.AllocSlab {
-		class = "slab"
+		class = metrics.LifetimeSlab
 	}
 	p.diedAt(uint64(o.ID), class, ctx.Now)
 	p.Policy.ObjectFreed(ctx, o)
@@ -107,57 +106,44 @@ func (p *bornMapPolicy) PageAllocated(ctx *kstate.Ctx, f *memsim.Frame) {
 
 func (p *bornMapPolicy) PageFreed(ctx *kstate.Ctx, f *memsim.Frame) {
 	if f.Class == memsim.ClassApp {
-		p.diedAt(refAppBit|uint64(f.ID), "app", ctx.Now)
+		p.diedAt(refAppBit|uint64(f.ID), metrics.LifetimeApp, ctx.Now)
 	}
 	p.Policy.PageFreed(ctx, f)
 }
 
+// lifetimeNames names the tracker's classes in test messages.
+var lifetimeNames = [...]string{
+	metrics.LifetimeApp:   "app",
+	metrics.LifetimeSlab:  "slab",
+	metrics.LifetimeCache: "cache",
+}
+
 // sameLifetimes requires the kernel's tracker, which reads each
 // object's own birth stamp, to report exactly the reference's
-// per-class distributions (count, mean, min, max, p50 and p99), and no
-// object or app page to die twice or without a birth: the born map
-// ignored such deaths, the stamp-based path would count them.
-func sameLifetimes(t *testing.T, ref *bornMapPolicy, want ...string) {
+// per-class death count and mean lifetime, and no object or app page
+// to die twice or without a birth: the born map ignored such deaths,
+// the stamp-based path would count them.
+func sameLifetimes(t *testing.T, ref *bornMapPolicy, want ...metrics.LifetimeClass) {
 	t.Helper()
 	if n := len(ref.bad); n > 0 {
 		t.Errorf("%d deaths without exactly one birth, first %v", n, ref.bad[:min(n, 5)])
 	}
-	got := ref.k.Lifetimes
-	// The kernel records deaths under these three classes only.
-	classes := []string{"app", "cache", "slab"}
-	for class := range ref.dist {
-		if !slices.Contains(classes, class) {
-			t.Fatalf("reference records class %s", class)
-		}
-	}
 	for _, class := range want {
 		if ref.dist[class] == nil || ref.dist[class].Count() == 0 {
-			t.Fatalf("no %s deaths: the run does not exercise the tracker", class)
+			t.Fatalf("no %s deaths: the run does not exercise the tracker", lifetimeNames[class])
 		}
 	}
-	for _, class := range classes {
-		g, w := got.Class(class), ref.dist[class]
-		if (g == nil) != (w == nil) {
-			t.Fatalf("class %s: tracker has it %v, reference %v", class, g != nil, w != nil)
-		}
+	for class, name := range lifetimeNames {
+		g, w := ref.k.Lifetimes.Class(metrics.LifetimeClass(class)), ref.dist[metrics.LifetimeClass(class)]
 		if w == nil {
-			continue
+			w = &metrics.Distribution{}
 		}
-		t.Logf("%s: %d deaths", class, g.Count())
-		for _, m := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"count", float64(g.Count()), float64(w.Count())},
-			{"mean", g.Mean(), w.Mean()},
-			{"min", g.Min(), w.Min()},
-			{"max", g.Max(), w.Max()},
-			{"p50", g.Quantile(0.5), w.Quantile(0.5)},
-			{"p99", g.Quantile(0.99), w.Quantile(0.99)},
-		} {
-			if m.got != m.want {
-				t.Errorf("%s %s = %v, reference %v", class, m.name, m.got, m.want)
-			}
+		t.Logf("%s: %d deaths", name, g.Deaths)
+		if g.Deaths != w.Count() {
+			t.Errorf("%s count = %d, reference %d", name, g.Deaths, w.Count())
+		}
+		if want := sim.Duration(w.Mean()); g.Mean() != want {
+			t.Errorf("%s mean = %v, reference %v", name, g.Mean(), want)
 		}
 	}
 }
@@ -182,7 +168,7 @@ func TestLifetimesMatchBornMap(t *testing.T) {
 				ScaleDiv: o.ScaleDiv, Duration: o.Duration, Seed: o.Seed}); err != nil {
 				t.Fatal(err)
 			}
-			sameLifetimes(t, ref, "slab", "cache")
+			sameLifetimes(t, ref, metrics.LifetimeSlab, metrics.LifetimeCache)
 		})
 	}
 	t.Run("app-churn", func(t *testing.T) {
@@ -235,6 +221,6 @@ func TestLifetimesMatchBornMap(t *testing.T) {
 		if n != len(mapped) {
 			t.Fatalf("%d frames mapped as app pages, want %d", n, len(mapped))
 		}
-		sameLifetimes(t, ref, "app")
+		sameLifetimes(t, ref, metrics.LifetimeApp)
 	})
 }

@@ -69,15 +69,6 @@ func (t Type) Info() Info { return infos[t] }
 // String returns the Table-1 name.
 func (t Type) String() string { return infos[t].Name }
 
-// Types returns all Table-1 object types in declaration order.
-func Types() []Type {
-	out := make([]Type, numTypes)
-	for i := range out {
-		out[i] = Type(i)
-	}
-	return out
-}
-
 // Group buckets types for the Fig 5c sensitivity study, which
 // incrementally adds KLOC support for page caches, journals, slab
 // objects, socket buffers, and block I/O.

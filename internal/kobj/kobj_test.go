@@ -16,12 +16,11 @@ func TestObjectSize(t *testing.T) {
 }
 
 func TestTableOneTaxonomy(t *testing.T) {
-	types := Types()
-	if len(types) != 12 {
-		t.Fatalf("expected 12 object types (Table 1 + radix nodes), got %d", len(types))
+	if numTypes != 12 {
+		t.Fatalf("expected 12 object types (Table 1 + radix nodes), got %d", numTypes)
 	}
 	seen := map[string]bool{}
-	for _, typ := range types {
+	for typ := Type(0); typ < numTypes; typ++ {
 		info := typ.Info()
 		if info.Name == "" {
 			t.Fatalf("type %d has no name", typ)
@@ -67,7 +66,7 @@ func TestGroups(t *testing.T) {
 		}
 	}
 	// Every type belongs to exactly one group.
-	for _, typ := range Types() {
+	for typ := Type(0); typ < numTypes; typ++ {
 		g := GroupOf(typ)
 		if int(g) >= len(groups) {
 			t.Fatalf("%s has invalid group", typ)

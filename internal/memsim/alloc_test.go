@@ -37,8 +37,8 @@ func TestFrameChunkFitsSizeClass(t *testing.T) {
 func TestFreshFramesComeInChunks(t *testing.T) {
 	m := NewTwoTier(DefaultTwoTier(1))
 	// AllocsPerRun makes one warm-up pass before the measured one; size
-	// the live table for both so only the chunks are counted.
-	m.live = make([]*Frame, 0, 4*frameChunk)
+	// the block list for both so only the chunks are counted.
+	m.blocks = make([]*[frameChunk]Frame, 0, 4)
 	avg := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 2*frameChunk; i++ {
 			if _, err := m.Alloc(FastNode, ClassApp, 0); err != nil {

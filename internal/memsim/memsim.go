@@ -160,7 +160,7 @@ type FrameID uint64
 //	16  Knode
 //	24  Allocated
 //	32  LastAccess
-//	40  Migrations, Mapped, two bytes of padding, pos
+//	40  Migrations, Mapped, six spare bytes
 //	48  Seen
 //	56  prev, next, list
 //	80  l4
@@ -171,6 +171,9 @@ type FrameID uint64
 // owner: Seen is the reclaim scanner's (lru.Lists), prev/next/list the
 // FrameList's, l4 the L4 caches', Stamp the frame walks' (NextStamp)
 // and Slot the AutoNUMA tracked set's. Alloc zeroes all of them.
+//
+// Like mem_map, the frames a Memory has carved are its only record of
+// which pages exist: a frame is live while its Class is not ClassFree.
 type Frame struct {
 	ID    FrameID
 	Node  NodeID
@@ -197,9 +200,6 @@ type Frame struct {
 	// Mapped marks an application page the kernel has mapped and not
 	// yet unmapped (kernel.AppAlloc sets it, AppFree clears it).
 	Mapped bool
-	// pos is the frame's index in the live table (-1 = not live).
-	// Maintained by Alloc/Free via swap-remove.
-	pos int32
 
 	// Seen is the reclaim scanner's stamp: the LastAccess value it
 	// observed when it last looked at the frame (lru.Lists).
@@ -281,17 +281,17 @@ type Memory struct {
 	// slice is installed by AttachL4 at setup.
 	l4 []*l4Cache
 
-	// live is the compact live-frame table (DESIGN.md §13); each live
-	// frame's pos is its index here.
-	live      []*Frame
 	nextFrame FrameID
 	// freeFrames is the frame freelist: Free pushes retired Frame
 	// structs, Alloc recycles them (with fresh IDs, so stale FrameIDs
 	// never alias a new allocation's identity).
 	freeFrames []*Frame
-	// chunk holds the fresh Frames not yet handed out from the last
-	// frameChunk-sized block, the way struct page comes out of one
-	// mem_map array rather than one allocation per page.
+	// blocks are the frameChunk-sized arrays every Frame is carved
+	// from, the way struct page comes out of mem_map rather than one
+	// allocation per page, and chunk holds the last block's Frames not
+	// yet handed out. The carved frames whose Class is not ClassFree
+	// are the live set; no other table lists them.
+	blocks    []*[frameChunk]Frame
 	chunk     []Frame
 	poolFresh uint64
 	poolReuse uint64
@@ -431,13 +431,18 @@ func faultPointFor(class Class) fault.Point {
 }
 
 // Alloc allocates one base-order frame on the given node for the given
-// class.
+// class. It never hands a frame out as ClassFree, the class that marks
+// a frame as not live: asking for it is EINVAL.
 func (m *Memory) Alloc(node NodeID, class Class, now sim.Time) (*Frame, error) {
 	return m.AllocOrder(node, class, 0, now)
 }
 
-// AllocOrder allocates a compound frame of 2^order base pages.
+// AllocOrder allocates a compound frame of 2^order base pages. Like
+// Alloc, it refuses ClassFree with EINVAL.
 func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time) (*Frame, error) {
+	if class == ClassFree {
+		return nil, fault.EINVAL
+	}
 	n := m.Node(node)
 	pages := 1 << order
 	if n.used+pages > n.Capacity {
@@ -471,7 +476,9 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		m.poolReuse++
 	} else {
 		if len(m.chunk) == 0 {
-			m.chunk = make([]Frame, frameChunk)
+			b := new([frameChunk]Frame)
+			m.blocks = append(m.blocks, b)
+			m.chunk = b[:]
 		}
 		f = &m.chunk[0]
 		m.chunk = m.chunk[1:]
@@ -486,8 +493,6 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		LastAccess: now,
 	}
 	m.nextFrame++
-	f.pos = int32(len(m.live))
-	m.live = append(m.live, f)
 	m.allocsDense[node][class] += uint64(pages)
 	m.usedDense[node][class] += pages
 	return f, nil
@@ -506,13 +511,15 @@ const frameChunk = 170
 // share frames visits each frame once and builds no set. A walk must
 // finish before the next one starts, and visits only live frames.
 // Stamps skip 0, which Alloc gives every frame; when the counter wraps,
-// NextStamp first clears every live frame's stamp, so no stamp left
+// NextStamp first clears every carved frame's stamp, so no stamp left
 // from before the wrap can match a later walk.
 func (m *Memory) NextStamp() uint32 {
 	m.stamp++
 	if m.stamp == 0 {
-		for _, f := range m.live {
-			f.Stamp = 0
+		for _, b := range m.blocks {
+			for i := range b {
+				b[i].Stamp = 0
+			}
 		}
 		m.stamp = 1
 	}
@@ -549,7 +556,8 @@ func (m *Memory) AllocFallback(order []NodeID, class Class, now sim.Time) (*Fram
 	return nil, ErrNoMemory
 }
 
-// Free releases a frame. Freeing a frame that is not live is a no-op
+// Free releases a frame: its class becomes ClassFree, which takes it
+// out of the live set. Freeing a frame that is not live is a no-op
 // (double free); note that the no-op guarantee only holds until the
 // struct is recycled into a new allocation — the
 // sanitizer plane (alloc.Sanitizer) is the gate that proves callers
@@ -560,43 +568,41 @@ func (m *Memory) Free(f *Frame) {
 	if f == nil {
 		return
 	}
-	if f.pos < 0 || int(f.pos) >= len(m.live) || m.live[f.pos] != f {
+	if f.Class == ClassFree {
 		return // double free is a no-op
 	}
 	if f.list != nil {
 		f.list.Remove(f)
 	}
-	last := len(m.live) - 1
-	moved := m.live[last]
-	m.live[f.pos] = moved
-	moved.pos = f.pos
-	m.live = m.live[:last]
-	f.pos = -1
 	m.usedDense[f.Node][f.Class] -= f.Pages()
 	m.Node(f.Node).used -= f.Pages()
 	f.Class = ClassFree
 	m.freeFrames = append(m.freeFrames, f)
 }
 
-// EachLive calls fn on every live frame, in live-table order (which is
-// arbitrary: use it only where order cannot matter). fn must not
+// EachLive calls fn on every live frame in carve order: the order the
+// frames' structs were first carved, which recycling makes unrelated
+// to their IDs, so use it only where order cannot matter. fn must not
 // allocate or free frames.
 func (m *Memory) EachLive(fn func(*Frame)) {
-	for _, f := range m.live {
-		fn(f)
+	for _, b := range m.blocks {
+		for i := range b {
+			if f := &b[i]; f.Class != ClassFree {
+				fn(f)
+			}
+		}
 	}
 }
 
 // FramesOn returns the live frames on a node, sorted by frame ID for
-// deterministic iteration (the live table's swap-remove order is
-// arbitrary).
+// deterministic iteration (carve order is not ID order).
 func (m *Memory) FramesOn(node NodeID) []*Frame {
 	out := make([]*Frame, 0, m.Node(node).Used())
-	for _, f := range m.live {
+	m.EachLive(func(f *Frame) {
 		if f.Node == node {
 			out = append(out, f)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

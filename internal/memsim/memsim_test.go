@@ -1,9 +1,11 @@
 package memsim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"kloc/internal/fault"
 	"kloc/internal/sim"
 )
 
@@ -24,17 +26,30 @@ func TestAllocFree(t *testing.T) {
 	if f.Node != FastNode || f.Class != ClassApp || f.Allocated != 10 {
 		t.Fatalf("bad frame: %+v", f)
 	}
-	if m.Node(FastNode).Used() != 1 || len(m.live) != 1 {
+	if m.Node(FastNode).Used() != 1 || liveCount(m) != 1 {
 		t.Fatal("occupancy wrong after alloc")
 	}
 	m.Free(f)
-	if m.Node(FastNode).Used() != 0 || len(m.live) != 0 {
+	if m.Node(FastNode).Used() != 0 || liveCount(m) != 0 {
 		t.Fatal("occupancy wrong after free")
 	}
 	m.Free(f) // double free is a no-op
 	if m.Node(FastNode).Used() != 0 {
 		t.Fatal("double free changed occupancy")
 	}
+	if _, err := m.Alloc(FastNode, ClassFree, 11); !errors.Is(err, fault.EINVAL) {
+		t.Fatalf("alloc as ClassFree: err %v, want EINVAL", err)
+	}
+	if m.Node(FastNode).Used() != 0 || liveCount(m) != 0 {
+		t.Fatal("refused alloc changed occupancy")
+	}
+}
+
+// liveCount counts the frames EachLive visits.
+func liveCount(m *Memory) int {
+	n := 0
+	m.EachLive(func(*Frame) { n++ })
+	return n
 }
 
 func TestAllocExhaustion(t *testing.T) {
@@ -297,7 +312,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			}
 		}
 		total := m.Node(FastNode).Used() + m.Node(SlowNode).Used()
-		if total != len(live) || len(m.live) != len(live) {
+		if total != len(live) || liveCount(m) != len(live) {
 			return false
 		}
 		perNode := map[NodeID]int{}

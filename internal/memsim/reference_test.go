@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -57,7 +58,7 @@ func referenceMemory() *Memory {
 // through Memory and through refMemory, and after SyncStats requires
 // every accounting read to agree: Stats.Refs/BytesTouched/RefsByNode/
 // AllocsByClassNode, MigratedPages, per-class occupancy, KernelUsed,
-// the live-frame count and FramesOn. Reads happen at random points mid-sequence too, so a stale
+// the live frames EachLive visits and FramesOn. Reads happen at random points mid-sequence too, so a stale
 // batched value cannot hide behind a final flush.
 func TestAccountingMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 42} {
@@ -154,8 +155,15 @@ func (ref *refMemory) check(t *testing.T, m *Memory, seed uint64, step int) {
 		t.Fatalf("seed %d step %d: migrated %d pages in %d+%d moves, reference %d in %d",
 			seed, step, s.MigratedPages, s.Promotions, s.Demotions, ref.migrated, ref.moves)
 	}
-	if len(m.live) != len(ref.live) {
-		t.Fatalf("seed %d step %d: %d live frames, reference %d", seed, step, len(m.live), len(ref.live))
+	var live, refLive []FrameID
+	m.EachLive(func(f *Frame) { live = append(live, f.ID) })
+	for _, rf := range ref.live {
+		refLive = append(refLive, rf.id)
+	}
+	slices.Sort(live)
+	slices.Sort(refLive)
+	if !slices.Equal(live, refLive) {
+		t.Fatalf("seed %d step %d: live frames %v, reference %v", seed, step, live, refLive)
 	}
 	for i, n := range m.Nodes {
 		id := NodeID(i)

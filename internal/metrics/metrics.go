@@ -1,7 +1,8 @@
 // Package metrics holds the distributions the paper's evaluation
 // summarizes: per-operation virtual costs and request latencies
-// (Distribution) and object lifetimes by allocation class (Fig 2d,
-// LifetimeTracker). The counts the other figures report — allocations
+// (Distribution) and the mean object lifetime of each allocation class
+// (Fig 2d, LifetimeTracker, which keeps a count and a sum per class and
+// no samples). The counts the other figures report — allocations
 // by object type (Fig 2a/2b), memory-reference splits (Fig 2c),
 // slow-memory allocations and migrations (Fig 5b) and KLOC metadata
 // overhead (Table 6) — live on the subsystems that count them
@@ -122,40 +123,50 @@ func (d *Distribution) Quantile(q float64) float64 {
 	return d.max
 }
 
-// LifetimeTracker measures object lifetimes per class: Fig 2d plots the
-// mean lifetime of application pages vs slab objects vs page cache
-// pages on a log axis. It keeps no per-object state: each object
-// carries its own birth stamp (kobj.Object.Born, memsim.Frame.Allocated)
-// and hands it over when it dies.
-type LifetimeTracker struct {
-	dist map[string]*Distribution
+// LifetimeClass is one of the three object classes whose lifetimes
+// Fig 2d plots.
+type LifetimeClass uint8
+
+// Lifetime classes.
+const (
+	LifetimeApp   LifetimeClass = iota // application pages
+	LifetimeSlab                       // slab-allocated kernel objects
+	LifetimeCache                      // page-cache pages and other non-slab objects
+	lifetimeClasses
+)
+
+// Lifetimes are one class's recorded deaths: their count and the sum
+// of their lifetimes.
+type Lifetimes struct {
+	Deaths uint64
+	sum    float64
 }
 
-// NewLifetimeTracker returns an empty tracker.
-func NewLifetimeTracker() *LifetimeTracker {
-	return &LifetimeTracker{dist: make(map[string]*Distribution)}
+// Mean returns the mean lifetime (0 with no deaths).
+func (l Lifetimes) Mean() sim.Duration {
+	if l.Deaths == 0 {
+		return 0
+	}
+	return sim.Duration(l.sum / float64(l.Deaths))
+}
+
+// LifetimeTracker measures object lifetimes per class: Fig 2d plots the
+// mean lifetime of application pages vs slab objects vs page cache
+// pages on a log axis, so a class keeps only its count and sum. The
+// tracker keeps no per-object state either: each object carries its
+// own birth stamp (kobj.Object.Born, memsim.Frame.Allocated) and hands
+// it over when it dies. The zero value is ready to use.
+type LifetimeTracker struct {
+	classes [lifetimeClasses]Lifetimes
 }
 
 // Died records the death at t of an object born at born, attributing
 // the lifetime to class. Callers record each death once.
-func (lt *LifetimeTracker) Died(class string, born, t sim.Time) {
-	d := lt.dist[class]
-	if d == nil {
-		d = &Distribution{}
-		lt.dist[class] = d
-	}
-	d.Observe(float64(t.Sub(born)))
+func (lt *LifetimeTracker) Died(class LifetimeClass, born, t sim.Time) {
+	l := &lt.classes[class]
+	l.Deaths++
+	l.sum += float64(t.Sub(born))
 }
 
-// Class returns the lifetime distribution for a class (nil if the class
-// never recorded a death).
-func (lt *LifetimeTracker) Class(class string) *Distribution { return lt.dist[class] }
-
-// MeanLifetime returns the mean lifetime for class as a sim.Duration.
-func (lt *LifetimeTracker) MeanLifetime(class string) sim.Duration {
-	d := lt.dist[class]
-	if d == nil {
-		return 0
-	}
-	return sim.Duration(d.Mean())
-}
+// Class returns the deaths recorded for class.
+func (lt *LifetimeTracker) Class(class LifetimeClass) Lifetimes { return lt.classes[class] }

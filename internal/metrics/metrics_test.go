@@ -199,23 +199,22 @@ func TestBucketOf(t *testing.T) {
 }
 
 func TestLifetimeTracker(t *testing.T) {
-	lt := NewLifetimeTracker()
-	lt.Died("slab", 100, 150)
-	lt.Died("cache", 200, 1200)
-	lt.Died("cache", 300, 1300)
-	if m := lt.MeanLifetime("slab"); m != 50 {
-		t.Fatalf("slab mean = %v", m)
-	}
-	if m := lt.MeanLifetime("cache"); m != 1000 {
-		t.Fatalf("cache mean = %v", m)
-	}
-	if n := lt.Class("cache").Count(); n != 2 {
-		t.Fatalf("cache deaths = %d, want 2", n)
-	}
-	if m := lt.MeanLifetime("missing"); m != 0 {
-		t.Fatalf("missing class mean = %v", m)
-	}
-	if lt.Class("missing") != nil {
-		t.Fatal("missing class has a distribution")
+	var lt LifetimeTracker
+	lt.Died(LifetimeSlab, 100, 150)
+	lt.Died(LifetimeCache, 200, 1200)
+	lt.Died(LifetimeCache, 300, 1301)
+	for _, c := range []struct {
+		class  LifetimeClass
+		deaths uint64
+		mean   sim.Duration
+	}{
+		{LifetimeSlab, 1, 50},
+		{LifetimeCache, 2, 1000}, // 1000.5 truncates, as a Duration does
+		{LifetimeApp, 0, 0},      // no deaths: mean 0
+	} {
+		l := lt.Class(c.class)
+		if l.Deaths != c.deaths || l.Mean() != c.mean {
+			t.Errorf("class %d: %d deaths, mean %v; want %d, %v", c.class, l.Deaths, l.Mean(), c.deaths, c.mean)
+		}
 	}
 }

@@ -9,17 +9,15 @@
 // en masse instead of relying on page-table scans that are slower than
 // the objects' lifetimes.
 //
-// This package re-exports the public surface:
-//
-//   - platform construction (two-tier and Optane Memory Mode);
-//   - the simulated kernel (filesystem, network stack, allocators);
-//   - the KLOC registry and the Table-2 API;
-//   - Table-5 tiering policies (Naive, Nimble, Nimble++, KLOCs,
-//     AutoNUMA variants, ideal/worst bounds);
-//   - Table-3 workload models (RocksDB, Redis, Filebench, Cassandra,
-//     Spark);
-//   - the experiment harness that regenerates every table and figure
-//     of the paper's evaluation (see EXPERIMENTS.md).
+// This package is the public surface. Its entry points run the
+// simulation as the commands and examples do: one measured run (Run),
+// the experiment harness that regenerates every table and figure of
+// the paper's evaluation (Experiment; see EXPERIMENTS.md), the cluster
+// sweep (ClusterBench) and chaos campaigns (RunChaosCampaign,
+// ChaosReplay). It also names the types those runs are built from and
+// report: the memory platforms (two-tier and Optane Memory Mode), the
+// simulated kernel, the KLOC registry, the Table-5 tiering policies
+// and the Table-3 workload models.
 //
 // Quick start:
 //
@@ -69,12 +67,6 @@ const (
 	Second      = sim.Second
 )
 
-// NewEngine returns a fresh event engine at time zero.
-func NewEngine() *Engine { return sim.NewEngine() }
-
-// NewRNG returns a deterministic generator for the given seed.
-func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
-
 // Memory platforms (Table 4).
 type (
 	// Memory is the simulated memory system.
@@ -89,19 +81,6 @@ type (
 	// NodeID identifies a memory node.
 	NodeID = memsim.NodeID
 )
-
-// NewTwoTier builds the two-tier platform (Table 4, top).
-func NewTwoTier(cfg TwoTierConfig) *Memory { return memsim.NewTwoTier(cfg) }
-
-// NewOptane builds the Memory-Mode platform (Table 4, bottom).
-func NewOptane(cfg OptaneConfig) *Memory { return memsim.NewOptane(cfg) }
-
-// DefaultTwoTier returns the Table-4 two-tier config scaled by
-// 1/scaleDiv.
-func DefaultTwoTier(scaleDiv int) TwoTierConfig { return memsim.DefaultTwoTier(scaleDiv) }
-
-// DefaultOptane returns the Table-4 Optane config scaled by 1/scaleDiv.
-func DefaultOptane(scaleDiv int) OptaneConfig { return memsim.DefaultOptane(scaleDiv) }
 
 // Kernel and KLOC core.
 type (
@@ -120,16 +99,6 @@ type (
 	ObjectGroup = kobj.Group
 )
 
-// NewKernel assembles a kernel over a memory platform with a policy.
-func NewKernel(eng *Engine, mem *Memory, pol Policy) *Kernel { return kernel.New(eng, mem, pol) }
-
-// NewRegistry builds a standalone KLOC registry (most users get one
-// implicitly through the KLOCs policy).
-func NewRegistry(mem *Memory, cpus int) *Registry { return kloc.NewRegistry(mem, cpus) }
-
-// ObjectTypes returns Table 1's taxonomy.
-func ObjectTypes() []ObjectType { return kobj.Types() }
-
 // Policies (Table 5).
 type (
 	// KLOCConfig selects a KLOCs policy variant.
@@ -137,12 +106,6 @@ type (
 	// KLOCsPolicy is the paper's policy.
 	KLOCsPolicy = policy.KLOCs
 )
-
-// PolicyByName constructs a Table-5 strategy: "naive", "nimble",
-// "nimble++", "klocs", "klocs-nomigration", "all-fast", "all-slow",
-// "autonuma", "nimble-numa", "autonuma+klocs", "all-local",
-// "all-remote".
-func PolicyByName(name string) (Policy, error) { return policy.ByName(name) }
 
 // NewKLOCs builds the KLOCs policy with a custom configuration.
 func NewKLOCs(cfg KLOCConfig) *KLOCsPolicy { return policy.NewKLOCs(cfg) }
@@ -177,19 +140,6 @@ const (
 	ETIMEDOUT = fault.ETIMEDOUT
 )
 
-// UniformFaults builds a config injecting each point's default errno
-// with the given probability per consult, deterministically from seed.
-func UniformFaults(seed uint64, prob float64) FaultConfig { return fault.Uniform(seed, prob) }
-
-// NewFaultPlane arms a plane from a config.
-func NewFaultPlane(cfg FaultConfig) *FaultPlane { return fault.NewPlane(cfg) }
-
-// FaultPoints lists the named injection points.
-func FaultPoints() []FaultPoint { return fault.Points() }
-
-// IsErrno reports whether err carries a kernel-style errno.
-func IsErrno(err error) bool { return fault.IsErrno(err) }
-
 // AsErrno extracts the errno from an error chain.
 func AsErrno(err error) (Errno, bool) { return fault.AsErrno(err) }
 
@@ -212,13 +162,6 @@ type (
 	Watermarks = memsim.Watermarks
 )
 
-// DeriveWatermarks computes Linux-style min/low/high watermarks for a
-// node of the given capacity (min ≈ capacity/64, low = 5/4·min,
-// high = 3/2·min).
-func DeriveWatermarks(capacityPages int) Watermarks {
-	return memsim.DeriveWatermarks(capacityPages)
-}
-
 // Tracing (the tracepoint-analog observability plane; DESIGN.md §9,
 // OBSERVABILITY.md).
 type (
@@ -237,13 +180,6 @@ type (
 	// per-KLOC-context activity over virtual-time windows.
 	TraceStats = trace.Stats
 )
-
-// NewTracer arms a standalone tracer (harness users get one implicitly
-// through RunConfig.Trace).
-func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
-
-// TraceEventNames lists the event catalog in documentation order.
-func TraceEventNames() []TraceEventName { return trace.Names() }
 
 // Runtime sanitizing (the KASAN/kmemleak-analog plane; DESIGN.md §10).
 type (
@@ -269,10 +205,6 @@ const (
 	SanLeak         = alloc.SanLeak
 )
 
-// NewSanitizer arms a standalone sanitizer (harness users get one
-// implicitly through RunConfig.Sanitize).
-func NewSanitizer() *Sanitizer { return alloc.NewSanitizer() }
-
 // Workloads (Table 3).
 type (
 	// Workload is a Table-3 application model.
@@ -280,15 +212,6 @@ type (
 	// WorkloadConfig scales a workload.
 	WorkloadConfig = workload.Config
 )
-
-// WorkloadByName constructs "rocksdb", "redis", "filebench",
-// "cassandra", or "spark".
-func WorkloadByName(name string, cfg WorkloadConfig) (Workload, error) {
-	return workload.ByName(name, cfg)
-}
-
-// WorkloadNames lists the Table-3 catalog.
-func WorkloadNames() []string { return workload.Names() }
 
 // Experiment harness.
 type (
@@ -308,8 +231,8 @@ const (
 	Optane  = harness.Optane
 )
 
-// Run executes one measured simulation run. A negative Duration is
-// EINVAL; zero means the 400 ms default.
+// Run executes one measured simulation run. A negative Duration or
+// ScaleDiv is EINVAL; zero means the 400 ms or 64 default.
 func Run(cfg RunConfig) (*Result, error) { return harness.Run(cfg) }
 
 // Experiment runs a named paper experiment ("fig2a".."fig6", "table6",
@@ -354,13 +277,6 @@ type (
 	// ClusterBenchRow is one sweep point in a ClusterBenchReport.
 	ClusterBenchRow = harness.ClusterBenchRow
 )
-
-// NewCluster builds a serving fleet from a config.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// ClusterRouteNames lists the balancer's routing policies in
-// presentation order: "round-robin", "least-loaded", "kloc".
-func ClusterRouteNames() []string { return cluster.RouteNames() }
 
 // ClusterBench sweeps offered load against every routing policy with a
 // crash and a degrade window in each run ("klocbench -exp cluster").
@@ -412,10 +328,6 @@ const ChaosSchemaVersion = chaos.SchemaVersion
 func RunChaosCampaign(cfg ChaosConfig) (*ChaosSummary, []*ChaosArtifact, error) {
 	return chaos.RunCampaign(cfg)
 }
-
-// ChaosOracles lists the invariant oracles for a campaign target, in
-// checking order.
-func ChaosOracles(target string) []ChaosOracle { return chaos.Registry(target) }
 
 // ParseChaosArtifact deserializes and validates a replay artifact.
 func ParseChaosArtifact(data []byte) (*ChaosArtifact, error) { return chaos.ParseArtifact(data) }

@@ -4,33 +4,34 @@ import (
 	"testing"
 
 	"kloc"
+	"kloc/internal/cluster"
+	"kloc/internal/fault"
+	"kloc/internal/policy"
+	"kloc/internal/workload"
 )
 
 func TestPublicAPISurface(t *testing.T) {
-	if got := len(kloc.ObjectTypes()); got != 12 {
-		t.Fatalf("Table 1 taxonomy size = %d", got)
-	}
-	if got := len(kloc.WorkloadNames()); got != 5 {
+	if got := len(workload.Names()); got != 5 {
 		t.Fatalf("Table 3 catalog size = %d", got)
 	}
 	if got := len(kloc.ExperimentNames()); got != 14 {
 		t.Fatalf("experiment registry size = %d", got)
 	}
-	if got := len(kloc.FaultPoints()); got != 8 {
+	if got := len(fault.Points()); got != 8 {
 		t.Fatalf("fault point catalog size = %d", got)
 	}
-	if got := len(kloc.ClusterRouteNames()); got != 3 {
+	if got := len(cluster.RouteNames()); got != 3 {
 		t.Fatalf("cluster route catalog size = %d", got)
 	}
 	for _, name := range []string{"naive", "nimble", "klocs", "autonuma+klocs"} {
-		if _, err := kloc.PolicyByName(name); err != nil {
+		if _, err := policy.ByName(name); err != nil {
 			t.Fatalf("policy %s: %v", name, err)
 		}
 	}
-	if _, err := kloc.PolicyByName("nope"); err == nil {
+	if _, err := policy.ByName("nope"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := kloc.WorkloadByName("rocksdb", kloc.WorkloadConfig{}); err != nil {
+	if _, err := workload.ByName("rocksdb", kloc.WorkloadConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := kloc.Experiment("nope", kloc.QuickOptions()); err == nil {
@@ -41,7 +42,9 @@ func TestPublicAPISurface(t *testing.T) {
 // TestExperimentRejectsBadOptions: an unknown experiment name, a scale
 // divisor below 1, a negative duration, seed 0 and an unknown workload
 // are EINVAL from the planning step, before any run starts, and never a
-// panic; so is a negative duration handed to Run.
+// panic; so are a negative duration handed to Run and a negative scale
+// divisor handed to Run, the fleet, a chaos campaign or a replay
+// artifact, where zero means the default.
 func TestExperimentRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		exp string
@@ -67,9 +70,35 @@ func TestExperimentRejectsBadOptions(t *testing.T) {
 			}
 		}()
 	}
-	_, err := kloc.Run(kloc.RunConfig{PolicyName: "klocs", Workload: "redis", ScaleDiv: 256, Duration: -5 * kloc.Millisecond})
-	if errno, ok := kloc.AsErrno(err); !ok || errno != kloc.EINVAL {
-		t.Errorf("Run with a negative duration: err %v, want EINVAL", err)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Run with a negative duration", func() error {
+			_, err := kloc.Run(kloc.RunConfig{PolicyName: "klocs", Workload: "redis", ScaleDiv: 256, Duration: -5 * kloc.Millisecond})
+			return err
+		}},
+		{"Run with a negative scale divisor", func() error {
+			_, err := kloc.Run(kloc.RunConfig{PolicyName: "klocs", Workload: "redis", ScaleDiv: -5, Duration: 5 * kloc.Millisecond})
+			return err
+		}},
+		{"cluster.New with a negative scale divisor", func() error {
+			_, err := cluster.New(kloc.ClusterConfig{ScaleDiv: -5, Rate: 1000, Duration: 5 * kloc.Millisecond})
+			return err
+		}},
+		{"RunChaosCampaign with a negative scale divisor", func() error {
+			_, _, err := kloc.RunChaosCampaign(kloc.ChaosConfig{Target: kloc.ChaosTargetCluster, Schedules: 1, ScaleDiv: -3})
+			return err
+		}},
+		{"ParseChaosArtifact with a negative scale divisor", func() error {
+			_, err := kloc.ParseChaosArtifact([]byte(`{"schema_version": 1, "experiment": "chaos", "target": "cluster", "scale_div": -3, "schedule": {"injections": []}}`))
+			return err
+		}},
+	} {
+		err := tc.call()
+		if errno, ok := kloc.AsErrno(err); !ok || errno != kloc.EINVAL {
+			t.Errorf("%s: err %v, want EINVAL", tc.name, err)
+		}
 	}
 }
 
@@ -85,43 +114,5 @@ func TestPublicRunEndToEnd(t *testing.T) {
 	}
 	if res.Throughput <= 0 || res.KlocMetadataBytes <= 0 {
 		t.Fatalf("degenerate result: %+v", res)
-	}
-}
-
-func TestManualAssembly(t *testing.T) {
-	// The long way around the helpers: build every piece explicitly.
-	eng := kloc.NewEngine()
-	mem := kloc.NewTwoTier(kloc.DefaultTwoTier(512))
-	pol, err := kloc.PolicyByName("klocs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := kloc.NewKernel(eng, mem, pol)
-	wl, err := kloc.WorkloadByName("filebench", kloc.WorkloadConfig{ScaleDiv: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Setup(k, kloc.NewRNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	k.Start()
-	ctx := k.NewCtx(0)
-	if err := wl.Step(k, ctx, 0, kloc.NewRNG(2)); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Cost <= 0 {
-		t.Fatal("operation was free")
-	}
-}
-
-func TestStandaloneRegistry(t *testing.T) {
-	mem := kloc.NewTwoTier(kloc.DefaultTwoTier(512))
-	reg := kloc.NewRegistry(mem, 4)
-	kn, cost, err := reg.MapKnode(1, []kloc.NodeID{0, 1}, 0)
-	if err != nil || kn == nil || cost <= 0 {
-		t.Fatalf("MapKnode: %v %v %v", kn, cost, err)
-	}
-	if reg.Len() != 1 {
-		t.Fatal("registry empty after MapKnode")
 	}
 }
